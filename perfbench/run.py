@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload certify-flagship --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload audit-cli --seed 1 --seconds 20 --trace 0
 
 One run: set up (import permorb, generate the seeded inputs into a scratch
 directory, one untimed warm-up op), then repeat whole rotations of the
@@ -39,7 +39,7 @@ EXPECTED = Path(__file__).resolve().parent / "expected.json"
 
 WORKLOAD_NAMES = ("certify-exhaustive", "certify-flagship", "audit-cli", "spot-check")
 MIN_ROTATIONS = 4  # every op repeats at least this often, for its best-of
-SETUP_PROBES = 3  # extra set-ups in fresh interpreters; setup_s is the best of these and the run's own
+SETUP_PROBES = 4  # extra set-ups in fresh interpreters; setup_s is the median of these and the run's own
 
 END_TO_END = {
     "setup_s": "s",
@@ -87,7 +87,6 @@ DERIVED_METRICS = {
     "separation.tuples_examined": "count",
     "separation.parallel_util": "ratio",
     "separation.spot_check_injectivity.accept_ratio": "ratio",
-    "trace.worker_processes": "count",
     "trace.overhead_s": "s",
 }
 
@@ -218,6 +217,44 @@ def probe_setup(name: str, seed: int) -> float:
     return float(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
 
 
+class SetupProbes:
+    """``count`` set-up probes spread evenly through the timed loop.
+
+    The host's speed changes in spells of seconds, so probes taken back to
+    back share one spell; spread out, their median is steadier.  Before the
+    first probe the peak RSS of the children so far (the pool workers) is
+    read, so that the probes themselves never count in ``peak_rss_mb``.
+    """
+
+    def __init__(self, name: str, seed: int, count: int, seconds: float):
+        self.name, self.seed, self.count, self.seconds = name, seed, count, seconds
+        self.samples: list[float] = []
+        self.spent = 0.0  # seconds spent in probes, not counted as loop time
+        self.children_kb: int | None = None
+
+    def _probe(self) -> None:
+        if self.children_kb is None:
+            self.children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        start = time.perf_counter()
+        self.samples.append(probe_setup(self.name, self.seed))
+        self.spent += time.perf_counter() - start
+
+    def tick(self, elapsed: float) -> None:
+        """Probe if ``elapsed`` loop seconds have reached the next probe's turn."""
+        if len(self.samples) < self.count and elapsed >= (
+            (len(self.samples) + 1) * self.seconds / (self.count + 1)
+        ):
+            self._probe()
+
+    def finish(self) -> None:
+        while len(self.samples) < self.count:
+            self._probe()
+
+    def peak_rss_mb(self) -> float:
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return max(kb, self.children_kb or 0) / 1024.0
+
+
 # ---------------------------------------------------------------------------
 # host speed
 # ---------------------------------------------------------------------------
@@ -285,12 +322,6 @@ def cpu_seconds() -> float:
     )
 
 
-def peak_rss_mb() -> float:
-    kb = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-    return kb / 1024.0
-
-
 class Checker:
     """Per-op invariants plus, on the recorded seed, the expected records."""
 
@@ -315,30 +346,33 @@ class Checker:
 
 def run_op(op, check: Checker, tracer=None, op_id=None) -> dict:
     """Runs one op; returns its sample: latency_s, cpu_s, units, ok."""
-    op.prepare()
-    if tracer is not None:
-        tracer.op = op_id
     try:
-        cpu0, start = cpu_seconds(), time.perf_counter()
-        result = op.call()
-        latency, cpu = time.perf_counter() - start, cpu_seconds() - cpu0
-    except Exception:  # an op failure is counted, never fatal to the run
+        op.prepare()
+        if tracer is not None:
+            tracer.op = op_id
+        try:
+            cpu0, start = cpu_seconds(), time.perf_counter()
+            result = op.call()
+            latency, cpu = time.perf_counter() - start, cpu_seconds() - cpu0
+        finally:
+            if tracer is not None:
+                tracer.op = None
+        outcome = op.inspect(result)
+    except (Exception, SystemExit):  # an op failure is counted, never fatal to the run
         traceback.print_exc(file=sys.stderr)
         check.problems.append(f"{op.key}: raised")
         return {"key": op.key, "ok": False}
-    finally:
-        if tracer is not None:
-            tracer.op = None
-    outcome = op.inspect(result)
     ok = check(op.key, outcome)
     return {"key": op.key, "ok": ok, "latency_s": latency, "cpu_s": cpu, "units": outcome.units}
 
 
-def measure(workload, seconds: float, check: Checker, tracer=None, host=None) -> list[dict]:
+def measure(workload, seconds: float, check: Checker, tracer=None, host=None,
+            probes=None) -> list[dict]:
     """Whole rotations until ``seconds`` pass, and at least MIN_ROTATIONS.
 
-    With a tracer, odd rotations are traced.
-    Returns one dict per rotation, holding its op samples.
+    With a tracer, odd rotations are traced.  Between rotations the host
+    speed is sampled and ``probes`` take their turns; probe time is not
+    loop time.  Returns one dict per rotation, holding its op samples.
     """
     from perfbench import tracing
 
@@ -347,19 +381,20 @@ def measure(workload, seconds: float, check: Checker, tracer=None, host=None) ->
     while True:
         index = len(rotations)
         traced = tracer is not None and index % 2 == 1
-        rot = {"traced": traced, "ops": [], "workers": 0}
+        rot = {"traced": traced, "ops": []}
         cpu0, t0 = cpu_seconds(), time.perf_counter()
         with tracing.installed(tracer) if traced else contextlib.nullcontext():
             for k, op in enumerate(workload.ops):
                 rot["ops"].append(run_op(op, check, tracer if traced else None, f"{index}.{k}"))
-                if traced:
-                    rot["workers"] += tracer.collect_workers()
         rot["wall_s"] = time.perf_counter() - t0
         rot["cpu_s"] = cpu_seconds() - cpu0
         rotations.append(rot)
         if host is not None:
             host.tick()
-        if time.perf_counter() - begin >= seconds and len(rotations) >= MIN_ROTATIONS:
+        if probes is not None:
+            probes.tick(time.perf_counter() - begin - probes.spent)
+        spent = probes.spent if probes is not None else 0.0
+        if time.perf_counter() - begin - spent >= seconds and len(rotations) >= MIN_ROTATIONS:
             return rotations
 
 
@@ -393,21 +428,29 @@ def rotation_units(rotations) -> int:
     return sum(s.get("units", 0) for s in rotations[0]["ops"])
 
 
-def end_to_end(setup_samples, rotations, scale: float = 1.0) -> dict[str, float]:
-    """End-to-end metrics; every time is multiplied by ``scale``."""
+def end_to_end(setup_samples, rotations, peak_mb: float, scale: float = 1.0) -> dict[str, float]:
+    """End-to-end metrics; every time is multiplied by ``scale``.
+
+    With no op that passed its checks, the op times read 0.
+    """
     latency = best(rotations, "latency_s")
     wall = sum(latency.values()) * scale
     return {
-        "setup_s": min(setup_samples) * scale,
+        "setup_s": statistics.median(setup_samples) * scale,
         "wall_s": wall,
-        "op_p50_s": statistics.median(latency.values()) * scale,
-        "units_per_s": rotation_units(rotations) / wall,
+        "op_p50_s": statistics.median(latency.values()) * scale if latency else 0.0,
+        "units_per_s": rotation_units(rotations) / wall if wall else 0.0,
         "cpu_s": sum(best(rotations, "cpu_s").values()) * scale,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": peak_mb,
     }
 
 
-def per_layer(workload, rotations, tracer) -> dict[str, float]:
+def per_layer(workload, rotations, tracer) -> dict[str, float | None]:
+    """Per-layer metrics per traced rotation.
+
+    Spans inside pool workers are not collected, so on a workload with
+    workers a span the parent never entered is absent (None), not zero.
+    """
     plain = [r for r in rotations if not r["traced"]]
     traced = [r for r in rotations if r["traced"]]
     ops = {f"{i}.{k}" for i, r in enumerate(rotations) if r["traced"] for k in range(len(r["ops"]))}
@@ -415,7 +458,10 @@ def per_layer(workload, rotations, tracer) -> dict[str, float]:
     out = {}
     for name in SPAN_METRICS:
         span, _, stat = name.rpartition(".")
-        agg = totals.get(span, {"calls": 0, "total_s": 0.0, "self_s": 0.0})
+        agg = totals.get(span)
+        if agg is None:
+            out[name] = None if workload.workers > 1 else 0
+            continue
         out[name] = agg[{"calls": "calls", "self_s": "self_s", "s": "total_s"}[stat]] / len(traced)
     certify = workload.name.startswith("certify")
     out["separation.tuples_examined"] = rotation_units(traced) if certify else 0
@@ -431,7 +477,6 @@ def per_layer(workload, rotations, tracer) -> dict[str, float]:
     out["separation.spot_check_injectivity.accept_ratio"] = (
         trials / distance_calls if distance_calls else 0.0
     )
-    out["trace.worker_processes"] = statistics.median(r["workers"] for r in traced)
     out["trace.overhead_s"] = (
         sum(best(traced, "latency_s").values()) - sum(best(plain, "latency_s").values())
     )
@@ -494,24 +539,32 @@ def main(argv=None) -> int:
 
         env = environment(args)
         print("# env " + json.dumps(env), flush=True)
-        # set-ups before and after the timed loop, so that they span it
-        setup_samples = [setup_main] + [probe_setup(args.workload, args.seed)]
         expected = None if args.write_expected else load_expected(args.workload, args.seed)
         check = Checker(expected)
-        tracer = tracing.Tracer(worker_dir=workdir) if args.trace else None
+        tracer = tracing.Tracer() if args.trace else None
         host = HostSpeed()
         host.sample(0.3)
-        rotations = measure(workload, args.seconds, check, tracer, host)
-        setup_samples += [probe_setup(args.workload, args.seed) for _ in range(SETUP_PROBES - 1)]
+        # set-up is an end-to-end metric only, so a traced run does not probe it
+        probes = None if args.trace else SetupProbes(args.workload, args.seed, SETUP_PROBES,
+                                                     args.seconds)
+        rotations = measure(workload, args.seconds, check, tracer, host, probes)
+        if probes is not None:
+            probes.finish()
+        setup_samples = [setup_main] + (probes.samples if probes is not None else [])
         host.tick()
         attempted, failed = counts(rotations)
         if args.trace:
             values = per_layer(workload, rotations, tracer)
             units = per_layer_units()
+            absent = sorted(name for name, value in values.items() if value is None)
+            if absent:
+                print(f"# absent (inside the {workload.workers} pool workers, not traced) "
+                      + " ".join(absent))
         else:
-            values = end_to_end(setup_samples, rotations, host.scale())
+            peak_mb = probes.peak_rss_mb()
+            values = end_to_end(setup_samples, rotations, peak_mb, host.scale())
             units = END_TO_END
-            print("# raw " + json.dumps(end_to_end(setup_samples, rotations)))
+            print("# raw " + json.dumps(end_to_end(setup_samples, rotations, peak_mb)))
         for key, digest in sorted(check.digests.items()):
             print(f"# digest {args.workload} {key} {digest}")
         for problem in check.problems:

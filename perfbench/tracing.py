@@ -8,11 +8,8 @@ of the permorb layer modules -- in every permorb namespace that holds it --
 plus the numpy/scipy kernels the layers call, and restores the originals on
 exit.  The program's source is never edited.
 
-Pool workers forked while a trace is active inherit the wrappers; each
-worker writes its own records to ``worker_dir`` when it exits and
-``collect_workers`` merges them.  Worker spans hang under the root name
-``worker`` and never count as children of a parent-process span, because
-they overlap it in wall time on other cores.
+Only the benchmark's own process is traced: spans inside pool workers are
+not collected.
 """
 
 from __future__ import annotations
@@ -20,33 +17,22 @@ from __future__ import annotations
 import contextlib
 import functools
 import inspect
-import json
-import os
 import time
-from pathlib import Path
 
 # Modules whose public functions are wrapped; cli has no __all__, so its
 # entry point is named explicitly.
 LAYERS = ("core", "embeddings", "metrics", "constructions", "audit", "separation", "tables", "cli")
 _PUBLIC_OVERRIDE = {"cli": ("main",)}
 
-WORKER_ROOT = "worker"
-
 
 class Tracer:
     """Aggregated span tree of wrapped calls, keyed by the current op id."""
 
-    def __init__(self, clock=time.perf_counter, worker_dir=None):
+    def __init__(self, clock=time.perf_counter):
         self.clock = clock
-        self.worker_dir = Path(worker_dir) if worker_dir is not None else None
         self.op = None  # spans outside an op are not recorded
-        self.active = False
         self._stack: list[list] = []  # frames: [name, start, child_s]
         self.records: dict[tuple, list] = {}  # (op, name, parent) -> [calls, total_s, child_s]
-        if self.worker_dir is not None:
-            from multiprocessing import util
-
-            util.register_after_fork(self, Tracer._after_fork)
 
     # -- spans ------------------------------------------------------------
 
@@ -96,37 +82,6 @@ class Tracer:
             self.records.items(), key=lambda item: (str(item[0][0]), item[0][1], str(item[0][2]))
         )]
 
-    # -- pool workers -----------------------------------------------------
-
-    def _after_fork(self) -> None:
-        if not self.active or self.worker_dir is None:
-            return
-        from multiprocessing import util
-
-        self.records = {}
-        self._stack = [[WORKER_ROOT, self.clock(), 0.0]]
-        util.Finalize(self, self._flush_worker, exitpriority=100)
-
-    def _flush_worker(self) -> None:
-        path = self.worker_dir / f"worker-{os.getpid()}.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self.dump()))
-        os.replace(tmp, path)
-
-    def collect_workers(self) -> int:
-        """Merge and delete the records left by exited workers; returns their count."""
-        if self.worker_dir is None:
-            return 0
-        files = sorted(self.worker_dir.glob("worker-*.json"))
-        for path in files:
-            for op, name, parent, calls, total_s, child_s in json.loads(path.read_text()):
-                rec = self.records.setdefault((op, name, parent), [0, 0.0, 0.0])
-                rec[0] += calls
-                rec[1] += total_s
-                rec[2] += child_s
-            path.unlink()
-        return len(files)
-
 
 def _targets():
     """(span name, namespace, attribute) for every function to wrap."""
@@ -163,9 +118,7 @@ def installed(tracer: Tracer):
             original = getattr(ns, attr)
             saved.append((ns, attr, original))
             setattr(ns, attr, tracer.wrap(name, original))
-        tracer.active = True
         yield tracer
     finally:
-        tracer.active = False
         for ns, attr, original in reversed(saved):
             setattr(ns, attr, original)

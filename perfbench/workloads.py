@@ -30,6 +30,10 @@ FLAGSHIP_SLICES = 32
 FLAGSHIP_BUDGET = 5_000
 FLAGSHIP_JITTER = FLAGSHIP_BUDGET // 4
 FLAGSHIP_TOTAL = math.factorial(5) ** 4
+# The flagship certifies with permorb's default seed: the certify seed keys
+# the null-space samples and so changes the work, by up to 35% per rotation
+# between seeds on (3,4,8) windows, and the workload seed moves only the offsets.
+FLAGSHIP_CERTIFY_SEED = 0
 
 # certify-exhaustive warm-up: enough tuples to start the pool and walk a few subtrees.
 EXHAUSTIVE_WARMUP_BUDGET = 20_000
@@ -144,7 +148,6 @@ def certify_exhaustive(seed: int, workdir: Path) -> Workload:
     return Workload(
         name="certify-exhaustive",
         workers=threads,
-        
         ops=[op],
         warmup=lambda: separation.certify_separation(
             A, n, budget=EXHAUSTIVE_WARMUP_BUDGET, seed=cseed, threads=threads
@@ -162,7 +165,7 @@ def generate_certify_flagship(seed: int, workdir: Path) -> dict:
     offsets = [
         k * width + centre + int(rng.integers(FLAGSHIP_JITTER)) for k in range(FLAGSHIP_SLICES)
     ]
-    cseed = seed % 2**31
+    cseed = FLAGSHIP_CERTIFY_SEED
     digest = sha256(np.ascontiguousarray(A).tobytes())
     for k, offset in enumerate(offsets):
         checkpoint = {
@@ -264,13 +267,14 @@ def audit_cli(seed: int, workdir: Path) -> Workload:
                 "--out", str(out)]
 
         def inspect(code):
+            if code != 0 or not out.is_file():
+                problem = f"exit code {code} != 0" if code != 0 else "no report written"
+                return Outcome({"exit": code}, 0, sha256(str(code)), [problem])
             text = out.read_text()
             payload = json.loads(text)
             stable = {k: v for k, v in payload.items() if k not in AUDIT_VOLATILE}
             record = {"exit": code, "stable_sha256": sha256(canonical(stable))}
             problems = []
-            if code != 0:
-                problems.append(f"exit code {code} != 0")
             wanted = "subset_bound" if "--subset-r" in flags else "pu"
             if payload.get(wanted) is None:
                 problems.append(f"report lacks {wanted}")
