@@ -360,7 +360,6 @@ def empirical_distortion(
     subset_r: int | None = None,
     pu_m: int | None = None,
     pu_method: str = "auto",
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> AuditReport:
     """Min/max embedding-to-distance ratios over a seeded pair pool.
 
@@ -409,7 +408,7 @@ def empirical_distortion(
         seed=int(seed),
     )
     if subset_r is not None:
-        report.subset_bound = subset_sigma_lower_bound(A, subset_r, budget=subset_budget)
+        report.subset_bound = subset_sigma_lower_bound(A, subset_r)
     if pu_m is not None:
         estimate = projective_uniformity(A, pu_m, pu_method, seed=seed)
         report.pu = estimate

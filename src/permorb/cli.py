@@ -34,6 +34,7 @@ from .audit import (
     gaussian_sketch,
     ose_check,
     ose_dimension,
+    subset_sigma_lower_bound,
     upper_lipschitz,
 )
 from .constructions import (
@@ -223,23 +224,15 @@ def cmd_audit(args) -> int:
         if args.budget is not None
         else default_enumeration_budget(DEFAULT_SUBSET_BUDGET)
     )
+    report = empirical_distortion(
+        A, args.n, args.trials, args.seed, pu_m=args.pu_m, pu_method=args.pu_method
+    )
     skipped: dict[str, str] = {}
-    try:
-        report = empirical_distortion(
-            A,
-            args.n,
-            args.trials,
-            args.seed,
-            subset_r=args.subset_r,
-            pu_m=args.pu_m,
-            pu_method=args.pu_method,
-            subset_budget=subset_budget,
-        )
-    except BudgetExceededError as exc:
-        skipped["subset_bound"] = str(exc)
-        report = empirical_distortion(
-            A, args.n, args.trials, args.seed, pu_m=args.pu_m, pu_method=args.pu_method
-        )
+    if args.subset_r is not None:
+        try:
+            report.subset_bound = subset_sigma_lower_bound(A, args.subset_r, budget=subset_budget)
+        except BudgetExceededError as exc:
+            skipped["subset_bound"] = str(exc)
     payload = dataclasses.asdict(report)
     if skipped:
         payload["skipped"] = skipped
@@ -403,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pu-m", type=int, default=None, help="attach an (m, delta) uniformity estimate")
     p.add_argument("--pu-method", default="auto", choices=("auto", "exact-2d-sweep", "sphere-sampling"))
     p.add_argument("--budget", type=int, default=None, help="subset enumeration budget")
-    p.add_argument("--threads", type=int, default=1, help="accepted for interface stability; the audit pipeline is vectorized single-pass")
     p.add_argument("--check-ose", action="store_true", help="attach a sketch norm-preservation check")
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--eta", type=float, default=0.1)

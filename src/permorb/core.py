@@ -8,10 +8,10 @@ values can be shared freely across threads.
 Reproducibility notes:
 
 * Random streams come from the counter-based Philox generator.  A 64-bit
-  seed always produces the same stream, independent of platform, and
-  derived streams are keyed by ``(seed, index)`` pairs so that resumable
-  or partitioned computations see identical randomness regardless of
-  visit order.
+  seed always produces the same stream, independent of platform.  The one
+  keyed scheme is ``separation._hash_coefficients``: it draws from a
+  ``(seed, leaf index)`` pair, so resumed or partitioned certification
+  runs test identical elements regardless of visit order.
 * CSV files store one matrix row per line; entries use ``repr`` so a
   save/load round trip is bit exact.  Lines starting with ``#`` are
   comments.
@@ -44,9 +44,7 @@ __all__ = [
     "as_vector",
     "as_cloud",
     "make_rng",
-    "derived_rng",
     "sort_ascending",
-    "identity_permutation",
     "inverse_permutation",
     "validate_permutation",
     "random_permutation",
@@ -149,15 +147,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
-def derived_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream keyed by (seed, index); order of use is irrelevant."""
-    index = int(index)
-    if index < 0 or index >= 2**64:
-        raise ValueError(f"derived stream index out of range: {index}")
-    key = (_check_seed(seed) << 64) + index
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 # ---------------------------------------------------------------------------
 # Sorting and permutations
 # ---------------------------------------------------------------------------
@@ -166,12 +155,6 @@ def derived_rng(seed: int, index: int) -> np.random.Generator:
 def sort_ascending(v) -> np.ndarray:
     """Sort a vector non-decreasingly; rejects non-finite input."""
     return np.sort(as_vector(v))
-
-
-def identity_permutation(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"permutation length must be >= 1, got {n}")
-    return np.arange(n, dtype=np.intp)
 
 
 def validate_permutation(sigma, n: int | None = None) -> np.ndarray:

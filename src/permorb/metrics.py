@@ -67,7 +67,9 @@ def orbit_distance(X, Y) -> OrbitDistanceResult:
 
 @functools.lru_cache(maxsize=16)
 def _all_permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms.flags.writeable = False  # the cached table is shared by every caller
+    return perms
 
 
 def orbit_distance_bruteforce(X, Y) -> OrbitDistanceResult:

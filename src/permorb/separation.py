@@ -26,12 +26,23 @@ Enumeration order is lexicographic in the per-level permutation ranks
 of its digit string).  Subtrees whose partial solution space is already
 trivial are skipped in bulk; their leaves still count as examined since
 they are decided.  The incremental pruning uses a deliberately loose
-rank tolerance so marginal directions stay alive; every surviving leaf is
-re-verified against the full system at the strict tolerance before any
-witness is accepted.  Long runs checkpoint their position to a JSON file
-and can resume; partitioned runs split the top-level digits across
-processes, and a found witness always reports the smallest leaf index
-among the partitions, so the verdict does not depend on scheduling.
+rank tolerance so marginal directions stay alive.
+
+Every candidate leaf, with or without tail columns, is decided by one
+path.  Generic samples of its solution space are drawn keyed by (seed,
+leaf index) and put through one defeat test: a sample is defeated when
+some sigma in S_n moves every coordinate vector as its P_i does, which is
+exactly a perfect matching in the n x n boolean matrix "point s lies
+within 1e-8 of point t's P-image in every coordinate", checked against all
+n! permutations at once.  Undefeated samples are then re-verified against
+the full system at the strict tolerance before any witness is accepted.
+
+Every run is a list of windows of top-level digits, each searched by the
+same runner: a single-process run is one window searched in-process, a
+partitioned run searches its windows in a process pool, and one block
+combines the results, reporting the witness with the smallest leaf index,
+so the verdict does not depend on scheduling.  Long single-window runs
+checkpoint their position to a JSON file and can resume.
 
 The search runs inside the translation-free subspace where every
 coordinate vector x_i sums to zero.  This loses nothing: permutation
@@ -45,8 +56,8 @@ solutions alive and no subtree can ever be pruned.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -62,7 +73,7 @@ from .core import (
     json_dumps,
     make_rng,
 )
-from .metrics import orbit_distance
+from .metrics import _all_permutations, orbit_distance
 
 __all__ = [
     "SeparationStatus",
@@ -238,12 +249,6 @@ def non_injective_D_threshold(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _perm_tables(n: int):
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    mats = np.eye(n)[perms]  # mats[r] applies sigma_r: (P v)[t] = v[sigma_r[t]]
-    return perms, mats
-
-
 def _centered_basis(n: int, d: int) -> np.ndarray:
     """Orthonormal basis of the solutions with zero-sum coordinate vectors.
 
@@ -275,8 +280,27 @@ def _hash_coefficients(seed: int, index: int, rows: int, cols: int) -> np.ndarra
     return (2.0 * u - 1.0).reshape(rows, cols)
 
 
+def _defeated(Xs: np.ndarray, p_rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The defeat test for samples ``Xs`` (s, d, n) under P tuple ``p_rows`` (d, n).
+
+    A sample x is defeated when some sigma in S_n moves every coordinate
+    vector as its P_i does: max_{i,t} |x_i[sigma(t)] - x_i[p_i(t)]| <= tol.
+    That holds exactly when sigma is a perfect matching of the boolean
+    matrix close[t, s] = all_i |x_i[s] - x_i[p_i(t)]| <= tol, which is
+    checked against all n! rows of ``perms`` at once.
+    """
+    n = Xs.shape[2]
+    moved = np.take_along_axis(Xs, p_rows[None, :, :], axis=2)  # x_i[p_i(t)]
+    close = (np.abs(Xs[:, :, None, :] - moved[:, :, :, None]) <= _WITNESS_TOL).all(axis=1)
+    return close[:, np.arange(n), perms].all(axis=2).any(axis=1)
+
+
 class _Search:
-    """State for one (possibly partial) enumeration of the tuple space."""
+    """State for the enumeration of one window of the tuple space.
+
+    The window is a range ``(lo, hi)`` of top-level digits; a whole run is
+    the single window ``(0, n!)``.
+    """
 
     def __init__(
         self,
@@ -286,8 +310,7 @@ class _Search:
         seed: int,
         reduced: bool,
         start: int,
-        stop_digit_lo: int,
-        stop_digit_hi: int,
+        window: tuple[int, int],
         examined_base: int,
         checkpoint_path=None,
         checkpoint_every: int = 1_000_000,
@@ -300,26 +323,25 @@ class _Search:
         self.tail_scales = scales
         safe = np.where(scales > 0, scales, 1.0)
         self.tail_n = self.tail / safe
-        self.perms, self.Pmats = _perm_tables(n)
+        self.perms = _all_permutations(n)
+        self.Pmats = np.eye(n)[self.perms]  # Pmats[r] applies sigma_r: (P v)[t] = v[sigma_r[t]]
         self.nfact = len(self.perms)
         self.n_p = d if not reduced else d - 1
         self.n_q = D - d
         self.L = self.n_p + self.n_q
         self.reduced = reduced
         self.spans = [self.nfact ** (self.L - 1 - lv) for lv in range(self.L)]
-        self.total = self.nfact**self.L if self.L > 0 else 1
-        # worker window, expressed in leaf indices
+        # the window, expressed in leaf indices
         top_span = self.spans[0] if self.L > 0 else 1
-        self.window_lo = stop_digit_lo * top_span
-        self.window_hi = stop_digit_hi * top_span if self.L > 0 else 1
+        self.window_lo = window[0] * top_span
+        self.window_hi = window[1] * top_span if self.L > 0 else 1
         self.start = max(start, self.window_lo)
         self.budget = budget
         self.seed = seed
-        self.digits = [0] * self.L
         self.C = _centered_basis(n, d)
         self.Vs: list[np.ndarray] | None = None
         if self.n_p == 0:
-            self.Vs = self._build_Vs([0] * d if reduced else [])
+            self.Vs = self._build_Vs(self._tuple(0)[0])
         # precompute W_j[q] = hstack_i tail_n[i, j] * Pmats[q]
         self.Ws = [
             np.einsum("i,qts->qtis", self.tail_n[:, j], self.Pmats).reshape(
@@ -327,7 +349,7 @@ class _Search:
             )
             for j in range(self.n_q)
         ]
-        self.covered = 0  # leaves decided in this run/window
+        self.covered = 0  # leaves decided in this window
         self.examined_base = examined_base  # carried over from checkpoints
         self.witness: SeparationWitness | None = None
         self.stopped = False
@@ -338,13 +360,13 @@ class _Search:
 
     # -- helpers ----------------------------------------------------------
 
-    def _p_full(self) -> list[int]:
-        if self.reduced:
-            return [0] + self.digits[: self.n_p]
-        return self.digits[: self.n_p]
+    def _tuple(self, index: int) -> tuple[list[int], list[int]]:
+        """P ranks (the pinned identity first in reduced runs) and Q ranks of a leaf."""
+        digits = [(index // span) % self.nfact for span in self.spans]
+        return ([0] if self.reduced else []) + digits[: self.n_p], digits[self.n_p :]
 
     def _build_Vs(self, p_full: list[int]) -> list[np.ndarray]:
-        d, n = self.d, self.n
+        d = self.d
         out = []
         for j in range(self.n_q):
             blocks = [self.tail_n[i, j] * self.Pmats[p_full[i]] for i in range(d)]
@@ -379,12 +401,6 @@ class _Search:
             fh.write(json_dumps(payload))
         os.replace(tmp, self.checkpoint_path)
 
-    def _stop(self, next_index: int) -> None:
-        # the checkpoint for a budget stop is written by the caller once
-        # every counted leaf has actually been decided
-        self.stopped = True
-        self.next_index = next_index
-
     # -- search -----------------------------------------------------------
 
     def run(self) -> None:
@@ -392,8 +408,11 @@ class _Search:
             # no free tuples at all: a single leaf with the full centered space
             if self.start == 0 and self.window_hi > 0:
                 self._leaf(0, self.C)
-            return
-        self._node(0, 0, self.C)
+        else:
+            self._node(0, 0, self.C)
+        if self.stopped and self.checkpoint_path is not None:
+            # written only now that every counted leaf has been decided
+            self._write_checkpoint(self.next_index)
 
     def _node(self, level: int, base: int, K: np.ndarray) -> None:
         if self.witness is not None or self.stopped:
@@ -411,8 +430,8 @@ class _Search:
             T = self.Vs[j][None, :, :] - self.Ws[j]  # (nfact, n, d*n)
             R = T @ K  # (nfact, n, dim)
             _, svals, vhs = np.linalg.svd(R, full_matrices=True)
-        # candidate leaves of the final level are verified in one batch
-        pending: list[tuple[int, int, np.ndarray]] = []
+        # candidate leaves of the final level are decided in one batch
+        pending: list[tuple[int, np.ndarray]] = []
         boundary = base
         for digit in range(self.nfact):
             lo = base + digit * span
@@ -422,12 +441,12 @@ class _Search:
             if self.witness is not None or self.stopped:
                 break
             if self.covered + self.examined_base >= self.budget:
-                self._stop(max(lo, self.start))
+                self.stopped = True
+                self.next_index = max(lo, self.start)
                 break
-            self.digits[level] = digit
             if is_p_level:
                 if level + 1 == self.n_p:
-                    self.Vs = self._build_Vs(self._p_full())
+                    self.Vs = self._build_Vs(self._tuple(lo)[0])
                 self._node(level + 1, lo, K)
                 boundary = hi
                 continue
@@ -442,14 +461,14 @@ class _Search:
                 continue
             null = vhs[digit, rank:, :].T  # (dim, dim - rank), orthonormal
             if last:
-                pending.append((digit, lo, K @ null))
+                pending.append((lo, K @ null))
                 # counted now, decided by the batch below; checkpoints wait
                 self._cover(1, hi, allow_checkpoint=False)
             else:
                 self._node(level + 1, lo, K @ null)
             boundary = hi
         if pending and self.witness is None:
-            self._batch_verify(level, pending)
+            self._decide(pending)
         if (
             last
             and self.witness is None
@@ -464,126 +483,73 @@ class _Search:
         if index < self.start or index >= self.window_hi:
             return
         self._cover(1, index + 1)
-        if K.shape[1] == 0:
-            return
-        candidate = self._verify_candidate(index, K)
-        if candidate is not None:
-            self.witness = candidate
+        if K.shape[1] > 0:
+            self._decide([(index, K)])
 
-    def _batch_verify(self, level: int, pending: list) -> None:
-        """Decide all candidate leaves of one final-level node together.
+    # -- leaf decision ------------------------------------------------------
 
-        Samples are keyed by leaf index exactly as in the per-leaf path;
-        the batch only amortizes the array work of the defeat test.  Each
-        candidate's first sample is tested against every permutation;
-        when it is defeated, the remaining samples are first checked
-        against that same defeating permutation (generic solution spaces
-        are defeated uniformly), and only mismatches fall back to the
-        full sweep, so exactness is preserved.
+    def _decide(self, candidates: list[tuple[int, np.ndarray]]) -> None:
+        """Decide candidate leaves ``(leaf_index, basis)`` sharing one P tuple.
+
+        Every candidate's samples go through the defeat test together.
+        Candidates with an undefeated sample are then taken in leaf order:
+        a basis that is not strictly null for the full system is re-based
+        through the strict null space and its samples re-tested, and the
+        first sample whose residual passes becomes the witness.
         """
         d, n = self.d, self.n
-        tol = _WITNESS_TOL
-        p_full = self._p_full()
-        perm_rows = self.perms[np.asarray(p_full)]  # (d, n)
-
-        first = np.empty((len(pending), d * n))
-        extra_blocks = []
-        extra_owner = []
-        for pos, (digit, lo, basis) in enumerate(pending):
-            k = basis.shape[1]
-            if k == 1:
-                first[pos] = basis[:, 0]
-            else:
-                sams = _hash_coefficients(self.seed, lo, _NULL_SAMPLES, k) @ basis.T
-                first[pos] = sams[0]
-                extra_blocks.append(sams[1:])
-                extra_owner.extend([pos] * (_NULL_SAMPLES - 1))
-
-        norms = np.linalg.norm(first, axis=1)
-        usable_first = norms > 1e-12
-        XF = (first / np.maximum(norms, 1e-300)[:, None]).reshape(-1, d, n)
-        bases_f = np.take_along_axis(XF, perm_rows[None, :, :], axis=2)
-        moved_f = XF[:, :, self.perms]  # (C, d, n!, n)
-        match_f = (np.abs(moved_f - bases_f[:, :, None, :]).max(axis=3) <= tol).all(axis=1)
-        defeated_f = match_f.any(axis=1) | ~usable_first
-        star = np.argmax(match_f, axis=1)  # first defeating permutation
-
-        extra_alive: dict[int, list[np.ndarray]] = {}
-        if extra_blocks:
-            owner = np.asarray(extra_owner)
-            E = np.concatenate(extra_blocks, axis=0)
-            norms_e = np.linalg.norm(E, axis=1)
-            usable_e = norms_e > 1e-12
-            XE = (E / np.maximum(norms_e, 1e-300)[:, None]).reshape(-1, d, n)
-            # extras only matter when the owner's first sample was defeated
-            relevant = defeated_f[owner] & usable_e
-            bases_e = np.take_along_axis(XE, perm_rows[None, :, :], axis=2)
-            star_idx = self.perms[star[owner]]  # (E, n)
-            moved_star = np.take_along_axis(XE, star_idx[:, None, :], axis=2)
-            starred = np.abs(moved_star - bases_e).max(axis=(1, 2)) <= tol
-            defeated_e = starred | ~usable_e
-            need_full = relevant & ~starred
-            if np.any(need_full):
-                XQ = XE[need_full]
-                moved_q = XQ[:, :, self.perms]
-                bases_q = bases_e[need_full]
-                full_hit = (
-                    (np.abs(moved_q - bases_q[:, :, None, :]).max(axis=3) <= tol)
-                    .all(axis=1)
-                    .any(axis=1)
-                )
-                defeated_e[need_full] = full_hit
-            for row in np.flatnonzero(relevant & ~defeated_e):
-                extra_alive.setdefault(int(owner[row]), []).append(XE[row].reshape(-1))
-
-        for pos, (digit, lo, basis) in enumerate(pending):
-            if self.witness is not None:
-                return
-            ordered = []
-            if usable_first[pos] and not defeated_f[pos]:
-                ordered.append(XF[pos].reshape(-1))
-            ordered.extend(extra_alive.get(pos, ()))
-            if not ordered:
-                continue
-            witness = self._attempt_witness(level, digit, lo, basis, ordered)
-            if witness is not None:
-                self.witness = witness
-                return
-
-    def _attempt_witness(
-        self, level: int, digit: int, lo: int, basis: np.ndarray, ordered_samples
-    ) -> SeparationWitness | None:
-        """Final strict checks for samples that already pass the defeat test."""
-        d, n = self.d, self.n
-        self.digits[level] = digit
-        S_norm = self._full_system(normalized=True)
-        if S_norm.shape[0] and float(np.linalg.norm(S_norm @ basis)) > _NULL_TOL:
-            # some basis direction is not strictly null; redo exactly
-            return self._verify_candidate(lo, basis)
-        S_orig = self._full_system(normalized=False)
+        p_full = self._tuple(candidates[0][0])[0]
         a_norm = float(np.linalg.norm(self.A))
-        p_full = self._p_full()
-        q_digits = self.digits[self.n_p :]
-        for x in ordered_samples:
-            if S_orig.shape[0]:
-                residual = float(np.linalg.norm(S_orig @ x))
-                if residual > _WITNESS_TOL * a_norm:
+        for (index, basis), alive in zip(candidates, self._undefeated(candidates, p_full)):
+            if len(alive) == 0:
+                continue
+            q_digits = self._tuple(index)[1]
+            S = self._full_system(q_digits, normalized=True)
+            if S.shape[0] and float(np.linalg.norm(S @ basis)) > _NULL_TOL:
+                # any true solution survived the looser incremental cuts,
+                # so null(S) = basis @ null(S basis)
+                _, sv, vh = np.linalg.svd(S @ basis, full_matrices=True)
+                top = float(sv[0]) if sv.size else 0.0
+                rank = int(np.count_nonzero(sv > _NULL_TOL * max(top, 1.0)))
+                if rank >= basis.shape[1]:
                     continue
-            return SeparationWitness(
-                P_tuple=[self.perms[p].copy() for p in p_full],
-                Q_tuple=[self.perms[q].copy() for q in q_digits],
-                X=x.reshape(d, n).copy(),
-                leaf_index=lo,
-            )
-        return None
+                (alive,) = self._undefeated([(index, basis @ vh[rank:].T)], p_full)
+            S_orig = self._full_system(q_digits, normalized=False)
+            for X in alive:
+                if S_orig.shape[0]:
+                    residual = float(np.linalg.norm(S_orig @ X.reshape(d * n)))
+                    if residual > _WITNESS_TOL * a_norm:
+                        continue
+                self.witness = SeparationWitness(
+                    P_tuple=[self.perms[p].copy() for p in p_full],
+                    Q_tuple=[self.perms[q].copy() for q in q_digits],
+                    X=X.copy(),
+                    leaf_index=index,
+                )
+                return
 
-    # -- leaf verification --------------------------------------------------
+    def _undefeated(self, candidates, p_full: list[int]) -> list[np.ndarray]:
+        """Unit samples of each candidate's basis that no permutation defeats.
 
-    def _full_system(self, normalized: bool) -> np.ndarray:
-        d, n = self.d, self.n
-        q_digits = self.digits[self.n_p :]
+        A line has one sample up to scaling; a wider basis gets
+        ``_NULL_SAMPLES`` combinations keyed by (seed, leaf index).
+        """
+        blocks = [
+            basis.T
+            if basis.shape[1] == 1
+            else _hash_coefficients(self.seed, index, _NULL_SAMPLES, basis.shape[1]) @ basis.T
+            for index, basis in candidates
+        ]
+        samples = np.concatenate(blocks, axis=0)
+        norms = np.linalg.norm(samples, axis=1)
+        Xs = (samples / np.maximum(norms, 1e-300)[:, None]).reshape(-1, self.d, self.n)
+        alive = (norms > 1e-12) & ~_defeated(Xs, self.perms[p_full], self.perms)
+        cuts = np.cumsum([len(b) for b in blocks])[:-1]
+        return [X[keep] for X, keep in zip(np.split(Xs, cuts), np.split(alive, cuts))]
+
+    def _full_system(self, q_digits: list[int], normalized: bool) -> np.ndarray:
         if self.n_q == 0:
-            return np.zeros((0, d * n))
+            return np.zeros((0, self.d * self.n))
         rows = []
         for j, q in enumerate(q_digits):
             block = self.Vs[j] - self.Ws[j][q]
@@ -591,60 +557,6 @@ class _Search:
                 block = block * self.tail_scales[j]
             rows.append(block)
         return np.concatenate(rows, axis=0)
-
-    def _verify_candidate(self, index: int, K: np.ndarray) -> SeparationWitness | None:
-        d, n = self.d, self.n
-        dim = K.shape[1]
-        S = self._full_system(normalized=True)
-        if S.shape[0] == 0:
-            null_basis = K
-        else:
-            # strict re-verification restricted to the surviving subspace;
-            # any true solution survived the looser incremental cuts, so
-            # null(S) = K @ null(S K)
-            _, sv, vh = np.linalg.svd(S @ K, full_matrices=True)
-            top = float(sv[0]) if sv.size else 0.0
-            rank = int(np.count_nonzero(sv > _NULL_TOL * max(top, 1.0)))
-            if rank >= dim:
-                return None
-            null_basis = K @ vh[rank:].T  # (d*n, k), orthonormal columns
-        k = null_basis.shape[1]
-        if k == 1:
-            # a line has one generic element up to scaling
-            samples = null_basis.T
-        else:
-            samples = _hash_coefficients(self.seed, index, _NULL_SAMPLES, k) @ null_basis.T
-        norms = np.linalg.norm(samples, axis=1)
-        keep = norms > 1e-12
-        if not np.any(keep):
-            return None
-        Xs = (samples[keep] / norms[keep, None]).reshape(-1, d, n)
-
-        p_full = self._p_full()
-        perm_rows = self.perms[np.asarray(p_full)]  # (d, n): row i is P_{p_i}
-        bases = np.take_along_axis(Xs, perm_rows[None, :, :], axis=2)  # (s, d, n)
-        moved = Xs[:, :, self.perms]  # (s, d, n!, n): coordinate i under every sigma
-        diffs = np.abs(moved - bases[:, :, None, :]).max(axis=3)  # (s, d, n!)
-        defeated = (diffs <= _WITNESS_TOL).all(axis=1).any(axis=1)  # (s,)
-        if bool(defeated.all()):
-            return None
-
-        S_orig = self._full_system(normalized=False)
-        a_norm = float(np.linalg.norm(self.A))
-        q_digits = self.digits[self.n_p :]
-        for s_idx in np.flatnonzero(~defeated):
-            X = Xs[s_idx]
-            if S_orig.shape[0]:
-                residual = float(np.linalg.norm(S_orig @ X.reshape(d * n)))
-                if residual > _WITNESS_TOL * a_norm:
-                    continue
-            return SeparationWitness(
-                P_tuple=[self.perms[p].copy() for p in p_full],
-                Q_tuple=[self.perms[q].copy() for q in q_digits],
-                X=X.copy(),
-                leaf_index=index,
-            )
-        return None
 
 
 def _matrix_digest(A: np.ndarray) -> str:
@@ -672,30 +584,10 @@ def _load_checkpoint(path, A: np.ndarray, n: int, reduced: bool, seed: int):
     return int(data["next_index"]), int(data["tuples_examined"])
 
 
-def _certify_window(args):
-    (A, n, budget, seed, reduced, digit_lo, digit_hi, start, examined_base) = args
-    search = _Search(
-        A,
-        n,
-        budget,
-        seed,
-        reduced,
-        start=start,
-        stop_digit_lo=digit_lo,
-        stop_digit_hi=digit_hi,
-        examined_base=examined_base,
-    )
+def _run_window(window: tuple[int, int], **search_args):
+    search = _Search(window=window, **search_args)
     search.run()
-    witness = None
-    if search.witness is not None:
-        w = search.witness
-        witness = (
-            [p.tolist() for p in w.P_tuple],
-            [q.tolist() for q in w.Q_tuple],
-            w.X.tolist(),
-            w.leaf_index,
-        )
-    return search.covered, witness, search.stopped, search.next_index
+    return search.covered, search.witness, search.stopped, search.next_index
 
 
 def _check_identity_augmented(A: np.ndarray) -> None:
@@ -751,50 +643,35 @@ def certify_separation(
         start, examined_base = _load_checkpoint(checkpoint_path, A, n, reduce_coset, seed)
 
     if threads == 1 or n_levels == 0:
-        search = _Search(
-            A,
-            n,
-            budget,
-            seed,
-            reduce_coset,
-            start=start,
-            stop_digit_lo=0,
-            stop_digit_hi=nfact if n_levels > 0 else 1,
-            examined_base=examined_base,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-        )
-        search.run()
-        examined = examined_base + search.covered
-        witness = search.witness
-        stopped = search.stopped
-        next_index = search.next_index
-        if checkpoint_path is not None and stopped and next_index is not None:
-            search._write_checkpoint(next_index)
+        windows = [(0, nfact if n_levels > 0 else 1)]
     else:
-        boundaries = np.linspace(0, nfact, min(threads, nfact) + 1).astype(int)
-        share = math.ceil(budget / (len(boundaries) - 1))
-        jobs = [
-            (A, n, share, seed, reduce_coset, int(lo), int(hi), start, 0)
-            for lo, hi in zip(boundaries[:-1], boundaries[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_certify_window, jobs))
-        examined = examined_base + sum(r[0] for r in results)
-        stopped = any(r[2] for r in results)
-        next_candidates = [r[3] for r in results if r[3] is not None]
-        next_index = min(next_candidates) if next_candidates else None
-        found = [r[1] for r in results if r[1] is not None]
-        witness = None
-        if found:
-            p_t, q_t, x, idx = min(found, key=lambda w: w[3])
-            witness = SeparationWitness(
-                P_tuple=[np.asarray(p, dtype=np.intp) for p in p_t],
-                Q_tuple=[np.asarray(q, dtype=np.intp) for q in q_t],
-                X=np.asarray(x, dtype=float),
-                leaf_index=idx,
-            )
+        cuts = np.linspace(0, nfact, min(threads, nfact) + 1).astype(int)
+        windows = [(int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    run_window = functools.partial(
+        _run_window,
+        A=A,
+        n=n,
+        budget=-(-budget // len(windows)),
+        seed=seed,
+        reduced=reduce_coset,
+        start=start,
+        examined_base=examined_base,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+    )
+    if len(windows) == 1:
+        results = [run_window(windows[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(windows)) as pool:
+            results = list(pool.map(run_window, windows))
+    examined = examined_base + sum(covered for covered, _, _, _ in results)
+    stopped = any(stop for _, _, stop, _ in results)
+    next_index = min((nxt for _, _, _, nxt in results if nxt is not None), default=None)
+    witness = min(
+        (w for _, w, _, _ in results if w is not None),
+        key=lambda w: w.leaf_index,
+        default=None,
+    )
 
     if witness is not None:
         status = SeparationStatus.WITNESS_FOUND

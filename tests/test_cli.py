@@ -122,13 +122,15 @@ def test_audit_with_ose_block(tmp_path):
 
 def test_audit_skips_oversized_subset_bound(tmp_path):
     save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(3).standard_normal((2, 30)))
-    out = tmp_path / "r.json"
-    code = main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", "3",
-                 "--trials", "20", "--seed", "5", "--subset-r", "3",
-                 "--budget", "100", "--out", str(out)])
+    out, plain = tmp_path / "r.json", tmp_path / "plain.json"
+    args = ["audit", "--directions", str(tmp_path / "A.csv"), "--n", "3",
+            "--trials", "20", "--seed", "5"]
+    code = main(args + ["--subset-r", "3", "--budget", "100", "--out", str(out)])
     assert code == 3
     report = _read_json(out)
-    assert "subset_bound" in report["skipped"]
+    assert "subset_bound" in report.pop("skipped")
+    assert main(args + ["--out", str(plain)]) == 0
+    assert report == _read_json(plain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permorb import (
     certify_separation,
@@ -18,6 +22,7 @@ from permorb.separation import (
     KNOWN_NONSEPARATING_DIMS,
     KNOWN_SEPARATING_CASES,
     SeparationStatus,
+    _defeated,
 )
 
 
@@ -242,6 +247,90 @@ def test_threads_do_not_change_the_verdict():
     w2 = certify_separation(B, 3, seed=0, threads=2)
     assert w1.status is w2.status is SeparationStatus.WITNESS_FOUND
     assert w1.witness.leaf_index == w2.witness.leaf_index
+    for p1, p2 in zip(w1.witness.P_tuple, w2.witness.P_tuple, strict=True):
+        assert np.array_equal(p1, p2)
+    for q1, q2 in zip(w1.witness.Q_tuple, w2.witness.Q_tuple, strict=True):
+        assert np.array_equal(q1, q2)
+    assert np.array_equal(w1.witness.X, w2.witness.X)
+
+
+@pytest.mark.parametrize(
+    "dims, examined, leaf",
+    [((3, 2, 3), 24, 22), ((3, 3, 5), 132, 130), ((3, 4, 7), 780, 778)],
+)
+def test_random_tail_witness_positions_are_pinned(dims, examined, leaf):
+    # the leaves of the witness's final node stay counted as examined
+    n, d, D = dims
+    for seed in range(3):
+        A = identity_augmented(gaussian_directions(d, D - d, seed))
+        verdict = certify_separation(A, n, seed=seed)
+        assert verdict.status is SeparationStatus.WITNESS_FOUND
+        assert verdict.tuples_examined == examined
+        assert verdict.witness.leaf_index == leaf
+
+
+def _defeated_by_brute_force(X, p_rows):
+    # some sigma in S_n moves every coordinate vector as its P_i does
+    base = np.take_along_axis(X, p_rows, axis=1)
+    return any(
+        np.abs(X[:, list(sigma)] - base).max() <= 1e-8
+        for sigma in itertools.permutations(range(X.shape[1]))
+    )
+
+
+_GAPS = (0.0, 0.5e-8, -0.5e-8, 2e-8, -2e-8)
+
+
+@st.composite
+def _defeat_inputs(draw):
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    # a few shared values make coordinate ties, and so partial matchings, common
+    values = draw(
+        st.sampled_from(
+            [
+                st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+                st.sampled_from([0.0, 0.25]),
+            ]
+        )
+    )
+    X = np.array(draw(st.lists(values, min_size=d * n, max_size=d * n))).reshape(d, n)
+    sigma = np.array(draw(st.permutations(range(n))))
+    p_rows = []
+    for i in range(d):
+        mode = draw(st.sampled_from(["sigma", "swap", "random"]))
+        if mode == "random":
+            p_rows.append(np.array(draw(st.permutations(range(n)))))
+            continue
+        # P_i = tau o sigma, where tau swaps two points planted a gap apart
+        tau = np.arange(n)
+        if mode == "swap":
+            s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            tau[[s, t]] = tau[[t, s]]
+            X[i, s] = X[i, t] + draw(st.sampled_from(_GAPS))
+        p_rows.append(tau[sigma])
+    for _ in range(draw(st.integers(0, n))):  # duplicate points and near-ties
+        s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = draw(st.sampled_from([slice(None), draw(st.integers(0, d - 1))]))
+        X[rows, s] = X[rows, t] + draw(st.sampled_from(_GAPS))
+    return X, np.array(p_rows)
+
+
+# every target point has a close point, yet no perfect matching exists
+_GRID = np.array([[0.0, 0.0, 0.25, 0.25], [0.0, 0.25, 0.0, 0.25]])
+_GRID_P = np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_defeat_inputs())
+@example((_GRID, _GRID_P))
+@example((_GRID + np.array([[0.0, 0.5e-8, 0.0, 0.0], [0.0] * 4]), _GRID_P))
+def test_defeat_test_matches_brute_force_over_all_permutations(case):
+    X, p_rows = case
+    n = X.shape[1]
+    perms = np.array(list(itertools.permutations(range(n))))
+    defeated = _defeated(np.stack([X, X]), p_rows, perms)
+    assert defeated.tolist() == [_defeated_by_brute_force(X, p_rows)] * 2
 
 
 def test_reference_case_dims_are_registered():
