@@ -48,8 +48,8 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import sorted_embedding
-from .metrics import orbit_distance
+from .embeddings import _blocks, _sort_project
+from .metrics import _assignment_distance
 
 __all__ = [
     "PUEstimate",
@@ -365,9 +365,11 @@ def empirical_distortion(
 
     Pairs closer than 1e-8 in orbit distance are skipped.  Optional
     arguments attach the certified subset bound and/or a projective
-    uniformity estimate (with its blueprint floor when applicable) to the
-    report.  Limited to n <= 8 so the assignment solves stay in the regime
-    the brute-force oracle can cross-check.
+    uniformity estimate to the report; the blueprint floor is attached
+    only for the exact d = 2 sweep (a sampled delta overestimates the
+    constant) and when n**2 * (m - 1) <= D.  Limited to n <= 8 so the
+    assignment solves stay in the regime the brute-force oracle can
+    cross-check.  The pool is drawn pair by pair and embedded in blocks.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -378,13 +380,17 @@ def empirical_distortion(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
+    pairs = sample_pair_pool(n, d, trials, seed)
     ratios = []
-    for X, Y in sample_pair_pool(n, d, trials, seed):
-        dist = orbit_distance(X, Y).distance
-        if dist < _MIN_PAIR_DISTANCE:
-            continue
-        gap = float(np.linalg.norm(sorted_embedding(A, X) - sorted_embedding(A, Y)))
-        ratios.append(gap / dist)
+    for block in _blocks(len(pairs), 2 * n * max(d, D)):
+        chunk = pairs[block]
+        E = _sort_project(A, np.stack([cloud for pair in chunk for cloud in pair]))
+        for (X, Y), EX, EY in zip(chunk, E[0::2], E[1::2]):
+            dist = _assignment_distance(X, Y)[0]
+            if dist < _MIN_PAIR_DISTANCE:
+                continue
+            # one norm per pair: a batched norm rounds differently
+            ratios.append(float(np.linalg.norm(EX - EY)) / dist)
     if not ratios:
         raise ValueError("degenerate pool: every sampled pair sits on one orbit")
 
@@ -412,7 +418,8 @@ def empirical_distortion(
     if pu_m is not None:
         estimate = projective_uniformity(A, pu_m, pu_method, seed=seed)
         report.pu = estimate
-        if n * n * (pu_m - 1) <= D:
+        # a sampled delta overestimates the constant, so it gives no floor
+        if estimate.method == EXACT_SWEEP and n * n * (pu_m - 1) <= D:
             report.blueprint_bound = blueprint_lower_bound(estimate.delta, pu_m, D, n)
     return report
 
@@ -470,21 +477,25 @@ def ose_check(
     max_err = 0.0
     used = 0
     skipped = 0
-    for _ in range(trials):
-        scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        X = scale * rng.standard_normal((n, d))
-        Y = scale * rng.standard_normal((n, d))
-        diff = (sorted_embedding(A, X) - sorted_embedding(A, Y)).ravel(order="F")
-        denom = float(np.linalg.norm(diff))
-        if denom < 1e-10:
-            skipped += 1
-            continue
-        rho = float(np.linalg.norm(L @ diff)) / denom
-        err = abs(rho - 1.0)
-        max_err = max(max_err, err)
-        if rho < 1.0 - epsilon or rho > 1.0 + epsilon:
-            violations += 1
-        used += 1
+    for block in _blocks(trials, 2 * n * max(d, D)):
+        clouds = np.empty((2, block.stop - block.start, n, d))
+        for X, Y in zip(*clouds):
+            scale = 10.0 ** rng.uniform(-2.0, 2.0)
+            X[:] = scale * rng.standard_normal((n, d))
+            Y[:] = scale * rng.standard_normal((n, d))
+        for ex, ey in zip(*_sort_project(A, clouds)):
+            # norm and matvec per pair: batched forms round differently
+            diff = (ex - ey).ravel(order="F")
+            denom = float(np.linalg.norm(diff))
+            if denom < 1e-10:
+                skipped += 1
+                continue
+            rho = float(np.linalg.norm(L @ diff)) / denom
+            err = abs(rho - 1.0)
+            max_err = max(max_err, err)
+            if rho < 1.0 - epsilon or rho > 1.0 + epsilon:
+                violations += 1
+            used += 1
     return OseReport(
         violations=violations,
         max_ratio_error=max_err,

@@ -14,13 +14,20 @@ directions) applied to a cloud X (n x d, rows are points):
 All three are invariant under row permutations of X, exactly: sorting a
 column depends only on the multiset of its values, so no tolerance is
 needed anywhere in this module.
+
+The public maps validate their input and then call ``_sort_project``, the
+one sort-projection kernel.  It also takes a stack of clouds, which is how
+the empirical checks (audit pool, sketch check, spot checks) embed every
+cloud of a block in one call; ``_blocks`` cuts their trials into blocks of
+bounded size.  A stacked call gives the same bits per cloud as a single
+one: the product runs one matrix multiply per cloud and sorting is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import as_cloud, as_matrix, as_vector, flatten_embedding
+from .core import as_cloud, as_matrix, as_vector
 
 __all__ = [
     "sorted_embedding",
@@ -28,6 +35,25 @@ __all__ = [
     "sketched_embedding",
     "translation_offset",
 ]
+
+
+# Cap on the floats one batched call over a block of trials may allocate,
+# so a long pool or a wide sketch is embedded in bounded blocks.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _sort_project(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Sorted projections of a cloud (n, d), or of a stack of clouds (..., n, d).
+
+    No validation: callers pass float arrays whose last axis matches A's rows.
+    """
+    return np.sort(X @ A, axis=-2)
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Consecutive slices of range(count) whose items, ``width`` floats each, fit one block."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _check_pair(A: np.ndarray, X: np.ndarray) -> None:
@@ -42,7 +68,7 @@ def sorted_embedding(A, X) -> np.ndarray:
     A = as_matrix(A, "A")
     X = as_cloud(X)
     _check_pair(A, X)
-    return np.sort(X @ A, axis=0)
+    return _sort_project(A, X)
 
 
 def pooled_embedding(A, B, X) -> np.ndarray:
@@ -55,7 +81,7 @@ def pooled_embedding(A, B, X) -> np.ndarray:
         raise ValueError(
             f"pooling matrix must be {X.shape[0]} x {A.shape[1]}, got {B.shape}"
         )
-    return np.einsum("nk,nk->k", B, sorted_embedding(A, X))
+    return np.einsum("nk,nk->k", B, _sort_project(A, X))
 
 
 def sketched_embedding(A, L, X) -> np.ndarray:
@@ -67,7 +93,7 @@ def sketched_embedding(A, L, X) -> np.ndarray:
     n, D = X.shape[0], A.shape[1]
     if L.shape[1] != n * D:
         raise ValueError(f"sketch must have {n * D} columns, got {L.shape[1]}")
-    return L @ flatten_embedding(sorted_embedding(A, X))
+    return L @ _sort_project(A, X).ravel(order="F")
 
 
 def translation_offset(A, z, n: int) -> np.ndarray:

@@ -54,15 +54,23 @@ def _check_same_shape(X: np.ndarray, Y: np.ndarray) -> None:
         raise ValueError(f"clouds must share a shape, got {X.shape} and {Y.shape}")
 
 
+def _assignment_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Orbit distance and matched Y-rows of two same-shape clouds, unvalidated.
+
+    The one assignment kernel: an exact solve on squared Euclidean row costs.
+    """
+    cost = cdist(X, Y, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(max(float(cost[rows, cols].sum()), 0.0)), cols
+
+
 def orbit_distance(X, Y) -> OrbitDistanceResult:
     """Exact orbit distance via an exact assignment solve on squared costs."""
     X = as_cloud(X, "X")
     Y = as_cloud(Y, "Y")
     _check_same_shape(X, Y)
-    cost = cdist(X, Y, "sqeuclidean")
-    rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    return OrbitDistanceResult(math.sqrt(max(total, 0.0)), cols.astype(np.intp))
+    distance, cols = _assignment_distance(X, Y)
+    return OrbitDistanceResult(distance, cols.astype(np.intp))
 
 
 @functools.lru_cache(maxsize=16)

@@ -68,12 +68,14 @@ import numpy as np
 
 from .core import (
     UnsupportedFormError,
+    as_cloud,
     as_matrix,
     default_enumeration_budget,
     json_dumps,
     make_rng,
 )
-from .metrics import _all_permutations, orbit_distance
+from .embeddings import _blocks, _sort_project
+from .metrics import _all_permutations, _assignment_distance
 
 __all__ = [
     "SeparationStatus",
@@ -410,6 +412,11 @@ class _Search:
                 self._leaf(0, self.C)
         else:
             self._node(0, 0, self.C)
+        if self.witness is not None:
+            # a budget stop inside a final-level node still decides that
+            # node's counted leaves; a witness among them ends the run
+            self.stopped = False
+            self.next_index = None
         if self.stopped and self.checkpoint_path is not None:
             # written only now that every counted leaf has been decided
             self._write_checkpoint(self.next_index)
@@ -679,6 +686,7 @@ def certify_separation(
         status = SeparationStatus.INCONCLUSIVE
     else:
         status = SeparationStatus.SEPARATING
+    if status != SeparationStatus.INCONCLUSIVE:
         next_index = None
     return SeparationVerdict(
         status=status,
@@ -698,6 +706,11 @@ def certify_separation(
 # ---------------------------------------------------------------------------
 # Randomized injectivity spot checks
 # ---------------------------------------------------------------------------
+
+
+def _flatten(S: np.ndarray) -> np.ndarray:
+    """Column-major flattening of each embedding in a stack (t, n, D)."""
+    return S.transpose(0, 2, 1).reshape(len(S), -1)
 
 
 def spot_check_injectivity(
@@ -721,10 +734,9 @@ def spot_check_injectivity(
     whose embeddings must agree to 1e-9 relative (a failure counts as a
     false separation; invariance makes this impossible).  ``extra_pairs``
     are audited with the distinct-orbit rule, so a known indistinguishable
-    pair shows up as exactly one collision.
+    pair shows up as exactly one collision.  Trials are drawn one at a
+    time from the seeded stream and embedded in blocks.
     """
-    from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
-
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")
     if n < 2 or d < 1 or D < 1:
@@ -737,37 +749,42 @@ def spot_check_injectivity(
         )
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
+    width = n * max(d, D)  # floats per cloud in the widest array a block allocates
     if kind == "pooled":
         B = rng.standard_normal((n, D))
-        embed = lambda X: pooled_embedding(A, B, X)  # noqa: E731
+        embed = lambda S: np.einsum("nk,tnk->tk", B, S)  # noqa: E731
     elif kind == "sketched":
         if M is None:
             raise ValueError("sketched spot check needs the sketch row count M")
         L = rng.standard_normal((M, n * D)) / math.sqrt(M)
-        embed = lambda X: sketched_embedding(A, L, X)  # noqa: E731
+        embed = lambda S: _flatten(S) @ L.T  # noqa: E731
+        width = max(width, M)
     else:
-        embed = lambda X: sorted_embedding(A, X).ravel(order="F")  # noqa: E731
+        embed = _flatten
 
     collisions = 0
     false_separations = 0
-    for _ in range(trials):
-        X = rng.standard_normal((n, d))
-        Y = rng.standard_normal((n, d))
-        attempts = 0
-        while orbit_distance(X, Y).distance < 0.1:
-            Y = rng.standard_normal((n, d))
-            attempts += 1
-            if attempts > 100:
-                raise RuntimeError("could not sample a distant pair")
-        ex = embed(X)
-        if float(np.linalg.norm(ex - embed(Y))) <= 1e-8:
-            collisions += 1
-        same = X[rng.permutation(n)]
-        scale = max(1.0, float(np.linalg.norm(ex)))
-        if float(np.linalg.norm(ex - embed(same))) > 1e-9 * scale:
-            false_separations += 1
+    for block in _blocks(trials, 3 * width):
+        clouds = np.empty((3, block.stop - block.start, n, d))
+        # drawn one trial at a time, in the order X, Y, the redraws of Y,
+        # then the permutation giving the same-orbit copy of X
+        for X, Y, same in zip(*clouds):
+            X[:] = rng.standard_normal((n, d))
+            Y[:] = rng.standard_normal((n, d))
+            attempts = 0
+            while _assignment_distance(X, Y)[0] < 0.1:
+                Y[:] = rng.standard_normal((n, d))
+                attempts += 1
+                if attempts > 100:
+                    raise RuntimeError("could not sample a distant pair")
+            same[:] = X[rng.permutation(n)]
+        EX, EY, ES = np.split(embed(_sort_project(A, clouds.reshape(-1, n, d))), 3)
+        collisions += int(np.count_nonzero(np.linalg.norm(EX - EY, axis=1) <= 1e-8))
+        scale = np.maximum(1.0, np.linalg.norm(EX, axis=1))
+        false_separations += int(np.count_nonzero(np.linalg.norm(EX - ES, axis=1) > 1e-9 * scale))
     for X, Y in extra_pairs or ():
-        if float(np.linalg.norm(embed(X) - embed(Y))) <= 1e-8:
+        EX, EY = embed(_sort_project(A, np.stack([as_cloud(X, "X"), as_cloud(Y, "Y")])))
+        if float(np.linalg.norm(EX - EY)) <= 1e-8:
             collisions += 1
     return InjectivityReport(
         kind=kind,

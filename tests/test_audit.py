@@ -239,6 +239,18 @@ def test_blueprint_floor_sits_below_empirical_min():
     assert report.blueprint_bound <= report.empirical_C1 * (1 + 1e-6)
 
 
+def test_blueprint_floor_needs_the_exact_sweep():
+    # a sphere-sampled delta only overestimates the constant, so the report
+    # carries the estimate but no floor derived from it
+    n = 3
+    A = circle_directions(4 * n * n)
+    report = empirical_distortion(A, n, 100, 9, pu_m=3, pu_method=SPHERE_SAMPLING)
+    assert report.pu is not None and report.pu.method == SPHERE_SAMPLING
+    assert report.blueprint_bound is None
+    exact = empirical_distortion(A, n, 100, 9, pu_m=3, pu_method=EXACT_SWEEP)
+    assert exact.blueprint_bound is not None
+
+
 # ---------------------------------------------------------------------------
 # sketching
 # ---------------------------------------------------------------------------

@@ -225,6 +225,21 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert resumed.tuples_examined == straight.tuples_examined
 
 
+def test_budget_stop_after_a_witness_leaves_no_position(tmp_path):
+    # The budget runs out at leaf 4022, inside the final-level node whose
+    # counted leaves include the witness at leaf 4020.  The run ends with
+    # that witness: no resume position and no stop checkpoint, which would
+    # resume past the witness and find the next one (leaf 4050).
+    path = tmp_path / "cp.json"
+    verdict = certify_separation(
+        known_separating_matrix(3, 3, 6), 3, budget=4022, checkpoint_path=str(path)
+    )
+    assert verdict.status is SeparationStatus.WITNESS_FOUND
+    assert verdict.witness.leaf_index == 4020
+    assert verdict.next_index is None
+    assert not path.exists()
+
+
 def test_checkpoint_mismatch_rejected(tmp_path):
     A = known_separating_matrix(4, 2, 4)
     path = tmp_path / "cp.json"
