@@ -155,11 +155,7 @@ def cmd_construct(args) -> int:
         save_matrix_csv(directory / "A.csv", A)
     elif kind == "parity-pair":
         _require(args.directions is not None, "parity-pair needs --directions A.csv")
-        A = load_matrix_csv(args.directions)
-        pair = parity_counterexample(A, args.seed)
-        save_matrix_csv(directory / "X.csv", pair.X)
-        save_matrix_csv(directory / "Y.csv", pair.Y)
-        certificate = pair.certificate
+        certificate = _parity_pair(load_matrix_csv(args.directions), args.seed, directory)
     elif kind == "adversarial-pair":
         _require(args.n is not None and args.n >= 2, "adversarial-pair needs --n >= 2")
         _require(args.d is not None and args.d >= 2, "adversarial-pair needs --d >= 2")
@@ -278,21 +274,23 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _parity_pair(A: np.ndarray, seed: int, directory: Path) -> dict:
+    """Build the parity counterexample for A, write X.csv and Y.csv, return its certificate."""
+    pair = parity_counterexample(A, seed)
+    save_matrix_csv(directory / "X.csv", pair.X)
+    save_matrix_csv(directory / "Y.csv", pair.Y)
+    return pair.certificate
+
+
 def cmd_counterexample(args) -> int:
     A = load_matrix_csv(args.directions)
     directory = _outdir(args)
-    pair = parity_counterexample(A, args.seed)
-    save_matrix_csv(directory / "X.csv", pair.X)
-    save_matrix_csv(directory / "Y.csv", pair.Y)
-    gap = float(
-        np.linalg.norm(sorted_embedding(A, pair.X) - sorted_embedding(A, pair.Y))
-    )
-    dist = orbit_distance(pair.X, pair.Y).distance
+    certificate = _parity_pair(A, args.seed, directory)
     payload = {
-        "certificate": pair.certificate,
+        "certificate": certificate,
         "verification": {
-            "embedding_gap": gap,
-            "orbit_distance": dist,
+            "embedding_gap": certificate["embedding_gap"],
+            "orbit_distance": certificate["orbit_distance"],
             "sigma1": upper_lipschitz(A),
         },
     }
@@ -409,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes; changes only the speed, not the verdict")
     p.add_argument("--checkpoint", help="JSON checkpoint path for resumable runs")
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=cmd_certify)

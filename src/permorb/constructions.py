@@ -138,14 +138,13 @@ def parity_counterexample(
     seed: int,
     *,
     max_rows: int = MAX_COUNTEREXAMPLE_ROWS,
-    max_attempts: int = _ALPHA_ATTEMPTS,
 ) -> CounterexamplePair:
     """Distinct-orbit clouds that the sorted embedding of A cannot separate.
 
     Requires d >= 2.  The number of rows is 2**(ceil(D/(d-1)) - 1); a
     BudgetExceededError is raised when that exceeds ``max_rows``.  The
     blending coefficients are drawn uniformly from [0.5, 1.5] and resampled
-    (whole vector, at most ``max_attempts`` times) until every odd-parity
+    (whole vector, at most 100 times) until every odd-parity
     combination is bounded away from zero, which almost every draw
     satisfies.
     """
@@ -170,7 +169,7 @@ def parity_counterexample(
 
     alphas = None
     attempts = 0
-    for attempts in range(1, max_attempts + 1):
+    for attempts in range(1, _ALPHA_ATTEMPTS + 1):
         candidate = rng.uniform(_ALPHA_LOW, _ALPHA_HIGH, size=k)
         combos = (membership * candidate) @ null_vectors  # (2^k, d)
         odd_norms = np.linalg.norm(combos[parity == 1], axis=1)
@@ -179,7 +178,7 @@ def parity_counterexample(
             break
     if alphas is None:
         raise ConstructionError(
-            f"no coefficient vector avoided odd-parity cancellation in {max_attempts} attempts"
+            f"no coefficient vector avoided odd-parity cancellation in {_ALPHA_ATTEMPTS} attempts"
         )
 
     combos = (membership * alphas) @ null_vectors

@@ -70,6 +70,12 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 
 _BUDGET_ENV_VAR = "PERMORB_BUDGET"
 
+# Column subsets per index array yielded by iter_column_subsets.
+_SUBSET_CHUNK = 2048
+
+# Spaces per nesting level in json_dumps output.
+_JSON_INDENT = 2
+
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its configured budget."""
@@ -203,11 +209,11 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(as_matrix(A, "A"), compute_uv=False)
 
 
-def iter_column_subsets(D: int, k: int, chunk: int = 2048):
+def iter_column_subsets(D: int, k: int):
     """Yield lexicographic size-k column subsets of range(D) in index-array chunks."""
     it = itertools.combinations(range(D), k)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, _SUBSET_CHUNK))
         if not block:
             return
         yield np.asarray(block, dtype=np.intp)
@@ -311,15 +317,15 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render_json(obj, indent: int, depth: int) -> str:
-    pad = " " * (indent * depth)
-    pad_in = " " * (indent * (depth + 1))
+def _render_json(obj, depth: int) -> str:
+    pad = " " * (_JSON_INDENT * depth)
+    pad_in = " " * (_JSON_INDENT * (depth + 1))
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, enum.Enum):
-        return _render_json(obj.value, indent, depth)
+        return _render_json(obj.value, depth)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -327,26 +333,26 @@ def _render_json(obj, indent: int, depth: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _render_json(obj.tolist(), indent, depth)
+        return _render_json(obj.tolist(), depth)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        return _render_json(fields, indent, depth)
+        return _render_json(fields, depth)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{pad_in}{json.dumps(str(k))}: {_render_json(v, indent, depth + 1)}"
+            f"{pad_in}{json.dumps(str(k))}: {_render_json(v, depth + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad_in}{_render_json(v, indent, depth + 1)}" for v in obj]
+        items = [f"{pad_in}{_render_json(v, depth + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    return _render_json(obj, indent, 0) + "\n"
+def json_dumps(obj) -> str:
+    """Deterministic JSON, indented by two spaces, with floats at 17 significant digits."""
+    return _render_json(obj, 0) + "\n"

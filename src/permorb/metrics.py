@@ -104,26 +104,26 @@ def wasserstein2(X, Y) -> float:
     return result.distance / math.sqrt(X.shape[0])
 
 
-def sliced_w2_sampled(X, Y, Theta, *, warn_nonunit: bool = True) -> float:
+def sliced_w2_sampled(X, Y, Theta) -> float:
     """Monte-Carlo sliced 2-Wasserstein distance over the columns of Theta.
 
     Equals ||sorted_embedding(Theta, X) - sorted_embedding(Theta, Y)||_F
     divided by sqrt(n * D).  The Monte-Carlo reading assumes the columns
     are unit-sphere samples; a warning is emitted if any column norm
-    deviates from 1 by more than 1e-9 (the value is still computed).
+    deviates from 1 by more than 1e-9 (the value is still computed; callers
+    that expect it can filter the warning).
     """
     X = as_cloud(X, "X")
     Y = as_cloud(Y, "Y")
     _check_same_shape(X, Y)
     Theta = as_matrix(Theta, "Theta")
-    if warn_nonunit:
-        norms = np.linalg.norm(Theta, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            warnings.warn(
-                "sliced distance columns are not unit vectors; the Monte-Carlo "
-                "interpretation assumes unit-sphere samples",
-                stacklevel=2,
-            )
+    norms = np.linalg.norm(Theta, axis=0)
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        warnings.warn(
+            "sliced distance columns are not unit vectors; the Monte-Carlo "
+            "interpretation assumes unit-sphere samples",
+            stacklevel=2,
+        )
     diff = sorted_embedding(Theta, X) - sorted_embedding(Theta, Y)
     n, D = diff.shape
     return float(np.linalg.norm(diff)) / math.sqrt(n * D)

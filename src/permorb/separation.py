@@ -37,12 +37,15 @@ within 1e-8 of point t's P-image in every coordinate", checked against all
 n! permutations at once.  Undefeated samples are then re-verified against
 the full system at the strict tolerance before any witness is accepted.
 
-Every run is a list of windows of top-level digits, each searched by the
-same runner: a single-process run is one window searched in-process, a
-partitioned run searches its windows in a process pool, and one block
-combines the results, reporting the witness with the smallest leaf index,
-so the verdict does not depend on scheduling.  Long single-window runs
-checkpoint their position to a JSON file and can resume.
+Every run walks the windows of the tuple space in leaf order, one window
+per top-level digit, in one loop that alone counts the budget and writes
+checkpoints.  A window without a witness decides all of its leaves, so
+the windows that end within the budget are known before any search
+starts; with ``threads`` > 1 those are searched ahead in a process pool,
+and the rest in-process.  Results are used in window order and the loop
+ends at the first witness, so the thread count changes only the speed.
+Checkpoints record the resume position in a JSON file: at the first
+window boundary after every million decided tuples, and at a budget stop.
 
 The search runs inside the translation-free subspace where every
 coordinate vector x_i sums to zero.  This loses nothing: permutation
@@ -111,6 +114,9 @@ _WITNESS_TOL = 1e-8
 _NULL_SAMPLES = 8
 
 _CHECKPOINT_FORMAT = 1
+
+# Decided tuples between periodic checkpoints (written at window boundaries).
+_CHECKPOINT_EVERY = 1_000_000
 
 
 class SeparationStatus(str, enum.Enum):
@@ -298,10 +304,11 @@ def _defeated(Xs: np.ndarray, p_rows: np.ndarray, perms: np.ndarray) -> np.ndarr
 
 
 class _Search:
-    """State for the enumeration of one window of the tuple space.
+    """The enumeration of one window: the leaves under one top-level digit.
 
-    The window is a range ``(lo, hi)`` of top-level digits; a whole run is
-    the single window ``(0, n!)``.
+    It decides leaves from ``start`` on, in leaf order, until it finds a
+    witness or the tuples examined, counted from ``examined_base``, reach
+    ``budget``; ``covered`` counts the leaves it decided.
     """
 
     def __init__(
@@ -312,10 +319,8 @@ class _Search:
         seed: int,
         reduced: bool,
         start: int,
-        window: tuple[int, int],
+        window: int,
         examined_base: int,
-        checkpoint_path=None,
-        checkpoint_every: int = 1_000_000,
     ):
         d, D = A.shape
         self.A = A
@@ -333,11 +338,9 @@ class _Search:
         self.L = self.n_p + self.n_q
         self.reduced = reduced
         self.spans = [self.nfact ** (self.L - 1 - lv) for lv in range(self.L)]
-        # the window, expressed in leaf indices
         top_span = self.spans[0] if self.L > 0 else 1
-        self.window_lo = window[0] * top_span
-        self.window_hi = window[1] * top_span if self.L > 0 else 1
-        self.start = max(start, self.window_lo)
+        self.window_hi = (window + 1) * top_span
+        self.start = max(start, window * top_span)
         self.budget = budget
         self.seed = seed
         self.C = _centered_basis(n, d)
@@ -351,14 +354,10 @@ class _Search:
             )
             for j in range(self.n_q)
         ]
-        self.covered = 0  # leaves decided in this window
-        self.examined_base = examined_base  # carried over from checkpoints
+        self.covered = 0
+        self.examined_base = examined_base
         self.witness: SeparationWitness | None = None
-        self.stopped = False
-        self.next_index: int | None = None
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
-        self._since_checkpoint = 0
+        self.next_index: int | None = None  # set by a budget stop
 
     # -- helpers ----------------------------------------------------------
 
@@ -375,54 +374,21 @@ class _Search:
             out.append(np.concatenate(blocks, axis=1))  # (n, d*n)
         return out
 
-    def _cover(self, leaves: int, boundary: int, allow_checkpoint: bool = True) -> None:
-        self.covered += leaves
-        self._since_checkpoint += leaves
-        if (
-            allow_checkpoint
-            and self.checkpoint_path is not None
-            and self._since_checkpoint >= self.checkpoint_every
-        ):
-            self._write_checkpoint(boundary)
-            self._since_checkpoint = 0
-
-    def _write_checkpoint(self, next_index: int) -> None:
-        payload = {
-            "format": _CHECKPOINT_FORMAT,
-            "n": self.n,
-            "d": self.d,
-            "D": self.D,
-            "reduced": self.reduced,
-            "seed": self.seed,
-            "matrix_sha256": _matrix_digest(self.A),
-            "next_index": int(next_index),
-            "tuples_examined": int(self.examined_base + self.covered),
-        }
-        tmp = str(self.checkpoint_path) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json_dumps(payload))
-        os.replace(tmp, self.checkpoint_path)
-
     # -- search -----------------------------------------------------------
 
     def run(self) -> None:
         if self.L == 0:
             # no free tuples at all: a single leaf with the full centered space
-            if self.start == 0 and self.window_hi > 0:
-                self._leaf(0, self.C)
+            self._leaf(0, self.C)
         else:
             self._node(0, 0, self.C)
         if self.witness is not None:
             # a budget stop inside a final-level node still decides that
             # node's counted leaves; a witness among them ends the run
-            self.stopped = False
             self.next_index = None
-        if self.stopped and self.checkpoint_path is not None:
-            # written only now that every counted leaf has been decided
-            self._write_checkpoint(self.next_index)
 
     def _node(self, level: int, base: int, K: np.ndarray) -> None:
-        if self.witness is not None or self.stopped:
+        if self.witness is not None or self.next_index is not None:
             return
         if level == self.L:
             self._leaf(base, K)
@@ -439,23 +405,20 @@ class _Search:
             _, svals, vhs = np.linalg.svd(R, full_matrices=True)
         # candidate leaves of the final level are decided in one batch
         pending: list[tuple[int, np.ndarray]] = []
-        boundary = base
         for digit in range(self.nfact):
             lo = base + digit * span
             hi = lo + span
             if hi <= self.start or lo >= self.window_hi:
                 continue
-            if self.witness is not None or self.stopped:
+            if self.witness is not None or self.next_index is not None:
                 break
             if self.covered + self.examined_base >= self.budget:
-                self.stopped = True
                 self.next_index = max(lo, self.start)
                 break
             if is_p_level:
                 if level + 1 == self.n_p:
                     self.Vs = self._build_Vs(self._tuple(lo)[0])
                 self._node(level + 1, lo, K)
-                boundary = hi
                 continue
             sv = svals[digit]
             top = float(sv[0]) if sv.size else 0.0
@@ -463,33 +426,19 @@ class _Search:
             # counts as rank 0 instead of pruning its (unconstrained) subtree
             rank = int(np.count_nonzero(sv > _PRUNE_TOL * max(top, 1.0)))
             if rank >= dim_in:
-                self._cover(hi - max(lo, self.start), hi, allow_checkpoint=not last)
-                boundary = hi
+                self.covered += hi - max(lo, self.start)
                 continue
             null = vhs[digit, rank:, :].T  # (dim, dim - rank), orthonormal
             if last:
                 pending.append((lo, K @ null))
-                # counted now, decided by the batch below; checkpoints wait
-                self._cover(1, hi, allow_checkpoint=False)
+                self.covered += 1  # counted now, decided by the batch below
             else:
                 self._node(level + 1, lo, K @ null)
-            boundary = hi
         if pending and self.witness is None:
             self._decide(pending)
-        if (
-            last
-            and self.witness is None
-            and not self.stopped
-            and self.checkpoint_path is not None
-            and self._since_checkpoint >= self.checkpoint_every
-        ):
-            self._write_checkpoint(boundary)
-            self._since_checkpoint = 0
 
     def _leaf(self, index: int, K: np.ndarray) -> None:
-        if index < self.start or index >= self.window_hi:
-            return
-        self._cover(1, index + 1)
+        self.covered += 1
         if K.shape[1] > 0:
             self._decide([(index, K)])
 
@@ -570,12 +519,9 @@ def _matrix_digest(A: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest()
 
 
-def _load_checkpoint(path, A: np.ndarray, n: int, reduced: bool, seed: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format in {path}")
-    expectation = {
+def _checkpoint_key(A: np.ndarray, n: int, reduced: bool, seed: int) -> dict:
+    """The fields a checkpoint must share with the run that resumes from it."""
+    return {
         "n": n,
         "d": A.shape[0],
         "D": A.shape[1],
@@ -583,18 +529,38 @@ def _load_checkpoint(path, A: np.ndarray, n: int, reduced: bool, seed: int):
         "seed": seed,
         "matrix_sha256": _matrix_digest(A),
     }
-    for key, want in expectation.items():
-        if data.get(key) != want:
+
+
+def _load_checkpoint(path, key: dict) -> tuple[int, int]:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if data.get("format") != _CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format in {path}")
+    for name, want in key.items():
+        if data.get(name) != want:
             raise ValueError(
-                f"checkpoint {path} does not match this run ({key}: {data.get(key)!r} != {want!r})"
+                f"checkpoint {path} does not match this run ({name}: {data.get(name)!r} != {want!r})"
             )
     return int(data["next_index"]), int(data["tuples_examined"])
 
 
-def _run_window(window: tuple[int, int], **search_args):
-    search = _Search(window=window, **search_args)
+def _write_checkpoint(path, key: dict, next_index: int, examined: int) -> None:
+    payload = {
+        "format": _CHECKPOINT_FORMAT,
+        **key,
+        "next_index": int(next_index),
+        "tuples_examined": int(examined),
+    }
+    tmp = str(path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json_dumps(payload))
+    os.replace(tmp, path)
+
+
+def _run_window(window: int, examined_base: int, **search_args):
+    search = _Search(window=window, examined_base=examined_base, **search_args)
     search.run()
-    return search.covered, search.witness, search.stopped, search.next_index
+    return search.covered, search.witness, search.next_index
 
 
 def _check_identity_augmented(A: np.ndarray) -> None:
@@ -615,7 +581,6 @@ def certify_separation(
     *,
     threads: int = 1,
     checkpoint_path=None,
-    checkpoint_every: int = 1_000_000,
     reduce_coset: bool = True,
 ) -> SeparationVerdict:
     """Exhaustively decide orbit separation of the sorted embedding of A.
@@ -623,8 +588,11 @@ def certify_separation(
     ``A`` must be identity-augmented and ``n`` at most 6 (the witness test
     enumerates all of S_n).  ``budget`` caps the number of tuples decided
     (default 1e9, overridable via the PERMORB_BUDGET environment
-    variable).  ``threads`` > 1 splits the top-level digits across
-    processes; checkpointing is only available single-threaded.
+    variable).  ``threads`` > 1 searches windows ahead in that many
+    processes; it changes only the speed, never the verdict, the tuples
+    examined or the resume position.  With ``checkpoint_path`` the run
+    resumes from that file if it exists, and writes its position there
+    periodically and at a budget stop.
     """
     A = as_matrix(A, "A")
     _check_identity_augmented(A)
@@ -636,58 +604,63 @@ def certify_separation(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads > 1 and checkpoint_path is not None:
-        raise ValueError("checkpointing is only supported single-threaded")
 
     d, D = A.shape
     nfact = math.factorial(n)
     n_levels = (d - 1 if reduce_coset else d) + (D - d)
     total = nfact**n_levels if n_levels > 0 else 1
+    n_windows = nfact if n_levels > 0 else 1
+    span = total // n_windows  # leaves under one top-level digit
 
-    start = 0
-    examined_base = 0
+    key = _checkpoint_key(A, n, reduce_coset, seed)
+    start = examined_base = 0
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        start, examined_base = _load_checkpoint(checkpoint_path, A, n, reduce_coset, seed)
+        start, examined_base = _load_checkpoint(checkpoint_path, key)
+    windows = range(start // span, n_windows)
 
-    if threads == 1 or n_levels == 0:
-        windows = [(0, nfact if n_levels > 0 else 1)]
-    else:
-        cuts = np.linspace(0, nfact, min(threads, nfact) + 1).astype(int)
-        windows = [(int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    # A window without a witness decides all of its leaves, so the windows
+    # that end within the budget, and the count each starts from, are known
+    # before any search; they may be searched ahead.  The window where the
+    # budget runs out is searched with the count its predecessors left.
+    bases = []
+    count = examined_base
+    for w in windows:
+        size = (w + 1) * span - max(w * span, start)
+        if count + size > budget:
+            break
+        bases.append(count)
+        count += size
+
     run_window = functools.partial(
-        _run_window,
-        A=A,
-        n=n,
-        budget=-(-budget // len(windows)),
-        seed=seed,
-        reduced=reduce_coset,
-        start=start,
-        examined_base=examined_base,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
+        _run_window, A=A, n=n, budget=budget, seed=seed, reduced=reduce_coset, start=start
     )
-    if len(windows) == 1:
-        results = [run_window(windows[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(windows)) as pool:
-            results = list(pool.map(run_window, windows))
-    examined = examined_base + sum(covered for covered, _, _, _ in results)
-    stopped = any(stop for _, _, stop, _ in results)
-    next_index = min((nxt for _, _, _, nxt in results if nxt is not None), default=None)
-    witness = min(
-        (w for _, w, _, _ in results if w is not None),
-        key=lambda w: w.leaf_index,
-        default=None,
-    )
+    ahead = len(bases)
+    pool = ProcessPoolExecutor(min(threads, ahead)) if threads > 1 and ahead > 1 else None
+    examined, witness, next_index = examined_base, None, None
+    since_checkpoint = 0
+    try:
+        outcomes = (pool.map if pool else map)(run_window, windows[:ahead], bases)
+        for k, w in enumerate(windows):
+            covered, witness, next_index = next(outcomes) if k < ahead else run_window(w, examined)
+            examined += covered
+            if witness is not None or next_index is not None:
+                break
+            since_checkpoint += covered
+            if checkpoint_path is not None and since_checkpoint >= _CHECKPOINT_EVERY:
+                _write_checkpoint(checkpoint_path, key, (w + 1) * span, examined)
+                since_checkpoint = 0
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if next_index is not None and checkpoint_path is not None:
+        _write_checkpoint(checkpoint_path, key, next_index, examined)
 
     if witness is not None:
         status = SeparationStatus.WITNESS_FOUND
-    elif stopped:
+    elif next_index is not None:
         status = SeparationStatus.INCONCLUSIVE
     else:
         status = SeparationStatus.SEPARATING
-    if status != SeparationStatus.INCONCLUSIVE:
-        next_index = None
     return SeparationVerdict(
         status=status,
         witness=witness,

@@ -286,8 +286,8 @@ def test_criterion_7_separation_certifier():
 
 @pytest.mark.longrun
 def test_criterion_7_longrun_5_2_5():
-    # ~2e8 tuples; the partitioned search is verdict-invariant (see
-    # test_threads_do_not_change_the_verdict) and halves the wall clock
+    # ~2e8 tuples; the thread count changes only the speed (see
+    # test_threads_do_not_change_the_verdict)
     t0 = time.time()
     verdict = certify_separation(known_separating_matrix(5, 2, 5), 5, threads=2)
     ok = verdict.status is SeparationStatus.SEPARATING

@@ -156,6 +156,18 @@ def test_certify_exit_codes(tmp_path):
                  "--budget", "10", "--out", str(tmp_path / "v3.json")]) == 5
 
 
+def test_certify_checkpoints_with_threads(tmp_path):
+    save_matrix_csv(tmp_path / "A.csv", known_separating_matrix(4, 2, 4))
+    checkpoint = tmp_path / "cp.json"
+    args = ["certify", "--directions", str(tmp_path / "A.csv"), "--n", "4",
+            "--threads", "2", "--checkpoint", str(checkpoint)]
+    assert main(args + ["--budget", "2000", "--out", str(tmp_path / "v1.json")]) == 5
+    assert checkpoint.exists()
+    assert main(args + ["--out", str(tmp_path / "v2.json")]) == 0
+    verdict = _read_json(tmp_path / "v2.json")
+    assert verdict["tuples_examined"] == verdict["total_tuples"]
+
+
 def test_certify_rejects_general_matrices(tmp_path):
     save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(5).standard_normal((2, 4)))
     assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "3"]) == 1

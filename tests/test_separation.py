@@ -17,7 +17,7 @@ from permorb import (
     sorted_embedding,
     spot_check_injectivity,
 )
-from permorb.core import UnsupportedFormError
+from permorb.core import UnsupportedFormError, json_dumps
 from permorb.separation import (
     KNOWN_NONSEPARATING_DIMS,
     KNOWN_SEPARATING_CASES,
@@ -213,16 +213,25 @@ def test_coset_reduction_soundness():
         assert reduced.status is full.status
 
 
-def test_checkpoint_resume_matches_uninterrupted(tmp_path):
+def _checkpoint_chain(A, path, threads):
+    # budget stops at 2000 and 6000, then a resume to the end
+    stops = []
+    for budget in (2000, 6000):
+        verdict = certify_separation(A, 4, budget=budget, threads=threads, checkpoint_path=str(path))
+        assert verdict.status is SeparationStatus.INCONCLUSIVE
+        stops.append(path.read_bytes())
+    return stops, certify_separation(A, 4, threads=threads, checkpoint_path=str(path))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_checkpoint_resume_matches_uninterrupted(tmp_path, threads):
     A = known_separating_matrix(4, 2, 4)
     straight = certify_separation(A, 4)
-    path = tmp_path / "cp.json"
-    partial = certify_separation(A, 4, budget=2000, checkpoint_path=str(path))
-    assert partial.status is SeparationStatus.INCONCLUSIVE
-    assert path.exists()
-    resumed = certify_separation(A, 4, checkpoint_path=str(path))
+    serial_stops, _ = _checkpoint_chain(A, tmp_path / "serial.json", 1)
+    stops, resumed = _checkpoint_chain(A, tmp_path / "cp.json", threads)
+    assert stops == serial_stops
     assert resumed.status is straight.status is SeparationStatus.SEPARATING
-    assert resumed.tuples_examined == straight.tuples_examined
+    assert resumed.tuples_examined == straight.tuples_examined == 24**3
 
 
 def test_budget_stop_after_a_witness_leaves_no_position(tmp_path):
@@ -250,23 +259,25 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         certify_separation(other, 4, checkpoint_path=str(path))
 
 
-def test_threads_do_not_change_the_verdict():
-    A = known_separating_matrix(4, 2, 4)
-    single = certify_separation(A, 4, threads=1)
-    multi = certify_separation(A, 4, threads=2)
-    assert single.status is multi.status is SeparationStatus.SEPARATING
-    assert multi.tuples_examined == single.tuples_examined
+def _threads_cases():
+    yield "(4,2,4)", known_separating_matrix(4, 2, 4), 4, 0, (100, 5000, 13000, None)
+    yield "(3,2,3)", identity_augmented(gaussian_directions(2, 1, 2)), 3, 0, (None,)
+    for d, D in ((3, 5), (4, 7)):
+        for seed in range(3):
+            A = identity_augmented(gaussian_directions(d, D - d, seed))
+            yield f"(3,{d},{D}) seed {seed}", A, 3, seed, (None,)
+    yield "(3,3,6)", known_separating_matrix(3, 3, 6), 3, 0, (4022, 4030)
 
-    B = identity_augmented(gaussian_directions(2, 1, 2))
-    w1 = certify_separation(B, 3, seed=0, threads=1)
-    w2 = certify_separation(B, 3, seed=0, threads=2)
-    assert w1.status is w2.status is SeparationStatus.WITNESS_FOUND
-    assert w1.witness.leaf_index == w2.witness.leaf_index
-    for p1, p2 in zip(w1.witness.P_tuple, w2.witness.P_tuple, strict=True):
-        assert np.array_equal(p1, p2)
-    for q1, q2 in zip(w1.witness.Q_tuple, w2.witness.Q_tuple, strict=True):
-        assert np.array_equal(q1, q2)
-    assert np.array_equal(w1.witness.X, w2.witness.X)
+
+def test_threads_do_not_change_the_verdict():
+    # the whole verdict, witness and resume position included, serialized
+    # with floats at 17 significant digits
+    for name, A, n, seed, budgets in _threads_cases():
+        for budget in budgets:
+            single = json_dumps(certify_separation(A, n, budget, seed, threads=1))
+            for threads in (2, 3):
+                multi = json_dumps(certify_separation(A, n, budget, seed, threads=threads))
+                assert multi == single, (name, budget, threads)
 
 
 @pytest.mark.parametrize(
