@@ -11,10 +11,13 @@ routes and the empirical estimate used to sandwich the distortion:
 * ``projective_uniformity`` + ``blueprint_lower_bound`` -- the floor
   delta * sqrt(D - n**2 * (m-1)) obtained from an (m, delta) projective
   uniformity certificate (the m-th smallest |a_k . e| over columns is at
-  least delta for every unit direction e).  For d = 2 the constant is
-  evaluated by an exact sweep over a dense angle grid augmented with all
-  column-orthogonal angles; the grid minimum converges to the true value
-  from above, so only the d = 2 sweep is treated as certified.
+  least delta for every unit direction e).  The floor holds for a proven
+  delta, but neither estimate of delta proves one yet: for d = 2 the
+  sweep takes the minimum over a dense angle grid augmented with all
+  column-orthogonal angles, and a grid minimum can only overestimate the
+  constant, so it is an upper estimate of delta (ROADMAP.md item 2
+  replaces it with an exact vertex enumeration); sphere sampling for
+  d > 2 overestimates it too.
 * ``empirical_distortion`` -- min/max of the embedding-to-orbit distance
   ratio over a seeded pool that mixes independent clouds, near-orbit
   perturbations across several orders of magnitude of scale, and the
@@ -195,6 +198,8 @@ def subset_sigma_lower_bound_sampled(
     """
     A = as_matrix(A, "A")
     d, D = A.shape
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     k = r * d
     if D < k:
         raise ValueError(f"need D >= r*d = {k}, got D = {D}")
@@ -257,9 +262,11 @@ def projective_uniformity(
 
     ``exact-2d-sweep`` (d = 2 only) evaluates the m-th smallest |a_k . e|
     on a uniform grid of 256*D angles over [0, pi) augmented with every
-    column-orthogonal angle and returns the grid minimum, which converges
-    to the true constant from above.  ``sphere-sampling`` minimizes over
-    seeded uniform sphere directions and is an optimistic upper estimate.
+    column-orthogonal angle and returns the grid minimum.  Despite its
+    name this is an upper estimate of delta, not a certified value: the
+    true minimum can fall between grid angles (ROADMAP.md item 2).
+    ``sphere-sampling`` minimizes over seeded uniform sphere directions
+    and is an optimistic upper estimate as well.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -366,10 +373,11 @@ def empirical_distortion(
     Pairs closer than 1e-8 in orbit distance are skipped.  Optional
     arguments attach the certified subset bound and/or a projective
     uniformity estimate to the report; the blueprint floor is attached
-    only for the exact d = 2 sweep (a sampled delta overestimates the
-    constant) and when n**2 * (m - 1) <= D.  Limited to n <= 8 so the
-    assignment solves stay in the regime the brute-force oracle can
-    cross-check.  The pool is drawn pair by pair and embedded in blocks.
+    only for the d = 2 sweep (a sampled delta overestimates the constant)
+    and when n**2 * (m - 1) <= D; the sweep's grid delta is an upper
+    estimate too, so that floor is an estimate until the sweep is exact.
+    Limited to n <= 8 so the assignment solves stay in the regime the
+    brute-force oracle can cross-check.  The pool is drawn pair by pair and embedded in blocks.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -454,6 +462,65 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     return rng.standard_normal((M, n * D)) / math.sqrt(M)
 
 
+# Unit roundoff of float64 round-to-nearest.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): bounds the relative error of a length-k dot product."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def _gram_screen(
+    V: np.ndarray, denom: np.ndarray, G: np.ndarray, fro2: float, M: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screened ratios rho_s of the gap rows of V, and a margin tau on each.
+
+    Each row x of V is a gap vector of length N, ``denom`` holds fl(||x||),
+    G = fl(L^T L) for the M x N sketch L, and ``fro2`` >= ||L||_F^2.  With
+    q = fl(x^T G x), rho_s = fl(fl(sqrt(q)) / denom), and tau bounds
+    |rho_s - rho_ref| for the per-pair reference rho_ref =
+    fl(fl(||fl(L x)||) / denom).  Both are compared with rho = ||L x|| /
+    denom, exact but for the shared float denom.  With K = ||L||_F^2 ||x||^2,
+    the gamma_k bounds on dot products in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1; gamma_j + gamma_k
+    + gamma_j gamma_k <= gamma_{j+k}), and no underflow or overflow:
+
+    * Gram screen: |G - L^T L| <= gamma_M |L|^T |L|, and the two length-N
+      sums of x^T G x add gamma_N each, so |q - ||L x||^2| <= e_q =
+      gamma_{M+2N} K, as x^T |L|^T |L| x = || |L| |x| ||^2 <= K.  Then
+      ||L x|| and sqrt(max(q, 0)) both lie in [s_lo, s_hi] with s_lo =
+      sqrt(max(q - e_q, 0)) and s_hi = sqrt(max(q, 0) + e_q), so they
+      differ by at most s_hi - s_lo <= 2 e_q / (s_lo + s_hi).
+    * Reference matvec: |fl(L x) - L x| <= gamma_N |L| |x|, so
+      ||fl(L x) - L x|| <= e_mv = gamma_N sqrt(K), and ||fl(L x)|| <= s_hi
+      + e_mv.  Its norm, sqrt(dot) over M entries, errs by at most
+      e_norm = gamma_{M+1} (s_hi + e_mv).
+    * The other roundings: the sqrt and division of rho_s, the division
+      of rho_ref, and the caller's rho - 1, rho - (1 +- eps) and
+      err +- tau.  Each is at most u times a value below about rho + 1,
+      and fewer than eight of them meet in one comparison, so
+      16 u (rho_s + 1) covers them.
+
+    The first three terms are divided by denom and doubled; the doubling
+    absorbs the roundings made while evaluating the bound itself.
+    """
+    N = V.shape[1]
+    q = np.einsum("ij,ij->i", V @ G, V)
+    q_pos = np.maximum(q, 0.0)
+    rho = np.sqrt(q_pos) / denom
+    K = fro2 * denom * denom
+    e_q = _gamma(M + 2 * N) * K
+    s_hi = np.sqrt(q_pos + e_q)
+    s_lo = np.sqrt(np.maximum(q - e_q, 0.0))
+    gram = np.divide(2.0 * e_q, s_lo + s_hi, out=np.zeros_like(q), where=s_hi > 0.0)
+    e_mv = _gamma(N) * np.sqrt(K)
+    e_norm = _gamma(M + 1) * (s_hi + e_mv)
+    tau = 2.0 * (gram + e_mv + e_norm) / denom + 16.0 * _UNIT_ROUNDOFF * (rho + 1.0)
+    return rho, tau
+
+
 def ose_check(
     A, L, n: int, epsilon: float, trials: int, seed: int
 ) -> OseReport:
@@ -462,6 +529,17 @@ def ose_check(
     For seeded pairs (X, Y) computes rho = ||L (vec bA(X) - vec bA(Y))|| /
     ||bA(X) - bA(Y)||_F, skipping denominators below 1e-10, and counts
     ratios outside [1 - eps, 1 + eps].
+
+    The ratios are screened, then confirmed.  The screen forms G = L^T L
+    once and takes each block's ratios as sqrt(x^T G x) / ||x||, which never
+    re-reads the M x nD sketch.  Each screened ratio comes with a proven
+    margin on its distance from the per-pair reference ||L @ x|| / ||x||.
+    A pair whose margin reaches 1 +- eps, or whose error could be its
+    block's largest, is confirmed with the reference matvec on its own
+    gap vector; the margin settles every other pair.  So the report is
+    the one a per-pair matvec loop gives, bit for bit.  With fewer than
+    nD / 8 trials, where forming G costs more than it saves, every pair
+    is confirmed.
     """
     A = as_matrix(A, "A")
     L = as_matrix(L, "L")
@@ -472,6 +550,14 @@ def ose_check(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    M, N = L.shape
+    lo, hi = 1.0 - epsilon, 1.0 + epsilon
+    # forming G costs about as much as N / 8 per-pair matvecs
+    screen = 8 * trials >= N
+    if screen:
+        G = L.T @ L
+        # >= ||L||_F^2: the diagonal's length-M sums and the trace err by at most gamma_{M+N}
+        fro2 = float(np.trace(G)) * (1.0 + 2.0 * _gamma(M + N))
     rng = make_rng(seed)
     violations = 0
     max_err = 0.0
@@ -483,26 +569,40 @@ def ose_check(
             scale = 10.0 ** rng.uniform(-2.0, 2.0)
             X[:] = scale * rng.standard_normal((n, d))
             Y[:] = scale * rng.standard_normal((n, d))
+        diffs = []
+        denoms = []
         for ex, ey in zip(*_sort_project(A, clouds)):
-            # norm and matvec per pair: batched forms round differently
+            # the norm per pair, on a fresh array: a batched norm rounds differently
             diff = (ex - ey).ravel(order="F")
             denom = float(np.linalg.norm(diff))
             if denom < 1e-10:
                 skipped += 1
                 continue
-            rho = float(np.linalg.norm(L @ diff)) / denom
-            err = abs(rho - 1.0)
-            max_err = max(max_err, err)
-            if rho < 1.0 - epsilon or rho > 1.0 + epsilon:
+            diffs.append(diff)
+            denoms.append(denom)
+        if not diffs:
+            continue
+        if screen:
+            rho, tau = _gram_screen(np.stack(diffs), np.array(denoms), G, fro2, M)
+        else:  # an infinite margin confirms every pair
+            rho, tau = np.zeros(len(diffs)), np.full(len(diffs), np.inf)
+        err = np.abs(rho - 1.0)
+        near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)
+        could_be_max = err + tau >= np.max(err - tau)
+        violations += int(np.count_nonzero(((rho < lo) | (rho > hi)) & ~near))
+        for i in np.flatnonzero(near | could_be_max):
+            ref = float(np.linalg.norm(L @ diffs[i])) / denoms[i]
+            max_err = max(max_err, abs(ref - 1.0))
+            if near[i] and (ref < lo or ref > hi):
                 violations += 1
-            used += 1
+        used += len(diffs)
     return OseReport(
         violations=violations,
         max_ratio_error=max_err,
         pairs_used=used,
         pairs_skipped=skipped,
         epsilon=epsilon,
-        sketch_rows=L.shape[0],
+        sketch_rows=M,
         seed=int(seed),
     )
 

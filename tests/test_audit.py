@@ -103,6 +103,12 @@ def test_sampled_subset_bound_overestimates_exact():
     assert sampled.value >= exact - 1e-12
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_sampled_subset_bound_rejects_nonpositive_r(r):
+    with pytest.raises(ValueError, match=f"r must be >= 1, got {r}"):
+        subset_sigma_lower_bound_sampled(gaussian_directions(2, 6, 3), r, samples=5, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # projective uniformity
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from permorb import load_matrix_csv, orbit_distance, save_matrix_csv
+from permorb.audit import OseReport
 from permorb.cli import main
 from permorb.separation import known_separating_matrix
 
@@ -118,6 +122,26 @@ def test_audit_with_ose_block(tmp_path):
     report = _read_json(out)
     assert "ose_check" in report and "ose_dimension" in report
     assert report["ose_check"]["violations"] == 0
+
+
+def _readme_audit_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Audit report schema", 1)[1].split("\n\n")[2]
+    fields = set()
+    for row in table.splitlines()[2:]:
+        fields.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    return fields
+
+
+def test_audit_report_keys_match_the_readme_schema(tmp_path):
+    save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(4).standard_normal((2, 6)))
+    out = tmp_path / "r.json"
+    assert main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", "2",
+                 "--trials", "20", "--seed", "5", "--subset-r", "1", "--pu-m", "3",
+                 "--check-ose", "--ose-trials", "20", "--out", str(out)]) == 0
+    report = _read_json(out)
+    assert set(report) == _readme_audit_fields() - {"skipped"}
+    assert set(report["ose_check"]) == {f.name for f in dataclasses.fields(OseReport)}
 
 
 def test_audit_skips_oversized_subset_bound(tmp_path):

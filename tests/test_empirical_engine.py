@@ -1,7 +1,8 @@
 """The batched empirical checks against their one-pair-at-a-time loops.
 
 ``empirical_distortion``, ``ose_check`` and ``spot_check_injectivity``
-sample their pairs sequentially and embed them in batches.  The loops
+sample their pairs sequentially and embed them in batches, and
+``ose_check`` screens its ratios with the sketch's Gram matrix.  The loops
 below are the per-pair forms they replaced, written with the public,
 validating functions; the batched checks must reproduce their reports
 exactly, floats included.
@@ -11,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permorb import (
     circle_directions,
@@ -20,6 +23,7 @@ from permorb import (
     make_rng,
     orbit_distance,
     ose_check,
+    ose_dimension,
     parity_counterexample,
     pooled_embedding,
     sketched_embedding,
@@ -42,12 +46,11 @@ def reference_ratios(A, n, trials, seed):
     return min(ratios), max(ratios), len(ratios)
 
 
-def reference_ose_check(A, L, n, epsilon, trials, seed):
+def reference_ose_ratios(A, L, n, trials, seed):
+    """The ratio of every used pair, and the number of skipped pairs."""
     d = A.shape[0]
     rng = make_rng(seed)
-    violations = 0
-    max_err = 0.0
-    used = 0
+    ratios = []
     skipped = 0
     for _ in range(trials):
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
@@ -58,12 +61,19 @@ def reference_ose_check(A, L, n, epsilon, trials, seed):
         if denom < 1e-10:
             skipped += 1
             continue
-        rho = float(np.linalg.norm(L @ diff)) / denom
+        ratios.append(float(np.linalg.norm(L @ diff)) / denom)
+    return ratios, skipped
+
+
+def reference_ose_check(A, L, n, epsilon, trials, seed):
+    ratios, skipped = reference_ose_ratios(A, L, n, trials, seed)
+    violations = 0
+    max_err = 0.0
+    for rho in ratios:
         max_err = max(max_err, abs(rho - 1.0))
         if rho < 1.0 - epsilon or rho > 1.0 + epsilon:
             violations += 1
-        used += 1
-    return OseReport(violations, max_err, used, skipped, epsilon, L.shape[0], seed)
+    return OseReport(violations, max_err, len(ratios), skipped, epsilon, L.shape[0], seed)
 
 
 def reference_spot_check(kind, n, d, D, *, M=None, trials, seed, extra_pairs=()):
@@ -131,6 +141,71 @@ def test_ose_check_matches_the_pair_loop_across_blocks():
     A = circle_directions(D)
     L = gaussian_sketch(n, D, 16, 5)
     assert ose_check(A, L, n, 0.5, trials, 5) == reference_ose_check(A, L, n, 0.5, trials, 5)
+
+
+def test_ose_check_matches_the_pair_loop_with_too_few_trials_to_screen():
+    # 20 trials against 2048 sketch columns: every pair takes its matvec
+    n, D, trials = 8, 256, 20
+    A = circle_directions(D)
+    L = gaussian_sketch(n, D, 40, 7)
+    assert ose_check(A, L, n, 0.5, trials, 7) == reference_ose_check(A, L, n, 0.5, trials, 7)
+
+
+def test_ose_check_matches_the_pair_loop_across_blocks_with_a_tall_sketch():
+    # one Gram matrix serves both blocks; each block confirms its own candidates
+    n, d, D, M, trials = 4, 3, 24, 300, 6000
+    assert len(_blocks(trials, 2 * n * D)) == 2
+    A = gaussian_directions(d, D, 17)
+    L = gaussian_sketch(n, D, M, 5)
+    assert ose_check(A, L, n, 0.1, trials, 5) == reference_ose_check(A, L, n, 0.1, trials, 5)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ose_check_matches_the_pair_loop_at_the_cli_shape(seed):
+    # permorb audit --check-ose with n=6 on a 3 x 24 matrix: an 18,921 x 144 sketch
+    n, d, D = 6, 3, 24
+    M = ose_dimension(n, d, D, 0.25, 0.1)
+    A = gaussian_directions(d, D, 60 + seed)
+    L = gaussian_sketch(n, D, M, seed)
+    assert ose_check(A, L, n, 0.25, 200, seed) == reference_ose_check(A, L, n, 0.25, 200, seed)
+
+
+def test_ose_check_matches_the_pair_loop_with_a_ratio_on_the_threshold():
+    n, d, D, M, trials, seed = 3, 2, 7, 40, 60, 4
+    A = gaussian_directions(d, D, 12)
+    L = gaussian_sketch(n, D, M, 13)
+    ratios, _ = reference_ose_ratios(A, L, n, trials, seed)
+    for rho in ratios:
+        # a threshold one ulp below the pair's ratio, on it, and one ulp above
+        for edge in (np.nextafter(rho, 0.0), rho, np.nextafter(rho, 2.0)):
+            epsilon = abs(float(edge) - 1.0)
+            assert edge in (1.0 - epsilon, 1.0 + epsilon)
+            got = ose_check(A, L, n, epsilon, trials, seed)
+            assert got == reference_ose_check(A, L, n, epsilon, trials, seed), (rho, edge)
+
+
+def test_ose_check_matches_the_pair_loop_with_an_orthonormal_sketch():
+    # ||L x|| = ||x||: every ratio error is a few ulps, so every pair lies
+    # within the screen's margin of the largest and is confirmed
+    n, d, D, M = 4, 3, 6, 60
+    A = gaussian_directions(d, D, 21)
+    L = np.linalg.qr(make_rng(22).standard_normal((M, n * D)))[0]
+    report = ose_check(A, L, n, 0.1, 150, 8)
+    assert report == reference_ose_check(A, L, n, 0.1, 150, 8)
+    assert report.max_ratio_error < 1e-13
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.integers(1, 40),
+    st.floats(0.01, 0.9), st.integers(1, 30), st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_ose_check_matches_the_pair_loop_on_small_shapes(n, d, D, M, epsilon, trials, seed):
+    rng = make_rng(seed)
+    A = rng.standard_normal((d, D))
+    L = rng.standard_normal((M, n * D)) / math.sqrt(M)
+    got = ose_check(A, L, n, epsilon, trials, seed)
+    assert got == reference_ose_check(A, L, n, epsilon, trials, seed)
 
 
 @pytest.mark.parametrize(
