@@ -465,6 +465,13 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
 # Unit roundoff of float64 round-to-nearest.
 _UNIT_ROUNDOFF = 2.0**-53
 
+# Below this, a float64 square and twice it stay finite.
+_NO_OVERFLOW = math.sqrt(np.finfo(np.float64).max / 2.0)
+
+# Floats in one slice of the OSE screen's product V L^T.  The sketch is
+# read once whatever the slice, so slices stay small: two are alive at once.
+_SCREEN_FLOATS = 1 << 18
+
 
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u): bounds the relative error of a length-k dot product."""
@@ -472,52 +479,54 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _gram_screen(
-    V: np.ndarray, denom: np.ndarray, G: np.ndarray, fro2: float, M: int
+def _sketch_screen(
+    V: np.ndarray, denom: np.ndarray, L: np.ndarray, fro: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screened ratios rho_s of the gap rows of V, and a margin tau on each.
 
-    Each row x of V is a gap vector of length N, ``denom`` holds fl(||x||),
-    G = fl(L^T L) for the M x N sketch L, and ``fro2`` >= ||L||_F^2.  With
-    q = fl(x^T G x), rho_s = fl(fl(sqrt(q)) / denom), and tau bounds
-    |rho_s - rho_ref| for the per-pair reference rho_ref =
-    fl(fl(||fl(L x)||) / denom).  Both are compared with rho = ||L x|| /
-    denom, exact but for the shared float denom.  With K = ||L||_F^2 ||x||^2,
-    the gamma_k bounds on dot products in any summation order (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.1; gamma_j + gamma_k
-    + gamma_j gamma_k <= gamma_{j+k}), and no underflow or overflow:
+    Each row x of V is a gap vector of length N, ``denom`` holds fl(||x||)
+    and ``fro`` >= ||L||_F for the M x N sketch L.  W = V L^T is formed one
+    slice of L's rows at a time, so L is read once for all of V and W is
+    never held whole; rho_s = fl(fl(||w||) / denom) for each row w of W.
+    tau bounds |rho_s - rho_ref| for the per-pair reference rho_ref =
+    fl(fl(||fl(L x)||) / denom).  The gemm and the reference matvec form
+    the same length-N dot products, only in another order, so by the
+    gamma_k bounds on dot products in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1):
 
-    * Gram screen: |G - L^T L| <= gamma_M |L|^T |L|, and the two length-N
-      sums of x^T G x add gamma_N each, so |q - ||L x||^2| <= e_q =
-      gamma_{M+2N} K, as x^T |L|^T |L| x = || |L| |x| ||^2 <= K.  Then
-      ||L x|| and sqrt(max(q, 0)) both lie in [s_lo, s_hi] with s_lo =
-      sqrt(max(q - e_q, 0)) and s_hi = sqrt(max(q, 0) + e_q), so they
-      differ by at most s_hi - s_lo <= 2 e_q / (s_lo + s_hi).
-    * Reference matvec: |fl(L x) - L x| <= gamma_N |L| |x|, so
-      ||fl(L x) - L x|| <= e_mv = gamma_N sqrt(K), and ||fl(L x)|| <= s_hi
-      + e_mv.  Its norm, sqrt(dot) over M entries, errs by at most
-      e_norm = gamma_{M+1} (s_hi + e_mv).
-    * The other roundings: the sqrt and division of rho_s, the division
-      of rho_ref, and the caller's rho - 1, rho - (1 +- eps) and
-      err +- tau.  Each is at most u times a value below about rho + 1,
-      and fewer than eight of them meet in one comparison, so
-      16 u (rho_s + 1) covers them.
+    * both products satisfy |fl(L x) - L x| <= gamma_N |L| |x|, and
+      || |L| |x| || <= ||L||_F ||x||, so the two product vectors differ in
+      norm by at most e_gap = 2 gamma_N ||L||_F ||x||;
+    * both norms, the sqrt of a sum of M squares in some order, err by at
+      most gamma_{M+1} times the norm, and each norm is at most about
+      s + e_gap for the screened norm s = fl(||w||), which adds
+      gamma_{M+1} (2 s + e_gap);
+    * the other roundings: the two divisions by denom, and the caller's
+      rho - 1, rho - (1 +- eps) and err +- tau.  Each is at most u times a
+      value below about rho + 1, and fewer than eight of them meet in one
+      comparison, so 16 u (rho_s + 1) covers them.
 
-    The first three terms are divided by denom and doubled; the doubling
-    absorbs the roundings made while evaluating the bound itself.
+    The first two terms are divided by denom and doubled; the doubling
+    absorbs ||x|| against denom and the roundings made while evaluating
+    the bound itself.  The bounds assume no overflow.  No entry of w
+    exceeds ||L||_F ||x|| and no sum of squares exceeds its square, so
+    nothing overflows while that product stays below _NO_OVERFLOW; where
+    it does not, every margin is infinite and the caller confirms every
+    pair.
     """
-    N = V.shape[1]
-    q = np.einsum("ij,ij->i", V @ G, V)
-    q_pos = np.maximum(q, 0.0)
-    rho = np.sqrt(q_pos) / denom
-    K = fro2 * denom * denom
-    e_q = _gamma(M + 2 * N) * K
-    s_hi = np.sqrt(q_pos + e_q)
-    s_lo = np.sqrt(np.maximum(q - e_q, 0.0))
-    gram = np.divide(2.0 * e_q, s_lo + s_hi, out=np.zeros_like(q), where=s_hi > 0.0)
-    e_mv = _gamma(N) * np.sqrt(K)
-    e_norm = _gamma(M + 1) * (s_hi + e_mv)
-    tau = 2.0 * (gram + e_mv + e_norm) / denom + 16.0 * _UNIT_ROUNDOFF * (rho + 1.0)
+    M, N = L.shape
+    if fro * float(np.max(denom)) > _NO_OVERFLOW:
+        return np.zeros(len(V)), np.full(len(V), np.inf)
+    q = np.zeros(len(V))
+    step = max(1, _SCREEN_FLOATS // len(V))
+    for lo in range(0, M, step):
+        W = V @ L[lo : lo + step].T
+        q += np.einsum("ij,ij->i", W, W)
+    s = np.sqrt(q)
+    rho = s / denom
+    e_gap = 2.0 * _gamma(N) * fro * denom
+    tau = 2.0 * (e_gap + _gamma(M + 1) * (2.0 * s + e_gap)) / denom
+    tau += 16.0 * _UNIT_ROUNDOFF * (rho + 1.0)
     return rho, tau
 
 
@@ -530,16 +539,15 @@ def ose_check(
     ||bA(X) - bA(Y)||_F, skipping denominators below 1e-10, and counts
     ratios outside [1 - eps, 1 + eps].
 
-    The ratios are screened, then confirmed.  The screen forms G = L^T L
-    once and takes each block's ratios as sqrt(x^T G x) / ||x||, which never
-    re-reads the M x nD sketch.  Each screened ratio comes with a proven
-    margin on its distance from the per-pair reference ||L @ x|| / ||x||.
-    A pair whose margin reaches 1 +- eps, or whose error could be its
-    block's largest, is confirmed with the reference matvec on its own
-    gap vector; the margin settles every other pair.  So the report is
-    the one a per-pair matvec loop gives, bit for bit.  With fewer than
-    nD / 8 trials, where forming G costs more than it saves, every pair
-    is confirmed.
+    The ratios are screened, then confirmed.  The screen multiplies each
+    block's stacked gap vectors by L^T in a few gemms, so the M x nD
+    sketch is read once per block of pairs rather than once per pair.
+    Each screened ratio comes with a proven margin on its distance from
+    the per-pair reference ||L @ x|| / ||x||.  A pair whose margin reaches
+    1 +- eps, or whose error could be its block's largest, is confirmed
+    with the reference matvec on its own gap vector; the margin settles
+    every other pair.  So the report is the one a per-pair matvec loop
+    gives, bit for bit.
     """
     A = as_matrix(A, "A")
     L = as_matrix(L, "L")
@@ -550,14 +558,10 @@ def ose_check(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    M, N = L.shape
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
-    # forming G costs about as much as N / 8 per-pair matvecs
-    screen = 8 * trials >= N
-    if screen:
-        G = L.T @ L
-        # >= ||L||_F^2: the diagonal's length-M sums and the trace err by at most gamma_{M+N}
-        fro2 = float(np.trace(G)) * (1.0 + 2.0 * _gamma(M + N))
+    # >= ||L||_F: the norm is the sqrt of one dot product of length M nD
+    with np.errstate(over="ignore"):  # an infinite norm confirms every pair
+        fro = float(np.linalg.norm(L)) * (1.0 + _gamma(L.size + 1))
     rng = make_rng(seed)
     violations = 0
     max_err = 0.0
@@ -582,10 +586,7 @@ def ose_check(
             denoms.append(denom)
         if not diffs:
             continue
-        if screen:
-            rho, tau = _gram_screen(np.stack(diffs), np.array(denoms), G, fro2, M)
-        else:  # an infinite margin confirms every pair
-            rho, tau = np.zeros(len(diffs)), np.full(len(diffs), np.inf)
+        rho, tau = _sketch_screen(np.stack(diffs), np.array(denoms), L, fro)
         err = np.abs(rho - 1.0)
         near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)
         could_be_max = err + tau >= np.max(err - tau)
@@ -602,7 +603,7 @@ def ose_check(
         pairs_used=used,
         pairs_skipped=skipped,
         epsilon=epsilon,
-        sketch_rows=M,
+        sketch_rows=L.shape[0],
         seed=int(seed),
     )
 

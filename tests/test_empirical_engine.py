@@ -2,7 +2,7 @@
 
 ``empirical_distortion``, ``ose_check`` and ``spot_check_injectivity``
 sample their pairs sequentially and embed them in batches, and
-``ose_check`` screens its ratios with the sketch's Gram matrix.  The loops
+``ose_check`` screens its ratios with a few gemms against the sketch.  The loops
 below are the per-pair forms they replaced, written with the public,
 validating functions; the batched checks must reproduce their reports
 exactly, floats included.
@@ -30,7 +30,7 @@ from permorb import (
     sorted_embedding,
     spot_check_injectivity,
 )
-from permorb.audit import OseReport, sample_pair_pool
+from permorb.audit import _SCREEN_FLOATS, OseReport, sample_pair_pool
 from permorb.embeddings import _blocks
 from permorb.separation import InjectivityReport
 
@@ -136,6 +136,7 @@ def test_ose_check_matches_the_pair_loop(n, d, D, M):
 
 
 def test_ose_check_matches_the_pair_loop_across_blocks():
+    # a 16 x 2048 sketch: fewer rows than columns
     n, D, trials = 8, 256, 300
     assert len(_blocks(trials, 2 * n * D)) > 1
     A = circle_directions(D)
@@ -143,8 +144,8 @@ def test_ose_check_matches_the_pair_loop_across_blocks():
     assert ose_check(A, L, n, 0.5, trials, 5) == reference_ose_check(A, L, n, 0.5, trials, 5)
 
 
-def test_ose_check_matches_the_pair_loop_with_too_few_trials_to_screen():
-    # 20 trials against 2048 sketch columns: every pair takes its matvec
+def test_ose_check_matches_the_pair_loop_with_few_pairs_and_a_wide_sketch():
+    # 20 pairs against 2048 sketch columns
     n, D, trials = 8, 256, 20
     A = circle_directions(D)
     L = gaussian_sketch(n, D, 40, 7)
@@ -152,7 +153,7 @@ def test_ose_check_matches_the_pair_loop_with_too_few_trials_to_screen():
 
 
 def test_ose_check_matches_the_pair_loop_across_blocks_with_a_tall_sketch():
-    # one Gram matrix serves both blocks; each block confirms its own candidates
+    # each block screens against the whole sketch and confirms its own candidates
     n, d, D, M, trials = 4, 3, 24, 300, 6000
     assert len(_blocks(trials, 2 * n * D)) == 2
     A = gaussian_directions(d, D, 17)
@@ -165,6 +166,7 @@ def test_ose_check_matches_the_pair_loop_at_the_cli_shape(seed):
     # permorb audit --check-ose with n=6 on a 3 x 24 matrix: an 18,921 x 144 sketch
     n, d, D = 6, 3, 24
     M = ose_dimension(n, d, D, 0.25, 0.1)
+    assert 200 * M > _SCREEN_FLOATS  # the screen takes the sketch's rows in slices
     A = gaussian_directions(d, D, 60 + seed)
     L = gaussian_sketch(n, D, M, seed)
     assert ose_check(A, L, n, 0.25, 200, seed) == reference_ose_check(A, L, n, 0.25, 200, seed)
@@ -193,6 +195,20 @@ def test_ose_check_matches_the_pair_loop_with_an_orthonormal_sketch():
     report = ose_check(A, L, n, 0.1, 150, 8)
     assert report == reference_ose_check(A, L, n, 0.1, 150, 8)
     assert report.max_ratio_error < 1e-13
+
+
+@pytest.mark.parametrize("scale", [1e140, 1e151, 1e155])
+def test_ose_check_matches_the_pair_loop_with_a_huge_sketch(scale):
+    # at 1e151 ||L||_F ||x|| is too large for the screen's margins and every
+    # pair is confirmed; at 1e155 the reference norms themselves overflow to inf
+    n, d, D, M = 3, 2, 5, 30
+    A = gaussian_directions(d, D, 31)
+    L = scale * gaussian_sketch(n, D, M, 32)
+    with np.errstate(over="ignore"):
+        got = ose_check(A, L, n, 0.2, 40, 3)
+        want = reference_ose_check(A, L, n, 0.2, 40, 3)
+    assert got == want
+    assert (want.max_ratio_error == math.inf) == (scale > 1e152)
 
 
 @given(
