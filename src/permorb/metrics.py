@@ -64,6 +64,19 @@ def _assignment_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarra
     return math.sqrt(max(float(cost[rows, cols].sum()), 0.0)), cols
 
 
+def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
+    """Lower bounds on the orbit distances of a stack of pairs (..., 2, n, d), unvalidated.
+
+    Sorting every coordinate column is the sorted embedding with A = I, whose
+    upper Lipschitz constant is sigma_1(I) = 1:
+    sqrt(sum_k ||sort(X[:, k]) - sort(Y[:, k])||^2) <= dist(X, Y), since within
+    one column the sorted matching is the cheapest.  No assignment solve.
+    """
+    ordered = np.sort(pairs, axis=-2)
+    gap = ordered[..., 0, :, :] - ordered[..., 1, :, :]
+    return np.sqrt(np.sum(gap * gap, axis=(-2, -1)))
+
+
 def orbit_distance(X, Y) -> OrbitDistanceResult:
     """Exact orbit distance via an exact assignment solve on squared costs."""
     X = as_cloud(X, "X")

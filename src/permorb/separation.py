@@ -78,7 +78,7 @@ from .core import (
     make_rng,
 )
 from .embeddings import _blocks, _sort_project
-from .metrics import _all_permutations, _assignment_distance
+from .metrics import _all_permutations, _assignment_distance, _orbit_distance_floor
 
 __all__ = [
     "SeparationStatus",
@@ -686,6 +686,59 @@ def _flatten(S: np.ndarray) -> np.ndarray:
     return S.transpose(0, 2, 1).reshape(len(S), -1)
 
 
+# A Y is redrawn while dist(X, Y) < _MIN_DISTANCE.  Only pairs whose distance
+# floor lies below twice that are solved in the screened draw: the factor 2 is
+# the margin for the floor's rounding, so no redraw is decided from a floor.
+_MIN_DISTANCE = 0.1
+_SCREEN_FLOOR = 2 * _MIN_DISTANCE
+
+
+def _draw_trials(rng: np.random.Generator, clouds: np.ndarray) -> None:
+    """Fill clouds (3, t, n, d) with (X, Y, same) trials, one trial at a time.
+
+    Each trial draws X, then Y, then every redraw of Y while the pair's
+    orbit distance is below _MIN_DISTANCE, then the permutation giving the
+    same-orbit copy of X.  This loop defines the spot checks' stream.
+    """
+    n, d = clouds.shape[2:]
+    for X, Y, same in zip(*clouds):
+        X[:] = rng.standard_normal((n, d))
+        Y[:] = rng.standard_normal((n, d))
+        attempts = 0
+        while _assignment_distance(X, Y)[0] < _MIN_DISTANCE:
+            Y[:] = rng.standard_normal((n, d))
+            attempts += 1
+            if attempts > 100:
+                raise RuntimeError("could not sample a distant pair")
+        same[:] = X[rng.permutation(n)]
+
+
+def _draw_screened_trials(rng: np.random.Generator, clouds: np.ndarray) -> bool:
+    """Fill clouds as _draw_trials does, if no Y of the block needs a redraw.
+
+    Draws every trial first, in _draw_trials's stream order without redraws
+    (one normal draw fills a trial's X and Y), then screens all pairs with
+    _orbit_distance_floor and solves only those whose floor is below
+    _SCREEN_FLOOR.  Returns False, with clouds unfilled and the stream
+    advanced, when one of them is closer than _MIN_DISTANCE: the caller then
+    restores the stream and replays the block with _draw_trials.
+    """
+    count, n, d = clouds.shape[1:]
+    pairs = np.empty((count, 2, n, d))
+    perms = np.empty((count, n), dtype=np.intp)
+    for pair, perm in zip(pairs, perms):
+        rng.standard_normal(out=pair)
+        perm[:] = rng.permutation(n)
+    X, Y = pairs[:, 0], pairs[:, 1]
+    for t in np.flatnonzero(_orbit_distance_floor(pairs) < _SCREEN_FLOOR):
+        if _assignment_distance(X[t], Y[t])[0] < _MIN_DISTANCE:
+            return False
+    clouds[0] = X
+    clouds[1] = Y
+    clouds[2] = np.take_along_axis(X, perms[:, :, None], axis=1)
+    return True
+
+
 def spot_check_injectivity(
     kind: str,
     n: int,
@@ -707,8 +760,16 @@ def spot_check_injectivity(
     whose embeddings must agree to 1e-9 relative (a failure counts as a
     false separation; invariance makes this impossible).  ``extra_pairs``
     are audited with the distinct-orbit rule, so a known indistinguishable
-    pair shows up as exactly one collision.  Trials are drawn one at a
-    time from the seeded stream and embedded in blocks.
+    pair shows up as exactly one collision.
+
+    Trials come in blocks.  A block is drawn whole, without redraws, then
+    screened: a pair is solved exactly only when its sorted-column floor on
+    the orbit distance (the upper Lipschitz bound of the A = I sorted
+    embedding) is below 0.2, so almost no pair needs a solve.  If a solved
+    pair is closer than 0.1, the stream is rewound and the block is replayed
+    one trial at a time with its redraws.  Either way the draws are those of
+    the one-trial loop, so the report does not depend on the screen.  Each
+    block is embedded in one call.
     """
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -739,18 +800,11 @@ def spot_check_injectivity(
     false_separations = 0
     for block in _blocks(trials, 3 * width):
         clouds = np.empty((3, block.stop - block.start, n, d))
-        # drawn one trial at a time, in the order X, Y, the redraws of Y,
-        # then the permutation giving the same-orbit copy of X
-        for X, Y, same in zip(*clouds):
-            X[:] = rng.standard_normal((n, d))
-            Y[:] = rng.standard_normal((n, d))
-            attempts = 0
-            while _assignment_distance(X, Y)[0] < 0.1:
-                Y[:] = rng.standard_normal((n, d))
-                attempts += 1
-                if attempts > 100:
-                    raise RuntimeError("could not sample a distant pair")
-            same[:] = X[rng.permutation(n)]
+        state = rng.bit_generator.state
+        if not _draw_screened_trials(rng, clouds):
+            # a Y of this block is redrawn, which shifts every later draw
+            rng.bit_generator.state = state
+            _draw_trials(rng, clouds)
         EX, EY, ES = np.split(embed(_sort_project(A, clouds.reshape(-1, n, d))), 3)
         collisions += int(np.count_nonzero(np.linalg.norm(EX - EY, axis=1) <= 1e-8))
         scale = np.maximum(1.0, np.linalg.norm(EX, axis=1))

@@ -1,11 +1,13 @@
 """The batched empirical checks against their one-pair-at-a-time loops.
 
 ``empirical_distortion``, ``ose_check`` and ``spot_check_injectivity``
-sample their pairs sequentially and embed them in batches, and
-``ose_check`` screens its ratios with a few gemms against the sketch.  The loops
-below are the per-pair forms they replaced, written with the public,
-validating functions; the batched checks must reproduce their reports
-exactly, floats included.
+sample their pairs sequentially and embed them in batches.  ``ose_check``
+screens its ratios with a few gemms against the sketch;
+``spot_check_injectivity`` screens its pairs' orbit distances with a
+sorted-column floor and replays a block trial by trial only when a Y must
+be redrawn.  The loops below are the per-pair forms they replaced, written
+with the public, validating functions; the batched checks must reproduce
+their reports exactly, floats included.
 """
 
 import math
@@ -30,6 +32,7 @@ from permorb import (
     sorted_embedding,
     spot_check_injectivity,
 )
+from permorb import separation
 from permorb.audit import _SCREEN_FLOATS, OseReport, sample_pair_pool
 from permorb.embeddings import _blocks
 from permorb.separation import InjectivityReport
@@ -251,3 +254,92 @@ def test_sketched_spot_check_with_a_wide_sketch_matches_the_pair_loop():
     assert len(_blocks(trials, 3 * M)) > 1  # the sketch outputs span several blocks
     got = spot_check_injectivity("sketched", n, d, D, M=M, trials=trials, seed=6)
     assert got == reference_spot_check("sketched", n, d, D, M=M, trials=trials, seed=6)
+
+
+def trace_reference(monkeypatch):
+    """Record the reference loop's orbit distance solves (redraws included)
+    and the clouds it embeds, X, Y and the same-orbit copy per trial."""
+    solves, clouds = [], []
+    solve = orbit_distance
+
+    def counted(X, Y):
+        solves.append(None)
+        return solve(X, Y)
+
+    def recording(embed):
+        def recorded(*args):
+            clouds.append(args[-1].copy())
+            return embed(*args)
+        return recorded
+
+    monkeypatch.setitem(globals(), "orbit_distance", counted)
+    for name in ("sorted_embedding", "sketched_embedding"):
+        monkeypatch.setitem(globals(), name, recording(globals()[name]))
+    return solves, clouds
+
+
+def trace_check(monkeypatch):
+    """Record the clouds spot_check_injectivity embeds, X, Y and the
+    same-orbit copy per trial, and the size of each block it replays."""
+    clouds, replayed = [], []
+    project, draw = separation._sort_project, separation._draw_trials
+
+    def projected(A, S):
+        clouds.extend(S.reshape(3, -1, *S.shape[1:]).transpose(1, 0, 2, 3))
+        return project(A, S)
+
+    def drawn(rng, block):
+        replayed.append(block.shape[1])
+        draw(rng, block)
+
+    monkeypatch.setattr(separation, "_sort_project", projected)
+    monkeypatch.setattr(separation, "_draw_trials", drawn)
+    return clouds, replayed
+
+
+def same_clouds(checked, reference):
+    checked = np.array(checked)
+    return np.array_equal(checked, np.reshape(reference, checked.shape))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn(monkeypatch, seed):
+    # n = 2, d = 1: a few pairs in a hundred lie within 0.1, so the single
+    # block is screened, found to need a redraw and replayed
+    trials = 3000
+    solves, reference = trace_reference(monkeypatch)
+    checked, replayed = trace_check(monkeypatch)
+    want = reference_spot_check("sorted", 2, 1, 3, trials=trials, seed=seed)
+    assert len(solves) > trials  # the reference redrew some Y
+    assert spot_check_injectivity("sorted", 2, 1, 3, trials=trials, seed=seed) == want
+    assert same_clouds(checked, reference)
+    assert replayed == [trials]
+
+
+def test_spot_check_matches_the_pair_loop_with_screened_and_replayed_blocks(monkeypatch):
+    # a 6000-row sketch cuts 3000 trials into 52 blocks of up to 58: some
+    # blocks need a redraw and are replayed, the others are taken as screened
+    n, d, D, M, trials = 2, 1, 3, 6000, 3000
+    blocks = len(_blocks(trials, 3 * M))
+    solves, reference = trace_reference(monkeypatch)
+    checked, replayed = trace_check(monkeypatch)
+    want = reference_spot_check("sketched", n, d, D, M=M, trials=trials, seed=0)
+    assert len(solves) > trials
+    assert spot_check_injectivity("sketched", n, d, D, M=M, trials=trials, seed=0) == want
+    assert same_clouds(checked, reference)
+    assert 0 < len(replayed) < blocks
+
+
+def test_spot_check_gives_up_when_no_distant_pair_can_be_drawn(monkeypatch):
+    # every solve reports distance 0: the screen sends the block to the
+    # trial-by-trial loop, whose attempt guard must stop the redraws
+    calls = []
+
+    def never_distant(X, Y):
+        calls.append(None)
+        return 0.0, np.arange(len(X))
+
+    monkeypatch.setattr(separation, "_assignment_distance", never_distant)
+    with pytest.raises(RuntimeError, match="could not sample a distant pair"):
+        spot_check_injectivity("sorted", 2, 1, 3, trials=3000, seed=0)
+    assert len(calls) > 100

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permorb import (
     adversarial_circle_pair,
@@ -15,7 +17,7 @@ from permorb import (
     wasserstein2,
 )
 from permorb.core import BudgetExceededError, random_permutation
-from permorb.metrics import rows_equal_as_multisets
+from permorb.metrics import _orbit_distance_floor, rows_equal_as_multisets
 
 
 def test_identical_clouds_have_zero_distance():
@@ -189,3 +191,27 @@ def test_distance_invariant_under_permutations_of_both_sides():
         tau = random_permutation(6, rng)
         moved = orbit_distance(permute_rows(X, sigma), permute_rows(Y, tau)).distance
         assert abs(moved - base) <= 1e-9 * max(1.0, base)
+
+
+@st.composite
+def close_cloud_pairs(draw):
+    """Clouds (X, Y) with rows picked from a small pool: repeated rows within
+    and across the clouds, and coordinates tied through a few shared values."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-10.0, 10.0)
+    row = st.lists(value, min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=2 * n))
+    index = st.integers(0, len(pool) - 1)
+    X = np.array([pool[draw(index)] for _ in range(n)])
+    Y = np.array([pool[draw(index)] for _ in range(n)])
+    return X, Y
+
+
+@given(close_cloud_pairs())
+@settings(max_examples=300, deadline=None)
+def test_sorted_column_floor_never_exceeds_the_orbit_distance(pair):
+    X, Y = pair
+    floor = float(_orbit_distance_floor(np.stack([X, Y])))
+    distance = orbit_distance_bruteforce(X, Y).distance
+    assert floor <= distance * (1 + 1e-12)
