@@ -51,7 +51,7 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _sort_project
+from .embeddings import _blocks, _gaussian_sketch, _sort_project
 from .metrics import _assignment_distance
 
 __all__ = [
@@ -458,8 +458,7 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     """
     if n < 1 or D < 1 or M < 1:
         raise ValueError("n, D and M must be positive")
-    rng = make_rng(seed)
-    return rng.standard_normal((M, n * D)) / math.sqrt(M)
+    return _gaussian_sketch(make_rng(seed), M, n * D)
 
 
 # Unit roundoff of float64 round-to-nearest.

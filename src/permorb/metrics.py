@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .core import BudgetExceededError, as_cloud, as_matrix
-from .embeddings import sorted_embedding
+from .embeddings import _sort_columns, sorted_embedding
 
 __all__ = [
     "OrbitDistanceResult",
@@ -70,9 +70,11 @@ def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
     Sorting every coordinate column is the sorted embedding with A = I, whose
     upper Lipschitz constant is sigma_1(I) = 1:
     sqrt(sum_k ||sort(X[:, k]) - sort(Y[:, k])||^2) <= dist(X, Y), since within
-    one column the sorted matching is the cheapest.  No assignment solve.
+    one column the sorted matching is the cheapest.  No assignment solve:
+    _sort_columns sorts the stack's short coordinate columns (a sorting
+    network for n <= 6, np.sort otherwise), with the values np.sort gives.
     """
-    ordered = np.sort(pairs, axis=-2)
+    ordered = _sort_columns(pairs)
     gap = ordered[..., 0, :, :] - ordered[..., 1, :, :]
     return np.sqrt(np.sum(gap * gap, axis=(-2, -1)))
 

@@ -77,7 +77,7 @@ from .core import (
     json_dumps,
     make_rng,
 )
-from .embeddings import _blocks, _sort_project
+from .embeddings import _blocks, _gaussian_sketch, _sort_project
 from .metrics import _all_permutations, _assignment_distance, _orbit_distance_floor
 
 __all__ = [
@@ -722,13 +722,18 @@ def _draw_screened_trials(rng: np.random.Generator, clouds: np.ndarray) -> bool:
     _SCREEN_FLOOR.  Returns False, with clouds unfilled and the stream
     advanced, when one of them is closer than _MIN_DISTANCE: the caller then
     restores the stream and replays the block with _draw_trials.
+
+    Each permutation is drawn in place: rng.shuffle on a row that starts as
+    arange(n) is what rng.permutation(n) does, so the stream and the draws
+    are the same without a new array per trial.
     """
     count, n, d = clouds.shape[1:]
     pairs = np.empty((count, 2, n, d))
     perms = np.empty((count, n), dtype=np.intp)
+    perms[:] = np.arange(n)
     for pair, perm in zip(pairs, perms):
         rng.standard_normal(out=pair)
-        perm[:] = rng.permutation(n)
+        rng.shuffle(perm)
     X, Y = pairs[:, 0], pairs[:, 1]
     for t in np.flatnonzero(_orbit_distance_floor(pairs) < _SCREEN_FLOOR):
         if _assignment_distance(X[t], Y[t])[0] < _MIN_DISTANCE:
@@ -788,9 +793,9 @@ def spot_check_injectivity(
         B = rng.standard_normal((n, D))
         embed = lambda S: np.einsum("nk,tnk->tk", B, S)  # noqa: E731
     elif kind == "sketched":
-        if M is None:
-            raise ValueError("sketched spot check needs the sketch row count M")
-        L = rng.standard_normal((M, n * D)) / math.sqrt(M)
+        if M is None or M < 1:
+            raise ValueError(f"sketched spot check needs a sketch row count M >= 1, got {M}")
+        L = _gaussian_sketch(rng, M, n * D)
         embed = lambda S: _flatten(S) @ L.T  # noqa: E731
         width = max(width, M)
     else:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from permorb import (
     translation_offset,
 )
 from permorb.core import random_permutation
+from permorb.embeddings import _NETWORK_MIN_COLUMNS, _sort_columns
 from permorb.metrics import orbit_distance
 
 
@@ -178,6 +181,60 @@ def test_translation_identity_holds():
     shifted = sorted_embedding(A, X + np.outer(np.ones(4), z))
     composed = sorted_embedding(A, X) + translation_offset(A, z, 4)
     assert np.max(np.abs(shifted - composed)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# column sort kernel
+# ---------------------------------------------------------------------------
+
+# A small pool forces ties; signed zeros and infinities are the edge values.
+_SORT_POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@given(
+    lead=st.sampled_from(["", "t", "t2"]),
+    wide=st.booleans(),
+    D=st.integers(1, 8),
+    extra=st.integers(0, 40),
+    pool=st.lists(st.sampled_from(_SORT_POOL), min_size=1, max_size=5),
+    with_nan=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=30, deadline=None)
+def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, seed):
+    # n runs past the network cap (6); a wide stack has at least the network's
+    # floor of columns and a narrow one fewer, so both sides of each are covered
+    t = -(-_NETWORK_MIN_COLUMNS // D) + extra if wide else 1 + extra % 8
+    shape = {
+        "": (n, _NETWORK_MIN_COLUMNS + extra if wide else D),
+        "t": (t, n, D),
+        "t2": (t, 2, n, D),
+    }[lead]
+    rng = make_rng(seed)
+    P = rng.choice(np.array(pool + [np.nan] * with_nan), size=shape)
+    before = P.copy()
+    got = _sort_columns(P)
+    assert np.array_equal(got, np.sort(P, axis=-2), equal_nan=True)
+    assert np.array_equal(P, before, equal_nan=True)  # the input is left as it was
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sort_columns_sorts_every_zero_one_column(n):
+    # a network that sorts all 2**n columns of 0s and 1s sorts every column
+    # (Knuth's 0-1 principle); tiled past the floor, so the network runs
+    columns = np.array(list(itertools.product([0.0, 1.0], repeat=n))).T
+    P = np.tile(columns, (1, _NETWORK_MIN_COLUMNS // 2**n + 1))
+    assert np.array_equal(_sort_columns(P), np.sort(P, axis=0))
+
+
+def test_sort_columns_with_a_nan_in_a_wide_stack():
+    # X @ A can overflow to inf - inf = nan: the result is np.sort's, nans last
+    P = make_rng(3).standard_normal((1800, 4, 12))
+    P[17, 2, 5] = np.nan
+    got = _sort_columns(P)
+    assert np.isnan(got[17, 3, 5]) and np.isnan(got).sum() == 1
+    assert np.array_equal(got, np.sort(P, axis=-2), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

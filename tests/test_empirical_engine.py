@@ -231,29 +231,48 @@ def test_ose_check_matches_the_pair_loop_on_small_shapes(n, d, D, M, epsilon, tr
     "kind, n, d, D, M",
     [("sorted", 4, 3, 12, None), ("pooled", 3, 2, 10, None), ("sketched", 4, 3, 12, 48)],
 )
-def test_spot_check_matches_the_pair_loop(kind, n, d, D, M):
+def test_spot_check_matches_the_pair_loop(monkeypatch, kind, n, d, D, M):
+    # the perfbench spot-check shapes; the clouds are compared too, as the
+    # reports alone would not change if the check drew different clouds
     for seed in range(4):
-        got = spot_check_injectivity(kind, n, d, D, M=M, trials=200, seed=seed)
-        assert got == reference_spot_check(kind, n, d, D, M=M, trials=200, seed=seed)
+        with monkeypatch.context() as patch:
+            _, reference = trace_reference(patch)
+            checked, _ = trace_check(patch)
+            want = reference_spot_check(kind, n, d, D, M=M, trials=200, seed=seed)
+            assert spot_check_injectivity(kind, n, d, D, M=M, trials=200, seed=seed) == want
+        assert same_clouds(checked, reference), (kind, seed)
 
 
 @pytest.mark.parametrize("kind, M", [("sorted", None), ("sketched", 30)])
-def test_spot_check_matches_the_pair_loop_with_a_planted_collision(kind, M):
+def test_spot_check_matches_the_pair_loop_with_a_planted_collision(monkeypatch, kind, M):
     n, d, D, seed = 4, 2, 3, 3
     A = make_rng(seed).standard_normal((d, D))  # the directions the check draws first
     pair = parity_counterexample(A, 11)
     extra = [(pair.X, pair.Y)]
+    _, reference = trace_reference(monkeypatch)
+    checked, _ = trace_check(monkeypatch)
     got = spot_check_injectivity(kind, n, d, D, M=M, trials=100, seed=seed, extra_pairs=extra)
     want = reference_spot_check(kind, n, d, D, M=M, trials=100, seed=seed, extra_pairs=extra)
     assert got == want
     assert got.collisions >= 1
+    assert same_clouds(checked, reference)
 
 
-def test_sketched_spot_check_with_a_wide_sketch_matches_the_pair_loop():
+def test_sketched_spot_check_with_a_wide_sketch_matches_the_pair_loop(monkeypatch):
     n, d, D, M, trials = 3, 2, 8, 6000, 150
     assert len(_blocks(trials, 3 * M)) > 1  # the sketch outputs span several blocks
+    _, reference = trace_reference(monkeypatch)
+    checked, _ = trace_check(monkeypatch)
     got = spot_check_injectivity("sketched", n, d, D, M=M, trials=trials, seed=6)
     assert got == reference_spot_check("sketched", n, d, D, M=M, trials=trials, seed=6)
+    assert same_clouds(checked, reference)
+
+
+def test_sketched_spot_check_rejects_an_empty_sketch():
+    # a zero-row sketch maps every cloud to the empty vector: every pair would collide
+    for M in (0, -1):
+        with pytest.raises(ValueError, match="M >= 1"):
+            spot_check_injectivity("sketched", 3, 2, 5, M=M, trials=5)
 
 
 def trace_reference(monkeypatch):
@@ -273,19 +292,23 @@ def trace_reference(monkeypatch):
         return recorded
 
     monkeypatch.setitem(globals(), "orbit_distance", counted)
-    for name in ("sorted_embedding", "sketched_embedding"):
+    for name in ("sorted_embedding", "pooled_embedding", "sketched_embedding"):
         monkeypatch.setitem(globals(), name, recording(globals()[name]))
     return solves, clouds
 
 
 def trace_check(monkeypatch):
     """Record the clouds spot_check_injectivity embeds, X, Y and the
-    same-orbit copy per trial, and the size of each block it replays."""
+    same-orbit copy per trial, then X and Y per extra pair, and the size of
+    each block it replays."""
     clouds, replayed = [], []
     project, draw = separation._sort_project, separation._draw_trials
 
     def projected(A, S):
-        clouds.extend(S.reshape(3, -1, *S.shape[1:]).transpose(1, 0, 2, 3))
+        if len(S) % 3 == 0:  # a block: the X, Y and same-orbit thirds
+            clouds.extend(S.reshape(3, -1, *S.shape[1:]).swapaxes(0, 1).reshape(S.shape))
+        else:  # one extra pair
+            clouds.extend(S)
         return project(A, S)
 
     def drawn(rng, block):
