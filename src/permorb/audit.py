@@ -37,6 +37,7 @@ routes and the empirical estimate used to sandwich the distortion:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _gaussian_sketch, _sort_project
+from .embeddings import _blocks, _gaussian_rows, _gaussian_sketch, _sort_project
 from .metrics import _assignment_distance
 
 __all__ = [
@@ -454,11 +455,110 @@ def ose_dimension(
 def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     """M x (n*D) sketch with i.i.d. N(0, 1/M) entries (std 1/sqrt(M)).
 
-    The scaling makes E||L x||^2 = ||x||^2 for every fixed x.
+    The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  ``permorb
+    audit --check-ose`` draws these same bits on a second thread while its
+    pair pool runs (``_SketchDraw``), so its report is unchanged.
     """
+    _check_sketch_size(n, D, M)
+    return _gaussian_sketch(make_rng(seed), M, n * D)
+
+
+def _check_sketch_size(n: int, D: int, M: int) -> None:
     if n < 1 or D < 1 or M < 1:
         raise ValueError("n, D and M must be positive")
-    return _gaussian_sketch(make_rng(seed), M, n * D)
+
+
+class _SketchDraw:
+    """An M x N sketch whose rows become final from the top down.
+
+    ``rows(lo, hi)`` returns L[lo:hi] once those rows are final, and
+    ``full()`` all of L.  A finished array (``of``) has every row final.
+    ``start`` instead draws the bits of gaussian_sketch(n, D, M, seed) on
+    one background thread, in the row slices of ``_gaussian_rows``, so
+    the OSE screen can use the top rows while the rest are drawn.  The
+    thread calls numpy alone (fill, divide, isfinite), none of
+    permorb's public functions, and checks each slice finite in place of
+    as_matrix; an error it meets is raised by the next ``rows``.
+    ``close`` stops and joins it, and must be called on every path.
+    """
+
+    def __init__(self, M: int, columns: int):
+        self.shape = (M, columns)
+        self._L = None
+        self._ready = 0
+        self._error = None
+        self._stop = False
+        self._fro = None
+        self._thread = None
+        self._cond = threading.Condition()
+
+    @classmethod
+    def of(cls, L: np.ndarray) -> "_SketchDraw":
+        """A finished sketch: every row of the validated array L is final."""
+        sketch = cls(*L.shape)
+        sketch._L, sketch._ready = L, L.shape[0]
+        return sketch
+
+    @classmethod
+    def start(cls, n: int, D: int, M: int, seed: int) -> "_SketchDraw":
+        """Start drawing gaussian_sketch(n, D, M, seed) on a background thread."""
+        _check_sketch_size(n, D, M)
+        sketch = cls(M, n * D)
+        # allocated by the caller's thread: memory a thread allocates comes
+        # from a malloc arena of its own, which the rest of the program does
+        # not reuse (allocated on the thread, audit-cli's peak RSS grew 22 MB)
+        sketch._L = np.empty(sketch.shape)
+        sketch._thread = threading.Thread(
+            target=sketch._draw, args=(make_rng(seed),), name="permorb-sketch", daemon=True
+        )
+        sketch._thread.start()
+        return sketch
+
+    def _draw(self, rng: np.random.Generator) -> None:
+        try:
+            lo = 0
+            for hi in _gaussian_rows(rng, self._L):
+                if not np.isfinite(self._L[lo:hi]).all():
+                    raise ValueError("L contains non-finite entries")
+                with self._cond:
+                    if self._stop:
+                        return
+                    self._ready = lo = hi
+                    self._cond.notify_all()
+        except BaseException as exc:  # raised again by rows() in the caller's thread
+            with self._cond:
+                self._error = exc
+                self._cond.notify_all()
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """L[lo:hi] once those rows are final; raises the drawing thread's error."""
+        hi = min(hi, self.shape[0])
+        with self._cond:
+            self._cond.wait_for(lambda: self._ready >= hi or self._error is not None)
+            if self._error is not None:
+                raise self._error
+        return self._L[lo:hi]
+
+    def full(self) -> np.ndarray:
+        """All of L, once every row is final."""
+        self.rows(0, self.shape[0])
+        return self._L
+
+    def fro(self) -> float:
+        """An upper bound on ||L||_F, once every row is final."""
+        if self._fro is None:
+            L = self.full()
+            # the norm is the sqrt of one dot product of length M N
+            with np.errstate(over="ignore"):  # an infinite norm confirms every pair
+                self._fro = float(np.linalg.norm(L)) * (1.0 + _gamma(L.size + 1))
+        return self._fro
+
+    def close(self) -> None:
+        """Stop the drawing thread, if any, and wait for it to end."""
+        if self._thread is not None:
+            with self._cond:
+                self._stop = True
+            self._thread.join()
 
 
 # Unit roundoff of float64 round-to-nearest.
@@ -479,14 +579,15 @@ def _gamma(k: int) -> float:
 
 
 def _sketch_screen(
-    V: np.ndarray, denom: np.ndarray, L: np.ndarray, fro: float
+    V: np.ndarray, denom: np.ndarray, sketch: _SketchDraw
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screened ratios rho_s of the gap rows of V, and a margin tau on each.
 
     Each row x of V is a gap vector of length N, ``denom`` holds fl(||x||)
-    and ``fro`` >= ||L||_F for the M x N sketch L.  W = V L^T is formed one
-    slice of L's rows at a time, so L is read once for all of V and W is
-    never held whole; rho_s = fl(fl(||w||) / denom) for each row w of W.
+    and ``sketch`` holds the M x N sketch L, fro >= ||L||_F once it is all
+    drawn.  W = V L^T is formed one slice of L's rows at a time, each as
+    soon as it is drawn, so L is read once for all of V and W is never
+    held whole; rho_s = fl(fl(||w||) / denom) for each row w of W.
     tau bounds |rho_s - rho_ref| for the per-pair reference rho_ref =
     fl(fl(||fl(L x)||) / denom).  The gemm and the reference matvec form
     the same length-N dot products, only in another order, so by the
@@ -511,16 +612,19 @@ def _sketch_screen(
     exceeds ||L||_F ||x|| and no sum of squares exceeds its square, so
     nothing overflows while that product stays below _NO_OVERFLOW; where
     it does not, every margin is infinite and the caller confirms every
-    pair.
+    pair.  fro is known only once L is all drawn, so that test follows the
+    gemms, and whatever they overflowed is thrown away.
     """
-    M, N = L.shape
-    if fro * float(np.max(denom)) > _NO_OVERFLOW:
-        return np.zeros(len(V)), np.full(len(V), np.inf)
+    M, N = sketch.shape
     q = np.zeros(len(V))
     step = max(1, _SCREEN_FLOATS // len(V))
-    for lo in range(0, M, step):
-        W = V @ L[lo : lo + step].T
-        q += np.einsum("ij,ij->i", W, W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, M, step):
+            W = V @ sketch.rows(lo, lo + step).T
+            q += np.einsum("ij,ij->i", W, W)
+    fro = sketch.fro()
+    if fro * float(np.max(denom)) > _NO_OVERFLOW:
+        return np.zeros(len(V)), np.full(len(V), np.inf)
     s = np.sqrt(q)
     rho = s / denom
     e_gap = 2.0 * _gamma(N) * fro * denom
@@ -547,20 +651,23 @@ def ose_check(
     with the reference matvec on its own gap vector; the margin settles
     every other pair.  So the report is the one a per-pair matvec loop
     gives, bit for bit.
+
+    ``permorb audit --check-ose`` passes a sketch still being drawn on a
+    second thread (``_SketchDraw``), started before its pair pool: the
+    screen uses each slice of rows as soon as it is drawn.  Its bits are
+    gaussian_sketch's, so the report is unchanged.
     """
     A = as_matrix(A, "A")
-    L = as_matrix(L, "L")
+    sketch = L if isinstance(L, _SketchDraw) else _SketchDraw.of(as_matrix(L, "L"))
     d, D = A.shape
-    if L.shape[1] != n * D:
-        raise ValueError(f"sketch must have {n * D} columns, got {L.shape[1]}")
+    M, N = sketch.shape
+    if N != n * D:
+        raise ValueError(f"sketch must have {n * D} columns, got {N}")
     if not 0.0 < epsilon:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
-    # >= ||L||_F: the norm is the sqrt of one dot product of length M nD
-    with np.errstate(over="ignore"):  # an infinite norm confirms every pair
-        fro = float(np.linalg.norm(L)) * (1.0 + _gamma(L.size + 1))
     rng = make_rng(seed)
     violations = 0
     max_err = 0.0
@@ -585,7 +692,8 @@ def ose_check(
             denoms.append(denom)
         if not diffs:
             continue
-        rho, tau = _sketch_screen(np.stack(diffs), np.array(denoms), L, fro)
+        rho, tau = _sketch_screen(np.stack(diffs), np.array(denoms), sketch)
+        L = sketch.full()  # drawn once screened
         err = np.abs(rho - 1.0)
         near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)
         could_be_max = err + tau >= np.max(err - tau)
@@ -602,7 +710,7 @@ def ose_check(
         pairs_used=used,
         pairs_skipped=skipped,
         epsilon=epsilon,
-        sketch_rows=L.shape[0],
+        sketch_rows=M,
         seed=int(seed),
     )
 

@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .audit import (
     DEFAULT_OSE_CONSTANT,
+    _SketchDraw,
     empirical_distortion,
-    gaussian_sketch,
     ose_check,
     ose_dimension,
     subset_sigma_lower_bound,
@@ -220,26 +220,42 @@ def cmd_audit(args) -> int:
         if args.budget is not None
         else default_enumeration_budget(DEFAULT_SUBSET_BUDGET)
     )
-    report = empirical_distortion(
-        A, args.n, args.trials, args.seed, pu_m=args.pu_m, pu_method=args.pu_method
-    )
-    skipped: dict[str, str] = {}
-    if args.subset_r is not None:
-        try:
-            report.subset_bound = subset_sigma_lower_bound(A, args.subset_r, budget=subset_budget)
-        except BudgetExceededError as exc:
-            skipped["subset_bound"] = str(exc)
-    payload = dataclasses.asdict(report)
-    if skipped:
-        payload["skipped"] = skipped
+    # The OSE sketch is drawn on a second thread while the pool runs.  An
+    # invalid OSE flag, or a sketch too large to allocate, is raised where
+    # the audit reaches the check, after the errors of everything before it.
+    sketch = sketch_error = None
     if args.check_ose:
         n, D = args.n, A.shape[1]
-        M = ose_dimension(n, A.shape[0], D, args.epsilon, args.eta, args.ose_constant)
-        L = gaussian_sketch(n, D, M, args.seed)
-        payload["ose_check"] = dataclasses.asdict(
-            ose_check(A, L, n, args.epsilon, args.ose_trials, args.seed)
+        try:
+            M = ose_dimension(n, A.shape[0], D, args.epsilon, args.eta, args.ose_constant)
+            sketch = _SketchDraw.start(n, D, M, args.seed)
+        except (ValueError, MemoryError) as exc:
+            sketch_error = exc
+    try:
+        report = empirical_distortion(
+            A, args.n, args.trials, args.seed, pu_m=args.pu_m, pu_method=args.pu_method
         )
-        payload["ose_dimension"] = M
+        skipped: dict[str, str] = {}
+        if args.subset_r is not None:
+            try:
+                report.subset_bound = subset_sigma_lower_bound(
+                    A, args.subset_r, budget=subset_budget
+                )
+            except BudgetExceededError as exc:
+                skipped["subset_bound"] = str(exc)
+        payload = dataclasses.asdict(report)
+        if skipped:
+            payload["skipped"] = skipped
+        if args.check_ose:
+            if sketch_error is not None:
+                raise sketch_error
+            payload["ose_check"] = dataclasses.asdict(
+                ose_check(A, sketch, args.n, args.epsilon, args.ose_trials, args.seed)
+            )
+            payload["ose_dimension"] = M
+    finally:
+        if sketch is not None:
+            sketch.close()
     _emit(json_dumps(payload), args.out)
     return EXIT_PARTIAL if skipped else EXIT_OK
 

@@ -52,6 +52,11 @@ __all__ = [
 _BLOCK_ELEMENTS = 1 << 20
 
 
+# Floats per slice of a sketch draw: one standard_normal call each.  A thread
+# drawing the audit's sketch hands its rows over one slice at a time.
+_DRAW_FLOATS = 1 << 18
+
+
 # Size-optimal sorting networks for columns of n <= 6 entries: 0, 1, 3, 5, 9
 # and 12 compare-exchanges (i, j), i < j, each leaving the smaller value in
 # row i.  Past n = 6 the network costs more than np.sort.  On a 2-core Xeon
@@ -108,10 +113,28 @@ def _sort_project(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _sort_columns(X @ A)
 
 
+def _gaussian_rows(rng: np.random.Generator, L: np.ndarray):
+    """Fill L (M x columns) with i.i.d. N(0, 1/M) entries from rng, one row slice at a time.
+
+    Yields the number of rows filled after each slice.  The slices continue
+    one stream and the division is exact per entry, so L gets the bits of a
+    single standard_normal call for all of it divided by sqrt(M).
+    """
+    M = L.shape[0]
+    scale = math.sqrt(M)
+    step = max(1, _DRAW_FLOATS // L.shape[1])
+    for lo in range(0, M, step):
+        rows = L[lo : lo + step]
+        rng.standard_normal(out=rows)
+        rows /= scale
+        yield lo + len(rows)
+
+
 def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarray:
     """M x columns sketch with i.i.d. N(0, 1/M) entries drawn from rng, unvalidated."""
-    L = rng.standard_normal((M, columns))
-    L /= math.sqrt(M)
+    L = np.empty((M, columns))
+    for _ in _gaussian_rows(rng, L):
+        pass
     return L
 
 
