@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .core import (
 )
 from .constructions import adversarial_circle_pair
 from .embeddings import _blocks, _gaussian_rows, _gaussian_sketch, _sort_project
-from .metrics import _assignment_distance
+from .metrics import _assignment_distance, _assignment_totals, _assignment_width
 
 __all__ = [
     "PUEstimate",
@@ -187,6 +187,15 @@ def subset_sigma_lower_bound(
         sv = np.linalg.svd(sub, compute_uv=False)
         best = min(best, float(sv[:, d - 1].min()))
     return SubsetBound(value=best, r=r, subset_size=k, subsets=count, certified=True)
+
+
+def _audit_subset_bound(
+    A: np.ndarray, r: int, n: int, *, budget: int = DEFAULT_SUBSET_BUDGET
+) -> SubsetBound:
+    """The audit's subset bound: certified only when D >= r*d*((n-1)**2 + 1) holds for n."""
+    bound = subset_sigma_lower_bound(A, r, budget=budget)
+    d, D = A.shape
+    return replace(bound, certified=bound.certified and D >= r * d * ((n - 1) ** 2 + 1))
 
 
 def subset_sigma_lower_bound_sampled(
@@ -332,31 +341,132 @@ def sample_pair_pool(
     seed: int,
     *,
     include_adversarial: bool = True,
-):
+) -> np.ndarray:
     """Deterministic pool of cloud pairs for empirical Lipschitz estimates.
 
     Mixes independent Gaussian clouds and near-orbit pairs (a permuted
     copy plus relative noise) across scales 1e-2..1e2, and prepends the
     adversarial circle pair when d >= 2.  Scale mixing is deliberate:
     distortion is scale invariant but floating point is not.
+
+    Returns one (count, 2, n, d) array; pool[t] is the pair (X, Y), so
+    ``for X, Y in pool`` walks the pairs.  The loop over pairs only calls
+    the generator, in the order of a loop that builds each pair in turn:
+    rng.random() for the scale's exponent, the normals of X, rng.random()
+    for the kind of Y, then either the normals of Y, or rng.random() for
+    the noise's exponent, the permutation and the normals of the noise.
+    The exponents are lo + 4.0 * rng.random(): rng.uniform(lo, lo + 4.0)
+    computes that very value from the same draw, and 4.0 * u is exact.
+    Each permutation is drawn in place: rng.shuffle on a row that starts as
+    arange(n) is what rng.permutation(n) does.  The scaling and the
+    permuted copies then run once over the whole array, elementwise, so
+    each entry is the product and sum a per-pair loop rounds.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = make_rng(seed)
-    pairs = []
+    pool = np.empty((count, 2, n, d))
+    drawn = pool
     if include_adversarial and d >= 2:
         pair = adversarial_circle_pair(n, d)
-        pairs.append((pair.X, pair.Y))
-    while len(pairs) < count:
-        scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        X = scale * rng.standard_normal((n, d))
-        if rng.uniform() < 0.6:
-            Y = scale * rng.standard_normal((n, d))
+        pool[0] = pair.X, pair.Y
+        drawn = pool[1:]
+    perms = np.empty((len(drawn), n), dtype=np.intp)
+    perms[:] = np.arange(n)
+    scales, factors, near = [], [], []
+    for pair, perm in zip(drawn, perms):
+        scale = 10.0 ** (-2.0 + 4.0 * rng.random())
+        rng.standard_normal(out=pair[0])
+        if rng.random() < 0.6:
+            factors.append(scale)
+            near.append(False)
         else:
-            noise = 10.0 ** rng.uniform(-5.0, -1.0)
-            Y = X[rng.permutation(n)] + noise * scale * rng.standard_normal((n, d))
-        pairs.append((X, Y))
-    return pairs
+            # noise * scale, the factor of the noise's normals
+            factors.append(10.0 ** (-5.0 + 4.0 * rng.random()) * scale)
+            near.append(True)
+            rng.shuffle(perm)
+        rng.standard_normal(out=pair[1])
+        scales.append(scale)
+    X, Y = drawn[:, 0], drawn[:, 1]
+    X *= np.array(scales)[:, None, None]
+    Y *= np.array(factors)[:, None, None]
+    near = np.flatnonzero(near)
+    Y[near] += np.take_along_axis(X[near], perms[near, :, None], axis=1)
+    return pool
+
+
+# Unit roundoff of float64 round-to-nearest.
+_UNIT_ROUNDOFF = 2.0**-53
+
+# Below this, a float64 square and twice it stay finite.
+_NO_OVERFLOW = math.sqrt(np.finfo(np.float64).max / 2.0)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): bounds the relative error of a length-k dot product."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+# Relative slack granted to linear_sum_assignment on its float costs (see
+# empirical_distortion): twice the 2**-31 of the assumption, the rest covers
+# the roundings of the test.
+_LSAP_SLACK = 2.0**-30
+
+# Bounds the absolute error of the underflowed products in one sum of squares.
+_UNDERFLOW = 2.0**-1000
+
+
+def _distance_bounds(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Proven bounds on the reference orbit distance of each pair of a stack (count, 2, n, d).
+
+    Returns (lo, hi, sure): _assignment_distance(X, Y)[0] lies in [lo, hi]
+    for each pair whose ``sure`` is set.  A pair is not sure when its two
+    least matching totals are too close to tell which matching
+    linear_sum_assignment picks, or when its costs could overflow.
+    empirical_distortion derives the margins.
+    """
+    count, _, n, d = pairs.shape
+    best, second, cmax = _assignment_totals(pairs)
+    g = 4.0 * _gamma(n + d + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        apart = second - best > n * cmax * (_LSAP_SLACK + 2.0 * g) + _UNDERFLOW
+        sure = apart & (n * cmax <= _NO_OVERFLOW * _NO_OVERFLOW)
+        lo = np.sqrt(np.maximum(best * (1.0 - g) - _UNDERFLOW, 0.0))
+        hi = np.sqrt(best * (1.0 + g) + _UNDERFLOW)
+    return lo, hi, sure
+
+
+def _pool_screen(A: np.ndarray, pairs: np.ndarray):
+    """Proven bounds on the reference distance and ratio of each pair of a block.
+
+    Returns (dist_lo, dist_hi, ratio_lo, ratio_hi, sure) for the pairs
+    (count, 2, n, d); the bounds hold where ``sure`` is set, and
+    empirical_distortion derives them.
+    """
+    count, _, n, d = pairs.shape
+    dist_lo, dist_hi, sure = _distance_bounds(pairs)
+    E = _sort_project(A, pairs.reshape(-1, n, d))
+    gap = E[0::2] - E[1::2]
+    del E
+    q = np.einsum("pij,pij->p", gap, gap)
+    g = 4.0 * _gamma(gap[0].size)
+    sure &= q <= _NO_OVERFLOW * _NO_OVERFLOW
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap_lo = np.sqrt(np.maximum(q * (1.0 - g) - _UNDERFLOW, 0.0))
+        gap_hi = np.sqrt(q * (1.0 + g) + _UNDERFLOW)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return dist_lo, dist_hi, gap_lo / dist_hi, gap_hi / dist_lo, sure
+
+
+def _pair_ratio(A: np.ndarray, pair: np.ndarray) -> float | None:
+    """The per-pair reference: gap norm over orbit distance, None below 1e-8."""
+    dist = _assignment_distance(*pair)[0]
+    if dist < _MIN_PAIR_DISTANCE:
+        return None
+    EX, EY = _sort_project(A, pair)
+    # one norm per pair, on a fresh array: a batched norm rounds differently
+    return float(np.linalg.norm(EX - EY)) / dist
 
 
 def empirical_distortion(
@@ -372,13 +482,71 @@ def empirical_distortion(
     """Min/max embedding-to-distance ratios over a seeded pair pool.
 
     Pairs closer than 1e-8 in orbit distance are skipped.  Optional
-    arguments attach the certified subset bound and/or a projective
-    uniformity estimate to the report; the blueprint floor is attached
-    only for the d = 2 sweep (a sampled delta overestimates the constant)
-    and when n**2 * (m - 1) <= D; the sweep's grid delta is an upper
-    estimate too, so that floor is an estimate until the sweep is exact.
-    Limited to n <= 8 so the assignment solves stay in the regime the
-    brute-force oracle can cross-check.  The pool is drawn pair by pair and embedded in blocks.
+    arguments attach the subset bound and/or a projective uniformity
+    estimate to the report.  The subset bound is labelled certified only
+    when D >= r*d*((n-1)**2 + 1) holds for this n.  The blueprint floor is
+    attached only for the d = 2 sweep (a sampled delta overestimates the
+    constant) and when n**2 * (m - 1) <= D; the sweep's grid delta is an
+    upper estimate too, so that floor is an estimate until the sweep is
+    exact.  Limited to n <= 8 so the assignment solves stay in the regime
+    the brute-force oracle can cross-check.
+
+    The report is the one a per-pair reference loop gives, bit for bit:
+    dist = _assignment_distance(X, Y) (cdist, linear_sum_assignment, a
+    numpy sum, sqrt), the pair skipped below 1e-8, else the ratio
+    fl(||fl(EX - EY)|| / dist) with one BLAS norm per pair.  It is reached
+    in three steps.
+
+    * Draw: sample_pair_pool, one array.
+    * Screen: each block is embedded with one _sort_project call, every gap
+      norm comes from one einsum, and every orbit distance from one batched
+      exact assignment, _assignment_totals, which gives the least total B
+      and the runner-up total B2 of every pair.
+    * Confirm: the reference runs only for the pairs the screen cannot
+      settle (below) and for those whose ratio may be the pool's least or
+      largest.  Each bound below is proven, so every other pair is kept or
+      skipped as the reference would, and its ratio lies strictly between
+      the extremes.
+
+    The margins, with u = 2**-53 and gamma_k = k u / (1 - k u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1: a sum of k
+    nonnegative products, rounded in any order, errs by at most gamma_k of
+    its exact value):
+
+    * A cost ||X[i] - Y[j]||^2 takes d subtractions, d squares and d - 1
+      additions, in cdist and in the DP alike, and a total adds n costs in
+      some order.  So the DP's and the reference's total of one
+      permutation both lie within g = gamma_{n+d+1} of its exact total.
+      An underflowed square errs by at most 2**-1075 instead, and
+      _UNDERFLOW = 2**-1000 covers all of them.
+    * LSAP assumption: linear_sum_assignment (Crouse, IEEE TAES 2016) is
+      exact in exact arithmetic, and its float potentials are sums of a few
+      costs, so it is assumed to return the assignment of least exact
+      total on its float costs whenever every other assignment's total
+      exceeds that by more than 2**-31 n c_max, c_max the largest cost.
+      This is the one unproven step.  A pair is flagged unless the DP's
+      runner-up B2 exceeds B by more than n cmax (2**-30 + 8 g) +
+      _UNDERFLOW, cmax the DP's largest cost.  Every total is at most
+      about n cmax, so for an unflagged pair the 8 g n cmax term covers the
+      costs' rounding, the second 2**-31 n cmax the roundings of the test,
+      and the DP's permutation is the one LSAP returns.  Exact ties give
+      B2 == B and are always flagged.
+    * For an unflagged pair the reference total therefore lies in
+      B (1 +- 4 g) +- _UNDERFLOW, where 4 g covers the two errors of g,
+      their product and the roundings of the bound.  sqrt rounds
+      monotonically, so the distance lies between the sqrts of the ends.
+      A pair whose interval straddles 1e-8 is not settled.
+    * Both gap norms are sqrts of a sum of N = n D squares, the einsum's
+      and the BLAS dot's, so both sums lie within gamma_N of the exact sum
+      and the reference's within 4 gamma_N of the einsum's, plus
+      _UNDERFLOW.
+    * A rounded division is monotone in each argument, so the ratio of the
+      interval ends, rounded, bounds the reference ratio.
+    * Nothing overflows while n cmax and the einsum's sum stay below
+      _NO_OVERFLOW**2; pairs past it are not settled.
+
+    Of a typical 400-pair pool the reference runs for 2 or 3 pairs, those
+    whose intervals reach the least or the largest ratio.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -389,22 +557,33 @@ def empirical_distortion(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    pairs = sample_pair_pool(n, d, trials, seed)
-    ratios = []
-    for block in _blocks(len(pairs), 2 * n * max(d, D)):
-        chunk = pairs[block]
-        E = _sort_project(A, np.stack([cloud for pair in chunk for cloud in pair]))
-        for (X, Y), EX, EY in zip(chunk, E[0::2], E[1::2]):
-            dist = _assignment_distance(X, Y)[0]
-            if dist < _MIN_PAIR_DISTANCE:
-                continue
-            # one norm per pair: a batched norm rounds differently
-            ratios.append(float(np.linalg.norm(EX - EY)) / dist)
-    if not ratios:
+    pool = sample_pair_pool(n, d, trials, seed)
+    lo = np.empty(trials)
+    hi = np.empty(trials)
+    kept = np.empty(trials, dtype=bool)
+    sure = np.empty(trials, dtype=bool)
+    for block in _blocks(trials, max(2 * n * max(d, D), _assignment_width(n, d))):
+        dist_lo, dist_hi, lo[block], hi[block], sure[block] = _pool_screen(A, pool[block])
+        kept[block] = dist_lo >= _MIN_PAIR_DISTANCE
+        sure[block] &= kept[block] | (dist_hi < _MIN_PAIR_DISTANCE)
+    # the reference for the pairs the screen leaves open, then for those
+    # whose ratio may be the least or the largest
+    for t in np.flatnonzero(~sure):
+        ratio = _pair_ratio(A, pool[t])
+        kept[t] = ratio is not None
+        if kept[t]:
+            lo[t] = hi[t] = ratio
+    if not kept.any():
         raise ValueError("degenerate pool: every sampled pair sits on one orbit")
+    least, largest = np.min(hi[kept]), np.max(lo[kept])
+    for t in np.flatnonzero(sure & kept & ((lo <= least) | (hi >= largest))):
+        ratio = _pair_ratio(A, pool[t])
+        if ratio is None or not lo[t] <= ratio <= hi[t]:
+            raise RuntimeError(f"pair {t} lies outside its screened bounds")
+        lo[t] = hi[t] = ratio
 
     sigma1 = upper_lipschitz(A)
-    c1, c2 = float(min(ratios)), float(max(ratios))
+    c1, c2 = float(np.min(lo[kept])), float(np.max(hi[kept]))
     if not c1 <= c2 <= sigma1 * (1.0 + 1e-9):
         raise RuntimeError(
             f"ratio bookkeeping violated C1 <= C2 <= sigma1: {c1}, {c2}, {sigma1}"
@@ -417,13 +596,13 @@ def empirical_distortion(
         distortion=c2 / c1,
         ceiling_sqrt_n=sqrtn_ceiling(A, n),
         ceiling_sqrt_n_independent=sqrtn_ceiling(A, n, independent=True),
-        pair_count=len(ratios),
+        pair_count=int(np.count_nonzero(kept)),
         trials=trials,
         n=n,
         seed=int(seed),
     )
     if subset_r is not None:
-        report.subset_bound = subset_sigma_lower_bound(A, subset_r)
+        report.subset_bound = _audit_subset_bound(A, subset_r, n)
     if pu_m is not None:
         estimate = projective_uniformity(A, pu_m, pu_method, seed=seed)
         report.pu = estimate
@@ -561,21 +740,9 @@ class _SketchDraw:
             self._thread.join()
 
 
-# Unit roundoff of float64 round-to-nearest.
-_UNIT_ROUNDOFF = 2.0**-53
-
-# Below this, a float64 square and twice it stay finite.
-_NO_OVERFLOW = math.sqrt(np.finfo(np.float64).max / 2.0)
-
 # Floats in one slice of the OSE screen's product V L^T.  The sketch is
 # read once whatever the slice, so slices stay small: two are alive at once.
 _SCREEN_FLOATS = 1 << 18
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u): bounds the relative error of a length-k dot product."""
-    ku = k * _UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
 
 
 def _sketch_screen(
@@ -675,10 +842,14 @@ def ose_check(
     skipped = 0
     for block in _blocks(trials, 2 * n * max(d, D)):
         clouds = np.empty((2, block.stop - block.start, n, d))
+        scales = []
         for X, Y in zip(*clouds):
-            scale = 10.0 ** rng.uniform(-2.0, 2.0)
-            X[:] = scale * rng.standard_normal((n, d))
-            Y[:] = scale * rng.standard_normal((n, d))
+            # the draws of 10.0 ** rng.uniform(-2.0, 2.0) and scale * normals,
+            # as in sample_pair_pool
+            scales.append(10.0 ** (-2.0 + 4.0 * rng.random()))
+            rng.standard_normal(out=X)
+            rng.standard_normal(out=Y)
+        clouds *= np.array(scales)[:, None, None]
         diffs = []
         denoms = []
         for ex, ey in zip(*_sort_project(A, clouds)):

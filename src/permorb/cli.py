@@ -31,10 +31,10 @@ from . import __version__
 from .audit import (
     DEFAULT_OSE_CONSTANT,
     _SketchDraw,
+    _audit_subset_bound,
     empirical_distortion,
     ose_check,
     ose_dimension,
-    subset_sigma_lower_bound,
     upper_lipschitz,
 )
 from .constructions import (
@@ -213,6 +213,39 @@ def cmd_distance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Bytes of the largest OSE sketch this process has allocated so far.
+_largest_sketch_bytes = 0
+
+
+def _release_free_heap_before_sketch(nbytes: int) -> None:
+    """Return the C heap's free pages to the system before a sketch larger than any before.
+
+    glibc serves a block at least as large as its mmap threshold by a
+    mapping of its own, and raises that threshold to the largest block
+    freed so far.  So a sketch larger than every earlier one is mapped
+    apart from the heap, and cannot reuse the heap's free memory, which
+    glibc keeps resident until a free leaves more than its trim threshold
+    at the top of the heap.  In a process that runs many audits the two
+    then add up: before the ``audit-cli`` benchmark's first n = 6 sketch
+    (18,921 x 144) about 16 MB of free heap stayed resident, and the run
+    peaked 11 MB above one whose heap had been trimmed.  A sketch no
+    larger than an earlier one comes from the heap and reuses that memory,
+    so the heap is trimmed only before a new largest sketch (glibc's
+    malloc_trim; elsewhere this does nothing).
+    """
+    global _largest_sketch_bytes
+    if nbytes <= _largest_sketch_bytes:
+        return
+    _largest_sketch_bytes = nbytes
+    try:
+        import ctypes
+
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
+
+
 def cmd_audit(args) -> int:
     A = load_matrix_csv(args.directions)
     subset_budget = (
@@ -228,6 +261,7 @@ def cmd_audit(args) -> int:
         n, D = args.n, A.shape[1]
         try:
             M = ose_dimension(n, A.shape[0], D, args.epsilon, args.eta, args.ose_constant)
+            _release_free_heap_before_sketch(8 * M * n * D)
             sketch = _SketchDraw.start(n, D, M, args.seed)
         except (ValueError, MemoryError) as exc:
             sketch_error = exc
@@ -238,8 +272,8 @@ def cmd_audit(args) -> int:
         skipped: dict[str, str] = {}
         if args.subset_r is not None:
             try:
-                report.subset_bound = subset_sigma_lower_bound(
-                    A, args.subset_r, budget=subset_budget
+                report.subset_bound = _audit_subset_bound(
+                    A, args.subset_r, args.n, budget=subset_budget
                 )
             except BudgetExceededError as exc:
                 skipped["subset_bound"] = str(exc)

@@ -64,6 +64,80 @@ def _assignment_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarra
     return math.sqrt(max(float(cost[rows, cols].sum()), 0.0)), cols
 
 
+@functools.lru_cache(maxsize=16)
+def _subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Index tables of the assignment DP, one (pred, cols) per subset size k = 1..n.
+
+    Layer k lists the k-subsets of range(n) in a fixed order.  Row t of
+    ``cols`` holds the columns j of subset t, and row t of ``pred`` the
+    position, in layer k - 1, of subset t without j.
+    """
+    layers = []
+    position = {0: 0}
+    for k in range(1, n + 1):
+        masks = [m for m in range(1 << n) if m.bit_count() == k]
+        cols = np.array([[j for j in range(n) if m >> j & 1] for m in masks], dtype=np.intp)
+        pred = np.array([[position[m ^ (1 << j)] for j in row] for m, row in zip(masks, cols)],
+                        dtype=np.intp)
+        position = {m: t for t, m in enumerate(masks)}
+        for table in (pred, cols):
+            table.flags.writeable = False  # the cached tables are shared by every caller
+        layers.append((pred, cols))
+    return tuple(layers)
+
+
+def _assignment_width(n: int, d: int) -> int:
+    """Floats per pair that _assignment_totals holds at once, at most."""
+    widest = max(2 * math.comb(n, k - 1) + 5 * math.comb(n, k) for k in range(1, n + 1))
+    return n * n * (d + 1) + widest
+
+
+def _assignment_totals(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two least matching totals of every pair of a stack (count, 2, n, d), and its largest cost.
+
+    For a pair (X, Y) the cost of row i to column j is the squared distance
+    ||X[i] - Y[j]||^2, and the total of a permutation sigma is the float sum
+    of cost[i, sigma(i)] taken in row order.  A DP over column subsets in
+    row order gives, for every pair at once, the least total and the least
+    total of any other permutation (``second``; inf when n = 1): the state
+    after row i is the subset of columns taken so far, and each state keeps
+    the two least partial totals that reach it.  Float addition is monotone,
+    so a state's two least totals come from the two least of the states
+    before it, and the DP's values are those of enumerating all n!
+    permutations in the same order.  Two permutations with equal totals
+    give best == second.  ``cmax`` is each pair's largest cost.
+
+    2^n n vectorised steps, each over the whole stack; n <= 8 in practice.
+    The arrays alive at once take _assignment_width(n, d) floats a pair.
+    """
+    count, _, n, d = pairs.shape
+    X = pairs[:, 0].transpose(1, 0, 2)
+    Y = pairs[:, 1].transpose(1, 0, 2)
+    gap = X[:, None] - Y[None, :]  # (n, n, count, d)
+    cost = np.einsum("ijpk,ijpk->ijp", gap, gap)
+    del gap
+    cmax = cost.max(axis=(0, 1))
+    best = np.zeros((1, count))
+    second = np.full((1, count), np.inf)
+    for row, (pred, cols) in zip(cost, _subset_layers(n)):
+        for s in range(pred.shape[1]):
+            c = row[cols[:, s]]
+            b = best[pred[:, s]]
+            b += c
+            s2 = second[pred[:, s]]
+            s2 += c
+            if s == 0:
+                m1, m2 = b, s2
+                continue
+            # the two least of (m1 <= m2) and (b <= s2)
+            np.minimum(m2, s2, out=m2)
+            np.maximum(m1, b, out=s2)
+            np.minimum(m2, s2, out=m2)
+            np.minimum(m1, b, out=m1)
+        best, second = m1, m2
+    return best[0], second[0], cmax
+
+
 def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
     """Lower bounds on the orbit distances of a stack of pairs (..., 2, n, d), unvalidated.
 

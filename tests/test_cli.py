@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from permorb import load_matrix_csv, orbit_distance, save_matrix_csv
-from permorb.audit import OseReport
+from permorb.audit import OseReport, subset_sigma_lower_bound
 from permorb.cli import main
 from permorb.separation import known_separating_matrix
 
@@ -155,6 +155,30 @@ def test_audit_skips_oversized_subset_bound(tmp_path):
     assert "subset_bound" in report.pop("skipped")
     assert main(args + ["--out", str(plain)]) == 0
     assert report == _read_json(plain)
+
+
+@pytest.mark.parametrize(
+    "d, D, n, certified",
+    [
+        (3, 24, 4, False),  # the audit-cli benchmark's gauss3 shape: n = 4 needs D >= 30
+        (3, 24, 6, False),  # and n = 6 needs D >= 78
+        (3, 29, 4, False),
+        (3, 30, 4, True),
+        (2, 10, 3, True),  # acceptance criterion 6: D = r d ((n-1)^2 + 1) exactly
+    ],
+)
+def test_audit_labels_the_subset_bound_certified_only_where_it_holds(tmp_path, d, D, n, certified):
+    A = np.random.default_rng(D + d).standard_normal((d, D))
+    save_matrix_csv(tmp_path / "A.csv", A)
+    out = tmp_path / "r.json"
+    assert main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", str(n),
+                 "--trials", "20", "--subset-r", "1", "--out", str(out)]) == 0
+    bound = _read_json(out)["subset_bound"]
+    assert bound["certified"] is certified
+    # the bound itself is the standalone function's, which always says certified
+    alone = subset_sigma_lower_bound(A, 1)
+    assert alone.certified
+    assert bound == dict(dataclasses.asdict(alone), certified=certified)
 
 
 # ---------------------------------------------------------------------------

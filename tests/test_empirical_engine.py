@@ -1,21 +1,28 @@
 """The batched empirical checks against their one-pair-at-a-time loops.
 
 ``empirical_distortion``, ``ose_check`` and ``spot_check_injectivity``
-sample their pairs sequentially and embed them in batches.  ``ose_check``
-screens its ratios with a few gemms against the sketch;
-``spot_check_injectivity`` screens its pairs' orbit distances with a
-sorted-column floor and replays a block trial by trial only when a Y must
-be redrawn.  The loops below are the per-pair forms they replaced, written
-with the public, validating functions; the batched checks must reproduce
-their reports exactly, floats included.
+sample their pairs sequentially and embed them in batches.  The audit pool
+(``sample_pair_pool``) is drawn into one array by a loop that only calls
+the generator; ``empirical_distortion`` screens every pair with one
+batched exact assignment (``_assignment_totals``) and one einsum of gap
+norms, and runs the per-pair reference only for the pairs whose proven
+bounds leave their report undecided.  ``ose_check`` screens its ratios
+with a few gemms against the sketch; ``spot_check_injectivity`` screens
+its pairs' orbit distances with a sorted-column floor and replays a block
+trial by trial only when a Y must be redrawn.  The loops below are the
+per-pair forms they replaced, written with the public, validating
+functions and the generator calls of the original code; the batched
+checks must reproduce their draws and reports exactly, floats included.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from permorb import (
     circle_directions,
@@ -24,6 +31,7 @@ from permorb import (
     gaussian_sketch,
     make_rng,
     orbit_distance,
+    orbit_distance_bruteforce,
     ose_check,
     ose_dimension,
     parity_counterexample,
@@ -32,21 +40,57 @@ from permorb import (
     sorted_embedding,
     spot_check_injectivity,
 )
-from permorb import separation
-from permorb.audit import _SCREEN_FLOATS, OseReport, sample_pair_pool
-from permorb.embeddings import _blocks
+from permorb import audit, separation
+from permorb.audit import (
+    _SCREEN_FLOATS,
+    OseReport,
+    _distance_bounds,
+    _gamma,
+    sample_pair_pool,
+)
+from permorb.constructions import adversarial_circle_pair
+from permorb.embeddings import _BLOCK_ELEMENTS, _blocks
+from permorb.metrics import (
+    _all_permutations,
+    _assignment_distance,
+    _assignment_totals,
+    _assignment_width,
+)
 from permorb.separation import InjectivityReport
 
 
-def reference_ratios(A, n, trials, seed):
+def reference_pool(n, d, count, seed, *, include_adversarial=True):
+    """The audit pool as the per-pair loop drew it: fresh arrays per pair."""
+    rng = make_rng(seed)
+    pairs = []
+    if include_adversarial and d >= 2:
+        pair = adversarial_circle_pair(n, d)
+        pairs.append((pair.X, pair.Y))
+    while len(pairs) < count:
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        X = scale * rng.standard_normal((n, d))
+        if rng.uniform() < 0.6:
+            Y = scale * rng.standard_normal((n, d))
+        else:
+            noise = 10.0 ** rng.uniform(-5.0, -1.0)
+            Y = X[rng.permutation(n)] + noise * scale * rng.standard_normal((n, d))
+        pairs.append((X, Y))
+    return pairs
+
+
+def reference_ratios(A, pairs):
     ratios = []
-    for X, Y in sample_pair_pool(n, A.shape[0], trials, seed):
+    for X, Y in pairs:
         dist = orbit_distance(X, Y).distance
         if dist < 1e-8:
             continue
         gap = float(np.linalg.norm(sorted_embedding(A, X) - sorted_embedding(A, Y)))
         ratios.append(gap / dist)
     return min(ratios), max(ratios), len(ratios)
+
+
+def audit_ratios(report):
+    return report.empirical_C1, report.empirical_C2, report.pair_count
 
 
 def reference_ose_ratios(A, L, n, trials, seed):
@@ -117,8 +161,8 @@ def test_empirical_distortion_matches_the_pair_loop(n):
             for seed in (0, 1):
                 A = gaussian_directions(d, D, 50 + 7 * d + D)
                 report = empirical_distortion(A, n, 120, seed)
-                got = (report.empirical_C1, report.empirical_C2, report.pair_count)
-                assert got == reference_ratios(A, n, 120, seed), (n, d, D, seed)
+                want = reference_ratios(A, reference_pool(n, d, 120, seed))
+                assert audit_ratios(report) == want, (n, d, D, seed)
 
 
 def test_empirical_distortion_matches_the_pair_loop_across_blocks():
@@ -126,8 +170,181 @@ def test_empirical_distortion_matches_the_pair_loop_across_blocks():
     A = circle_directions(256)
     assert len(_blocks(trials, 2 * n * 256)) > 1
     report = empirical_distortion(A, n, trials, 3)
-    got = (report.empirical_C1, report.empirical_C2, report.pair_count)
-    assert got == reference_ratios(A, n, trials, 3)
+    assert audit_ratios(report) == reference_ratios(A, reference_pool(n, 2, trials, 3))
+
+
+def test_sample_pair_pool_draws_the_pairs_of_the_pair_loop():
+    for n in range(2, 9):
+        for d in range(1, 6):
+            for include_adversarial in (True, False):
+                for seed in range(5):
+                    pool = sample_pair_pool(n, d, 40, seed, include_adversarial=include_adversarial)
+                    want = np.array(reference_pool(n, d, 40, seed,
+                                                   include_adversarial=include_adversarial))
+                    assert pool.shape == (40, 2, n, d)
+                    assert pool.tobytes() == want.tobytes(), (n, d, include_adversarial, seed)
+
+
+def test_sample_pair_pool_of_one_pair():
+    assert sample_pair_pool(3, 2, 1, 0).tobytes() == np.array(reference_pool(3, 2, 1, 0)).tobytes()
+    assert sample_pair_pool(3, 1, 1, 0).tobytes() == np.array(reference_pool(3, 1, 1, 0)).tobytes()
+
+
+@pytest.mark.parametrize("lo", [-2.0, -5.0])
+def test_uniform_is_a_scaled_random(lo):
+    # sample_pair_pool and ose_check draw lo + 4.0 * rng.random() where the
+    # pair loop drew rng.uniform(lo, lo + 4.0): same values, same stream
+    uniform, scaled = make_rng(11), make_rng(11)
+    want = [uniform.uniform(lo, lo + 4.0) for _ in range(200_000)]
+    got = [lo + 4.0 * scaled.random() for _ in range(200_000)]
+    assert got == want
+    assert same_state(scaled, uniform)
+
+
+def test_unit_uniform_is_random():
+    uniform, plain = make_rng(12), make_rng(12)
+    assert [uniform.uniform() for _ in range(100_000)] == [plain.random() for _ in range(100_000)]
+    assert same_state(plain, uniform)
+
+
+def same_state(a, b):
+    """Whether two generators stand at the same point of the same stream."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return repr(sa) == repr(sb) and np.array_equal(a.bit_generator.random_raw(8),
+                                                   b.bit_generator.random_raw(8))
+
+
+# ---------------------------------------------------------------------------
+# the batched assignment and the distance screen
+# ---------------------------------------------------------------------------
+
+# Multiples of 1/4 in [-2, 2]: costs and totals of such clouds are exact.
+_DYADIC = [k / 4 for k in range(-8, 9)]
+
+
+@st.composite
+def cloud_pairs(draw):
+    """(X, Y, exact): rows taken from a palette of at most four rows, so
+    rows repeat and coordinates tie; ``exact`` when every coordinate is dyadic."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    exact = draw(st.booleans())
+    value = st.sampled_from(_DYADIC) if exact else st.one_of(
+        st.sampled_from(_DYADIC), st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    palette = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
+    rows = st.lists(st.integers(0, len(palette) - 1), min_size=n, max_size=n)
+    X = np.array([palette[i] for i in draw(rows)], dtype=float)
+    Y = np.array([palette[i] for i in draw(rows)], dtype=float)
+    return X, Y, exact
+
+
+def row_order_totals(X, Y):
+    """Every matching's total, its costs added in row order, least first."""
+    n = len(X)
+    cost = cdist(X, Y, "sqeuclidean")
+    picked = cost[np.arange(n), _all_permutations(n)]
+    totals = picked[:, 0].copy()
+    for i in range(1, n):
+        totals += picked[:, i]
+    return np.sort(totals)
+
+
+def check_the_screen(X, Y, exact):
+    n, d = X.shape
+    pairs = np.array([[X, Y]])
+    best, second, cmax = (float(v[0]) for v in _assignment_totals(pairs))
+    lo, hi, sure = (v[0] for v in _distance_bounds(pairs))
+    totals = row_order_totals(X, Y)
+    # the DP's two least totals: exactly those of the enumeration on dyadic
+    # clouds, within the rounding of the costs otherwise
+    slack = 4 * _gamma(n + d + 1) * n * cmax
+    assert abs(best - totals[0]) <= slack
+    assert abs(second - (totals[1] if n > 1 else math.inf)) <= slack or n == 1
+    if exact:
+        assert best == totals[0]
+        if n > 1:
+            assert second == totals[1]
+            if totals[0] == totals[1]:
+                assert not sure  # an exact tie is always flagged
+    assert lo <= orbit_distance_bruteforce(X, Y).distance <= hi
+    if sure:
+        assert lo <= _assignment_distance(X, Y)[0] <= hi
+
+
+@given(cloud_pairs())
+@settings(max_examples=300, deadline=None)
+def test_the_assignment_dp_matches_the_bruteforce(pair):
+    check_the_screen(*pair)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_assignment_dp_on_the_adversarial_pair(n):
+    for d in (2, 3, 4):
+        pair = adversarial_circle_pair(n, d)
+        check_the_screen(pair.X, pair.Y, False)
+
+
+def test_the_assignment_dp_flags_repeated_rows():
+    rng = make_rng(5)
+    for n in range(2, 9):
+        X = rng.standard_normal((n, 3))
+        Y = rng.standard_normal((n, 3))
+        Y[1] = Y[0]  # swapping their partners leaves every total as it is
+        assert not _distance_bounds(np.array([[X, Y]]))[2][0]
+        check_the_screen(X, Y, False)
+
+
+def test_the_assignment_dp_stays_within_one_block():
+    # the widest tables: n = 8, in the largest block the audit forms
+    n, d, D = 8, 4, 2
+    block = _blocks(10**6, max(2 * n * max(d, D), _assignment_width(n, d)))[0]
+    pairs = make_rng(6).standard_normal((block.stop, 2, n, d))
+    tracemalloc.start()
+    try:
+        _assignment_totals(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _BLOCK_ELEMENTS
+
+
+def planted_pool(n, d, count, seed):
+    """The pool of the seed with a pair at orbit distance about 1e-8 and a
+    pair with a tied matching planted into it."""
+    pairs = reference_pool(n, d, count, seed)
+    X = np.arange(n * d, dtype=float).reshape(n, d)
+    Y = X.copy()
+    Y[0, 0] += 1e-8
+    pairs[5] = (X, Y[::-1].copy())
+    X, Y = pairs[7]
+    Y = Y.copy()
+    Y[1] = Y[0]
+    pairs[7] = (X, Y)
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_empirical_distortion_matches_the_pair_loop_on_a_planted_pool(monkeypatch, n):
+    d, D, count, seed = 3, 8, 60, 4
+    pairs = planted_pool(n, d, count, seed)
+    pool = np.array(pairs)
+    lo, hi, sure = _distance_bounds(pool[[5, 7]])
+    assert sure[0] and lo[0] < 1e-8 <= hi[0]  # the screen cannot tell skip from keep
+    assert not sure[1]  # nor which matching LSAP picks
+    confirmed = []
+    ratio = audit._pair_ratio
+
+    def recorded(A, pair):
+        confirmed.append(next(t for t in range(count) if np.array_equal(pool[t], pair)))
+        return ratio(A, pair)
+
+    monkeypatch.setattr(audit, "sample_pair_pool", lambda *args: pool.copy())
+    monkeypatch.setattr(audit, "_pair_ratio", recorded)
+    A = gaussian_directions(d, D, 70 + n)
+    report = empirical_distortion(A, n, count, seed)
+    assert audit_ratios(report) == reference_ratios(A, pairs)
+    assert {5, 7} <= set(confirmed)
+    assert len(confirmed) < count // 4
 
 
 @pytest.mark.parametrize("n, d, D, M", [(2, 2, 3, 9), (3, 2, 7, 40), (4, 3, 12, 25), (5, 4, 9, 60)])

@@ -28,7 +28,6 @@ from permorb import (
     ose_check,
     ose_dimension,
     save_matrix_csv,
-    subset_sigma_lower_bound,
 )
 from permorb.audit import _SketchDraw
 from permorb.cli import main
@@ -127,24 +126,6 @@ def test_ose_check_rejects_a_sketch_with_a_non_finite_entry(bad):
         ose_check(A, L, n, 0.2, 10, 1)
 
 
-class _FailingFill:
-    """A generator that draws as usual, except into ``out=``: only the sketch drawer does that."""
-
-    def __init__(self, rng, fail):
-        self._rng = rng
-        self._fail = fail
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def standard_normal(self, *args, out=None, **kwargs):
-        if out is None:
-            return self._rng.standard_normal(*args, **kwargs)
-        self._rng.standard_normal(out=out)
-        self._fail(out)
-        return out
-
-
 def _raise(out):
     raise RuntimeError("generator failed")
 
@@ -154,8 +135,19 @@ def _poison(out):
 
 
 def _patch_drawer(monkeypatch, fail):
-    real = audit.make_rng
-    monkeypatch.setattr(audit, "make_rng", lambda seed: _FailingFill(real(seed), fail))
+    """Pass each slice the sketch drawer fills to ``fail``: only the drawer
+    fills through audit._gaussian_rows (the pair pool and ose_check fill
+    their clouds with ``out=`` too)."""
+    real = audit._gaussian_rows
+
+    def failing(rng, L):
+        lo = 0
+        for hi in real(rng, L):
+            fail(L[lo:hi])
+            lo = hi
+            yield hi
+
+    monkeypatch.setattr(audit, "_gaussian_rows", failing)
 
 
 def test_drawing_error_reaches_the_caller(monkeypatch):
@@ -195,9 +187,7 @@ def _sequential_report(path, n, trials, seed, ose_trials, *, subset_r=None, pu_m
                        epsilon=0.25, eta=0.1):
     A = load_matrix_csv(path)
     d, D = A.shape
-    report = empirical_distortion(A, n, trials, seed, pu_m=pu_m)
-    if subset_r is not None:
-        report.subset_bound = subset_sigma_lower_bound(A, subset_r)
+    report = empirical_distortion(A, n, trials, seed, subset_r=subset_r, pu_m=pu_m)
     payload = dataclasses.asdict(report)
     M = ose_dimension(n, d, D, epsilon, eta)
     L = gaussian_sketch(n, D, M, seed)
