@@ -11,13 +11,12 @@ routes and the empirical estimate used to sandwich the distortion:
 * ``projective_uniformity`` + ``blueprint_lower_bound`` -- the floor
   delta * sqrt(D - n**2 * (m-1)) obtained from an (m, delta) projective
   uniformity certificate (the m-th smallest |a_k . e| over columns is at
-  least delta for every unit direction e).  The floor holds for a proven
-  delta, but neither estimate of delta proves one yet: for d = 2 the
-  sweep takes the minimum over a dense angle grid augmented with all
-  column-orthogonal angles, and a grid minimum can only overestimate the
-  constant, so it is an upper estimate of delta (ROADMAP.md item 2
-  replaces it with an exact vertex enumeration); sphere sampling for
-  d > 2 overestimates it too.
+  least delta for every unit direction e).  For d = 2, delta is proven:
+  the m-th smallest |a_k . e| attains its minimum on the D**2 directions
+  orthogonal to a column or to a sum or difference of two columns, and the
+  sweep evaluates exactly those, minus a stated rounding allowance, at a
+  cost of order D**3.  For d > 2, sphere sampling only overestimates
+  delta, so it gives no floor.
 * ``empirical_distortion`` -- min/max of the embedding-to-orbit distance
   ratio over a seeded pool that mixes independent clouds, near-orbit
   perturbations across several orders of magnitude of scale, and the
@@ -78,13 +77,14 @@ __all__ = [
 EXACT_SWEEP = "exact-2d-sweep"
 SPHERE_SAMPLING = "sphere-sampling"
 
-# Angle-grid density of the exact d=2 sweep (points per column over [0, pi)).
-_SWEEP_GRID_PER_COLUMN = 256
-
 # Default sphere-sample count per feature dimension for the sampled
-# projective-uniformity estimate (an optimistic upper estimate; certified
-# bounds use only the exact d=2 sweep).
+# projective-uniformity estimate (it overestimates delta; only the d=2
+# sweep proves one).
 _PU_SPHERE_SAMPLES_PER_DIM = 10_000
+
+# Floats in one chunk of projections |a_k . e| of the uniformity kernel.
+# Chunks of 2**16 left audit-cli's heap about 0.8 MB larger at its peak.
+_PU_FLOATS = 1 << 14
 
 # Pairs below this orbit distance are excluded from empirical ratios.
 _MIN_PAIR_DISTANCE = 1e-8
@@ -96,7 +96,11 @@ DEFAULT_OSE_CONSTANT = 4.0
 
 @dataclass(frozen=True)
 class PUEstimate:
-    """(m, delta) projective-uniformity estimate for a direction matrix."""
+    """(m, delta) projective uniformity of a direction matrix.
+
+    ``method`` says what delta is: a proven floor (``exact-2d-sweep``, d = 2)
+    or an overestimate (``sphere-sampling``, any other d).
+    """
 
     m: int
     delta: float
@@ -158,16 +162,8 @@ def upper_lipschitz(A) -> float:
     return float(singular_values(A)[0])
 
 
-def subset_sigma_lower_bound(
-    A, r: int, *, budget: int = DEFAULT_SUBSET_BUDGET
-) -> SubsetBound:
-    """Exact minimum of the d-th singular value over all size-(r*d) subsets.
-
-    Certified: when D >= r*d*((n-1)**2 + 1) holds for the n of interest,
-    this value lower-bounds the lower Lipschitz constant of the sorted
-    embedding.  Raises BudgetExceededError (recommending the sampled
-    variant) when C(D, r*d) exceeds ``budget``.
-    """
+def _subset_shape(A, r: int) -> tuple[np.ndarray, int, int, int]:
+    """(A, d, D, k) for the subset bounds, k = r*d, once A, r >= 1 and D >= k are checked."""
     A = as_matrix(A, "A")
     d, D = A.shape
     if r < 1:
@@ -175,6 +171,23 @@ def subset_sigma_lower_bound(
     k = r * d
     if D < k:
         raise ValueError(f"need D >= r*d = {k}, got D = {D}")
+    return A, d, D, k
+
+
+def subset_sigma_lower_bound(
+    A, r: int, *, budget: int = DEFAULT_SUBSET_BUDGET
+) -> SubsetBound:
+    """Exact minimum of the d-th singular value over all size-(r*d) subsets.
+
+    ``certified`` is True because every subset is evaluated, so ``value``
+    is the exact minimum, not a sample.  That minimum lower-bounds the
+    lower Lipschitz constant of the sorted embedding only for the n with
+    D >= r*d*((n-1)**2 + 1); this function is not given n, so it proves
+    the floor for no n by itself (the audit's report, which knows n,
+    labels it for its n).  Raises BudgetExceededError (recommending the
+    sampled variant) when C(D, r*d) exceeds ``budget``.
+    """
+    A, d, D, k = _subset_shape(A, r)
     count = math.comb(D, k)
     if count > budget:
         raise BudgetExceededError(
@@ -206,13 +219,7 @@ def subset_sigma_lower_bound_sampled(
     NOT certified: the minimum over a random sample only upper-bounds the
     true minimum.
     """
-    A = as_matrix(A, "A")
-    d, D = A.shape
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    k = r * d
-    if D < k:
-        raise ValueError(f"need D >= r*d = {k}, got D = {D}")
+    A, d, D, k = _subset_shape(A, r)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = make_rng(seed)
@@ -224,73 +231,131 @@ def subset_sigma_lower_bound_sampled(
     return SubsetBound(value=best, r=r, subset_size=k, subsets=samples, certified=False)
 
 
+def _least_mth_projection(A: np.ndarray, m: int, E: np.ndarray) -> float:
+    """The least, over the rows e of E, of the m-th smallest |a_k . e| over A's columns.
+
+    Each a_k . e is fl(...fl(fl(e_1 a_1k) + fl(e_2 a_2k))...), summed in
+    coordinate order, so a value depends on e and a_k alone.  E is taken in
+    chunks of rows so that no array holds more than _PU_FLOATS floats.
+    """
+    step = max(1, _PU_FLOATS // A.shape[1])
+    least = math.inf
+    for chunk in (E[lo : lo + step] for lo in range(0, len(E), step)):
+        vals = chunk[:, :1] * A[0]
+        for i in range(1, len(A)):
+            vals += chunk[:, i, None] * A[i]
+        np.abs(vals, out=vals)
+        least = min(least, float(np.partition(vals, m - 1, axis=1)[:, m - 1].min()))
+    return least
+
+
 def _pu_exact_sweep(A: np.ndarray, m: int) -> PUEstimate:
-    d, D = A.shape
-    if d != 2:
-        raise ValueError(f"exact sweep is only available for d = 2, got d = {d}")
-    base = np.arange(_SWEEP_GRID_PER_COLUMN * D) * (np.pi / (_SWEEP_GRID_PER_COLUMN * D))
-    column_angles = np.arctan2(A[1], A[0])
-    orthogonal = np.concatenate(
-        [(column_angles + np.pi / 2) % np.pi, (column_angles - np.pi / 2) % np.pi]
-    )
-    thetas = np.concatenate([base, orthogonal])
-    best = math.inf
-    for start in range(0, thetas.size, 8192):
-        chunk = thetas[start : start + 8192]
-        E = np.vstack([np.cos(chunk), np.sin(chunk)])
-        vals = np.abs(A.T @ E)  # (D, chunk)
-        mth = np.partition(vals, m - 1, axis=0)[m - 1]
-        best = min(best, float(mth.min()))
-    return PUEstimate(m=m, delta=best, method=EXACT_SWEEP, direction_count=thetas.size)
+    """The (m, delta) uniformity of a 2 x D matrix, a proven floor for A as stored.
+
+    Write f(e) for the m-th smallest |a_k . e|; f(-e) = f(e).  The true
+    minimum lies on the finite set S of directions e orthogonal to a column
+    a_k or to a_j +- a_k, j < k.  Between two neighbouring directions of S
+    no |a_k . e| vanishes and no two of them cross (|a_j . e| = |a_k . e|
+    only where e is orthogonal to a_j - a_k or a_j + a_k), so one column
+    gives the m-th smallest along the whole arc.  There |a_k . e(theta)| =
+    ||a_k|| |sin(theta - phi_k)| has no zero and is concave, and a concave
+    function takes its least value on a closed arc at an end.  A normal
+    that is exactly zero (a zero column, equal or exactly opposite columns)
+    makes no zero and no crossing and is skipped.  The direction (-1, 0),
+    from the normal (0, 1), is evaluated with every batch of normals, so
+    the set is never empty.  Each direction comes straight from its normal
+    n as (-n_2, n_1) / hypot(n), and all D**2 of them are evaluated by
+    _least_mth_projection: O(D**3) work, in chunks.
+
+    The minimum of those computed values is then lowered by an allowance
+    c u a_max + 2**-1070, with c = 16, u = 2**-53, a_max = max ||a_k||,
+    and eta = 2**-1074 bounding the error of an underflowed product or
+    quotient.  Let e* be the true minimiser, orthogonal to an exact normal
+    n, and e^ the direction computed from it:
+
+    * fl(a_j +- a_k) errs by at most u per component relative to n (a sum
+      that underflows is exact), so its normal direction is within an
+      angle asin(u) of n's: the unit vectors orthogonal to the two lie
+      within 1.01 u of each other.
+    * hypot errs by at most one ulp and the division rounds once, so each
+      component of e^ lies within 3.01 u (plus eta) of the exact unit
+      vector: ||e^ - e*|| <= 4.1 u + 2 eta and ||e^|| <= 1 + 4 u.
+    * Every |a_k . e| is a_max-Lipschitz in e, and so is their m-th
+      smallest f; so f(e^) <= delta + a_max (4.1 u + 2 eta), where
+      a_max eta < 0.01 u a_max.
+    * The kernel's two-term sum errs by at most gamma_2 (|a_1k e_1| +
+      |a_2k e_2|) + 2 eta <= 2.01 u a_max + 2 eta, and the m-th smallest
+      of the computed values moves by no more than they do.
+    * The computed value at e^ is thus at most delta + 6.2 u a_max + 2 eta.
+      a_max is taken as fl(max hypot(a_k)) >= (1 - 2 u) a_max, 16 u times
+      it is exact (or errs by eta where it underflows), and the final
+      subtraction and the allowance's own sum round by at most 1.1 u a_max
+      + 2 eta more.
+
+    That is 7.3 u a_max + 4 eta in all: c = 16 covers twice the first
+    term and 2**-1070 = 16 eta the second, so the result, clamped at 0,
+    lies at most that far below the true delta and never above it.  Every
+    step assumes no overflow, which holds while a_max < 2**1021; larger
+    columns raise ValueError.
+    """
+    D = A.shape[1]
+    a_max = float(np.hypot(A[0], A[1]).max())
+    if a_max >= 2.0**1021:
+        raise ValueError(f"the exact sweep needs column norms below 2**1021, got {a_max}")
+    best, count = math.inf, 0
+    rows = max(1, _PU_FLOATS // (4 * D + 4))  # columns j per batch of normals
+    for lo in range(0, D, rows):
+        j, k = np.nonzero(np.arange(lo, min(lo + rows, D))[:, None] < np.arange(D))
+        j += lo
+        N = np.concatenate(
+            [[[0.0], [1.0]], A[:, lo : lo + rows], A[:, j] - A[:, k], A[:, j] + A[:, k]], axis=1
+        )
+        N = N[:, (N != 0.0).any(axis=0)]
+        E = np.stack([-N[1], N[0]], axis=1) / np.hypot(N[0], N[1])[:, None]
+        best = min(best, _least_mth_projection(A, m, E))
+        count += len(E)
+    delta = max(best - (16.0 * _UNIT_ROUNDOFF * a_max + 2.0**-1070), 0.0)
+    return PUEstimate(m=m, delta=delta, method=EXACT_SWEEP, direction_count=count)
 
 
 def _pu_sphere_sampling(A: np.ndarray, m: int, samples: int, seed: int) -> PUEstimate:
-    d, D = A.shape
+    """Least m-th smallest |a_k . e| over seeded uniform unit directions: it only overestimates delta."""
     rng = make_rng(seed)
     best = math.inf
-    remaining = samples
-    while remaining > 0:
-        batch = min(remaining, 16384)
-        E = rng.standard_normal((batch, d))
+    for lo in range(0, samples, 16384):
+        E = rng.standard_normal((min(16384, samples - lo), len(A)))
         E /= np.linalg.norm(E, axis=1, keepdims=True)
-        vals = np.abs(E @ A)  # (batch, D)
-        mth = np.partition(vals, m - 1, axis=1)[:, m - 1]
-        best = min(best, float(mth.min()))
-        remaining -= batch
+        best = min(best, _least_mth_projection(A, m, E))
     return PUEstimate(m=m, delta=best, method=SPHERE_SAMPLING, direction_count=samples)
 
 
 def projective_uniformity(
     A,
     m: int,
-    method: str = "auto",
     *,
     sphere_samples: int | None = None,
     seed: int = 0,
 ) -> PUEstimate:
-    """Estimate the (m, delta) projective-uniformity constant of A.
+    """The (m, delta) projective-uniformity constant of A, or an estimate of it.
 
-    ``exact-2d-sweep`` (d = 2 only) evaluates the m-th smallest |a_k . e|
-    on a uniform grid of 256*D angles over [0, pi) augmented with every
-    column-orthogonal angle and returns the grid minimum.  Despite its
-    name this is an upper estimate of delta, not a certified value: the
-    true minimum can fall between grid angles (ROADMAP.md item 2).
-    ``sphere-sampling`` minimizes over seeded uniform sphere directions
-    and is an optimistic upper estimate as well.
+    delta is the least, over unit directions e, of the m-th smallest
+    |a_k . e|.  For d = 2 it is the ``exact-2d-sweep``: a proven floor,
+    within about 16 u max ||a_k|| of the true constant (u = 2**-53), from
+    the D**2 directions that provably hold the minimiser, at a cost of
+    order D**3.  For any other d it is ``sphere-sampling`` over
+    ``sphere_samples`` seeded uniform directions (default 10,000 per
+    dimension), which only overestimates delta and so proves no floor.
+    ``method`` in the result names the one used.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
     if not 1 <= m <= D:
         raise ValueError(f"m must lie in 1..{D}, got {m}")
-    if method == "auto":
-        method = EXACT_SWEEP if d == 2 else SPHERE_SAMPLING
-    if method == EXACT_SWEEP:
+    if d == 2:
         return _pu_exact_sweep(A, m)
-    if method == SPHERE_SAMPLING:
-        if sphere_samples is None:
-            sphere_samples = _PU_SPHERE_SAMPLES_PER_DIM * d
-        return _pu_sphere_sampling(A, m, sphere_samples, seed)
-    raise ValueError(f"unknown method {method!r}")
+    if sphere_samples is None:
+        sphere_samples = _PU_SPHERE_SAMPLES_PER_DIM * d
+    return _pu_sphere_sampling(A, m, sphere_samples, seed)
 
 
 def blueprint_lower_bound(delta: float, m: int, D: int, n: int) -> float:
@@ -477,19 +542,26 @@ def empirical_distortion(
     *,
     subset_r: int | None = None,
     pu_m: int | None = None,
-    pu_method: str = "auto",
 ) -> AuditReport:
     """Min/max embedding-to-distance ratios over a seeded pair pool.
 
     Pairs closer than 1e-8 in orbit distance are skipped.  Optional
-    arguments attach the subset bound and/or a projective uniformity
-    estimate to the report.  The subset bound is labelled certified only
-    when D >= r*d*((n-1)**2 + 1) holds for this n.  The blueprint floor is
-    attached only for the d = 2 sweep (a sampled delta overestimates the
-    constant) and when n**2 * (m - 1) <= D; the sweep's grid delta is an
-    upper estimate too, so that floor is an estimate until the sweep is
-    exact.  Limited to n <= 8 so the assignment solves stay in the regime
-    the brute-force oracle can cross-check.
+    arguments attach the subset bound and/or the projective uniformity of
+    projective_uniformity to the report.  The subset bound is labelled
+    certified only when D >= r*d*((n-1)**2 + 1) holds for this n.  The
+    blueprint floor is attached for d = 2, where delta is the exact
+    sweep's proven floor (order D**3 work), and only when
+    n**2 * (m - 1) <= D; for d > 2 delta is sampled, overestimates the
+    constant, and gives no floor.  Limited to n <= 8 so the assignment
+    solves stay in the regime the brute-force oracle can cross-check.
+
+    Every ratio is linear in A, so the pool runs on A scaled by a power of
+    two, 2**-k with max |A| = f 2**k, 0.5 <= f < 1 (math.frexp): there no
+    gap norm underflows or overflows, whatever the scale of A.  C1 and C2
+    are scaled back by 2**k, and the distortion is their scaled ratio.
+    Scaling by a power of two is exact, so a matrix whose ratios stay in
+    range anyway gets the same bits as without it.  sigma1 and the
+    ceilings come from A itself.
 
     The report is the one a per-pair reference loop gives, bit for bit:
     dist = _assignment_distance(X, Y) (cdist, linear_sum_assignment, a
@@ -557,19 +629,21 @@ def empirical_distortion(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
+    k = math.frexp(float(np.max(np.abs(A))))[1]
+    scaled = np.ldexp(A, -k)
     pool = sample_pair_pool(n, d, trials, seed)
     lo = np.empty(trials)
     hi = np.empty(trials)
     kept = np.empty(trials, dtype=bool)
     sure = np.empty(trials, dtype=bool)
     for block in _blocks(trials, max(2 * n * max(d, D), _assignment_width(n, d))):
-        dist_lo, dist_hi, lo[block], hi[block], sure[block] = _pool_screen(A, pool[block])
+        dist_lo, dist_hi, lo[block], hi[block], sure[block] = _pool_screen(scaled, pool[block])
         kept[block] = dist_lo >= _MIN_PAIR_DISTANCE
         sure[block] &= kept[block] | (dist_hi < _MIN_PAIR_DISTANCE)
     # the reference for the pairs the screen leaves open, then for those
     # whose ratio may be the least or the largest
     for t in np.flatnonzero(~sure):
-        ratio = _pair_ratio(A, pool[t])
+        ratio = _pair_ratio(scaled, pool[t])
         kept[t] = ratio is not None
         if kept[t]:
             lo[t] = hi[t] = ratio
@@ -577,13 +651,15 @@ def empirical_distortion(
         raise ValueError("degenerate pool: every sampled pair sits on one orbit")
     least, largest = np.min(hi[kept]), np.max(lo[kept])
     for t in np.flatnonzero(sure & kept & ((lo <= least) | (hi >= largest))):
-        ratio = _pair_ratio(A, pool[t])
+        ratio = _pair_ratio(scaled, pool[t])
         if ratio is None or not lo[t] <= ratio <= hi[t]:
             raise RuntimeError(f"pair {t} lies outside its screened bounds")
         lo[t] = hi[t] = ratio
 
     sigma1 = upper_lipschitz(A)
     c1, c2 = float(np.min(lo[kept])), float(np.max(hi[kept]))
+    distortion = c2 / c1
+    c1, c2 = math.ldexp(c1, k), math.ldexp(c2, k)
     if not c1 <= c2 <= sigma1 * (1.0 + 1e-9):
         raise RuntimeError(
             f"ratio bookkeeping violated C1 <= C2 <= sigma1: {c1}, {c2}, {sigma1}"
@@ -593,7 +669,7 @@ def empirical_distortion(
         sigma1=sigma1,
         empirical_C1=c1,
         empirical_C2=c2,
-        distortion=c2 / c1,
+        distortion=distortion,
         ceiling_sqrt_n=sqrtn_ceiling(A, n),
         ceiling_sqrt_n_independent=sqrtn_ceiling(A, n, independent=True),
         pair_count=int(np.count_nonzero(kept)),
@@ -604,11 +680,10 @@ def empirical_distortion(
     if subset_r is not None:
         report.subset_bound = _audit_subset_bound(A, subset_r, n)
     if pu_m is not None:
-        estimate = projective_uniformity(A, pu_m, pu_method, seed=seed)
-        report.pu = estimate
+        report.pu = projective_uniformity(A, pu_m, seed=seed)
         # a sampled delta overestimates the constant, so it gives no floor
-        if estimate.method == EXACT_SWEEP and n * n * (pu_m - 1) <= D:
-            report.blueprint_bound = blueprint_lower_bound(estimate.delta, pu_m, D, n)
+        if d == 2 and n * n * (pu_m - 1) <= D:
+            report.blueprint_bound = blueprint_lower_bound(report.pu.delta, pu_m, D, n)
     return report
 
 

@@ -227,11 +227,12 @@ def _release_free_heap_before_sketch(nbytes: int) -> None:
     glibc keeps resident until a free leaves more than its trim threshold
     at the top of the heap.  In a process that runs many audits the two
     then add up: before the ``audit-cli`` benchmark's first n = 6 sketch
-    (18,921 x 144) about 16 MB of free heap stayed resident, and the run
-    peaked 11 MB above one whose heap had been trimmed.  A sketch no
-    larger than an earlier one comes from the heap and reuses that memory,
-    so the heap is trimmed only before a new largest sketch (glibc's
-    malloc_trim; elsewhere this does nothing).
+    (18,921 x 144) about 15 MB of free heap stays resident, 13.8 MB of it
+    at the top of the heap (glibc's mallinfo2), and 8-second runs peak at
+    116.7 MB untrimmed against 109.6-109.7 MB trimmed (seeds 0 and 1, 2
+    cores).  A sketch no larger than an earlier one comes from the heap
+    and reuses that memory, so the heap is trimmed only before a new
+    largest sketch (glibc's malloc_trim; elsewhere this does nothing).
     """
     global _largest_sketch_bytes
     if nbytes <= _largest_sketch_bytes:
@@ -266,9 +267,7 @@ def cmd_audit(args) -> int:
         except (ValueError, MemoryError) as exc:
             sketch_error = exc
     try:
-        report = empirical_distortion(
-            A, args.n, args.trials, args.seed, pu_m=args.pu_m, pu_method=args.pu_method
-        )
+        report = empirical_distortion(A, args.n, args.trials, args.seed, pu_m=args.pu_m)
         skipped: dict[str, str] = {}
         if args.subset_r is not None:
             try:
@@ -441,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subset-r", type=int, default=None, help="attach the size-(r*d) subset bound")
-    p.add_argument("--pu-m", type=int, default=None, help="attach an (m, delta) uniformity estimate")
-    p.add_argument("--pu-method", default="auto", choices=("auto", "exact-2d-sweep", "sphere-sampling"))
+    p.add_argument("--pu-m", type=int, default=None,
+                   help="attach the (m, delta) projective uniformity (a proven floor for d = 2)")
     p.add_argument("--budget", type=int, default=None, help="subset enumeration budget")
     p.add_argument("--check-ose", action="store_true", help="attach a sketch norm-preservation check")
     p.add_argument("--epsilon", type=float, default=0.25)

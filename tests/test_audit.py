@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permorb import (
     adversarial_circle_pair,
@@ -24,7 +27,7 @@ from permorb import (
     subset_sigma_lower_bound_sampled,
     upper_lipschitz,
 )
-from permorb.audit import EXACT_SWEEP, SPHERE_SAMPLING
+from permorb.audit import EXACT_SWEEP, SPHERE_SAMPLING, _pu_sphere_sampling
 from permorb.core import BudgetExceededError
 
 
@@ -135,14 +138,122 @@ def test_pu_single_column_vanishes():
 
 def test_pu_sphere_sampling_upper_estimates_sweep():
     A = circle_directions(20)
-    exact = projective_uniformity(A, 3, EXACT_SWEEP)
-    sampled = projective_uniformity(A, 3, SPHERE_SAMPLING, sphere_samples=2000, seed=2)
+    exact = projective_uniformity(A, 3)
+    sampled = _pu_sphere_sampling(A, 3, 2000, 2)
+    assert exact.method == EXACT_SWEEP and sampled.method == SPHERE_SAMPLING
     assert sampled.delta >= exact.delta - 1e-12
 
 
 def test_pu_invalid_m():
     with pytest.raises(ValueError):
         projective_uniformity(np.eye(2), 3)
+
+
+_U = 2.0**-53
+
+
+def _a_max(A):
+    return float(np.hypot(A[0], A[1]).max())
+
+
+def _exact_candidate_minimum(A, m):
+    """The squared m-th smallest |a_k . e|, least over the sweep's directions, in exact rationals.
+
+    The directions are orthogonal to a column or to a_j +- a_k, and (1, 0).
+    """
+    cols = [(Fraction(float(x)), Fraction(float(y))) for x, y in A.T]
+    normals = cols + [
+        (a[0] + s * b[0], a[1] + s * b[1]) for a, b in combinations(cols, 2) for s in (1, -1)
+    ]
+    best = sorted(a[0] * a[0] for a in cols)[m - 1]
+    for n1, n2 in normals:
+        norm2 = n1 * n1 + n2 * n2
+        if norm2:
+            # e = (-n2, n1) / |n|, so (a . e)^2 = (a2 n1 - a1 n2)^2 / |n|^2
+            best = min(best, sorted((a[1] * n1 - a[0] * n2) ** 2 / norm2 for a in cols)[m - 1])
+    return best
+
+
+def test_pu_sweep_is_a_floor_against_an_exact_rational_oracle():
+    rng = np.random.default_rng(20)
+    worst = 0.0
+    for _ in range(150):
+        D = int(rng.integers(2, 8))
+        A = rng.standard_normal((2, D)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        m = int(rng.integers(1, D + 1))
+        delta = projective_uniformity(A, m).delta
+        exact = _exact_candidate_minimum(A, m)
+        assert Fraction(delta) ** 2 <= exact
+        gap = (math.sqrt(exact) - delta) / _a_max(A)
+        assert gap <= 32 * _U
+        worst = max(worst, gap)
+    assert worst > 0.0
+
+
+def _dense_search(A, m, points):
+    best = math.inf
+    for lo in range(0, points, 20_000):
+        theta = np.arange(lo, min(lo + 20_000, points)) * (math.pi / points)
+        vals = np.abs(np.cos(theta)[:, None] * A[0] + np.sin(theta)[:, None] * A[1])
+        best = min(best, float(np.partition(vals, m - 1, axis=1)[:, m - 1].min()))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pu_sweep_sits_just_below_a_dense_search(seed):
+    rng = np.random.default_rng(300 + seed)
+    D = int(rng.integers(6, 16))
+    A = rng.standard_normal((2, D))
+    for m in (2, 3):
+        delta = projective_uniformity(A, m).delta
+        points = 200_001
+        dense = _dense_search(A, m, points)
+        assert delta <= dense <= delta + _a_max(A) * math.pi / points
+
+
+@pytest.mark.parametrize(
+    "A, m, want",
+    [
+        ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 3, math.sqrt(0.5)),  # duplicate columns
+        ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2, 0.0),
+        ([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], 3, math.sqrt(0.5)),  # exact antipodes
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 3, math.sqrt(0.5)),  # a zero column
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 2, 0.0),
+        ([[3.0], [4.0]], 1, 0.0),  # D = 1
+        ([[0.0, 0.0], [0.0, 0.0]], 2, 0.0),
+    ],
+    ids=["duplicates", "duplicates-m2", "antipodes", "zero-column", "zero-column-m2", "D1", "zero"],
+)
+def test_pu_sweep_on_degenerate_inputs(A, m, want):
+    A = np.array(A)
+    est = projective_uniformity(A, m)
+    assert est.method == EXACT_SWEEP and est.direction_count >= 1
+    assert 0.0 <= want - est.delta <= 32 * _U * max(_a_max(A), 1.0)
+
+
+def test_pu_sweep_skips_zero_normals():
+    # one column: its own normal and the fixed direction; a zero matrix: the
+    # fixed direction alone; two equal columns: their difference is skipped
+    assert projective_uniformity(np.array([[3.0], [4.0]]), 1).direction_count == 2
+    assert projective_uniformity(np.zeros((2, 3)), 1).direction_count == 1
+    assert projective_uniformity(np.array([[1.0, 1.0], [2.0, 2.0]]), 1).direction_count == 4
+
+
+@given(st.integers(0, 2**32), st.integers(1, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pu_sweep_is_invariant_under_column_permutations_and_sign_flips(seed, D, data):
+    rng = np.random.default_rng(seed)
+    # small integers make duplicates, antipodes and zero columns common
+    A = rng.integers(-2, 3, size=(2, D)) * rng.uniform(0.5, 2.0) + rng.standard_normal((2, D)) * (seed % 2)
+    m = data.draw(st.integers(1, D))
+    delta = projective_uniformity(A, m).delta
+    moved = A[:, rng.permutation(D)] * rng.choice([-1.0, 1.0], size=D)
+    assert projective_uniformity(moved, m).delta == delta
+
+
+def test_pu_sweep_rejects_columns_that_could_overflow():
+    with pytest.raises(ValueError, match="2\\*\\*1021"):
+        projective_uniformity(np.array([[1e308, 1.0], [0.0, 1.0]]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +342,37 @@ def test_empirical_certified_floors_below_empirical_min():
         assert report.blueprint_bound <= report.empirical_C1 * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_blueprint_floor_sits_below_empirical_min_on_gaussian_matrices(seed):
+    n = 3
+    A = gaussian_directions(2, 4 * n * n, 50 + seed)
+    report = empirical_distortion(A, n, 200, seed, pu_m=3)
+    assert report.blueprint_bound is not None
+    assert report.blueprint_bound <= report.empirical_C1
+
+
+def test_empirical_distortion_is_scale_free_from_1e_minus_300_to_1e300():
+    G = gaussian_directions(3, 5, 4)
+    base = empirical_distortion(G, 4, 50, 0)
+    for exponent in range(-300, 301, 25):
+        scale = 10.0**exponent
+        report = empirical_distortion(scale * G, 4, 50, 0)
+        assert abs(report.distortion / base.distortion - 1.0) <= 1e-12
+        assert abs(report.empirical_C1 / (scale * base.empirical_C1) - 1.0) <= 1e-12
+        assert abs(report.empirical_C2 / (scale * base.empirical_C2) - 1.0) <= 1e-12
+        assert report.pair_count == base.pair_count
+
+
+def test_empirical_distortion_keeps_its_bits_under_power_of_two_scaling():
+    A = gaussian_directions(2, 9, 12)
+    base = empirical_distortion(A, 3, 80, 1)
+    for k in (-900, -3, 5, 900):
+        report = empirical_distortion(np.ldexp(A, k), 3, 80, 1)
+        assert report.empirical_C1 == math.ldexp(base.empirical_C1, k)
+        assert report.empirical_C2 == math.ldexp(base.empirical_C2, k)
+        assert report.distortion == base.distortion
+
+
 def test_empirical_rejects_one_dimensional():
     with pytest.raises(ValueError):
         empirical_distortion(np.ones((1, 4)), 3, 10, 0)
@@ -246,15 +388,14 @@ def test_blueprint_floor_sits_below_empirical_min():
 
 
 def test_blueprint_floor_needs_the_exact_sweep():
-    # a sphere-sampled delta only overestimates the constant, so the report
-    # carries the estimate but no floor derived from it
+    # for d > 2 delta is sphere-sampled and only overestimates the constant,
+    # so the report carries the estimate but no floor derived from it
     n = 3
-    A = circle_directions(4 * n * n)
-    report = empirical_distortion(A, n, 100, 9, pu_m=3, pu_method=SPHERE_SAMPLING)
-    assert report.pu is not None and report.pu.method == SPHERE_SAMPLING
-    assert report.blueprint_bound is None
-    exact = empirical_distortion(A, n, 100, 9, pu_m=3, pu_method=EXACT_SWEEP)
-    assert exact.blueprint_bound is not None
+    sampled = empirical_distortion(gaussian_directions(3, 4 * n * n, 9), n, 100, 9, pu_m=3)
+    assert sampled.pu is not None and sampled.pu.method == SPHERE_SAMPLING
+    assert sampled.blueprint_bound is None
+    exact = empirical_distortion(circle_directions(4 * n * n), n, 100, 9, pu_m=3)
+    assert exact.pu.method == EXACT_SWEEP and exact.blueprint_bound is not None
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,21 @@ def test_audit_circle_distortion_within_theory(tmp_path):
     assert abs(report["sigma1"] - math.sqrt(2.0) * n) < 1e-9
 
 
+def test_audit_reports_matrices_of_extreme_scale(tmp_path):
+    from permorb import gaussian_directions
+
+    G = gaussian_directions(3, 5, 4)
+    reports = []
+    for scale in (1.0, 1e-200, 1e152):
+        save_matrix_csv(tmp_path / "A.csv", scale * G)
+        out = tmp_path / "r.json"
+        assert main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", "4",
+                     "--trials", "50", "--seed", "0", "--out", str(out)]) == 0
+        reports.append(_read_json(out))
+    for report in reports[1:]:
+        assert abs(report["distortion"] / reports[0]["distortion"] - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 # ---------------------------------------------------------------------------
