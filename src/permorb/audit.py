@@ -658,6 +658,8 @@ def empirical_distortion(
 
     sigma1 = upper_lipschitz(A)
     c1, c2 = float(np.min(lo[kept])), float(np.max(hi[kept]))
+    if c2 == 0.0:
+        raise ValueError("every sampled gap is zero: the directions embed every cloud alike")
     distortion = c2 / c1
     c1, c2 = math.ldexp(c1, k), math.ldexp(c2, k)
     if not c1 <= c2 <= sigma1 * (1.0 + 1e-9):

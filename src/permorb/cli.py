@@ -3,7 +3,11 @@
 Subcommands: construct, embed, distance, audit, certify, counterexample,
 reproduce.  Matrices travel as CSV (one row per line, '#' comments),
 structured results as JSON with floats at 17 significant digits; every
-seeded command is byte-reproducible.  Exit codes are a stable contract:
+seeded command is byte-reproducible, except that the reference norms of
+``audit --check-ose`` are long BLAS dot products whose bits a
+multi-threaded BLAS may change with its thread count (one BLAS thread,
+OPENBLAS_NUM_THREADS=1, gives the recorded digests).  Exit codes are a
+stable contract:
 
     0  success (for certify: Separating)
     1  invalid parameters or unsupported matrix form

@@ -78,7 +78,7 @@ from .core import (
     make_rng,
 )
 from .embeddings import _blocks, _gaussian_sketch, _sort_project
-from .metrics import _all_permutations, _assignment_distance, _orbit_distance_floor
+from .metrics import _all_permutations, _orbit_distance_floor
 
 __all__ = [
     "SeparationStatus",
@@ -686,62 +686,29 @@ def _flatten(S: np.ndarray) -> np.ndarray:
     return S.transpose(0, 2, 1).reshape(len(S), -1)
 
 
-# A Y is redrawn while dist(X, Y) < _MIN_DISTANCE.  Only pairs whose distance
-# floor lies below twice that are solved in the screened draw: the factor 2 is
-# the margin for the floor's rounding, so no redraw is decided from a floor.
+# A Y is redrawn while its orbit distance floor to X lies below this.
 _MIN_DISTANCE = 0.1
-_SCREEN_FLOOR = 2 * _MIN_DISTANCE
 
 
-def _draw_trials(rng: np.random.Generator, clouds: np.ndarray) -> None:
-    """Fill clouds (3, t, n, d) with (X, Y, same) trials, one trial at a time.
+def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
+    """The clouds (3, count, n, d) of one block of trials: every X, Y and same-orbit copy.
 
-    Each trial draws X, then Y, then every redraw of Y while the pair's
-    orbit distance is below _MIN_DISTANCE, then the permutation giving the
-    same-orbit copy of X.  This loop defines the spot checks' stream.
+    The stream is the one ``spot_check_injectivity`` states; row t of the
+    permuted call equals the t-th of count rng.permutation(n) calls.
     """
-    n, d = clouds.shape[2:]
-    for X, Y, same in zip(*clouds):
-        X[:] = rng.standard_normal((n, d))
-        Y[:] = rng.standard_normal((n, d))
-        attempts = 0
-        while _assignment_distance(X, Y)[0] < _MIN_DISTANCE:
-            Y[:] = rng.standard_normal((n, d))
-            attempts += 1
-            if attempts > 100:
-                raise RuntimeError("could not sample a distant pair")
-        same[:] = X[rng.permutation(n)]
-
-
-def _draw_screened_trials(rng: np.random.Generator, clouds: np.ndarray) -> bool:
-    """Fill clouds as _draw_trials does, if no Y of the block needs a redraw.
-
-    Draws every trial first, in _draw_trials's stream order without redraws
-    (one normal draw fills a trial's X and Y), then screens all pairs with
-    _orbit_distance_floor and solves only those whose floor is below
-    _SCREEN_FLOOR.  Returns False, with clouds unfilled and the stream
-    advanced, when one of them is closer than _MIN_DISTANCE: the caller then
-    restores the stream and replays the block with _draw_trials.
-
-    Each permutation is drawn in place: rng.shuffle on a row that starts as
-    arange(n) is what rng.permutation(n) does, so the stream and the draws
-    are the same without a new array per trial.
-    """
-    count, n, d = clouds.shape[1:]
-    pairs = np.empty((count, 2, n, d))
-    perms = np.empty((count, n), dtype=np.intp)
-    perms[:] = np.arange(n)
-    for pair, perm in zip(pairs, perms):
-        rng.standard_normal(out=pair)
-        rng.shuffle(perm)
-    X, Y = pairs[:, 0], pairs[:, 1]
-    for t in np.flatnonzero(_orbit_distance_floor(pairs) < _SCREEN_FLOOR):
-        if _assignment_distance(X[t], Y[t])[0] < _MIN_DISTANCE:
-            return False
-    clouds[0] = X
-    clouds[1] = Y
+    clouds = np.empty((3, count, n, d))
+    X, Y = clouds[0], clouds[1]
+    rng.standard_normal(out=clouds[:2])
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
+    for t in np.flatnonzero(_orbit_distance_floor(clouds[:2].swapaxes(0, 1)) < _MIN_DISTANCE):
+        for _ in range(100):
+            rng.standard_normal(out=Y[t])
+            if _orbit_distance_floor(clouds[:2, t]) >= _MIN_DISTANCE:
+                break
+        else:
+            raise RuntimeError("could not sample a distant pair")
     clouds[2] = np.take_along_axis(X, perms[:, :, None], axis=1)
-    return True
+    return clouds
 
 
 def spot_check_injectivity(
@@ -760,21 +727,25 @@ def spot_check_injectivity(
     Draws the embedding parameters (directions plus pooling matrix or
     sketch, per ``kind`` in {"sorted", "pooled", "sketched"}) from the
     seeded stream, then tests ``trials`` cloud pairs with orbit distance
-    at least 0.1: a pair whose embedding difference norm is <= 1e-8
-    counts as a collision.  Every trial also checks a same-orbit pair,
-    whose embeddings must agree to 1e-9 relative (a failure counts as a
-    false separation; invariance makes this impossible).  ``extra_pairs``
-    are audited with the distinct-orbit rule, so a known indistinguishable
-    pair shows up as exactly one collision.
+    at least 0.1, up to rounding (below): a pair whose embedding difference
+    norm is <= 1e-8 counts as a collision.  Every trial also checks a
+    same-orbit pair, whose embeddings must agree to 1e-9 relative (a
+    failure counts as a false separation; invariance makes this
+    impossible).  ``extra_pairs`` are audited with the distinct-orbit rule,
+    so a known indistinguishable pair shows up as exactly one collision.
+    ``M``, the sketch row count, is taken by the sketched kind only.
 
-    Trials come in blocks.  A block is drawn whole, without redraws, then
-    screened: a pair is solved exactly only when its sorted-column floor on
-    the orbit distance (the upper Lipschitz bound of the A = I sorted
-    embedding) is below 0.2, so almost no pair needs a solve.  If a solved
-    pair is closer than 0.1, the stream is rewound and the block is replayed
-    one trial at a time with its redraws.  Either way the draws are those of
-    the one-trial loop, so the report does not depend on the screen.  Each
-    block is embedded in one call.
+    Trials come in blocks, which ``_blocks`` cuts from ``trials`` and the
+    floats per trial of the widest array a block allocates.  Each block is
+    drawn once: one normal draw for every X and Y, one permuted call for
+    every same-orbit permutation, then, in trial order, a redraw of every
+    Y whose sorted-column floor on the orbit distance to its X (the upper
+    Lipschitz bound of the A = I sorted embedding) lies below 0.1, at most
+    100 times before a RuntimeError.  The floor never exceeds the orbit
+    distance, so every tested pair lies at least 0.1 apart up to the
+    floor's own rounding (relative error below (n d + 2) 2^-53), and no
+    assignment is solved.  The stream of draws depends only on the
+    arguments.  Each block is embedded in one call.
     """
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -782,6 +753,8 @@ def spot_check_injectivity(
         raise ValueError("need n >= 2 and positive d, D")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if kind != "sketched" and M is not None:
+        raise ValueError(f"the {kind} spot check draws no sketch, so it takes no M, got M = {M}")
     if kind == "pooled" and D < (2 * n - 1) * d:
         raise ValueError(
             f"pooled spot check expects D >= (2n-1)d = {(2 * n - 1) * d}, got {D}"
@@ -804,12 +777,7 @@ def spot_check_injectivity(
     collisions = 0
     false_separations = 0
     for block in _blocks(trials, 3 * width):
-        clouds = np.empty((3, block.stop - block.start, n, d))
-        state = rng.bit_generator.state
-        if not _draw_screened_trials(rng, clouds):
-            # a Y of this block is redrawn, which shifts every later draw
-            rng.bit_generator.state = state
-            _draw_trials(rng, clouds)
+        clouds = _draw_block(rng, block.stop - block.start, n, d)
         EX, EY, ES = np.split(embed(_sort_project(A, clouds.reshape(-1, n, d))), 3)
         collisions += int(np.count_nonzero(np.linalg.norm(EX - EY, axis=1) <= 1e-8))
         scale = np.maximum(1.0, np.linalg.norm(EX, axis=1))

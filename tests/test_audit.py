@@ -378,6 +378,11 @@ def test_empirical_rejects_one_dimensional():
         empirical_distortion(np.ones((1, 4)), 3, 10, 0)
 
 
+def test_empirical_rejects_all_zero_directions():
+    with pytest.raises(ValueError, match="every sampled gap is zero"):
+        empirical_distortion(np.zeros((2, 4)), 3, 50, 0)
+
+
 def test_blueprint_floor_sits_below_empirical_min():
     # circle at D = 4n^2 keeps the blueprint precondition n^2 (m-1) <= D
     n = 3

@@ -262,6 +262,13 @@ def test_audit_reports_matrices_of_extreme_scale(tmp_path):
         assert abs(report["distortion"] / reports[0]["distortion"] - 1.0) <= 1e-12
 
 
+def test_audit_rejects_all_zero_directions(tmp_path, capsys):
+    save_matrix_csv(tmp_path / "A.csv", np.zeros((2, 4)))
+    assert main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", "3",
+                 "--trials", "50", "--seed", "0", "--out", str(tmp_path / "r.json")]) == 1
+    assert "error: every sampled gap is zero" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 # ---------------------------------------------------------------------------

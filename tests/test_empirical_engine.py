@@ -1,18 +1,25 @@
-"""The batched empirical checks against their one-pair-at-a-time loops.
+"""The batched empirical checks against their reference loops.
 
-``empirical_distortion``, ``ose_check`` and ``spot_check_injectivity``
-sample their pairs sequentially and embed them in batches.  The audit pool
-(``sample_pair_pool``) is drawn into one array by a loop that only calls
-the generator; ``empirical_distortion`` screens every pair with one
-batched exact assignment (``_assignment_totals``) and one einsum of gap
-norms, and runs the per-pair reference only for the pairs whose proven
-bounds leave their report undecided.  ``ose_check`` screens its ratios
-with a few gemms against the sketch; ``spot_check_injectivity`` screens
-its pairs' orbit distances with a sorted-column floor and replays a block
-trial by trial only when a Y must be redrawn.  The loops below are the
-per-pair forms they replaced, written with the public, validating
-functions and the generator calls of the original code; the batched
-checks must reproduce their draws and reports exactly, floats included.
+``empirical_distortion`` and ``ose_check`` sample their pairs sequentially
+and embed them in batches.  The audit pool (``sample_pair_pool``) is drawn
+into one array by a loop that only calls the generator;
+``empirical_distortion`` screens every pair with one batched exact
+assignment (``_assignment_totals``) and one einsum of gap norms, and runs
+the per-pair reference only for the pairs whose proven bounds leave their
+report undecided.  ``ose_check`` screens its ratios with a few gemms
+against the sketch.  The loops below are the per-pair forms they replaced,
+written with the public, validating functions and the generator calls of
+the original code; the batched checks must reproduce their draws and
+reports exactly, floats included.
+
+``spot_check_injectivity`` draws each block of trials once and redraws
+the Ys that its sorted-column floor puts within 0.1 of their X.  Its
+reference loop takes the same blocks from ``_blocks`` and the same
+generator calls, one trial at a time, with ``np.sort`` for the floor and
+the public embeddings; it must reproduce the report and every embedded
+cloud.  The spot check's guarantees are also checked on their own: every
+tested pair lies at least 0.1 apart, every same-orbit copy permutes the
+rows of its X, and no assignment is solved.
 """
 
 import math
@@ -40,7 +47,7 @@ from permorb import (
     sorted_embedding,
     spot_check_injectivity,
 )
-from permorb import audit, separation
+from permorb import audit, metrics, separation
 from permorb.audit import (
     _SCREEN_FLOATS,
     OseReport,
@@ -55,6 +62,7 @@ from permorb.metrics import (
     _assignment_distance,
     _assignment_totals,
     _assignment_width,
+    rows_equal_as_multisets,
 )
 from permorb.separation import InjectivityReport
 
@@ -123,35 +131,57 @@ def reference_ose_check(A, L, n, epsilon, trials, seed):
     return OseReport(violations, max_err, len(ratios), skipped, epsilon, L.shape[0], seed)
 
 
+def sorted_floor(X, Y):
+    """The sorted-column floor on dist(X, Y), with np.sort."""
+    gap = np.sort(X, axis=0) - np.sort(Y, axis=0)
+    return math.sqrt(np.sum(gap * gap))
+
+
 def reference_spot_check(kind, n, d, D, *, M=None, trials, seed, extra_pairs=()):
+    """The spot check one trial at a time: its report, the clouds it embeds
+    (X, Y and the same-orbit copy per trial, then X and Y per extra pair)
+    and the number of Ys it redrew."""
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
+    width = n * max(d, D)
     if kind == "pooled":
         B = rng.standard_normal((n, D))
         embed = lambda X: pooled_embedding(A, B, X)  # noqa: E731
     elif kind == "sketched":
         L = rng.standard_normal((M, n * D)) / math.sqrt(M)
         embed = lambda X: sketched_embedding(A, L, X)  # noqa: E731
+        width = max(width, M)
     else:
         embed = lambda X: sorted_embedding(A, X).ravel(order="F")  # noqa: E731
     collisions = 0
     false_separations = 0
-    for _ in range(trials):
-        X = rng.standard_normal((n, d))
-        Y = rng.standard_normal((n, d))
-        while orbit_distance(X, Y).distance < 0.1:
-            Y = rng.standard_normal((n, d))
-        ex = embed(X)
-        if float(np.linalg.norm(ex - embed(Y))) <= 1e-8:
-            collisions += 1
-        same = X[rng.permutation(n)]
-        scale = max(1.0, float(np.linalg.norm(ex)))
-        if float(np.linalg.norm(ex - embed(same))) > 1e-9 * scale:
-            false_separations += 1
+    clouds = []
+    redraws = 0
+    for block in _blocks(trials, 3 * width):
+        count = block.stop - block.start
+        Xs, Ys = rng.standard_normal((2, count, n, d))
+        perms = [rng.permutation(n) for _ in range(count)]
+        for X, Y, perm in zip(Xs, Ys, perms):
+            attempts = 0
+            while sorted_floor(X, Y) < 0.1:
+                assert attempts < 100
+                Y = rng.standard_normal((n, d))
+                attempts += 1
+            redraws += attempts
+            same = X[perm]
+            clouds += [X, Y, same]
+            ex = embed(X)
+            if float(np.linalg.norm(ex - embed(Y))) <= 1e-8:
+                collisions += 1
+            scale = max(1.0, float(np.linalg.norm(ex)))
+            if float(np.linalg.norm(ex - embed(same))) > 1e-9 * scale:
+                false_separations += 1
     for X, Y in extra_pairs:
+        clouds += [X, Y]
         if float(np.linalg.norm(embed(X) - embed(Y))) <= 1e-8:
             collisions += 1
-    return InjectivityReport(kind, n, d, D, M, trials, collisions, false_separations, seed)
+    report = InjectivityReport(kind, n, d, D, M, trials, collisions, false_separations, seed)
+    return report, clouds, redraws
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -444,20 +474,45 @@ def test_ose_check_matches_the_pair_loop_on_small_shapes(n, d, D, M, epsilon, tr
     assert got == reference_ose_check(A, L, n, epsilon, trials, seed)
 
 
-@pytest.mark.parametrize(
-    "kind, n, d, D, M",
-    [("sorted", 4, 3, 12, None), ("pooled", 3, 2, 10, None), ("sketched", 4, 3, 12, 48)],
-)
+# the perfbench spot-check shapes
+SPOT_SHAPES = [("sorted", 4, 3, 12, None), ("pooled", 3, 2, 10, None), ("sketched", 4, 3, 12, 48)]
+
+
+def checked_spot_check(monkeypatch, kind, n, d, D, **kwargs):
+    """The report of spot_check_injectivity and the clouds it embeds, in
+    the reference loop's order."""
+    clouds = []
+    project = separation._sort_project
+
+    def projected(A, S):
+        if len(S) % 3 == 0:  # a block: the X, Y and same-orbit thirds
+            clouds.extend(S.reshape(3, -1, *S.shape[1:]).swapaxes(0, 1).reshape(S.shape))
+        else:  # one extra pair
+            clouds.extend(S)
+        return project(A, S)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(separation, "_sort_project", projected)
+        report = spot_check_injectivity(kind, n, d, D, **kwargs)
+    return report, np.array(clouds)
+
+
+def check_against_the_reference(monkeypatch, kind, n, d, D, **kwargs):
+    """The spot check's report and embedded clouds equal the reference
+    loop's; returns the reference's report and redraw count.  The clouds
+    are compared too, as the reports alone would not change if the check
+    drew different clouds."""
+    got, clouds = checked_spot_check(monkeypatch, kind, n, d, D, **kwargs)
+    want, reference, redraws = reference_spot_check(kind, n, d, D, **kwargs)
+    assert got == want
+    assert clouds.tobytes() == np.array(reference).tobytes()
+    return want, redraws
+
+
+@pytest.mark.parametrize("kind, n, d, D, M", SPOT_SHAPES)
 def test_spot_check_matches_the_pair_loop(monkeypatch, kind, n, d, D, M):
-    # the perfbench spot-check shapes; the clouds are compared too, as the
-    # reports alone would not change if the check drew different clouds
     for seed in range(4):
-        with monkeypatch.context() as patch:
-            _, reference = trace_reference(patch)
-            checked, _ = trace_check(patch)
-            want = reference_spot_check(kind, n, d, D, M=M, trials=200, seed=seed)
-            assert spot_check_injectivity(kind, n, d, D, M=M, trials=200, seed=seed) == want
-        assert same_clouds(checked, reference), (kind, seed)
+        check_against_the_reference(monkeypatch, kind, n, d, D, M=M, trials=200, seed=seed)
 
 
 @pytest.mark.parametrize("kind, M", [("sorted", None), ("sketched", 30)])
@@ -465,24 +520,15 @@ def test_spot_check_matches_the_pair_loop_with_a_planted_collision(monkeypatch, 
     n, d, D, seed = 4, 2, 3, 3
     A = make_rng(seed).standard_normal((d, D))  # the directions the check draws first
     pair = parity_counterexample(A, 11)
-    extra = [(pair.X, pair.Y)]
-    _, reference = trace_reference(monkeypatch)
-    checked, _ = trace_check(monkeypatch)
-    got = spot_check_injectivity(kind, n, d, D, M=M, trials=100, seed=seed, extra_pairs=extra)
-    want = reference_spot_check(kind, n, d, D, M=M, trials=100, seed=seed, extra_pairs=extra)
-    assert got == want
-    assert got.collisions >= 1
-    assert same_clouds(checked, reference)
+    report, _ = check_against_the_reference(monkeypatch, kind, n, d, D, M=M, trials=100,
+                                            seed=seed, extra_pairs=[(pair.X, pair.Y)])
+    assert report.collisions >= 1
 
 
 def test_sketched_spot_check_with_a_wide_sketch_matches_the_pair_loop(monkeypatch):
     n, d, D, M, trials = 3, 2, 8, 6000, 150
     assert len(_blocks(trials, 3 * M)) > 1  # the sketch outputs span several blocks
-    _, reference = trace_reference(monkeypatch)
-    checked, _ = trace_check(monkeypatch)
-    got = spot_check_injectivity("sketched", n, d, D, M=M, trials=trials, seed=6)
-    assert got == reference_spot_check("sketched", n, d, D, M=M, trials=trials, seed=6)
-    assert same_clouds(checked, reference)
+    check_against_the_reference(monkeypatch, "sketched", n, d, D, M=M, trials=trials, seed=6)
 
 
 def test_sketched_spot_check_rejects_an_empty_sketch():
@@ -492,94 +538,56 @@ def test_sketched_spot_check_rejects_an_empty_sketch():
             spot_check_injectivity("sketched", 3, 2, 5, M=M, trials=5)
 
 
-def trace_reference(monkeypatch):
-    """Record the reference loop's orbit distance solves (redraws included)
-    and the clouds it embeds, X, Y and the same-orbit copy per trial."""
-    solves, clouds = [], []
-    solve = orbit_distance
-
-    def counted(X, Y):
-        solves.append(None)
-        return solve(X, Y)
-
-    def recording(embed):
-        def recorded(*args):
-            clouds.append(args[-1].copy())
-            return embed(*args)
-        return recorded
-
-    monkeypatch.setitem(globals(), "orbit_distance", counted)
-    for name in ("sorted_embedding", "pooled_embedding", "sketched_embedding"):
-        monkeypatch.setitem(globals(), name, recording(globals()[name]))
-    return solves, clouds
-
-
-def trace_check(monkeypatch):
-    """Record the clouds spot_check_injectivity embeds, X, Y and the
-    same-orbit copy per trial, then X and Y per extra pair, and the size of
-    each block it replays."""
-    clouds, replayed = [], []
-    project, draw = separation._sort_project, separation._draw_trials
-
-    def projected(A, S):
-        if len(S) % 3 == 0:  # a block: the X, Y and same-orbit thirds
-            clouds.extend(S.reshape(3, -1, *S.shape[1:]).swapaxes(0, 1).reshape(S.shape))
-        else:  # one extra pair
-            clouds.extend(S)
-        return project(A, S)
-
-    def drawn(rng, block):
-        replayed.append(block.shape[1])
-        draw(rng, block)
-
-    monkeypatch.setattr(separation, "_sort_project", projected)
-    monkeypatch.setattr(separation, "_draw_trials", drawn)
-    return clouds, replayed
-
-
-def same_clouds(checked, reference):
-    checked = np.array(checked)
-    return np.array_equal(checked, np.reshape(reference, checked.shape))
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn(monkeypatch, seed):
-    # n = 2, d = 1: a few pairs in a hundred lie within 0.1, so the single
-    # block is screened, found to need a redraw and replayed
+    # n = 2, d = 1: a few pairs in a hundred lie within 0.1 in one block
     trials = 3000
-    solves, reference = trace_reference(monkeypatch)
-    checked, replayed = trace_check(monkeypatch)
-    want = reference_spot_check("sorted", 2, 1, 3, trials=trials, seed=seed)
-    assert len(solves) > trials  # the reference redrew some Y
-    assert spot_check_injectivity("sorted", 2, 1, 3, trials=trials, seed=seed) == want
-    assert same_clouds(checked, reference)
-    assert replayed == [trials]
+    assert len(_blocks(trials, 3 * 2 * 3)) == 1
+    _, redraws = check_against_the_reference(monkeypatch, "sorted", 2, 1, 3, trials=trials,
+                                             seed=seed)
+    assert redraws > 0
 
 
-def test_spot_check_matches_the_pair_loop_with_screened_and_replayed_blocks(monkeypatch):
-    # a 6000-row sketch cuts 3000 trials into 52 blocks of up to 58: some
-    # blocks need a redraw and are replayed, the others are taken as screened
+def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn_across_blocks(monkeypatch):
+    # a 6000-row sketch cuts 3000 trials into 52 blocks of up to 58
     n, d, D, M, trials = 2, 1, 3, 6000, 3000
-    blocks = len(_blocks(trials, 3 * M))
-    solves, reference = trace_reference(monkeypatch)
-    checked, replayed = trace_check(monkeypatch)
-    want = reference_spot_check("sketched", n, d, D, M=M, trials=trials, seed=0)
-    assert len(solves) > trials
-    assert spot_check_injectivity("sketched", n, d, D, M=M, trials=trials, seed=0) == want
-    assert same_clouds(checked, reference)
-    assert 0 < len(replayed) < blocks
+    assert len(_blocks(trials, 3 * M)) == 52
+    _, redraws = check_against_the_reference(monkeypatch, "sketched", n, d, D, M=M,
+                                             trials=trials, seed=0)
+    assert redraws > 0
+
+
+@pytest.mark.parametrize("kind, n, d, D, M", SPOT_SHAPES + [("sorted", 2, 1, 3, None)])
+def test_spot_check_tests_distant_pairs_and_same_orbit_copies(monkeypatch, kind, n, d, D, M):
+    # independent of the stream: every distinct pair lies at least 0.1 apart
+    # (up to the floor's rounding) and every same-orbit copy permutes its X
+    trials = 3000 if n == 2 else 200
+    _, clouds = checked_spot_check(monkeypatch, kind, n, d, D, M=M, trials=trials, seed=1)
+    X, Y, same = clouds[0::3], clouds[1::3], clouds[2::3]
+    assert len(X) == len(Y) == len(same) == trials
+    assert min(orbit_distance_bruteforce(x, y).distance for x, y in zip(X, Y)) >= 0.1 - 1e-15
+    assert all(rows_equal_as_multisets(x, s, tol=0.0) for x, s in zip(X, same))
+
+
+def test_spot_check_solves_no_assignment(monkeypatch):
+    def refused(cost):
+        raise AssertionError("the spot check solved an assignment")
+
+    monkeypatch.setattr(metrics, "linear_sum_assignment", refused)
+    for kind, n, d, D, M in SPOT_SHAPES + [("sorted", 2, 1, 3, None)]:
+        report = spot_check_injectivity(kind, n, d, D, M=M, trials=3000, seed=2)
+        assert report.collisions == report.false_separations == 0
 
 
 def test_spot_check_gives_up_when_no_distant_pair_can_be_drawn(monkeypatch):
-    # every solve reports distance 0: the screen sends the block to the
-    # trial-by-trial loop, whose attempt guard must stop the redraws
+    # a floor of 0 redraws the first Y until the attempt guard stops it
     calls = []
 
-    def never_distant(X, Y):
+    def never_distant(pairs):
         calls.append(None)
-        return 0.0, np.arange(len(X))
+        return np.zeros(pairs.shape[:-3])
 
-    monkeypatch.setattr(separation, "_assignment_distance", never_distant)
+    monkeypatch.setattr(separation, "_orbit_distance_floor", never_distant)
     with pytest.raises(RuntimeError, match="could not sample a distant pair"):
         spot_check_injectivity("sorted", 2, 1, 3, trials=3000, seed=0)
-    assert len(calls) > 100
+    assert len(calls) == 1 + 100  # the block's screen, then 100 redraws

@@ -408,3 +408,8 @@ def test_spot_check_validation():
         spot_check_injectivity("sketched", 3, 2, 8, trials=10, seed=0)
     with pytest.raises(ValueError):
         spot_check_injectivity("unknown", 3, 2, 8, trials=10, seed=0)
+    # only the sketched kind draws a sketch
+    with pytest.raises(ValueError, match="takes no M"):
+        spot_check_injectivity("sorted", 4, 3, 12, M=48, trials=10, seed=0)
+    with pytest.raises(ValueError, match="takes no M"):
+        spot_check_injectivity("pooled", 3, 2, 10, M=48, trials=10, seed=0)
