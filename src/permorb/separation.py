@@ -22,28 +22,45 @@ condition.  Three verdicts are possible:
 * ``Inconclusive``  -- the tuple budget ran out first.
 
 Enumeration order is lexicographic in the per-level permutation ranks
-(each level is a base-n! digit; the linear index of a tuple is the value
-of its digit string).  Subtrees whose partial solution space is already
-trivial are skipped in bulk; their leaves still count as examined since
-they are decided.  The incremental pruning uses a deliberately loose
-rank tolerance so marginal directions stay alive.
+(each level is a base-n! digit: the free P digits, then one Q digit per
+tail column; the linear index of a tuple, its leaf position, is the value
+of its digit string).  The search is one level loop.  For each P tuple, in
+leaf order, it walks the D - d constraint levels over a frontier of
+surviving nodes (leaf positions and null-space bases, grouped by basis
+width): each level stacks the frontier's children, takes one SVD per block
+of their constraints, and keeps each child's null space.  A child whose
+constraint leaves none is pruned: its subtree is skipped in bulk, and its
+leaves still count as examined since they are decided.  The incremental
+pruning uses a deliberately loose rank tolerance so marginal directions
+stay alive.  The loop runs under one node of at most ``_CHUNK_LEAVES``
+leaves at a time, which bounds the frontier.
 
-Every candidate leaf, with or without tail columns, is decided by one
-path.  Generic samples of its solution space are drawn keyed by (seed,
-leaf index) and put through one defeat test: a sample is defeated when
-some sigma in S_n moves every coordinate vector as its P_i does, which is
-exactly a perfect matching in the n x n boolean matrix "point s lies
-within 1e-8 of point t's P-image in every coordinate", checked against all
-n! permutations at once.  Undefeated samples are then re-verified against
-the full system at the strict tolerance before any witness is accepted.
+The leaves that survive every level are decided together.  Generic samples
+of each solution space are drawn keyed by (seed, leaf index) and put
+through one defeat test: a sample is defeated when some sigma in S_n moves
+every coordinate vector as its P_i does, which is exactly a perfect
+matching in the n x n boolean matrix "point s lies within 1e-8 of point
+t's P-image in every coordinate", checked against all n! permutations at
+once.  Only leaves with an undefeated sample are then taken, in leaf
+order, and re-verified against the full system at the strict tolerance
+before any witness is accepted.
 
-Every run walks the windows of the tuple space in leaf order, one window
-per top-level digit, in one loop that alone counts the budget and writes
-checkpoints.  A window without a witness decides all of its leaves, so
-the windows that end within the budget are known before any search
-starts; with ``threads`` > 1 those are searched ahead in a process pool,
-and the rest in-process.  Results are used in window order and the loop
-ends at the first witness, so the thread count changes only the speed.
+Every count is a leaf position, so two rules fix where a run ends.  With
+``stop = start + budget - (tuples already examined)``, a budget stop ends
+at ``stop``, or at the end of the pruned subtree that strictly contains
+it; its resume position is that leaf.  A witness at leaf x ends at the
+end of x's final-level node (the n! leaves that share all but x's last
+digit; x alone when A has no tail columns), or at ``stop`` if that comes
+first, and leaves no resume position.
+
+A run cuts the tuple space into node-aligned leaf ranges in leaf order:
+the windows (one per top-level digit) that end within the budget, then,
+with ``threads`` > 1, the second-level digit ranges of the window where
+the budget runs out, then the rest up to the stop.  A range without a
+witness decides all of its leaves, so all ranges are known before any
+search starts and may be searched ahead in a process pool.  Results are
+used in leaf order in one loop, which alone writes checkpoints and ends at
+the first witness, so the thread count changes only the speed.
 Checkpoints record the resume position in a JSON file: at the first
 window boundary after every million decided tuples, and at a budget stop.
 
@@ -58,11 +75,11 @@ solutions alive and no subtree can ever be pruned.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -117,6 +134,13 @@ _CHECKPOINT_FORMAT = 1
 
 # Decided tuples between periodic checkpoints (written at window boundaries).
 _CHECKPOINT_EVERY = 1_000_000
+
+# The level loop runs under one node of at most this many leaves at a time,
+# which bounds its frontier.
+_CHUNK_LEAVES = 2**14
+
+# Matrices per batched SVD, samples per defeat test.
+_BLOCK = 1024
 
 
 class SeparationStatus(str, enum.Enum):
@@ -173,11 +197,11 @@ class InjectivityReport:
 
 # Reference identity-augmented matrices, kept as regression anchors.  The
 # (3, 4, 8), (4, 2, 4) and (5, 2, 5) entries are reported to separate, and
-# this module's exhaustive search certifies (3, 4, 8) and (4, 2, 4) as
-# Separating.  The (3, 3, 6) entry is the published 2-decimal form, whose
-# entry (2, 6) prints as exactly 0; that matrix does not separate (the
-# search finds a witness at leaf 4020), while setting it to 0.004, which
-# also prints as 0.00, gives a Separating verdict.
+# this module's exhaustive search certifies all three as Separating.  The
+# (3, 3, 6) entry is the published 2-decimal form, whose entry (2, 6) prints
+# as exactly 0; that matrix does not separate (the search finds a witness at
+# leaf 4020), while setting it to 0.004, which also prints as 0.00, gives a
+# Separating verdict.
 KNOWN_SEPARATING_CASES: dict[tuple[int, int, int], tuple[tuple[float, ...], ...]] = {
     (3, 3, 6): (
         (1.0, 0.0, 0.0, 0.56, 0.66, 0.21),
@@ -269,23 +293,29 @@ def _centered_basis(n: int, d: int) -> np.ndarray:
     return np.kron(np.eye(d), block)  # (d*n, d*(n-1))
 
 
-def _hash_coefficients(seed: int, index: int, rows: int, cols: int) -> np.ndarray:
+def _hash_coefficients(seed: int, index, rows: int, cols: int) -> np.ndarray:
     """Deterministic generic coefficients in (-1, 1), keyed by (seed, index).
 
-    A vectorized splitmix-style mix; the draw is independent of visit
-    order, so resumed or partitioned searches test identical elements.
+    A vectorized splitmix-style mix.  ``index`` is one leaf index, for a
+    (rows, cols) array, or an array of them, for one such array per index;
+    the uint64 arithmetic wraps modulo 2^64, so each index gets the same
+    bits either way.  The draw is independent of visit order, so resumed
+    or partitioned searches test identical elements.
     """
-    base = (seed * 0xD1342543DE82EF95 + index * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) % 2**64
-    x = np.uint64(base) + np.arange(1, rows * cols + 1, dtype=np.uint64) * np.uint64(
-        0x9E3779B97F4A7C15
-    )
+    index = np.asarray(index)
+    if index.dtype == object:  # leaf indices beyond the int64 range
+        index = np.asarray(index % 2**64)
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    key = np.uint64((seed * 0xD1342543DE82EF95 + 0x632BE59BD9B4E019) % 2**64)
+    x = key + index.astype(np.uint64)[..., None] * golden
+    x = x + np.arange(1, rows * cols + 1, dtype=np.uint64) * golden
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     u = (x >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-    return (2.0 * u - 1.0).reshape(rows, cols)
+    return (2.0 * u - 1.0).reshape(index.shape + (rows, cols))
 
 
 def _defeated(Xs: np.ndarray, p_rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -303,216 +333,172 @@ def _defeated(Xs: np.ndarray, p_rows: np.ndarray, perms: np.ndarray) -> np.ndarr
     return close[:, np.arange(n), perms].all(axis=2).any(axis=1)
 
 
-class _Search:
-    """The enumeration of one window: the leaves under one top-level digit.
+def _digits(value: int, count: int, base: int) -> list[int]:
+    """The ``count`` lowest base-``base`` digits of ``value``, most significant first."""
+    return [(value // base**k) % base for k in reversed(range(count))]
 
-    It decides leaves from ``start`` on, in leaf order, until it finds a
-    witness or the tuples examined, counted from ``examined_base``, reach
-    ``budget``; ``covered`` counts the leaves it decided.
+
+class _Tree:
+    """The per-run constants of one certification's enumeration tree.
+
+    Its levels are the free P digits, then one Q digit per tail column; a
+    leaf's index is the value of its digit string in base n!.  It pickles
+    as its inputs, so a worker process rebuilds the arrays.
     """
 
-    def __init__(
-        self,
-        A: np.ndarray,
-        n: int,
-        budget: int,
-        seed: int,
-        reduced: bool,
-        start: int,
-        window: int,
-        examined_base: int,
-    ):
+    def __init__(self, A: np.ndarray, n: int, seed: int, reduced: bool):
         d, D = A.shape
-        self.A = A
-        self.n, self.d, self.D = n, d, D
-        self.tail = A[:, d:]
-        scales = np.linalg.norm(self.tail, axis=0)
-        self.tail_scales = scales
-        safe = np.where(scales > 0, scales, 1.0)
-        self.tail_n = self.tail / safe
+        self.A, self.n, self.seed, self.reduced = A, n, seed, reduced
+        self.d, self.n_p, self.n_q = d, d - 1 if reduced else d, D - d
         self.perms = _all_permutations(n)
-        self.Pmats = np.eye(n)[self.perms]  # Pmats[r] applies sigma_r: (P v)[t] = v[sigma_r[t]]
         self.nfact = len(self.perms)
-        self.n_p = d if not reduced else d - 1
-        self.n_q = D - d
-        self.L = self.n_p + self.n_q
-        self.reduced = reduced
-        self.spans = [self.nfact ** (self.L - 1 - lv) for lv in range(self.L)]
-        top_span = self.spans[0] if self.L > 0 else 1
-        self.window_hi = (window + 1) * top_span
-        self.start = max(start, window * top_span)
-        self.budget = budget
-        self.seed = seed
+        self.Pmats = np.eye(n)[self.perms]  # Pmats[r] applies sigma_r: (P v)[t] = v[sigma_r[t]]
+        self.total = self.nfact ** (self.n_p + self.n_q)
+        self.pspan = self.nfact**self.n_q  # the leaves under one P tuple
+        self.chunk = self.pspan
+        while self.chunk > _CHUNK_LEAVES:
+            self.chunk //= self.nfact
+        self.positions = np.int64 if self.total < 2**62 else object  # dtype of leaf positions
+        tail = A[:, d:]
+        self.scales = np.linalg.norm(tail, axis=0)
+        self.tail_n = tail / np.where(self.scales > 0, self.scales, 1.0)
+        # W[j, q] = hstack_i tail_n[i, j] * Pmats[q]
+        self.W = np.einsum("ij,qts->jqtis", self.tail_n, self.Pmats).reshape(
+            self.n_q, self.nfact, n, d * n
+        )
         self.C = _centered_basis(n, d)
-        self.Vs: list[np.ndarray] | None = None
-        if self.n_p == 0:
-            self.Vs = self._build_Vs(self._tuple(0)[0])
-        # precompute W_j[q] = hstack_i tail_n[i, j] * Pmats[q]
-        self.Ws = [
-            np.einsum("i,qts->qtis", self.tail_n[:, j], self.Pmats).reshape(
-                self.nfact, n, d * n
-            )
-            for j in range(self.n_q)
-        ]
-        self.covered = 0
-        self.examined_base = examined_base
-        self.witness: SeparationWitness | None = None
-        self.next_index: int | None = None  # set by a budget stop
+        self.a_norm = float(np.linalg.norm(A))
 
-    # -- helpers ----------------------------------------------------------
+    def __reduce__(self):
+        return _Tree, (self.A, self.n, self.seed, self.reduced)
 
-    def _tuple(self, index: int) -> tuple[list[int], list[int]]:
-        """P ranks (the pinned identity first in reduced runs) and Q ranks of a leaf."""
-        digits = [(index // span) % self.nfact for span in self.spans]
-        return ([0] if self.reduced else []) + digits[: self.n_p], digits[self.n_p :]
 
-    def _build_Vs(self, p_full: list[int]) -> list[np.ndarray]:
-        d = self.d
-        out = []
-        for j in range(self.n_q):
-            blocks = [self.tail_n[i, j] * self.Pmats[p_full[i]] for i in range(d)]
-            out.append(np.concatenate(blocks, axis=1))  # (n, d*n)
-        return out
+def _search(tree: _Tree, lo: int, stop: int):
+    """Decide the leaves [lo, stop) in leaf order, one chunk at a time.
 
-    # -- search -----------------------------------------------------------
+    Returns ``(end, None)``, where ``end`` is ``stop`` or the end of the
+    pruned subtree that strictly contains it, whose leaves all count; or
+    ``(None, witness)`` for the first leaf with a witness.
+    """
+    pos = lo
+    while pos < stop:
+        base = pos - pos % tree.chunk
+        pos, witness = _search_chunk(tree, base, pos, min(stop, base + tree.chunk))
+        if witness is not None:
+            return None, witness
+    return pos, None
 
-    def run(self) -> None:
-        if self.L == 0:
-            # no free tuples at all: a single leaf with the full centered space
-            self._leaf(0, self.C)
-        else:
-            self._node(0, 0, self.C)
-        if self.witness is not None:
-            # a budget stop inside a final-level node still decides that
-            # node's counted leaves; a witness among them ends the run
-            self.next_index = None
 
-    def _node(self, level: int, base: int, K: np.ndarray) -> None:
-        if self.witness is not None or self.next_index is not None:
-            return
-        if level == self.L:
-            self._leaf(base, K)
-            return
-        span = self.spans[level]
-        is_p_level = level < self.n_p
-        last = level + 1 == self.L and not is_p_level
-        svals = vhs = None
-        dim_in = K.shape[1]
-        if not is_p_level:
-            j = level - self.n_p
-            T = self.Vs[j][None, :, :] - self.Ws[j]  # (nfact, n, d*n)
-            R = T @ K  # (nfact, n, dim)
-            _, svals, vhs = np.linalg.svd(R, full_matrices=True)
-        # candidate leaves of the final level are decided in one batch
-        pending: list[tuple[int, np.ndarray]] = []
-        for digit in range(self.nfact):
-            lo = base + digit * span
-            hi = lo + span
-            if hi <= self.start or lo >= self.window_hi:
-                continue
-            if self.witness is not None or self.next_index is not None:
-                break
-            if self.covered + self.examined_base >= self.budget:
-                self.next_index = max(lo, self.start)
-                break
-            if is_p_level:
-                if level + 1 == self.n_p:
-                    self.Vs = self._build_Vs(self._tuple(lo)[0])
-                self._node(level + 1, lo, K)
-                continue
-            sv = svals[digit]
-            top = float(sv[0]) if sv.size else 0.0
-            # anchored at the O(1) block scale so a nearly zero constraint
-            # counts as rank 0 instead of pruning its (unconstrained) subtree
-            rank = int(np.count_nonzero(sv > _PRUNE_TOL * max(top, 1.0)))
-            if rank >= dim_in:
-                self.covered += hi - max(lo, self.start)
-                continue
-            null = vhs[digit, rank:, :].T  # (dim, dim - rank), orthonormal
-            if last:
-                pending.append((lo, K @ null))
-                self.covered += 1  # counted now, decided by the batch below
-            else:
-                self._node(level + 1, lo, K @ null)
-        if pending and self.witness is None:
-            self._decide(pending)
+def _search_chunk(tree: _Tree, base: int, lo: int, stop: int):
+    """The level loop: decide the leaves [lo, stop) under the chunk at ``base``.
 
-    def _leaf(self, index: int, K: np.ndarray) -> None:
-        self.covered += 1
-        if K.shape[1] > 0:
-            self._decide([(index, K)])
+    The frontier starts as the chunk's P tuple with the centred basis and
+    holds, level by level, the surviving nodes that overlap [lo, stop): start
+    positions and bases, grouped by basis width.  Each Q level stacks the
+    frontier's children, takes their constraints' SVDs in blocks and keeps
+    each child's null space unless the loose rank cut leaves none; a pruned
+    child counts whole.  Returns ``(end, witness)`` as ``_search`` does,
+    with ``end`` at least ``stop``.
+    """
+    n, dn, nfact = tree.n, tree.d * tree.n, tree.nfact
+    p_lo = base - base % tree.pspan
+    p_ranks = [0] * tree.reduced + _digits(p_lo // tree.pspan, tree.n_p, nfact)
+    V = np.einsum("ij,its->jtis", tree.tail_n, tree.Pmats[p_ranks]).reshape(tree.n_q, n, dn)
+    T = V[:, None] - tree.W  # T[j, q]: tail column j's constraint when Q_j has rank q
+    width = tree.C.shape[1]  # 0 for n = 1: a single point leaves nothing to decide
+    frontier = {width: (np.array([p_lo], dtype=tree.positions), tree.C[None])} if width else {}
+    end, span = stop, tree.pspan
+    for j in range(tree.n_q):
+        span //= nfact
+        offsets = np.arange(nfact, dtype=tree.positions) * span
+        grown = collections.defaultdict(list)
+        for width, (starts, K) in frontier.items():
+            children = starts[:, None] + offsets
+            node, digit = np.nonzero((children < stop) & (children + span > lo))
+            for b in range(0, len(node), _BLOCK):
+                nb, db = node[b : b + _BLOCK], digit[b : b + _BLOCK]
+                kids, Kb = children[nb, db], K[nb]
+                _, sv, vh = np.linalg.svd(T[j, db] @ Kb, full_matrices=True)
+                # anchored at the O(1) block scale so a nearly zero constraint
+                # counts as rank 0 instead of pruning its (unconstrained) subtree
+                rank = np.count_nonzero(sv > _PRUNE_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
+                pruned = rank >= width
+                if pruned.any():
+                    end = max(end, int(kids[pruned].max()) + span)
+                for r in np.unique(rank[~pruned]):
+                    keep = rank == r
+                    null = vh[keep, r:].transpose(0, 2, 1)  # orthonormal, (dim, dim - r)
+                    grown[int(width - r)].append((kids[keep], Kb[keep] @ null))
+        frontier = {w: tuple(map(np.concatenate, zip(*parts))) for w, parts in grown.items()}
+    return end, _decide(tree, p_ranks, T, frontier)
 
-    # -- leaf decision ------------------------------------------------------
 
-    def _decide(self, candidates: list[tuple[int, np.ndarray]]) -> None:
-        """Decide candidate leaves ``(leaf_index, basis)`` sharing one P tuple.
+def _decide(tree: _Tree, p_ranks: list[int], T: np.ndarray, frontier: dict):
+    """The witness at the first candidate leaf, in leaf order, that has one, or None.
 
-        Every candidate's samples go through the defeat test together.
-        Candidates with an undefeated sample are then taken in leaf order:
-        a basis that is not strictly null for the full system is re-based
-        through the strict null space and its samples re-tested, and the
-        first sample whose residual passes becomes the witness.
-        """
-        d, n = self.d, self.n
-        p_full = self._tuple(candidates[0][0])[0]
-        a_norm = float(np.linalg.norm(self.A))
-        for (index, basis), alive in zip(candidates, self._undefeated(candidates, p_full)):
-            if len(alive) == 0:
-                continue
-            q_digits = self._tuple(index)[1]
-            S = self._full_system(q_digits, normalized=True)
-            if S.shape[0] and float(np.linalg.norm(S @ basis)) > _NULL_TOL:
+    Every candidate's keyed samples go through the defeat test, in blocks.
+    Candidates with an undefeated sample are then taken in leaf order: a
+    basis that is not strictly null for the full system is re-based
+    through the strict null space and its samples re-tested, and the first
+    sample whose residual passes becomes the witness.
+    """
+    moves = tree.perms[p_ranks]
+    undefeated = []
+    for width, (leaves, K) in frontier.items():
+        step = _BLOCK // (1 if width == 1 else _NULL_SAMPLES)
+        for b in range(0, len(leaves), step):
+            Xs, alive = _undefeated(tree, leaves[b : b + step], K[b : b + step], moves)
+            for k in np.flatnonzero(alive.any(axis=1)):
+                undefeated.append((leaves[b + k], K[b + k], Xs[k, alive[k]]))
+    dn = tree.d * tree.n
+    for leaf, basis, Xs in sorted(undefeated, key=lambda c: c[0]):
+        q_ranks = _digits(int(leaf) % tree.pspan, tree.n_q, tree.nfact)
+        if tree.n_q:
+            S = T[range(tree.n_q), q_ranks]  # the full system, one block per tail column
+            system = S.reshape(-1, dn)
+            if float(np.linalg.norm(system @ basis)) > _NULL_TOL:
                 # any true solution survived the looser incremental cuts,
                 # so null(S) = basis @ null(S basis)
-                _, sv, vh = np.linalg.svd(S @ basis, full_matrices=True)
+                _, sv, vh = np.linalg.svd(system @ basis, full_matrices=True)
                 top = float(sv[0]) if sv.size else 0.0
                 rank = int(np.count_nonzero(sv > _NULL_TOL * max(top, 1.0)))
                 if rank >= basis.shape[1]:
                     continue
-                (alive,) = self._undefeated([(index, basis @ vh[rank:].T)], p_full)
-            S_orig = self._full_system(q_digits, normalized=False)
-            for X in alive:
-                if S_orig.shape[0]:
-                    residual = float(np.linalg.norm(S_orig @ X.reshape(d * n)))
-                    if residual > _WITNESS_TOL * a_norm:
-                        continue
-                self.witness = SeparationWitness(
-                    P_tuple=[self.perms[p].copy() for p in p_full],
-                    Q_tuple=[self.perms[q].copy() for q in q_digits],
-                    X=X.copy(),
-                    leaf_index=index,
-                )
-                return
+                Xs, alive = _undefeated(tree, [leaf], (basis @ vh[rank:].T)[None], moves)
+                Xs = Xs[0, alive[0]]
+            unscaled = (S * tree.scales[:, None, None]).reshape(-1, dn)
+        for X in Xs:
+            if tree.n_q:
+                residual = float(np.linalg.norm(unscaled @ X.reshape(dn)))
+                if residual > _WITNESS_TOL * tree.a_norm:
+                    continue
+            return SeparationWitness(
+                P_tuple=[tree.perms[p].copy() for p in p_ranks],
+                Q_tuple=[tree.perms[q].copy() for q in q_ranks],
+                X=X.copy(),
+                leaf_index=int(leaf),
+            )
+    return None
 
-    def _undefeated(self, candidates, p_full: list[int]) -> list[np.ndarray]:
-        """Unit samples of each candidate's basis that no permutation defeats.
 
-        A line has one sample up to scaling; a wider basis gets
-        ``_NULL_SAMPLES`` combinations keyed by (seed, leaf index).
-        """
-        blocks = [
-            basis.T
-            if basis.shape[1] == 1
-            else _hash_coefficients(self.seed, index, _NULL_SAMPLES, basis.shape[1]) @ basis.T
-            for index, basis in candidates
-        ]
-        samples = np.concatenate(blocks, axis=0)
-        norms = np.linalg.norm(samples, axis=1)
-        Xs = (samples / np.maximum(norms, 1e-300)[:, None]).reshape(-1, self.d, self.n)
-        alive = (norms > 1e-12) & ~_defeated(Xs, self.perms[p_full], self.perms)
-        cuts = np.cumsum([len(b) for b in blocks])[:-1]
-        return [X[keep] for X, keep in zip(np.split(Xs, cuts), np.split(alive, cuts))]
+def _undefeated(tree: _Tree, leaves, K: np.ndarray, moves: np.ndarray):
+    """Unit samples of each basis in the stack ``K`` and which of them survive.
 
-    def _full_system(self, q_digits: list[int], normalized: bool) -> np.ndarray:
-        if self.n_q == 0:
-            return np.zeros((0, self.d * self.n))
-        rows = []
-        for j, q in enumerate(q_digits):
-            block = self.Vs[j] - self.Ws[j][q]
-            if not normalized:
-                block = block * self.tail_scales[j]
-            rows.append(block)
-        return np.concatenate(rows, axis=0)
+    A line has one sample up to scaling; a wider basis gets
+    ``_NULL_SAMPLES`` combinations keyed by (seed, leaf index).  Returns
+    the samples (k, s, d, n) and the mask (k, s) of those that are nonzero
+    and that no permutation defeats under the P tuple ``moves``.
+    """
+    k, dn, width = K.shape
+    if width == 1:
+        samples = K[:, :, 0]
+    else:
+        coeffs = _hash_coefficients(tree.seed, leaves, _NULL_SAMPLES, width)
+        samples = (coeffs @ K.transpose(0, 2, 1)).reshape(-1, dn)
+    norms = np.linalg.norm(samples, axis=1)
+    Xs = (samples / np.maximum(norms, 1e-300)[:, None]).reshape(-1, tree.d, tree.n)
+    alive = (norms > 1e-12) & ~_defeated(Xs, moves, tree.perms)
+    return Xs.reshape(k, -1, tree.d, tree.n), alive.reshape(k, -1)
 
 
 def _matrix_digest(A: np.ndarray) -> str:
@@ -557,12 +543,6 @@ def _write_checkpoint(path, key: dict, next_index: int, examined: int) -> None:
     os.replace(tmp, path)
 
 
-def _run_window(window: int, examined_base: int, **search_args):
-    search = _Search(window=window, examined_base=examined_base, **search_args)
-    search.run()
-    return search.covered, search.witness, search.next_index
-
-
 def _check_identity_augmented(A: np.ndarray) -> None:
     d, D = A.shape
     if D < d:
@@ -571,6 +551,21 @@ def _check_identity_augmented(A: np.ndarray) -> None:
         raise UnsupportedFormError(
             "certification requires the identity-augmented normal form (I_d | tail)"
         )
+
+
+def _pieces(start: int, stop: int, span: int, sub: int):
+    """Node-aligned leaf ranges (lo, hi) from ``start`` to ``stop``, in leaf order.
+
+    Whole windows of ``span`` leaves while they end by ``stop``, then ranges
+    of ``sub`` leaves of the window ``stop`` falls in, then the rest.
+    """
+    pos = start
+    for size in (span, sub):
+        while (hi := pos - pos % size + size) <= stop:
+            yield pos, hi
+            pos = hi
+    if pos < stop:
+        yield pos, stop
 
 
 def certify_separation(
@@ -588,7 +583,7 @@ def certify_separation(
     ``A`` must be identity-augmented and ``n`` at most 6 (the witness test
     enumerates all of S_n).  ``budget`` caps the number of tuples decided
     (default 1e9, overridable via the PERMORB_BUDGET environment
-    variable).  ``threads`` > 1 searches windows ahead in that many
+    variable).  ``threads`` > 1 searches leaf ranges ahead in that many
     processes; it changes only the speed, never the verdict, the tuples
     examined or the resume position.  With ``checkpoint_path`` the run
     resumes from that file if it exists, and writes its position there
@@ -606,61 +601,54 @@ def certify_separation(
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     d, D = A.shape
-    nfact = math.factorial(n)
-    n_levels = (d - 1 if reduce_coset else d) + (D - d)
-    total = nfact**n_levels if n_levels > 0 else 1
-    n_windows = nfact if n_levels > 0 else 1
-    span = total // n_windows  # leaves under one top-level digit
+    tree = _Tree(A, n, seed, reduce_coset)
+    total = tree.total
+    span = max(total // tree.nfact, 1)  # the leaves of one window
 
     key = _checkpoint_key(A, n, reduce_coset, seed)
     start = examined_base = 0
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         start, examined_base = _load_checkpoint(checkpoint_path, key)
-    windows = range(start // span, n_windows)
+    stop = start + budget - examined_base  # the leaf position where the budget runs out
 
-    # A window without a witness decides all of its leaves, so the windows
-    # that end within the budget, and the count each starts from, are known
-    # before any search; they may be searched ahead.  The window where the
-    # budget runs out is searched with the count its predecessors left.
-    bases = []
-    count = examined_base
-    for w in windows:
-        size = (w + 1) * span - max(w * span, start)
-        if count + size > budget:
-            break
-        bases.append(count)
-        count += size
-
-    run_window = functools.partial(
-        _run_window, A=A, n=n, budget=budget, seed=seed, reduced=reduce_coset, start=start
-    )
-    ahead = len(bases)
-    pool = ProcessPoolExecutor(min(threads, ahead)) if threads > 1 and ahead > 1 else None
-    examined, witness, next_index = examined_base, None, None
-    since_checkpoint = 0
+    # A range without a witness decides all of its leaves, so every range
+    # up to the stop is known before any search, and all may be searched
+    # ahead: whole windows, then with threads > 1 the second-level digit
+    # ranges of the window where the budget runs out.  Outcomes are used in
+    # leaf order and the loop ends at the first witness.
+    sub = max(span // tree.nfact, 1) if threads > 1 else span
+    pieces = list(_pieces(start, min(stop, total), span, sub))
+    pool = ProcessPoolExecutor(min(threads, len(pieces))) if threads > 1 and len(pieces) > 1 else None
+    pos = mark = start
+    witness = None
     try:
-        outcomes = (pool.map if pool else map)(run_window, windows[:ahead], bases)
-        for k, w in enumerate(windows):
-            covered, witness, next_index = next(outcomes) if k < ahead else run_window(w, examined)
-            examined += covered
-            if witness is not None or next_index is not None:
+        lows, highs = [lo for lo, _ in pieces], [hi for _, hi in pieces]
+        outcomes = (pool.map if pool else map)(functools.partial(_search, tree), lows, highs)
+        for end, witness in outcomes:
+            if witness is not None:
                 break
-            since_checkpoint += covered
-            if checkpoint_path is not None and since_checkpoint >= _CHECKPOINT_EVERY:
-                _write_checkpoint(checkpoint_path, key, (w + 1) * span, examined)
-                since_checkpoint = 0
+            pos = end
+            if checkpoint_path is not None and pos % span == 0 and pos - mark >= _CHECKPOINT_EVERY:
+                _write_checkpoint(checkpoint_path, key, pos, examined_base + pos - start)
+                mark = pos
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    if next_index is not None and checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, key, next_index, examined)
 
+    next_index = None
     if witness is not None:
+        # the leaves of the witness's final-level node count, up to the stop
+        x = witness.leaf_index
+        pos = min(x - x % tree.nfact + tree.nfact if tree.n_q else x + 1, stop)
         status = SeparationStatus.WITNESS_FOUND
-    elif next_index is not None:
+    elif pos < total:
+        next_index = pos
         status = SeparationStatus.INCONCLUSIVE
     else:
         status = SeparationStatus.SEPARATING
+    examined = examined_base + pos - start
+    if next_index is not None and checkpoint_path is not None:
+        _write_checkpoint(checkpoint_path, key, next_index, examined)
     return SeparationVerdict(
         status=status,
         witness=witness,

@@ -197,8 +197,8 @@ def test_budget_yields_inconclusive_with_position():
     A = known_separating_matrix(4, 2, 4)
     verdict = certify_separation(A, 4, budget=100)
     assert verdict.status is SeparationStatus.INCONCLUSIVE
-    assert verdict.next_index is not None
-    assert verdict.tuples_examined >= 100
+    assert verdict.next_index == 100
+    assert verdict.tuples_examined == 100
 
 
 def test_coset_reduction_soundness():
@@ -267,6 +267,8 @@ def _threads_cases():
             A = identity_augmented(gaussian_directions(d, D - d, seed))
             yield f"(3,{d},{D}) seed {seed}", A, 3, seed, (None,)
     yield "(3,3,6)", known_separating_matrix(3, 3, 6), 3, 0, (4022, 4030)
+    # the budget runs out inside a pruned subtree: the stop moves to its end
+    yield "(3,2,5) seed 0", identity_augmented(gaussian_directions(2, 3, 0)), 3, 0, (131,)
 
 
 def test_threads_do_not_change_the_verdict():
