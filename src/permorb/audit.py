@@ -564,8 +564,8 @@ def empirical_distortion(
     ceilings come from A itself.
 
     The report is the one a per-pair reference loop gives, bit for bit:
-    dist = _assignment_distance(X, Y) (cdist, linear_sum_assignment, a
-    numpy sum, sqrt), the pair skipped below 1e-8, else the ratio
+    dist = _assignment_distance(X, Y) (_squared_costs, linear_sum_assignment,
+    a numpy sum, sqrt), the pair skipped below 1e-8, else the ratio
     fl(||fl(EX - EY)|| / dist) with one BLAS norm per pair.  It is reached
     in three steps.
 
@@ -586,8 +586,8 @@ def empirical_distortion(
     its exact value):
 
     * A cost ||X[i] - Y[j]||^2 takes d subtractions, d squares and d - 1
-      additions, in cdist and in the DP alike, and a total adds n costs in
-      some order.  So the DP's and the reference's total of one
+      additions, in _squared_costs and in the DP alike, and a total adds n
+      costs in some order.  So the DP's and the reference's total of one
       permutation both lie within g = gamma_{n+d+1} of its exact total.
       An underflowed square errs by at most 2**-1075 instead, and
       _UNDERFLOW = 2**-1000 covers all of them.

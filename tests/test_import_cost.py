@@ -1,0 +1,89 @@
+"""permorb imports scipy only when it first solves an assignment.
+
+Checked in a fresh interpreter, since this test process has loaded scipy
+already.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import permorb
+
+SRC = str(Path(permorb.__file__).resolve().parent.parent)
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    def scipy_loaded():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    def check(step):
+        assert not scipy_loaded(), f"{step} loaded {scipy_loaded()[:3]}"
+
+    import permorb
+    check("import permorb")
+
+    from permorb import cli, metrics, separation
+    check("import permorb.cli")
+
+    for kind, n, d, D, M in [("sorted", 3, 2, 6, None), ("pooled", 3, 2, 10, None),
+                             ("sketched", 3, 2, 6, 24)]:
+        separation.spot_check_injectivity(kind, n, d, D, M=M, trials=200, seed=1)
+        check(f"the {kind} spot check")
+
+    separation.certify_separation(separation.known_separating_matrix(4, 2, 4), 4, budget=2000)
+    check("certify_separation")
+
+    permorb.sorted_embedding(permorb.circle_directions(5), [[0.0, 1.0], [2.0, 3.0]])
+    check("sorted_embedding")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        permorb.save_matrix_csv(out / "tail.csv", [[1.0, 2.0], [3.0, 5.0]])
+        permorb.save_matrix_csv(out / "X.csv", [[0.0, 1.0], [2.0, 3.0], [1.0, -1.0]])
+        permorb.save_matrix_csv(out / "B.csv", [[1.0, 0.5, 0.25, 2.0]] * 3)
+        permorb.save_matrix_csv(out / "L.csv", [[0.5] * 12, [-0.25] * 12])
+        for argv in (["circle", "--D", "6"], ["gaussian", "--d", "2", "--D", "4"],
+                     ["sphere", "--d", "2", "--D", "4"],
+                     ["identity-augmented", "--tail", str(out / "tail.csv")]):
+            assert cli.main(["construct", *argv, "--out", str(out / argv[0])]) == 0
+            check(f"permorb construct {argv[0]}")
+        A = str(out / "identity-augmented" / "A.csv")
+        for argv in (["--kind", "sorted"], ["--kind", "pooled", "--pooling", str(out / "B.csv")],
+                     ["--kind", "sketched", "--sketch", str(out / "L.csv")]):
+            assert cli.main(["embed", "--directions", A, "--cloud", str(out / "X.csv"), *argv,
+                             "--out", str(out / "E.csv")]) == 0
+            check(f"permorb embed {argv[1]}")
+        assert cli.main(["reproduce", "--out", str(out / "tables")]) == 0
+        check("permorb reproduce")
+
+    solver = metrics.linear_sum_assignment
+    costs = []
+
+    def recording(cost):
+        costs.append(cost.shape)
+        return solver(cost)
+
+    metrics.linear_sum_assignment = recording
+    result = permorb.orbit_distance([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 3.0]])
+    assert result.distance == 3.0, result
+    assert costs == [(2, 2)], costs
+    assert "scipy.optimize" in sys.modules
+    print("ok")
+    """
+)
+
+
+def test_scipy_is_imported_on_the_first_assignment_solve_only():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from permorb import (
     adversarial_circle_pair,
@@ -17,7 +20,12 @@ from permorb import (
     wasserstein2,
 )
 from permorb.core import BudgetExceededError, random_permutation
-from permorb.metrics import _orbit_distance_floor, rows_equal_as_multisets
+from permorb.metrics import (
+    _all_permutations,
+    _orbit_distance_floor,
+    _squared_costs,
+    rows_equal_as_multisets,
+)
 
 
 def test_identical_clouds_have_zero_distance():
@@ -215,3 +223,76 @@ def test_sorted_column_floor_never_exceeds_the_orbit_distance(pair):
     floor = float(_orbit_distance_floor(np.stack([X, Y])))
     distance = orbit_distance_bruteforce(X, Y).distance
     assert floor <= distance * (1 + 1e-12)
+
+
+# ±0, the least subnormal, the largest subnormal and the least normal
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308]
+_SCALES = [1e-300, 1e-200, 1e-160, 1e-20, 1.0, 1e20, 1e150, 1e153, 1e154]
+
+
+@st.composite
+def cost_inputs(draw):
+    """(X, Y): clouds of 1..13 rows in 1..9 coordinates, at one scale from
+    1e-300 to 1e154, with signed zeros and subnormals, in C, Fortran or
+    reversed-stride layout; Y may be X itself."""
+    d = draw(st.integers(1, 9))
+    scale = draw(st.sampled_from(_SCALES))
+    value = st.sampled_from(_TINY) | st.floats(-4.0, 4.0).map(lambda v: v * scale)
+
+    def cloud():
+        rows = draw(st.integers(1, 13))
+        C = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                   min_size=rows, max_size=rows)))
+        layout = draw(st.sampled_from(["C", "F", "reversed"]))
+        if layout == "F":
+            return np.asfortranarray(C)
+        return C[::-1, ::-1] if layout == "reversed" else C
+
+    X = cloud()
+    return X, X if draw(st.booleans()) else cloud()
+
+
+@given(cost_inputs())
+@settings(max_examples=400, deadline=None)
+def test_squared_costs_carry_the_bits_of_cdist(pair):
+    X, Y = pair
+    expected = cdist(X, Y, "sqeuclidean")
+    cost = _squared_costs(X, Y)
+    assert cost.shape == expected.shape
+    assert cost.tobytes() == expected.tobytes()
+
+
+def _cdist_orbit_distance(X, Y):
+    """Orbit distance from cdist costs and scipy's solver, the path before _squared_costs."""
+    cost = cdist(X, Y, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(max(float(cost[rows, cols].sum()), 0.0))
+
+
+def _cdist_bruteforce(X, Y):
+    cost = cdist(X, Y, "sqeuclidean")
+    n = len(X)
+    return math.sqrt(max(float(cost[np.arange(n), _all_permutations(n)].sum(axis=1).min()), 0.0))
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return getattr(value, "distance", value)
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e154, 3e154, 1e160])
+def test_overflowing_costs_behave_as_with_cdist_and_stay_silent(scale):
+    rng = make_rng(7)
+    for n, d in [(1, 1), (3, 2), (5, 3)]:
+        X = scale * rng.standard_normal((n, d))
+        Y = scale * rng.standard_normal((n, d))
+        for fn, reference in [(orbit_distance, _cdist_orbit_distance),
+                              (orbit_distance_bruteforce, _cdist_bruteforce)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(fn, X, Y)
+            with np.errstate(all="ignore"):
+                assert got == _outcome(reference, X, Y), (fn.__name__, n, d)
