@@ -17,10 +17,12 @@ needed anywhere in this module.
 
 The public maps validate their input and then call ``_sort_project``, the
 one sort-projection kernel.  It also takes a stack of clouds, which is how
-the empirical checks (audit pool, sketch check, spot checks) embed every
-cloud of a block in one call; ``_blocks`` cuts their trials into blocks of
-bounded size.  A stacked call gives the same bits per cloud as a single
-one: the product runs one matrix multiply per cloud and sorting is exact.
+the empirical checks (audit pool, sketch check, spot checks) embed many
+clouds in one call, and it can write into a caller's buffer; ``_blocks``
+cuts their trials into blocks of bounded size, and the spot check cuts
+each block again into sub-blocks.  A stacked call gives the same bits per
+cloud as a single one: the product runs one matrix multiply per cloud and
+sorting is exact.
 
 Columns are sorted by ``_sort_columns``.  The clouds of the empirical checks
 are short (n = 3..6), and ``np.sort`` pays one C-level sort call per column,
@@ -78,39 +80,44 @@ _NETWORKS = {
 _NETWORK_MIN_COLUMNS = 512
 
 
-def _sort_columns(P: np.ndarray) -> np.ndarray:
-    """np.sort(P, axis=-2) for a float array (..., n, D), in a new array.
+def _sort_columns(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.sort(P, axis=-2) for a float array (..., n, D), in out or a new array.
 
-    Short columns in a wide stack go through the sorting network on n
-    contiguous rows.  minimum and maximum carry a NaN to both outputs, and
-    the last row (the maximum) depends on every entry of its column, so a
-    NaN anywhere shows in the last row; np.sort, which puts NaNs last, then
-    sorts the stack instead.
+    out may be P itself.  Short columns in a wide stack go through the
+    sorting network on n contiguous rows.  minimum and maximum carry a NaN
+    to both outputs, and the last row (the maximum) depends on every entry
+    of its column, so a NaN anywhere shows in the last row; np.sort, which
+    puts NaNs last, then sorts the stack instead.
     """
     n = P.shape[-2]
-    if n not in _NETWORKS or P.size < n * _NETWORK_MIN_COLUMNS:
+    if n in _NETWORKS and P.size >= n * _NETWORK_MIN_COLUMNS:
+        rows = [P[..., i, :].copy() for i in range(n)]
+        for i, j in _NETWORKS[n]:
+            lo = np.minimum(rows[i], rows[j])
+            np.maximum(rows[i], rows[j], out=rows[j])
+            rows[i] = lo
+        if not np.isnan(rows[-1]).any():
+            if out is None:
+                out = np.empty_like(P)
+            for i, row in enumerate(rows):
+                out[..., i, :] = row
+            return out
+    if out is None:
         return np.sort(P, axis=-2)
-    rows = [P[..., i, :].copy() for i in range(n)]
-    for i, j in _NETWORKS[n]:
-        lo = np.minimum(rows[i], rows[j])
-        np.maximum(rows[i], rows[j], out=rows[j])
-        rows[i] = lo
-    if np.isnan(rows[-1]).any():
-        return np.sort(P, axis=-2)
-    out = np.empty_like(P)
-    for i, row in enumerate(rows):
-        out[..., i, :] = row
+    out[...] = np.sort(P, axis=-2)
     return out
 
 
-def _sort_project(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sorted projections of a cloud (n, d), or of a stack of clouds (..., n, d).
 
-    No validation: callers pass float arrays whose last axis matches A's rows.
-    _sort_columns sorts the projected columns, with a sorting network where
-    they are short (n <= 6) and many, and gives np.sort's values either way.
+    No validation: callers pass float arrays whose last axis matches A's
+    rows, and may pass an out of the projections' shape to write them to
+    (they are sorted in place there).  _sort_columns sorts the projected
+    columns, with a sorting network where they are short (n <= 6) and
+    many, and gives np.sort's values either way.
     """
-    return _sort_columns(X @ A)
+    return _sort_columns(np.matmul(X, A, out=out), out=out)
 
 
 def _gaussian_rows(rng: np.random.Generator, L: np.ndarray):

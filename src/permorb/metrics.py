@@ -13,6 +13,11 @@ coordinates k = 0..d-1 in order, each square added to the running total
 so the costs, and every distance and report built on them, carry its bits;
 an einsum or a sum over the coordinate axis rounds differently.
 
+The public distances solve on the two clouds scaled by a power of two
+into [0.5, 1) and scale the distance back (_unit_scaled), so no cost
+overflows or underflows; that is exact, so costs that stay in range
+anyway keep their bits.
+
 scipy is imported only when the first assignment is solved
 (linear_sum_assignment), so importing permorb costs numpy alone.
 """
@@ -190,13 +195,32 @@ def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(gap * gap, axis=(-2, -1)))
 
 
+def _unit_scaled(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """X and Y times 2**-k, and k, where the largest |entry| is f 2**k, 0.5 <= f < 1.
+
+    Every orbit distance scales with the clouds, so solving on the scaled
+    pair and multiplying by 2**k gives the distance whatever the scale: no
+    squared cost overflows or underflows.  Scaling by a power of two is
+    exact, so a pair whose costs stay in range anyway gets the same bits.
+    """
+    k = math.frexp(float(max(np.max(np.abs(X)), np.max(np.abs(Y)))))[1]
+    return np.ldexp(X, -k), np.ldexp(Y, -k), k
+
+
+def _scaled_back(distance: float, k: int) -> float:
+    """distance * 2**k, inf when that is not representable (as a total's overflow was)."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(distance, k))
+
+
 def orbit_distance(X, Y) -> OrbitDistanceResult:
     """Exact orbit distance via an exact assignment solve on squared costs."""
     X = as_cloud(X, "X")
     Y = as_cloud(Y, "Y")
     _check_same_shape(X, Y)
+    X, Y, k = _unit_scaled(X, Y)
     distance, cols = _assignment_distance(X, Y)
-    return OrbitDistanceResult(distance, cols.astype(np.intp))
+    return OrbitDistanceResult(_scaled_back(distance, k), cols.astype(np.intp))
 
 
 @functools.lru_cache(maxsize=16)
@@ -216,12 +240,13 @@ def orbit_distance_bruteforce(X, Y) -> OrbitDistanceResult:
         raise BudgetExceededError(
             f"brute force enumerates n! matchings; n={n} exceeds the n <= {_BRUTEFORCE_MAX_N} limit"
         )
+    X, Y, k = _unit_scaled(X, Y)
     cost = _squared_costs(X, Y)
     perms = _all_permutations(n)
-    with np.errstate(over="ignore"):
-        totals = cost[np.arange(n), perms].sum(axis=1)
+    totals = cost[np.arange(n), perms].sum(axis=1)
     best = int(np.argmin(totals))
-    return OrbitDistanceResult(math.sqrt(max(float(totals[best]), 0.0)), perms[best].copy())
+    distance = math.sqrt(max(float(totals[best]), 0.0))
+    return OrbitDistanceResult(_scaled_back(distance, k), perms[best].copy())
 
 
 def wasserstein2(X, Y) -> float:

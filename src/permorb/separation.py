@@ -94,7 +94,7 @@ from .core import (
     json_dumps,
     make_rng,
 )
-from .embeddings import _blocks, _gaussian_sketch, _sort_project
+from .embeddings import _NETWORK_MIN_COLUMNS, _blocks, _gaussian_sketch, _sort_project
 from .metrics import _all_permutations, _orbit_distance_floor
 
 __all__ = [
@@ -669,13 +669,25 @@ def certify_separation(
 # ---------------------------------------------------------------------------
 
 
-def _flatten(S: np.ndarray) -> np.ndarray:
-    """Column-major flattening of each embedding in a stack (t, n, D)."""
-    return S.transpose(0, 2, 1).reshape(len(S), -1)
-
-
 # A Y is redrawn while its orbit distance floor to X lies below this.
 _MIN_DISTANCE = 0.1
+
+# Floats of one sub-block's sort stage (its X, Y and same-orbit clouds or
+# projections, whichever is wider), which bounds the buffers a call reuses
+# and the network's rows.  Whole blocks of the perfbench shapes (600 trials)
+# are mapped afresh by glibc on every call: 36 / 474 / 554 minor faults
+# (pooled / sketched / sorted).  On a 2-core Xeon, the spot-check benchmark
+# (seed 0, 4 interleaved 10 s runs) read a median wall_s of 5.38 ms that
+# way, and 3.95 / 3.82 / 3.76 ms at 2^14 / 2^15 / 2^16 floats, with 0 / 64 /
+# 128 faults per sketched call in a fresh process: smaller sub-blocks pay
+# more calls per block, larger ones get mapped again.
+_SORT_FLOATS = 1 << 15
+
+
+def _row_norms(V: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(V, axis=1), bit for bit, squaring into scratch (V's shape, may be V)."""
+    np.multiply(V, V, out=scratch)
+    return np.sqrt(np.add.reduce(scratch, axis=1))
 
 
 def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
@@ -733,7 +745,17 @@ def spot_check_injectivity(
     distance, so every tested pair lies at least 0.1 apart up to the
     floor's own rounding (relative error below (n d + 2) 2^-53), and no
     assignment is solved.  The stream of draws depends only on the
-    arguments.  Each block is embedded in one call.
+    arguments.
+
+    A block is embedded in sub-blocks of trials whose sort stage holds at
+    most about ``_SORT_FLOATS`` floats (and at least
+    ``_NETWORK_MIN_COLUMNS`` columns per third, so the sorting network
+    runs): the X, Y and same-orbit thirds of a sub-block are projected
+    and sorted one after another into one buffer, then embedded together.
+    The buffers are allocated once per call.  The sorted kind compares the
+    sorted embeddings row by row and the sketched kind applies L with its
+    columns put in that order, so only the order of a few sums differs
+    from the column-major vec of ``sketched_embedding``.
     """
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -747,31 +769,63 @@ def spot_check_injectivity(
         raise ValueError(
             f"pooled spot check expects D >= (2n-1)d = {(2 * n - 1) * d}, got {D}"
         )
+    if kind == "sketched" and (M is None or M < 1):
+        raise ValueError(f"sketched spot check needs a sketch row count M >= 1, got {M}")
+    pairs = []
+    for index, (X, Y) in enumerate(extra_pairs or ()):
+        X, Y = as_cloud(X, "X"), as_cloud(Y, "Y")
+        if X.shape != (n, d) or Y.shape != (n, d):
+            raise ValueError(
+                f"extra pair {index} must hold two {n} x {d} clouds, got {X.shape} and {Y.shape}"
+            )
+        pairs.append(np.stack([X, Y]))
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
     width = n * max(d, D)  # floats per cloud in the widest array a block allocates
+    # trials per sub-block, whose sort stage holds 3 * width floats a trial
+    sub = max(_SORT_FLOATS // (3 * width), (_NETWORK_MIN_COLUMNS + D - 1) // D)
     if kind == "pooled":
         B = rng.standard_normal((n, D))
-        embed = lambda S: np.einsum("nk,tnk->tk", B, S)  # noqa: E731
+        embed = lambda S, out: np.einsum("nk,tnk->tk", B, S, out=out)  # noqa: E731
+        columns = D
     elif kind == "sketched":
-        if M is None or M < 1:
-            raise ValueError(f"sketched spot check needs a sketch row count M >= 1, got {M}")
-        L = _gaussian_sketch(rng, M, n * D)
-        embed = lambda S: _flatten(S) @ L.T  # noqa: E731
+        # L's columns follow the column-major vec of an embedding; put them
+        # in the row-major order of S.reshape(t, n * D)
+        L = _gaussian_sketch(rng, M, n * D).reshape(M, D, n).transpose(0, 2, 1).reshape(M, n * D)
+        embed = lambda S, out: np.matmul(S.reshape(len(S), -1), L.T, out=out)  # noqa: E731
+        columns = M
         width = max(width, M)
     else:
-        embed = _flatten
+        # the sorted embeddings row by row; out is this very view of S
+        embed = lambda S, out: S.reshape(len(S), -1)  # noqa: E731
+        columns = n * D
+
+    blocks = _blocks(trials, 3 * width)
+    sub = min(sub, blocks[0].stop - blocks[0].start)
+    S_buffer = np.empty((3 * sub, n, D))
+    E_buffer = S_buffer.reshape(3 * sub, -1) if kind == "sorted" else np.empty((3 * sub, columns))
+    squares = np.empty((sub, columns))
 
     collisions = 0
     false_separations = 0
-    for block in _blocks(trials, 3 * width):
-        clouds = _draw_block(rng, block.stop - block.start, n, d)
-        EX, EY, ES = np.split(embed(_sort_project(A, clouds.reshape(-1, n, d))), 3)
-        collisions += int(np.count_nonzero(np.linalg.norm(EX - EY, axis=1) <= 1e-8))
-        scale = np.maximum(1.0, np.linalg.norm(EX, axis=1))
-        false_separations += int(np.count_nonzero(np.linalg.norm(EX - ES, axis=1) > 1e-9 * scale))
-    for X, Y in extra_pairs or ():
-        EX, EY = embed(_sort_project(A, np.stack([as_cloud(X, "X"), as_cloud(Y, "Y")])))
+    for block in blocks:
+        count = block.stop - block.start
+        clouds = _draw_block(rng, count, n, d)
+        for lo in range(0, count, sub):
+            m = min(sub, count - lo)
+            S = S_buffer[: 3 * m]
+            for third in range(3):
+                _sort_project(A, clouds[third, lo : lo + m], out=S[third * m : (third + 1) * m])
+            E = embed(S, E_buffer[: 3 * m])
+            EX, EY, ES = E[:m], E[m : 2 * m], E[2 * m :]
+            G = squares[:m]
+            np.subtract(EX, EY, out=G)
+            collisions += int(np.count_nonzero(_row_norms(G, G) <= 1e-8))
+            scale = np.maximum(1.0, _row_norms(EX, G))
+            np.subtract(EX, ES, out=G)
+            false_separations += int(np.count_nonzero(_row_norms(G, G) > 1e-9 * scale))
+    for pair in pairs:
+        EX, EY = embed(_sort_project(A, pair, out=S_buffer[:2]), E_buffer[:2])
         if float(np.linalg.norm(EX - EY)) <= 1e-8:
             collisions += 1
     return InjectivityReport(

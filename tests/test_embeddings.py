@@ -16,7 +16,7 @@ from permorb import (
     translation_offset,
 )
 from permorb.core import random_permutation
-from permorb.embeddings import _NETWORK_MIN_COLUMNS, _sort_columns
+from permorb.embeddings import _NETWORK_MIN_COLUMNS, _sort_columns, _sort_project
 from permorb.metrics import orbit_distance
 
 
@@ -199,10 +199,11 @@ _SORT_POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, -np.inf)
     extra=st.integers(0, 40),
     pool=st.lists(st.sampled_from(_SORT_POOL), min_size=1, max_size=5),
     with_nan=st.booleans(),
+    into=st.sampled_from(["new", "out", "P"]),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=30, deadline=None)
-def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, seed):
+def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, into, seed):
     # n runs past the network cap (6); a wide stack has at least the network's
     # floor of columns and a narrow one fewer, so both sides of each are covered
     t = -(-_NETWORK_MIN_COLUMNS // D) + extra if wide else 1 + extra % 8
@@ -214,9 +215,12 @@ def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, se
     rng = make_rng(seed)
     P = rng.choice(np.array(pool + [np.nan] * with_nan), size=shape)
     before = P.copy()
-    got = _sort_columns(P)
-    assert np.array_equal(got, np.sort(P, axis=-2), equal_nan=True)
-    assert np.array_equal(P, before, equal_nan=True)  # the input is left as it was
+    out = {"new": None, "out": np.empty_like(P), "P": P}[into]
+    got = _sort_columns(P, out=out)
+    assert got is out or out is None
+    assert np.array_equal(got, np.sort(before, axis=-2), equal_nan=True)
+    if into != "P":
+        assert np.array_equal(P, before, equal_nan=True)  # the input is left as it was
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -235,6 +239,41 @@ def test_sort_columns_with_a_nan_in_a_wide_stack():
     got = _sort_columns(P)
     assert np.isnan(got[17, 3, 5]) and np.isnan(got).sum() == 1
     assert np.array_equal(got, np.sort(P, axis=-2), equal_nan=True)
+
+
+# Finite entries that stress the projections: signed zeros (zero rows give
+# zero columns), a subnormal, and magnitudes whose products overflow to inf
+# and whose sums reach inf - inf = nan.
+_CLOUD_POOL = (0.0, -0.0, 5e-324, 1e300, -1e300, 1e308)
+
+
+@given(
+    n=st.integers(2, 8),
+    d=st.integers(1, 4),
+    D=st.integers(1, 12),
+    wide=st.booleans(),
+    extra=st.integers(0, 40),
+    pool=st.lists(st.sampled_from(_CLOUD_POOL), max_size=3),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_stacked_sort_projection_gives_each_cloud_the_bits_of_a_single_one(
+    n, d, D, wide, extra, pool, seed
+):
+    # a wide stack has at least the network's floor of columns and is sorted
+    # by it (n <= 6); a narrow one, like every single cloud here, by np.sort
+    t = -(-_NETWORK_MIN_COLUMNS // D) + extra if wide else 1 + extra % 8
+    rng = make_rng(seed)
+    A = rng.standard_normal((d, D))
+    stack = rng.standard_normal((t, n, d))
+    if pool:
+        picks = rng.random(stack.shape) < 0.3
+        stack[picks] = rng.choice(np.array(pool), size=int(picks.sum()))
+        stack[rng.random((t, n)) < 0.2] = pool[0]  # whole rows of one value
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _sort_project(A, stack)
+        singles = [sorted_embedding(A, X) for X in stack]
+    assert all(S[k].tobytes() == singles[k].tobytes() for k in range(t))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ the Ys that its sorted-column floor puts within 0.1 of their X.  Its
 reference loop takes the same blocks from ``_blocks`` and the same
 generator calls, one trial at a time, with ``np.sort`` for the floor and
 the public embeddings; it must reproduce the report and every embedded
-cloud.  The spot check's guarantees are also checked on their own: every
-tested pair lies at least 0.1 apart, every same-orbit copy permutes the
-rows of its X, and no assignment is solved.
+cloud, which the spot check projects one third (X, Y or same-orbit) of a
+sub-block at a time.  The spot check's guarantees are also checked on
+their own: every tested pair lies at least 0.1 apart, every same-orbit
+copy permutes the rows of its X, and no assignment is solved.
 """
 
 import math
@@ -56,7 +57,7 @@ from permorb.audit import (
     sample_pair_pool,
 )
 from permorb.constructions import adversarial_circle_pair
-from permorb.embeddings import _BLOCK_ELEMENTS, _blocks
+from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks
 from permorb.metrics import (
     _all_permutations,
     _assignment_distance,
@@ -478,35 +479,46 @@ def test_ose_check_matches_the_pair_loop_on_small_shapes(n, d, D, M, epsilon, tr
 SPOT_SHAPES = [("sorted", 4, 3, 12, None), ("pooled", 3, 2, 10, None), ("sketched", 4, 3, 12, 48)]
 
 
-def checked_spot_check(monkeypatch, kind, n, d, D, **kwargs):
-    """The report of spot_check_injectivity and the clouds it embeds, in
-    the reference loop's order."""
-    clouds = []
+def checked_spot_check(monkeypatch, kind, n, d, D, *, trials, extra_pairs=(), **kwargs):
+    """The report of spot_check_injectivity, the clouds it embeds in the
+    reference loop's order, and the trial count of each sub-block."""
+    calls = []
     project = separation._sort_project
 
-    def projected(A, S):
-        if len(S) % 3 == 0:  # a block: the X, Y and same-orbit thirds
-            clouds.extend(S.reshape(3, -1, *S.shape[1:]).swapaxes(0, 1).reshape(S.shape))
-        else:  # one extra pair
-            clouds.extend(S)
-        return project(A, S)
+    def projected(A, S, out=None):
+        calls.append(S.copy())
+        return project(A, S, out=out)
 
     with monkeypatch.context() as patch:
         patch.setattr(separation, "_sort_project", projected)
-        report = spot_check_injectivity(kind, n, d, D, **kwargs)
-    return report, np.array(clouds)
+        report = spot_check_injectivity(kind, n, d, D, trials=trials, extra_pairs=extra_pairs,
+                                        **kwargs)
+    # one call per third of a sub-block (X, Y, same-orbit), then one per extra pair
+    thirds = calls[: len(calls) - len(extra_pairs)]
+    assert len(thirds) % 3 == 0
+    clouds = []
+    sizes = []
+    for X, Y, same in zip(thirds[0::3], thirds[1::3], thirds[2::3]):
+        assert len(X) == len(Y) == len(same)
+        clouds.extend(np.stack([X, Y, same], axis=1).reshape(-1, n, d))
+        sizes.append(len(X))
+    assert sum(sizes) == trials
+    for pair in calls[len(thirds):]:
+        assert len(pair) == 2
+        clouds.extend(pair)
+    return report, np.array(clouds), sizes
 
 
 def check_against_the_reference(monkeypatch, kind, n, d, D, **kwargs):
     """The spot check's report and embedded clouds equal the reference
-    loop's; returns the reference's report and redraw count.  The clouds
-    are compared too, as the reports alone would not change if the check
-    drew different clouds."""
-    got, clouds = checked_spot_check(monkeypatch, kind, n, d, D, **kwargs)
+    loop's; returns the reference's report and redraw count, and the trial
+    count of each sub-block.  The clouds are compared too, as the reports
+    alone would not change if the check drew different clouds."""
+    got, clouds, sizes = checked_spot_check(monkeypatch, kind, n, d, D, **kwargs)
     want, reference, redraws = reference_spot_check(kind, n, d, D, **kwargs)
     assert got == want
     assert clouds.tobytes() == np.array(reference).tobytes()
-    return want, redraws
+    return want, redraws, sizes
 
 
 @pytest.mark.parametrize("kind, n, d, D, M", SPOT_SHAPES)
@@ -520,8 +532,8 @@ def test_spot_check_matches_the_pair_loop_with_a_planted_collision(monkeypatch, 
     n, d, D, seed = 4, 2, 3, 3
     A = make_rng(seed).standard_normal((d, D))  # the directions the check draws first
     pair = parity_counterexample(A, 11)
-    report, _ = check_against_the_reference(monkeypatch, kind, n, d, D, M=M, trials=100,
-                                            seed=seed, extra_pairs=[(pair.X, pair.Y)])
+    report, _, _ = check_against_the_reference(monkeypatch, kind, n, d, D, M=M, trials=100,
+                                               seed=seed, extra_pairs=[(pair.X, pair.Y)])
     assert report.collisions >= 1
 
 
@@ -529,6 +541,48 @@ def test_sketched_spot_check_with_a_wide_sketch_matches_the_pair_loop(monkeypatc
     n, d, D, M, trials = 3, 2, 8, 6000, 150
     assert len(_blocks(trials, 3 * M)) > 1  # the sketch outputs span several blocks
     check_against_the_reference(monkeypatch, "sketched", n, d, D, M=M, trials=trials, seed=6)
+
+
+@pytest.mark.parametrize("kind, n, d, D, M", SPOT_SHAPES)
+def test_spot_check_matches_the_pair_loop_across_sub_blocks(monkeypatch, kind, n, d, D, M):
+    # three full sub-blocks and a partial one, each still wide enough for
+    # the sorting network, and a planted same-orbit collision
+    sub = separation._SORT_FLOATS // (3 * n * max(d, D))
+    assert sub * D >= _NETWORK_MIN_COLUMNS
+    X = make_rng(9).standard_normal((n, d))
+    report, _, sizes = check_against_the_reference(monkeypatch, kind, n, d, D, M=M,
+                                                   trials=3 * sub + sub // 2, seed=5,
+                                                   extra_pairs=[(X, X[::-1])])
+    assert sizes == [sub, sub, sub, sub // 2]
+    assert report.collisions == 1
+
+
+def test_sketched_spot_check_with_a_4096_row_sketch_matches_the_pair_loop(monkeypatch):
+    n, d, D, M, trials = 4, 3, 12, 4096, 200
+    assert [b.stop - b.start for b in _blocks(trials, 3 * M)] == [85, 85, 30]
+    _, _, sizes = check_against_the_reference(monkeypatch, "sketched", n, d, D, M=M,
+                                              trials=trials, seed=4)
+    assert sizes == [85, 85, 30]  # each block is one sub-block
+
+
+@pytest.mark.parametrize("kind, n, d, D, M, bound", [
+    # (peaks measured with numpy 2.4: 0.80, 0.62 and 1.08 MB; embedding each
+    # 600-trial block whole peaks at 2.25, 1.39 and 2.27 MB)
+    ("sorted", 4, 3, 12, None, 1_000_000),
+    ("pooled", 3, 2, 10, None, 770_000),
+    ("sketched", 4, 3, 12, 48, 1_350_000),
+])
+def test_spot_check_memory_is_bounded_by_its_sub_blocks(kind, n, d, D, M, bound):
+    # a warmed call at a perfbench shape (600 trials, one block): the sort
+    # stage's sub-blocks and the per-call buffers bound its peak allocation
+    spot_check_injectivity(kind, n, d, D, M=M, trials=600, seed=0)
+    tracemalloc.start()
+    try:
+        spot_check_injectivity(kind, n, d, D, M=M, trials=600, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_sketched_spot_check_rejects_an_empty_sketch():
@@ -543,8 +597,8 @@ def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn(monkeypatch, seed
     # n = 2, d = 1: a few pairs in a hundred lie within 0.1 in one block
     trials = 3000
     assert len(_blocks(trials, 3 * 2 * 3)) == 1
-    _, redraws = check_against_the_reference(monkeypatch, "sorted", 2, 1, 3, trials=trials,
-                                             seed=seed)
+    _, redraws, _ = check_against_the_reference(monkeypatch, "sorted", 2, 1, 3, trials=trials,
+                                                seed=seed)
     assert redraws > 0
 
 
@@ -552,8 +606,8 @@ def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn_across_blocks(mon
     # a 6000-row sketch cuts 3000 trials into 52 blocks of up to 58
     n, d, D, M, trials = 2, 1, 3, 6000, 3000
     assert len(_blocks(trials, 3 * M)) == 52
-    _, redraws = check_against_the_reference(monkeypatch, "sketched", n, d, D, M=M,
-                                             trials=trials, seed=0)
+    _, redraws, _ = check_against_the_reference(monkeypatch, "sketched", n, d, D, M=M,
+                                                trials=trials, seed=0)
     assert redraws > 0
 
 
@@ -562,7 +616,7 @@ def test_spot_check_tests_distant_pairs_and_same_orbit_copies(monkeypatch, kind,
     # independent of the stream: every distinct pair lies at least 0.1 apart
     # (up to the floor's rounding) and every same-orbit copy permutes its X
     trials = 3000 if n == 2 else 200
-    _, clouds = checked_spot_check(monkeypatch, kind, n, d, D, M=M, trials=trials, seed=1)
+    _, clouds, _ = checked_spot_check(monkeypatch, kind, n, d, D, M=M, trials=trials, seed=1)
     X, Y, same = clouds[0::3], clouds[1::3], clouds[2::3]
     assert len(X) == len(Y) == len(same) == trials
     assert min(orbit_distance_bruteforce(x, y).distance for x, y in zip(X, Y)) >= 0.1 - 1e-15

@@ -285,14 +285,44 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("scale", [1e153, 1e154, 3e154, 1e160])
 def test_overflowing_costs_behave_as_with_cdist_and_stay_silent(scale):
+    # At 1e153 the squared costs stay finite and the distance is cdist's.
+    # From 1e154 on they overflow, where cdist's path raised "cost matrix is
+    # infeasible" or gave inf for a representable distance: the distance is
+    # that of the clouds scaled down by 2**k, scaled back, without a warning.
     rng = make_rng(7)
     for n, d in [(1, 1), (3, 2), (5, 3)]:
         X = scale * rng.standard_normal((n, d))
         Y = scale * rng.standard_normal((n, d))
+        k = math.frexp(max(np.max(np.abs(X)), np.max(np.abs(Y))))[1]
         for fn, reference in [(orbit_distance, _cdist_orbit_distance),
                               (orbit_distance_bruteforce, _cdist_bruteforce)]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _outcome(fn, X, Y)
-            with np.errstate(all="ignore"):
-                assert got == _outcome(reference, X, Y), (fn.__name__, n, d)
+            if scale < 1e154:
+                with np.errstate(all="ignore"):
+                    assert got == _outcome(reference, X, Y), (fn.__name__, n, d)
+            else:
+                want = math.ldexp(reference(np.ldexp(X, -k), np.ldexp(Y, -k)), k)
+                assert math.isfinite(want) and got == want, (fn.__name__, n, d)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-20, 1.0, 1e20, 1e150])
+def test_orbit_distances_scale_exactly_by_powers_of_two(scale):
+    # the clouds are solved scaled into [0.5, 1): away from the ends of the
+    # float range that is exact, so the distances and matchings are cdist's
+    # at the given scale, and where the costs would underflow (1e-160 and
+    # below) they are those at 1.0 scaled back
+    rng = make_rng(11)
+    for n, d in [(1, 1), (2, 3), (4, 2), (6, 3)]:
+        X = rng.standard_normal((n, d))
+        Y = rng.standard_normal((n, d))
+        j = round(math.log2(scale))
+        Xs, Ys = np.ldexp(X, j), np.ldexp(Y, j)
+        for fn, reference in [(orbit_distance, _cdist_orbit_distance),
+                              (orbit_distance_bruteforce, _cdist_bruteforce)]:
+            got = fn(Xs, Ys)
+            assert got.distance == math.ldexp(reference(X, Y), j), (fn.__name__, n, d)
+            if scale >= 1e-20:
+                assert got.distance == reference(Xs, Ys), (fn.__name__, n, d)
+            assert got.sigma.tolist() == fn(X, Y).sigma.tolist()

@@ -415,3 +415,11 @@ def test_spot_check_validation():
         spot_check_injectivity("sorted", 4, 3, 12, M=48, trials=10, seed=0)
     with pytest.raises(ValueError, match="takes no M"):
         spot_check_injectivity("pooled", 3, 2, 10, M=48, trials=10, seed=0)
+    # every extra pair holds two n x d clouds
+    good = np.zeros((4, 3))
+    for pair, index in [((np.zeros((3, 3)), np.zeros((3, 3))), 0),  # n = 3 rows
+                        ((np.zeros((4, 2)), np.zeros((4, 2))), 0),  # d = 2 features
+                        ((good, np.zeros((3, 3))), 1)]:  # X and Y row counts differ
+        extra = [(good, good + 1.0)] * index + [pair]
+        with pytest.raises(ValueError, match=f"extra pair {index} must hold two 4 x 3 clouds"):
+            spot_check_injectivity("sorted", 4, 3, 12, trials=10, seed=0, extra_pairs=extra)
