@@ -21,8 +21,9 @@ the empirical checks (audit pool, sketch check, spot checks) embed many
 clouds in one call, and it can write into a caller's buffer; ``_blocks``
 cuts their trials into blocks of bounded size, and the spot check cuts
 each block again into sub-blocks.  A stacked call gives the same bits per
-cloud as a single one: the product runs one matrix multiply per cloud and
-sorting is exact.
+cloud as a single one up to the sign of a zero: the product runs one
+matrix multiply per cloud and sorting is exact, but the network below may
+sort a stack where a single cloud goes through ``np.sort``.
 
 Columns are sorted by ``_sort_columns``.  The clouds of the empirical checks
 are short (n = 3..6), and ``np.sort`` pays one C-level sort call per column,

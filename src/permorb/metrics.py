@@ -108,7 +108,10 @@ def _assignment_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarra
 
 @functools.lru_cache(maxsize=16)
 def _subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Index tables of the assignment DP, one (pred, cols) per subset size k = 1..n.
+    """Index tables of the subset DPs, one (pred, cols) per subset size k = 1..n.
+
+    They serve the assignment DP here and the certifier's defeat test
+    (separation._defeated), which runs the same recursion in boolean form.
 
     Layer k lists the k-subsets of range(n) in a fixed order.  Row t of
     ``cols`` holds the columns j of subset t, and row t of ``pred`` the

@@ -40,10 +40,11 @@ of each solution space are drawn keyed by (seed, leaf index) and put
 through one defeat test: a sample is defeated when some sigma in S_n moves
 every coordinate vector as its P_i does, which is exactly a perfect
 matching in the n x n boolean matrix "point s lies within 1e-8 of point
-t's P-image in every coordinate", checked against all n! permutations at
-once.  Only leaves with an undefeated sample are then taken, in leaf
-order, and re-verified against the full system at the strict tolerance
-before any witness is accepted.
+t's P-image in every coordinate", decided by a dynamic programme over
+column subsets (the assignment DP's tables in boolean form).  Only leaves
+with an undefeated sample are then taken, in leaf order, and re-verified
+against the full system at the strict tolerance before any witness is
+accepted.
 
 Every count is a leaf position, so two rules fix where a run ends.  With
 ``stop = start + budget - (tuples already examined)``, a budget stop ends
@@ -95,7 +96,7 @@ from .core import (
     make_rng,
 )
 from .embeddings import _NETWORK_MIN_COLUMNS, _blocks, _gaussian_sketch, _sort_project
-from .metrics import _all_permutations, _orbit_distance_floor
+from .metrics import _all_permutations, _orbit_distance_floor, _subset_layers
 
 __all__ = [
     "SeparationStatus",
@@ -114,8 +115,9 @@ __all__ = [
 
 DEFAULT_TUPLE_BUDGET = 10**9
 
-# Full S_n enumeration in the witness test; refuse rather than approximate
-# beyond this.
+# The enumeration tree has n!^(D - 1) leaves in reduced runs and ``W`` holds
+# (D - d) n! constraint blocks of n x dn floats, both beyond reach past n = 6;
+# refuse rather than run for ever.
 _MAX_N = 6
 
 # Loose relative rank cutoff for incremental pruning (keeps marginal
@@ -318,19 +320,23 @@ def _hash_coefficients(seed: int, index, rows: int, cols: int) -> np.ndarray:
     return (2.0 * u - 1.0).reshape(index.shape + (rows, cols))
 
 
-def _defeated(Xs: np.ndarray, p_rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+def _defeated(Xs: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
     """The defeat test for samples ``Xs`` (s, d, n) under P tuple ``p_rows`` (d, n).
 
     A sample x is defeated when some sigma in S_n moves every coordinate
     vector as its P_i does: max_{i,t} |x_i[sigma(t)] - x_i[p_i(t)]| <= tol.
     That holds exactly when sigma is a perfect matching of the boolean
-    matrix close[t, s] = all_i |x_i[s] - x_i[p_i(t)]| <= tol, which is
-    checked against all n! rows of ``perms`` at once.
+    matrix close[t, s] = all_i |x_i[s] - x_i[p_i(t)]| <= tol, decided by the
+    assignment DP's subset tables in boolean form: after row t, ``reach``
+    marks the column subsets that rows 0..t match onto.  About n 2^(n - 1)
+    boolean steps per sample.
     """
-    n = Xs.shape[2]
     moved = np.take_along_axis(Xs, p_rows[None, :, :], axis=2)  # x_i[p_i(t)]
     close = (np.abs(Xs[:, :, None, :] - moved[:, :, :, None]) <= _WITNESS_TOL).all(axis=1)
-    return close[:, np.arange(n), perms].all(axis=2).any(axis=1)
+    reach = np.ones((len(Xs), 1), dtype=bool)
+    for row, (pred, cols) in enumerate(_subset_layers(Xs.shape[2])):
+        reach = (reach[:, pred] & close[:, row, cols]).any(axis=2)
+    return reach[:, 0]
 
 
 def _digits(value: int, count: int, base: int) -> list[int]:
@@ -497,7 +503,7 @@ def _undefeated(tree: _Tree, leaves, K: np.ndarray, moves: np.ndarray):
         samples = (coeffs @ K.transpose(0, 2, 1)).reshape(-1, dn)
     norms = np.linalg.norm(samples, axis=1)
     Xs = (samples / np.maximum(norms, 1e-300)[:, None]).reshape(-1, tree.d, tree.n)
-    alive = (norms > 1e-12) & ~_defeated(Xs, moves, tree.perms)
+    alive = (norms > 1e-12) & ~_defeated(Xs, moves)
     return Xs.reshape(k, -1, tree.d, tree.n), alive.reshape(k, -1)
 
 
@@ -517,7 +523,13 @@ def _checkpoint_key(A: np.ndarray, n: int, reduced: bool, seed: int) -> dict:
     }
 
 
-def _load_checkpoint(path, key: dict) -> tuple[int, int]:
+def _load_checkpoint(path, key: dict, total: int) -> tuple[int, int]:
+    """The resume position and tuples examined of a checkpoint for this run.
+
+    The key fields must match, ``next_index`` must be an integer in
+    0..``total`` and ``tuples_examined`` a nonnegative integer; a position
+    past the tuple space would certify the leaves it skips.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if data.get("format") != _CHECKPOINT_FORMAT:
@@ -527,7 +539,12 @@ def _load_checkpoint(path, key: dict) -> tuple[int, int]:
             raise ValueError(
                 f"checkpoint {path} does not match this run ({name}: {data.get(name)!r} != {want!r})"
             )
-    return int(data["next_index"]), int(data["tuples_examined"])
+    for name, most in (("next_index", total), ("tuples_examined", None)):
+        value = data.get(name)
+        if type(value) is not int or value < 0 or (most is not None and value > most):
+            want = "a nonnegative integer" if most is None else f"an integer in 0..{most}"
+            raise ValueError(f"checkpoint {path} has {name} {value!r}, not {want}")
+    return data["next_index"], data["tuples_examined"]
 
 
 def _write_checkpoint(path, key: dict, next_index: int, examined: int) -> None:
@@ -580,14 +597,14 @@ def certify_separation(
 ) -> SeparationVerdict:
     """Exhaustively decide orbit separation of the sorted embedding of A.
 
-    ``A`` must be identity-augmented and ``n`` at most 6 (the witness test
-    enumerates all of S_n).  ``budget`` caps the number of tuples decided
-    (default 1e9, overridable via the PERMORB_BUDGET environment
-    variable).  ``threads`` > 1 searches leaf ranges ahead in that many
-    processes; it changes only the speed, never the verdict, the tuples
-    examined or the resume position.  With ``checkpoint_path`` the run
-    resumes from that file if it exists, and writes its position there
-    periodically and at a budget stop.
+    ``A`` must be identity-augmented and ``n`` at most 6 (the tree's
+    n!^(D - 1) leaves are enumerated one by one).  ``budget`` caps the
+    number of tuples decided (default 1e9, overridable via the
+    PERMORB_BUDGET environment variable).  ``threads`` > 1 searches leaf
+    ranges ahead in that many processes; it changes only the speed, never
+    the verdict, the tuples examined or the resume position.  With
+    ``checkpoint_path`` the run resumes from that file if it exists, and
+    writes its position there periodically and at a budget stop.
     """
     A = as_matrix(A, "A")
     _check_identity_augmented(A)
@@ -608,7 +625,7 @@ def certify_separation(
     key = _checkpoint_key(A, n, reduce_coset, seed)
     start = examined_base = 0
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        start, examined_base = _load_checkpoint(checkpoint_path, key)
+        start, examined_base = _load_checkpoint(checkpoint_path, key, total)
     stop = start + budget - examined_base  # the leaf position where the budget runs out
 
     # A range without a witness decides all of its leaves, so every range

@@ -2,10 +2,12 @@
 
 ``_Search`` and ``_run_window`` are the recursive enumeration of one window
 as it stood before ``separation._search``; ``_hash_coefficients`` is its
-one-index keyed draw.  ``certify_depth_first`` is the serial window loop
-around them; it reads ``separation._CHECKPOINT_EVERY`` at run time, so a
-test can shorten the checkpoint period of both.  Tests compare the
-library's verdicts and checkpoint bytes with this module's.
+one-index keyed draw, and ``_defeated`` its defeat test, which tries all n!
+permutations at once where ``separation._defeated`` runs a subset DP.
+``certify_depth_first`` is the serial window loop around them; it reads
+``separation._CHECKPOINT_EVERY`` at run time, so a test can shorten the
+checkpoint period of both.  Tests compare the library's verdicts and
+checkpoint bytes with this module's.
 """
 
 from __future__ import annotations
@@ -28,10 +30,24 @@ from permorb.separation import (
     SeparationWitness,
     _centered_basis,
     _checkpoint_key,
-    _defeated,
     _load_checkpoint,
     _write_checkpoint,
 )
+
+
+def _defeated(Xs: np.ndarray, p_rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The defeat test for samples ``Xs`` (s, d, n) under P tuple ``p_rows`` (d, n).
+
+    A sample x is defeated when some sigma in S_n moves every coordinate
+    vector as its P_i does: max_{i,t} |x_i[sigma(t)] - x_i[p_i(t)]| <= tol.
+    That holds exactly when sigma is a perfect matching of the boolean
+    matrix close[t, s] = all_i |x_i[s] - x_i[p_i(t)]| <= tol, which is
+    checked against all n! rows of ``perms`` at once.
+    """
+    n = Xs.shape[2]
+    moved = np.take_along_axis(Xs, p_rows[None, :, :], axis=2)  # x_i[p_i(t)]
+    close = (np.abs(Xs[:, :, None, :] - moved[:, :, :, None]) <= _WITNESS_TOL).all(axis=1)
+    return close[:, np.arange(n), perms].all(axis=2).any(axis=1)
 
 
 def _hash_coefficients(seed: int, index: int, rows: int, cols: int) -> np.ndarray:
@@ -284,7 +300,7 @@ def certify_depth_first(A, n, budget, seed=0, *, checkpoint_path=None, reduce_co
     key = _checkpoint_key(A, n, reduce_coset, seed)
     start = examined_base = 0
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        start, examined_base = _load_checkpoint(checkpoint_path, key)
+        start, examined_base = _load_checkpoint(checkpoint_path, key, total)
     examined, witness, next_index = examined_base, None, None
     since_checkpoint = 0
     for w in range(start // span, n_windows):

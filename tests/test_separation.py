@@ -1,7 +1,10 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from depth_first_oracle import _defeated as gather_defeated
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +20,15 @@ from permorb import (
     sorted_embedding,
     spot_check_injectivity,
 )
-from permorb.core import UnsupportedFormError, json_dumps
+from permorb.cli import main
+from permorb.core import UnsupportedFormError, json_dumps, save_matrix_csv
 from permorb.separation import (
     KNOWN_NONSEPARATING_DIMS,
     KNOWN_SEPARATING_CASES,
     SeparationStatus,
+    _checkpoint_key,
     _defeated,
+    _write_checkpoint,
 )
 
 
@@ -259,6 +265,40 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         certify_separation(other, 4, checkpoint_path=str(path))
 
 
+@pytest.mark.parametrize(
+    "next_index, examined, field",
+    [(10**9, 0, "next_index"), (-5, 0, "next_index"), (0, -1, "tuples_examined"),
+     (4020.0, 0, "next_index"), (0, "7", "tuples_examined")],
+)
+def test_checkpoint_positions_outside_the_tuple_space_rejected(
+    tmp_path, capsys, next_index, examined, field
+):
+    # the printed (3,3,6) matrix has a witness at leaf 4020; a position past
+    # the 7,776 tuples would certify it Separating without examining one
+    A = known_separating_matrix(3, 3, 6)
+    path = tmp_path / "cp.json"
+    key = _checkpoint_key(A, 3, True, 0)
+    path.write_text(json.dumps({"format": 1, **key, "next_index": next_index,
+                                "tuples_examined": examined}), encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
+        certify_separation(A, 3, checkpoint_path=str(path))
+    args = ["certify", "--directions", str(tmp_path / "A.csv"), "--n", "3",
+            "--checkpoint", str(path), "--out", str(tmp_path / "v.json")]
+    save_matrix_csv(tmp_path / "A.csv", A)
+    assert main(args) == 1
+    assert f"has {field} " in capsys.readouterr().err
+
+
+def test_checkpoint_at_the_end_of_the_tuple_space_is_a_finished_run(tmp_path):
+    A = known_separating_matrix(3, 3, 6)
+    path = tmp_path / "cp.json"
+    _write_checkpoint(path, _checkpoint_key(A, 3, True, 0), 6**5, 6**5)
+    verdict = certify_separation(A, 3, checkpoint_path=str(path))
+    assert verdict.status is SeparationStatus.SEPARATING
+    assert verdict.tuples_examined == verdict.total_tuples == 6**5
+    assert verdict.next_index is None
+
+
 def _threads_cases():
     yield "(4,2,4)", known_separating_matrix(4, 2, 4), 4, 0, (100, 5000, 13000, None)
     yield "(3,2,3)", identity_augmented(gaussian_directions(2, 1, 2)), 3, 0, (None,)
@@ -355,10 +395,56 @@ _GRID_P = np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
 @example((_GRID + np.array([[0.0, 0.5e-8, 0.0, 0.0], [0.0] * 4]), _GRID_P))
 def test_defeat_test_matches_brute_force_over_all_permutations(case):
     X, p_rows = case
-    n = X.shape[1]
-    perms = np.array(list(itertools.permutations(range(n))))
-    defeated = _defeated(np.stack([X, X]), p_rows, perms)
+    defeated = _defeated(np.stack([X, X]), p_rows)
     assert defeated.tolist() == [_defeated_by_brute_force(X, p_rows)] * 2
+
+
+@st.composite
+def _defeat_stacks(draw):
+    # a stack of samples (s, d, n) under one P tuple, n = 1..6, whose points
+    # share values and sit at planted ties and near-ties, so that close has
+    # partial and perfect matchings alike
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 0.25, 0.5]) if draw(st.booleans()) else st.floats(-1.0, 1.0)
+    Xs = np.array(draw(st.lists(values, min_size=s * d * n, max_size=s * d * n))).reshape(s, d, n)
+    sigma = draw(st.permutations(range(n)))
+    p_rows = np.array([sigma if draw(st.booleans()) else draw(st.permutations(range(n)))
+                       for _ in range(d)])
+    for _ in range(draw(st.integers(0, 2 * n))):
+        k, i = draw(st.integers(0, s - 1)), draw(st.integers(0, d - 1))
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = slice(None) if draw(st.booleans()) else i
+        Xs[k, rows, a] = Xs[k, rows, b] + draw(st.sampled_from(_GAPS))
+    return Xs, p_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_defeat_stacks())
+# point 0's P-image is point 0 in one coordinate and point 1 in the other,
+# and no point is close to both: a row of close with no close point
+@example((np.array([[[0.0, 1.0], [0.0, 1.0]]]), np.array([[0, 1], [1, 0]])))
+@example((_GRID[None], _GRID_P))
+def test_defeat_dp_matches_the_permutation_gather(case):
+    Xs, p_rows = case
+    perms = np.array(list(itertools.permutations(range(Xs.shape[2]))))
+    assert _defeated(Xs, p_rows).tolist() == gather_defeated(Xs, p_rows, perms).tolist()
+
+
+def test_defeat_test_memory_at_n_6():
+    # the gather held an (s, 720, 6) boolean array: 5.3 MB at 1,024 samples
+    rng = np.random.default_rng(0)
+    Xs = rng.standard_normal((1024, 2, 6))
+    p_rows = np.array([rng.permutation(6) for _ in range(2)])
+    _defeated(Xs, p_rows)  # builds the cached subset tables
+    tracemalloc.start()
+    try:
+        _defeated(Xs, p_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_reference_case_dims_are_registered():
