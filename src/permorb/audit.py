@@ -52,7 +52,7 @@ from .core import (
 )
 from .constructions import adversarial_circle_pair
 from .embeddings import _blocks, _gaussian_rows, _gaussian_sketch, _sort_project
-from .metrics import _assignment_distance, _assignment_totals, _assignment_width
+from .metrics import _assignment_totals, _assignment_width, _enumerated_distance
 
 __all__ = [
     "PUEstimate",
@@ -473,11 +473,6 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-# Relative slack granted to linear_sum_assignment on its float costs (see
-# empirical_distortion): twice the 2**-31 of the assumption, the rest covers
-# the roundings of the test.
-_LSAP_SLACK = 2.0**-30
-
 # Bounds the absolute error of the underflowed products in one sum of squares.
 _UNDERFLOW = 2.0**-1000
 
@@ -485,18 +480,15 @@ _UNDERFLOW = 2.0**-1000
 def _distance_bounds(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Proven bounds on the reference orbit distance of each pair of a stack (count, 2, n, d).
 
-    Returns (lo, hi, sure): _assignment_distance(X, Y)[0] lies in [lo, hi]
-    for each pair whose ``sure`` is set.  A pair is not sure when its two
-    least matching totals are too close to tell which matching
-    linear_sum_assignment picks, or when its costs could overflow.
-    empirical_distortion derives the margins.
+    Returns (lo, hi, sure): _enumerated_distance(X, Y)[0] lies in [lo, hi]
+    for each pair whose ``sure`` is set.  A pair is not sure when its costs
+    could overflow.  empirical_distortion derives the margins.
     """
     count, _, n, d = pairs.shape
-    best, second, cmax = _assignment_totals(pairs)
+    best, cmax = _assignment_totals(pairs)
     g = 4.0 * _gamma(n + d + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        apart = second - best > n * cmax * (_LSAP_SLACK + 2.0 * g) + _UNDERFLOW
-        sure = apart & (n * cmax <= _NO_OVERFLOW * _NO_OVERFLOW)
+        sure = n * cmax <= _NO_OVERFLOW * _NO_OVERFLOW
         lo = np.sqrt(np.maximum(best * (1.0 - g) - _UNDERFLOW, 0.0))
         hi = np.sqrt(best * (1.0 + g) + _UNDERFLOW)
     return lo, hi, sure
@@ -526,7 +518,7 @@ def _pool_screen(A: np.ndarray, pairs: np.ndarray):
 
 def _pair_ratio(A: np.ndarray, pair: np.ndarray) -> float | None:
     """The per-pair reference: gap norm over orbit distance, None below 1e-8."""
-    dist = _assignment_distance(*pair)[0]
+    dist = _enumerated_distance(*pair)[0]
     if dist < _MIN_PAIR_DISTANCE:
         return None
     EX, EY = _sort_project(A, pair)
@@ -552,8 +544,8 @@ def empirical_distortion(
     blueprint floor is attached for d = 2, where delta is the exact
     sweep's proven floor (order D**3 work), and only when
     n**2 * (m - 1) <= D; for d > 2 delta is sampled, overestimates the
-    constant, and gives no floor.  Limited to n <= 8 so the assignment
-    solves stay in the regime the brute-force oracle can cross-check.
+    constant, and gives no floor.  Limited to n <= 8, where the reference
+    distance enumerates all n! matchings.
 
     Every ratio is linear in A, so the pool runs on A scaled by a power of
     two, 2**-k with max |A| = f 2**k, 0.5 <= f < 1 (math.frexp): there no
@@ -564,8 +556,8 @@ def empirical_distortion(
     ceilings come from A itself.
 
     The report is the one a per-pair reference loop gives, bit for bit:
-    dist = _assignment_distance(X, Y) (_squared_costs, linear_sum_assignment,
-    a numpy sum, sqrt), the pair skipped below 1e-8, else the ratio
+    dist = _enumerated_distance(X, Y) (_squared_costs, the least numpy row
+    sum over all n! matchings, sqrt), the pair skipped below 1e-8, else the ratio
     fl(||fl(EX - EY)|| / dist) with one BLAS norm per pair.  It is reached
     in three steps.
 
@@ -573,7 +565,7 @@ def empirical_distortion(
     * Screen: each block is embedded with one _sort_project call, every gap
       norm comes from one einsum, and every orbit distance from one batched
       exact assignment, _assignment_totals, which gives the least total B
-      and the runner-up total B2 of every pair.
+      of every pair.
     * Confirm: the reference runs only for the pairs the screen cannot
       settle (below) and for those whose ratio may be the pool's least or
       largest.  Each bound below is proven, so every other pair is kept or
@@ -591,21 +583,13 @@ def empirical_distortion(
       permutation both lie within g = gamma_{n+d+1} of its exact total.
       An underflowed square errs by at most 2**-1075 instead, and
       _UNDERFLOW = 2**-1000 covers all of them.
-    * LSAP assumption: linear_sum_assignment (Crouse, IEEE TAES 2016) is
-      exact in exact arithmetic, and its float potentials are sums of a few
-      costs, so it is assumed to return the assignment of least exact
-      total on its float costs whenever every other assignment's total
-      exceeds that by more than 2**-31 n c_max, c_max the largest cost.
-      This is the one unproven step.  A pair is flagged unless the DP's
-      runner-up B2 exceeds B by more than n cmax (2**-30 + 8 g) +
-      _UNDERFLOW, cmax the DP's largest cost.  Every total is at most
-      about n cmax, so for an unflagged pair the 8 g n cmax term covers the
-      costs' rounding, the second 2**-31 n cmax the roundings of the test,
-      and the DP's permutation is the one LSAP returns.  Exact ties give
-      B2 == B and are always flagged.
-    * For an unflagged pair the reference total therefore lies in
-      B (1 +- 4 g) +- _UNDERFLOW, where 4 g covers the two errors of g,
-      their product and the roundings of the bound.  sqrt rounds
+    * B is the least of the DP's totals and the reference total R the
+      least of the enumeration's, both over all n! permutations.  R is at
+      most the enumeration's total of B's permutation, and B at most the
+      DP's total of R's, and the two totals of one permutation lie within
+      g of one exact total.  So R lies in B (1 +- 4 g) +- _UNDERFLOW, ties
+      between matchings included, where 4 g covers the two errors of g,
+      their quotient and the roundings of the bound.  sqrt rounds
       monotonically, so the distance lies between the sqrts of the ends.
       A pair whose interval straddles 1e-8 is not settled.
     * Both gap norms are sqrts of a sum of N = n D squares, the einsum's
@@ -614,8 +598,9 @@ def empirical_distortion(
       _UNDERFLOW.
     * A rounded division is monotone in each argument, so the ratio of the
       interval ends, rounded, bounds the reference ratio.
-    * Nothing overflows while n cmax and the einsum's sum stay below
-      _NO_OVERFLOW**2; pairs past it are not settled.
+    * Nothing overflows while n cmax, cmax the DP's largest cost, and the
+      einsum's sum stay below _NO_OVERFLOW**2; pairs past it are not
+      settled.
 
     Of a typical 400-pair pool the reference runs for 2 or 3 pairs, those
     whose intervals reach the least or the largest ratio.

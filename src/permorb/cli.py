@@ -62,7 +62,7 @@ from .core import (
     singular_values,
 )
 from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
-from .metrics import _assignment_solver, orbit_distance, wasserstein2
+from .metrics import orbit_distance, wasserstein2
 from .separation import SeparationStatus, certify_separation
 from .tables import (
     format_table,
@@ -230,11 +230,10 @@ def _release_free_heap_before_sketch(nbytes: int) -> None:
     apart from the heap, and cannot reuse the heap's free memory, which
     glibc keeps resident until a free leaves more than its trim threshold
     at the top of the heap.  In a process that runs many audits the two
-    then add up: before the ``audit-cli`` benchmark's first n = 6 sketch
-    (18,921 x 144) about 15 MB of free heap stays resident, 13.8 MB of it
-    at the top of the heap (glibc's mallinfo2), and 8-second runs peak at
-    116.7 MB untrimmed against 109.6-109.7 MB trimmed (seeds 0 and 1, 2
-    cores).  A sketch no larger than an earlier one comes from the heap
+    then add up: 8-second runs of the ``audit-cli`` benchmark, whose first
+    n = 6 sketch is 18,921 x 144, peak at 77.3-77.4 MB untrimmed against
+    70.3-73.4 MB trimmed (seeds 0 and 1, two runs each, 2 cores, scipy not
+    loaded).  A sketch no larger than an earlier one comes from the heap
     and reuses that memory, so the heap is trimmed only before a new
     largest sketch (glibc's malloc_trim; elsewhere this does nothing).
     """
@@ -266,13 +265,6 @@ def cmd_audit(args) -> int:
         n, D = args.n, A.shape[1]
         try:
             M = ose_dimension(n, A.shape[0], D, args.epsilon, args.eta, args.ose_constant)
-            # The pool's first assignment solve imports scipy.  Left to the
-            # pool, that import runs while the drawing thread fills the
-            # sketch, and its allocations can land beside the sketch: of 9
-            # seed-0 `audit-cli` benchmark runs (2 cores), one peaked at
-            # 126.7 MB and the others at 113.9-114.3 MB.  Imported here,
-            # before the trim, 9 of 9 peaked at 113.9-114.4 MB.
-            _assignment_solver()
             _release_free_heap_before_sketch(8 * M * n * D)
             sketch = _SketchDraw.start(n, D, M, args.seed)
         except (ValueError, MemoryError) as exc:

@@ -2,10 +2,12 @@
 
 The orbit distance dist(X, Y) = min over permutations of ||X - sigma Y||_F
 is the quotient metric induced by the Frobenius norm.  It is computed
-exactly by solving an assignment problem on squared Euclidean row costs;
-a factorial brute-force twin serves as the independent oracle in tests.
-Wasserstein and sampled sliced-Wasserstein distances for uniform empirical
-measures are thin wrappers over the same machinery.
+exactly by solving an assignment problem on squared Euclidean row costs.
+Its factorial twin, _enumerated_distance, takes the least total over all
+n! matchings: it is the brute-force oracle in tests and, for the n <= 8
+clouds of the audit, the audit's reference distance.  Wasserstein and
+sampled sliced-Wasserstein distances for uniform empirical measures are
+thin wrappers over the same machinery.
 
 Cost-matrix order: cost[i, j] = ||X[i] - Y[j]||^2 is summed over the
 coordinates k = 0..d-1 in order, each square added to the running total
@@ -19,7 +21,8 @@ overflows or underflows; that is exact, so costs that stay in range
 anyway keep their bits.
 
 scipy is imported only when the first assignment is solved
-(linear_sum_assignment), so importing permorb costs numpy alone.
+(linear_sum_assignment), so importing permorb, and every audit, costs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -82,16 +85,14 @@ def _squared_costs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _assignment_solver():
-    """scipy's linear_sum_assignment, imported here so that permorb loads scipy on first use."""
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a least-total assignment on ``cost`` (scipy's solver).
+
+    scipy is imported here, so that permorb loads it on the first solve.
+    """
     from scipy.optimize import linear_sum_assignment as solve
 
-    return solve
-
-
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of a least-total assignment on ``cost`` (scipy's solver)."""
-    return _assignment_solver()(cost)
+    return solve(cost)
 
 
 def _assignment_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -133,24 +134,22 @@ def _subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 def _assignment_width(n: int, d: int) -> int:
     """Floats per pair that _assignment_totals holds at once, at most."""
-    widest = max(2 * math.comb(n, k - 1) + 5 * math.comb(n, k) for k in range(1, n + 1))
+    widest = max(math.comb(n, k - 1) + 3 * math.comb(n, k) for k in range(1, n + 1))
     return n * n * (d + 1) + widest
 
 
-def _assignment_totals(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two least matching totals of every pair of a stack (count, 2, n, d), and its largest cost.
+def _assignment_totals(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least matching total of every pair of a stack (count, 2, n, d), and its largest cost.
 
     For a pair (X, Y) the cost of row i to column j is the squared distance
     ||X[i] - Y[j]||^2, and the total of a permutation sigma is the float sum
     of cost[i, sigma(i)] taken in row order.  A DP over column subsets in
-    row order gives, for every pair at once, the least total and the least
-    total of any other permutation (``second``; inf when n = 1): the state
-    after row i is the subset of columns taken so far, and each state keeps
-    the two least partial totals that reach it.  Float addition is monotone,
-    so a state's two least totals come from the two least of the states
-    before it, and the DP's values are those of enumerating all n!
-    permutations in the same order.  Two permutations with equal totals
-    give best == second.  ``cmax`` is each pair's largest cost.
+    row order gives the least total of every pair at once: the state after
+    row i is the subset of columns taken so far, and each state keeps the
+    least partial total that reaches it.  Float addition is monotone, so a
+    state's least total comes from the least of the states before it, and
+    the DP's value is that of enumerating all n! permutations in the same
+    order.  ``cmax`` is each pair's largest cost.
 
     2^n n vectorised steps, each over the whole stack; n <= 8 in practice.
     The arrays alive at once take _assignment_width(n, d) floats a pair.
@@ -163,24 +162,15 @@ def _assignment_totals(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     del gap
     cmax = cost.max(axis=(0, 1))
     best = np.zeros((1, count))
-    second = np.full((1, count), np.inf)
     for row, (pred, cols) in zip(cost, _subset_layers(n)):
-        for s in range(pred.shape[1]):
-            c = row[cols[:, s]]
+        least = best[pred[:, 0]]
+        least += row[cols[:, 0]]
+        for s in range(1, pred.shape[1]):
             b = best[pred[:, s]]
-            b += c
-            s2 = second[pred[:, s]]
-            s2 += c
-            if s == 0:
-                m1, m2 = b, s2
-                continue
-            # the two least of (m1 <= m2) and (b <= s2)
-            np.minimum(m2, s2, out=m2)
-            np.maximum(m1, b, out=s2)
-            np.minimum(m2, s2, out=m2)
-            np.minimum(m1, b, out=m1)
-        best, second = m1, m2
-    return best[0], second[0], cmax
+            b += row[cols[:, s]]
+            np.minimum(least, b, out=least)
+        best = least
+    return best[0], cmax
 
 
 def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
@@ -233,6 +223,25 @@ def _all_permutations(n: int) -> np.ndarray:
     return perms
 
 
+def _enumerated_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Orbit distance and matched Y-rows of two same-shape clouds by enumeration, unvalidated.
+
+    The least of all n! matching totals, each the numpy sum of one
+    permutation's _squared_costs listed in row order; n <= _BRUTEFORCE_MAX_N.
+    _assignment_distance sums the costs of its matching the same way, so
+    its total is one of these: the enumeration is never above it, and has
+    its bits whenever linear_sum_assignment picks a least-total matching.
+    The returned permutation is a row of a shared read-only table.
+    """
+    n = X.shape[0]
+    cost = _squared_costs(X, Y)
+    perms = _all_permutations(n)
+    with np.errstate(over="ignore"):  # an overflowing total is inf, as its costs are
+        totals = cost[np.arange(n), perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    return math.sqrt(max(float(totals[best]), 0.0)), perms[best]
+
+
 def orbit_distance_bruteforce(X, Y) -> OrbitDistanceResult:
     """Exact minimum over all n! matchings; the oracle for orbit_distance."""
     X = as_cloud(X, "X")
@@ -244,12 +253,8 @@ def orbit_distance_bruteforce(X, Y) -> OrbitDistanceResult:
             f"brute force enumerates n! matchings; n={n} exceeds the n <= {_BRUTEFORCE_MAX_N} limit"
         )
     X, Y, k = _unit_scaled(X, Y)
-    cost = _squared_costs(X, Y)
-    perms = _all_permutations(n)
-    totals = cost[np.arange(n), perms].sum(axis=1)
-    best = int(np.argmin(totals))
-    distance = math.sqrt(max(float(totals[best]), 0.0))
-    return OrbitDistanceResult(_scaled_back(distance, k), perms[best].copy())
+    distance, sigma = _enumerated_distance(X, Y)
+    return OrbitDistanceResult(_scaled_back(distance, k), sigma.copy())
 
 
 def wasserstein2(X, Y) -> float:

@@ -1,7 +1,8 @@
 """permorb imports scipy only when it first solves an assignment.
 
-Checked in a fresh interpreter, since this test process has loaded scipy
-already.
+An audit solves none: its reference distances enumerate the n! matchings
+of its n <= 8 clouds.  Checked in a fresh interpreter, since this test
+process has loaded scipy already.
 """
 
 import os
@@ -62,6 +63,16 @@ SCRIPT = textwrap.dedent(
             check(f"permorb embed {argv[1]}")
         assert cli.main(["reproduce", "--out", str(out / "tables")]) == 0
         check("permorb reproduce")
+        circle = str(out / "circle" / "A.csv")
+        for n in ("4", "8"):
+            for extra in ([], ["--pu-m", "3"]):
+                argv = ["--n", n, "--subset-r", "1", "--check-ose", *extra]
+                assert cli.main(["audit", "--directions", circle, "--trials", "60",
+                                 "--ose-trials", "100", *argv, "--out", str(out / "audit.json")]) == 0
+                check(f"permorb audit {' '.join(argv)}")
+        assert cli.main(["construct", "adversarial-pair", "--n", "8", "--d", "3",
+                         "--out", str(out / "adversarial-pair")]) == 0
+        check("permorb construct adversarial-pair --n 8")
 
     solver = metrics.linear_sum_assignment
     costs = []
