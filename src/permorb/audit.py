@@ -52,7 +52,7 @@ from .core import (
 )
 from .constructions import adversarial_circle_pair
 from .embeddings import _blocks, _gaussian_rows, _gaussian_sketch, _sort_project
-from .metrics import _assignment_totals, _assignment_width, _enumerated_distance
+from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
     "PUEstimate",
@@ -473,57 +473,13 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-# Bounds the absolute error of the underflowed products in one sum of squares.
-_UNDERFLOW = 2.0**-1000
+def _dot_norms(G: np.ndarray) -> np.ndarray:
+    """||g|| of each row g of G (count, N), the bits np.linalg.norm(g) gives.
 
-
-def _distance_bounds(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Proven bounds on the reference orbit distance of each pair of a stack (count, 2, n, d).
-
-    Returns (lo, hi, sure): _enumerated_distance(X, Y)[0] lies in [lo, hi]
-    for each pair whose ``sure`` is set.  A pair is not sure when its costs
-    could overflow.  empirical_distortion derives the margins.
+    np.linalg.norm takes the sqrt of one BLAS dot of a vector with itself,
+    and a stacked matmul of (1, N) by (N, 1) makes that dot for each row.
     """
-    count, _, n, d = pairs.shape
-    best, cmax = _assignment_totals(pairs)
-    g = 4.0 * _gamma(n + d + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sure = n * cmax <= _NO_OVERFLOW * _NO_OVERFLOW
-        lo = np.sqrt(np.maximum(best * (1.0 - g) - _UNDERFLOW, 0.0))
-        hi = np.sqrt(best * (1.0 + g) + _UNDERFLOW)
-    return lo, hi, sure
-
-
-def _pool_screen(A: np.ndarray, pairs: np.ndarray):
-    """Proven bounds on the reference distance and ratio of each pair of a block.
-
-    Returns (dist_lo, dist_hi, ratio_lo, ratio_hi, sure) for the pairs
-    (count, 2, n, d); the bounds hold where ``sure`` is set, and
-    empirical_distortion derives them.
-    """
-    count, _, n, d = pairs.shape
-    dist_lo, dist_hi, sure = _distance_bounds(pairs)
-    E = _sort_project(A, pairs.reshape(-1, n, d))
-    gap = E[0::2] - E[1::2]
-    del E
-    q = np.einsum("pij,pij->p", gap, gap)
-    g = 4.0 * _gamma(gap[0].size)
-    sure &= q <= _NO_OVERFLOW * _NO_OVERFLOW
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap_lo = np.sqrt(np.maximum(q * (1.0 - g) - _UNDERFLOW, 0.0))
-        gap_hi = np.sqrt(q * (1.0 + g) + _UNDERFLOW)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return dist_lo, dist_hi, gap_lo / dist_hi, gap_hi / dist_lo, sure
-
-
-def _pair_ratio(A: np.ndarray, pair: np.ndarray) -> float | None:
-    """The per-pair reference: gap norm over orbit distance, None below 1e-8."""
-    dist = _enumerated_distance(*pair)[0]
-    if dist < _MIN_PAIR_DISTANCE:
-        return None
-    EX, EY = _sort_project(A, pair)
-    # one norm per pair, on a fresh array: a batched norm rounds differently
-    return float(np.linalg.norm(EX - EY)) / dist
+    return np.sqrt(np.matmul(G[:, None, :], G[:, :, None])[:, 0, 0])
 
 
 def empirical_distortion(
@@ -544,8 +500,10 @@ def empirical_distortion(
     blueprint floor is attached for d = 2, where delta is the exact
     sweep's proven floor (order D**3 work), and only when
     n**2 * (m - 1) <= D; for d > 2 delta is sampled, overestimates the
-    constant, and gives no floor.  Limited to n <= 8, where the reference
-    distance enumerates all n! matchings.
+    constant, and gives no floor.  Limited to n <= 8: the distance DP takes
+    n 2**(n-1) steps per pair and holds up to C(n, n/2) totals a pair, and
+    the adversarial circle pair's check enumerates its n! matchings, so no
+    audit loads scipy.
 
     Every ratio is linear in A, so the pool runs on A scaled by a power of
     two, 2**-k with max |A| = f 2**k, 0.5 <= f < 1 (math.frexp): there no
@@ -555,55 +513,18 @@ def empirical_distortion(
     range anyway gets the same bits as without it.  sigma1 and the
     ceilings come from A itself.
 
-    The report is the one a per-pair reference loop gives, bit for bit:
-    dist = _enumerated_distance(X, Y) (_squared_costs, the least numpy row
-    sum over all n! matchings, sqrt), the pair skipped below 1e-8, else the ratio
-    fl(||fl(EX - EY)|| / dist) with one BLAS norm per pair.  It is reached
-    in three steps.
-
-    * Draw: sample_pair_pool, one array.
-    * Screen: each block is embedded with one _sort_project call, every gap
-      norm comes from one einsum, and every orbit distance from one batched
-      exact assignment, _assignment_totals, which gives the least total B
-      of every pair.
-    * Confirm: the reference runs only for the pairs the screen cannot
-      settle (below) and for those whose ratio may be the pool's least or
-      largest.  Each bound below is proven, so every other pair is kept or
-      skipped as the reference would, and its ratio lies strictly between
-      the extremes.
-
-    The margins, with u = 2**-53 and gamma_k = k u / (1 - k u) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.1: a sum of k
-    nonnegative products, rounded in any order, errs by at most gamma_k of
-    its exact value):
-
-    * A cost ||X[i] - Y[j]||^2 takes d subtractions, d squares and d - 1
-      additions, in _squared_costs and in the DP alike, and a total adds n
-      costs in some order.  So the DP's and the reference's total of one
-      permutation both lie within g = gamma_{n+d+1} of its exact total.
-      An underflowed square errs by at most 2**-1075 instead, and
-      _UNDERFLOW = 2**-1000 covers all of them.
-    * B is the least of the DP's totals and the reference total R the
-      least of the enumeration's, both over all n! permutations.  R is at
-      most the enumeration's total of B's permutation, and B at most the
-      DP's total of R's, and the two totals of one permutation lie within
-      g of one exact total.  So R lies in B (1 +- 4 g) +- _UNDERFLOW, ties
-      between matchings included, where 4 g covers the two errors of g,
-      their quotient and the roundings of the bound.  sqrt rounds
-      monotonically, so the distance lies between the sqrts of the ends.
-      A pair whose interval straddles 1e-8 is not settled.
-    * Both gap norms are sqrts of a sum of N = n D squares, the einsum's
-      and the BLAS dot's, so both sums lie within gamma_N of the exact sum
-      and the reference's within 4 gamma_N of the einsum's, plus
-      _UNDERFLOW.
-    * A rounded division is monotone in each argument, so the ratio of the
-      interval ends, rounded, bounds the reference ratio.
-    * Nothing overflows while n cmax, cmax the DP's largest cost, and the
-      einsum's sum stay below _NO_OVERFLOW**2; pairs past it are not
-      settled.
-
-    Of a typical 400-pair pool the reference runs for 2 or 3 pairs, those
-    whose intervals reach the least or the largest ratio.
+    A pair's distance is sqrt(B), B the least total over all n! matchings
+    of the _squared_costs listed in row order, each added in row order;
+    the pair is skipped below 1e-8, else its ratio is fl(||fl(EX - EY)|| /
+    dist), the norm that of np.linalg.norm.  Each block of the pool is
+    embedded with one _sort_project call, its gap norms come from one BLAS
+    dot per pair (_dot_norms), and its distances from one batched subset DP
+    (_assignment_totals), which gives B bit for bit.  For n <= 7 that is
+    _enumerated_distance's total, as numpy sums up to seven costs in row
+    order.  At n = 8 numpy sums a matching's eight costs as a balanced
+    tree, so a distance, and C1, C2 or the distortion with it, may differ
+    from the enumeration's or an assignment solver's by an ulp or two; both
+    sums err by at most gamma_7 = 7u / (1 - 7u) of the exact total.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -617,32 +538,21 @@ def empirical_distortion(
     k = math.frexp(float(np.max(np.abs(A))))[1]
     scaled = np.ldexp(A, -k)
     pool = sample_pair_pool(n, d, trials, seed)
-    lo = np.empty(trials)
-    hi = np.empty(trials)
-    kept = np.empty(trials, dtype=bool)
-    sure = np.empty(trials, dtype=bool)
-    for block in _blocks(trials, max(2 * n * max(d, D), _assignment_width(n, d))):
-        dist_lo, dist_hi, lo[block], hi[block], sure[block] = _pool_screen(scaled, pool[block])
-        kept[block] = dist_lo >= _MIN_PAIR_DISTANCE
-        sure[block] &= kept[block] | (dist_hi < _MIN_PAIR_DISTANCE)
-    # the reference for the pairs the screen leaves open, then for those
-    # whose ratio may be the least or the largest
-    for t in np.flatnonzero(~sure):
-        ratio = _pair_ratio(scaled, pool[t])
-        kept[t] = ratio is not None
-        if kept[t]:
-            lo[t] = hi[t] = ratio
+    dist = np.empty(trials)
+    norm = np.empty(trials)
+    for block in _blocks(trials, max(2 * n * max(d, D), _assignment_width(n))):
+        pairs = pool[block]
+        E = _sort_project(scaled, pairs.reshape(-1, n, d))
+        norm[block] = _dot_norms((E[0::2] - E[1::2]).reshape(len(pairs), -1))
+        del E
+        dist[block] = np.sqrt(_assignment_totals(pairs))
+    kept = dist >= _MIN_PAIR_DISTANCE
     if not kept.any():
         raise ValueError("degenerate pool: every sampled pair sits on one orbit")
-    least, largest = np.min(hi[kept]), np.max(lo[kept])
-    for t in np.flatnonzero(sure & kept & ((lo <= least) | (hi >= largest))):
-        ratio = _pair_ratio(scaled, pool[t])
-        if ratio is None or not lo[t] <= ratio <= hi[t]:
-            raise RuntimeError(f"pair {t} lies outside its screened bounds")
-        lo[t] = hi[t] = ratio
+    ratio = norm[kept] / dist[kept]
 
     sigma1 = upper_lipschitz(A)
-    c1, c2 = float(np.min(lo[kept])), float(np.max(hi[kept]))
+    c1, c2 = float(np.min(ratio)), float(np.max(ratio))
     if c2 == 0.0:
         raise ValueError("every sampled gap is zero: the directions embed every cloud alike")
     distortion = c2 / c1
@@ -659,7 +569,7 @@ def empirical_distortion(
         distortion=distortion,
         ceiling_sqrt_n=sqrtn_ceiling(A, n),
         ceiling_sqrt_n_independent=sqrtn_ceiling(A, n, independent=True),
-        pair_count=int(np.count_nonzero(kept)),
+        pair_count=ratio.size,
         trials=trials,
         n=n,
         seed=int(seed),
@@ -871,15 +781,16 @@ def ose_check(
     ||bA(X) - bA(Y)||_F, skipping denominators below 1e-10, and counts
     ratios outside [1 - eps, 1 + eps].
 
-    The ratios are screened, then confirmed.  The screen multiplies each
-    block's stacked gap vectors by L^T in a few gemms, so the M x nD
-    sketch is read once per block of pairs rather than once per pair.
-    Each screened ratio comes with a proven margin on its distance from
-    the per-pair reference ||L @ x|| / ||x||.  A pair whose margin reaches
-    1 +- eps, or whose error could be its block's largest, is confirmed
-    with the reference matvec on its own gap vector; the margin settles
-    every other pair.  So the report is the one a per-pair matvec loop
-    gives, bit for bit.
+    Each block's gap vectors x are the rows of one array, and their norms
+    ||x|| come from one BLAS dot each (_dot_norms), the bits of
+    np.linalg.norm.  The ratios are screened, then confirmed.  The screen
+    multiplies the rows by L^T in a few gemms, so the M x nD sketch is
+    read once per block of pairs rather than once per pair.  Each screened
+    ratio comes with a proven margin on its distance from the per-pair
+    reference ||L @ x|| / ||x||.  A pair whose margin reaches 1 +- eps, or
+    whose error could be its block's largest, is confirmed with the
+    reference matvec on its row; the margin settles every other pair.  So
+    the report is the one a per-pair matvec loop gives, bit for bit.
 
     ``permorb audit --check-ose`` passes a sketch still being drawn on a
     second thread (``_SketchDraw``), started before its pair pool: the
@@ -912,31 +823,28 @@ def ose_check(
             rng.standard_normal(out=X)
             rng.standard_normal(out=Y)
         clouds *= np.array(scales)[:, None, None]
-        diffs = []
-        denoms = []
-        for ex, ey in zip(*_sort_project(A, clouds)):
-            # the norm per pair, on a fresh array: a batched norm rounds differently
-            diff = (ex - ey).ravel(order="F")
-            denom = float(np.linalg.norm(diff))
-            if denom < 1e-10:
-                skipped += 1
-                continue
-            diffs.append(diff)
-            denoms.append(denom)
-        if not diffs:
+        E = _sort_project(A, clouds)
+        # the column-major gap vectors, one row each
+        V = (E[0] - E[1]).transpose(0, 2, 1).reshape(len(scales), -1)
+        del E
+        denom = _dot_norms(V)
+        far = ~(denom < 1e-10)  # a NaN norm is kept, as the pair loop kept it
+        skipped += len(V) - int(np.count_nonzero(far))
+        if not far.any():
             continue
-        rho, tau = _sketch_screen(np.stack(diffs), np.array(denoms), sketch)
+        V, denom = V[far], denom[far]
+        rho, tau = _sketch_screen(V, denom, sketch)
         L = sketch.full()  # drawn once screened
         err = np.abs(rho - 1.0)
         near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)
         could_be_max = err + tau >= np.max(err - tau)
         violations += int(np.count_nonzero(((rho < lo) | (rho > hi)) & ~near))
         for i in np.flatnonzero(near | could_be_max):
-            ref = float(np.linalg.norm(L @ diffs[i])) / denoms[i]
+            ref = float(np.linalg.norm(L @ V[i])) / float(denom[i])
             max_err = max(max_err, abs(ref - 1.0))
             if near[i] and (ref < lo or ref > hi):
                 violations += 1
-        used += len(diffs)
+        used += len(V)
     return OseReport(
         violations=violations,
         max_ratio_error=max_err,

@@ -4,10 +4,12 @@ The orbit distance dist(X, Y) = min over permutations of ||X - sigma Y||_F
 is the quotient metric induced by the Frobenius norm.  It is computed
 exactly by solving an assignment problem on squared Euclidean row costs.
 Its factorial twin, _enumerated_distance, takes the least total over all
-n! matchings: it is the brute-force oracle in tests and, for the n <= 8
-clouds of the audit, the audit's reference distance.  Wasserstein and
-sampled sliced-Wasserstein distances for uniform empirical measures are
-thin wrappers over the same machinery.
+n! matchings: it is the brute-force oracle and the check of the adversarial
+circle pair for n <= 8.  The audit takes the distances of a whole stack of
+pairs from one subset DP, _assignment_totals, whose least row-order total
+is the enumeration's bit for bit for n <= 7.  Wasserstein and sampled
+sliced-Wasserstein distances for uniform empirical measures are thin
+wrappers over the same machinery.
 
 Cost-matrix order: cost[i, j] = ||X[i] - Y[j]||^2 is summed over the
 coordinates k = 0..d-1 in order, each square added to the running total
@@ -72,15 +74,17 @@ def _check_same_shape(X: np.ndarray, Y: np.ndarray) -> None:
 def _squared_costs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """cost[i, j] = ||X[i] - Y[j]||^2 for clouds X (n, d) and Y (m, d), unvalidated.
 
-    The squares are added coordinate by coordinate, k = 0..d-1, as
-    cdist(X, Y, "sqeuclidean") adds them, which gives its bits.  A cost
-    that overflows is inf without a warning, as in cdist.
+    Stacks X (n, ..., d) and Y (m, ..., d) give cost[i, j, ...], each entry
+    that of the single pair.  The squares are added coordinate by
+    coordinate, k = 0..d-1, as cdist(X, Y, "sqeuclidean") adds them, which
+    gives its bits.  A cost that overflows is inf without a warning, as in
+    cdist.
     """
     with np.errstate(over="ignore"):
-        g = X[:, None, 0] - Y[None, :, 0]
+        g = X[:, None, ..., 0] - Y[None, :, ..., 0]
         cost = g * g
-        for k in range(1, X.shape[1]):
-            g = X[:, None, k] - Y[None, :, k]
+        for k in range(1, X.shape[-1]):
+            g = X[:, None, ..., k] - Y[None, :, ..., k]
             cost += g * g
     return cost
 
@@ -132,35 +136,35 @@ def _subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def _assignment_width(n: int, d: int) -> int:
-    """Floats per pair that _assignment_totals holds at once, at most."""
+def _assignment_width(n: int) -> int:
+    """Floats per pair that _assignment_totals holds at once, at most.
+
+    The n x n costs, the two arrays that build them, and the DP's widest
+    layer: the totals of the (k-1)-subsets and three arrays over the k-subsets.
+    """
     widest = max(math.comb(n, k - 1) + 3 * math.comb(n, k) for k in range(1, n + 1))
-    return n * n * (d + 1) + widest
+    return 3 * n * n + widest
 
 
-def _assignment_totals(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least matching total of every pair of a stack (count, 2, n, d), and its largest cost.
+def _assignment_totals(pairs: np.ndarray) -> np.ndarray:
+    """Least matching total of every pair of a stack (count, 2, n, d).
 
-    For a pair (X, Y) the cost of row i to column j is the squared distance
-    ||X[i] - Y[j]||^2, and the total of a permutation sigma is the float sum
-    of cost[i, sigma(i)] taken in row order.  A DP over column subsets in
-    row order gives the least total of every pair at once: the state after
-    row i is the subset of columns taken so far, and each state keeps the
-    least partial total that reaches it.  Float addition is monotone, so a
-    state's least total comes from the least of the states before it, and
-    the DP's value is that of enumerating all n! permutations in the same
-    order.  ``cmax`` is each pair's largest cost.
+    For a pair (X, Y) the cost of row i to column j is _squared_costs'
+    ||X[i] - Y[j]||^2, and the total of a permutation sigma is the float
+    sum of cost[i, sigma(i)] taken in row order.  A DP over column subsets
+    in row order gives the least total of every pair at once: the state
+    after row i is the subset of columns taken so far, and each state keeps
+    the least partial total that reaches it.  Float addition is monotone,
+    so a state's least total comes from the least of the states before it,
+    and the DP's value is, bit for bit, that of enumerating all n!
+    permutations in the same order.  For n <= 7 numpy's sum of n costs
+    also adds in row order, so this is _enumerated_distance's total.
 
     2^n n vectorised steps, each over the whole stack; n <= 8 in practice.
-    The arrays alive at once take _assignment_width(n, d) floats a pair.
+    The arrays alive at once take _assignment_width(n) floats a pair.
     """
-    count, _, n, d = pairs.shape
-    X = pairs[:, 0].transpose(1, 0, 2)
-    Y = pairs[:, 1].transpose(1, 0, 2)
-    gap = X[:, None] - Y[None, :]  # (n, n, count, d)
-    cost = np.einsum("ijpk,ijpk->ijp", gap, gap)
-    del gap
-    cmax = cost.max(axis=(0, 1))
+    count, _, n, _ = pairs.shape
+    cost = _squared_costs(pairs[:, 0].transpose(1, 0, 2), pairs[:, 1].transpose(1, 0, 2))
     best = np.zeros((1, count))
     for row, (pred, cols) in zip(cost, _subset_layers(n)):
         least = best[pred[:, 0]]
@@ -170,7 +174,7 @@ def _assignment_totals(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             b += row[cols[:, s]]
             np.minimum(least, b, out=least)
         best = least
-    return best[0], cmax
+    return best[0]
 
 
 def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
@@ -231,6 +235,8 @@ def _enumerated_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarra
     _assignment_distance sums the costs of its matching the same way, so
     its total is one of these: the enumeration is never above it, and has
     its bits whenever linear_sum_assignment picks a least-total matching.
+    numpy adds up to seven values in row order, so for n <= 7 the least
+    total is also _assignment_totals'; from n = 8 it adds them pairwise.
     The returned permutation is a row of a shared read-only table.
     """
     n = X.shape[0]

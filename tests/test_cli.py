@@ -1,13 +1,23 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from permorb import load_matrix_csv, orbit_distance, save_matrix_csv
+import permorb
+from permorb import (
+    circle_directions,
+    gaussian_directions,
+    load_matrix_csv,
+    orbit_distance,
+    save_matrix_csv,
+)
 from permorb.audit import OseReport, subset_sigma_lower_bound
 from permorb.cli import main
 from permorb.separation import known_separating_matrix
@@ -111,6 +121,40 @@ def test_audit_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(p1)]) == 0
     assert main(args + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_AUDIT_CASES = """
+import sys
+from permorb.cli import main
+
+out, *matrices = sys.argv[1:]
+for directions in matrices:
+    for n in ("6", "8"):
+        for seed in ("0", "1"):
+            name = f"{out}/{n}-{seed}-{directions.rsplit('/', 1)[1]}.json"
+            assert main(["audit", "--directions", directions, "--n", n, "--seed", seed,
+                         "--pu-m", "3", "--subset-r", "1", "--out", name]) == 0
+"""
+
+
+def test_audit_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the pool's gap norms are BLAS dots, and a BLAS sets its thread count
+    # when it loads, so each count runs in a fresh interpreter
+    src = str(Path(permorb.__file__).resolve().parent.parent)
+    matrices = [tmp_path / "gauss.csv", tmp_path / "circle.csv"]
+    save_matrix_csv(matrices[0], gaussian_directions(3, 24, 4))
+    save_matrix_csv(matrices[1], circle_directions(256))  # gap rows of 2,048 floats at n = 8
+    reports = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", _AUDIT_CASES, str(out), *map(str, matrices)],
+                       env=env, check=True)
+        reports[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(reports["1"]) == 8
+    assert reports["1"] == reports["2"]
 
 
 def test_audit_with_ose_block(tmp_path):

@@ -3,15 +3,20 @@
 ``empirical_distortion`` and ``ose_check`` sample their pairs sequentially
 and embed them in batches.  The audit pool (``sample_pair_pool``) is drawn
 into one array by a loop that only calls the generator;
-``empirical_distortion`` screens every pair with one batched exact
-assignment (``_assignment_totals``) and one einsum of gap norms, and runs
-the per-pair reference (``_enumerated_distance``, every one of the n!
-matchings) only for the pairs whose proven bounds leave their report
-undecided.  ``ose_check`` screens its ratios with a few gemms
-against the sketch.  The loops below are the per-pair forms they replaced,
-written with the public, validating functions and the generator calls of
-the original code; the batched checks must reproduce their draws and
-reports exactly, floats included.
+``empirical_distortion`` takes every distance of a block from one batched
+subset DP (``_assignment_totals``) and every gap norm from one BLAS dot
+per pair (``audit._dot_norms``).  The DP's least total is checked bit for
+bit against every matching's total added in row order, and so against
+``_enumerated_distance`` for n <= 7; the dots against ``np.linalg.norm``
+of each fresh gap.  ``ose_check`` takes its denominators from the same
+dots and screens its ratios with a few gemms against the sketch.  The
+loops below are the per-pair forms they replaced, written with the
+public, validating functions and the generator calls of the original
+code; the batched checks must reproduce their draws and reports exactly,
+floats included.  At n = 8 numpy sums a matching's eight costs as a
+balanced tree, not in row order, so there the audit is checked against a
+loop whose distance adds them in row order, and against the assignment
+solver's loop within a few ulps.
 
 ``spot_check_injectivity`` draws each block of trials once and redraws
 the Ys that its sorted-column floor puts within 0.1 of their X.  Its
@@ -50,13 +55,7 @@ from permorb import (
     spot_check_injectivity,
 )
 from permorb import audit, metrics, separation
-from permorb.audit import (
-    _SCREEN_FLOATS,
-    OseReport,
-    _distance_bounds,
-    _gamma,
-    sample_pair_pool,
-)
+from permorb.audit import _SCREEN_FLOATS, OseReport, _dot_norms, sample_pair_pool
 from permorb.constructions import adversarial_circle_pair
 from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks
 from permorb.metrics import (
@@ -89,10 +88,10 @@ def reference_pool(n, d, count, seed, *, include_adversarial=True):
     return pairs
 
 
-def reference_ratios(A, pairs):
+def reference_ratios(A, pairs, distance=lambda X, Y: orbit_distance(X, Y).distance):
     ratios = []
     for X, Y in pairs:
-        dist = orbit_distance(X, Y).distance
+        dist = distance(X, Y)
         if dist < 1e-8:
             continue
         gap = float(np.linalg.norm(sorted_embedding(A, X) - sorted_embedding(A, Y)))
@@ -187,23 +186,40 @@ def reference_spot_check(kind, n, d, D, *, M=None, trials, seed, extra_pairs=())
     return report, clouds, redraws
 
 
+def row_order_distance(X, Y):
+    return math.sqrt(row_order_totals(X, Y)[0])
+
+
+def check_against_the_pair_loop(A, n, trials, seed):
+    """The audit's C1, C2 and pair count against the per-pair loop.  At
+    n = 8 the loop adds each matching's costs in row order, and C1 and C2
+    lie within 16 u of the assignment solver's loop: each of the two sums
+    of one matching's eight costs errs by at most gamma_7."""
+    report = empirical_distortion(A, n, trials, seed)
+    pairs = reference_pool(n, A.shape[0], trials, seed)
+    solved = reference_ratios(A, pairs)
+    if n < 8:
+        assert audit_ratios(report) == solved
+        return
+    assert audit_ratios(report) == reference_ratios(A, pairs, row_order_distance)
+    for got, want in zip(audit_ratios(report)[:2], solved[:2]):
+        assert abs(got - want) <= 16 * 2.0**-53 * want
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_empirical_distortion_matches_the_pair_loop(n):
     for d in (2, 3, 5):
         for D in (3, 8, 17):
             for seed in (0, 1):
                 A = gaussian_directions(d, D, 50 + 7 * d + D)
-                report = empirical_distortion(A, n, 120, seed)
-                want = reference_ratios(A, reference_pool(n, d, 120, seed))
-                assert audit_ratios(report) == want, (n, d, D, seed)
+                check_against_the_pair_loop(A, n, 120, seed)
 
 
 def test_empirical_distortion_matches_the_pair_loop_across_blocks():
     n, trials = 8, 300
     A = circle_directions(256)
     assert len(_blocks(trials, 2 * n * 256)) > 1
-    report = empirical_distortion(A, n, trials, 3)
-    assert audit_ratios(report) == reference_ratios(A, reference_pool(n, 2, trials, 3))
+    check_against_the_pair_loop(A, n, trials, 3)
 
 
 def test_sample_pair_pool_draws_the_pairs_of_the_pair_loop():
@@ -248,7 +264,7 @@ def same_state(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the batched assignment and the distance screen
+# the batched assignment and the batched gap norms
 # ---------------------------------------------------------------------------
 
 # Multiples of 1/4 in [-2, 2]: costs and totals of such clouds are exact.
@@ -257,18 +273,17 @@ _DYADIC = [k / 4 for k in range(-8, 9)]
 
 @st.composite
 def cloud_pairs(draw):
-    """(X, Y, exact): rows taken from a palette of at most four rows, so
-    rows repeat and coordinates tie; ``exact`` when every coordinate is dyadic."""
+    """(X, Y): rows taken from a palette of at most four rows, so rows
+    repeat and coordinates tie; every coordinate dyadic, or some not."""
     n = draw(st.integers(1, 8))
     d = draw(st.integers(1, 4))
-    exact = draw(st.booleans())
-    value = st.sampled_from(_DYADIC) if exact else st.one_of(
+    value = st.sampled_from(_DYADIC) if draw(st.booleans()) else st.one_of(
         st.sampled_from(_DYADIC), st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
     palette = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
     rows = st.lists(st.integers(0, len(palette) - 1), min_size=n, max_size=n)
     X = np.array([palette[i] for i in draw(rows)], dtype=float)
     Y = np.array([palette[i] for i in draw(rows)], dtype=float)
-    return X, Y, exact
+    return X, Y
 
 
 def row_order_totals(X, Y):
@@ -282,21 +297,14 @@ def row_order_totals(X, Y):
     return np.sort(totals)
 
 
-def check_the_screen(X, Y, exact):
-    n, d = X.shape
-    pairs = np.array([[X, Y]])
-    best, cmax = (float(v[0]) for v in _assignment_totals(pairs))
-    lo, hi, sure = (v[0] for v in _distance_bounds(pairs))
-    totals = row_order_totals(X, Y)
-    # the DP's least total: exactly that of the enumeration on dyadic
-    # clouds, within the rounding of the costs otherwise
-    assert abs(best - totals[0]) <= 4 * _gamma(n + d + 1) * n * cmax
-    if exact:
-        assert best == totals[0]
-    assert lo <= orbit_distance_bruteforce(X, Y).distance <= hi
-    # the reference's bounds hold on ties too
-    assert sure
-    assert lo <= _enumerated_distance(X, Y)[0] <= hi
+def check_the_screen(X, Y):
+    """The DP's least total is the least row-order total, bit for bit, ties
+    included; for n <= 7 its sqrt is the enumeration's distance."""
+    n = len(X)
+    best = _assignment_totals(np.array([[X, Y]]))[0]
+    assert best == row_order_totals(X, Y)[0]
+    if n <= 7:
+        assert math.sqrt(best) == _enumerated_distance(X, Y)[0]
 
 
 def check_the_reference(X, Y):
@@ -321,14 +329,14 @@ def check_the_reference(X, Y):
 @settings(max_examples=300, deadline=None)
 def test_the_assignment_dp_matches_the_bruteforce(pair):
     check_the_screen(*pair)
-    check_the_reference(*pair[:2])
+    check_the_reference(*pair)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_the_assignment_dp_on_the_adversarial_pair(n):
     for d in (2, 3, 4):
         pair = adversarial_circle_pair(n, d)
-        check_the_screen(pair.X, pair.Y, False)
+        check_the_screen(pair.X, pair.Y)
         check_the_reference(pair.X, pair.Y)
         assert _enumerated_distance(pair.X, pair.Y)[0] == orbit_distance(pair.X, pair.Y).distance
 
@@ -339,7 +347,7 @@ def test_the_screen_bounds_the_reference_on_repeated_rows():
         X = rng.standard_normal((n, 3))
         Y = rng.standard_normal((n, 3))
         Y[1] = Y[0]  # swapping their partners leaves every total as it is
-        check_the_screen(X, Y, False)
+        check_the_screen(X, Y)
         check_the_reference(X, Y)
 
 
@@ -350,14 +358,14 @@ def test_the_reference_enumeration_against_the_assignment_solver(n, d, decade, s
     X, Y = 10.0**decade * make_rng(seed).standard_normal((2, n, d))
     if repeated and n > 1:
         Y[1] = Y[0]  # a planted tie
-    check_the_screen(X, Y, False)
+    check_the_screen(X, Y)
     check_the_reference(X, Y)
 
 
 def test_the_assignment_dp_stays_within_one_block():
     # the widest tables: n = 8, in the largest block the audit forms
     n, d, D = 8, 4, 2
-    block = _blocks(10**6, max(2 * n * max(d, D), _assignment_width(n, d)))[0]
+    block = _blocks(10**6, max(2 * n * max(d, D), _assignment_width(n)))[0]
     pairs = make_rng(6).standard_normal((block.stop, 2, n, d))
     tracemalloc.start()
     try:
@@ -387,24 +395,23 @@ def planted_pool(n, d, count, seed):
 def test_empirical_distortion_matches_the_pair_loop_on_a_planted_pool(monkeypatch, n):
     d, D, count, seed = 3, 8, 60, 4
     pairs = planted_pool(n, d, count, seed)
-    pool = np.array(pairs)
-    lo, hi, sure = _distance_bounds(pool[[5, 7]])
-    assert sure[0] and lo[0] < 1e-8 <= hi[0]  # the screen cannot tell skip from keep
-    assert sure[1] and lo[1] <= _enumerated_distance(*pool[7])[0] <= hi[1]  # a tie is bounded
-    confirmed = []
-    ratio = audit._pair_ratio
-
-    def recorded(A, pair):
-        confirmed.append(next(t for t in range(count) if np.array_equal(pool[t], pair)))
-        return ratio(A, pair)
-
-    monkeypatch.setattr(audit, "sample_pair_pool", lambda *args: pool.copy())
-    monkeypatch.setattr(audit, "_pair_ratio", recorded)
+    monkeypatch.setattr(audit, "sample_pair_pool", lambda *args: np.array(pairs))
     A = gaussian_directions(d, D, 70 + n)
     report = empirical_distortion(A, n, count, seed)
     assert audit_ratios(report) == reference_ratios(A, pairs)
-    assert 5 in confirmed
-    assert len(confirmed) < count // 4
+
+
+@given(st.integers(1, 8), st.integers(1, 64), st.integers(1, 12), st.integers(-3, 3),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_the_batched_gap_norms_match_the_norm_of_each_gap(n, D, count, decade, seed):
+    # rows of a stacked (count, n, D) gap, in the audit's row-major order and
+    # in ose_check's column-major order, against a norm of each fresh gap
+    gap = 10.0**decade * make_rng(seed).standard_normal((count, n, D))
+    for rows in (gap.reshape(count, -1), gap.transpose(0, 2, 1).reshape(count, -1)):
+        want = [float(np.linalg.norm(g.copy())) for g in rows]
+        assert _dot_norms(rows).tolist() == want
+    assert _dot_norms(gap.reshape(count, -1)).tolist() == [float(np.linalg.norm(g)) for g in gap]
 
 
 @pytest.mark.parametrize("n, d, D, M", [(2, 2, 3, 9), (3, 2, 7, 40), (4, 3, 12, 25), (5, 4, 9, 60)])
