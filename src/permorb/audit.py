@@ -626,10 +626,12 @@ class _SketchDraw:
     ``full()`` all of L.  A finished array (``of``) has every row final.
     ``start`` instead draws the bits of gaussian_sketch(n, D, M, seed) on
     one background thread, in the row slices of ``_gaussian_rows``, so
-    the OSE screen can use the top rows while the rest are drawn.  The
-    thread calls numpy alone (fill, divide, isfinite), none of
-    permorb's public functions, and checks each slice finite in place of
-    as_matrix; an error it meets is raised by the next ``rows``.
+    the OSE screen can use the top rows while the rest are drawn: the
+    syrks that sum the Gram matrix L^T L, or the gemms of the first
+    block's gap vectors by L^T.  The thread calls numpy alone (fill,
+    divide, isfinite), none of permorb's public functions, and checks
+    each slice finite in place of as_matrix; an error it meets is raised
+    by the next ``rows``.
     ``close`` stops and joins it, and must be called on every path.
     """
 
@@ -712,62 +714,118 @@ class _SketchDraw:
             self._thread.join()
 
 
-# Floats in one slice of the OSE screen's product V L^T.  The sketch is
-# read once whatever the slice, so slices stay small: two are alive at once.
+# Floats in one slice of the OSE screen's sketch reads.  The gemm route
+# holds V times one slice of L's rows; the sketch is read once whatever the
+# slice, so slices stay small: two are alive at once.  The Gram route takes
+# slices of at least N rows of L, so each syrk is tall enough to run at
+# gemm speed.
 _SCREEN_FLOATS = 1 << 18
 
 
+def _sketch_gram(sketch: _SketchDraw) -> np.ndarray:
+    """The N x N Gram matrix L^T L of the sketch, summed over slices of L's rows.
+
+    Each slice is taken as soon as it is drawn and holds at least N rows;
+    numpy computes S.T @ S with one syrk.  An overflow is left in G as an
+    infinity or a NaN; _sketch_screen's overflow test then makes every
+    margin infinite.
+    """
+    M, N = sketch.shape
+    G = np.zeros((N, N))
+    step = max(N, _SCREEN_FLOATS // N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, M, step):
+            S = sketch.rows(lo, lo + step)
+            G += S.T @ S
+    return G
+
+
 def _sketch_screen(
-    V: np.ndarray, denom: np.ndarray, sketch: _SketchDraw
+    V: np.ndarray, denom: np.ndarray, sketch: _SketchDraw, G: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screened ratios rho_s of the gap rows of V, and a margin tau on each.
 
     Each row x of V is a gap vector of length N, ``denom`` holds fl(||x||)
-    and ``sketch`` holds the M x N sketch L, fro >= ||L||_F once it is all
-    drawn.  W = V L^T is formed one slice of L's rows at a time, each as
-    soon as it is drawn, so L is read once for all of V and W is never
-    held whole; rho_s = fl(fl(||w||) / denom) for each row w of W.
-    tau bounds |rho_s - rho_ref| for the per-pair reference rho_ref =
-    fl(fl(||fl(L x)||) / denom).  The gemm and the reference matvec form
-    the same length-N dot products, only in another order, so by the
-    gamma_k bounds on dot products in any summation order (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.1):
+    (the caller skips pairs with denom below 1e-10) and ``sketch`` holds
+    the M x N sketch L, fro >= ||L||_F once it is all drawn.  The screen
+    forms q, a float near ||L x||^2, in one of two association orders, and
+    rho_s = fl(fl(sqrt(max(q, 0))) / denom):
 
-    * both products satisfy |fl(L x) - L x| <= gamma_N |L| |x|, and
-      || |L| |x| || <= ||L||_F ||x||, so the two product vectors differ in
-      norm by at most e_gap = 2 gamma_N ||L||_F ||x||;
+    * gemm route (G is None): W = V L^T is formed one slice of L's rows at
+      a time, each as soon as it is drawn, so L is read once for all of V
+      and W is never held whole; q is the sum of squares of each row of W.
+      It costs P M N multiply-adds for the P rows of V.
+    * Gram route: G = fl(L^T L) from _sketch_gram, formed once per check,
+      and q = fl(x^T fl(G x)) for each row: M N^2 / 2 multiply-adds once,
+      then P N^2.
+
+    tau bounds |rho_s - rho_ref| for the per-pair reference rho_ref =
+    fl(fl(||fl(L x)||) / denom).  Every product and sum below is a dot
+    product or a sum in some order, bounded by the gamma_k bounds that
+    hold in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1):
+
+    * the reference matvec satisfies |fl(L x) - L x| <= gamma_N |L| |x|,
+      and || |L| |x| || <= ||L||_F ||x||, so its norm is within
+      gamma_N ||L||_F ||x|| of ||L x||.  The gemm route forms the same
+      length-N dot products in another order, so the two product vectors
+      differ in norm by at most e_gap = 2 gamma_N ||L||_F ||x||; on the
+      Gram route e_gap covers the reference's half alone;
     * both norms, the sqrt of a sum of M squares in some order, err by at
       most gamma_{M+1} times the norm, and each norm is at most about
-      s + e_gap for the screened norm s = fl(||w||), which adds
-      gamma_{M+1} (2 s + e_gap);
+      s + e_gap + e_scr for the screened norm s, which adds
+      gamma_{M+1} (2 s + e_gap + e_scr);
+    * e_scr is 0 on the gemm route.  On the Gram route, each entry of G
+      is a sum of M products, so |G - L^T L| <= gamma_M |L|^T |L|, and
+      x^T (|L|^T |L|) x = || |L| |x| ||^2 <= ||L||_F^2 ||x||^2.  Each term
+      x_i G_ij x_j of the quadratic form meets N roundings in G x and N in
+      the outer dot, so q is within gamma_{2N} |x|^T |G| |x| <=
+      gamma_{2N} (1 + gamma_M) ||L||_F^2 ||x||^2 of x^T G x.  Together
+      |q - ||L x||^2| <= E = (gamma_M + gamma_{2N} (1 + gamma_M))
+      ||L||_F^2 ||x||^2, which may leave q negative.  For a >= 0 and
+      b >= 0, |sqrt(a) - sqrt(b)| <= min(sqrt(|a - b|), |a - b| / sqrt(a)),
+      so s is within e_scr = min(sqrt(E), E / s) of ||L x||, up to the
+      rounding of the sqrt;
     * the other roundings: the two divisions by denom, and the caller's
       rho - 1, rho - (1 +- eps) and err +- tau.  Each is at most u times a
       value below about rho + 1, and fewer than eight of them meet in one
       comparison, so 16 u (rho_s + 1) covers them.
 
-    The first two terms are divided by denom and doubled; the doubling
-    absorbs ||x|| against denom and the roundings made while evaluating
-    the bound itself.  The bounds assume no overflow.  No entry of w
-    exceeds ||L||_F ||x|| and no sum of squares exceeds its square, so
-    nothing overflows while that product stays below _NO_OVERFLOW; where
-    it does not, every margin is infinite and the caller confirms every
-    pair.  fro is known only once L is all drawn, so that test follows the
-    gemms, and whatever they overflowed is thrown away.
+    The first three terms are divided by denom and doubled; the doubling
+    absorbs ||x|| against denom, the rounding of the screen's sqrt and the
+    roundings made while evaluating the bound itself.  Underflow adds an
+    absolute error to the products: for denom >= 1e-10 it moves no ratio by
+    as much as 1e-140, far inside what the 16 u term leaves spare.  The
+    bounds assume no overflow.  No entry of w or of L^T L exceeds
+    ||L||_F ||x|| or ||L||_F^2, no entry of G x exceeds ||L||_F^2 ||x||,
+    and no sum of squares or quadratic form exceeds (||L||_F ||x||)^2, so
+    nothing overflows while ||L||_F max(1, ||x||) stays below _NO_OVERFLOW;
+    where it does not, every margin is infinite and the caller confirms
+    every pair.  fro is known only once L is all drawn, so that test
+    follows the products, and whatever they overflowed is thrown away.
     """
     M, N = sketch.shape
-    q = np.zeros(len(V))
-    step = max(1, _SCREEN_FLOATS // len(V))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, M, step):
-            W = V @ sketch.rows(lo, lo + step).T
-            q += np.einsum("ij,ij->i", W, W)
+        if G is None:
+            q = np.zeros(len(V))
+            step = max(1, _SCREEN_FLOATS // len(V))
+            for lo in range(0, M, step):
+                W = V @ sketch.rows(lo, lo + step).T
+                q += np.einsum("ij,ij->i", W, W)
+        else:
+            q = np.einsum("ij,ij->i", V @ G, V)
     fro = sketch.fro()
-    if fro * float(np.max(denom)) > _NO_OVERFLOW:
+    if fro * max(1.0, float(np.max(denom))) > _NO_OVERFLOW:
         return np.zeros(len(V)), np.full(len(V), np.inf)
-    s = np.sqrt(q)
+    s = np.sqrt(np.maximum(q, 0.0))
     rho = s / denom
     e_gap = 2.0 * _gamma(N) * fro * denom
-    tau = 2.0 * (e_gap + _gamma(M + 1) * (2.0 * s + e_gap)) / denom
+    e_scr = 0.0
+    if G is not None:
+        E = (_gamma(M) + _gamma(2 * N) * (1.0 + _gamma(M))) * (fro * denom) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_scr = np.fmin(np.sqrt(E), E / s)  # fmin drops the NaN of 0 / 0
+    tau = 2.0 * (e_gap + e_scr + _gamma(M + 1) * (2.0 * s + e_gap + e_scr)) / denom
     tau += 16.0 * _UNIT_ROUNDOFF * (rho + 1.0)
     return rho, tau
 
@@ -784,13 +842,19 @@ def ose_check(
     Each block's gap vectors x are the rows of one array, and their norms
     ||x|| come from one BLAS dot each (_dot_norms), the bits of
     np.linalg.norm.  The ratios are screened, then confirmed.  The screen
-    multiplies the rows by L^T in a few gemms, so the M x nD sketch is
-    read once per block of pairs rather than once per pair.  Each screened
-    ratio comes with a proven margin on its distance from the per-pair
-    reference ||L @ x|| / ||x||.  A pair whose margin reaches 1 +- eps, or
-    whose error could be its block's largest, is confirmed with the
-    reference matvec on its row; the margin settles every other pair.  So
-    the report is the one a per-pair matvec loop gives, bit for bit.
+    (_sketch_screen) forms every ||L x||^2 of a block at once, in one of
+    two association orders, picked once per check from the sizes: with
+    N = nD sketch columns and P pairs, V L^T costs P M N multiply-adds per
+    block, and the Gram matrix L^T L costs M N^2 / 2 once, then P N^2.
+    So with ``trials >= N`` the check forms L^T L once and reuses it in
+    every block; with fewer trials each block multiplies its rows by L^T
+    in a few gemms.  Either way the M x nD sketch is read once per block
+    or once per check, not once per pair.  Each screened ratio comes with
+    a proven margin on its distance from the per-pair reference
+    ||L @ x|| / ||x||.  A pair whose margin reaches 1 +- eps, or whose
+    error could be its block's largest, is confirmed with the reference
+    matvec on its row; the margin settles every other pair.  So the
+    report is the one a per-pair matvec loop gives, bit for bit.
 
     ``permorb audit --check-ose`` passes a sketch still being drawn on a
     second thread (``_SketchDraw``), started before its pair pool: the
@@ -813,6 +877,7 @@ def ose_check(
     max_err = 0.0
     used = 0
     skipped = 0
+    G = None  # L^T L, once the first block needs it, on the Gram route
     for block in _blocks(trials, 2 * n * max(d, D)):
         clouds = np.empty((2, block.stop - block.start, n, d))
         scales = []
@@ -833,7 +898,9 @@ def ose_check(
         if not far.any():
             continue
         V, denom = V[far], denom[far]
-        rho, tau = _sketch_screen(V, denom, sketch)
+        if G is None and trials >= N:
+            G = _sketch_gram(sketch)
+        rho, tau = _sketch_screen(V, denom, sketch, G)
         L = sketch.full()  # drawn once screened
         err = np.abs(rho - 1.0)
         near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)

@@ -9,7 +9,10 @@ per pair (``audit._dot_norms``).  The DP's least total is checked bit for
 bit against every matching's total added in row order, and so against
 ``_enumerated_distance`` for n <= 7; the dots against ``np.linalg.norm``
 of each fresh gap.  ``ose_check`` takes its denominators from the same
-dots and screens its ratios with a few gemms against the sketch.  The
+dots and screens its ratios through the sketch: a few gemms against it
+per block, or, with as many trials as sketch columns, its Gram matrix
+formed once per check.  The screen's margins are checked on their own
+against the per-pair norm of ``L @ x``, at one and two BLAS threads.  The
 loops below are the per-pair forms they replaced, written with the
 public, validating functions and the generator calls of the original
 code; the batched checks must reproduce their draws and reports exactly,
@@ -30,7 +33,11 @@ copy permutes the rows of its X, and no assignment is solved.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +62,14 @@ from permorb import (
     spot_check_injectivity,
 )
 from permorb import audit, metrics, separation
-from permorb.audit import _SCREEN_FLOATS, OseReport, _dot_norms, sample_pair_pool
+from permorb.audit import (
+    _NO_OVERFLOW,
+    _SCREEN_FLOATS,
+    OseReport,
+    _dot_norms,
+    _SketchDraw,
+    sample_pair_pool,
+)
 from permorb.constructions import adversarial_circle_pair
 from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks
 from permorb.metrics import (
@@ -439,13 +453,42 @@ def test_ose_check_matches_the_pair_loop_with_few_pairs_and_a_wide_sketch():
     assert ose_check(A, L, n, 0.5, trials, 7) == reference_ose_check(A, L, n, 0.5, trials, 7)
 
 
-def test_ose_check_matches_the_pair_loop_across_blocks_with_a_tall_sketch():
-    # each block screens against the whole sketch and confirms its own candidates
+def count_gram_calls(monkeypatch):
+    """The sketches audit._sketch_gram is called on, from now on."""
+    calls = []
+    gram = audit._sketch_gram
+
+    def counted(sketch):
+        calls.append(sketch)
+        return gram(sketch)
+
+    monkeypatch.setattr(audit, "_sketch_gram", counted)
+    return calls
+
+
+def test_ose_check_matches_the_pair_loop_across_blocks_with_a_tall_sketch(monkeypatch):
+    # each block screens against the whole sketch, through one Gram matrix
+    # formed for the check, and confirms its own candidates
     n, d, D, M, trials = 4, 3, 24, 300, 6000
     assert len(_blocks(trials, 2 * n * D)) == 2
     A = gaussian_directions(d, D, 17)
     L = gaussian_sketch(n, D, M, 5)
+    calls = count_gram_calls(monkeypatch)
     assert ose_check(A, L, n, 0.1, trials, 5) == reference_ose_check(A, L, n, 0.1, trials, 5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("below", [1, 0])
+def test_ose_check_takes_the_gram_route_from_as_many_trials_as_sketch_columns(monkeypatch, below):
+    n, d, D, M = 3, 2, 8, 50
+    trials = n * D - below
+    A = gaussian_directions(d, D, 23)
+    L = gaussian_sketch(n, D, M, 24)
+    calls = count_gram_calls(monkeypatch)
+    for seed in (0, 1, 2):
+        want = reference_ose_check(A, L, n, 0.2, trials, seed)
+        assert ose_check(A, L, n, 0.2, trials, seed) == want
+    assert len(calls) == (3 if below == 0 else 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -509,6 +552,96 @@ def test_ose_check_matches_the_pair_loop_on_small_shapes(n, d, D, M, epsilon, tr
     L = rng.standard_normal((M, n * D)) / math.sqrt(M)
     got = ose_check(A, L, n, epsilon, trials, seed)
     assert got == reference_ose_check(A, L, n, epsilon, trials, seed)
+
+
+def check_the_ose_margin(V, L, gram):
+    """The screen's margin on each gap row x of V bounds its distance from
+    the reference fl(||L @ x||) / fl(||x||) that ose_check confirms with."""
+    denom = _dot_norms(V)
+    sketch = _SketchDraw.of(L)
+    G = audit._sketch_gram(sketch) if gram else None
+    with np.errstate(over="ignore"):
+        rho, tau = audit._sketch_screen(V, denom, sketch, G)
+        ref = np.array([float(np.linalg.norm(L @ x)) / float(r) for x, r in zip(V, denom)])
+    assert (np.abs(rho - ref) <= tau).all(), np.max(np.abs(rho - ref) - tau)
+    return rho, tau
+
+
+def _ose_margin_case(case, rng):
+    """(V, L) for one margin case: P gap rows of N floats and an M x N sketch."""
+    N = 48
+    M = 20 if case == "null space" else 300
+    L = rng.standard_normal((M, N)) / math.sqrt(M)
+    V = rng.standard_normal((60, N))
+    if case == "spread":
+        V *= 10.0 ** rng.uniform(-3.0, 3.0, (60, 1))
+    elif case == "null space":
+        # rows in L's null space, some with a small part outside it
+        null = np.linalg.svd(L)[2][M:]
+        V[:40] = rng.standard_normal((40, N - M)) @ null
+        V[20:40] += 1e-6 * rng.standard_normal((20, N))
+    elif case == "repeated rows":
+        L = np.repeat(L[:1], M, axis=0)
+    elif case == "orthonormal":
+        L = np.linalg.qr(rng.standard_normal((M, N)))[0]
+    elif case == "tiny sketch":
+        # the Gram matrix and the margin's own squares underflow to zero
+        L *= 1e-170
+    return V, L
+
+
+@pytest.mark.parametrize("gram", [False, True], ids=["gemm", "gram"])
+@pytest.mark.parametrize(
+    "case", ["spread", "null space", "repeated rows", "orthonormal", "tiny sketch"]
+)
+def test_the_ose_screen_margin_bounds_the_reference(case, gram):
+    for seed in range(4):
+        V, L = _ose_margin_case(case, make_rng(seed))
+        rho, tau = check_the_ose_margin(V, L, gram)
+        if case != "null space":
+            assert (tau < 1e-6).all()  # small enough to leave few pairs to confirm
+        if case == "orthonormal":
+            assert (np.abs(rho - 1.0) < 1e-13).all()
+
+
+@pytest.mark.parametrize("gram", [False, True], ids=["gemm", "gram"])
+@pytest.mark.parametrize("fro, gap_scale", [(1e153, 1e3), (1.2e154, 1e-9)])
+def test_the_ose_screen_margin_is_infinite_past_the_overflow_guard(fro, gap_scale, gram):
+    # at 1.2e154 ||L||_F ||x|| is far below the guard, but ||L||_F^2, the
+    # size of the Gram matrix's entries, is within a factor 2 of overflow
+    rng = make_rng(9)
+    unit = rng.standard_normal((30, 12))
+    unit /= np.linalg.norm(unit)
+    V = gap_scale * rng.standard_normal((15, 12))
+    rho, tau = check_the_ose_margin(V, fro * unit, gram)
+    assert fro * max(1.0, float(np.max(_dot_norms(V)))) > _NO_OVERFLOW
+    assert np.isinf(tau).all()
+
+
+# ose_check against the pair loop at the CLI shape, under a given BLAS
+# thread count: the gemm, syrk and gemv orders change with it
+_OSE_AT_THREADS = """
+from test_empirical_engine import reference_ose_check
+from permorb import gaussian_directions, gaussian_sketch, ose_check, ose_dimension
+n, d, D = 6, 3, 24
+M = ose_dimension(n, d, D, 0.25, 0.1)
+for seed in (0, 1):
+    A = gaussian_directions(d, D, 60 + seed)
+    L = gaussian_sketch(n, D, M, seed)
+    got = ose_check(A, L, n, 0.25, 200, seed)
+    assert got == reference_ose_check(A, L, n, 0.25, 200, seed), (seed, got)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ose_check_matches_the_pair_loop_at_one_and_two_blas_threads(threads):
+    # a BLAS sets its thread count when it loads, so each count runs in a
+    # fresh interpreter
+    src = str(Path(audit.__file__).resolve().parent.parent)
+    here = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", _OSE_AT_THREADS], env=env, check=True)
 
 
 # the perfbench spot-check shapes

@@ -224,8 +224,9 @@ def test_cli_report_equals_the_sequential_report(tmp_path, subset_r, pu_m):
 
 
 def test_cli_report_equals_the_sequential_report_across_blocks(tmp_path, monkeypatch):
-    # small blocks and small draw slices: the screen of each block waits on
-    # the drawer many times, and the confirming matvecs run in every block
+    # small blocks and small draw slices: the Gram matrix the screen forms
+    # in the first block waits on the drawer many times, and the
+    # confirming matvecs run in every block
     monkeypatch.setattr(embeddings, "_BLOCK_ELEMENTS", 1 << 12)
     monkeypatch.setattr(embeddings, "_DRAW_FLOATS", 1 << 10)
     n, d, D, ose_trials = 3, 2, 8, 200
