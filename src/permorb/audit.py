@@ -36,7 +36,8 @@ routes and the empirical estimate used to sandwich the distortion:
 from __future__ import annotations
 
 import math
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,7 +52,14 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _gaussian_rows, _gaussian_sketch, _sort_project
+from .embeddings import (
+    _DRAW_FLOATS,
+    _blocks,
+    _gaussian_fill,
+    _gaussian_slices,
+    _gaussian_sketch,
+    _sort_project,
+)
 from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
@@ -77,7 +85,7 @@ __all__ = [
 EXACT_SWEEP = "exact-2d-sweep"
 SPHERE_SAMPLING = "sphere-sampling"
 
-# Default sphere-sample count per feature dimension for the sampled
+# Sphere-sample count per feature dimension for the sampled
 # projective-uniformity estimate (it overestimates delta; only the d=2
 # sweep proves one).
 _PU_SPHERE_SAMPLES_PER_DIM = 10_000
@@ -329,22 +337,16 @@ def _pu_sphere_sampling(A: np.ndarray, m: int, samples: int, seed: int) -> PUEst
     return PUEstimate(m=m, delta=best, method=SPHERE_SAMPLING, direction_count=samples)
 
 
-def projective_uniformity(
-    A,
-    m: int,
-    *,
-    sphere_samples: int | None = None,
-    seed: int = 0,
-) -> PUEstimate:
+def projective_uniformity(A, m: int, *, seed: int = 0) -> PUEstimate:
     """The (m, delta) projective-uniformity constant of A, or an estimate of it.
 
     delta is the least, over unit directions e, of the m-th smallest
     |a_k . e|.  For d = 2 it is the ``exact-2d-sweep``: a proven floor,
     within about 16 u max ||a_k|| of the true constant (u = 2**-53), from
     the D**2 directions that provably hold the minimiser, at a cost of
-    order D**3.  For any other d it is ``sphere-sampling`` over
-    ``sphere_samples`` seeded uniform directions (default 10,000 per
-    dimension), which only overestimates delta and so proves no floor.
+    order D**3.  For any other d it is ``sphere-sampling`` over 10,000
+    seeded uniform directions per dimension, which only overestimates
+    delta and so proves no floor.
     ``method`` in the result names the one used.
     """
     A = as_matrix(A, "A")
@@ -353,9 +355,7 @@ def projective_uniformity(
         raise ValueError(f"m must lie in 1..{D}, got {m}")
     if d == 2:
         return _pu_exact_sweep(A, m)
-    if sphere_samples is None:
-        sphere_samples = _PU_SPHERE_SAMPLES_PER_DIM * d
-    return _pu_sphere_sampling(A, m, sphere_samples, seed)
+    return _pu_sphere_sampling(A, m, _PU_SPHERE_SAMPLES_PER_DIM * d, seed)
 
 
 def blueprint_lower_bound(delta: float, m: int, D: int, n: int) -> float:
@@ -607,7 +607,8 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     """M x (n*D) sketch with i.i.d. N(0, 1/M) entries (std 1/sqrt(M)).
 
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  ``permorb
-    audit --check-ose`` draws these same bits on a second thread while its
+    audit --check-ose`` draws these same bits, one row slice
+    (``_gaussian_slices``) per task of a one-worker executor, while its
     pair pool runs (``_SketchDraw``), so its report is unchanged.
     """
     _check_sketch_size(n, D, M)
@@ -619,77 +620,63 @@ def _check_sketch_size(n: int, D: int, M: int) -> None:
         raise ValueError("n, D and M must be positive")
 
 
+def _draw_slice(rng: np.random.Generator, rows: np.ndarray, M: int) -> None:
+    """Draw one slice of a sketch's rows and check it finite, in place of as_matrix."""
+    _gaussian_fill(rng, rows, M)
+    if not np.isfinite(rows).all():
+        raise ValueError("L contains non-finite entries")
+
+
 class _SketchDraw:
     """An M x N sketch whose rows become final from the top down.
 
     ``rows(lo, hi)`` returns L[lo:hi] once those rows are final, and
     ``full()`` all of L.  A finished array (``of``) has every row final.
-    ``start`` instead draws the bits of gaussian_sketch(n, D, M, seed) on
-    one background thread, in the row slices of ``_gaussian_rows``, so
-    the OSE screen can use the top rows while the rest are drawn: the
-    syrks that sum the Gram matrix L^T L, or the gemms of the first
-    block's gap vectors by L^T.  The thread calls numpy alone (fill,
-    divide, isfinite), none of permorb's public functions, and checks
-    each slice finite in place of as_matrix; an error it meets is raised
-    by the next ``rows``.
-    ``close`` stops and joins it, and must be called on every path.
+    ``start`` instead submits one task per row slice of
+    ``_gaussian_slices`` to an executor with a single worker thread, which
+    runs them in order, so the slices continue one stream and L gets the
+    bits of gaussian_sketch(n, D, M, seed).  The OSE screen can use the top
+    rows while the rest are drawn: the syrks that sum the Gram matrix
+    L^T L, or the gemms of the first block's gap vectors by L^T.  A task
+    calls numpy alone (fill, divide, isfinite), none of permorb's public
+    functions; ``rows`` waits on the futures of the slices it needs and
+    raises a task's error.  ``close`` cancels the tasks not yet begun and
+    joins the worker, and must be called on every path.
     """
 
-    def __init__(self, M: int, columns: int):
-        self.shape = (M, columns)
-        self._L = None
-        self._ready = 0
-        self._error = None
-        self._stop = False
+    def __init__(self, L: np.ndarray):
+        self.shape = L.shape
+        self._L = L
         self._fro = None
-        self._thread = None
-        self._cond = threading.Condition()
+        self._executor = None
+        self._drawing = deque()  # (first row, future) of each slice not yet seen final
 
     @classmethod
     def of(cls, L: np.ndarray) -> "_SketchDraw":
         """A finished sketch: every row of the validated array L is final."""
-        sketch = cls(*L.shape)
-        sketch._L, sketch._ready = L, L.shape[0]
-        return sketch
+        return cls(L)
 
     @classmethod
     def start(cls, n: int, D: int, M: int, seed: int) -> "_SketchDraw":
-        """Start drawing gaussian_sketch(n, D, M, seed) on a background thread."""
+        """Start drawing gaussian_sketch(n, D, M, seed) on a worker thread."""
         _check_sketch_size(n, D, M)
-        sketch = cls(M, n * D)
         # allocated by the caller's thread: memory a thread allocates comes
         # from a malloc arena of its own, which the rest of the program does
         # not reuse (allocated on the thread, audit-cli's peak RSS grew 22 MB)
-        sketch._L = np.empty(sketch.shape)
-        sketch._thread = threading.Thread(
-            target=sketch._draw, args=(make_rng(seed),), name="permorb-sketch", daemon=True
-        )
-        sketch._thread.start()
+        sketch = cls(np.empty((M, n * D)))
+        sketch._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch")
+        rng = make_rng(seed)
+        for rows in _gaussian_slices(M, n * D):
+            future = sketch._executor.submit(_draw_slice, rng, sketch._L[rows], M)
+            sketch._drawing.append((rows.start, future))
         return sketch
 
-    def _draw(self, rng: np.random.Generator) -> None:
-        try:
-            lo = 0
-            for hi in _gaussian_rows(rng, self._L):
-                if not np.isfinite(self._L[lo:hi]).all():
-                    raise ValueError("L contains non-finite entries")
-                with self._cond:
-                    if self._stop:
-                        return
-                    self._ready = lo = hi
-                    self._cond.notify_all()
-        except BaseException as exc:  # raised again by rows() in the caller's thread
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """L[lo:hi] once those rows are final; raises the drawing thread's error."""
+        """L[lo:hi] once those rows are final; raises the error of a slice's task."""
         hi = min(hi, self.shape[0])
-        with self._cond:
-            self._cond.wait_for(lambda: self._ready >= hi or self._error is not None)
-            if self._error is not None:
-                raise self._error
+        while self._drawing and self._drawing[0][0] < hi:
+            self._drawing[0][1].result()
+            self._drawing.popleft()
         return self._L[lo:hi]
 
     def full(self) -> np.ndarray:
@@ -707,32 +694,23 @@ class _SketchDraw:
         return self._fro
 
     def close(self) -> None:
-        """Stop the drawing thread, if any, and wait for it to end."""
-        if self._thread is not None:
-            with self._cond:
-                self._stop = True
-            self._thread.join()
-
-
-# Floats in one slice of the OSE screen's sketch reads.  The gemm route
-# holds V times one slice of L's rows; the sketch is read once whatever the
-# slice, so slices stay small: two are alive at once.  The Gram route takes
-# slices of at least N rows of L, so each syrk is tall enough to run at
-# gemm speed.
-_SCREEN_FLOATS = 1 << 18
+        """Cancel the slices not yet begun, if any, and wait for the worker to end."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
 
 
 def _sketch_gram(sketch: _SketchDraw) -> np.ndarray:
     """The N x N Gram matrix L^T L of the sketch, summed over slices of L's rows.
 
-    Each slice is taken as soon as it is drawn and holds at least N rows;
-    numpy computes S.T @ S with one syrk.  An overflow is left in G as an
-    infinity or a NaN; _sketch_screen's overflow test then makes every
-    margin infinite.
+    Each slice is taken as soon as it is drawn and holds _DRAW_FLOATS
+    floats or N rows, whichever is more, so each syrk (numpy computes
+    S.T @ S with one) is tall enough to run at gemm speed.  An overflow
+    is left in G as an infinity or a NaN; _sketch_screen's overflow test
+    then makes every margin infinite.
     """
     M, N = sketch.shape
     G = np.zeros((N, N))
-    step = max(N, _SCREEN_FLOATS // N)
+    step = max(N, _DRAW_FLOATS // N)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, M, step):
             S = sketch.rows(lo, lo + step)
@@ -808,7 +786,9 @@ def _sketch_screen(
     with np.errstate(over="ignore", invalid="ignore"):
         if G is None:
             q = np.zeros(len(V))
-            step = max(1, _SCREEN_FLOATS // len(V))
+            # W holds V times one slice of L's rows: the sketch is read once
+            # whatever the slice, so slices stay small
+            step = max(1, _DRAW_FLOATS // len(V))
             for lo in range(0, M, step):
                 W = V @ sketch.rows(lo, lo + step).T
                 q += np.einsum("ij,ij->i", W, W)
@@ -836,8 +816,15 @@ def ose_check(
     """Empirical norm-preservation ratios of a sketch on embedding gaps.
 
     For seeded pairs (X, Y) computes rho = ||L (vec bA(X) - vec bA(Y))|| /
-    ||bA(X) - bA(Y)||_F, skipping denominators below 1e-10, and counts
-    ratios outside [1 - eps, 1 + eps].
+    ||bA(X) - bA(Y)||_F and counts ratios outside [1 - eps, 1 + eps].
+
+    rho is invariant under scaling A, so, as in empirical_distortion, the
+    pairs are embedded with A scaled by 2**-k, max |A| = f 2**k,
+    0.5 <= f < 1 (math.frexp): no gap norm underflows or overflows,
+    whatever the scale of A.  A pair is skipped when its scaled gap norm is
+    below 1e-10, a threshold relative to A's binade.  Scaling by a power of
+    two is exact, so the report does not depend on the scale of A, and a
+    matrix with max |A| in [0.5, 1) is embedded as it is.
 
     Each block's gap vectors x are the rows of one array, and their norms
     ||x|| come from one BLAS dot each (_dot_norms), the bits of
@@ -856,10 +843,10 @@ def ose_check(
     matvec on its row; the margin settles every other pair.  So the
     report is the one a per-pair matvec loop gives, bit for bit.
 
-    ``permorb audit --check-ose`` passes a sketch still being drawn on a
-    second thread (``_SketchDraw``), started before its pair pool: the
-    screen uses each slice of rows as soon as it is drawn.  Its bits are
-    gaussian_sketch's, so the report is unchanged.
+    ``permorb audit --check-ose`` passes a sketch still being drawn by an
+    executor's worker thread (``_SketchDraw``), started before its pair
+    pool: the screen uses each slice of rows as soon as it is drawn.  Its
+    bits are gaussian_sketch's, so the report is unchanged.
     """
     A = as_matrix(A, "A")
     sketch = L if isinstance(L, _SketchDraw) else _SketchDraw.of(as_matrix(L, "L"))
@@ -871,6 +858,7 @@ def ose_check(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    scaled = np.ldexp(A, -math.frexp(float(np.max(np.abs(A))))[1])
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     rng = make_rng(seed)
     violations = 0
@@ -888,7 +876,7 @@ def ose_check(
             rng.standard_normal(out=X)
             rng.standard_normal(out=Y)
         clouds *= np.array(scales)[:, None, None]
-        E = _sort_project(A, clouds)
+        E = _sort_project(scaled, clouds)
         # the column-major gap vectors, one row each
         V = (E[0] - E[1]).transpose(0, 2, 1).reshape(len(scales), -1)
         del E

@@ -10,7 +10,8 @@ OPENBLAS_NUM_THREADS=1, gives the recorded digests).  Exit codes are a
 stable contract:
 
     0  success (for certify: Separating)
-    1  invalid parameters or unsupported matrix form
+    1  invalid parameters, unsupported matrix form, or an array too large
+       to allocate
     2  I/O failure
     3  audit finished but skipped a requested bound (budget exceeded)
     4  certify found a witness
@@ -257,7 +258,7 @@ def cmd_audit(args) -> int:
         if args.budget is not None
         else default_enumeration_budget(DEFAULT_SUBSET_BUDGET)
     )
-    # The OSE sketch is drawn on a second thread while the pool runs.  An
+    # The OSE sketch is drawn by a worker thread while the pool runs.  An
     # invalid OSE flag, or a sketch too large to allocate, is raised where
     # the audit reaches the check, after the errors of everything before it.
     sketch = sketch_error = None
@@ -486,7 +487,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedFormError, BudgetExceededError, ValueError) as exc:
+    except (UnsupportedFormError, BudgetExceededError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except OSError as exc:

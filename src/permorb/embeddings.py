@@ -55,8 +55,10 @@ __all__ = [
 _BLOCK_ELEMENTS = 1 << 20
 
 
-# Floats per slice of a sketch draw: one standard_normal call each.  A thread
-# drawing the audit's sketch hands its rows over one slice at a time.
+# Floats in one slice of a sketch's rows, the one slice budget of the sketch
+# code: each slice of a draw is one standard_normal call (the audit's draw
+# hands its rows over one slice at a time), and the OSE screen reads the
+# sketch in slices of this size for its syrks and gemms.
 _DRAW_FLOATS = 1 << 18
 
 
@@ -121,28 +123,28 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     return _sort_columns(np.matmul(X, A, out=out), out=out)
 
 
-def _gaussian_rows(rng: np.random.Generator, L: np.ndarray):
-    """Fill L (M x columns) with i.i.d. N(0, 1/M) entries from rng, one row slice at a time.
+def _gaussian_slices(M: int, columns: int) -> list[slice]:
+    """Consecutive row slices of an M x columns sketch, _DRAW_FLOATS floats (or one row) each."""
+    step = max(1, _DRAW_FLOATS // columns)
+    return [slice(lo, min(lo + step, M)) for lo in range(0, M, step)]
 
-    Yields the number of rows filled after each slice.  The slices continue
-    one stream and the division is exact per entry, so L gets the bits of a
-    single standard_normal call for all of it divided by sqrt(M).
+
+def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray, M: int) -> None:
+    """Fill rows of an M-row sketch with i.i.d. N(0, 1/M) entries from rng.
+
+    Slices filled in order continue one stream and the division by sqrt(M)
+    is exact per entry, so a sketch filled slice by slice gets the bits of
+    a single standard_normal call for all of it divided by sqrt(M).
     """
-    M = L.shape[0]
-    scale = math.sqrt(M)
-    step = max(1, _DRAW_FLOATS // L.shape[1])
-    for lo in range(0, M, step):
-        rows = L[lo : lo + step]
-        rng.standard_normal(out=rows)
-        rows /= scale
-        yield lo + len(rows)
+    rng.standard_normal(out=rows)
+    rows /= math.sqrt(M)
 
 
 def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarray:
     """M x columns sketch with i.i.d. N(0, 1/M) entries drawn from rng, unvalidated."""
     L = np.empty((M, columns))
-    for _ in _gaussian_rows(rng, L):
-        pass
+    for rows in _gaussian_slices(M, columns):
+        _gaussian_fill(rng, L[rows], M)
     return L
 
 

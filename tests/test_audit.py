@@ -460,6 +460,22 @@ def test_ose_check_counts_epsilon_exits():
     assert abs(report.max_ratio_error - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("s", [-600, 0, 505])
+def test_ose_check_reports_alike_at_every_scale_of_A(s):
+    # the ratios do not depend on the scale of A; at 2**505 (about 1e152)
+    # the gap norms of A itself overflow, at 2**-600 they fall below 1e-10
+    A = np.random.default_rng(0).standard_normal((2, 3))
+    L = gaussian_sketch(2, 3, 40, 0)
+    want = ose_check(A, L, 2, 0.25, 50, 0)
+    assert want.pairs_used == 50 and want.violations == 0
+    assert ose_check(np.ldexp(A, s), L, 2, 0.25, 50, 0) == want
+    G = gaussian_directions(3, 5, 4)
+    L = gaussian_sketch(4, 5, ose_dimension(4, 3, 5, 0.25, 0.1), 0)
+    want = ose_check(G, L, 4, 0.25, 200, 0)
+    assert want.pairs_used == 200
+    assert ose_check(np.ldexp(G, s), L, 4, 0.25, 200, 0) == want
+
+
 def test_ose_check_epsilon_one_only_upper_side():
     # with eps = 1 the window is [0, 2]; rho >= 0 always, so only rho > 2 counts
     rng = make_rng(79)

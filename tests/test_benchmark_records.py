@@ -1,10 +1,11 @@
 """The benchmark's recorded outputs: one seed-0 rotation must reproduce perfbench/expected.json.
 
 perfbench/run.py checks every op's output record against expected.json,
-but only when the benchmark is run.  This test runs one rotation of the
-``audit-cli`` and ``spot-check`` ops in a temporary directory and asserts
-that each op passes its own checks and that its record equals the
-recorded one, so a change that moves a report fails the test suite.
+but only when the benchmark is run.  This test runs one rotation of each
+workload's ops (``audit-cli``, ``spot-check``, ``certify-exhaustive`` and
+``certify-flagship``) in a temporary directory and asserts that each op
+passes its own checks and that its record equals the recorded one, so a
+change that moves a report or a certify verdict fails the test suite.
 expected.json is only read.
 
 The rotation runs in a child process with one BLAS thread, as the
@@ -41,7 +42,7 @@ print(json.dumps({"records": records, "problems": problems}))
 """
 
 
-@pytest.mark.parametrize("name", ["audit-cli", "spot-check"])
+@pytest.mark.parametrize("name", ["audit-cli", "spot-check", "certify-exhaustive", "certify-flagship"])
 def test_one_rotation_reproduces_the_expected_records(tmp_path, name):
     assert EXPECTED["seed"] == 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))

@@ -300,10 +300,32 @@ def test_audit_reports_matrices_of_extreme_scale(tmp_path):
         save_matrix_csv(tmp_path / "A.csv", scale * G)
         out = tmp_path / "r.json"
         assert main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", "4",
-                     "--trials", "50", "--seed", "0", "--out", str(out)]) == 0
+                     "--trials", "50", "--seed", "0", "--check-ose", "--ose-trials", "200",
+                     "--out", str(out)]) == 0
         reports.append(_read_json(out))
+    want = reports[0]["ose_check"]
+    assert want["pairs_used"] == 200
     for report in reports[1:]:
         assert abs(report["distortion"] / reports[0]["distortion"] - 1.0) <= 1e-12
+        got = report["ose_check"]
+        for key in ("violations", "pairs_used", "pairs_skipped"):
+            assert got[key] == want[key]
+        assert abs(got["max_ratio_error"] - want["max_ratio_error"]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--check-ose", "--epsilon", "1e-5"), ("--trials", str(10**13))],
+    ids=["sketch", "pool"],
+)
+def test_audit_reports_an_array_too_large_to_allocate(tmp_path, capsys, extra):
+    # both arrays are far beyond any address space, so nothing is committed
+    save_matrix_csv(tmp_path / "A.csv", gaussian_directions(3, 24, 0))
+    argv = ["audit", "--directions", str(tmp_path / "A.csv"), "--n", "6", "--trials", "50",
+            "--seed", "0", "--out", str(tmp_path / "r.json")]
+    assert main(argv + list(extra)) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_audit_rejects_all_zero_directions(tmp_path, capsys):

@@ -64,14 +64,13 @@ from permorb import (
 from permorb import audit, metrics, separation
 from permorb.audit import (
     _NO_OVERFLOW,
-    _SCREEN_FLOATS,
     OseReport,
     _dot_norms,
     _SketchDraw,
     sample_pair_pool,
 )
 from permorb.constructions import adversarial_circle_pair
-from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks
+from permorb.embeddings import _BLOCK_ELEMENTS, _DRAW_FLOATS, _NETWORK_MIN_COLUMNS, _blocks
 from permorb.metrics import (
     _all_permutations,
     _assignment_distance,
@@ -118,8 +117,13 @@ def audit_ratios(report):
 
 
 def reference_ose_ratios(A, L, n, trials, seed):
-    """The ratio of every used pair, and the number of skipped pairs."""
+    """The ratio of every used pair, and the number of skipped pairs.
+
+    A pair is skipped when its gap norm is below 1e-10 times 2**k, the
+    binade max |A| = f 2**k (0.5 <= f < 1) of the directions.
+    """
     d = A.shape[0]
+    k = math.frexp(float(np.max(np.abs(A))))[1]
     rng = make_rng(seed)
     ratios = []
     skipped = 0
@@ -129,7 +133,7 @@ def reference_ose_ratios(A, L, n, trials, seed):
         Y = scale * rng.standard_normal((n, d))
         diff = (sorted_embedding(A, X) - sorted_embedding(A, Y)).ravel(order="F")
         denom = float(np.linalg.norm(diff))
-        if denom < 1e-10:
+        if math.ldexp(denom, -k) < 1e-10:
             skipped += 1
             continue
         ratios.append(float(np.linalg.norm(L @ diff)) / denom)
@@ -496,7 +500,7 @@ def test_ose_check_matches_the_pair_loop_at_the_cli_shape(seed):
     # permorb audit --check-ose with n=6 on a 3 x 24 matrix: an 18,921 x 144 sketch
     n, d, D = 6, 3, 24
     M = ose_dimension(n, d, D, 0.25, 0.1)
-    assert 200 * M > _SCREEN_FLOATS  # the screen takes the sketch's rows in slices
+    assert 200 * M > _DRAW_FLOATS  # the screen takes the sketch's rows in slices
     A = gaussian_directions(d, D, 60 + seed)
     L = gaussian_sketch(n, D, M, seed)
     assert ose_check(A, L, n, 0.25, 200, seed) == reference_ose_check(A, L, n, 0.25, 200, seed)

@@ -1,4 +1,4 @@
-"""The audit CLI's OSE sketch, drawn on a second thread while the pool runs.
+"""The audit CLI's OSE sketch, drawn by a one-worker executor while the pool runs.
 
 ``permorb audit --check-ose`` starts drawing its Gaussian sketch before the
 pair pool, and the OSE screen uses each slice of rows as soon as it is
@@ -11,6 +11,9 @@ test).
 import dataclasses
 import math
 import sys
+import threading
+import time
+from concurrent.futures import wait
 from itertools import combinations
 
 import numpy as np
@@ -101,7 +104,29 @@ def test_rows_handed_over_under_fast_thread_switching_are_final(monkeypatch):
         sys.setswitchinterval(interval)
         for sketch in sketches:
             sketch.close()
-    assert not any(sketch._thread.is_alive() for sketch in sketches)
+    assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
+
+
+def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
+    # one row a slice; the first slice's task holds the worker until close()
+    # has cancelled the second, so every later slice is cancelled unbegun
+    monkeypatch.setattr(embeddings, "_DRAW_FLOATS", _N * _D)
+    futures = []
+    fill = audit._gaussian_fill
+
+    def held(rng, rows, M):
+        deadline = time.monotonic() + 10
+        while not (futures and futures[1].cancelled()) and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        fill(rng, rows, M)
+
+    monkeypatch.setattr(audit, "_gaussian_fill", held)
+    sketch = _SketchDraw.start(_N, _D, 50, 19)
+    futures += [future for _, future in sketch._drawing]
+    sketch.close()
+    assert futures[0].result() is None
+    assert all(future.cancelled() for future in futures[1:])
+    assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
 
 
 def test_ose_check_takes_a_sketch_being_drawn():
@@ -136,27 +161,24 @@ def _poison(out):
 
 def _patch_drawer(monkeypatch, fail):
     """Pass each slice the sketch drawer fills to ``fail``: only the drawer
-    fills through audit._gaussian_rows (the pair pool and ose_check fill
+    fills through audit._gaussian_fill (the pair pool and ose_check fill
     their clouds with ``out=`` too)."""
-    real = audit._gaussian_rows
+    real = audit._gaussian_fill
 
-    def failing(rng, L):
-        lo = 0
-        for hi in real(rng, L):
-            fail(L[lo:hi])
-            lo = hi
-            yield hi
+    def failing(rng, rows, M):
+        real(rng, rows, M)
+        fail(rows)
 
-    monkeypatch.setattr(audit, "_gaussian_rows", failing)
+    monkeypatch.setattr(audit, "_gaussian_fill", failing)
 
 
 def test_drawing_error_reaches_the_caller(monkeypatch):
     _patch_drawer(monkeypatch, _raise)
     sketch = _SketchDraw.start(2, 5, 40, 3)
     try:
-        # the thread ends on its error, so rows() cannot wait for ever
-        sketch._thread.join(timeout=10)
-        assert not sketch._thread.is_alive()
+        # every task ends on its error, so rows() cannot wait for ever
+        futures = [future for _, future in sketch._drawing]
+        assert not wait(futures, timeout=10).not_done
         with pytest.raises(RuntimeError, match="generator failed"):
             sketch.rows(0, 1)
         with pytest.raises(RuntimeError, match="generator failed"):
