@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +55,7 @@ from .embeddings import (
     _DRAW_FLOATS,
     _blocks,
     _gaussian_fill,
+    _gaussian_scale,
     _gaussian_slices,
     _gaussian_sketch,
     _sort_project,
@@ -473,13 +473,25 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _dot_norms(G: np.ndarray) -> np.ndarray:
-    """||g|| of each row g of G (count, N), the bits np.linalg.norm(g) gives.
+# OpenBLAS splits a dot of more floats than this across its threads, which
+# can change the dot's bits with the thread count.
+_BLAS_SERIAL_DOT = 10_000
 
-    np.linalg.norm takes the sqrt of one BLAS dot of a vector with itself,
-    and a stacked matmul of (1, N) by (N, 1) makes that dot for each row.
+
+def _dot_norms(G: np.ndarray) -> np.ndarray:
+    """||g|| of each row g of G (count, N), at any BLAS thread count.
+
+    A stacked matmul of (1, N) by (N, 1) makes one BLAS dot of each row
+    with itself.  For N <= 10,000 that is the dot np.linalg.norm(g) takes,
+    and gives its bits.  Longer rows are cut into dots of at most 10,000
+    floats, added from the left, since OpenBLAS splits a longer dot across
+    its threads and its bits would then depend on their number.
     """
-    return np.sqrt(np.matmul(G[:, None, :], G[:, :, None])[:, 0, 0])
+    total = 0.0
+    for lo in range(0, G.shape[1], _BLAS_SERIAL_DOT):
+        part = G[:, lo : lo + _BLAS_SERIAL_DOT]
+        total = total + np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
+    return np.sqrt(total)
 
 
 def empirical_distortion(
@@ -607,9 +619,10 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     """M x (n*D) sketch with i.i.d. N(0, 1/M) entries (std 1/sqrt(M)).
 
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  ``permorb
-    audit --check-ose`` draws these same bits, one row slice
-    (``_gaussian_slices``) per task of a one-worker executor, while its
-    pair pool runs (``_SketchDraw``), so its report is unchanged.
+    audit --check-ose`` draws these same bits while its pair pool runs
+    (``_SketchDraw``): a one-worker executor fills one row slice
+    (``_gaussian_slices``) per task, and the check scales each slice as it
+    takes it over, so its report is unchanged.
     """
     _check_sketch_size(n, D, M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
@@ -620,36 +633,43 @@ def _check_sketch_size(n: int, D: int, M: int) -> None:
         raise ValueError("n, D and M must be positive")
 
 
-def _draw_slice(rng: np.random.Generator, rows: np.ndarray, M: int) -> None:
-    """Draw one slice of a sketch's rows and check it finite, in place of as_matrix."""
-    _gaussian_fill(rng, rows, M)
-    if not np.isfinite(rows).all():
-        raise ValueError("L contains non-finite entries")
-
-
 class _SketchDraw:
     """An M x N sketch whose rows become final from the top down.
 
-    ``rows(lo, hi)`` returns L[lo:hi] once those rows are final, and
-    ``full()`` all of L.  A finished array (``of``) has every row final.
-    ``start`` instead submits one task per row slice of
-    ``_gaussian_slices`` to an executor with a single worker thread, which
-    runs them in order, so the slices continue one stream and L gets the
-    bits of gaussian_sketch(n, D, M, seed).  The OSE screen can use the top
-    rows while the rest are drawn: the syrks that sum the Gram matrix
-    L^T L, or the gemms of the first block's gap vectors by L^T.  A task
-    calls numpy alone (fill, divide, isfinite), none of permorb's public
-    functions; ``rows`` waits on the futures of the slices it needs and
-    raises a task's error.  ``close`` cancels the tasks not yet begun and
-    joins the worker, and must be called on every path.
+    ``rows(lo, hi)`` returns L[lo:hi] once those rows are final, ``full()``
+    all of L, and ``fro()`` a proven upper bound on ||L||_F.  ``rows``
+    takes the sketch over one slice of ``_gaussian_slices`` at a time, in
+    order and exactly once, on the caller's thread, and adds the slice's
+    sum of squares then, so ``fro`` makes no pass of its own over L.
+
+    A finished array (``of``) has every slice filled, and taking a slice
+    over only sums it.  ``start`` instead submits one ``_gaussian_fill``
+    task per slice to an executor with a single worker thread, which runs
+    them in order, so the slices continue one stream.  A task only fills:
+    numpy's fill runs without the GIL, so the worker takes the GIL back
+    once a slice, not once per numpy call, and it runs none of permorb's
+    public functions.  Taking a drawn slice over waits on its future,
+    which re-raises the task's error, divides the slice by sqrt(M) and
+    checks it finite, so L gets the bits of gaussian_sketch(n, D, M, seed).
+    A slice that fails stays pending, and raises again on a later call.
+    The OSE screen can use the top rows while the rest are drawn: the
+    syrks that sum the Gram matrix L^T L, or the gemms of the first
+    block's gap vectors by L^T.  ``close`` cancels the tasks not yet begun
+    and joins the worker, and must be called on every path.
     """
 
     def __init__(self, L: np.ndarray):
-        self.shape = L.shape
+        M, N = self.shape = L.shape
         self._L = L
-        self._fro = None
         self._executor = None
-        self._drawing = deque()  # (first row, future) of each slice not yet seen final
+        slices = _gaussian_slices(M, N)
+        # (rows, future of their fill, None for a finished array) of each
+        # slice not yet taken over
+        self._drawing = deque((rows, None) for rows in slices)
+        self._sumsq = 0.0
+        # fro's rounding count: the longest slice's dot (the first slice is
+        # the longest) and one addition per slice; see fro
+        self._fro_factor = 1.0 + _gamma(2 * (slices[0].stop * N + len(slices)) + 5)
 
     @classmethod
     def of(cls, L: np.ndarray) -> "_SketchDraw":
@@ -659,6 +679,9 @@ class _SketchDraw:
     @classmethod
     def start(cls, n: int, D: int, M: int, seed: int) -> "_SketchDraw":
         """Start drawing gaussian_sketch(n, D, M, seed) on a worker thread."""
+        # imported here, so that only --check-ose loads the executor's modules
+        from concurrent.futures import ThreadPoolExecutor
+
         _check_sketch_size(n, D, M)
         # allocated by the caller's thread: memory a thread allocates comes
         # from a malloc arena of its own, which the rest of the program does
@@ -666,17 +689,30 @@ class _SketchDraw:
         sketch = cls(np.empty((M, n * D)))
         sketch._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch")
         rng = make_rng(seed)
-        for rows in _gaussian_slices(M, n * D):
-            future = sketch._executor.submit(_draw_slice, rng, sketch._L[rows], M)
-            sketch._drawing.append((rows.start, future))
+        sketch._drawing = deque(
+            (rows, sketch._executor.submit(_gaussian_fill, rng, sketch._L[rows]))
+            for rows, _ in sketch._drawing
+        )
         return sketch
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """L[lo:hi] once those rows are final; raises the error of a slice's task."""
-        hi = min(hi, self.shape[0])
-        while self._drawing and self._drawing[0][0] < hi:
-            self._drawing[0][1].result()
+        """L[lo:hi] once those rows are final; raises the error of a slice's task or check."""
+        M = self.shape[0]
+        hi = min(hi, M)
+        while self._drawing and self._drawing[0][0].start < hi:
+            rows, future = self._drawing[0]
+            S = self._L[rows]
+            if future is not None:
+                future.result()
+                _gaussian_scale(S, M)
+            v = S.reshape(-1)
+            with np.errstate(over="ignore"):
+                sumsq = float(np.dot(v, v))
+            # a non-finite entry makes its slice's sum of squares non-finite
+            if future is not None and not math.isfinite(sumsq) and not np.isfinite(v).all():
+                raise ValueError("L contains non-finite entries")
             self._drawing.popleft()
+            self._sumsq += sumsq
         return self._L[lo:hi]
 
     def full(self) -> np.ndarray:
@@ -685,13 +721,26 @@ class _SketchDraw:
         return self._L
 
     def fro(self) -> float:
-        """An upper bound on ||L||_F, once every row is final."""
-        if self._fro is None:
-            L = self.full()
-            # the norm is the sqrt of one dot product of length M N
-            with np.errstate(over="ignore"):  # an infinite norm confirms every pair
-                self._fro = float(np.linalg.norm(L)) * (1.0 + _gamma(L.size + 1))
-        return self._fro
+        """An upper bound on ||L||_F, from the slices' sums of squares, once every row is final.
+
+        Write u for the unit roundoff and gamma_k = k u / (1 - k u).  Each
+        slice's sum of squares is one dot product of at most m floats, the
+        first slice's count, so it errs by at most gamma_m times its
+        exact value, in any summation order (Higham, Accuracy and Stability
+        of Numerical Algorithms, 3.1), plus at most 2**-1075 for each
+        product that underflows, grown by less than a factor 2.  The sums
+        of the J slices are added one by one, and then the allowance
+        M N 2**-1073 for those underflows, so the total t satisfies
+        t >= (1 - gamma_j) ||L||_F^2 with j = m + J + 1.  Hence
+        ||L||_F <= sqrt(t) / (1 - gamma_j) <= sqrt(t) (1 + gamma_{2j}).
+        The sqrt, 1 + gamma_k and their product each round down by at most
+        a factor 1 - u, and 1 / (1 - u)^3 <= 1 + gamma_3, so with
+        k = 2j + 3 the result is at least ||L||_F, as
+        (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}.  An overflow makes t,
+        and so the bound, infinite, and the screen then confirms every pair.
+        """
+        self.full()
+        return math.sqrt(self._sumsq + math.ldexp(self._L.size, -1073)) * self._fro_factor
 
     def close(self) -> None:
         """Cancel the slices not yet begun, if any, and wait for the worker to end."""
@@ -843,10 +892,12 @@ def ose_check(
     matvec on its row; the margin settles every other pair.  So the
     report is the one a per-pair matvec loop gives, bit for bit.
 
-    ``permorb audit --check-ose`` passes a sketch still being drawn by an
-    executor's worker thread (``_SketchDraw``), started before its pair
-    pool: the screen uses each slice of rows as soon as it is drawn.  Its
-    bits are gaussian_sketch's, so the report is unchanged.
+    ``permorb audit --check-ose`` passes a sketch still being drawn
+    (``_SketchDraw``), started before its pair pool: an executor's worker
+    thread fills each slice of rows, and the screen scales it by
+    1 / sqrt(M), checks it finite and sums its squares for ||L||_F as soon
+    as it is filled.  Its bits are gaussian_sketch's, so the report is
+    unchanged.
     """
     A = as_matrix(A, "A")
     sketch = L if isinstance(L, _SketchDraw) else _SketchDraw.of(as_matrix(L, "L"))

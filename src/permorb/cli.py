@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -222,8 +223,8 @@ def cmd_distance(args) -> int:
 _largest_sketch_bytes = 0
 
 
-def _release_free_heap_before_sketch(nbytes: int) -> None:
-    """Return the C heap's free pages to the system before a sketch larger than any before.
+def _start_sketch(n: int, D: int, M: int, seed: int) -> _SketchDraw:
+    """Start drawing the audit's OSE sketch, handing free heap pages back first if it is the largest yet.
 
     glibc serves a block at least as large as its mmap threshold by a
     mapping of its own, and raises that threshold to the largest block
@@ -236,19 +237,22 @@ def _release_free_heap_before_sketch(nbytes: int) -> None:
     70.3-73.4 MB trimmed (seeds 0 and 1, two runs each, 2 cores, scipy not
     loaded).  A sketch no larger than an earlier one comes from the heap
     and reuses that memory, so the heap is trimmed only before a new
-    largest sketch (glibc's malloc_trim; elsewhere this does nothing).
+    largest sketch (glibc's malloc_trim; elsewhere this does nothing).  A
+    sketch counts once it is allocated: one too large to allocate leaves
+    the record as it was.
     """
     global _largest_sketch_bytes
-    if nbytes <= _largest_sketch_bytes:
-        return
-    _largest_sketch_bytes = nbytes
-    try:
-        import ctypes
+    nbytes = 8 * M * n * D
+    if nbytes > _largest_sketch_bytes:
+        try:
+            import ctypes
 
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim(0)
+            ctypes.CDLL(None).malloc_trim(0)
+        except (AttributeError, OSError, TypeError):
+            pass  # no glibc, so nothing to trim
+    sketch = _SketchDraw.start(n, D, M, seed)
+    _largest_sketch_bytes = max(_largest_sketch_bytes, nbytes)
+    return sketch
 
 
 def cmd_audit(args) -> int:
@@ -266,8 +270,7 @@ def cmd_audit(args) -> int:
         n, D = args.n, A.shape[1]
         try:
             M = ose_dimension(n, A.shape[0], D, args.epsilon, args.eta, args.ose_constant)
-            _release_free_heap_before_sketch(8 * M * n * D)
-            sketch = _SketchDraw.start(n, D, M, args.seed)
+            sketch = _start_sketch(n, D, M, args.seed)
         except (ValueError, MemoryError) as exc:
             sketch_error = exc
     try:
@@ -402,7 +405,13 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The permorb argument parser, built once per process.
+
+    ``parse_args`` leaves no state behind in it (no ``append`` actions, no
+    mutable defaults), so every call may share one.
+    """
     parser = argparse.ArgumentParser(
         prog="permorb",
         description="Sorted permutation-invariant embeddings: construction, "

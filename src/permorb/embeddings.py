@@ -129,14 +129,19 @@ def _gaussian_slices(M: int, columns: int) -> list[slice]:
     return [slice(lo, min(lo + step, M)) for lo in range(0, M, step)]
 
 
-def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray, M: int) -> None:
-    """Fill rows of an M-row sketch with i.i.d. N(0, 1/M) entries from rng.
+def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
+    """Fill rows of a sketch with i.i.d. N(0, 1) entries from rng; _gaussian_scale follows.
 
-    Slices filled in order continue one stream and the division by sqrt(M)
-    is exact per entry, so a sketch filled slice by slice gets the bits of
-    a single standard_normal call for all of it divided by sqrt(M).
+    Slices filled in order continue one stream, and the division by
+    sqrt(M) is rounded per entry, on whatever thread it runs, so a sketch
+    filled and scaled slice by slice gets the bits of a single
+    standard_normal call for all of it divided by sqrt(M).
     """
     rng.standard_normal(out=rows)
+
+
+def _gaussian_scale(rows: np.ndarray, M: int) -> None:
+    """Scale filled rows of an M-row sketch to N(0, 1/M) entries."""
     rows /= math.sqrt(M)
 
 
@@ -144,7 +149,8 @@ def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarr
     """M x columns sketch with i.i.d. N(0, 1/M) entries drawn from rng, unvalidated."""
     L = np.empty((M, columns))
     for rows in _gaussian_slices(M, columns):
-        _gaussian_fill(rng, L[rows], M)
+        _gaussian_fill(rng, L[rows])
+        _gaussian_scale(L[rows], M)
     return L
 
 

@@ -82,7 +82,6 @@ import functools
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -635,7 +634,12 @@ def certify_separation(
     # leaf order and the loop ends at the first witness.
     sub = max(span // tree.nfact, 1) if threads > 1 else span
     pieces = list(_pieces(start, min(stop, total), span, sub))
-    pool = ProcessPoolExecutor(min(threads, len(pieces))) if threads > 1 and len(pieces) > 1 else None
+    pool = None
+    if threads > 1 and len(pieces) > 1:
+        # imported here, so that only a parallel run loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(min(threads, len(pieces)))
     pos = mark = start
     witness = None
     try:

@@ -12,6 +12,7 @@ import pytest
 
 import permorb
 from permorb import (
+    cli,
     circle_directions,
     gaussian_directions,
     load_matrix_csv,
@@ -127,7 +128,10 @@ _AUDIT_CASES = """
 import sys
 from permorb.cli import main
 
-out, *matrices = sys.argv[1:]
+out, long, *matrices = sys.argv[1:]
+for seed in ("0", "1", "2", "3"):
+    assert main(["audit", "--directions", long, "--n", "8", "--trials", "300", "--seed", seed,
+                 "--out", f"{out}/8-{seed}-long.json"]) == 0
 for directions in matrices:
     for n in ("6", "8"):
         for seed in ("0", "1"):
@@ -144,17 +148,46 @@ def test_audit_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     matrices = [tmp_path / "gauss.csv", tmp_path / "circle.csv"]
     save_matrix_csv(matrices[0], gaussian_directions(3, 24, 4))
     save_matrix_csv(matrices[1], circle_directions(256))  # gap rows of 2,048 floats at n = 8
+    # gap rows of 10,008 floats at n = 8, more than OpenBLAS takes in one thread
+    save_matrix_csv(tmp_path / "long.csv", gaussian_directions(3, 1251, 1))
     reports = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
         out.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", _AUDIT_CASES, str(out), *map(str, matrices)],
-                       env=env, check=True)
+        subprocess.run([sys.executable, "-c", _AUDIT_CASES, str(out), str(tmp_path / "long.csv"),
+                        *map(str, matrices)], env=env, check=True)
         reports[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert len(reports["1"]) == 8
+    assert len(reports["1"]) == 12
     assert reports["1"] == reports["2"]
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # each call's flags and defaults must not leak into the next one
+    save_matrix_csv(tmp_path / "A.csv", gaussian_directions(2, 6, 3))
+    A = str(tmp_path / "A.csv")
+    calls = [
+        ["audit", "--directions", A, "--n", "3", "--trials", "40", "--seed", "2", "--pu-m", "2",
+         "--check-ose", "--ose-trials", "30", "--epsilon", "0.5"],
+        ["construct", "gaussian", "--d", "2", "--D", "5", "--seed", "4"],
+        ["audit", "--directions", A, "--n", "4", "--trials", "30"],
+        ["construct", "circle", "--D", "8"],
+        ["audit", "--directions", A, "--n", "3", "--trials", "40", "--subset-r", "1"],
+    ]
+
+    def run(call, out):
+        out.mkdir()
+        assert main(call + ["--out", str(out if call[0] == "construct" else out / "r.json")]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(call, tmp_path / f"shared{i}") for i, call in enumerate(calls)]
+    fresh = []
+    for i, call in enumerate(calls):
+        cli.build_parser.cache_clear()
+        fresh.append(run(call, tmp_path / f"fresh{i}"))
+    assert shared == fresh
 
 
 def test_audit_with_ose_block(tmp_path):
@@ -323,9 +356,12 @@ def test_audit_reports_an_array_too_large_to_allocate(tmp_path, capsys, extra):
     save_matrix_csv(tmp_path / "A.csv", gaussian_directions(3, 24, 0))
     argv = ["audit", "--directions", str(tmp_path / "A.csv"), "--n", "6", "--trials", "50",
             "--seed", "0", "--out", str(tmp_path / "r.json")]
+    largest = cli._largest_sketch_bytes
     assert main(argv + list(extra)) == 1
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not (tmp_path / "r.json").exists()
+    # a sketch that was never allocated does not stop later audits trimming the heap
+    assert cli._largest_sketch_bytes == largest
 
 
 def test_audit_rejects_all_zero_directions(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""permorb imports scipy only when it first solves an assignment.
+"""permorb imports scipy only when it first solves an assignment, and its executors only when it first uses one.
 
 An audit solves none: its reference distances enumerate the n! matchings
-of its n <= 8 clouds.  Checked in a fresh interpreter, since this test
-process has loaded scipy already.
+of its n <= 8 clouds.  Only ``audit --check-ose`` starts a thread executor
+(``concurrent.futures.thread``), and only ``certify --threads k > 1`` a
+process pool (``multiprocessing``).  Checked in a fresh interpreter, since
+this test process has loaded all three already.
 """
 
 import os
@@ -21,11 +23,11 @@ SCRIPT = textwrap.dedent(
     import tempfile
     from pathlib import Path
 
-    def scipy_loaded():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    def loaded(*packages):
+        return sorted(m for m in sys.modules for p in packages if m == p or m.startswith(p + "."))
 
-    def check(step):
-        assert not scipy_loaded(), f"{step} loaded {scipy_loaded()[:3]}"
+    def check(step, executors=("concurrent.futures", "multiprocessing")):
+        assert not loaded("scipy", *executors), f"{step} loaded {loaded('scipy', *executors)[:3]}"
 
     import permorb
     check("import permorb")
@@ -64,15 +66,19 @@ SCRIPT = textwrap.dedent(
         assert cli.main(["reproduce", "--out", str(out / "tables")]) == 0
         check("permorb reproduce")
         circle = str(out / "circle" / "A.csv")
-        for n in ("4", "8"):
-            for extra in ([], ["--pu-m", "3"]):
-                argv = ["--n", n, "--subset-r", "1", "--check-ose", *extra]
+        for extra in ([], ["--pu-m", "3"], ["--check-ose"], ["--check-ose", "--pu-m", "3"]):
+            for n in ("4", "8"):
+                argv = ["--n", n, "--subset-r", "1", *extra]
                 assert cli.main(["audit", "--directions", circle, "--trials", "60",
                                  "--ose-trials", "100", *argv, "--out", str(out / "audit.json")]) == 0
-                check(f"permorb audit {' '.join(argv)}")
+                if "--check-ose" in extra:
+                    check(f"permorb audit {' '.join(argv)}", executors=("multiprocessing",))
+                    assert "concurrent.futures.thread" in sys.modules
+                else:
+                    check(f"permorb audit {' '.join(argv)}")
         assert cli.main(["construct", "adversarial-pair", "--n", "8", "--d", "3",
                          "--out", str(out / "adversarial-pair")]) == 0
-        check("permorb construct adversarial-pair --n 8")
+        check("permorb construct adversarial-pair --n 8", executors=("multiprocessing",))
 
     solver = metrics.linear_sum_assignment
     costs = []

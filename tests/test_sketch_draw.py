@@ -9,6 +9,7 @@ test).
 """
 
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -85,6 +86,78 @@ def test_rows_are_final_once_handed_over():
         sketch.close()
 
 
+def test_reads_in_any_order_scale_each_slice_once():
+    # overlapping, repeated and backward reads: a slice scaled twice, or
+    # never, would differ from gaussian_sketch's bits
+    M = 3 * _SLICE + 7
+    reads = [(2 * _SLICE, 2 * _SLICE + 5), (0, 3), (1, _SLICE + 1), (0, 3),
+             (_SLICE - 2, 3 * _SLICE), (2 * _SLICE, 2 * _SLICE + 5), (M - 1, M + 5), (0, M)]
+    want = gaussian_sketch(_N, _D, M, 20)
+    sketch = _SketchDraw.start(_N, _D, M, 20)
+    finished = _SketchDraw.of(want.copy())
+    try:
+        for lo, hi in reads:
+            sketch.rows(lo, hi)
+            finished.rows(lo, hi)
+        assert sketch.full().tobytes() == want.tobytes()
+        assert finished.full().tobytes() == want.tobytes()
+    finally:
+        sketch.close()
+
+
+def _exact_fro(L):
+    with np.errstate(over="ignore", under="ignore"):
+        return math.sqrt(math.fsum((L * L).ravel()))
+
+
+@pytest.mark.parametrize("M", [1, 100, 3 * _SLICE + 7], ids=["one-row", "one-slice", "several-slices"])
+def test_fro_bounds_the_drawn_sketch(M):
+    sketch = _SketchDraw.start(_N, _D, M, 21)
+    try:
+        fro, exact = sketch.fro(), _exact_fro(sketch.full())
+    finally:
+        sketch.close()
+    assert exact <= fro <= exact * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("scale", [-560, -300, 0, 480], ids=lambda s: f"2**{s}")
+@pytest.mark.parametrize("M", [1, 100, 3 * _SLICE + 7], ids=["one-row", "one-slice", "several-slices"])
+def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale):
+    # at 2**-560 every square is subnormal, or underflows to 0
+    L = np.ldexp(gaussian_sketch(_N, _D, M, 22), scale)
+    fro, exact = _SketchDraw.of(L).fro(), _exact_fro(L)
+    assert exact <= fro
+    if scale > -500:
+        assert fro <= exact * (1.0 + 1e-8)
+
+
+def test_fro_of_a_sketch_whose_squares_overflow_is_infinite():
+    L = np.ldexp(gaussian_sketch(_N, _D, 100, 23), 520)
+    assert _SketchDraw.of(L).fro() == math.inf
+
+
+def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
+    # the benchmark's tracer keeps one span stack and assumes that every
+    # public permorb function runs on the calling thread
+    modules = [audit, embeddings, *(sys.modules[f"permorb.{name}"] for name in
+                                    ("core", "metrics", "constructions", "separation", "tables"))]
+    public = {getattr(module, name).__code__ for module in modules for name in module.__all__
+              if inspect.isfunction(getattr(module, name))}
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and threading.current_thread().name.startswith("permorb-sketch"):
+            called.append(frame.f_code)
+
+    threading.setprofile(profile)
+    try:
+        assert main(_audit_argv(tmp_path)) == 0
+    finally:
+        threading.setprofile(None)
+    assert audit._gaussian_fill.__code__ in called
+    assert not [code.co_name for code in called if code in public]
+
+
 def test_rows_handed_over_under_fast_thread_switching_are_final(monkeypatch):
     # four drawers on two cores, 17-row slices, a switch every 10 us, and
     # reads that keep up with the drawer: a row handed over before its
@@ -114,11 +187,11 @@ def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
     futures = []
     fill = audit._gaussian_fill
 
-    def held(rng, rows, M):
+    def held(rng, rows):
         deadline = time.monotonic() + 10
         while not (futures and futures[1].cancelled()) and time.monotonic() < deadline:
             time.sleep(1e-3)
-        fill(rng, rows, M)
+        fill(rng, rows)
 
     monkeypatch.setattr(audit, "_gaussian_fill", held)
     sketch = _SketchDraw.start(_N, _D, 50, 19)
@@ -165,8 +238,8 @@ def _patch_drawer(monkeypatch, fail):
     their clouds with ``out=`` too)."""
     real = audit._gaussian_fill
 
-    def failing(rng, rows, M):
-        real(rng, rows, M)
+    def failing(rng, rows):
+        real(rng, rows)
         fail(rows)
 
     monkeypatch.setattr(audit, "_gaussian_fill", failing)
