@@ -45,21 +45,15 @@ from .core import (
     BudgetExceededError,
     DEFAULT_SUBSET_BUDGET,
     __version__ as _version,
+    _check_budget,
+    _unit_scaled,
     as_matrix,
     iter_column_subsets,
     make_rng,
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import (
-    _DRAW_FLOATS,
-    _blocks,
-    _gaussian_fill,
-    _gaussian_scale,
-    _gaussian_slices,
-    _gaussian_sketch,
-    _sort_project,
-)
+from .embeddings import _blocks, _gaussian_sketch, _sort_project
 from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
@@ -193,9 +187,11 @@ def subset_sigma_lower_bound(
     D >= r*d*((n-1)**2 + 1); this function is not given n, so it proves
     the floor for no n by itself (the audit's report, which knows n,
     labels it for its n).  Raises BudgetExceededError (recommending the
-    sampled variant) when C(D, r*d) exceeds ``budget``.
+    sampled variant) when C(D, r*d) exceeds ``budget``, and ValueError
+    when ``budget`` is below 1.
     """
     A, d, D, k = _subset_shape(A, r)
+    _check_budget(budget)
     count = math.comb(D, k)
     if count > budget:
         raise BudgetExceededError(
@@ -547,8 +543,7 @@ def empirical_distortion(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    k = math.frexp(float(np.max(np.abs(A))))[1]
-    scaled = np.ldexp(A, -k)
+    scaled, k = _unit_scaled(A)
     pool = sample_pair_pool(n, d, trials, seed)
     dist = np.empty(trials)
     norm = np.empty(trials)
@@ -618,11 +613,12 @@ def ose_dimension(
 def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     """M x (n*D) sketch with i.i.d. N(0, 1/M) entries (std 1/sqrt(M)).
 
-    The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  ``permorb
-    audit --check-ose`` draws these same bits while its pair pool runs
-    (``_SketchDraw``): a one-worker executor fills one row slice
-    (``_gaussian_slices``) per task, and the check scales each slice as it
-    takes it over, so its report is unchanged.
+    The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  It is one
+    standard_normal call divided by sqrt(M).  ``permorb audit --check-ose``
+    draws these same bits while its pair pool runs (``_SketchDraw``): a
+    one-worker executor fills one row slice (``_gaussian_slices``) per
+    task, continuing the one stream, and the check divides each slice as
+    it takes it over, so its report is unchanged.
     """
     _check_sketch_size(n, D, M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
@@ -633,43 +629,56 @@ def _check_sketch_size(n: int, D: int, M: int) -> None:
         raise ValueError("n, D and M must be positive")
 
 
+# Floats in one slice of a sketch's rows: the audit's draw fills one slice
+# per task, and the sketch check takes each slice over and adds it into the
+# Gram matrix with one syrk as soon as it is filled.
+_DRAW_FLOATS = 1 << 18
+
+
+def _gaussian_slices(M: int, columns: int) -> list[slice]:
+    """Consecutive row slices of an M x columns sketch, _DRAW_FLOATS floats (or one row) each."""
+    step = max(1, _DRAW_FLOATS // columns)
+    return [slice(lo, min(lo + step, M)) for lo in range(0, M, step)]
+
+
+def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
+    """Fill rows of a sketch with i.i.d. N(0, 1) entries from rng: the drawing thread's one task.
+
+    Slices filled in order continue one stream, so a sketch filled slice by
+    slice and divided by sqrt(M) entry by entry gets the bits of
+    _gaussian_sketch's single standard_normal call.
+    """
+    rng.standard_normal(out=rows)
+
+
 class _SketchDraw:
-    """An M x N sketch whose rows become final from the top down.
+    """An M x N sketch whose row slices become final from the top down.
 
-    ``rows(lo, hi)`` returns L[lo:hi] once those rows are final, ``full()``
-    all of L, and ``fro()`` a proven upper bound on ||L||_F.  ``rows``
-    takes the sketch over one slice of ``_gaussian_slices`` at a time, in
-    order and exactly once, on the caller's thread, and adds the slice's
-    sum of squares then, so ``fro`` makes no pass of its own over L.
+    ``gram()`` returns the Gram matrix L^T L and a proven upper bound on
+    ||L||_F, ``full()`` all of L.  Both walk the slices of
+    ``_gaussian_slices`` in order, and the first walk to reach a slice
+    takes it over, exactly once, on the caller's thread.
 
-    A finished array (``of``) has every slice filled, and taking a slice
-    over only sums it.  ``start`` instead submits one ``_gaussian_fill``
-    task per slice to an executor with a single worker thread, which runs
-    them in order, so the slices continue one stream.  A task only fills:
-    numpy's fill runs without the GIL, so the worker takes the GIL back
-    once a slice, not once per numpy call, and it runs none of permorb's
-    public functions.  Taking a drawn slice over waits on its future,
-    which re-raises the task's error, divides the slice by sqrt(M) and
-    checks it finite, so L gets the bits of gaussian_sketch(n, D, M, seed).
-    A slice that fails stays pending, and raises again on a later call.
-    The OSE screen can use the top rows while the rest are drawn: the
-    syrks that sum the Gram matrix L^T L, or the gemms of the first
-    block's gap vectors by L^T.  ``close`` cancels the tasks not yet begun
-    and joins the worker, and must be called on every path.
+    A finished array (``of``) has every slice final.  ``start`` instead
+    submits one ``_gaussian_fill`` task per slice to an executor with a
+    single worker thread, which runs them in order, so the slices continue
+    one stream.  A task only fills: numpy's fill runs without the GIL, so
+    the worker takes the GIL back once a slice, not once per numpy call,
+    and it runs none of permorb's public functions.  Taking a drawn slice
+    over waits on its future, which re-raises the task's error, divides the
+    slice by sqrt(M) and checks it finite, so L gets the bits of
+    gaussian_sketch(n, D, M, seed).  A slice that fails stays pending, and
+    raises again on a later call.  So ``gram`` adds the top slices into
+    L^T L while the rest are drawn.  ``close`` cancels the tasks not yet
+    begun and joins the worker, and must be called on every path.
     """
 
     def __init__(self, L: np.ndarray):
-        M, N = self.shape = L.shape
+        self.shape = L.shape
         self._L = L
         self._executor = None
-        slices = _gaussian_slices(M, N)
-        # (rows, future of their fill, None for a finished array) of each
-        # slice not yet taken over
-        self._drawing = deque((rows, None) for rows in slices)
-        self._sumsq = 0.0
-        # fro's rounding count: the longest slice's dot (the first slice is
-        # the longest) and one addition per slice; see fro
-        self._fro_factor = 1.0 + _gamma(2 * (slices[0].stop * N + len(slices)) + 5)
+        # (rows, future of their fill) of each drawn slice not yet taken over
+        self._drawing = deque()
 
     @classmethod
     def of(cls, L: np.ndarray) -> "_SketchDraw":
@@ -691,56 +700,62 @@ class _SketchDraw:
         rng = make_rng(seed)
         sketch._drawing = deque(
             (rows, sketch._executor.submit(_gaussian_fill, rng, sketch._L[rows]))
-            for rows, _ in sketch._drawing
+            for rows in _gaussian_slices(M, n * D)
         )
         return sketch
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """L[lo:hi] once those rows are final; raises the error of a slice's task or check."""
+    def _slices(self):
+        """Each slice of L's rows, in order, once it is final."""
         M = self.shape[0]
-        hi = min(hi, M)
-        while self._drawing and self._drawing[0][0].start < hi:
-            rows, future = self._drawing[0]
+        for rows in _gaussian_slices(*self.shape):
             S = self._L[rows]
-            if future is not None:
-                future.result()
-                _gaussian_scale(S, M)
-            v = S.reshape(-1)
-            with np.errstate(over="ignore"):
-                sumsq = float(np.dot(v, v))
-            # a non-finite entry makes its slice's sum of squares non-finite
-            if future is not None and not math.isfinite(sumsq) and not np.isfinite(v).all():
-                raise ValueError("L contains non-finite entries")
-            self._drawing.popleft()
-            self._sumsq += sumsq
-        return self._L[lo:hi]
+            if self._drawing and self._drawing[0][0] == rows:
+                self._drawing[0][1].result()
+                S /= math.sqrt(M)
+                if not np.isfinite(S).all():
+                    raise ValueError("L contains non-finite entries")
+                self._drawing.popleft()
+            yield S
 
     def full(self) -> np.ndarray:
         """All of L, once every row is final."""
-        self.rows(0, self.shape[0])
+        for _ in self._slices():
+            pass
         return self._L
 
-    def fro(self) -> float:
-        """An upper bound on ||L||_F, from the slices' sums of squares, once every row is final.
+    def gram(self) -> tuple[np.ndarray, float]:
+        """The N x N Gram matrix G = fl(L^T L) and an upper bound on ||L||_F.
 
-        Write u for the unit roundoff and gamma_k = k u / (1 - k u).  Each
-        slice's sum of squares is one dot product of at most m floats, the
-        first slice's count, so it errs by at most gamma_m times its
-        exact value, in any summation order (Higham, Accuracy and Stability
-        of Numerical Algorithms, 3.1), plus at most 2**-1075 for each
-        product that underflows, grown by less than a factor 2.  The sums
-        of the J slices are added one by one, and then the allowance
-        M N 2**-1073 for those underflows, so the total t satisfies
-        t >= (1 - gamma_j) ||L||_F^2 with j = m + J + 1.  Hence
+        G is summed over the slices of L's rows with one syrk each (numpy
+        computes S.T @ S with one), each slice as soon as it is final.  An
+        overflow is left in G as an infinity or a NaN.
+
+        The bound comes from t = fl(trace(G) + M N 2**-1073).  Write u for
+        the unit roundoff and gamma_k = k u / (1 - k u).  Each diagonal
+        entry of G is a sum of the M squares of one column of L, and the
+        trace adds the N of them, so t adds the M N squares and the
+        allowance in some order: each square meets at most j = M + N + 1
+        roundings (its product, at most M - 1 additions in its column and
+        one into G, N - 1 in the trace, one for the allowance), so
+        t >= (1 - gamma_j) ||L||_F^2 in any summation order (Higham,
+        Accuracy and Stability of Numerical Algorithms, 3.1).  A square
+        that underflows errs by at most 2**-1075 more, grown by less than a
+        factor 2, which the allowance covers for all M N of them.  Hence
         ||L||_F <= sqrt(t) / (1 - gamma_j) <= sqrt(t) (1 + gamma_{2j}).
         The sqrt, 1 + gamma_k and their product each round down by at most
         a factor 1 - u, and 1 / (1 - u)^3 <= 1 + gamma_3, so with
-        k = 2j + 3 the result is at least ||L||_F, as
-        (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}.  An overflow makes t,
-        and so the bound, infinite, and the screen then confirms every pair.
+        k = 2j + 3 = 2 (M + N) + 5 the result is at least ||L||_F, as
+        (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}.  An overflow makes
+        t, and so the bound, infinite, and the screen then confirms every
+        pair.
         """
-        self.full()
-        return math.sqrt(self._sumsq + math.ldexp(self._L.size, -1073)) * self._fro_factor
+        M, N = self.shape
+        G = np.zeros((N, N))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for S in self._slices():
+                G += S.T @ S
+            t = float(np.trace(G))
+        return G, math.sqrt(t + math.ldexp(M * N, -1073)) * (1.0 + _gamma(2 * (M + N) + 5))
 
     def close(self) -> None:
         """Cancel the slices not yet begun, if any, and wait for the worker to end."""
@@ -748,43 +763,17 @@ class _SketchDraw:
             self._executor.shutdown(cancel_futures=True)
 
 
-def _sketch_gram(sketch: _SketchDraw) -> np.ndarray:
-    """The N x N Gram matrix L^T L of the sketch, summed over slices of L's rows.
-
-    Each slice is taken as soon as it is drawn and holds _DRAW_FLOATS
-    floats or N rows, whichever is more, so each syrk (numpy computes
-    S.T @ S with one) is tall enough to run at gemm speed.  An overflow
-    is left in G as an infinity or a NaN; _sketch_screen's overflow test
-    then makes every margin infinite.
-    """
-    M, N = sketch.shape
-    G = np.zeros((N, N))
-    step = max(N, _DRAW_FLOATS // N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, M, step):
-            S = sketch.rows(lo, lo + step)
-            G += S.T @ S
-    return G
-
-
 def _sketch_screen(
-    V: np.ndarray, denom: np.ndarray, sketch: _SketchDraw, G: np.ndarray | None
+    V: np.ndarray, denom: np.ndarray, G: np.ndarray | None, fro: float, M: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screened ratios rho_s of the gap rows of V, and a margin tau on each.
 
     Each row x of V is a gap vector of length N, ``denom`` holds fl(||x||)
-    (the caller skips pairs with denom below 1e-10) and ``sketch`` holds
-    the M x N sketch L, fro >= ||L||_F once it is all drawn.  The screen
-    forms q, a float near ||L x||^2, in one of two association orders, and
-    rho_s = fl(fl(sqrt(max(q, 0))) / denom):
-
-    * gemm route (G is None): W = V L^T is formed one slice of L's rows at
-      a time, each as soon as it is drawn, so L is read once for all of V
-      and W is never held whole; q is the sum of squares of each row of W.
-      It costs P M N multiply-adds for the P rows of V.
-    * Gram route: G = fl(L^T L) from _sketch_gram, formed once per check,
-      and q = fl(x^T fl(G x)) for each row: M N^2 / 2 multiply-adds once,
-      then P N^2.
+    (the caller skips pairs with denom below 1e-10), and G = fl(L^T L) and
+    fro >= ||L||_F come from ``_SketchDraw.gram`` of the M x N sketch L.
+    The screen forms q = fl(x^T fl(G x)), a float near ||L x||^2, for each
+    row (N^2 multiply-adds a row), and rho_s = fl(fl(sqrt(max(q, 0))) /
+    denom).
 
     tau bounds |rho_s - rho_ref| for the per-pair reference rho_ref =
     fl(fl(||fl(L x)||) / denom).  Every product and sum below is a dot
@@ -794,25 +783,21 @@ def _sketch_screen(
 
     * the reference matvec satisfies |fl(L x) - L x| <= gamma_N |L| |x|,
       and || |L| |x| || <= ||L||_F ||x||, so its norm is within
-      gamma_N ||L||_F ||x|| of ||L x||.  The gemm route forms the same
-      length-N dot products in another order, so the two product vectors
-      differ in norm by at most e_gap = 2 gamma_N ||L||_F ||x||; on the
-      Gram route e_gap covers the reference's half alone;
-    * both norms, the sqrt of a sum of M squares in some order, err by at
-      most gamma_{M+1} times the norm, and each norm is at most about
-      s + e_gap + e_scr for the screened norm s, which adds
-      gamma_{M+1} (2 s + e_gap + e_scr);
-    * e_scr is 0 on the gemm route.  On the Gram route, each entry of G
-      is a sum of M products, so |G - L^T L| <= gamma_M |L|^T |L|, and
-      x^T (|L|^T |L|) x = || |L| |x| ||^2 <= ||L||_F^2 ||x||^2.  Each term
-      x_i G_ij x_j of the quadratic form meets N roundings in G x and N in
-      the outer dot, so q is within gamma_{2N} |x|^T |G| |x| <=
-      gamma_{2N} (1 + gamma_M) ||L||_F^2 ||x||^2 of x^T G x.  Together
-      |q - ||L x||^2| <= E = (gamma_M + gamma_{2N} (1 + gamma_M))
-      ||L||_F^2 ||x||^2, which may leave q negative.  For a >= 0 and
-      b >= 0, |sqrt(a) - sqrt(b)| <= min(sqrt(|a - b|), |a - b| / sqrt(a)),
-      so s is within e_scr = min(sqrt(E), E / s) of ||L x||, up to the
-      rounding of the sqrt;
+      gamma_N ||L||_F ||x|| of ||L x||; e_gap = 2 gamma_N ||L||_F ||x||
+      covers that twice over;
+    * each entry of G is a sum of M products, so |G - L^T L| <=
+      gamma_M |L|^T |L|, and x^T (|L|^T |L|) x = || |L| |x| ||^2 <=
+      ||L||_F^2 ||x||^2.  Each term x_i G_ij x_j of the quadratic form
+      meets N roundings in G x and N in the outer dot, so q is within
+      gamma_{2N} |x|^T |G| |x| <= gamma_{2N} (1 + gamma_M) ||L||_F^2 ||x||^2
+      of x^T G x.  Together |q - ||L x||^2| <= E = (gamma_M + gamma_{2N}
+      (1 + gamma_M)) ||L||_F^2 ||x||^2, which may leave q negative.  For
+      a >= 0 and b >= 0, |sqrt(a) - sqrt(b)| <= min(sqrt(|a - b|),
+      |a - b| / sqrt(a)), so s is within e_scr = min(sqrt(E), E / s) of
+      ||L x||, up to the rounding of the sqrt;
+    * the reference norm, the sqrt of a sum of M squares in some order,
+      errs by at most gamma_{M+1} times itself, and it is at most about
+      s + e_gap + e_scr, which gamma_{M+1} (2 s + e_gap + e_scr) covers;
     * the other roundings: the two divisions by denom, and the caller's
       rho - 1, rho - (1 +- eps) and err +- tau.  Each is at most u times a
       value below about rho + 1, and fewer than eight of them meet in one
@@ -823,37 +808,23 @@ def _sketch_screen(
     roundings made while evaluating the bound itself.  Underflow adds an
     absolute error to the products: for denom >= 1e-10 it moves no ratio by
     as much as 1e-140, far inside what the 16 u term leaves spare.  The
-    bounds assume no overflow.  No entry of w or of L^T L exceeds
-    ||L||_F ||x|| or ||L||_F^2, no entry of G x exceeds ||L||_F^2 ||x||,
-    and no sum of squares or quadratic form exceeds (||L||_F ||x||)^2, so
-    nothing overflows while ||L||_F max(1, ||x||) stays below _NO_OVERFLOW;
-    where it does not, every margin is infinite and the caller confirms
-    every pair.  fro is known only once L is all drawn, so that test
-    follows the products, and whatever they overflowed is thrown away.
+    bounds assume no overflow.  No entry of L^T L exceeds ||L||_F^2, no
+    entry of G x exceeds ||L||_F^2 ||x||, and no quadratic form exceeds
+    (||L||_F ||x||)^2, so nothing overflows while ||L||_F max(1, ||x||)
+    stays below _NO_OVERFLOW.  Where it does not, or where fro is infinite,
+    as the caller passes it for a sketch it does not screen, every margin
+    is infinite, G is not read, and the caller confirms every pair.
     """
-    M, N = sketch.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        if G is None:
-            q = np.zeros(len(V))
-            # W holds V times one slice of L's rows: the sketch is read once
-            # whatever the slice, so slices stay small
-            step = max(1, _DRAW_FLOATS // len(V))
-            for lo in range(0, M, step):
-                W = V @ sketch.rows(lo, lo + step).T
-                q += np.einsum("ij,ij->i", W, W)
-        else:
-            q = np.einsum("ij,ij->i", V @ G, V)
-    fro = sketch.fro()
     if fro * max(1.0, float(np.max(denom))) > _NO_OVERFLOW:
         return np.zeros(len(V)), np.full(len(V), np.inf)
+    N = V.shape[1]
+    q = np.einsum("ij,ij->i", V @ G, V)
     s = np.sqrt(np.maximum(q, 0.0))
     rho = s / denom
     e_gap = 2.0 * _gamma(N) * fro * denom
-    e_scr = 0.0
-    if G is not None:
-        E = (_gamma(M) + _gamma(2 * N) * (1.0 + _gamma(M))) * (fro * denom) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_scr = np.fmin(np.sqrt(E), E / s)  # fmin drops the NaN of 0 / 0
+    E = (_gamma(M) + _gamma(2 * N) * (1.0 + _gamma(M))) * (fro * denom) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_scr = np.fmin(np.sqrt(E), E / s)  # fmin drops the NaN of 0 / 0
     tau = 2.0 * (e_gap + e_scr + _gamma(M + 1) * (2.0 * s + e_gap + e_scr)) / denom
     tau += 16.0 * _UNIT_ROUNDOFF * (rho + 1.0)
     return rho, tau
@@ -877,27 +848,25 @@ def ose_check(
 
     Each block's gap vectors x are the rows of one array, and their norms
     ||x|| come from one BLAS dot each (_dot_norms), the bits of
-    np.linalg.norm.  The ratios are screened, then confirmed.  The screen
-    (_sketch_screen) forms every ||L x||^2 of a block at once, in one of
-    two association orders, picked once per check from the sizes: with
-    N = nD sketch columns and P pairs, V L^T costs P M N multiply-adds per
-    block, and the Gram matrix L^T L costs M N^2 / 2 once, then P N^2.
-    So with ``trials >= N`` the check forms L^T L once and reuses it in
-    every block; with fewer trials each block multiplies its rows by L^T
-    in a few gemms.  Either way the M x nD sketch is read once per block
-    or once per check, not once per pair.  Each screened ratio comes with
-    a proven margin on its distance from the per-pair reference
-    ||L @ x|| / ||x||.  A pair whose margin reaches 1 +- eps, or whose
-    error could be its block's largest, is confirmed with the reference
-    matvec on its row; the margin settles every other pair.  So the
-    report is the one a per-pair matvec loop gives, bit for bit.
+    np.linalg.norm.  The ratios are screened, then confirmed, and the
+    sketch's shape picks the screen.  A tall sketch, M >= N = nD, gets its
+    Gram matrix L^T L formed once per check (``_SketchDraw.gram``,
+    M N^2 / 2 multiply-adds), and the screen (_sketch_screen) takes every
+    ||L x||^2 of a block as the quadratic form x^T (L^T L) x, N^2
+    multiply-adds a pair, with a proven margin on its distance from the
+    per-pair reference ||L @ x|| / ||x||.  A pair whose margin reaches
+    1 +- eps, or whose error could be its block's largest, is confirmed
+    with the reference matvec on its row; the margin settles every other
+    pair.  A wide sketch, M < N, has a Gram matrix larger than itself, so
+    it is not screened: every margin is infinite and every pair is
+    confirmed, at M N multiply-adds a pair.  Either way the report is the
+    one a per-pair matvec loop gives, bit for bit.
 
     ``permorb audit --check-ose`` passes a sketch still being drawn
     (``_SketchDraw``), started before its pair pool: an executor's worker
-    thread fills each slice of rows, and the screen scales it by
-    1 / sqrt(M), checks it finite and sums its squares for ||L||_F as soon
-    as it is filled.  Its bits are gaussian_sketch's, so the report is
-    unchanged.
+    thread fills each slice of rows, and the check divides it by sqrt(M),
+    checks it finite and adds it into L^T L as soon as it is filled.  Its
+    bits are gaussian_sketch's, so the report is unchanged.
     """
     A = as_matrix(A, "A")
     sketch = L if isinstance(L, _SketchDraw) else _SketchDraw.of(as_matrix(L, "L"))
@@ -909,14 +878,14 @@ def ose_check(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    scaled = np.ldexp(A, -math.frexp(float(np.max(np.abs(A))))[1])
+    scaled, _ = _unit_scaled(A)
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     rng = make_rng(seed)
     violations = 0
     max_err = 0.0
     used = 0
     skipped = 0
-    G = None  # L^T L, once the first block needs it, on the Gram route
+    screen = None  # (G, bound on ||L||_F), once the first block needs them
     for block in _blocks(trials, 2 * n * max(d, D)):
         clouds = np.empty((2, block.stop - block.start, n, d))
         scales = []
@@ -937,9 +906,11 @@ def ose_check(
         if not far.any():
             continue
         V, denom = V[far], denom[far]
-        if G is None and trials >= N:
-            G = _sketch_gram(sketch)
-        rho, tau = _sketch_screen(V, denom, sketch, G)
+        if screen is None:
+            # a wide sketch's Gram matrix would be larger than the sketch:
+            # none, and an infinite bound, so the matvec confirms every pair
+            screen = sketch.gram() if M >= N else (None, math.inf)
+        rho, tau = _sketch_screen(V, denom, *screen, M)
         L = sketch.full()  # drawn once screened
         err = np.abs(rho - 1.0)
         near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)

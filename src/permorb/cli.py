@@ -370,6 +370,7 @@ def cmd_reproduce(args) -> int:
     ns = tuple(range(2, args.n_max + 1))
     ds = tuple(range(2, args.d_max + 1))
     _require(args.n_max <= 16 and args.d_max <= 16, "table ranges stop at 16")
+    _require(args.gap_n is None or args.gap_n >= 2, f"--gap-n must be >= 2, got {args.gap_n}")
     mismatches = verify_tables()
     minimal = minimal_nd_table(ns, ds)
     maximal = maximal_nd_table(ns, ds)
@@ -379,7 +380,7 @@ def cmd_reproduce(args) -> int:
         (directory / "minimal_nd.csv").write_text(_table_csv(minimal, ns, ds), encoding="utf-8")
         (directory / "maximal_nd.csv").write_text(_table_csv(maximal, ns, ds), encoding="utf-8")
         (directory / "injectivity_summary.json").write_text(json_dumps(summary), encoding="utf-8")
-        if args.gap_n:
+        if args.gap_n is not None:
             (directory / f"gap_grid_n{args.gap_n}.json").write_text(
                 json_dumps(gap_grid(args.gap_n, ds)), encoding="utf-8"
             )
@@ -388,7 +389,7 @@ def cmd_reproduce(args) -> int:
         sys.stdout.write(format_table(minimal, ns, ds) + "\n\n")
         sys.stdout.write("maximal non-separating embedding dimension n*D\n")
         sys.stdout.write(format_table(maximal, ns, ds) + "\n")
-        if args.gap_n:
+        if args.gap_n is not None:
             sys.stdout.write(f"\nseparation gap at n={args.gap_n}\n")
             sys.stdout.write(json_dumps(gap_grid(args.gap_n, ds)))
     if mismatches:

@@ -89,6 +89,11 @@ class UnsupportedFormError(ValueError):
     """An operation received a matrix outside its required normal form."""
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+
+
 def default_enumeration_budget(fallback: int) -> int:
     """Resolve the enumeration budget, honoring the PERMORB_BUDGET env var."""
     raw = os.environ.get(_BUDGET_ENV_VAR)
@@ -134,6 +139,18 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 def as_cloud(X, name: str = "point cloud") -> np.ndarray:
     """A point cloud is an n x d matrix whose rows are points."""
     return as_matrix(X, name)
+
+
+def _unit_scaled(*arrays: np.ndarray) -> tuple:
+    """Each array times 2**-k, then k, where their largest |entry| is f 2**k, 0.5 <= f < 1.
+
+    A quantity that scales with the arrays, computed on the scaled ones and
+    multiplied by 2**k, neither overflows nor underflows on the way, whatever
+    their scale.  Scaling by a power of two is exact, so arrays already in
+    [0.5, 1) keep their bits.
+    """
+    k = math.frexp(float(max(np.max(np.abs(a)) for a in arrays)))[1]
+    return (*(np.ldexp(a, -k) for a in arrays), k)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +250,7 @@ def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL, *, budget: int = DEFAULT_SU
         raise ValueError(f"full spark needs D >= d, got shape {A.shape}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _check_budget(budget)
     count = math.comb(D, d)
     if count > budget:
         raise BudgetExceededError(

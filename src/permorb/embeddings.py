@@ -55,13 +55,6 @@ __all__ = [
 _BLOCK_ELEMENTS = 1 << 20
 
 
-# Floats in one slice of a sketch's rows, the one slice budget of the sketch
-# code: each slice of a draw is one standard_normal call (the audit's draw
-# hands its rows over one slice at a time), and the OSE screen reads the
-# sketch in slices of this size for its syrks and gemms.
-_DRAW_FLOATS = 1 << 18
-
-
 # Size-optimal sorting networks for columns of n <= 6 entries: 0, 1, 3, 5, 9
 # and 12 compare-exchanges (i, j), i < j, each leaving the smaller value in
 # row i.  Past n = 6 the network costs more than np.sort.  On a 2-core Xeon
@@ -123,34 +116,10 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     return _sort_columns(np.matmul(X, A, out=out), out=out)
 
 
-def _gaussian_slices(M: int, columns: int) -> list[slice]:
-    """Consecutive row slices of an M x columns sketch, _DRAW_FLOATS floats (or one row) each."""
-    step = max(1, _DRAW_FLOATS // columns)
-    return [slice(lo, min(lo + step, M)) for lo in range(0, M, step)]
-
-
-def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
-    """Fill rows of a sketch with i.i.d. N(0, 1) entries from rng; _gaussian_scale follows.
-
-    Slices filled in order continue one stream, and the division by
-    sqrt(M) is rounded per entry, on whatever thread it runs, so a sketch
-    filled and scaled slice by slice gets the bits of a single
-    standard_normal call for all of it divided by sqrt(M).
-    """
-    rng.standard_normal(out=rows)
-
-
-def _gaussian_scale(rows: np.ndarray, M: int) -> None:
-    """Scale filled rows of an M-row sketch to N(0, 1/M) entries."""
-    rows /= math.sqrt(M)
-
-
 def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarray:
     """M x columns sketch with i.i.d. N(0, 1/M) entries drawn from rng, unvalidated."""
-    L = np.empty((M, columns))
-    for rows in _gaussian_slices(M, columns):
-        _gaussian_fill(rng, L[rows])
-        _gaussian_scale(L[rows], M)
+    L = rng.standard_normal((M, columns))
+    L /= math.sqrt(M)
     return L
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetExceededError, as_cloud, as_matrix
+from .core import BudgetExceededError, _unit_scaled, as_cloud, as_matrix
 from .embeddings import _sort_columns, sorted_embedding
 
 __all__ = [
@@ -190,18 +190,6 @@ def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
     ordered = _sort_columns(pairs)
     gap = ordered[..., 0, :, :] - ordered[..., 1, :, :]
     return np.sqrt(np.sum(gap * gap, axis=(-2, -1)))
-
-
-def _unit_scaled(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """X and Y times 2**-k, and k, where the largest |entry| is f 2**k, 0.5 <= f < 1.
-
-    Every orbit distance scales with the clouds, so solving on the scaled
-    pair and multiplying by 2**k gives the distance whatever the scale: no
-    squared cost overflows or underflows.  Scaling by a power of two is
-    exact, so a pair whose costs stay in range anyway gets the same bits.
-    """
-    k = math.frexp(float(max(np.max(np.abs(X)), np.max(np.abs(Y)))))[1]
-    return np.ldexp(X, -k), np.ldexp(Y, -k), k
 
 
 def _scaled_back(distance: float, k: int) -> float:

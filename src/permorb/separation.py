@@ -88,6 +88,7 @@ import numpy as np
 
 from .core import (
     UnsupportedFormError,
+    _check_budget,
     as_cloud,
     as_matrix,
     default_enumeration_budget,
@@ -611,8 +612,7 @@ def certify_separation(
         raise ValueError(f"n must lie in 1..{_MAX_N}, got {n}")
     if budget is None:
         budget = default_enumeration_budget(DEFAULT_TUPLE_BUDGET)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    _check_budget(budget)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 

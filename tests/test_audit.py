@@ -98,6 +98,13 @@ def test_subset_bound_budget_error_mentions_sampled_mode():
         subset_sigma_lower_bound(A, 2, budget=100)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_subset_bound_rejects_a_budget_below_one(budget):
+    A = gaussian_directions(2, 6, 1)
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+        subset_sigma_lower_bound(A, 1, budget=budget)
+
+
 def test_sampled_subset_bound_overestimates_exact():
     A = gaussian_directions(2, 12, 8)
     exact = subset_sigma_lower_bound(A, 1).value

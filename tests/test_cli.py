@@ -293,6 +293,16 @@ def test_certify_checkpoints_with_threads(tmp_path):
     assert verdict["tuples_examined"] == verdict["total_tuples"]
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_audit_rejects_a_subset_budget_below_one(tmp_path, capsys, budget):
+    save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(3).standard_normal((2, 6)))
+    out = tmp_path / "r.json"
+    assert main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", "3", "--trials", "20",
+                 "--subset-r", "1", "--budget", budget, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: budget must be >= 1, got {budget}\n"
+    assert not out.exists()
+
+
 def test_certify_rejects_general_matrices(tmp_path):
     save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(5).standard_normal((2, 4)))
     assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "3"]) == 1
@@ -403,3 +413,15 @@ def test_reproduce_tables(tmp_path, capsys):
     minimal = (tmp_path / "minimal_nd.csv").read_text(encoding="utf-8")
     assert minimal.splitlines()[0] == "n,2,3,4,5,6"
     assert (tmp_path / "gap_grid_n4.json").exists()
+
+
+@pytest.mark.parametrize("gap_n", ["0", "1", "-3"])
+@pytest.mark.parametrize("to_files", [False, True], ids=["print", "out"])
+def test_reproduce_rejects_a_gap_n_below_two_before_any_output(tmp_path, capsys, gap_n, to_files):
+    out = tmp_path / "tables"
+    argv = ["reproduce", "--gap-n", gap_n] + (["--out", str(out)] if to_files else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --gap-n must be >= 2, got {gap_n}\n"
+    assert not out.exists()

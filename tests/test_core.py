@@ -140,6 +140,13 @@ def test_full_spark_budget():
         core.is_full_spark(A, budget=10)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_full_spark_rejects_a_budget_below_one(budget):
+    A = core.make_rng(5).standard_normal((2, 3))
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+        core.is_full_spark(A, budget=budget)
+
+
 def test_full_spark_requires_wide():
     with pytest.raises(ValueError):
         core.is_full_spark(np.ones((3, 2)))

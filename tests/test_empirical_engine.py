@@ -9,10 +9,11 @@ per pair (``audit._dot_norms``).  The DP's least total is checked bit for
 bit against every matching's total added in row order, and so against
 ``_enumerated_distance`` for n <= 7; the dots against ``np.linalg.norm``
 of each fresh gap.  ``ose_check`` takes its denominators from the same
-dots and screens its ratios through the sketch: a few gemms against it
-per block, or, with as many trials as sketch columns, its Gram matrix
-formed once per check.  The screen's margins are checked on their own
-against the per-pair norm of ``L @ x``, at one and two BLAS threads.  The
+dots and screens its ratios through the Gram matrix of a sketch with at
+least as many rows as columns, formed once per check; a wider sketch is
+not screened, and every pair takes the per-pair matvec.  The screen's
+margins are checked on their own against the per-pair norm of ``L @ x``,
+at one and two BLAS threads.  The
 loops below are the per-pair forms they replaced, written with the
 public, validating functions and the generator calls of the original
 code; the batched checks must reproduce their draws and reports exactly,
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -70,7 +71,8 @@ from permorb.audit import (
     sample_pair_pool,
 )
 from permorb.constructions import adversarial_circle_pair
-from permorb.embeddings import _BLOCK_ELEMENTS, _DRAW_FLOATS, _NETWORK_MIN_COLUMNS, _blocks
+from permorb.audit import _DRAW_FLOATS
+from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks
 from permorb.metrics import (
     _all_permutations,
     _assignment_distance,
@@ -457,16 +459,33 @@ def test_ose_check_matches_the_pair_loop_with_few_pairs_and_a_wide_sketch():
     assert ose_check(A, L, n, 0.5, trials, 7) == reference_ose_check(A, L, n, 0.5, trials, 7)
 
 
+def test_ose_check_of_a_wide_sketch_forms_no_gram_matrix():
+    # a 16 x 2048 sketch and 2048 trials: every pair is confirmed with the
+    # matvec, and no 2048 x 2048 Gram matrix (32 MB) is formed
+    n, D, M = 8, 256, 16
+    N = n * D
+    A = circle_directions(D)
+    L = gaussian_sketch(n, D, M, 9)
+    tracemalloc.start()
+    try:
+        got = ose_check(A, L, n, 0.5, N, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N
+    assert got == reference_ose_check(A, L, n, 0.5, N, 9)
+
+
 def count_gram_calls(monkeypatch):
-    """The sketches audit._sketch_gram is called on, from now on."""
+    """The sketches _SketchDraw.gram is called on, from now on."""
     calls = []
-    gram = audit._sketch_gram
+    gram = _SketchDraw.gram
 
     def counted(sketch):
         calls.append(sketch)
         return gram(sketch)
 
-    monkeypatch.setattr(audit, "_sketch_gram", counted)
+    monkeypatch.setattr(_SketchDraw, "gram", counted)
     return calls
 
 
@@ -484,15 +503,18 @@ def test_ose_check_matches_the_pair_loop_across_blocks_with_a_tall_sketch(monkey
 
 @pytest.mark.parametrize("below", [1, 0])
 def test_ose_check_takes_the_gram_route_from_as_many_trials_as_sketch_columns(monkeypatch, below):
-    n, d, D, M = 3, 2, 8, 50
-    trials = n * D - below
+    # the sketch's shape picks the route, whatever the trial count: a Gram
+    # matrix for M = N sketch rows, none for M = N - 1
+    n, d, D = 3, 2, 8
+    M = n * D - below
     A = gaussian_directions(d, D, 23)
     L = gaussian_sketch(n, D, M, 24)
     calls = count_gram_calls(monkeypatch)
-    for seed in (0, 1, 2):
-        want = reference_ose_check(A, L, n, 0.2, trials, seed)
-        assert ose_check(A, L, n, 0.2, trials, seed) == want
-    assert len(calls) == (3 if below == 0 else 0)
+    for trials in (5, n * D, 3 * n * D):
+        for seed in (0, 1, 2):
+            want = reference_ose_check(A, L, n, 0.2, trials, seed)
+            assert ose_check(A, L, n, 0.2, trials, seed) == want
+    assert len(calls) == (9 if below == 0 else 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -550,6 +572,8 @@ def test_ose_check_matches_the_pair_loop_with_a_huge_sketch(scale):
     st.floats(0.01, 0.9), st.integers(1, 30), st.integers(0, 2**32),
 )
 @settings(max_examples=40, deadline=None)
+@example(3, 2, 5, 14, 0.2, 20, 1)  # a wide sketch: 14 rows, 15 columns
+@example(3, 2, 5, 15, 0.2, 20, 1)  # a square one, screened through its Gram matrix
 def test_ose_check_matches_the_pair_loop_on_small_shapes(n, d, D, M, epsilon, trials, seed):
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
@@ -558,14 +582,12 @@ def test_ose_check_matches_the_pair_loop_on_small_shapes(n, d, D, M, epsilon, tr
     assert got == reference_ose_check(A, L, n, epsilon, trials, seed)
 
 
-def check_the_ose_margin(V, L, gram):
+def check_the_ose_margin(V, L):
     """The screen's margin on each gap row x of V bounds its distance from
     the reference fl(||L @ x||) / fl(||x||) that ose_check confirms with."""
     denom = _dot_norms(V)
-    sketch = _SketchDraw.of(L)
-    G = audit._sketch_gram(sketch) if gram else None
     with np.errstate(over="ignore"):
-        rho, tau = audit._sketch_screen(V, denom, sketch, G)
+        rho, tau = audit._sketch_screen(V, denom, *_SketchDraw.of(L).gram(), len(L))
         ref = np.array([float(np.linalg.norm(L @ x)) / float(r) for x, r in zip(V, denom)])
     assert (np.abs(rho - ref) <= tau).all(), np.max(np.abs(rho - ref) - tau)
     return rho, tau
@@ -594,36 +616,36 @@ def _ose_margin_case(case, rng):
     return V, L
 
 
-@pytest.mark.parametrize("gram", [False, True], ids=["gemm", "gram"])
+@pytest.mark.parametrize("route", ["gram"])  # the screen's one route, named in the test ids
 @pytest.mark.parametrize(
     "case", ["spread", "null space", "repeated rows", "orthonormal", "tiny sketch"]
 )
-def test_the_ose_screen_margin_bounds_the_reference(case, gram):
+def test_the_ose_screen_margin_bounds_the_reference(case, route):
     for seed in range(4):
         V, L = _ose_margin_case(case, make_rng(seed))
-        rho, tau = check_the_ose_margin(V, L, gram)
+        rho, tau = check_the_ose_margin(V, L)
         if case != "null space":
             assert (tau < 1e-6).all()  # small enough to leave few pairs to confirm
         if case == "orthonormal":
             assert (np.abs(rho - 1.0) < 1e-13).all()
 
 
-@pytest.mark.parametrize("gram", [False, True], ids=["gemm", "gram"])
+@pytest.mark.parametrize("route", ["gram"])  # the screen's one route, named in the test ids
 @pytest.mark.parametrize("fro, gap_scale", [(1e153, 1e3), (1.2e154, 1e-9)])
-def test_the_ose_screen_margin_is_infinite_past_the_overflow_guard(fro, gap_scale, gram):
+def test_the_ose_screen_margin_is_infinite_past_the_overflow_guard(fro, gap_scale, route):
     # at 1.2e154 ||L||_F ||x|| is far below the guard, but ||L||_F^2, the
     # size of the Gram matrix's entries, is within a factor 2 of overflow
     rng = make_rng(9)
     unit = rng.standard_normal((30, 12))
     unit /= np.linalg.norm(unit)
     V = gap_scale * rng.standard_normal((15, 12))
-    rho, tau = check_the_ose_margin(V, fro * unit, gram)
+    rho, tau = check_the_ose_margin(V, fro * unit)
     assert fro * max(1.0, float(np.max(_dot_norms(V)))) > _NO_OVERFLOW
     assert np.isinf(tau).all()
 
 
 # ose_check against the pair loop at the CLI shape, under a given BLAS
-# thread count: the gemm, syrk and gemv orders change with it
+# thread count: the syrk, gemm and gemv orders change with it
 _OSE_AT_THREADS = """
 from test_empirical_engine import reference_ose_check
 from permorb import gaussian_directions, gaussian_sketch, ose_check, ose_dimension

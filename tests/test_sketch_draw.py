@@ -1,11 +1,11 @@
 """The audit CLI's OSE sketch, drawn by a one-worker executor while the pool runs.
 
 ``permorb audit --check-ose`` starts drawing its Gaussian sketch before the
-pair pool, and the OSE screen uses each slice of rows as soon as it is
-drawn.  These tests hold that overlap to the sequential route: the same
-sketch bits, the same report bytes, the same first error on bad input, and
-no thread left behind (``conftest.py`` checks the thread count after every
-test).
+pair pool, and the sketch check adds each slice of rows into the sketch's
+Gram matrix as soon as it is drawn.  These tests hold that overlap to the
+sequential route: the same sketch bits, the same report bytes, the same
+first error on bad input, and no thread left behind (``conftest.py``
+checks the thread count after every test).
 """
 
 import dataclasses
@@ -58,7 +58,7 @@ def _drawn(n, D, M, seed):
 # ---------------------------------------------------------------------------
 
 _N, _D = 3, 16
-_SLICE = embeddings._DRAW_FLOATS // (_N * _D)  # rows per draw slice
+_SLICE = audit._DRAW_FLOATS // (_N * _D)  # rows per draw slice
 
 
 @pytest.mark.parametrize(
@@ -72,37 +72,46 @@ def test_sliced_draw_gives_the_one_call_bits(M):
     assert _drawn(_N, _D, M, 17).tobytes() == want
 
 
+def _sliced_gram(L):
+    """L^T L summed with one syrk per draw slice, as _SketchDraw.gram sums it."""
+    G = np.zeros((L.shape[1], L.shape[1]))
+    for rows in audit._gaussian_slices(*L.shape):
+        G += L[rows].T @ L[rows]
+    return G
+
+
 def test_rows_are_final_once_handed_over():
+    # gram() adds each slice into L^T L as soon as it is taken over: a slice
+    # added before it is drawn and divided would change the sum
     M = 2 * _SLICE + 3
     want = _one_call_sketch(_N, _D, M, 18)
     sketch = _SketchDraw.start(_N, _D, M, 18)
     try:
-        top = sketch.rows(0, 5).copy()
-        middle = sketch.rows(_SLICE - 1, _SLICE + 2).copy()
-        assert np.array_equal(top, want[:5])
-        assert np.array_equal(middle, want[_SLICE - 1 : _SLICE + 2])
-        assert np.array_equal(sketch.rows(M - 2, M + 10), want[M - 2 :])
+        G, _ = sketch.gram()
+        assert G.tobytes() == _sliced_gram(want).tobytes()
+        assert sketch.full().tobytes() == want.tobytes()
     finally:
         sketch.close()
 
 
 def test_reads_in_any_order_scale_each_slice_once():
-    # overlapping, repeated and backward reads: a slice scaled twice, or
-    # never, would differ from gaussian_sketch's bits
+    # repeated walks over the slices, in either order: a slice scaled twice,
+    # or never, would differ from gaussian_sketch's bits
     M = 3 * _SLICE + 7
-    reads = [(2 * _SLICE, 2 * _SLICE + 5), (0, 3), (1, _SLICE + 1), (0, 3),
-             (_SLICE - 2, 3 * _SLICE), (2 * _SLICE, 2 * _SLICE + 5), (M - 1, M + 5), (0, M)]
     want = gaussian_sketch(_N, _D, M, 20)
-    sketch = _SketchDraw.start(_N, _D, M, 20)
-    finished = _SketchDraw.of(want.copy())
-    try:
-        for lo, hi in reads:
-            sketch.rows(lo, hi)
-            finished.rows(lo, hi)
-        assert sketch.full().tobytes() == want.tobytes()
-        assert finished.full().tobytes() == want.tobytes()
-    finally:
-        sketch.close()
+    gram = _sliced_gram(want).tobytes()
+    for reads in (("gram", "full", "gram", "full"), ("full", "full", "gram", "gram")):
+        sketch = _SketchDraw.start(_N, _D, M, 20)
+        finished = _SketchDraw.of(want.copy())
+        try:
+            for read in reads:
+                for each in (sketch, finished):
+                    if read == "gram":
+                        assert each.gram()[0].tobytes() == gram
+                    else:
+                        assert each.full().tobytes() == want.tobytes()
+        finally:
+            sketch.close()
 
 
 def _exact_fro(L):
@@ -114,7 +123,7 @@ def _exact_fro(L):
 def test_fro_bounds_the_drawn_sketch(M):
     sketch = _SketchDraw.start(_N, _D, M, 21)
     try:
-        fro, exact = sketch.fro(), _exact_fro(sketch.full())
+        fro, exact = sketch.gram()[1], _exact_fro(sketch.full())
     finally:
         sketch.close()
     assert exact <= fro <= exact * (1.0 + 1e-8)
@@ -125,7 +134,7 @@ def test_fro_bounds_the_drawn_sketch(M):
 def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale):
     # at 2**-560 every square is subnormal, or underflows to 0
     L = np.ldexp(gaussian_sketch(_N, _D, M, 22), scale)
-    fro, exact = _SketchDraw.of(L).fro(), _exact_fro(L)
+    fro, exact = _SketchDraw.of(L).gram()[1], _exact_fro(L)
     assert exact <= fro
     if scale > -500:
         assert fro <= exact * (1.0 + 1e-8)
@@ -133,7 +142,7 @@ def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale):
 
 def test_fro_of_a_sketch_whose_squares_overflow_is_infinite():
     L = np.ldexp(gaussian_sketch(_N, _D, 100, 23), 520)
-    assert _SketchDraw.of(L).fro() == math.inf
+    assert _SketchDraw.of(L).gram()[1] == math.inf
 
 
 def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
@@ -160,19 +169,20 @@ def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
 
 def test_rows_handed_over_under_fast_thread_switching_are_final(monkeypatch):
     # four drawers on two cores, 17-row slices, a switch every 10 us, and
-    # reads that keep up with the drawer: a row handed over before its
-    # slice is drawn and divided would differ from the one-call bits
-    monkeypatch.setattr(embeddings, "_DRAW_FLOATS", 17 * _N * _D)
+    # Gram sums that keep up with the drawer: a row added before its slice
+    # is drawn and divided would change the sum
+    monkeypatch.setattr(audit, "_DRAW_FLOATS", 17 * _N * _D)
     M = 6000
     wants = [_one_call_sketch(_N, _D, M, 30 + k) for k in range(4)]
+    grams = [_sliced_gram(want).tobytes() for want in wants]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     sketches = []
     try:
         sketches = [_SketchDraw.start(_N, _D, M, 30 + k) for k in range(4)]
-        for lo in range(0, M, 17):
-            for sketch, want in zip(sketches, wants):
-                assert np.array_equal(sketch.rows(lo, lo + 17), want[lo : lo + 17])
+        for sketch, want, gram in zip(sketches, wants, grams):
+            assert sketch.gram()[0].tobytes() == gram
+            assert sketch.full().tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
         for sketch in sketches:
@@ -183,7 +193,7 @@ def test_rows_handed_over_under_fast_thread_switching_are_final(monkeypatch):
 def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
     # one row a slice; the first slice's task holds the worker until close()
     # has cancelled the second, so every later slice is cancelled unbegun
-    monkeypatch.setattr(embeddings, "_DRAW_FLOATS", _N * _D)
+    monkeypatch.setattr(audit, "_DRAW_FLOATS", _N * _D)
     futures = []
     fill = audit._gaussian_fill
 
@@ -205,7 +215,7 @@ def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
 def test_ose_check_takes_a_sketch_being_drawn():
     n, d, D = 3, 2, 7
     A = gaussian_directions(d, D, 5)
-    M = 3 * embeddings._DRAW_FLOATS // (n * D) + 11
+    M = 3 * audit._DRAW_FLOATS // (n * D) + 11
     sketch = _SketchDraw.start(n, D, M, 6)
     try:
         got = ose_check(A, sketch, n, 0.2, 60, 7)
@@ -249,11 +259,11 @@ def test_drawing_error_reaches_the_caller(monkeypatch):
     _patch_drawer(monkeypatch, _raise)
     sketch = _SketchDraw.start(2, 5, 40, 3)
     try:
-        # every task ends on its error, so rows() cannot wait for ever
+        # every task ends on its error, so gram() cannot wait for ever
         futures = [future for _, future in sketch._drawing]
         assert not wait(futures, timeout=10).not_done
         with pytest.raises(RuntimeError, match="generator failed"):
-            sketch.rows(0, 1)
+            sketch.gram()
         with pytest.raises(RuntimeError, match="generator failed"):
             sketch.full()
     finally:
@@ -271,6 +281,15 @@ def test_cli_checks_the_drawn_sketch_finite(tmp_path, monkeypatch, capsys):
     _patch_drawer(monkeypatch, _poison)
     assert main(_audit_argv(tmp_path)) == 1
     assert _first_error(capsys) == "error: L contains non-finite entries"
+
+
+def test_cli_checks_a_drawn_wide_sketch_finite(tmp_path, monkeypatch, capsys):
+    # a tiny --ose-constant gives a sketch of fewer rows than its 18
+    # columns, which the check takes whole, with no Gram matrix
+    _patch_drawer(monkeypatch, _poison)
+    assert main(_audit_argv(tmp_path, "--ose-constant", "0.001")) == 1
+    assert _first_error(capsys) == "error: L contains non-finite entries"
+    assert not (tmp_path / "r.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +342,7 @@ def test_cli_report_equals_the_sequential_report_across_blocks(tmp_path, monkeyp
     # in the first block waits on the drawer many times, and the
     # confirming matvecs run in every block
     monkeypatch.setattr(embeddings, "_BLOCK_ELEMENTS", 1 << 12)
-    monkeypatch.setattr(embeddings, "_DRAW_FLOATS", 1 << 10)
+    monkeypatch.setattr(audit, "_DRAW_FLOATS", 1 << 10)
     n, d, D, ose_trials = 3, 2, 8, 200
     assert len(_blocks(ose_trials, 2 * n * max(d, D))) >= 2
     A = gaussian_directions(d, D, 43)
@@ -334,7 +353,7 @@ def test_cli_report_equals_the_sequential_report_across_blocks(tmp_path, monkeyp
 def test_cli_report_equals_the_sequential_report_with_a_sketch_below_one_slice(tmp_path):
     n, d, D, epsilon = 2, 2, 4, 0.9
     M = ose_dimension(n, d, D, epsilon, 0.1)
-    assert M * n * D < embeddings._DRAW_FLOATS
+    assert M * n * D < audit._DRAW_FLOATS
     A = gaussian_directions(d, D, 45)
     got, want = _cli_report(tmp_path, A, n, 30, 46, 50, epsilon=epsilon)
     assert got == want
