@@ -53,7 +53,7 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _gaussian_sketch, _sort_project
+from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sort_project
 from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
@@ -467,27 +467,6 @@ def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u): bounds the relative error of a length-k dot product."""
     ku = k * _UNIT_ROUNDOFF
     return ku / (1.0 - ku)
-
-
-# OpenBLAS splits a dot of more floats than this across its threads, which
-# can change the dot's bits with the thread count.
-_BLAS_SERIAL_DOT = 10_000
-
-
-def _dot_norms(G: np.ndarray) -> np.ndarray:
-    """||g|| of each row g of G (count, N), at any BLAS thread count.
-
-    A stacked matmul of (1, N) by (N, 1) makes one BLAS dot of each row
-    with itself.  For N <= 10,000 that is the dot np.linalg.norm(g) takes,
-    and gives its bits.  Longer rows are cut into dots of at most 10,000
-    floats, added from the left, since OpenBLAS splits a longer dot across
-    its threads and its bits would then depend on their number.
-    """
-    total = 0.0
-    for lo in range(0, G.shape[1], _BLAS_SERIAL_DOT):
-        part = G[:, lo : lo + _BLAS_SERIAL_DOT]
-        total = total + np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
-    return np.sqrt(total)
 
 
 def empirical_distortion(

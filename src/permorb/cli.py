@@ -369,7 +369,8 @@ def _table_csv(table, ns, ds) -> str:
 def cmd_reproduce(args) -> int:
     ns = tuple(range(2, args.n_max + 1))
     ds = tuple(range(2, args.d_max + 1))
-    _require(args.n_max <= 16 and args.d_max <= 16, "table ranges stop at 16")
+    for flag, value in (("--n-max", args.n_max), ("--d-max", args.d_max)):
+        _require(2 <= value <= 16, f"{flag} must lie in 2..16, got {value}")
     _require(args.gap_n is None or args.gap_n >= 2, f"--gap-n must be >= 2, got {args.gap_n}")
     mismatches = verify_tables()
     minimal = minimal_nd_table(ns, ds)

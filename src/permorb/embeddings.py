@@ -21,17 +21,24 @@ the empirical checks (audit pool, sketch check, spot checks) embed many
 clouds in one call, and it can write into a caller's buffer; ``_blocks``
 cuts their trials into blocks of bounded size, and the spot check cuts
 each block again into sub-blocks.  A stacked call gives the same bits per
-cloud as a single one up to the sign of a zero: the product runs one
-matrix multiply per cloud and sorting is exact, but the network below may
+cloud as a single one up to the sign of a zero.  Where the network below
+sorts, the stack is projected point-major, one BLAS call per point index
+over all its clouds, and elsewhere one per cloud; either way each entry
+comes out as in the cloud's own product, which the tests check bit for
+bit at one and two BLAS threads.  Sorting is exact, but the network may
 sort a stack where a single cloud goes through ``np.sort``.
 
 Columns are sorted by ``_sort_columns``.  The clouds of the empirical checks
 are short (n = 3..6), and ``np.sort`` pays one C-level sort call per column,
 so for n <= 6 a wide stack is sorted by a fixed compare-exchange network
-(Knuth, TAOCP vol. 3, 5.3.4): a few ``np.minimum``/``np.maximum`` passes over
-whole rows of the stack.  Its result equals ``np.sort``'s entry by entry
-under ``==``, so a zero may carry the other sign (-0.0 == 0.0).  Longer
-columns and narrow stacks, where the network is slower, use ``np.sort``.
+(Knuth, TAOCP vol. 3, 5.3.4): a few ``np.minimum``/``np.maximum`` passes,
+in place, over whole point-major rows of the stack (``_network_sort``).
+Its result equals ``np.sort``'s entry by entry under ``==``, so a zero may
+carry the other sign (-0.0 == 0.0).  Longer columns and narrow stacks,
+where the network is slower, use ``np.sort``.
+
+Gap norms, of the audit pool, the sketch check and the spot checks alike,
+come from ``_dot_norms``: one BLAS dot of each gap with itself.
 """
 
 from __future__ import annotations
@@ -55,14 +62,15 @@ __all__ = [
 _BLOCK_ELEMENTS = 1 << 20
 
 
-# Size-optimal sorting networks for columns of n <= 6 entries: 0, 1, 3, 5, 9
-# and 12 compare-exchanges (i, j), i < j, each leaving the smaller value in
+# Size-optimal sorting networks for columns of 2 <= n <= 6 entries: 1, 3, 5,
+# 9 and 12 compare-exchanges (i, j), i < j, each leaving the smaller value in
 # row i.  Past n = 6 the network costs more than np.sort.  On a 2-core Xeon
 # with one BLAS thread, np.sort against the network: 0.75 vs 0.15 ms at
 # (1800, 4, 12), 1.9 vs 1.8 ms at (800, 6, 64), 2.0 vs 2.3 ms at (800, 7, 64)
-# and 2.0 vs 2.8 ms at (800, 8, 64).
+# and 2.0 vs 2.8 ms at (800, 8, 64).  A one-point column is sorted as it
+# stands, so a stack of one-point clouds keeps the per-cloud product, whose
+# vector-matrix bits a single one-point cloud gets.
 _NETWORKS = {
-    1: (),
     2: ((0, 1),),
     3: ((0, 2), (0, 1), (1, 2)),
     4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
@@ -76,44 +84,114 @@ _NETWORKS = {
 _NETWORK_MIN_COLUMNS = 512
 
 
-def _sort_columns(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """np.sort(P, axis=-2) for a float array (..., n, D), in out or a new array.
+def _networked(n: int, entries: int) -> bool:
+    """Whether ``entries`` projections in columns of n go through the sorting network."""
+    return n in _NETWORKS and entries >= n * _NETWORK_MIN_COLUMNS
 
-    out may be P itself.  Short columns in a wide stack go through the
-    sorting network on n contiguous rows.  minimum and maximum carry a NaN
-    to both outputs, and the last row (the maximum) depends on every entry
-    of its column, so a NaN anywhere shows in the last row; np.sort, which
-    puts NaNs last, then sorts the stack instead.
+
+def _network_sort(buffer: np.ndarray, out: np.ndarray) -> bool:
+    """Sort point-major columns by the sorting network into out; False on a NaN.
+
+    buffer (n + 1, ..., D) holds in row i, buffer[i][..., k], the i-th
+    entry of every column k, and a spare row last; out (..., n, D) takes
+    the sorted columns.  Each compare-exchange (i, j) writes the minimum of
+    rows i and j to the spare row and their maximum over row j, and row i
+    becomes the spare, so the network runs in place and copies no row; the
+    sorted rows are then written once into out.  minimum and maximum carry
+    a NaN to both outputs, and the last row (the maximum) depends on every
+    entry of its column, so a NaN anywhere shows there: then out is left
+    unwritten and False returned.
     """
-    n = P.shape[-2]
-    if n in _NETWORKS and P.size >= n * _NETWORK_MIN_COLUMNS:
-        rows = [P[..., i, :].copy() for i in range(n)]
-        for i, j in _NETWORKS[n]:
-            lo = np.minimum(rows[i], rows[j])
-            np.maximum(rows[i], rows[j], out=rows[j])
-            rows[i] = lo
-        if not np.isnan(rows[-1]).any():
-            if out is None:
-                out = np.empty_like(P)
-            for i, row in enumerate(rows):
-                out[..., i, :] = row
-            return out
+    *rows, spare = buffer
+    for i, j in _NETWORKS[len(rows)]:
+        np.minimum(rows[i], rows[j], out=spare)
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i], spare = spare, rows[i]
+    if np.isnan(rows[-1]).any():
+        return False
+    for i, row in enumerate(rows):
+        out[..., i, :] = row
+    return True
+
+
+def _np_sort(P: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """np.sort(P, axis=-2) in out (may be P) or a new array."""
     if out is None:
         return np.sort(P, axis=-2)
     out[...] = np.sort(P, axis=-2)
     return out
 
 
+def _sort_columns(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.sort(P, axis=-2) for a float array (..., n, D), in out or a new array.
+
+    out may be P itself.  Short columns in a wide stack are gathered once
+    into point-major rows for ``_network_sort``; np.sort, which puts NaNs
+    last, sorts the others and a stack in which a NaN shows.
+    """
+    *lead, n, D = P.shape
+    if _networked(n, P.size):
+        buffer = np.empty((n + 1, *lead, D))
+        # np.moveaxis(P, -2, 0), without its several microseconds of argument checks
+        buffer[:-1] = P.transpose(len(lead), *range(len(lead)), len(lead) + 1)
+        if out is None:
+            out = np.empty_like(P)
+        if _network_sort(buffer, out):
+            return out
+    return _np_sort(P, out)
+
+
 def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sorted projections of a cloud (n, d), or of a stack of clouds (..., n, d).
 
     No validation: callers pass float arrays whose last axis matches A's
-    rows, and may pass an out of the projections' shape to write them to
-    (they are sorted in place there).  _sort_columns sorts the projected
-    columns, with a sorting network where they are short (n <= 6) and
-    many, and gives np.sort's values either way.
+    rows, and may pass an out of the projections' shape (..., n, D) to
+    write them to.  Where the sorting network runs (2 <= n <= 6 and at
+    least ``_NETWORK_MIN_COLUMNS`` columns) on m >= 2 clouds, they are
+    projected point-major, straight into the n rows of a buffer
+    (n + 1, ..., D) with a spare row, which ``_network_sort`` sorts in
+    place and writes once into out or a new array.  Row i is the product
+    of the i-th points of all the clouds, an (m, d) matrix read in place
+    with row stride n d, so the stack takes n BLAS calls in all: a copy of
+    the clouds transposed to (n m, d) for a single call costs more than the
+    n - 1 calls it saves.  Elsewhere, and when a NaN shows, the stacked
+    product (one BLAS call a cloud) is sorted by np.sort.  Either way the
+    values are np.sort's.
     """
-    return _sort_columns(np.matmul(X, A, out=out), out=out)
+    *lead, n, d = X.shape
+    D = A.shape[1]
+    m = math.prod(lead)
+    # one cloud stays one gemm: its points apart would be vector-matrix
+    # products, whose bits differ
+    if m > 1 and _networked(n, m * n * D):
+        buffer = np.empty((n + 1, *lead, D))
+        np.matmul(X.reshape(m, n, d).swapaxes(0, 1), A, out=buffer[:-1].reshape(n, m, D))
+        if out is None:
+            out = np.empty(X.shape[:-1] + (D,))
+        if _network_sort(buffer, out):
+            return out
+    return _np_sort(np.matmul(X, A, out=out), out)
+
+
+# OpenBLAS splits a dot of more floats than this across its threads, which
+# can change the dot's bits with the thread count.
+_BLAS_SERIAL_DOT = 10_000
+
+
+def _dot_norms(G: np.ndarray) -> np.ndarray:
+    """||g|| of each row g of G (count, N), at any BLAS thread count.
+
+    A stacked matmul of (1, N) by (N, 1) makes one BLAS dot of each row
+    with itself.  For N <= 10,000 that is the dot np.linalg.norm(g) takes,
+    and gives its bits.  Longer rows are cut into dots of at most 10,000
+    floats, added from the left, since OpenBLAS splits a longer dot across
+    its threads and its bits would then depend on their number.
+    """
+    total = 0.0
+    for lo in range(0, G.shape[1], _BLAS_SERIAL_DOT):
+        part = G[:, lo : lo + _BLAS_SERIAL_DOT]
+        total = total + np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
+    return np.sqrt(total)
 
 
 def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarray:

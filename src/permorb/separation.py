@@ -95,7 +95,13 @@ from .core import (
     json_dumps,
     make_rng,
 )
-from .embeddings import _NETWORK_MIN_COLUMNS, _blocks, _gaussian_sketch, _sort_project
+from .embeddings import (
+    _NETWORK_MIN_COLUMNS,
+    _blocks,
+    _dot_norms,
+    _gaussian_sketch,
+    _sort_project,
+)
 from .metrics import _all_permutations, _orbit_distance_floor, _subset_layers
 
 __all__ = [
@@ -695,20 +701,15 @@ _MIN_DISTANCE = 0.1
 
 # Floats of one sub-block's sort stage (its X, Y and same-orbit clouds or
 # projections, whichever is wider), which bounds the buffers a call reuses
-# and the network's rows.  Whole blocks of the perfbench shapes (600 trials)
-# are mapped afresh by glibc on every call: 36 / 474 / 554 minor faults
-# (pooled / sketched / sorted).  On a 2-core Xeon, the spot-check benchmark
-# (seed 0, 4 interleaved 10 s runs) read a median wall_s of 5.38 ms that
-# way, and 3.95 / 3.82 / 3.76 ms at 2^14 / 2^15 / 2^16 floats, with 0 / 64 /
-# 128 faults per sketched call in a fresh process: smaller sub-blocks pay
-# more calls per block, larger ones get mapped again.
+# and the point-major rows of each projection.  Whole blocks of the
+# perfbench shapes (600 trials) would be mapped afresh by glibc on every
+# call.  On a 2-core Xeon, the spot-check benchmark (seed 0, 8 s runs in
+# alternating order) read median wall_s of 3.38 / 3.34 / 3.87 ms at 2^14 /
+# 2^15 / 2^16 floats over 8 rounds, 3.40 / 3.35 ms at 2^14 / 2^15 over 10
+# more, and 3.55 / 3.21 ms over 8 runs each from a fresh directory.
+# Smaller sub-blocks pay more calls per block; larger ones are mapped again
+# (a warmed sorted call took 149 minor faults at 2^16, 10 to 60 at 2^15).
 _SORT_FLOATS = 1 << 15
-
-
-def _row_norms(V: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(V, axis=1), bit for bit, squaring into scratch (V's shape, may be V)."""
-    np.multiply(V, V, out=scratch)
-    return np.sqrt(np.add.reduce(scratch, axis=1))
 
 
 def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
@@ -772,11 +773,16 @@ def spot_check_injectivity(
     most about ``_SORT_FLOATS`` floats (and at least
     ``_NETWORK_MIN_COLUMNS`` columns per third, so the sorting network
     runs): the X, Y and same-orbit thirds of a sub-block are projected
-    and sorted one after another into one buffer, then embedded together.
-    The buffers are allocated once per call.  The sorted kind compares the
-    sorted embeddings row by row and the sketched kind applies L with its
-    columns put in that order, so only the order of a few sums differs
-    from the column-major vec of ``sketched_embedding``.
+    and sorted one after another into one buffer, each by _sort_project's
+    point-major product and in-place network, then embedded together.  The
+    projection and embedding buffers are allocated once per call.  The
+    sorted kind compares the sorted embeddings row by row and the sketched
+    kind applies L with its columns put in that order, so only the order
+    of a few sums differs from the column-major vec of
+    ``sketched_embedding``.  Every gap norm, the extra pairs' included, is
+    one BLAS dot of the gap with itself (``_dot_norms``, as in the audit
+    pool), which gives the bits of a per-pair np.linalg.norm for gaps of
+    up to 10,000 floats.
     """
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -825,7 +831,6 @@ def spot_check_injectivity(
     sub = min(sub, blocks[0].stop - blocks[0].start)
     S_buffer = np.empty((3 * sub, n, D))
     E_buffer = S_buffer.reshape(3 * sub, -1) if kind == "sorted" else np.empty((3 * sub, columns))
-    squares = np.empty((sub, columns))
 
     collisions = 0
     false_separations = 0
@@ -839,16 +844,12 @@ def spot_check_injectivity(
                 _sort_project(A, clouds[third, lo : lo + m], out=S[third * m : (third + 1) * m])
             E = embed(S, E_buffer[: 3 * m])
             EX, EY, ES = E[:m], E[m : 2 * m], E[2 * m :]
-            G = squares[:m]
-            np.subtract(EX, EY, out=G)
-            collisions += int(np.count_nonzero(_row_norms(G, G) <= 1e-8))
-            scale = np.maximum(1.0, _row_norms(EX, G))
-            np.subtract(EX, ES, out=G)
-            false_separations += int(np.count_nonzero(_row_norms(G, G) > 1e-9 * scale))
+            collisions += int(np.count_nonzero(_dot_norms(EX - EY) <= 1e-8))
+            scale = np.maximum(1.0, _dot_norms(EX))
+            false_separations += int(np.count_nonzero(_dot_norms(EX - ES) > 1e-9 * scale))
     for pair in pairs:
-        EX, EY = embed(_sort_project(A, pair, out=S_buffer[:2]), E_buffer[:2])
-        if float(np.linalg.norm(EX - EY)) <= 1e-8:
-            collisions += 1
+        E = embed(_sort_project(A, pair, out=S_buffer[:2]), E_buffer[:2])
+        collisions += int(_dot_norms(E[:1] - E[1:])[0] <= 1e-8)
     return InjectivityReport(
         kind=kind,
         n=n,

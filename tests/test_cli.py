@@ -425,3 +425,18 @@ def test_reproduce_rejects_a_gap_n_below_two_before_any_output(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"error: --gap-n must be >= 2, got {gap_n}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--d-max"])
+@pytest.mark.parametrize("value", ["1", "0", "-3", "17"])
+@pytest.mark.parametrize("to_files", [False, True], ids=["print", "out"])
+def test_reproduce_rejects_a_table_range_outside_two_to_sixteen(tmp_path, capsys, flag, value,
+                                                                to_files):
+    # below 2 the tables would have no rows or columns, only their headers
+    out = tmp_path / "tables"
+    argv = ["reproduce", flag, value] + (["--out", str(out)] if to_files else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must lie in 2..16, got {value}\n"
+    assert not out.exists()

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import permorb
 from permorb import (
     flatten_embedding,
     make_rng,
@@ -254,31 +259,92 @@ _CLOUD_POOL = (0.0, -0.0, 5e-324, 1e300, -1e300, 1e308)
     wide=st.booleans(),
     extra=st.integers(0, 40),
     pool=st.lists(st.sampled_from(_CLOUD_POOL), max_size=3),
+    lead=st.sampled_from([1, 2]),
+    into=st.booleans(),
     seed=st.integers(0, 2**32),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 # a 5e-324 row projects to -0.0 next to a zero row's 0.0: the network gives
 # (-0.0, -0.0) where np.sort keeps (0.0, -0.0)
-@example(n=2, d=2, D=2, wide=True, extra=0, pool=[0.0, 5e-324], seed=1)
+@example(n=2, d=2, D=2, wide=True, extra=0, pool=[0.0, 5e-324], lead=1, into=False, seed=1)
 def test_a_stacked_sort_projection_gives_each_cloud_the_bits_of_a_single_one(
-    n, d, D, wide, extra, pool, seed
+    n, d, D, wide, extra, pool, lead, into, seed
 ):
     # a wide stack has at least the network's floor of columns and is sorted
-    # by it (n <= 6); a narrow one, like every single cloud here, by np.sort
+    # by it (n <= 6); a narrow one, like every single cloud here, by np.sort.
+    # Two leading axes are the sketch check's (2, count, n, d), and out= is
+    # how the spot check calls it.
     t = -(-_NETWORK_MIN_COLUMNS // D) + extra if wide else 1 + extra % 8
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
-    stack = rng.standard_normal((t, n, d))
+    clouds = rng.standard_normal((lead * t, n, d))
     if pool:
-        picks = rng.random(stack.shape) < 0.3
-        stack[picks] = rng.choice(np.array(pool), size=int(picks.sum()))
-        stack[rng.random((t, n)) < 0.2] = pool[0]  # whole rows of one value
+        picks = rng.random(clouds.shape) < 0.3
+        clouds[picks] = rng.choice(np.array(pool), size=int(picks.sum()))
+        clouds[rng.random((lead * t, n)) < 0.2] = pool[0]  # whole rows of one value
+    stack = clouds.reshape(2, t, n, d) if lead == 2 else clouds
+    out = np.full(stack.shape[:-1] + (D,), np.nan) if into else None
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _sort_project(A, stack)
-        singles = [sorted_embedding(A, X) for X in stack]
+        S = _sort_project(A, stack, out=out)
+        singles = [sorted_embedding(A, X) for X in clouds]
+    assert S.shape == stack.shape[:-1] + (D,)
+    assert out is None or S is out
     # + 0.0 turns -0.0 into 0.0 and keeps the bits of every other value, so
     # the bits agree up to the sign of a zero, which the network may flip
-    assert all((S[k] + 0.0).tobytes() == (singles[k] + 0.0).tobytes() for k in range(t))
+    S = S.reshape(-1, n, D)
+    assert all((S[k] + 0.0).tobytes() == (singles[k] + 0.0).tobytes() for k in range(len(clouds)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n, d, D", [(2, 3, 512), (4, 2, 700), (6, 4, 1024)])
+def test_clouds_wide_enough_for_the_network_keep_the_bits_of_their_own_product(m, n, d, D):
+    # one cloud, or a few, with enough directions for the sorting network on
+    # their own: a lone cloud's points apart would be vector-matrix products,
+    # whose bits differ from those of the cloud's one matrix product
+    rng = make_rng(n * D + m)
+    A = rng.standard_normal((d, D))
+    X = rng.standard_normal((m, n, d))
+    want = [(np.sort(x @ A, axis=0) + 0.0).tobytes() for x in X]
+    assert [(sorted_embedding(A, x) + 0.0).tobytes() for x in X] == want
+    assert [(S + 0.0).tobytes() for S in _sort_project(A, X)] == want
+
+
+# Stacks at the shapes the empirical checks sort: spot-check sub-blocks, the
+# sketch check's (2, count, n, d), one of n = 6, and an audit-sized block
+# whose per-point products are large enough for OpenBLAS to thread.
+_STACKS_AT_THREADS = """
+import hashlib, sys
+import numpy as np
+from permorb import make_rng, sorted_embedding
+from permorb.embeddings import _sort_project
+
+digest = hashlib.sha256()
+for lead, n, d, D in [((227,), 4, 3, 12), ((303,), 3, 2, 10), ((2, 200), 4, 3, 12),
+                      ((300,), 6, 4, 20), ((2000,), 4, 3, 64)]:
+    rng = make_rng(n * D)
+    A = rng.standard_normal((d, D))
+    stack = rng.standard_normal((*lead, n, d))
+    S = _sort_project(A, stack, out=np.empty((*lead, n, D))).reshape(-1, n, D)
+    for X, got in zip(stack.reshape(-1, n, d), S):
+        assert (got + 0.0).tobytes() == (sorted_embedding(A, X) + 0.0).tobytes()
+    digest.update((S + 0.0).tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+def test_stacked_sort_projections_match_single_ones_at_one_and_two_blas_threads():
+    # a BLAS sets its thread count when it loads, so each count runs in a
+    # fresh interpreter; the stacks' bits must not move with it either
+    src = str(Path(permorb.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _STACKS_AT_THREADS], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------

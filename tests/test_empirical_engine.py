@@ -5,10 +5,10 @@ and embed them in batches.  The audit pool (``sample_pair_pool``) is drawn
 into one array by a loop that only calls the generator;
 ``empirical_distortion`` takes every distance of a block from one batched
 subset DP (``_assignment_totals``) and every gap norm from one BLAS dot
-per pair (``audit._dot_norms``).  The DP's least total is checked bit for
-bit against every matching's total added in row order, and so against
-``_enumerated_distance`` for n <= 7; the dots against ``np.linalg.norm``
-of each fresh gap.  ``ose_check`` takes its denominators from the same
+per pair (``embeddings._dot_norms``).  The DP's least total is checked
+bit for bit against every matching's total added in row order, and so
+against ``_enumerated_distance`` for n <= 7; the dots against
+``np.linalg.norm`` of each fresh gap.  ``ose_check`` takes its denominators from the same
 dots and screens its ratios through the Gram matrix of a sketch with at
 least as many rows as columns, formed once per check; a wider sketch is
 not screened, and every pair takes the per-pair matvec.  The screen's
@@ -66,13 +66,12 @@ from permorb import audit, metrics, separation
 from permorb.audit import (
     _NO_OVERFLOW,
     OseReport,
-    _dot_norms,
     _SketchDraw,
     sample_pair_pool,
 )
 from permorb.constructions import adversarial_circle_pair
 from permorb.audit import _DRAW_FLOATS
-from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks
+from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks, _dot_norms
 from permorb.metrics import (
     _all_permutations,
     _assignment_distance,
