@@ -14,9 +14,10 @@ routes and the empirical estimate used to sandwich the distortion:
   least delta for every unit direction e).  For d = 2, delta is proven:
   the m-th smallest |a_k . e| attains its minimum on the D**2 directions
   orthogonal to a column or to a sum or difference of two columns, and the
-  sweep evaluates exactly those, minus a stated rounding allowance, at a
-  cost of order D**3.  For d > 2, sphere sampling only overestimates
-  delta, so it gives no floor.
+  sweep covers exactly those, minus a stated rounding allowance: O(D**2)
+  elementwise work, plus the O(D) kernel only at the directions orthogonal
+  to a column and at the crossings whose value can be the minimum.  For
+  d > 2, sphere sampling only overestimates delta, so it gives no floor.
 * ``empirical_distortion`` -- min/max of the embedding-to-orbit distance
   ratio over a seeded pool that mixes independent clouds, near-orbit
   perturbations across several orders of magnitude of scale, and the
@@ -253,25 +254,65 @@ def _least_mth_projection(A: np.ndarray, m: int, E: np.ndarray) -> float:
     return least
 
 
+def _orthogonal_units(N: np.ndarray) -> np.ndarray:
+    """(-n_2, n_1) / hypot(n_1, n_2) for each normal n = N[:, ...], stacked on a new first axis."""
+    return np.stack([-N[1], N[0]]) / np.hypot(N[0], N[1])
+
+
+def _near_crossings(A: np.ndarray, lo: int, hi: int, limit: float) -> tuple[int, np.ndarray]:
+    """The crossings of columns j in [lo, hi) with the columns k > j that _pu_exact_sweep keeps.
+
+    Returns the number of nonzero normals a_j +- a_k, and the rows of the
+    directions e orthogonal to them whose computed crossing value
+    min(|a_j . e|, |a_k . e|), summed as _least_mth_projection sums, is at
+    most ``limit``.  Every array holds at most 4 (hi - lo) D floats.
+    """
+    j, k = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(A.shape[1]))
+    Aj, Ak = A.take(j + lo, axis=1), A.take(k, axis=1)
+    N = np.stack([Aj - Ak, Aj + Ak], axis=1)
+    with np.errstate(invalid="ignore"):  # a zero normal gives a nan direction, never near
+        e = _orthogonal_units(N)
+        crossing = np.minimum(
+            np.abs(e[0] * Aj[0] + e[1] * Aj[1]), np.abs(e[0] * Ak[0] + e[1] * Ak[1])
+        )
+        near = crossing <= limit
+    return np.count_nonzero(N.any(axis=0)), e[:, near].T
+
+
 def _pu_exact_sweep(A: np.ndarray, m: int) -> PUEstimate:
     """The (m, delta) uniformity of a 2 x D matrix, a proven floor for A as stored.
 
-    Write f(e) for the m-th smallest |a_k . e|; f(-e) = f(e).  The true
-    minimum lies on the finite set S of directions e orthogonal to a column
-    a_k or to a_j +- a_k, j < k.  Between two neighbouring directions of S
-    no |a_k . e| vanishes and no two of them cross (|a_j . e| = |a_k . e|
-    only where e is orthogonal to a_j - a_k or a_j + a_k), so one column
-    gives the m-th smallest along the whole arc.  There |a_k . e(theta)| =
-    ||a_k|| |sin(theta - phi_k)| has no zero and is concave, and a concave
-    function takes its least value on a closed arc at an end.  A normal
+    Write f(e) for the m-th smallest |a_k . e|; f(-e) = f(e).  Take a true
+    minimiser e*, with f(e*) = delta.  The functions |a_k . e| below or above
+    delta at e* stay there near e*.  If one function |a_k . e| alone takes
+    the value delta at e* (its duplicates and antipodes are the same
+    function) and does not vanish there, f equals it near e*, and
+    ||a_k|| |sin(theta - phi_k)| is strictly concave where it has no zero,
+    so it has no local minimum.  Hence e* is a breakpoint of f: either the
+    active |a_k . e| vanishes there (e* is orthogonal to a nonzero column
+    a_k, or m columns are zero and f is 0 everywhere), or two different
+    functions |a_j . e| and |a_k . e| cross there at the value delta (e* is
+    orthogonal to a_j - a_k or a_j + a_k, whichever is nonzero).  A normal
     that is exactly zero (a zero column, equal or exactly opposite columns)
-    makes no zero and no crossing and is skipped.  The direction (-1, 0),
-    from the normal (0, 1), is evaluated with every batch of normals, so
-    the set is never empty.  Each direction comes straight from its normal
-    n as (-n_2, n_1) / hypot(n), and all D**2 of them are evaluated by
-    _least_mth_projection: O(D**3) work, in chunks.
+    makes no zero and no crossing and is skipped.  Each direction comes
+    straight from its normal n as (-n_2, n_1) / hypot(n).
 
-    The minimum of those computed values is then lowered by an allowance
+    The sweep runs in two stages.  First it evaluates f, by
+    _least_mth_projection, at the zero candidates: the direction (-1, 0),
+    from the normal (0, 1), so the set is never empty, and the direction
+    orthogonal to each nonzero column.  Call U the least computed value.
+    Then, for each crossing direction e^ orthogonal to a nonzero
+    a_j +- a_k, j < k, it computes the crossing value
+    min(|a_j . e^|, |a_k . e^|) with the kernel's own elementwise products
+    and evaluates f at e^ only where that value is at most
+    U + 32 u a_max + 2**-1069.  A crossing above that limit cannot hold e*
+    (see below), so only O(D**2) elementwise work is certain, in
+    _PU_FLOATS chunks; the kernel's O(D) per direction is paid only at
+    the zero candidates and the crossings that pass.  ``direction_count`` counts every candidate
+    the certificate covers once, evaluated or pruned: (-1, 0), the nonzero
+    columns and the nonzero a_j +- a_k, j < k.
+
+    The minimum of the computed values is then lowered by an allowance
     c u a_max + 2**-1070, with c = 16, u = 2**-53, a_max = max ||a_k||,
     and eta = 2**-1074 bounding the error of an underflowed product or
     quotient.  Let e* be the true minimiser, orthogonal to an exact normal
@@ -298,26 +339,32 @@ def _pu_exact_sweep(A: np.ndarray, m: int) -> PUEstimate:
 
     That is 7.3 u a_max + 4 eta in all: c = 16 covers twice the first
     term and 2**-1070 = 16 eta the second, so the result, clamped at 0,
-    lies at most that far below the true delta and never above it.  Every
-    step assumes no overflow, which holds while a_max < 2**1021; larger
-    columns raise ValueError.
+    lies at most that far below the true delta and never above it.
+
+    The pruning limit follows from the same bullets.  Read backwards, they
+    bound U: delta <= f at the exact zero candidate <= U + 6.2 u a_max +
+    2 eta.  If e* is a crossing of a_j and a_k, its crossing value is
+    delta, and the computed one at e^ is at most delta + 6.2 u a_max +
+    2 eta, so at most U + 12.4 u a_max + 4 eta.  U <= 1.01 a_max, so
+    forming the limit loses at most 1.1 u a_max + eta more: c = 32 covers
+    twice the 13.5 u a_max and 2**-1069 = 32 eta the 5 eta, so e^ is
+    evaluated.  The pruned minimum runs over a subset of the directions,
+    so it is never below the minimum over all of them.  Every step assumes
+    no overflow, which holds while a_max < 2**1021; larger columns raise
+    ValueError.
     """
     D = A.shape[1]
     a_max = float(np.hypot(A[0], A[1]).max())
     if a_max >= 2.0**1021:
         raise ValueError(f"the exact sweep needs column norms below 2**1021, got {a_max}")
-    best, count = math.inf, 0
-    rows = max(1, _PU_FLOATS // (4 * D + 4))  # columns j per batch of normals
+    N = np.concatenate([[[0.0], [1.0]], A], axis=1)
+    N = N[:, (N != 0.0).any(axis=0)]
+    best, count = _least_mth_projection(A, m, _orthogonal_units(N).T), N.shape[1]
+    limit = best + (32.0 * _UNIT_ROUNDOFF * a_max + 2.0**-1069)
+    rows = max(1, _PU_FLOATS // (4 * D))  # columns j per batch of pairs
     for lo in range(0, D, rows):
-        j, k = np.nonzero(np.arange(lo, min(lo + rows, D))[:, None] < np.arange(D))
-        j += lo
-        N = np.concatenate(
-            [[[0.0], [1.0]], A[:, lo : lo + rows], A[:, j] - A[:, k], A[:, j] + A[:, k]], axis=1
-        )
-        N = N[:, (N != 0.0).any(axis=0)]
-        E = np.stack([-N[1], N[0]], axis=1) / np.hypot(N[0], N[1])[:, None]
-        best = min(best, _least_mth_projection(A, m, E))
-        count += len(E)
+        normals, near = _near_crossings(A, lo, min(lo + rows, D), limit)
+        best, count = min(best, _least_mth_projection(A, m, near)), count + normals
     delta = max(best - (16.0 * _UNIT_ROUNDOFF * a_max + 2.0**-1070), 0.0)
     return PUEstimate(m=m, delta=delta, method=EXACT_SWEEP, direction_count=count)
 
@@ -339,10 +386,11 @@ def projective_uniformity(A, m: int, *, seed: int = 0) -> PUEstimate:
     delta is the least, over unit directions e, of the m-th smallest
     |a_k . e|.  For d = 2 it is the ``exact-2d-sweep``: a proven floor,
     within about 16 u max ||a_k|| of the true constant (u = 2**-53), from
-    the D**2 directions that provably hold the minimiser, at a cost of
-    order D**3.  For any other d it is ``sphere-sampling`` over 10,000
-    seeded uniform directions per dimension, which only overestimates
-    delta and so proves no floor.
+    the D**2 directions that provably hold the minimiser, of which it
+    evaluates only those that can hold it: O(D**2) elementwise work plus
+    O(D) per evaluated direction.  For any other d it is
+    ``sphere-sampling`` over 10,000 seeded uniform directions per
+    dimension, which only overestimates delta and so proves no floor.
     ``method`` in the result names the one used.
     """
     A = as_matrix(A, "A")
@@ -485,7 +533,8 @@ def empirical_distortion(
     projective_uniformity to the report.  The subset bound is labelled
     certified only when D >= r*d*((n-1)**2 + 1) holds for this n.  The
     blueprint floor is attached for d = 2, where delta is the exact
-    sweep's proven floor (order D**3 work), and only when
+    sweep's proven floor (O(D**2) elementwise work, plus the kernel at the
+    crossings that can hold the minimum), and only when
     n**2 * (m - 1) <= D; for d > 2 delta is sampled, overestimates the
     constant, and gives no floor.  Limited to n <= 8: the distance DP takes
     n 2**(n-1) steps per pair and holds up to C(n, n/2) totals a pair, and
