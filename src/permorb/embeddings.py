@@ -20,13 +20,17 @@ one sort-projection kernel.  It also takes a stack of clouds, which is how
 the empirical checks (audit pool, sketch check, spot checks) embed many
 clouds in one call, and it can write into a caller's buffer; ``_blocks``
 cuts their trials into blocks of bounded size, and the spot check cuts
-each block again into sub-blocks.  A stacked call gives the same bits per
-cloud as a single one up to the sign of a zero.  Where the network below
-sorts, the stack is projected point-major, one BLAS call per point index
-over all its clouds, and elsewhere one per cloud; either way each entry
-comes out as in the cloud's own product, which the tests check bit for
-bit at one and two BLAS threads.  Sorting is exact, but the network may
-sort a stack where a single cloud goes through ``np.sort``.
+each block again into sub-blocks.  The spot check's block and sub-block
+buffers outlive the call: ``_held`` keeps them per thread, grown to the
+largest size asked for, so a warmed spot check maps no pages.  The audit
+pool and the sketch check allocate theirs per call.  A stacked call
+gives the same bits per cloud as a single one up to the sign of a zero.
+Where the network below sorts, the stack is projected point-major, one
+BLAS call per point index over all its clouds, and elsewhere one per
+cloud; either way each entry comes out as in the cloud's own product,
+which the tests check bit for bit at one and two BLAS threads.  Sorting
+is exact, but the network may sort a stack where a single cloud goes
+through ``np.sort``.
 
 Columns are sorted by ``_sort_columns``.  The clouds of the empirical checks
 are short (n = 3..6), and ``np.sort`` pays one C-level sort call per column,
@@ -44,6 +48,7 @@ come from ``_dot_norms``: one BLAS dot of each gap with itself.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -82,6 +87,31 @@ _NETWORKS = {
 # Each compare-exchange costs about 1 us of call overhead, which np.sort
 # (about 35 ns a column) makes up for from a few hundred columns on.
 _NETWORK_MIN_COLUMNS = 512
+
+
+class _Held(threading.local):
+    """One thread's float buffers that outlive a call, by role."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+
+_HELD = _Held()
+
+
+def _held(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of shape, in this thread's buffer for role.
+
+    The buffer grows to the largest size asked of it and is kept, so a
+    warmed caller maps no pages.  Every request for a role returns the same
+    memory, so a role has one user at a time: each array is filled and
+    used up before its role is asked for again.
+    """
+    size = math.prod(shape)
+    buffer = _HELD.buffers.get(role)
+    if buffer is None or buffer.size < size:
+        buffer = _HELD.buffers[role] = np.empty(size)
+    return buffer[:size].reshape(shape)
 
 
 def _networked(n: int, entries: int) -> bool:
@@ -126,12 +156,13 @@ def _sort_columns(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.sort(P, axis=-2) for a float array (..., n, D), in out or a new array.
 
     out may be P itself.  Short columns in a wide stack are gathered once
-    into point-major rows for ``_network_sort``; np.sort, which puts NaNs
-    last, sorts the others and a stack in which a NaN shows.
+    into point-major rows for ``_network_sort``, held per thread (its one
+    caller is the spot check's orbit distance floor); np.sort, which puts
+    NaNs last, sorts the others and a stack in which a NaN shows.
     """
     *lead, n, D = P.shape
     if _networked(n, P.size):
-        buffer = np.empty((n + 1, *lead, D))
+        buffer = _held("rows", (n + 1, *lead, D))
         # np.moveaxis(P, -2, 0), without its several microseconds of argument checks
         buffer[:-1] = P.transpose(len(lead), *range(len(lead)), len(lead) + 1)
         if out is None:
@@ -150,7 +181,9 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     least ``_NETWORK_MIN_COLUMNS`` columns) on m >= 2 clouds, they are
     projected point-major, straight into the n rows of a buffer
     (n + 1, ..., D) with a spare row, which ``_network_sort`` sorts in
-    place and writes once into out or a new array.  Row i is the product
+    place and writes once into out or a new array.  The rows are held per
+    thread when out is given, as the spot check gives it, and are new
+    otherwise, as for the audit pool.  Row i is the product
     of the i-th points of all the clouds, an (m, d) matrix read in place
     with row stride n d, so the stack takes n BLAS calls in all: a copy of
     the clouds transposed to (n m, d) for a single call costs more than the
@@ -164,7 +197,7 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     # one cloud stays one gemm: its points apart would be vector-matrix
     # products, whose bits differ
     if m > 1 and _networked(n, m * n * D):
-        buffer = np.empty((n + 1, *lead, D))
+        buffer = np.empty((n + 1, *lead, D)) if out is None else _held("rows", (n + 1, *lead, D))
         np.matmul(X.reshape(m, n, d).swapaxes(0, 1), A, out=buffer[:-1].reshape(n, m, D))
         if out is None:
             out = np.empty(X.shape[:-1] + (D,))

@@ -100,6 +100,7 @@ from .embeddings import (
     _blocks,
     _dot_norms,
     _gaussian_sketch,
+    _held,
     _sort_project,
 )
 from .metrics import _all_permutations, _orbit_distance_floor, _subset_layers
@@ -700,15 +701,16 @@ def certify_separation(
 _MIN_DISTANCE = 0.1
 
 # Floats of one sub-block's sort stage (its X, Y and same-orbit clouds or
-# projections, whichever is wider), which bounds the buffers a call reuses
-# and the point-major rows of each projection.  Whole blocks of the
-# perfbench shapes (600 trials) would be mapped afresh by glibc on every
-# call.  On a 2-core Xeon, the spot-check benchmark (seed 0, 8 s runs in
-# alternating order) read median wall_s of 3.38 / 3.34 / 3.87 ms at 2^14 /
-# 2^15 / 2^16 floats over 8 rounds, 3.40 / 3.35 ms at 2^14 / 2^15 over 10
-# more, and 3.55 / 3.21 ms over 8 runs each from a fresh directory.
-# Smaller sub-blocks pay more calls per block; larger ones are mapped again
-# (a warmed sorted call took 149 minor faults at 2^16, 10 to 60 at 2^15).
+# projections, whichever is wider), which sizes the held projection and
+# embedding buffers and the point-major rows of each projection.  Smaller
+# sub-blocks pay more calls per block: in one process with one BLAS
+# thread, a rotation of the three perfbench shapes (600 trials) took a
+# median 4.19 ms at 2^14 floats against 3.53 ms at 2^15.  Larger ones are
+# faster still, as a 600-trial block becomes one sub-block from 2^17 on
+# (3.25 ms there, and the spot-check benchmark's wall_s 2.98 -> 2.86 ms
+# over 8 alternating seed-0 pairs on a 2-core Xeon), but a thread would
+# then hold 1.84 MB after a sketched call, more than the 1.08 MB such a
+# call peaked at when it allocated its buffers, and peak RSS rose 1.5 MB.
 _SORT_FLOATS = 1 << 15
 
 
@@ -716,9 +718,11 @@ def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndar
     """The clouds (3, count, n, d) of one block of trials: every X, Y and same-orbit copy.
 
     The stream is the one ``spot_check_injectivity`` states; row t of the
-    permuted call equals the t-th of count rng.permutation(n) calls.
+    permuted call equals the t-th of count rng.permutation(n) calls.  The
+    clouds are this thread's held "clouds" buffer, valid until the next
+    block is drawn.
     """
-    clouds = np.empty((3, count, n, d))
+    clouds = _held("clouds", (3, count, n, d))
     X, Y = clouds[0], clouds[1]
     rng.standard_normal(out=clouds[:2])
     perms = rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
@@ -775,9 +779,11 @@ def spot_check_injectivity(
     runs): the X, Y and same-orbit thirds of a sub-block are projected
     and sorted one after another into one buffer, each by _sort_project's
     point-major product and in-place network, then embedded together.  The
-    projection and embedding buffers are allocated once per call.  The
-    sorted kind compares the sorted embeddings row by row and the sketched
-    kind applies L with its columns put in that order, so only the order
+    block's clouds, the floor's and the projections' point-major rows and
+    the projection and embedding buffers are held per thread across calls
+    (``embeddings._held``), so a warmed call maps no pages.  The sorted
+    kind compares the sorted embeddings row by row and the sketched kind
+    applies L with its columns put in that order, so only the order
     of a few sums differs from the column-major vec of
     ``sketched_embedding``.  Every gap norm, the extra pairs' included, is
     one BLAS dot of the gap with itself (``_dot_norms``, as in the audit
@@ -829,8 +835,9 @@ def spot_check_injectivity(
 
     blocks = _blocks(trials, 3 * width)
     sub = min(sub, blocks[0].stop - blocks[0].start)
-    S_buffer = np.empty((3 * sub, n, D))
-    E_buffer = S_buffer.reshape(3 * sub, -1) if kind == "sorted" else np.empty((3 * sub, columns))
+    S_buffer = _held("projections", (3 * sub, n, D))
+    E_buffer = (S_buffer.reshape(3 * sub, -1) if kind == "sorted"
+                else _held("embeddings", (3 * sub, columns)))
 
     collisions = 0
     false_separations = 0

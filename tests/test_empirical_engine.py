@@ -30,14 +30,20 @@ the public embeddings; it must reproduce the report and every embedded
 cloud, which the spot check projects one third (X, Y or same-orbit) of a
 sub-block at a time.  The spot check's guarantees are also checked on
 their own: every tested pair lies at least 0.1 apart, every same-orbit
-copy permutes the rows of its X, and no assignment is solved.
+copy permutes the rows of its X, and no assignment is solved.  Its
+buffers are held per thread across calls: a warmed call at the perfbench
+shapes takes no minor page faults, earlier calls of larger shapes or
+concurrent calls in another thread leave its reports as they are, and
+it holds less than a call used to peak at.
 """
 
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +68,7 @@ from permorb import (
     sorted_embedding,
     spot_check_injectivity,
 )
-from permorb import audit, metrics, separation
+from permorb import audit, embeddings, metrics, separation
 from permorb.audit import (
     _NO_OVERFLOW,
     OseReport,
@@ -777,6 +783,121 @@ def test_spot_check_memory_is_bounded_by_its_sub_blocks(kind, n, d, D, M, bound)
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def fresh_interpreter(script):
+    """The output of script in a fresh interpreter with one BLAS thread,
+    whose spot checks start with no held buffers; it may import this module."""
+    paths = [str(Path(separation.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True,
+                          text=True).stdout
+
+
+_MINOR_FAULTS_PER_CALL = """
+import resource
+from permorb import spot_check_injectivity
+faults = {}
+for kind, n, d, D, M in SHAPES:
+    for seed in range(3):
+        spot_check_injectivity(kind, n, d, D, M=M, trials=600, seed=seed)
+for kind, n, d, D, M in SHAPES:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in range(50):
+        spot_check_injectivity(kind, n, d, D, M=M, trials=600, seed=100 + seed)
+    faults[kind] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
+print(faults)
+"""
+
+
+def test_a_warmed_spot_check_takes_no_minor_faults():
+    # the buffers of every block and sub-block are held per thread, so a
+    # warmed call at a perfbench shape maps no pages (95-131 minor faults a
+    # sketched call when they were allocated per call)
+    faults = eval(fresh_interpreter(f"SHAPES = {SPOT_SHAPES!r}\n{_MINOR_FAULTS_PER_CALL}"))
+    assert max(faults.values()) < 1.0, faults
+
+
+def planted_spot_checks(trials):
+    """The report of each perfbench shape's spot check, with a same-orbit
+    extra pair that must count as one collision."""
+    reports = []
+    for kind, n, d, D, M in SPOT_SHAPES:
+        X = make_rng(n).standard_normal((n, d))
+        reports.append(spot_check_injectivity(kind, n, d, D, M=M, trials=trials, seed=7,
+                                              extra_pairs=[(X, X[::-1])]))
+    return reports
+
+
+def test_a_small_spot_check_after_a_large_one_gives_the_fresh_reports(monkeypatch):
+    fresh = fresh_interpreter("from test_empirical_engine import planted_spot_checks\n"
+                              "print(repr(planted_spot_checks(100)))")
+    # larger than the small shapes in every held buffer: the clouds, the
+    # point-major rows, the sorted projections and the sketch outputs
+    spot_check_injectivity("sorted", 6, 3, 64, trials=600, seed=0)
+    spot_check_injectivity("sketched", 3, 2, 8, M=6000, trials=150, seed=0)
+    reports = planted_spot_checks(100)
+    assert repr(reports) == fresh.strip()
+    assert [report.collisions for report in reports] == [1, 1, 1]
+    for kind, n, d, D, M in SPOT_SHAPES:
+        check_against_the_reference(monkeypatch, kind, n, d, D, M=M, trials=100, seed=7)
+
+
+def test_spot_checks_in_three_threads_give_the_serial_reports():
+    # one thread per perfbench shape, each with its own held buffers; on a
+    # two-core host the threads outnumber the cores
+    def checks(shape):
+        kind, n, d, D, M = shape
+        X = make_rng(n).standard_normal((n, d))
+        return [spot_check_injectivity(kind, n, d, D, M=M, trials=600, seed=seed,
+                                       extra_pairs=[(X, X[::-1])]) for seed in range(8)]
+
+    serial = [checks(shape) for shape in SPOT_SHAPES]
+    start = threading.Barrier(len(SPOT_SHAPES))
+
+    def run(shape):
+        start.wait(timeout=60)
+        return checks(shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the calls, not only between them
+    try:
+        with ThreadPoolExecutor(len(SPOT_SHAPES)) as pool:
+            together = list(pool.map(run, SPOT_SHAPES, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == serial
+    assert all(report.collisions == 1 for reports in serial for report in reports)
+
+
+def test_extra_pairs_after_a_call_of_several_sub_blocks_count_their_collision():
+    n, d, D = 4, 3, 12
+    sub = separation._SORT_FLOATS // (3 * n * max(d, D))
+    report = spot_check_injectivity("sorted", n, d, D, trials=3 * sub + sub // 2, seed=5)
+    assert report.collisions == 0
+    X = make_rng(9).standard_normal((n, d))
+    report = spot_check_injectivity("sorted", n, d, D, trials=10, seed=5,
+                                    extra_pairs=[(X, X[::-1])])
+    assert report.collisions == 1
+
+
+@pytest.mark.parametrize("kind, n, d, D, M, peak", [
+    # the per-call peaks of test_spot_check_memory_is_bounded_by_its_sub_blocks
+    ("sorted", 4, 3, 12, None, 800_000),
+    ("pooled", 3, 2, 10, None, 620_000),
+    ("sketched", 4, 3, 12, 48, 1_080_000),
+])
+def test_a_spot_check_holds_less_than_a_call_used_to_peak_at(kind, n, d, D, M, peak):
+    # holding the buffers moves memory out of each call; it must add none
+    def held_bytes():
+        spot_check_injectivity(kind, n, d, D, M=M, trials=600, seed=0)
+        return sum(buffer.nbytes for buffer in embeddings._HELD.buffers.values())
+
+    with ThreadPoolExecutor(1) as pool:  # a fresh thread holds no buffers yet
+        held = pool.submit(held_bytes).result()
+    assert 0 < held < peak
 
 
 def test_sketched_spot_check_rejects_an_empty_sketch():
