@@ -54,7 +54,7 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sort_project
+from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sort_project, _take_points
 from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
@@ -469,8 +469,13 @@ def sample_pair_pool(
     Each permutation is drawn in place: rng.shuffle on a row that starts as
     arange(n) is what rng.permutation(n) does.  The scaling and the
     permuted copies then run once over the whole array, elementwise, so
-    each entry is the product and sum a per-pair loop rounds.
+    each entry is the product and sum a per-pair loop rounds; the permuted
+    points are copied whole (``_take_points``).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = make_rng(seed)
@@ -500,7 +505,8 @@ def sample_pair_pool(
     X *= np.array(scales)[:, None, None]
     Y *= np.array(factors)[:, None, None]
     near = np.flatnonzero(near)
-    Y[near] += np.take_along_axis(X[near], perms[near, :, None], axis=1)
+    # the flat index of point i of drawn[t, 0] is 2 n t + i
+    Y[near] += _take_points(drawn, perms[near] + 2 * n * near[:, None])
     return pool
 
 

@@ -32,8 +32,10 @@ which the tests check bit for bit at one and two BLAS threads.  Sorting
 is exact, but the network may sort a stack where a single cloud goes
 through ``np.sort``.
 
-Columns are sorted by ``_sort_columns``.  The clouds of the empirical checks
-are short (n = 3..6), and ``np.sort`` pays one C-level sort call per column,
+Columns are sorted by ``_sort_project``, and by ``_sort_columns`` for the
+spot check's orbit distance floor, which its screen leaves only a few pairs
+of a block to sort.  The clouds of the empirical checks are short
+(n = 3..6), and ``np.sort`` pays one C-level sort call per column,
 so for n <= 6 a wide stack is sorted by a fixed compare-exchange network
 (Knuth, TAOCP vol. 3, 5.3.4): a few ``np.minimum``/``np.maximum`` passes,
 in place, over whole point-major rows of the stack (``_network_sort``).
@@ -42,7 +44,9 @@ carry the other sign (-0.0 == 0.0).  Longer columns and narrow stacks,
 where the network is slower, use ``np.sort``.
 
 Gap norms, of the audit pool, the sketch check and the spot checks alike,
-come from ``_dot_norms``: one BLAS dot of each gap with itself.
+come from ``_dot_norms``: one BLAS dot of each gap with itself.  The
+audit pool's near-orbit copies and the spot check's same-orbit copies come
+from ``_take_points``, which moves each point's d floats as one item.
 """
 
 from __future__ import annotations
@@ -156,9 +160,11 @@ def _sort_columns(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.sort(P, axis=-2) for a float array (..., n, D), in out or a new array.
 
     out may be P itself.  Short columns in a wide stack are gathered once
-    into point-major rows for ``_network_sort``, held per thread (its one
-    caller is the spot check's orbit distance floor); np.sort, which puts
-    NaNs last, sorts the others and a stack in which a NaN shows.
+    into point-major rows for ``_network_sort``, held per thread; np.sort,
+    which puts NaNs last, sorts the others and a stack in which a NaN
+    shows.  Its one caller is the spot check's orbit distance floor, which
+    sorts only the pairs the spot check's screen cannot clear (a few in a
+    block, which np.sort takes), and each pair of a block it cannot screen.
     """
     *lead, n, D = P.shape
     if _networked(n, P.size):
@@ -225,6 +231,24 @@ def _dot_norms(G: np.ndarray) -> np.ndarray:
         part = G[:, lo : lo + _BLAS_SERIAL_DOT]
         total = total + np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
     return np.sqrt(total)
+
+
+def _take_points(clouds: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """clouds.reshape(-1, d)[index]: the points (index.shape + (d,)) at flat point indices.
+
+    clouds (..., d) is a C-contiguous float array, and out, if given, an
+    array of the result's shape whose last axis is contiguous.  Each point's
+    d floats are viewed as one np.void item, so one np.take moves whole
+    points (a pure copy, the same bits) where take_along_axis would step
+    through the d floats of each.  The indices are not checked: mode="clip"
+    spares np.take the copy of out that its default mode makes.
+    """
+    d = clouds.shape[-1]
+    if out is None:
+        out = np.empty(index.shape + (d,))
+    point = np.dtype((np.void, d * clouds.itemsize))
+    np.take(clouds.view(point).reshape(-1), index, out=out.view(point)[..., 0], mode="clip")
+    return out
 
 
 def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarray:

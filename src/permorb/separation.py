@@ -102,6 +102,7 @@ from .embeddings import (
     _gaussian_sketch,
     _held,
     _sort_project,
+    _take_points,
 )
 from .metrics import _all_permutations, _orbit_distance_floor, _subset_layers
 
@@ -714,26 +715,102 @@ _MIN_DISTANCE = 0.1
 _SORT_FLOATS = 1 << 15
 
 
+# The redraw screen (_suspects) clears a pair once the squares of its
+# coordinate sums reach n * 0.1**2 * _SCREEN_SLACK.  Its proof needs every
+# gap entry within _SCREEN_ENTRY of zero and at most _SCREEN_FLOATS floats
+# a cloud; a block outside them has every pair's floor computed.
+_SCREEN_SLACK = 1.0 + 2.0**-8
+_SCREEN_ENTRY = 2.0**10
+_SCREEN_FLOATS = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)
+def _coordinate_sums(n: int, d: int) -> np.ndarray:
+    """The 0/1 matrix (n d, d) that maps a cloud's row-major floats to its d coordinate sums."""
+    J = np.tile(np.eye(d), (n, 1))
+    J.flags.writeable = False  # the cached matrix is shared by every caller
+    return J
+
+
+def _suspects(X: np.ndarray, Y: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Ascending indices t of the pairs (X[t], Y[t]) whose floor may lie below 0.1.
+
+    X, Y and gaps are C-contiguous (count, n, d); gaps is overwritten with
+    fl(X - Y).  Every other pair has a computed ``_orbit_distance_floor`` of
+    at least 0.1, as follows.  Sorting a column keeps its sum, and an
+    n-vector's squared norm is at least its sum squared over n
+    (Cauchy-Schwarz), so the floor f of the exact entries obeys
+
+        n f^2 >= |c|^2,    c_k = sum_i (x_ik - y_ik).
+
+    Let u = 2^-53, gamma_k = k u / (1 - k u), t the double 0.1, m = n d
+    and R = ``_SCREEN_ENTRY`` = 2^10.  The screen forms w = fl(x - y), the
+    sums s = w J (one BLAS product with the 0/1 matrix J of
+    ``_coordinate_sums``) and q = fl(s * s) . 1 (one BLAS product), and
+    clears the pair when q >= tau = fl(fl(n fl(t^2)) (1 + 2^-8)), so
+    tau >= n t^2 (1 + 2^-8) (1 - u)^3.  It screens a block only if
+    m <= 2^16 and every |w| <= R (a NaN fails this); otherwise every pair
+    is a suspect.
+
+    (a) Each s_k is a dot product of m exact terms (w 0 and w 1 round
+        nothing), so in any order of summation, fused or not,
+        |s_k - sum_i w_ik| <= gamma_m sum_i |w_ik| <= gamma_m n R, and a
+        subtraction rounds relatively (exactly where subnormal):
+        |w - (x - y)| <= u |x - y| <= u R / (1 - u).  So |s_k - c_k| <= E
+        with E = n R gamma_(m+1), and |c| >= |s| - sqrt(d) E.
+    (b) fl(s_k^2) <= s_k^2 (1 + u) + 2^-1075 (half the subnormal spacing),
+        and the dot with ones adds d of them within a factor 1 + gamma_d:
+        q <= (1 + gamma_(d+1)) |s|^2 + 2 d 2^-1075.  As q >= tau > 2^-7,
+        |s|^2 >= q (1 - 2^-35).
+    (c) Hence sqrt(n) f >= |c| >= sqrt(n) t (sqrt((1 + 2^-8) (1 - 2^-34))
+        - sqrt(m) R gamma_(m+1) / t), where the first term exceeds
+        1 + 2^-10 and the second, with m <= 2^16, lies below 2^-15:
+        f >= t (1 + 2^-11).
+    (d) The floor rounds each of its m gaps relatively, squares them
+        within a factor 1 - u and 2^-1075, and adds the nonnegative
+        squares in m - 1 additions of relative error u each, in any
+        order, so its sum is at least
+        (1 - u)^(m+2) f^2 - m 2^-1075 > t^2 (1 + 2^-11)^2 (1 - 2^-36) - 2^-1058 > t^2,
+        and a correctly rounded square root of a value >= t^2 is >= t.
+    """
+    count, n, d = X.shape
+    w = gaps.reshape(count, n * d)
+    np.subtract(X.reshape(count, -1), Y.reshape(count, -1), out=w)
+    if n * d > _SCREEN_FLOATS or not (w.max() <= _SCREEN_ENTRY and w.min() >= -_SCREEN_ENTRY):
+        return np.arange(count)
+    s = w @ _coordinate_sums(n, d)
+    s *= s
+    return np.flatnonzero(s @ np.ones(d) < n * _MIN_DISTANCE**2 * _SCREEN_SLACK)
+
+
 def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
     """The clouds (3, count, n, d) of one block of trials: every X, Y and same-orbit copy.
 
     The stream is the one ``spot_check_injectivity`` states; row t of the
-    permuted call equals the t-th of count rng.permutation(n) calls.  The
-    clouds are this thread's held "clouds" buffer, valid until the next
-    block is drawn.
+    permuted call equals the t-th of count rng.permutation(n) calls.  Only
+    the pairs ``_suspects`` cannot clear get the floor; each pair's floor
+    does not depend on the pairs stacked with it, so the redraws are those
+    of a floor of the whole block.  The same-orbit copies are gathered
+    whole (``_take_points``).  The clouds are this thread's held "clouds"
+    buffer, valid until the next block is drawn.
     """
     clouds = _held("clouds", (3, count, n, d))
     X, Y = clouds[0], clouds[1]
     rng.standard_normal(out=clouds[:2])
     perms = rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
-    for t in np.flatnonzero(_orbit_distance_floor(clouds[:2].swapaxes(0, 1)) < _MIN_DISTANCE):
-        for _ in range(100):
-            rng.standard_normal(out=Y[t])
-            if _orbit_distance_floor(clouds[:2, t]) >= _MIN_DISTANCE:
-                break
-        else:
-            raise RuntimeError("could not sample a distant pair")
-    clouds[2] = np.take_along_axis(X, perms[:, :, None], axis=1)
+    suspects = _suspects(X, Y, gaps=clouds[2])
+    if suspects.size:
+        floors = _orbit_distance_floor(clouds[:2].swapaxes(0, 1)[suspects])
+        for t in suspects[floors < _MIN_DISTANCE]:
+            for _ in range(100):
+                rng.standard_normal(out=Y[t])
+                if _orbit_distance_floor(clouds[:2, t]) >= _MIN_DISTANCE:
+                    break
+            else:
+                raise RuntimeError("could not sample a distant pair")
+    # the flat index of point i of X[t] is n t + i
+    perms += np.arange(0, count * n, n)[:, None]
+    _take_points(X, perms, out=clouds[2])
     return clouds
 
 
@@ -770,8 +847,12 @@ def spot_check_injectivity(
     100 times before a RuntimeError.  The floor never exceeds the orbit
     distance, so every tested pair lies at least 0.1 apart up to the
     floor's own rounding (relative error below (n d + 2) 2^-53), and no
-    assignment is solved.  The stream of draws depends only on the
-    arguments.
+    assignment is solved.  The floor is computed only for the pairs a
+    screen on the coordinate sums of X - Y cannot clear (``_suspects``,
+    whose docstring proves that every pair it clears has a computed floor
+    of at least 0.1), so the redraws are those of a floor of every pair.
+    The same-orbit copies are gathered point by point (``_take_points``).
+    The stream of draws depends only on the arguments.
 
     A block is embedded in sub-blocks of trials whose sort stage holds at
     most about ``_SORT_FLOATS`` floats (and at least
@@ -779,8 +860,9 @@ def spot_check_injectivity(
     runs): the X, Y and same-orbit thirds of a sub-block are projected
     and sorted one after another into one buffer, each by _sort_project's
     point-major product and in-place network, then embedded together.  The
-    block's clouds, the floor's and the projections' point-major rows and
-    the projection and embedding buffers are held per thread across calls
+    block's clouds, the projections' point-major rows (and the floor's,
+    where its pairs are enough for the network) and the projection and
+    embedding buffers are held per thread across calls
     (``embeddings._held``), so a warmed call maps no pages.  The sorted
     kind compares the sorted embeddings row by row and the sketched kind
     applies L with its columns put in that order, so only the order

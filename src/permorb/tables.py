@@ -16,8 +16,6 @@ success.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .separation import min_injective_D_upper, non_injective_D_threshold
 
 __all__ = [

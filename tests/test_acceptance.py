@@ -39,7 +39,7 @@ from permorb import (
 )
 from permorb.audit import sample_pair_pool, subset_sigma_lower_bound
 from permorb.cli import main
-from permorb.separation import KNOWN_NONSEPARATING_DIMS, SeparationStatus
+from permorb.separation import SeparationStatus
 
 
 def _finish(num: int, clauses: list[tuple[str, bool]], t0: float, budget_s: float):

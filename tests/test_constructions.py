@@ -16,7 +16,7 @@ from permorb import (
     sorted_embedding,
     sphere_directions,
 )
-from permorb.core import BudgetExceededError, load_matrix_csv, make_rng, save_matrix_csv
+from permorb.core import BudgetExceededError, load_matrix_csv, save_matrix_csv
 from permorb.separation import known_separating_matrix
 
 

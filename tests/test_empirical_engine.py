@@ -907,14 +907,28 @@ def test_sketched_spot_check_rejects_an_empty_sketch():
             spot_check_injectivity("sketched", 3, 2, 5, M=M, trials=5)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn(monkeypatch, seed):
+@pytest.mark.parametrize("n, d, trials, seed", [
     # n = 2, d = 1: a few pairs in a hundred lie within 0.1 in one block
-    trials = 3000
-    assert len(_blocks(trials, 3 * 2 * 3)) == 1
-    _, redraws, _ = check_against_the_reference(monkeypatch, "sorted", 2, 1, 3, trials=trials,
+    *(pytest.param(2, 1, 3000, seed, id=str(seed)) for seed in range(6)),
+    # seeds whose one block holds a pair the redraw screen cannot clear
+    (3, 2, 300, 1), (4, 3, 300, 47), (5, 4, 300, 1078), (6, 4, 300, 606),
+])
+def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn(monkeypatch, n, d, trials, seed):
+    assert len(_blocks(trials, 3 * n * max(d, 3))) == 1
+    suspects = []
+    screen = separation._suspects
+
+    def screened(X, Y, gaps):
+        found = screen(X, Y, gaps)
+        suspects.extend(found)
+        return found
+
+    monkeypatch.setattr(separation, "_suspects", screened)
+    _, redraws, _ = check_against_the_reference(monkeypatch, "sorted", n, d, 3, trials=trials,
                                                 seed=seed)
-    assert redraws > 0
+    assert suspects
+    if n == 2:
+        assert redraws > 0
 
 
 def test_spot_check_matches_the_pair_loop_where_ys_are_redrawn_across_blocks(monkeypatch):

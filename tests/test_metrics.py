@@ -26,6 +26,7 @@ from permorb.metrics import (
     _squared_costs,
     rows_equal_as_multisets,
 )
+from permorb.separation import _suspects
 
 
 def test_identical_clouds_have_zero_distance():
@@ -223,6 +224,64 @@ def test_sorted_column_floor_never_exceeds_the_orbit_distance(pair):
     floor = float(_orbit_distance_floor(np.stack([X, Y])))
     distance = orbit_distance_bruteforce(X, Y).distance
     assert floor <= distance * (1 + 1e-12)
+
+
+# the floor the spot check's screen must keep, and its screen's threshold
+_TARGETS = [0.1, 0.1 * math.sqrt(1 + 2**-8)]
+
+
+@st.composite
+def screened_blocks(draw):
+    """Stacks X, Y (count, n, d) for the redraw screen.  A pair has rows from
+    a small pool with signed zeros (tied rows and coordinates), or is a
+    translation Y = X + delta, where the screen's Cauchy-Schwarz bound is
+    tight, planted with a floor within a few ulps of 0.1 or of the screen's
+    threshold; a gap past the screen's 2^10 makes the block fall back."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 4))
+    value = st.sampled_from([-0.25, -0.0, 0.0, 0.125]) | st.floats(-0.25, 0.25)
+    row = st.lists(value, min_size=d, max_size=d)
+    Xs, Ys = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        pool = draw(st.lists(row, min_size=1, max_size=2 * n))
+        index = st.integers(0, len(pool) - 1)
+        X = np.array([pool[draw(index)] for _ in range(n)])
+        if draw(st.booleans()):
+            Y = np.array([pool[draw(index)] for _ in range(n)])
+        else:
+            direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+            if not np.linalg.norm(direction) > 2.0**-20:
+                direction = np.eye(d)[0]
+            target = draw(st.sampled_from(_TARGETS)) * (1 + draw(st.integers(-4, 4)) * 2.0**-52)
+            Y = X + direction * (target / (math.sqrt(n) * np.linalg.norm(direction)))
+        if draw(st.integers(0, 9)) == 0:
+            Y[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = 2.0**11
+        Xs.append(X)
+        Ys.append(Y)
+    return np.array(Xs), np.array(Ys)
+
+
+@given(screened_blocks())
+@settings(max_examples=400, deadline=None)
+def test_the_redraw_screen_clears_no_pair_whose_floor_lies_below_a_tenth(block):
+    X, Y = block
+    suspects = _suspects(X, Y, np.empty_like(X))
+    assert list(suspects) == sorted(set(suspects))
+    if np.abs(X - Y).max() > 2.0**10:
+        assert list(suspects) == list(range(len(X)))
+    for t in set(range(len(X))) - set(suspects):
+        assert float(_orbit_distance_floor(np.stack([X[t], Y[t]]))) >= 0.1
+
+
+def test_the_redraw_screen_clears_translations_past_its_threshold():
+    rng = make_rng(3)
+    n, d = 4, 3
+    X = rng.standard_normal((5, n, d))
+    delta = rng.standard_normal(d)
+    steps = np.array([0.99, 1.0, 1.001, 1.01, 2.0]) * (0.1 / (math.sqrt(n) * np.linalg.norm(delta)))
+    Y = X + steps[:, None, None] * delta
+    # 1.001 lies within the screen's slack of 2^-9 on the floor
+    assert list(_suspects(X, Y, np.empty_like(X))) == [0, 1, 2]
 
 
 # ±0, the least subnormal, the largest subnormal and the least normal
