@@ -32,16 +32,15 @@ which the tests check bit for bit at one and two BLAS threads.  Sorting
 is exact, but the network may sort a stack where a single cloud goes
 through ``np.sort``.
 
-Columns are sorted by ``_sort_project``, and by ``_sort_columns`` for the
-spot check's orbit distance floor, which its screen leaves only a few pairs
-of a block to sort.  The clouds of the empirical checks are short
-(n = 3..6), and ``np.sort`` pays one C-level sort call per column,
-so for n <= 6 a wide stack is sorted by a fixed compare-exchange network
-(Knuth, TAOCP vol. 3, 5.3.4): a few ``np.minimum``/``np.maximum`` passes,
-in place, over whole point-major rows of the stack (``_network_sort``).
-Its result equals ``np.sort``'s entry by entry under ``==``, so a zero may
-carry the other sign (-0.0 == 0.0).  Longer columns and narrow stacks,
-where the network is slower, use ``np.sort``.
+Projection columns are sorted by ``_sort_project`` alone.  The clouds of
+the empirical checks are short (n = 3..6), and ``np.sort`` pays one C-level
+sort call per column, so for n <= 6 a wide stack is sorted by a fixed
+compare-exchange network (Knuth, TAOCP vol. 3, 5.3.4): a few
+``np.minimum``/``np.maximum`` passes, in place, over whole point-major
+rows of the stack (``_network_sort``).  Its result equals ``np.sort``'s
+entry by entry under ``==``, so a zero may carry the other sign
+(-0.0 == 0.0).  Longer columns and narrow stacks, where the network is
+slower, use ``np.sort``.
 
 Gap norms, of the audit pool, the sketch check and the spot checks alike,
 come from ``_dot_norms``: one BLAS dot of each gap with itself.  The
@@ -118,11 +117,6 @@ def _held(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[:size].reshape(shape)
 
 
-def _networked(n: int, entries: int) -> bool:
-    """Whether ``entries`` projections in columns of n go through the sorting network."""
-    return n in _NETWORKS and entries >= n * _NETWORK_MIN_COLUMNS
-
-
 def _network_sort(buffer: np.ndarray, out: np.ndarray) -> bool:
     """Sort point-major columns by the sorting network into out; False on a NaN.
 
@@ -148,36 +142,6 @@ def _network_sort(buffer: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def _np_sort(P: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """np.sort(P, axis=-2) in out (may be P) or a new array."""
-    if out is None:
-        return np.sort(P, axis=-2)
-    out[...] = np.sort(P, axis=-2)
-    return out
-
-
-def _sort_columns(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """np.sort(P, axis=-2) for a float array (..., n, D), in out or a new array.
-
-    out may be P itself.  Short columns in a wide stack are gathered once
-    into point-major rows for ``_network_sort``, held per thread; np.sort,
-    which puts NaNs last, sorts the others and a stack in which a NaN
-    shows.  Its one caller is the spot check's orbit distance floor, which
-    sorts only the pairs the spot check's screen cannot clear (a few in a
-    block, which np.sort takes), and each pair of a block it cannot screen.
-    """
-    *lead, n, D = P.shape
-    if _networked(n, P.size):
-        buffer = _held("rows", (n + 1, *lead, D))
-        # np.moveaxis(P, -2, 0), without its several microseconds of argument checks
-        buffer[:-1] = P.transpose(len(lead), *range(len(lead)), len(lead) + 1)
-        if out is None:
-            out = np.empty_like(P)
-        if _network_sort(buffer, out):
-            return out
-    return _np_sort(P, out)
-
-
 def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sorted projections of a cloud (n, d), or of a stack of clouds (..., n, d).
 
@@ -188,13 +152,16 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     projected point-major, straight into the n rows of a buffer
     (n + 1, ..., D) with a spare row, which ``_network_sort`` sorts in
     place and writes once into out or a new array.  The rows are held per
-    thread when out is given, as the spot check gives it, and are new
-    otherwise, as for the audit pool.  Row i is the product
-    of the i-th points of all the clouds, an (m, d) matrix read in place
-    with row stride n d, so the stack takes n BLAS calls in all: a copy of
-    the clouds transposed to (n m, d) for a single call costs more than the
-    n - 1 calls it saves.  Elsewhere, and when a NaN shows, the stacked
-    product (one BLAS call a cloud) is sorted by np.sort.  Either way the
+    thread when out is given, as the spot check gives it (the X, Y and
+    same-orbit thirds of a sub-block as one (3, m, n, d) stack), and are
+    new otherwise, as for the audit pool.  Row i is the product of the
+    i-th points of all the clouds, an (m, d) matrix read in place with row
+    stride n d, so the stack takes n BLAS calls in all: a copy of the
+    clouds transposed to (n m, d) for a single call costs more than the
+    n - 1 calls it saves.  A stack whose leading axes do not merge into
+    one stride, as a slice of the spot check's block, is first copied
+    whole.  Elsewhere, and when a NaN shows, the stacked product (one BLAS
+    call a cloud) is sorted in place by ndarray.sort.  Either way the
     values are np.sort's.
     """
     *lead, n, d = X.shape
@@ -202,14 +169,16 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     m = math.prod(lead)
     # one cloud stays one gemm: its points apart would be vector-matrix
     # products, whose bits differ
-    if m > 1 and _networked(n, m * n * D):
+    if m > 1 and n in _NETWORKS and m * D >= _NETWORK_MIN_COLUMNS:
         buffer = np.empty((n + 1, *lead, D)) if out is None else _held("rows", (n + 1, *lead, D))
         np.matmul(X.reshape(m, n, d).swapaxes(0, 1), A, out=buffer[:-1].reshape(n, m, D))
         if out is None:
             out = np.empty(X.shape[:-1] + (D,))
         if _network_sort(buffer, out):
             return out
-    return _np_sort(np.matmul(X, A, out=out), out)
+    P = np.matmul(X, A, out=out)
+    P.sort(axis=-2)
+    return P
 
 
 # OpenBLAS splits a dot of more floats than this across its threads, which

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BudgetExceededError, _unit_scaled, as_cloud, as_matrix
-from .embeddings import _sort_columns, sorted_embedding
+from .embeddings import sorted_embedding
 
 __all__ = [
     "OrbitDistanceResult",
@@ -184,10 +184,11 @@ def _orbit_distance_floor(pairs: np.ndarray) -> np.ndarray:
     upper Lipschitz constant is sigma_1(I) = 1:
     sqrt(sum_k ||sort(X[:, k]) - sort(Y[:, k])||^2) <= dist(X, Y), since within
     one column the sorted matching is the cheapest.  No assignment solve:
-    _sort_columns sorts the stack's short coordinate columns (a sorting
-    network for n <= 6, np.sort otherwise), with the values np.sort gives.
+    np.sort sorts the stack's short coordinate columns.  The spot check
+    takes the floor only of the few pairs its screen cannot clear, too few
+    for a sorting network to pay.
     """
-    ordered = _sort_columns(pairs)
+    ordered = np.sort(pairs, axis=-2)
     gap = ordered[..., 0, :, :] - ordered[..., 1, :, :]
     return np.sqrt(np.sum(gap * gap, axis=(-2, -1)))
 

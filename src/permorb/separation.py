@@ -81,6 +81,7 @@ import enum
 import functools
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -701,18 +702,24 @@ def certify_separation(
 # A Y is redrawn while its orbit distance floor to X lies below this.
 _MIN_DISTANCE = 0.1
 
-# Floats of one sub-block's sort stage (its X, Y and same-orbit clouds or
-# projections, whichever is wider), which sizes the held projection and
-# embedding buffers and the point-major rows of each projection.  Smaller
-# sub-blocks pay more calls per block: in one process with one BLAS
-# thread, a rotation of the three perfbench shapes (600 trials) took a
-# median 4.19 ms at 2^14 floats against 3.53 ms at 2^15.  Larger ones are
-# faster still, as a 600-trial block becomes one sub-block from 2^17 on
-# (3.25 ms there, and the spot-check benchmark's wall_s 2.98 -> 2.86 ms
-# over 8 alternating seed-0 pairs on a 2-core Xeon), but a thread would
-# then hold 1.84 MB after a sketched call, more than the 1.08 MB such a
-# call peaked at when it allocated its buffers, and peak RSS rose 1.5 MB.
+# Floats of one sub-block's sort stage: the point-major rows of its 3 m
+# projections, n + 1 rows of 3 m D floats, which sizes them and the held
+# projection and embedding buffers.  Smaller sub-blocks pay more calls per
+# block; larger ones would leave a thread holding more after a call than a
+# call peaked at when it allocated its buffers.
 _SORT_FLOATS = 1 << 15
+
+
+def _sub_block(n: int, d: int, D: int) -> int:
+    """Trials per spot-check sub-block of clouds (n, d) and D directions.
+
+    The sub-block's X, Y and same-orbit thirds are sorted in one call, whose
+    point-major rows hold 3 (n + 1) D floats a trial; it takes as many
+    trials as fit ``_SORT_FLOATS`` (counting max(d, D) floats a point, so
+    the clouds, which the call copies, fit too), and at least enough for
+    ``_NETWORK_MIN_COLUMNS`` columns a third.
+    """
+    return max(_SORT_FLOATS // (3 * (n + 1) * max(d, D)), -(-_NETWORK_MIN_COLUMNS // D))
 
 
 # The redraw screen (_suspects) clears a pair once the squares of its
@@ -814,6 +821,19 @@ def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndar
     return clouds
 
 
+def _gap_norms(E: np.ndarray) -> np.ndarray:
+    """The norms of X, X - Y and X - same of a sub-block's embeddings E (3 m, columns).
+
+    E's thirds are the embedded X, Y and same-orbit clouds; the last two
+    are overwritten in place by their gaps to X, so one ``_dot_norms`` call
+    takes all 3 m norms, each row's the bits of a call on its third alone.
+    """
+    m = len(E) // 3
+    gaps = E[m:].reshape(2, m, -1)
+    np.subtract(E[:m], gaps, out=gaps)
+    return _dot_norms(E)
+
+
 def spot_check_injectivity(
     kind: str,
     n: int,
@@ -837,6 +857,8 @@ def spot_check_injectivity(
     impossible).  ``extra_pairs`` are audited with the distinct-orbit rule,
     so a known indistinguishable pair shows up as exactly one collision.
     ``M``, the sketch row count, is taken by the sketched kind only.
+    ``n``, ``d``, ``D``, ``M`` and ``trials`` must be integers, and not
+    bools; the report holds them as Python ints, so it serialises to JSON.
 
     Trials come in blocks, which ``_blocks`` cuts from ``trials`` and the
     floats per trial of the widest array a block allocates.  Each block is
@@ -854,14 +876,15 @@ def spot_check_injectivity(
     The same-orbit copies are gathered point by point (``_take_points``).
     The stream of draws depends only on the arguments.
 
-    A block is embedded in sub-blocks of trials whose sort stage holds at
-    most about ``_SORT_FLOATS`` floats (and at least
+    A block is embedded in sub-blocks of trials (``_sub_block``) whose
+    sort stage holds at most about ``_SORT_FLOATS`` floats (and at least
     ``_NETWORK_MIN_COLUMNS`` columns per third, so the sorting network
     runs): the X, Y and same-orbit thirds of a sub-block are projected
-    and sorted one after another into one buffer, each by _sort_project's
-    point-major product and in-place network, then embedded together.  The
-    block's clouds, the projections' point-major rows (and the floor's,
-    where its pairs are enough for the network) and the projection and
+    and sorted by one ``_sort_project`` call, as one (3, m, n, d) stack
+    (its point-major product and in-place network), then embedded
+    together, and one ``_dot_norms`` call takes the norms of X and of its
+    gaps to Y and to the same-orbit copy (``_gap_norms``).  The block's
+    clouds, the projections' point-major rows and the projection and
     embedding buffers are held per thread across calls
     (``embeddings._held``), so a warmed call maps no pages.  The sorted
     kind compares the sorted embeddings row by row and the sketched kind
@@ -874,6 +897,9 @@ def spot_check_injectivity(
     """
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")
+    for name, value in (("n", n), ("d", d), ("D", D), ("M", M), ("trials", trials)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 2 or d < 1 or D < 1:
         raise ValueError("need n >= 2 and positive d, D")
     if trials < 1:
@@ -897,8 +923,6 @@ def spot_check_injectivity(
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
     width = n * max(d, D)  # floats per cloud in the widest array a block allocates
-    # trials per sub-block, whose sort stage holds 3 * width floats a trial
-    sub = max(_SORT_FLOATS // (3 * width), (_NETWORK_MIN_COLUMNS + D - 1) // D)
     if kind == "pooled":
         B = rng.standard_normal((n, D))
         embed = lambda S, out: np.einsum("nk,tnk->tk", B, S, out=out)  # noqa: E731
@@ -916,7 +940,7 @@ def spot_check_injectivity(
         columns = n * D
 
     blocks = _blocks(trials, 3 * width)
-    sub = min(sub, blocks[0].stop - blocks[0].start)
+    sub = min(_sub_block(n, d, D), blocks[0].stop - blocks[0].start)
     S_buffer = _held("projections", (3 * sub, n, D))
     E_buffer = (S_buffer.reshape(3 * sub, -1) if kind == "sorted"
                 else _held("embeddings", (3 * sub, columns)))
@@ -929,23 +953,21 @@ def spot_check_injectivity(
         for lo in range(0, count, sub):
             m = min(sub, count - lo)
             S = S_buffer[: 3 * m]
-            for third in range(3):
-                _sort_project(A, clouds[third, lo : lo + m], out=S[third * m : (third + 1) * m])
-            E = embed(S, E_buffer[: 3 * m])
-            EX, EY, ES = E[:m], E[m : 2 * m], E[2 * m :]
-            collisions += int(np.count_nonzero(_dot_norms(EX - EY) <= 1e-8))
-            scale = np.maximum(1.0, _dot_norms(EX))
-            false_separations += int(np.count_nonzero(_dot_norms(EX - ES) > 1e-9 * scale))
+            _sort_project(A, clouds[:, lo : lo + m], out=S.reshape(3, m, n, D))
+            norms = _gap_norms(embed(S, E_buffer[: 3 * m]))
+            collisions += int(np.count_nonzero(norms[m : 2 * m] <= 1e-8))
+            scale = np.maximum(1.0, norms[:m])
+            false_separations += int(np.count_nonzero(norms[2 * m :] > 1e-9 * scale))
     for pair in pairs:
         E = embed(_sort_project(A, pair, out=S_buffer[:2]), E_buffer[:2])
         collisions += int(_dot_norms(E[:1] - E[1:])[0] <= 1e-8)
     return InjectivityReport(
         kind=kind,
-        n=n,
-        d=d,
-        D=D,
-        M=M,
-        trials=trials,
+        n=int(n),
+        d=int(d),
+        D=int(D),
+        M=None if M is None else int(M),
+        trials=int(trials),
         collisions=collisions,
         false_separations=false_separations,
         seed=int(seed),

@@ -20,8 +20,9 @@ from permorb import (
     sorted_embedding,
     translation_offset,
 )
+from permorb import embeddings
 from permorb.core import random_permutation
-from permorb.embeddings import _NETWORK_MIN_COLUMNS, _sort_columns, _sort_project
+from permorb.embeddings import _NETWORK_MIN_COLUMNS, _NETWORKS, _sort_project
 from permorb.metrics import orbit_distance
 
 
@@ -196,6 +197,19 @@ def test_translation_identity_holds():
 _SORT_POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, -np.inf)
 
 
+def network_results(monkeypatch):
+    """The list that gets what each _network_sort call returns."""
+    results = []
+    network_sort = embeddings._network_sort
+
+    def recorded(buffer, out):
+        results.append(network_sort(buffer, out))
+        return results[-1]
+
+    monkeypatch.setattr(embeddings, "_network_sort", recorded)
+    return results
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 @given(
     lead=st.sampled_from(["", "t", "t2"]),
@@ -204,46 +218,62 @@ _SORT_POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, -np.inf)
     extra=st.integers(0, 40),
     pool=st.lists(st.sampled_from(_SORT_POOL), min_size=1, max_size=5),
     with_nan=st.booleans(),
-    into=st.sampled_from(["new", "out", "P"]),
+    into=st.booleans(),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=30, deadline=None)
 def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, into, seed):
-    # n runs past the network cap (6); a wide stack has at least the network's
-    # floor of columns and a narrow one fewer, so both sides of each are covered
+    # the columns _sort_project sorts: by the network where it runs and by
+    # np.sort elsewhere.  n runs past the network cap (6); a wide stack has
+    # at least the network's floor of columns and a narrow one fewer, so
+    # both sides of each are covered.  One-feature clouds times a row of
+    # signed powers of two project exactly, infinities and NaNs included,
+    # so every column is a pool column or its exact negation.
     t = -(-_NETWORK_MIN_COLUMNS // D) + extra if wide else 1 + extra % 8
     shape = {
         "": (n, _NETWORK_MIN_COLUMNS + extra if wide else D),
         "t": (t, n, D),
         "t2": (t, 2, n, D),
     }[lead]
+    columns = np.arange(shape[-1])
+    A = ((-1.0) ** columns * 2.0 ** (columns // 2))[None, :]
     rng = make_rng(seed)
-    P = rng.choice(np.array(pool + [np.nan] * with_nan), size=shape)
-    before = P.copy()
-    out = {"new": None, "out": np.empty_like(P), "P": P}[into]
-    got = _sort_columns(P, out=out)
+    X = rng.choice(np.array(pool + [np.nan] * with_nan), size=shape[:-1] + (1,))
+    before = X.copy()
+    out = np.empty(shape) if into else None
+    got = _sort_project(A, X, out=out)
     assert got is out or out is None
-    assert np.array_equal(got, np.sort(before, axis=-2), equal_nan=True)
-    if into != "P":
-        assert np.array_equal(P, before, equal_nan=True)  # the input is left as it was
+    assert np.array_equal(got, np.sort(X @ A, axis=-2), equal_nan=True)
+    assert np.array_equal(X, before, equal_nan=True)  # the input is left as it was
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_sort_columns_sorts_every_zero_one_column(n):
+def test_sort_columns_sorts_every_zero_one_column(monkeypatch, n):
     # a network that sorts all 2**n columns of 0s and 1s sorts every column
-    # (Knuth's 0-1 principle); tiled past the floor, so the network runs
+    # (Knuth's 0-1 principle); stacked past the floor, so the network runs,
+    # projected by the identity, which keeps them exactly
+    results = network_results(monkeypatch)
     columns = np.array(list(itertools.product([0.0, 1.0], repeat=n))).T
-    P = np.tile(columns, (1, _NETWORK_MIN_COLUMNS // 2**n + 1))
-    assert np.array_equal(_sort_columns(P), np.sort(P, axis=0))
+    X = np.tile(columns, (_NETWORK_MIN_COLUMNS // 2**n + 1, 1, 1))
+    assert np.array_equal(_sort_project(np.eye(2**n), X), np.sort(X, axis=-2))
+    assert results == ([True] if n in _NETWORKS else [])
 
 
-def test_sort_columns_with_a_nan_in_a_wide_stack():
-    # X @ A can overflow to inf - inf = nan: the result is np.sort's, nans last
-    P = make_rng(3).standard_normal((1800, 4, 12))
-    P[17, 2, 5] = np.nan
-    got = _sort_columns(P)
+def test_sort_columns_with_a_nan_in_a_wide_stack(monkeypatch):
+    # an infinite coordinate times a zero direction entry is a nan in X @ A:
+    # the network sees it, and the result is np.sort's, nans last
+    results = network_results(monkeypatch)
+    rng = make_rng(3)
+    A = rng.standard_normal((3, 12))
+    A[0, 5] = 0.0
+    X = rng.standard_normal((1800, 4, 3))
+    X[17, 2, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = _sort_project(A, X)
+        want = np.sort(X @ A, axis=-2)
+    assert results == [False]
     assert np.isnan(got[17, 3, 5]) and np.isnan(got).sum() == 1
-    assert np.array_equal(got, np.sort(P, axis=-2), equal_nan=True)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # Finite entries that stress the projections: signed zeros (zero rows give

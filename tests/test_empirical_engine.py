@@ -693,17 +693,17 @@ def checked_spot_check(monkeypatch, kind, n, d, D, *, trials, extra_pairs=(), **
         patch.setattr(separation, "_sort_project", projected)
         report = spot_check_injectivity(kind, n, d, D, trials=trials, extra_pairs=extra_pairs,
                                         **kwargs)
-    # one call per third of a sub-block (X, Y, same-orbit), then one per extra pair
-    thirds = calls[: len(calls) - len(extra_pairs)]
-    assert len(thirds) % 3 == 0
+    # one call per sub-block, its X, Y and same-orbit thirds stacked
+    # (3, m, n, d), then one per extra pair
+    stacks = calls[: len(calls) - len(extra_pairs)]
     clouds = []
     sizes = []
-    for X, Y, same in zip(thirds[0::3], thirds[1::3], thirds[2::3]):
-        assert len(X) == len(Y) == len(same)
-        clouds.extend(np.stack([X, Y, same], axis=1).reshape(-1, n, d))
-        sizes.append(len(X))
+    for stack in stacks:
+        assert stack.shape[0] == 3 and stack.shape[2:] == (n, d)
+        clouds.extend(stack.swapaxes(0, 1).reshape(-1, n, d))
+        sizes.append(stack.shape[1])
     assert sum(sizes) == trials
-    for pair in calls[len(thirds):]:
+    for pair in calls[len(stacks):]:
         assert len(pair) == 2
         clouds.extend(pair)
     return report, np.array(clouds), sizes
@@ -747,7 +747,7 @@ def test_sketched_spot_check_with_a_wide_sketch_matches_the_pair_loop(monkeypatc
 def test_spot_check_matches_the_pair_loop_across_sub_blocks(monkeypatch, kind, n, d, D, M):
     # three full sub-blocks and a partial one, each still wide enough for
     # the sorting network, and a planted same-orbit collision
-    sub = separation._SORT_FLOATS // (3 * n * max(d, D))
+    sub = separation._sub_block(n, d, D)
     assert sub * D >= _NETWORK_MIN_COLUMNS
     X = make_rng(9).standard_normal((n, d))
     report, _, sizes = check_against_the_reference(monkeypatch, kind, n, d, D, M=M,
@@ -755,6 +755,33 @@ def test_spot_check_matches_the_pair_loop_across_sub_blocks(monkeypatch, kind, n
                                                    extra_pairs=[(X, X[::-1])])
     assert sizes == [sub, sub, sub, sub // 2]
     assert report.collisions == 1
+
+
+@pytest.mark.parametrize("kind, n, d, D, M, trials", [
+    *((kind, n, d, D, M, 600) for kind, n, d, D, M in SPOT_SHAPES),
+    ("sorted", 4, 3, 12, None, 10),  # 3 * 10 * 12 columns: np.sort, not the network
+    ("pooled", 7, 2, 26, None, 100),  # n = 7: np.sort, not the network
+])
+def test_the_fused_gap_norms_match_a_call_per_third(monkeypatch, kind, n, d, D, M, trials):
+    # each sub-block's 3 m norms, taken in place in one call, against one
+    # call per norm set on a copy of its embeddings: X, X - Y, X - same
+    fused = []
+    gap_norms = separation._gap_norms
+
+    def checked(E):
+        EX, EY, ES = np.split(E.copy(), 3)
+        norms = gap_norms(E)
+        want = np.concatenate([_dot_norms(EX), _dot_norms(EX - EY), _dot_norms(EX - ES)])
+        fused.append(norms.tobytes() == want.tobytes())
+        return norms
+
+    monkeypatch.setattr(separation, "_gap_norms", checked)
+    X = make_rng(9).standard_normal((n, d))
+    report = spot_check_injectivity(kind, n, d, D, M=M, trials=trials, seed=3,
+                                    extra_pairs=[(X, X[::-1])])
+    sub = min(separation._sub_block(n, d, D), trials)
+    assert fused == [True] * -(-trials // sub)
+    assert report.collisions == 1  # the extra pair, after the fused sub-blocks
 
 
 def test_sketched_spot_check_with_a_4096_row_sketch_matches_the_pair_loop(monkeypatch):
@@ -874,7 +901,7 @@ def test_spot_checks_in_three_threads_give_the_serial_reports():
 
 def test_extra_pairs_after_a_call_of_several_sub_blocks_count_their_collision():
     n, d, D = 4, 3, 12
-    sub = separation._SORT_FLOATS // (3 * n * max(d, D))
+    sub = separation._sub_block(n, d, D)
     report = spot_check_injectivity("sorted", n, d, D, trials=3 * sub + sub // 2, seed=5)
     assert report.collisions == 0
     X = make_rng(9).standard_normal((n, d))

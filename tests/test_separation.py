@@ -509,3 +509,22 @@ def test_spot_check_validation():
         extra = [(good, good + 1.0)] * index + [pair]
         with pytest.raises(ValueError, match=f"extra pair {index} must hold two 4 x 3 clouds"):
             spot_check_injectivity("sorted", 4, 3, 12, trials=10, seed=0, extra_pairs=extra)
+
+
+@pytest.mark.parametrize("value", [True, False, 5.5, 5.0, "5"])
+@pytest.mark.parametrize("name", ["n", "d", "D", "M", "trials"])
+def test_spot_check_rejects_counts_that_are_not_integers(name, value):
+    # a bool is an int to Python, so trials=True would run one trial and
+    # report "trials": true; a float count would fail inside numpy
+    args = dict(kind="sketched", n=4, d=3, D=12, M=48, trials=10, seed=0) | {name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        spot_check_injectivity(**args)
+
+
+def test_spot_check_reports_python_ints():
+    # numpy integer arguments give the report of Python ones, which JSON takes
+    report = spot_check_injectivity("sketched", *np.int64([3, 2, 8]), M=np.int64(24),
+                                    trials=np.int64(20), seed=np.uint64(4))
+    assert report == spot_check_injectivity("sketched", 3, 2, 8, M=24, trials=20, seed=4)
+    assert all(type(getattr(report, name)) is int for name in ("n", "d", "D", "M", "trials", "seed"))
+    assert json.loads(json.dumps(vars(report)))["trials"] == 20
