@@ -9,11 +9,14 @@ by about 10%.  The pairs then run ``perfbench/run.py`` in each export, one
 run at a time, alternating which side goes first.  For every end-to-end
 metric that ``BENCHMARK.json`` (of CHANGE) lists, it prints each side's
 median and quartiles, the change's wins (ties count for neither side) out
-of the pairs, the relative change of the medians, and whether the change
-is a gain by the benchmark's rule: at least nine wins in ten and medians
-further apart than the parent's quartiles.  Every run's values are printed
-too.  The exit code is 1 when a run is not correct or an op's output digest
-differs between the sides, else 0.
+of the pairs, the relative change of the medians, whether the change is a
+gain by the benchmark's rule (``gain``: at least nine wins in ten and
+medians further apart than the parent's quartiles), and whether it is
+worse than the parent by more than the metric's ``bound`` (``worse``: the
+medians differ, the wrong way, by more than that fraction of the parent's
+median).  Each metric that is worse also gets a ``# WORSE <metric>`` line.
+Every run's values are printed too.  The exit code is 1 when a run is not
+correct or an op's output digest differs between the sides, else 0.
 """
 
 from __future__ import annotations
@@ -73,6 +76,21 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
+def gain(parent: list[float], change: list[float], direction: str) -> bool:
+    """The benchmark's gain rule on paired runs: nine wins in ten, medians beyond the parent's IQR."""
+    wins = sum(better(c, p, direction) for p, c in zip(parent, change))
+    (q1, median, q3), change_median = quartiles(parent), quartiles(change)[1]
+    return (wins * 10 >= 9 * len(parent) and better(change_median, median, direction)
+            and abs(change_median - median) > q3 - q1)
+
+
+def worse(parent: list[float], change: list[float], direction: str, bound: float) -> bool:
+    """The no-regression rule: the change's median is worse than the parent's by more than bound."""
+    median, change_median = quartiles(parent)[1], quartiles(change)[1]
+    limit = median * (1.0 + bound if direction == "lower" else 1.0 - bound)
+    return better(limit, change_median, direction)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", help="the revision to compare against")
@@ -113,19 +131,24 @@ def main(argv=None) -> int:
                     problems.append(f"the digests of {side} run {index} differ from parent run 0's")
 
         print(f"{'metric':<13}{'parent median [q1, q3]':>33}{'change median [q1, q3]':>33}"
-              f"{'change':>9}{'wins':>8}  gain")
+              f"{'change':>9}{'wins':>8}  gain  worse")
+        regressions = []
         for metric in metrics:
             name, direction = metric["name"], metric["better"]
             series = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
             q = {side: quartiles(series[side]) for side in SIDES}
             wins = sum(better(c, p, direction) for p, c in zip(series["parent"], series["change"]))
-            spread = q["parent"][2] - q["parent"][0]
-            gain = (wins * 10 >= 9 * args.pairs and better(q["change"][1], q["parent"][1], direction)
-                    and abs(q["change"][1] - q["parent"][1]) > spread)
+            won = gain(series["parent"], series["change"], direction)
+            lost = worse(series["parent"], series["change"], direction, metric["bound"])
+            if lost:
+                regressions.append(name)
             delta = (q["change"][1] / q["parent"][1] - 1.0) if q["parent"][1] else float("nan")
             print(f"{name:<13}" + "".join(f"{f'{qs[1]:.4g} [{qs[0]:.4g}, {qs[2]:.4g}]':>33}"
                                           for qs in q.values())
-                  + f"{delta:>+9.1%}{f'{wins}/{args.pairs}':>8}  {'yes' if gain else 'no'}")
+                  + f"{delta:>+9.1%}{f'{wins}/{args.pairs}':>8}  {'yes' if won else 'no':<4}"
+                  + f"  {'yes' if lost else 'no'}")
+        for name in regressions:
+            print(f"# WORSE {name}")
         for problem in problems:
             print(f"# FAILED {problem}")
         return 1 if problems else 0

@@ -46,7 +46,8 @@ from .core import (
     BudgetExceededError,
     DEFAULT_SUBSET_BUDGET,
     __version__ as _version,
-    _check_budget,
+    _check_count,
+    _check_seed,
     _unit_scaled,
     as_matrix,
     iter_column_subsets,
@@ -165,16 +166,15 @@ def upper_lipschitz(A) -> float:
     return float(singular_values(A)[0])
 
 
-def _subset_shape(A, r: int) -> tuple[np.ndarray, int, int, int]:
-    """(A, d, D, k) for the subset bounds, k = r*d, once A, r >= 1 and D >= k are checked."""
+def _subset_shape(A, r: int) -> tuple[np.ndarray, int, int, int, int]:
+    """(A, r, d, D, k) for the subset bounds, k = r*d, once A, r >= 1 and D >= k are checked."""
     A = as_matrix(A, "A")
     d, D = A.shape
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    r = _check_count("r", r)
     k = r * d
     if D < k:
         raise ValueError(f"need D >= r*d = {k}, got D = {D}")
-    return A, d, D, k
+    return A, r, d, D, k
 
 
 def subset_sigma_lower_bound(
@@ -191,8 +191,8 @@ def subset_sigma_lower_bound(
     sampled variant) when C(D, r*d) exceeds ``budget``, and ValueError
     when ``budget`` is below 1.
     """
-    A, d, D, k = _subset_shape(A, r)
-    _check_budget(budget)
+    A, r, d, D, k = _subset_shape(A, r)
+    budget = _check_count("budget", budget)
     count = math.comb(D, k)
     if count > budget:
         raise BudgetExceededError(
@@ -224,9 +224,8 @@ def subset_sigma_lower_bound_sampled(
     NOT certified: the minimum over a random sample only upper-bounds the
     true minimum.
     """
-    A, d, D, k = _subset_shape(A, r)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    A, r, d, D, k = _subset_shape(A, r)
+    samples = _check_count("samples", samples)
     rng = make_rng(seed)
     best = math.inf
     for _ in range(samples):
@@ -276,7 +275,7 @@ def _near_crossings(A: np.ndarray, lo: int, hi: int, limit: float) -> tuple[int,
             np.abs(e[0] * Aj[0] + e[1] * Aj[1]), np.abs(e[0] * Ak[0] + e[1] * Ak[1])
         )
         near = crossing <= limit
-    return np.count_nonzero(N.any(axis=0)), e[:, near].T
+    return int(np.count_nonzero(N.any(axis=0))), e[:, near].T
 
 
 def _pu_exact_sweep(A: np.ndarray, m: int) -> PUEstimate:
@@ -373,8 +372,9 @@ def _pu_sphere_sampling(A: np.ndarray, m: int, samples: int, seed: int) -> PUEst
     """Least m-th smallest |a_k . e| over seeded uniform unit directions: it only overestimates delta."""
     rng = make_rng(seed)
     best = math.inf
-    for lo in range(0, samples, 16384):
-        E = rng.standard_normal((min(16384, samples - lo), len(A)))
+    # fills that follow one another continue one stream, however they are cut
+    for rows in _blocks(samples, len(A), _PU_FLOATS):
+        E = rng.standard_normal((rows.stop - rows.start, len(A)))
         E /= np.linalg.norm(E, axis=1, keepdims=True)
         best = min(best, _least_mth_projection(A, m, E))
     return PUEstimate(m=m, delta=best, method=SPHERE_SAMPLING, direction_count=samples)
@@ -395,8 +395,8 @@ def projective_uniformity(A, m: int, *, seed: int = 0) -> PUEstimate:
     """
     A = as_matrix(A, "A")
     d, D = A.shape
-    if not 1 <= m <= D:
-        raise ValueError(f"m must lie in 1..{D}, got {m}")
+    m = _check_count("m", m, 1, D)
+    seed = _check_seed(seed)
     if d == 2:
         return _pu_exact_sweep(A, m)
     return _pu_sphere_sampling(A, m, _PU_SPHERE_SAMPLES_PER_DIM * d, seed)
@@ -408,10 +408,9 @@ def blueprint_lower_bound(delta: float, m: int, D: int, n: int) -> float:
     Valid for any matrix with an (m, delta) projective-uniformity
     certificate; inapplicable (raises) when n**2 * (m - 1) > D.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if m < 1 or D < 1 or n < 1:
-        raise ValueError("m, D and n must be positive")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    m, D, n = _check_count("m", m), _check_count("D", D), _check_count("n", n)
     excluded = n * n * (m - 1)
     if excluded > D:
         raise ValueError(
@@ -432,8 +431,7 @@ def sqrtn_ceiling(A, n: int, *, independent: bool = False) -> float:
     d = A.shape[0]
     if d < 2:
         raise ValueError(f"ceiling needs d >= 2, got d = {d}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_count("n", n)
     sv = np.zeros(d)
     got = singular_values(A)
     sv[: got.size] = got  # pad with zeros when D < d
@@ -472,12 +470,7 @@ def sample_pair_pool(
     each entry is the product and sum a per-pair loop rounds; the permuted
     points are copied whole (``_take_points``).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    n, d, count = _check_count("n", n), _check_count("d", d), _check_count("count", count)
     rng = make_rng(seed)
     pool = np.empty((count, 2, n, d))
     drawn = pool
@@ -572,10 +565,7 @@ def empirical_distortion(
     d, D = A.shape
     if d < 2:
         raise ValueError(f"empirical distortion needs d >= 2, got d = {d}")
-    if n < 2 or n > 8:
-        raise ValueError(f"n must lie in 2..8, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    n, trials = _check_count("n", n, 2, 8), _check_count("trials", trials)
 
     scaled, k = _unit_scaled(A)
     pool = sample_pair_pool(n, d, trials, seed)
@@ -633,15 +623,17 @@ def ose_dimension(
     ceil(c * eps**-2 * (2nd ln(1/eps) + ln(1/eta) + 2nd ln(D n^2))); the
     absolute constant c is a calibration knob.
     """
-    if n < 1 or d < 1 or D < 1:
-        raise ValueError("n, d and D must be positive")
+    n, d, D = _check_count("n", n), _check_count("d", d), _check_count("D", D)
     if not 0.0 < epsilon < 1.0 or not 0.0 < eta < 1.0:
         raise ValueError("epsilon and eta must lie in (0, 1)")
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     k = 2 * n * d
-    value = c * epsilon**-2 * (k * math.log(1.0 / epsilon) + math.log(1.0 / eta) + k * math.log(D * n * n))
-    return math.ceil(value)
+    try:  # overflows in epsilon**-2, or in math.ceil of an infinite product
+        value = c * epsilon**-2 * (k * math.log(1.0 / epsilon) + math.log(1.0 / eta) + k * math.log(D * n * n))
+        return math.ceil(value)
+    except OverflowError:
+        raise ValueError(f"c = {c} and epsilon = {epsilon} give no finite sketch dimension") from None
 
 
 def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
@@ -650,29 +642,23 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  It is one
     standard_normal call divided by sqrt(M).  ``permorb audit --check-ose``
     draws these same bits while its pair pool runs (``_SketchDraw``): a
-    one-worker executor fills one row slice (``_gaussian_slices``) per
+    one-worker executor fills one row slice of ``_DRAW_FLOATS`` floats per
     task, continuing the one stream, and the check divides each slice as
     it takes it over, so its report is unchanged.
     """
-    _check_sketch_size(n, D, M)
+    n, D, M = _check_sketch_size(n, D, M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
 
 
-def _check_sketch_size(n: int, D: int, M: int) -> None:
-    if n < 1 or D < 1 or M < 1:
-        raise ValueError("n, D and M must be positive")
+def _check_sketch_size(n: int, D: int, M: int) -> tuple[int, int, int]:
+    return _check_count("n", n), _check_count("D", D), _check_count("M", M)
 
 
-# Floats in one slice of a sketch's rows: the audit's draw fills one slice
-# per task, and the sketch check takes each slice over and adds it into the
-# Gram matrix with one syrk as soon as it is filled.
+# Floats in one slice of a sketch's rows, ``_blocks(M, columns, _DRAW_FLOATS)``:
+# the audit's draw fills one slice per task, and the sketch check takes each
+# slice over and adds it into the Gram matrix with one syrk as soon as it is
+# filled.
 _DRAW_FLOATS = 1 << 18
-
-
-def _gaussian_slices(M: int, columns: int) -> list[slice]:
-    """Consecutive row slices of an M x columns sketch, _DRAW_FLOATS floats (or one row) each."""
-    step = max(1, _DRAW_FLOATS // columns)
-    return [slice(lo, min(lo + step, M)) for lo in range(0, M, step)]
 
 
 def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
@@ -689,8 +675,8 @@ class _SketchDraw:
     """An M x N sketch whose row slices become final from the top down.
 
     ``gram()`` returns the Gram matrix L^T L and a proven upper bound on
-    ||L||_F, ``full()`` all of L.  Both walk the slices of
-    ``_gaussian_slices`` in order, and the first walk to reach a slice
+    ||L||_F, ``full()`` all of L.  Both walk the row slices of
+    ``_DRAW_FLOATS`` floats in order, and the first walk to reach a slice
     takes it over, exactly once, on the caller's thread.
 
     A finished array (``of``) has every slice final.  ``start`` instead
@@ -725,7 +711,7 @@ class _SketchDraw:
         # imported here, so that only --check-ose loads the executor's modules
         from concurrent.futures import ThreadPoolExecutor
 
-        _check_sketch_size(n, D, M)
+        n, D, M = _check_sketch_size(n, D, M)
         # allocated by the caller's thread: memory a thread allocates comes
         # from a malloc arena of its own, which the rest of the program does
         # not reuse (allocated on the thread, audit-cli's peak RSS grew 22 MB)
@@ -734,14 +720,14 @@ class _SketchDraw:
         rng = make_rng(seed)
         sketch._drawing = deque(
             (rows, sketch._executor.submit(_gaussian_fill, rng, sketch._L[rows]))
-            for rows in _gaussian_slices(M, n * D)
+            for rows in _blocks(M, n * D, _DRAW_FLOATS)
         )
         return sketch
 
     def _slices(self):
         """Each slice of L's rows, in order, once it is final."""
         M = self.shape[0]
-        for rows in _gaussian_slices(*self.shape):
+        for rows in _blocks(*self.shape, _DRAW_FLOATS):
             S = self._L[rows]
             if self._drawing and self._drawing[0][0] == rows:
                 self._drawing[0][1].result()
@@ -906,12 +892,12 @@ def ose_check(
     sketch = L if isinstance(L, _SketchDraw) else _SketchDraw.of(as_matrix(L, "L"))
     d, D = A.shape
     M, N = sketch.shape
+    n = _check_count("n", n)
     if N != n * D:
         raise ValueError(f"sketch must have {n * D} columns, got {N}")
-    if not 0.0 < epsilon:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    trials = _check_count("trials", trials)
     scaled, _ = _unit_scaled(A)
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     rng = make_rng(seed)
@@ -975,6 +961,5 @@ def region_count_bound(n: int, d: int, D: int) -> int:
     embedding gap is one fixed linear map, which is what lets a single
     random sketch serve all pairs at once.
     """
-    if n < 1 or d < 1 or D < 1:
-        raise ValueError("n, d and D must be positive")
+    n, d, D = _check_count("n", n), _check_count("d", d), _check_count("D", D)
     return (D * n * n) ** (2 * n * d)

@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     BudgetExceededError,
     ConstructionError,
+    _check_count,
     as_matrix,
     make_rng,
 )
@@ -73,15 +74,13 @@ class CounterexamplePair:
 
 def gaussian_directions(d: int, D: int, seed: int) -> np.ndarray:
     """d x D matrix of i.i.d. standard normal entries from the seeded stream."""
-    if d < 1 or D < 1:
-        raise ValueError(f"dimensions must be >= 1, got d={d}, D={D}")
+    d, D = _check_count("d", d), _check_count("D", D)
     return make_rng(seed).standard_normal((d, D))
 
 
 def sphere_directions(d: int, D: int, seed: int) -> np.ndarray:
     """d x D matrix whose columns are uniform unit-sphere samples."""
-    if d < 1 or D < 1:
-        raise ValueError(f"dimensions must be >= 1, got d={d}, D={D}")
+    d, D = _check_count("d", d), _check_count("D", D)
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
     norms = np.linalg.norm(A, axis=0)
@@ -94,8 +93,7 @@ def sphere_directions(d: int, D: int, seed: int) -> np.ndarray:
 
 def circle_directions(D: int) -> np.ndarray:
     """2 x D matrix with columns (cos(2 pi k / D), sin(2 pi k / D)), k = 1..D."""
-    if D < 2:
-        raise ValueError(f"circle construction needs D >= 2, got {D}")
+    D = _check_count("D", D, 2)
     angles = 2.0 * np.pi * np.arange(1, D + 1) / D
     return np.vstack([np.cos(angles), np.sin(angles)])
 
@@ -152,6 +150,7 @@ def parity_counterexample(
     d, D = A.shape
     if d < 2:
         raise ValueError(f"construction needs d >= 2, got d={d}")
+    max_rows = _check_count("max_rows", max_rows)
     k = math.ceil(D / (d - 1))
     n = 2 ** (k - 1)
     if n > max_rows:
@@ -218,10 +217,7 @@ def adversarial_circle_pair(n: int, d: int) -> CounterexamplePair:
     n <= 8, the audit's sizes, so that the audit loads no scipy, and by an
     assignment solve above).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    n, d = _check_count("n", n, 2), _check_count("d", d, 2)
     angles = 2.0 * np.pi * np.arange(1, n + 1) / n
     X = np.zeros((n, d))
     X[:, d - 2] = np.cos(angles)

@@ -26,6 +26,7 @@ import enum
 import itertools
 import json
 import math
+import numbers
 import os
 from pathlib import Path
 
@@ -89,11 +90,6 @@ class UnsupportedFormError(ValueError):
     """An operation received a matrix outside its required normal form."""
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-
-
 def default_enumeration_budget(fallback: int) -> int:
     """Resolve the enumeration budget, honoring the PERMORB_BUDGET env var."""
     raw = os.environ.get(_BUDGET_ENV_VAR)
@@ -111,6 +107,23 @@ def default_enumeration_budget(fallback: int) -> int:
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
+
+
+def _check_count(name: str, value, least=1, most: int | None = None) -> int:
+    """value as a Python int, once it is an integer, not a bool, in least..most.
+
+    Counts and seeds of the public API all pass through here, so a report
+    or certificate holds the Python int its run used.  ``least`` may be
+    -math.inf where the caller states the range itself.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must lie in {least}..{most}, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -159,7 +172,7 @@ def _unit_scaled(*arrays: np.ndarray) -> tuple:
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
+    seed = _check_count("seed", seed, least=-math.inf)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
@@ -248,9 +261,9 @@ def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL, *, budget: int = DEFAULT_SU
     d, D = A.shape
     if D < d:
         raise ValueError(f"full spark needs D >= d, got shape {A.shape}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    _check_budget(budget)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    budget = _check_count("budget", budget)
     count = math.comb(D, d)
     if count > budget:
         raise BudgetExceededError(

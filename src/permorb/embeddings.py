@@ -55,7 +55,7 @@ import threading
 
 import numpy as np
 
-from .core import as_cloud, as_matrix, as_vector
+from .core import _check_count, as_cloud, as_matrix, as_vector
 
 __all__ = [
     "sorted_embedding",
@@ -227,9 +227,12 @@ def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarr
     return L
 
 
-def _blocks(count: int, width: int) -> list[slice]:
-    """Consecutive slices of range(count) whose items, ``width`` floats each, fit one block."""
-    step = max(1, _BLOCK_ELEMENTS // width)
+def _blocks(count: int, width: int, cap: int | None = None) -> list[slice]:
+    """Consecutive slices of range(count) whose items, ``width`` floats each, fit one block.
+
+    A block holds ``cap`` floats, by default ``_BLOCK_ELEMENTS``, or one item.
+    """
+    step = max(1, (cap or _BLOCK_ELEMENTS) // width)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -284,6 +287,5 @@ def translation_offset(A, z, n: int) -> np.ndarray:
     z = as_vector(z, "z")
     if z.size != A.shape[0]:
         raise ValueError(f"offset has {z.size} features, directions expect {A.shape[0]}")
-    if n < 1:
-        raise ValueError(f"row count must be >= 1, got {n}")
+    n = _check_count("n", n)
     return np.tile(z @ A, (n, 1))

@@ -81,7 +81,7 @@ import enum
 import functools
 import hashlib
 import json
-import numbers
+import math
 import os
 from dataclasses import dataclass
 
@@ -89,7 +89,8 @@ import numpy as np
 
 from .core import (
     UnsupportedFormError,
-    _check_budget,
+    _check_count,
+    _check_seed,
     as_cloud,
     as_matrix,
     default_enumeration_budget,
@@ -267,13 +268,9 @@ def min_injective_D_upper(n: int, d: int) -> int:
     n (d - 1) + 1; the trivial single-point case n = 1 needs just one
     direction.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d = {d}")
-    return n * (d - 1) + 1
+    n = _check_count("n", n)
+    d = _check_count("d", d, 2 if n > 1 else 1)
+    return 1 if n == 1 else n * (d - 1) + 1
 
 
 def non_injective_D_threshold(n: int, d: int) -> int:
@@ -282,8 +279,7 @@ def non_injective_D_threshold(n: int, d: int) -> int:
     (d - 1) * floor(log2(n) + 1); n.bit_length() computes the floor term
     exactly.
     """
-    if n < 2 or d < 2:
-        raise ValueError(f"need n >= 2 and d >= 2, got n = {n}, d = {d}")
+    n, d = _check_count("n", n, 2), _check_count("d", d, 2)
     return (d - 1) * n.bit_length()
 
 
@@ -617,13 +613,12 @@ def certify_separation(
     """
     A = as_matrix(A, "A")
     _check_identity_augmented(A)
-    if n < 1 or n > _MAX_N:
-        raise ValueError(f"n must lie in 1..{_MAX_N}, got {n}")
+    n = _check_count("n", n, 1, _MAX_N)
     if budget is None:
         budget = default_enumeration_budget(DEFAULT_TUPLE_BUDGET)
-    _check_budget(budget)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    budget, threads = _check_count("budget", budget), _check_count("threads", threads)
+    # the seed keys _hash_coefficients, and the verdict reports it
+    seed = _check_seed(seed)
 
     d, D = A.shape
     tree = _Tree(A, n, seed, reduce_coset)
@@ -683,12 +678,12 @@ def certify_separation(
         status=status,
         witness=witness,
         tuples_examined=int(examined),
-        budget=int(budget),
+        budget=budget,
         total_tuples=int(total),
         n=n,
         d=d,
         D=D,
-        seed=int(seed),
+        seed=seed,
         reduced=reduce_coset,
         next_index=next_index,
     )
@@ -857,11 +852,12 @@ def spot_check_injectivity(
     impossible).  ``extra_pairs`` are audited with the distinct-orbit rule,
     so a known indistinguishable pair shows up as exactly one collision.
     ``M``, the sketch row count, is taken by the sketched kind only.
-    ``n``, ``d``, ``D``, ``M`` and ``trials`` must be integers, and not
-    bools; the report holds them as Python ints, so it serialises to JSON.
 
-    Trials come in blocks, which ``_blocks`` cuts from ``trials`` and the
-    floats per trial of the widest array a block allocates.  Each block is
+    Trials come in blocks, which ``_blocks`` cuts from ``trials`` and a
+    width of 3 n max(d, D) floats a trial, or 3 M where the sketch is
+    wider: the floats a trial takes in the widest of the sub-block's
+    projection and embedding arrays (and at least as many as in the
+    block's clouds).  Each block is
     drawn once: one normal draw for every X and Y, one permuted call for
     every same-orbit permutation, then, in trial order, a redraw of every
     Y whose sorted-column floor on the orbit distance to its X (the upper
@@ -897,13 +893,10 @@ def spot_check_injectivity(
     """
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")
-    for name, value in (("n", n), ("d", d), ("D", D), ("M", M), ("trials", trials)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n < 2 or d < 1 or D < 1:
-        raise ValueError("need n >= 2 and positive d, D")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    n, d, D = _check_count("n", n, 2), _check_count("d", d), _check_count("D", D)
+    trials = _check_count("trials", trials)
+    if M is not None:
+        M = _check_count("M", M, least=-math.inf)  # the kind rules below give its range
     if kind != "sketched" and M is not None:
         raise ValueError(f"the {kind} spot check draws no sketch, so it takes no M, got M = {M}")
     if kind == "pooled" and D < (2 * n - 1) * d:
@@ -922,7 +915,7 @@ def spot_check_injectivity(
         pairs.append(np.stack([X, Y]))
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
-    width = n * max(d, D)  # floats per cloud in the widest array a block allocates
+    width = n * max(d, D)  # floats per cloud in the widest of a sub-block's arrays
     if kind == "pooled":
         B = rng.standard_normal((n, D))
         embed = lambda S, out: np.einsum("nk,tnk->tk", B, S, out=out)  # noqa: E731
@@ -963,11 +956,11 @@ def spot_check_injectivity(
         collisions += int(_dot_norms(E[:1] - E[1:])[0] <= 1e-8)
     return InjectivityReport(
         kind=kind,
-        n=int(n),
-        d=int(d),
-        D=int(D),
-        M=None if M is None else int(M),
-        trials=int(trials),
+        n=n,
+        d=d,
+        D=D,
+        M=M,
+        trials=trials,
         collisions=collisions,
         false_separations=false_separations,
         seed=int(seed),

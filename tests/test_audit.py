@@ -151,6 +151,16 @@ def test_pu_sphere_sampling_upper_estimates_sweep():
     assert sampled.delta >= exact.delta - 1e-12
 
 
+@pytest.mark.parametrize("d, samples", [(1, 20_000), (3, 30_000), (5, 7)])
+def test_pu_sphere_sampling_gives_the_bits_of_one_draw(d, samples):
+    # the directions are drawn in _PU_FLOATS slices: fills that follow one
+    # another continue one stream, so delta is that of a single draw
+    A = gaussian_directions(d, 9, 5)
+    E = make_rng(3).standard_normal((samples, d))
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    assert _pu_sphere_sampling(A, 2, samples, 3).delta == _least_mth_projection(A, 2, E)
+
+
 def test_pu_invalid_m():
     with pytest.raises(ValueError):
         projective_uniformity(np.eye(2), 3)

@@ -75,7 +75,7 @@ def test_sliced_draw_gives_the_one_call_bits(M):
 def _sliced_gram(L):
     """L^T L summed with one syrk per draw slice, as _SketchDraw.gram sums it."""
     G = np.zeros((L.shape[1], L.shape[1]))
-    for rows in audit._gaussian_slices(*L.shape):
+    for rows in _blocks(*L.shape, audit._DRAW_FLOATS):
         G += L[rows].T @ L[rows]
     return G
 
@@ -411,6 +411,9 @@ def test_audit_check_ose_reports_the_first_invalid_flag(tmp_path, capsys, bad):
         (("--ose-constant", "-1", "--trials", "0"), "error: trials must be >= 1, got 0"),
         (("--ose-constant", "-1",), "error: c must be positive, got -1.0"),
         (("--seed", "-1",), "error: seed must be a 64-bit unsigned integer, got -1"),
+        # a non-finite constant is an invalid flag, not a traceback
+        (("--ose-constant", "inf",), "error: c = inf and epsilon = 0.25 give no finite sketch dimension"),
+        (("--ose-constant", "nan",), "error: c must be positive, got nan"),
         # a sketch far too large to allocate: the n error still comes first
         (("--n", "1000",), "error: n must lie in 2..8, got 1000"),
     ],
