@@ -242,9 +242,8 @@ def _least_mth_projection(A: np.ndarray, m: int, E: np.ndarray) -> float:
     coordinate order, so a value depends on e and a_k alone.  E is taken in
     chunks of rows so that no array holds more than _PU_FLOATS floats.
     """
-    step = max(1, _PU_FLOATS // A.shape[1])
     least = math.inf
-    for chunk in (E[lo : lo + step] for lo in range(0, len(E), step)):
+    for chunk in (E[rows] for rows in _blocks(len(E), A.shape[1], _PU_FLOATS)):
         vals = chunk[:, :1] * A[0]
         for i in range(1, len(A)):
             vals += chunk[:, i, None] * A[i]
@@ -360,9 +359,8 @@ def _pu_exact_sweep(A: np.ndarray, m: int) -> PUEstimate:
     N = N[:, (N != 0.0).any(axis=0)]
     best, count = _least_mth_projection(A, m, _orthogonal_units(N).T), N.shape[1]
     limit = best + (32.0 * _UNIT_ROUNDOFF * a_max + 2.0**-1069)
-    rows = max(1, _PU_FLOATS // (4 * D))  # columns j per batch of pairs
-    for lo in range(0, D, rows):
-        normals, near = _near_crossings(A, lo, min(lo + rows, D), limit)
+    for j in _blocks(D, 4 * D, _PU_FLOATS):  # the columns j of one batch of pairs
+        normals, near = _near_crossings(A, j.start, j.stop, limit)
         best, count = min(best, _least_mth_projection(A, m, near)), count + normals
     delta = max(best - (16.0 * _UNIT_ROUNDOFF * a_max + 2.0**-1070), 0.0)
     return PUEstimate(m=m, delta=delta, method=EXACT_SWEEP, direction_count=count)
@@ -646,12 +644,8 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     task, continuing the one stream, and the check divides each slice as
     it takes it over, so its report is unchanged.
     """
-    n, D, M = _check_sketch_size(n, D, M)
+    n, D, M = _check_count("n", n), _check_count("D", D), _check_count("M", M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
-
-
-def _check_sketch_size(n: int, D: int, M: int) -> tuple[int, int, int]:
-    return _check_count("n", n), _check_count("D", D), _check_count("M", M)
 
 
 # Floats in one slice of a sketch's rows, ``_blocks(M, columns, _DRAW_FLOATS)``:
@@ -707,11 +701,13 @@ class _SketchDraw:
 
     @classmethod
     def start(cls, n: int, D: int, M: int, seed: int) -> "_SketchDraw":
-        """Start drawing gaussian_sketch(n, D, M, seed) on a worker thread."""
+        """Start drawing gaussian_sketch(n, D, M, seed) on a worker thread.
+
+        n, D and M are the counts ``ose_dimension`` has checked.
+        """
         # imported here, so that only --check-ose loads the executor's modules
         from concurrent.futures import ThreadPoolExecutor
 
-        n, D, M = _check_sketch_size(n, D, M)
         # allocated by the caller's thread: memory a thread allocates comes
         # from a malloc arena of its own, which the rest of the program does
         # not reuse (allocated on the thread, audit-cli's peak RSS grew 22 MB)

@@ -20,7 +20,8 @@ stable contract:
 
 The PERMORB_BUDGET environment variable overrides the default enumeration
 budgets (certify tuples, audit subset enumeration) when no --budget flag
-is given.
+is given.  This module is the only one that reads it, and only a command
+that uses a budget does: certify, and audit with --subset-r.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -56,7 +58,6 @@ from .core import (
     DEFAULT_SPARK_TOL,
     DEFAULT_SUBSET_BUDGET,
     UnsupportedFormError,
-    default_enumeration_budget,
     is_full_spark,
     json_dumps,
     load_matrix_csv,
@@ -65,7 +66,7 @@ from .core import (
 )
 from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
 from .metrics import orbit_distance, wasserstein2
-from .separation import SeparationStatus, certify_separation
+from .separation import DEFAULT_TUPLE_BUDGET, SeparationStatus, certify_separation
 from .tables import (
     format_table,
     gap_grid,
@@ -106,9 +107,33 @@ def _outdir(args) -> Path:
     return directory
 
 
+def _write_outputs(args, matrices: dict[str, np.ndarray], certificate: dict) -> None:
+    """Write each matrix CSV and certificate.json into the --out directory, creating it."""
+    directory = _outdir(args)
+    for name, matrix in matrices.items():
+        save_matrix_csv(directory / name, matrix)
+    (directory / "certificate.json").write_text(json_dumps(certificate), encoding="utf-8")
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _budget(args, default: int) -> int:
+    """The --budget flag, else the PERMORB_BUDGET environment variable, else ``default``.
+
+    The library checks the value's range, whichever source gave it.
+    """
+    if args.budget is not None:
+        return args.budget
+    raw = os.environ.get("PERMORB_BUDGET")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"PERMORB_BUDGET must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +143,15 @@ def _require(condition: bool, message: str) -> None:
 
 def cmd_construct(args) -> int:
     kind = args.kind
-    directory = _outdir(args)
     tol = args.tol if args.tol is not None else DEFAULT_SPARK_TOL
 
+    # range errors come from the generators, before anything is written
     if kind == "circle":
         _require(args.d is None or args.d == 2, "circle directions are 2-dimensional")
-        _require(args.D is not None and args.D >= 2, "circle needs --D >= 2")
+        _require(args.D is not None, "circle needs --D")
         A = circle_directions(args.D)
         sv = singular_values(A)
+        matrices = {"A.csv": A}
         certificate = {
             "kind": kind,
             "d": 2,
@@ -133,12 +159,12 @@ def cmd_construct(args) -> int:
             "sigma1": float(sv[0]),
             "sigma2": float(sv[1]),
         }
-        save_matrix_csv(directory / "A.csv", A)
     elif kind in ("gaussian", "sphere"):
-        _require(args.d is not None and args.d >= 1, f"{kind} needs --d >= 1")
-        _require(args.D is not None and args.D >= 1, f"{kind} needs --D >= 1")
+        _require(args.d is not None, f"{kind} needs --d")
+        _require(args.D is not None, f"{kind} needs --D")
         maker = gaussian_directions if kind == "gaussian" else sphere_directions
         A = maker(args.d, args.D, args.seed)
+        matrices = {"A.csv": A}
         certificate = {
             "kind": kind,
             "d": args.d,
@@ -146,11 +172,10 @@ def cmd_construct(args) -> int:
             "seed": args.seed,
             "sigma1": upper_lipschitz(A),
         }
-        save_matrix_csv(directory / "A.csv", A)
     elif kind == "identity-augmented":
         _require(args.tail is not None, "identity-augmented needs --tail TAIL.csv")
-        tail = load_matrix_csv(args.tail)
-        A = identity_augmented(tail)
+        A = identity_augmented(load_matrix_csv(args.tail))
+        matrices = {"A.csv": A}
         certificate = {
             "kind": kind,
             "d": A.shape[0],
@@ -158,21 +183,19 @@ def cmd_construct(args) -> int:
             "full_spark": bool(is_full_spark(A, tol)),
             "spark_tol": tol,
         }
-        save_matrix_csv(directory / "A.csv", A)
-    elif kind == "parity-pair":
-        _require(args.directions is not None, "parity-pair needs --directions A.csv")
-        certificate = _parity_pair(load_matrix_csv(args.directions), args.seed, directory)
-    elif kind == "adversarial-pair":
-        _require(args.n is not None and args.n >= 2, "adversarial-pair needs --n >= 2")
-        _require(args.d is not None and args.d >= 2, "adversarial-pair needs --d >= 2")
-        pair = adversarial_circle_pair(args.n, args.d)
-        save_matrix_csv(directory / "X.csv", pair.X)
-        save_matrix_csv(directory / "Y.csv", pair.Y)
-        certificate = pair.certificate
+    elif kind in ("parity-pair", "adversarial-pair"):
+        if kind == "parity-pair":
+            _require(args.directions is not None, "parity-pair needs --directions A.csv")
+            pair = parity_counterexample(load_matrix_csv(args.directions), args.seed)
+        else:
+            _require(args.n is not None, "adversarial-pair needs --n")
+            _require(args.d is not None, "adversarial-pair needs --d")
+            pair = adversarial_circle_pair(args.n, args.d)
+        matrices, certificate = {"X.csv": pair.X, "Y.csv": pair.Y}, pair.certificate
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown construction kind {kind!r}")
 
-    (directory / "certificate.json").write_text(json_dumps(certificate), encoding="utf-8")
+    _write_outputs(args, matrices, certificate)
     return EXIT_OK
 
 
@@ -257,11 +280,6 @@ def _start_sketch(n: int, D: int, M: int, seed: int) -> _SketchDraw:
 
 def cmd_audit(args) -> int:
     A = load_matrix_csv(args.directions)
-    subset_budget = (
-        args.budget
-        if args.budget is not None
-        else default_enumeration_budget(DEFAULT_SUBSET_BUDGET)
-    )
     # The OSE sketch is drawn by a worker thread while the pool runs.  An
     # invalid OSE flag, or a sketch too large to allocate, is raised where
     # the audit reaches the check, after the errors of everything before it.
@@ -279,7 +297,7 @@ def cmd_audit(args) -> int:
         if args.subset_r is not None:
             try:
                 report.subset_bound = _audit_subset_bound(
-                    A, args.subset_r, args.n, budget=subset_budget
+                    A, args.subset_r, args.n, budget=_budget(args, DEFAULT_SUBSET_BUDGET)
                 )
             except BudgetExceededError as exc:
                 skipped["subset_bound"] = str(exc)
@@ -310,14 +328,12 @@ def cmd_certify(args) -> int:
     verdict = certify_separation(
         A,
         args.n,
-        budget=args.budget,
+        budget=_budget(args, DEFAULT_TUPLE_BUDGET),
         seed=args.seed,
         threads=args.threads,
         checkpoint_path=args.checkpoint,
     )
-    payload = dataclasses.asdict(verdict)
-    payload["status"] = verdict.status.value
-    _emit(json_dumps(payload), args.out)
+    _emit(json_dumps(verdict), args.out)
     if verdict.status is SeparationStatus.SEPARATING:
         return EXIT_OK
     if verdict.status is SeparationStatus.WITNESS_FOUND:
@@ -330,27 +346,18 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parity_pair(A: np.ndarray, seed: int, directory: Path) -> dict:
-    """Build the parity counterexample for A, write X.csv and Y.csv, return its certificate."""
-    pair = parity_counterexample(A, seed)
-    save_matrix_csv(directory / "X.csv", pair.X)
-    save_matrix_csv(directory / "Y.csv", pair.Y)
-    return pair.certificate
-
-
 def cmd_counterexample(args) -> int:
     A = load_matrix_csv(args.directions)
-    directory = _outdir(args)
-    certificate = _parity_pair(A, args.seed, directory)
+    pair = parity_counterexample(A, args.seed)
     payload = {
-        "certificate": certificate,
+        "certificate": pair.certificate,
         "verification": {
-            "embedding_gap": certificate["embedding_gap"],
-            "orbit_distance": certificate["orbit_distance"],
+            "embedding_gap": pair.certificate["embedding_gap"],
+            "orbit_distance": pair.certificate["orbit_distance"],
             "sigma1": upper_lipschitz(A),
         },
     }
-    (directory / "certificate.json").write_text(json_dumps(payload), encoding="utf-8")
+    _write_outputs(args, {"X.csv": pair.X, "Y.csv": pair.Y}, payload)
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@
 Validation helpers, sorting, permutations, singular values, full-spark
 checks, seeded randomness, CSV matrix I/O and deterministic JSON report
 serialization.  Everything here is pure: inputs are never mutated, so
-values can be shared freely across threads.
+values can be shared freely across threads.  No library module reads
+the environment: budgets arrive as arguments, and only the command-line
+front end (``cli``) reads ``PERMORB_BUDGET`` and passes it as one.
 
 Reproducibility notes:
 
@@ -27,7 +29,6 @@ import itertools
 import json
 import math
 import numbers
-import os
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "load_matrix_csv",
     "save_matrix_csv",
     "json_dumps",
-    "default_enumeration_budget",
 ]
 
 # Relative tolerance separating "genuinely rank deficient" from "small but
@@ -68,8 +68,6 @@ DEFAULT_SPARK_TOL = 1e-9
 # Cap on exhaustive column-subset enumerations before the caller is asked
 # to switch to a sampled (non-certified) mode.
 DEFAULT_SUBSET_BUDGET = 2_000_000
-
-_BUDGET_ENV_VAR = "PERMORB_BUDGET"
 
 # Column subsets per index array yielded by iter_column_subsets.
 _SUBSET_CHUNK = 2048
@@ -88,20 +86,6 @@ class ConstructionError(RuntimeError):
 
 class UnsupportedFormError(ValueError):
     """An operation received a matrix outside its required normal form."""
-
-
-def default_enumeration_budget(fallback: int) -> int:
-    """Resolve the enumeration budget, honoring the PERMORB_BUDGET env var."""
-    raw = os.environ.get(_BUDGET_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{_BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,6 @@ from .core import (
     _check_seed,
     as_cloud,
     as_matrix,
-    default_enumeration_budget,
     json_dumps,
     make_rng,
 )
@@ -593,7 +592,7 @@ def _pieces(start: int, stop: int, span: int, sub: int):
 def certify_separation(
     A,
     n: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_TUPLE_BUDGET,
     seed: int = 0,
     *,
     threads: int = 1,
@@ -604,18 +603,15 @@ def certify_separation(
 
     ``A`` must be identity-augmented and ``n`` at most 6 (the tree's
     n!^(D - 1) leaves are enumerated one by one).  ``budget`` caps the
-    number of tuples decided (default 1e9, overridable via the
-    PERMORB_BUDGET environment variable).  ``threads`` > 1 searches leaf
-    ranges ahead in that many processes; it changes only the speed, never
-    the verdict, the tuples examined or the resume position.  With
+    number of tuples decided.  ``threads`` > 1 searches leaf ranges ahead
+    in that many processes; it changes only the speed, never the verdict,
+    the tuples examined or the resume position.  With
     ``checkpoint_path`` the run resumes from that file if it exists, and
     writes its position there periodically and at a budget stop.
     """
     A = as_matrix(A, "A")
     _check_identity_augmented(A)
     n = _check_count("n", n, 1, _MAX_N)
-    if budget is None:
-        budget = default_enumeration_budget(DEFAULT_TUPLE_BUDGET)
     budget, threads = _check_count("budget", budget), _check_count("threads", threads)
     # the seed keys _hash_coefficients, and the verdict reports it
     seed = _check_seed(seed)
@@ -633,10 +629,11 @@ def certify_separation(
 
     # A range without a witness decides all of its leaves, so every range
     # up to the stop is known before any search, and all may be searched
-    # ahead: whole windows, then with threads > 1 the second-level digit
-    # ranges of the window where the budget runs out.  Outcomes are used in
-    # leaf order and the loop ends at the first witness.
-    sub = max(span // tree.nfact, 1) if threads > 1 else span
+    # ahead: whole windows, then the second-level digit ranges of the
+    # window where the budget runs out.  Outcomes are used in leaf order
+    # and the loop ends at the first witness; ``threads`` only sizes the
+    # pool that searches them.
+    sub = max(span // tree.nfact, 1)
     pieces = list(_pieces(start, min(stop, total), span, sub))
     pool = None
     if threads > 1 and len(pieces) > 1:

@@ -93,7 +93,7 @@ def injectivity_summary(ns=_GRID, ds=_GRID) -> list[dict]:
                 {
                     "n": n,
                     "d": d,
-                    "sorted_upper": n * n * (d - 1) + n,
+                    "sorted_upper": n * min_injective_D_upper(n, d),
                     "sorted_lower": n * non_injective_D_threshold(n, d),
                     "pooled_upper": 2 * (n - 1) * d,
                     "sketched_upper": 2 * (n - 1) * d,

@@ -75,6 +75,30 @@ def test_construct_parity_pair(tmp_path):
     assert cert["rows"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "circle", "--D", "1"], "D must be >= 2, got 1"),
+        (["construct", "circle"], "circle needs --D"),
+        (["construct", "gaussian", "--d", "0", "--D", "5"], "d must be >= 1, got 0"),
+        (["construct", "sphere", "--d", "2", "--D", "0"], "D must be >= 1, got 0"),
+        (["construct", "sphere", "--D", "4"], "sphere needs --d"),
+        (["construct", "adversarial-pair", "--n", "1", "--d", "2"], "n must be >= 2, got 1"),
+        (["construct", "adversarial-pair", "--n", "3", "--d", "1"], "d must be >= 2, got 1"),
+        (["construct", "parity-pair", "--directions", "LINE"], "construction needs d >= 2, got d=1"),
+        (["counterexample", "--directions", "LINE"], "construction needs d >= 2, got d=1"),
+    ],
+)
+def test_a_failed_construction_writes_nothing(tmp_path, capsys, argv, message):
+    # range errors are the generators' own, and come before the --out directory exists
+    save_matrix_csv(tmp_path / "line.csv", np.array([[1.0, 2.0, 3.0]]))
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "line.csv") if arg == "LINE" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # embed / distance
 # ---------------------------------------------------------------------------
@@ -317,6 +341,23 @@ def test_environment_budget_override(tmp_path, monkeypatch):
     assert _read_json(out)["status"] == "Inconclusive"
     monkeypatch.setenv("PERMORB_BUDGET", "junk")
     assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "4"]) == 1
+
+
+def test_audit_reads_the_budget_variable_only_for_a_subset_bound(tmp_path, monkeypatch, capsys):
+    save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(2).standard_normal((2, 6)))
+    plain, junk = tmp_path / "plain.json", tmp_path / "junk.json"
+    args = ["audit", "--directions", str(tmp_path / "A.csv"), "--n", "3", "--trials", "20",
+            "--pu-m", "2", "--check-ose", "--ose-trials", "10"]
+    assert main(args + ["--out", str(plain)]) == 0
+    monkeypatch.setenv("PERMORB_BUDGET", "junk")
+    assert main(args + ["--out", str(junk)]) == 0
+    assert junk.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    assert main(args + ["--subset-r", "1", "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: PERMORB_BUDGET must be an integer, got 'junk'\n"
+    assert not (tmp_path / "r.json").exists()
+    # a --budget flag is used instead of the variable
+    assert main(args + ["--subset-r", "1", "--budget", "100", "--out", str(junk)]) == 0
 
 
 def test_audit_circle_distortion_within_theory(tmp_path):

@@ -23,6 +23,7 @@ from permorb import (
 from permorb.cli import main
 from permorb.core import UnsupportedFormError, json_dumps, save_matrix_csv
 from permorb.separation import (
+    DEFAULT_TUPLE_BUDGET,
     KNOWN_NONSEPARATING_DIMS,
     KNOWN_SEPARATING_CASES,
     SeparationStatus,
@@ -300,12 +301,12 @@ def test_checkpoint_at_the_end_of_the_tuple_space_is_a_finished_run(tmp_path):
 
 
 def _threads_cases():
-    yield "(4,2,4)", known_separating_matrix(4, 2, 4), 4, 0, (100, 5000, 13000, None)
-    yield "(3,2,3)", identity_augmented(gaussian_directions(2, 1, 2)), 3, 0, (None,)
+    yield "(4,2,4)", known_separating_matrix(4, 2, 4), 4, 0, (100, 5000, 13000, DEFAULT_TUPLE_BUDGET)
+    yield "(3,2,3)", identity_augmented(gaussian_directions(2, 1, 2)), 3, 0, (DEFAULT_TUPLE_BUDGET,)
     for d, D in ((3, 5), (4, 7)):
         for seed in range(3):
             A = identity_augmented(gaussian_directions(d, D - d, seed))
-            yield f"(3,{d},{D}) seed {seed}", A, 3, seed, (None,)
+            yield f"(3,{d},{D}) seed {seed}", A, 3, seed, (DEFAULT_TUPLE_BUDGET,)
     yield "(3,3,6)", known_separating_matrix(3, 3, 6), 3, 0, (4022, 4030)
     # the budget runs out inside a pruned subtree: the stop moves to its end
     yield "(3,2,5) seed 0", identity_augmented(gaussian_directions(2, 3, 0)), 3, 0, (131,)
@@ -320,6 +321,28 @@ def test_threads_do_not_change_the_verdict():
             for threads in (2, 3):
                 multi = json_dumps(certify_separation(A, n, budget, seed, threads=threads))
                 assert multi == single, (name, budget, threads)
+
+
+def test_a_serial_stop_inside_a_window_matches_a_parallel_one(tmp_path):
+    # both cut the window where the budget runs out into its second-level
+    # ranges; the stop at leaf 131 lies inside a pruned subtree that ends at 132
+    A = identity_augmented(gaussian_directions(2, 3, 0))
+    runs = []
+    for threads in (1, 2):
+        path = tmp_path / f"cp{threads}.json"
+        verdict = certify_separation(A, 3, 131, threads=threads, checkpoint_path=str(path))
+        runs.append((json_dumps(verdict), path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert verdict.status is SeparationStatus.INCONCLUSIVE
+    assert verdict.tuples_examined == verdict.next_index == 132
+
+
+def test_the_library_reads_no_budget_from_the_environment(monkeypatch):
+    monkeypatch.setenv("PERMORB_BUDGET", "10")
+    verdict = certify_separation(known_separating_matrix(4, 2, 4), 4)
+    assert verdict.status is SeparationStatus.SEPARATING
+    assert verdict.tuples_examined == 13_824
+    assert verdict.budget == DEFAULT_TUPLE_BUDGET
 
 
 @pytest.mark.parametrize(
