@@ -42,10 +42,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import __version__ as _version
 from .core import (
     BudgetExceededError,
+    DEFAULT_OSE_CONSTANT,
     DEFAULT_SUBSET_BUDGET,
-    __version__ as _version,
     _check_count,
     _check_seed,
     _unit_scaled,
@@ -92,10 +93,6 @@ _PU_FLOATS = 1 << 14
 
 # Pairs below this orbit distance are excluded from empirical ratios.
 _MIN_PAIR_DISTANCE = 1e-8
-
-# The sketch-dimension formula hides an absolute constant; 4 is the
-# default calibration knob, checked empirically by ose_check.
-DEFAULT_OSE_CONSTANT = 4.0
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ The PERMORB_BUDGET environment variable overrides the default enumeration
 budgets (certify tuples, audit subset enumeration) when no --budget flag
 is given.  This module is the only one that reads it, and only a command
 that uses a budget does: certify, and audit with --subset-r.
+
+Only ``core`` is imported with this module.  Each command imports the
+modules it runs when it starts, so ``certify`` never loads ``audit`` and
+``audit`` never loads ``separation`` or ``tables``.
 """
 
 from __future__ import annotations
@@ -36,44 +40,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import (
-    DEFAULT_OSE_CONSTANT,
-    _SketchDraw,
-    _audit_subset_bound,
-    empirical_distortion,
-    ose_check,
-    ose_dimension,
-    upper_lipschitz,
-)
-from .constructions import (
-    adversarial_circle_pair,
-    circle_directions,
-    gaussian_directions,
-    identity_augmented,
-    parity_counterexample,
-    sphere_directions,
-)
 from .core import (
     BudgetExceededError,
+    DEFAULT_OSE_CONSTANT,
     DEFAULT_SPARK_TOL,
     DEFAULT_SUBSET_BUDGET,
+    DEFAULT_TUPLE_BUDGET,
     UnsupportedFormError,
     is_full_spark,
     json_dumps,
     load_matrix_csv,
     save_matrix_csv,
     singular_values,
-)
-from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
-from .metrics import orbit_distance, wasserstein2
-from .separation import DEFAULT_TUPLE_BUDGET, SeparationStatus, certify_separation
-from .tables import (
-    format_table,
-    gap_grid,
-    injectivity_summary,
-    maximal_nd_table,
-    minimal_nd_table,
-    verify_tables,
 )
 
 EXIT_OK = 0
@@ -142,6 +120,16 @@ def _budget(args, default: int) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .audit import upper_lipschitz
+    from .constructions import (
+        adversarial_circle_pair,
+        circle_directions,
+        gaussian_directions,
+        identity_augmented,
+        parity_counterexample,
+        sphere_directions,
+    )
+
     kind = args.kind
     tol = args.tol if args.tol is not None else DEFAULT_SPARK_TOL
 
@@ -205,6 +193,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
+
     A = load_matrix_csv(args.directions)
     X = load_matrix_csv(args.cloud)
     if args.kind == "sorted":
@@ -223,6 +213,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .metrics import orbit_distance, wasserstein2
+
     X = load_matrix_csv(args.cloud_x)
     Y = load_matrix_csv(args.cloud_y)
     result = orbit_distance(X, Y)
@@ -246,7 +238,7 @@ def cmd_distance(args) -> int:
 _largest_sketch_bytes = 0
 
 
-def _start_sketch(n: int, D: int, M: int, seed: int) -> _SketchDraw:
+def _start_sketch(n: int, D: int, M: int, seed: int):
     """Start drawing the audit's OSE sketch, handing free heap pages back first if it is the largest yet.
 
     glibc serves a block at least as large as its mmap threshold by a
@@ -264,6 +256,8 @@ def _start_sketch(n: int, D: int, M: int, seed: int) -> _SketchDraw:
     sketch counts once it is allocated: one too large to allocate leaves
     the record as it was.
     """
+    from .audit import _SketchDraw
+
     global _largest_sketch_bytes
     nbytes = 8 * M * n * D
     if nbytes > _largest_sketch_bytes:
@@ -279,6 +273,10 @@ def _start_sketch(n: int, D: int, M: int, seed: int) -> _SketchDraw:
 
 
 def cmd_audit(args) -> int:
+    from .audit import _audit_subset_bound, empirical_distortion, ose_check, ose_dimension
+
+    _require(args.budget is None or args.subset_r is not None,
+             "--budget applies only with --subset-r")
     A = load_matrix_csv(args.directions)
     # The OSE sketch is drawn by a worker thread while the pool runs.  An
     # invalid OSE flag, or a sketch too large to allocate, is raised where
@@ -324,6 +322,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .separation import SeparationStatus, certify_separation
+
     A = load_matrix_csv(args.directions)
     verdict = certify_separation(
         A,
@@ -347,6 +347,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from .audit import upper_lipschitz
+    from .constructions import parity_counterexample
+
     A = load_matrix_csv(args.directions)
     pair = parity_counterexample(A, args.seed)
     payload = {
@@ -374,6 +377,15 @@ def _table_csv(table, ns, ds) -> str:
 
 
 def cmd_reproduce(args) -> int:
+    from .tables import (
+        format_table,
+        gap_grid,
+        injectivity_summary,
+        maximal_nd_table,
+        minimal_nd_table,
+        verify_tables,
+    )
+
     ns = tuple(range(2, args.n_max + 1))
     ds = tuple(range(2, args.d_max + 1))
     for flag, value in (("--n-max", args.n_max), ("--d-max", args.d_max)):
@@ -464,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset-r", type=int, default=None, help="attach the size-(r*d) subset bound")
     p.add_argument("--pu-m", type=int, default=None,
                    help="attach the (m, delta) projective uniformity (a proven floor for d = 2)")
-    p.add_argument("--budget", type=int, default=None, help="subset enumeration budget")
+    p.add_argument("--budget", type=int, default=None,
+                   help="subset enumeration budget (with --subset-r only)")
     p.add_argument("--check-ose", action="store_true", help="attach a sketch norm-preservation check")
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--eta", type=float, default=0.1)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-__version__ = "0.1.0"
+from . import __version__
 
 __all__ = [
     "__version__",
@@ -42,14 +42,14 @@ __all__ = [
     "UnsupportedFormError",
     "DEFAULT_SPARK_TOL",
     "DEFAULT_SUBSET_BUDGET",
+    "DEFAULT_TUPLE_BUDGET",
+    "DEFAULT_OSE_CONSTANT",
     "as_matrix",
     "as_vector",
     "as_cloud",
     "make_rng",
     "sort_ascending",
-    "inverse_permutation",
     "validate_permutation",
-    "random_permutation",
     "permute_rows",
     "singular_values",
     "is_full_spark",
@@ -68,6 +68,14 @@ DEFAULT_SPARK_TOL = 1e-9
 # Cap on exhaustive column-subset enumerations before the caller is asked
 # to switch to a sampled (non-certified) mode.
 DEFAULT_SUBSET_BUDGET = 2_000_000
+
+# Cap on the permutation tuples one certify_separation run decides.
+DEFAULT_TUPLE_BUDGET = 10**9
+
+# The sketch-dimension formula of audit.ose_dimension hides an absolute
+# constant; 4 is the default calibration knob, checked empirically by
+# audit.ose_check.
+DEFAULT_OSE_CONSTANT = 4.0
 
 # Column subsets per index array yielded by iter_column_subsets.
 _SUBSET_CHUNK = 2048
@@ -193,17 +201,6 @@ def validate_permutation(sigma, n: int | None = None) -> np.ndarray:
     if not np.array_equal(np.sort(arr), np.arange(arr.size)):
         raise ValueError("permutation is not a bijection on 0..n-1")
     return arr
-
-
-def inverse_permutation(sigma) -> np.ndarray:
-    sigma = validate_permutation(sigma)
-    inv = np.empty_like(sigma)
-    inv[sigma] = np.arange(sigma.size, dtype=np.intp)
-    return inv
-
-
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(n).astype(np.intp)
 
 
 def permute_rows(X, sigma) -> np.ndarray:

@@ -46,7 +46,6 @@ __all__ = [
     "orbit_distance_bruteforce",
     "wasserstein2",
     "sliced_w2_sampled",
-    "rows_equal_as_multisets",
 ]
 
 _BRUTEFORCE_MAX_N = 9
@@ -282,14 +281,3 @@ def sliced_w2_sampled(X, Y, Theta) -> float:
     diff = sorted_embedding(Theta, X) - sorted_embedding(Theta, Y)
     n, D = diff.shape
     return float(np.linalg.norm(diff)) / math.sqrt(n * D)
-
-
-def rows_equal_as_multisets(X, Y, tol: float = 1e-12) -> bool:
-    """Whether the rows of X and Y agree as multisets, entrywise within tol."""
-    X = as_cloud(X, "X")
-    Y = as_cloud(Y, "Y")
-    if X.shape != Y.shape:
-        return False
-    order_x = np.lexsort(X.T[::-1])
-    order_y = np.lexsort(Y.T[::-1])
-    return bool(np.all(np.abs(X[order_x] - Y[order_y]) <= tol))

@@ -88,6 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_TUPLE_BUDGET,
     UnsupportedFormError,
     _check_count,
     _check_seed,
@@ -121,8 +122,6 @@ __all__ = [
     "known_separating_matrix",
     "DEFAULT_TUPLE_BUDGET",
 ]
-
-DEFAULT_TUPLE_BUDGET = 10**9
 
 # The enumeration tree has n!^(D - 1) leaves in reduced runs and ``W`` holds
 # (D - d) n! constraint blocks of n x dn floats, both beyond reach past n = 6;

@@ -327,6 +327,15 @@ def test_audit_rejects_a_subset_budget_below_one(tmp_path, capsys, budget):
     assert not out.exists()
 
 
+def test_audit_rejects_a_budget_without_a_subset_bound(tmp_path, capsys):
+    # the flag would bound nothing, so it is refused before the matrix is even read
+    out = tmp_path / "r.json"
+    assert main(["audit", "--directions", str(tmp_path / "missing.csv"), "--n", "3",
+                 "--trials", "20", "--budget", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --budget applies only with --subset-r\n"
+    assert not out.exists()
+
+
 def test_certify_rejects_general_matrices(tmp_path):
     save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(5).standard_normal((2, 4)))
     assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "3"]) == 1

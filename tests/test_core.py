@@ -51,8 +51,8 @@ def test_permute_rows_identity():
 def test_permute_rows_group_inverse():
     rng = core.make_rng(3)
     X = rng.standard_normal((5, 3))
-    sigma = core.random_permutation(5, rng)
-    back = core.permute_rows(core.permute_rows(X, sigma), core.inverse_permutation(sigma))
+    sigma = rng.permutation(5)
+    back = core.permute_rows(core.permute_rows(X, sigma), np.argsort(sigma))
     assert np.array_equal(back, X)
 
 

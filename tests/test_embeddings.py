@@ -21,14 +21,13 @@ from permorb import (
     translation_offset,
 )
 from permorb import embeddings
-from permorb.core import random_permutation
 from permorb.embeddings import _NETWORK_MIN_COLUMNS, _NETWORKS, _sort_project
 from permorb.metrics import orbit_distance
 
 
 def _cloud_and_perm(seed, n, d):
     rng = make_rng(seed)
-    return rng.standard_normal((n, d)), random_permutation(n, rng)
+    return rng.standard_normal((n, d)), rng.permutation(n)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_permutation_invariance_is_exact(seed, n, d, D):
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
     X = rng.standard_normal((n, d))
-    sigma = random_permutation(n, rng)
+    sigma = rng.permutation(n)
     assert np.array_equal(sorted_embedding(A, permute_rows(X, sigma)), sorted_embedding(A, X))
 
 
@@ -105,7 +104,7 @@ def test_pooled_permutation_invariance():
     A = rng.standard_normal((2, 6))
     B = rng.standard_normal((5, 6))
     X = rng.standard_normal((5, 2))
-    sigma = random_permutation(5, rng)
+    sigma = rng.permutation(5)
     assert np.array_equal(
         pooled_embedding(A, B, permute_rows(X, sigma)), pooled_embedding(A, B, X)
     )
@@ -154,7 +153,7 @@ def test_sketch_permutation_invariance():
     A = rng.standard_normal((2, 3))
     X = rng.standard_normal((4, 2))
     L = rng.standard_normal((5, 12))
-    sigma = random_permutation(4, rng)
+    sigma = rng.permutation(4)
     assert np.array_equal(
         sketched_embedding(A, L, permute_rows(X, sigma)), sketched_embedding(A, L, X)
     )

@@ -84,7 +84,6 @@ from permorb.metrics import (
     _assignment_totals,
     _assignment_width,
     _enumerated_distance,
-    rows_equal_as_multisets,
 )
 from permorb.separation import InjectivityReport
 
@@ -976,7 +975,7 @@ def test_spot_check_tests_distant_pairs_and_same_orbit_copies(monkeypatch, kind,
     X, Y, same = clouds[0::3], clouds[1::3], clouds[2::3]
     assert len(X) == len(Y) == len(same) == trials
     assert min(orbit_distance_bruteforce(x, y).distance for x, y in zip(X, Y)) >= 0.1 - 1e-15
-    assert all(rows_equal_as_multisets(x, s, tol=0.0) for x, s in zip(X, same))
+    assert all(np.array_equal(x[np.lexsort(x.T)], s[np.lexsort(s.T)]) for x, s in zip(X, same))
 
 
 def test_spot_check_solves_no_assignment(monkeypatch):

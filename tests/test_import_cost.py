@@ -1,10 +1,13 @@
-"""permorb imports scipy only when it first solves an assignment, and its executors only when it first uses one.
+"""permorb imports scipy only when it first solves an assignment, its executors only when it first uses one, and each module only when one of its names is used.
 
 An audit solves none: its reference distances enumerate the n! matchings
 of its n <= 8 clouds.  Only ``audit --check-ose`` starts a thread executor
 (``concurrent.futures.thread``), and only ``certify --threads k > 1`` a
-process pool (``multiprocessing``).  Checked in a fresh interpreter, since
-this test process has loaded all three already.
+process pool (``multiprocessing``).  ``import permorb`` loads no submodule
+and not numpy; the spot checks and ``certify`` load no ``audit``,
+``constructions`` or ``tables``; ``audit`` loads no ``separation`` or
+``tables``.  Checked in fresh interpreters, since this test process has
+loaded them all already.
 """
 
 import os
@@ -31,6 +34,7 @@ SCRIPT = textwrap.dedent(
 
     import permorb
     check("import permorb")
+    assert loaded("numpy", "permorb") == ["permorb"], loaded("numpy", "permorb")[-3:]
 
     from permorb import cli, metrics, separation
     check("import permorb.cli")
@@ -42,6 +46,8 @@ SCRIPT = textwrap.dedent(
 
     separation.certify_separation(separation.known_separating_matrix(4, 2, 4), 4, budget=2000)
     check("certify_separation")
+    UNUSED = ("permorb.audit", "permorb.constructions", "permorb.tables")
+    assert not loaded(*UNUSED), f"the spot checks and certify loaded {loaded(*UNUSED)}"
 
     permorb.sorted_embedding(permorb.circle_directions(5), [[0.0, 1.0], [2.0, 3.0]])
     check("sorted_embedding")
@@ -63,8 +69,10 @@ SCRIPT = textwrap.dedent(
             assert cli.main(["embed", "--directions", A, "--cloud", str(out / "X.csv"), *argv,
                              "--out", str(out / "E.csv")]) == 0
             check(f"permorb embed {argv[1]}")
+        assert not loaded("permorb.tables")
         assert cli.main(["reproduce", "--out", str(out / "tables")]) == 0
         check("permorb reproduce")
+        assert loaded("permorb.tables")
         circle = str(out / "circle" / "A.csv")
         for extra in ([], ["--pu-m", "3"], ["--check-ose"], ["--check-ose", "--pu-m", "3"]):
             for n in ("4", "8"):
@@ -96,11 +104,40 @@ SCRIPT = textwrap.dedent(
     """
 )
 
+AUDIT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import tempfile
+    from pathlib import Path
 
-def test_scipy_is_imported_on_the_first_assignment_solve_only():
+    import permorb
+    from permorb import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        A = Path(tmp) / "A.csv"
+        permorb.save_matrix_csv(A, permorb.circle_directions(8))
+        assert cli.main(["audit", "--directions", str(A), "--n", "3", "--trials", "40",
+                         "--subset-r", "1", "--pu-m", "2", "--out", str(Path(tmp) / "r.json")]) == 0
+    assert "permorb.audit" in sys.modules
+    unused = [m for m in ("permorb.separation", "permorb.tables") if m in sys.modules]
+    assert not unused, f"permorb audit loaded {unused}"
+    print("ok")
+    """
+)
+
+
+def run_fresh(script: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok"]
+
+
+def test_scipy_is_imported_on_the_first_assignment_solve_only():
+    run_fresh(SCRIPT)
+
+
+def test_audit_loads_neither_the_certifier_nor_the_tables():
+    run_fresh(AUDIT_SCRIPT)
