@@ -16,7 +16,8 @@ worse than the parent by more than the metric's ``bound`` (``worse``: the
 medians differ, the wrong way, by more than that fraction of the parent's
 median).  Each metric that is worse also gets a ``# WORSE <metric>`` line.
 Every run's values are printed too.  The exit code is 1 when a run is not
-correct or an op's output digest differs between the sides, else 0.
+correct or an op's output digest differs between the sides, else 2 when
+any metric is worse, else 0.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
             print(f"# WORSE {name}")
         for problem in problems:
             print(f"# FAILED {problem}")
-        return 1 if problems else 0
+        return 1 if problems else 2 if regressions else 0
     finally:
         shutil.rmtree(base, ignore_errors=True)
 

@@ -37,7 +37,7 @@ routes and the empirical estimate used to sandwich the distortion:
 from __future__ import annotations
 
 import math
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -636,20 +636,22 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
 
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  It is one
     standard_normal call divided by sqrt(M).  ``permorb audit --check-ose``
-    draws these same bits while its pair pool runs (``_SketchDraw``): a
-    one-worker executor fills one row slice of ``_DRAW_FLOATS`` floats per
-    task, continuing the one stream, and the check divides each slice as
-    it takes it over, so its report is unchanged.
+    draws these same bits while its pair pool runs: a one-worker executor
+    fills one row slice of ``_DRAW_FLOATS`` floats per task, continuing the
+    one stream, and the check divides each slice once, in one pass over
+    the slices, so its report is unchanged.
     """
     n, D, M = _check_count("n", n), _check_count("D", D), _check_count("M", M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
 
 
 # Floats in one slice of a sketch's rows, ``_blocks(M, columns, _DRAW_FLOATS)``:
-# the audit's draw fills one slice per task, and the sketch check takes each
-# slice over and adds it into the Gram matrix with one syrk as soon as it is
-# filled.
+# the audit's draw fills one slice per task, and the sketch check adds each
+# slice into the Gram matrix with one syrk as soon as it is final.
 _DRAW_FLOATS = 1 << 18
+
+# Bytes of the largest OSE sketch this process has allocated so far.
+_largest_sketch_bytes = 0
 
 
 def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
@@ -662,118 +664,110 @@ def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
     rng.standard_normal(out=rows)
 
 
-class _SketchDraw:
-    """An M x N sketch whose row slices become final from the top down.
+@contextmanager
+def _drawn_sketch(n: int, D: int, M: int, seed: int):
+    """Draw gaussian_sketch(n, D, M, seed) on a worker thread: yields (L, slices).
 
-    ``gram()`` returns the Gram matrix L^T L and a proven upper bound on
-    ||L||_F, ``full()`` all of L.  Both walk the row slices of
-    ``_DRAW_FLOATS`` floats in order, and the first walk to reach a slice
-    takes it over, exactly once, on the caller's thread.
+    n, D and M are the counts ``ose_dimension`` has checked.  L is the
+    M x nD array being drawn, and ``slices`` a generator that yields each
+    slice of ``_DRAW_FLOATS`` floats of L's rows once, in order, as it
+    becomes final: it waits on that slice's future, which re-raises the
+    task's error, divides the slice by sqrt(M) and checks it finite.  Once
+    the generator is done, all of L is final and has the bits of
+    gaussian_sketch(n, D, M, seed).
 
-    A finished array (``of``) has every slice final.  ``start`` instead
-    submits one ``_gaussian_fill`` task per slice to an executor with a
-    single worker thread, which runs them in order, so the slices continue
-    one stream.  A task only fills: numpy's fill runs without the GIL, so
-    the worker takes the GIL back once a slice, not once per numpy call,
-    and it runs none of permorb's public functions.  Taking a drawn slice
-    over waits on its future, which re-raises the task's error, divides the
-    slice by sqrt(M) and checks it finite, so L gets the bits of
-    gaussian_sketch(n, D, M, seed).  A slice that fails stays pending, and
-    raises again on a later call.  So ``gram`` adds the top slices into
-    L^T L while the rest are drawn.  ``close`` cancels the tasks not yet
-    begun and joins the worker, and must be called on every path.
+    L is allocated on the caller's thread: memory a thread allocates comes
+    from a malloc arena of its own, which the rest of the program does not
+    reuse (allocated on the thread, audit-cli's peak RSS grew 22 MB).
+    Before a sketch larger than every earlier one, free heap pages are
+    handed back first.  glibc serves a block at least as large as its mmap
+    threshold by a mapping of its own, and raises that threshold to the
+    largest block freed so far.  So a sketch larger than every earlier one
+    is mapped apart from the heap, and cannot reuse the heap's free memory,
+    which glibc keeps resident until a free leaves more than its trim
+    threshold at the top of the heap.  In a process that runs many audits
+    the two then add up: 8-second runs of the ``audit-cli`` benchmark, whose
+    first n = 6 sketch is 18,921 x 144, peak at 77.3-77.4 MB untrimmed
+    against 70.3-73.4 MB trimmed (seeds 0 and 1, two runs each, 2 cores,
+    scipy not loaded).  A sketch no larger than an earlier one comes from
+    the heap and reuses that memory, so the heap is trimmed only before a
+    new largest sketch (glibc's malloc_trim; elsewhere this does nothing).
+    A sketch counts once it is allocated: one too large to allocate leaves
+    the record as it was.
+
+    An executor with a single worker thread runs one ``_gaussian_fill``
+    task per slice, in order, so the slices continue one stream.  A task
+    only fills: numpy's fill runs without the GIL, so the worker takes the
+    GIL back once a slice, not once per numpy call, and it runs none of
+    permorb's public functions.  On leaving the context, on every path, the
+    tasks not yet begun are cancelled and the worker is joined.
     """
+    # imported here, so that only --check-ose loads the executor's modules
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, L: np.ndarray):
-        self.shape = L.shape
-        self._L = L
-        self._executor = None
-        # (rows, future of their fill) of each drawn slice not yet taken over
-        self._drawing = deque()
+    global _largest_sketch_bytes
+    rng = make_rng(seed)
+    nbytes = 8 * M * n * D
+    if nbytes > _largest_sketch_bytes:
+        try:
+            import ctypes
 
-    @classmethod
-    def of(cls, L: np.ndarray) -> "_SketchDraw":
-        """A finished sketch: every row of the validated array L is final."""
-        return cls(L)
+            ctypes.CDLL(None).malloc_trim(0)
+        except (AttributeError, OSError, TypeError):
+            pass  # no glibc, so nothing to trim
+    L = np.empty((M, n * D))
+    _largest_sketch_bytes = max(_largest_sketch_bytes, nbytes)
+    executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch")
+    try:
+        drawing = [(L[rows], executor.submit(_gaussian_fill, rng, L[rows]))
+                   for rows in _blocks(M, n * D, _DRAW_FLOATS)]
 
-    @classmethod
-    def start(cls, n: int, D: int, M: int, seed: int) -> "_SketchDraw":
-        """Start drawing gaussian_sketch(n, D, M, seed) on a worker thread.
-
-        n, D and M are the counts ``ose_dimension`` has checked.
-        """
-        # imported here, so that only --check-ose loads the executor's modules
-        from concurrent.futures import ThreadPoolExecutor
-
-        # allocated by the caller's thread: memory a thread allocates comes
-        # from a malloc arena of its own, which the rest of the program does
-        # not reuse (allocated on the thread, audit-cli's peak RSS grew 22 MB)
-        sketch = cls(np.empty((M, n * D)))
-        sketch._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch")
-        rng = make_rng(seed)
-        sketch._drawing = deque(
-            (rows, sketch._executor.submit(_gaussian_fill, rng, sketch._L[rows]))
-            for rows in _blocks(M, n * D, _DRAW_FLOATS)
-        )
-        return sketch
-
-    def _slices(self):
-        """Each slice of L's rows, in order, once it is final."""
-        M = self.shape[0]
-        for rows in _blocks(*self.shape, _DRAW_FLOATS):
-            S = self._L[rows]
-            if self._drawing and self._drawing[0][0] == rows:
-                self._drawing[0][1].result()
+        def slices():
+            for S, future in drawing:
+                future.result()
                 S /= math.sqrt(M)
                 if not np.isfinite(S).all():
                     raise ValueError("L contains non-finite entries")
-                self._drawing.popleft()
-            yield S
+                yield S
 
-    def full(self) -> np.ndarray:
-        """All of L, once every row is final."""
-        for _ in self._slices():
-            pass
-        return self._L
+        yield L, slices()
+    finally:
+        executor.shutdown(cancel_futures=True)
 
-    def gram(self) -> tuple[np.ndarray, float]:
-        """The N x N Gram matrix G = fl(L^T L) and an upper bound on ||L||_F.
 
-        G is summed over the slices of L's rows with one syrk each (numpy
-        computes S.T @ S with one), each slice as soon as it is final.  An
-        overflow is left in G as an infinity or a NaN.
+def _gram(slices, M: int, N: int) -> tuple[np.ndarray, float]:
+    """The N x N Gram matrix G = fl(L^T L) of an M x N sketch L, and an upper bound on ||L||_F.
 
-        The bound comes from t = fl(trace(G) + M N 2**-1073).  Write u for
-        the unit roundoff and gamma_k = k u / (1 - k u).  Each diagonal
-        entry of G is a sum of the M squares of one column of L, and the
-        trace adds the N of them, so t adds the M N squares and the
-        allowance in some order: each square meets at most j = M + N + 1
-        roundings (its product, at most M - 1 additions in its column and
-        one into G, N - 1 in the trace, one for the allowance), so
-        t >= (1 - gamma_j) ||L||_F^2 in any summation order (Higham,
-        Accuracy and Stability of Numerical Algorithms, 3.1).  A square
-        that underflows errs by at most 2**-1075 more, grown by less than a
-        factor 2, which the allowance covers for all M N of them.  Hence
-        ||L||_F <= sqrt(t) / (1 - gamma_j) <= sqrt(t) (1 + gamma_{2j}).
-        The sqrt, 1 + gamma_k and their product each round down by at most
-        a factor 1 - u, and 1 / (1 - u)^3 <= 1 + gamma_3, so with
-        k = 2j + 3 = 2 (M + N) + 5 the result is at least ||L||_F, as
-        (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}.  An overflow makes
-        t, and so the bound, infinite, and the screen then confirms every
-        pair.
-        """
-        M, N = self.shape
-        G = np.zeros((N, N))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for S in self._slices():
-                G += S.T @ S
-            t = float(np.trace(G))
-        return G, math.sqrt(t + math.ldexp(M * N, -1073)) * (1.0 + _gamma(2 * (M + N) + 5))
+    ``slices`` yields the slices of L's rows in order, and G is summed over
+    them with one syrk each (numpy computes S.T @ S with one), each slice
+    as soon as it is yielded.  An overflow is left in G as an infinity or a
+    NaN.
 
-    def close(self) -> None:
-        """Cancel the slices not yet begun, if any, and wait for the worker to end."""
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
+    The bound comes from t = fl(trace(G) + M N 2**-1073).  Write u for
+    the unit roundoff and gamma_k = k u / (1 - k u).  Each diagonal
+    entry of G is a sum of the M squares of one column of L, and the
+    trace adds the N of them, so t adds the M N squares and the
+    allowance in some order: each square meets at most j = M + N + 1
+    roundings (its product, at most M - 1 additions in its column and
+    one into G, N - 1 in the trace, one for the allowance), so
+    t >= (1 - gamma_j) ||L||_F^2 in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1).  A square
+    that underflows errs by at most 2**-1075 more, grown by less than a
+    factor 2, which the allowance covers for all M N of them.  Hence
+    ||L||_F <= sqrt(t) / (1 - gamma_j) <= sqrt(t) (1 + gamma_{2j}).
+    The sqrt, 1 + gamma_k and their product each round down by at most
+    a factor 1 - u, and 1 / (1 - u)^3 <= 1 + gamma_3, so with
+    k = 2j + 3 = 2 (M + N) + 5 the result is at least ||L||_F, as
+    (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}.  An overflow makes
+    t, and so the bound, infinite, and the screen then confirms every
+    pair.
+    """
+    G = np.zeros((N, N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for S in slices:
+            G += S.T @ S
+        t = float(np.trace(G))
+    return G, math.sqrt(t + math.ldexp(M * N, -1073)) * (1.0 + _gamma(2 * (M + N) + 5))
 
 
 def _sketch_screen(
@@ -783,7 +777,7 @@ def _sketch_screen(
 
     Each row x of V is a gap vector of length N, ``denom`` holds fl(||x||)
     (the caller skips pairs with denom below 1e-10), and G = fl(L^T L) and
-    fro >= ||L||_F come from ``_SketchDraw.gram`` of the M x N sketch L.
+    fro >= ||L||_F come from ``_gram`` of the M x N sketch L.
     The screen forms q = fl(x^T fl(G x)), a float near ||L x||^2, for each
     row (N^2 multiply-adds a row), and rho_s = fl(fl(sqrt(max(q, 0))) /
     denom).
@@ -863,28 +857,35 @@ def ose_check(
     ||x|| come from one BLAS dot each (_dot_norms), the bits of
     np.linalg.norm.  The ratios are screened, then confirmed, and the
     sketch's shape picks the screen.  A tall sketch, M >= N = nD, gets its
-    Gram matrix L^T L formed once per check (``_SketchDraw.gram``,
-    M N^2 / 2 multiply-adds), and the screen (_sketch_screen) takes every
-    ||L x||^2 of a block as the quadratic form x^T (L^T L) x, N^2
-    multiply-adds a pair, with a proven margin on its distance from the
-    per-pair reference ||L @ x|| / ||x||.  A pair whose margin reaches
-    1 +- eps, or whose error could be its block's largest, is confirmed
-    with the reference matvec on its row; the margin settles every other
-    pair.  A wide sketch, M < N, has a Gram matrix larger than itself, so
-    it is not screened: every margin is infinite and every pair is
-    confirmed, at M N multiply-adds a pair.  Either way the report is the
-    one a per-pair matvec loop gives, bit for bit.
+    Gram matrix L^T L formed once per check (``_gram``, M N^2 / 2
+    multiply-adds), and the screen (_sketch_screen) takes every ||L x||^2
+    of a block as the quadratic form x^T (L^T L) x, N^2 multiply-adds a
+    pair, with a proven margin on its distance from the per-pair reference
+    ||L @ x|| / ||x||.  A pair whose margin reaches 1 +- eps, or whose
+    error could be its block's largest, is confirmed with the reference
+    matvec on its row; the margin settles every other pair.  A wide sketch,
+    M < N, has a Gram matrix larger than itself, so it is not screened:
+    every margin is infinite and every pair is confirmed, at M N
+    multiply-adds a pair.  Either way the report is the one a per-pair
+    matvec loop gives, bit for bit.
 
-    ``permorb audit --check-ose`` passes a sketch still being drawn
-    (``_SketchDraw``), started before its pair pool: an executor's worker
-    thread fills each slice of rows, and the check divides it by sqrt(M),
-    checks it finite and adds it into L^T L as soon as it is filled.  Its
-    bits are gaussian_sketch's, so the report is unchanged.
+    ``permorb audit --check-ose`` runs the same check on a sketch still
+    being drawn, started before its pair pool: it walks the drawn row
+    slices once, each as it becomes final, adding it into L^T L (or, for a
+    wide sketch, only waiting for it) before the first screen.  Its bits
+    are gaussian_sketch's, and the margin holds for any summation order of
+    L^T L, so the report is unchanged.
     """
-    A = as_matrix(A, "A")
-    sketch = L if isinstance(L, _SketchDraw) else _SketchDraw.of(as_matrix(L, "L"))
+    A, L = as_matrix(A, "A"), as_matrix(L, "L")
+    return _ose_check(A, L, iter((L,)), n, epsilon, trials, seed)
+
+
+def _ose_check(
+    A: np.ndarray, L: np.ndarray, slices, n: int, epsilon: float, trials: int, seed: int
+) -> OseReport:
+    """ose_check on validated arrays, where L is final once ``slices``, its row slices in order, is done."""
     d, D = A.shape
-    M, N = sketch.shape
+    M, N = L.shape
     n = _check_count("n", n)
     if N != n * D:
         raise ValueError(f"sketch must have {n * D} columns, got {N}")
@@ -920,11 +921,15 @@ def ose_check(
             continue
         V, denom = V[far], denom[far]
         if screen is None:
-            # a wide sketch's Gram matrix would be larger than the sketch:
-            # none, and an infinite bound, so the matvec confirms every pair
-            screen = sketch.gram() if M >= N else (None, math.inf)
+            if M >= N:
+                screen = _gram(slices, M, N)
+            else:
+                # a wide sketch's Gram matrix would be larger than the sketch:
+                # none, and an infinite bound, so the matvec confirms every pair
+                for _ in slices:
+                    pass
+                screen = None, math.inf
         rho, tau = _sketch_screen(V, denom, *screen, M)
-        L = sketch.full()  # drawn once screened
         err = np.abs(rho - 1.0)
         near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)
         could_be_max = err + tau >= np.max(err - tau)

@@ -31,6 +31,7 @@ modules it runs when it starts, so ``certify`` never loads ``audit`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -120,7 +121,6 @@ def _budget(args, default: int) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .audit import upper_lipschitz
     from .constructions import (
         adversarial_circle_pair,
         circle_directions,
@@ -158,7 +158,7 @@ def cmd_construct(args) -> int:
             "d": args.d,
             "D": args.D,
             "seed": args.seed,
-            "sigma1": upper_lipschitz(A),
+            "sigma1": float(singular_values(A)[0]),
         }
     elif kind == "identity-augmented":
         _require(args.tail is not None, "identity-augmented needs --tail TAIL.csv")
@@ -234,62 +234,44 @@ def cmd_distance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Bytes of the largest OSE sketch this process has allocated so far.
-_largest_sketch_bytes = 0
-
-
-def _start_sketch(n: int, D: int, M: int, seed: int):
-    """Start drawing the audit's OSE sketch, handing free heap pages back first if it is the largest yet.
-
-    glibc serves a block at least as large as its mmap threshold by a
-    mapping of its own, and raises that threshold to the largest block
-    freed so far.  So a sketch larger than every earlier one is mapped
-    apart from the heap, and cannot reuse the heap's free memory, which
-    glibc keeps resident until a free leaves more than its trim threshold
-    at the top of the heap.  In a process that runs many audits the two
-    then add up: 8-second runs of the ``audit-cli`` benchmark, whose first
-    n = 6 sketch is 18,921 x 144, peak at 77.3-77.4 MB untrimmed against
-    70.3-73.4 MB trimmed (seeds 0 and 1, two runs each, 2 cores, scipy not
-    loaded).  A sketch no larger than an earlier one comes from the heap
-    and reuses that memory, so the heap is trimmed only before a new
-    largest sketch (glibc's malloc_trim; elsewhere this does nothing).  A
-    sketch counts once it is allocated: one too large to allocate leaves
-    the record as it was.
-    """
-    from .audit import _SketchDraw
-
-    global _largest_sketch_bytes
-    nbytes = 8 * M * n * D
-    if nbytes > _largest_sketch_bytes:
-        try:
-            import ctypes
-
-            ctypes.CDLL(None).malloc_trim(0)
-        except (AttributeError, OSError, TypeError):
-            pass  # no glibc, so nothing to trim
-    sketch = _SketchDraw.start(n, D, M, seed)
-    _largest_sketch_bytes = max(_largest_sketch_bytes, nbytes)
-    return sketch
+# Defaults of the flags that apply only with --check-ose.
+_OSE_DEFAULTS = {"epsilon": 0.25, "eta": 0.1, "ose_constant": DEFAULT_OSE_CONSTANT,
+                 "ose_trials": 1000}
 
 
 def cmd_audit(args) -> int:
-    from .audit import _audit_subset_bound, empirical_distortion, ose_check, ose_dimension
+    from .audit import (
+        _audit_subset_bound,
+        _drawn_sketch,
+        _ose_check,
+        empirical_distortion,
+        ose_dimension,
+    )
 
     _require(args.budget is None or args.subset_r is not None,
              "--budget applies only with --subset-r")
+    ose = {}
+    for name, default in _OSE_DEFAULTS.items():
+        value = getattr(args, name)
+        _require(value is None or args.check_ose,
+                 f"--{name.replace('_', '-')} applies only with --check-ose")
+        ose[name] = default if value is None else value
     A = load_matrix_csv(args.directions)
-    # The OSE sketch is drawn by a worker thread while the pool runs.  An
-    # invalid OSE flag, or a sketch too large to allocate, is raised where
-    # the audit reaches the check, after the errors of everything before it.
-    sketch = sketch_error = None
-    if args.check_ose:
-        n, D = args.n, A.shape[1]
-        try:
-            M = ose_dimension(n, A.shape[0], D, args.epsilon, args.eta, args.ose_constant)
-            sketch = _start_sketch(n, D, M, args.seed)
-        except (ValueError, MemoryError) as exc:
-            sketch_error = exc
-    try:
+    with contextlib.ExitStack() as stack:
+        # The OSE sketch is drawn by a worker thread while the pool runs, and
+        # the sketch check walks its row slices once, each as it becomes
+        # final.  An invalid OSE flag, or a sketch too large to allocate, is
+        # raised where the audit reaches the check, after the errors of
+        # everything before it.
+        sketch = sketch_error = None
+        if args.check_ose:
+            n, D = args.n, A.shape[1]
+            try:
+                M = ose_dimension(n, A.shape[0], D, ose["epsilon"], ose["eta"],
+                                  ose["ose_constant"])
+                sketch = stack.enter_context(_drawn_sketch(n, D, M, args.seed))
+            except (ValueError, MemoryError) as exc:
+                sketch_error = exc
         report = empirical_distortion(A, args.n, args.trials, args.seed, pu_m=args.pu_m)
         skipped: dict[str, str] = {}
         if args.subset_r is not None:
@@ -306,12 +288,9 @@ def cmd_audit(args) -> int:
             if sketch_error is not None:
                 raise sketch_error
             payload["ose_check"] = dataclasses.asdict(
-                ose_check(A, sketch, args.n, args.epsilon, args.ose_trials, args.seed)
+                _ose_check(A, *sketch, args.n, ose["epsilon"], ose["ose_trials"], args.seed)
             )
             payload["ose_dimension"] = M
-    finally:
-        if sketch is not None:
-            sketch.close()
     _emit(json_dumps(payload), args.out)
     return EXIT_PARTIAL if skipped else EXIT_OK
 
@@ -347,7 +326,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    from .audit import upper_lipschitz
     from .constructions import parity_counterexample
 
     A = load_matrix_csv(args.directions)
@@ -357,7 +335,7 @@ def cmd_counterexample(args) -> int:
         "verification": {
             "embedding_gap": pair.certificate["embedding_gap"],
             "orbit_distance": pair.certificate["orbit_distance"],
-            "sigma1": upper_lipschitz(A),
+            "sigma1": float(singular_values(A)[0]),
         },
     }
     _write_outputs(args, {"X.csv": pair.X, "Y.csv": pair.Y}, payload)
@@ -479,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="subset enumeration budget (with --subset-r only)")
     p.add_argument("--check-ose", action="store_true", help="attach a sketch norm-preservation check")
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--ose-constant", type=float, default=DEFAULT_OSE_CONSTANT)
-    p.add_argument("--ose-trials", type=int, default=1000)
+    p.add_argument("--epsilon", type=float, help="with --check-ose only (default 0.25)")
+    p.add_argument("--eta", type=float, help="with --check-ose only (default 0.1)")
+    p.add_argument("--ose-constant", type=float,
+                   help=f"with --check-ose only (default {DEFAULT_OSE_CONSTANT})")
+    p.add_argument("--ose-trials", type=int, help="with --check-ose only (default 1000)")
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=cmd_audit)
 

@@ -1,6 +1,7 @@
-"""The gain and no-regression rules of ``scripts/ab.py``, on hand-made series."""
+"""The gain and no-regression rules of ``scripts/ab.py``, on hand-made series, and its exit code."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,31 @@ def test_gain_rule(change, direction, expected):
 ])
 def test_regression_rule(change, direction, bound, expected):
     assert ab.worse(_PARENT, change, direction, bound) is expected
+
+
+@pytest.mark.parametrize("slower, wrong_run, digests_differ, code", [
+    # the same times: no metric worse
+    (0.0, False, False, 0),
+    # 30% slower against a 25% bound
+    (3.0, False, False, 2),
+    # a wrong run, or differing digests, takes precedence over a slower metric
+    (3.0, True, False, 1),
+    (3.0, False, True, 1),
+])
+def test_exit_code(monkeypatch, capsys, slower, wrong_run, digests_differ, code):
+    def export(revision, into):
+        into.mkdir()
+        (into / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+        return revision
+
+    def run(tree, args):
+        change = tree.name == "change"
+        return {"correct": not (change and wrong_run), "failures": [],
+                "metrics": {"wall_s": {"value": 10.0 + slower * change}},
+                "digests": {"op": "d1" if change and digests_differ else "d0"}}
+
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "run", run)
+    assert ab.main(["p", "c", "--workload", "audit-cli", "--pairs", "4"]) == code
+    assert ("# WORSE wall_s" in capsys.readouterr().out) == (slower > 0)

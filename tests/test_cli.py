@@ -12,6 +12,7 @@ import pytest
 
 import permorb
 from permorb import (
+    audit,
     cli,
     circle_directions,
     gaussian_directions,
@@ -336,6 +337,17 @@ def test_audit_rejects_a_budget_without_a_subset_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--epsilon", "0.5"), ("--eta", "0.2"),
+                                         ("--ose-constant", "2"), ("--ose-trials", "10")])
+def test_audit_rejects_an_ose_flag_without_check_ose(tmp_path, capsys, flag, value):
+    # the flag would change nothing, so it is refused before the matrix is even read
+    out = tmp_path / "r.json"
+    assert main(["audit", "--directions", str(tmp_path / "missing.csv"), "--n", "3",
+                 "--trials", "20", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} applies only with --check-ose\n"
+    assert not out.exists()
+
+
 def test_certify_rejects_general_matrices(tmp_path):
     save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(5).standard_normal((2, 4)))
     assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "3"]) == 1
@@ -416,12 +428,12 @@ def test_audit_reports_an_array_too_large_to_allocate(tmp_path, capsys, extra):
     save_matrix_csv(tmp_path / "A.csv", gaussian_directions(3, 24, 0))
     argv = ["audit", "--directions", str(tmp_path / "A.csv"), "--n", "6", "--trials", "50",
             "--seed", "0", "--out", str(tmp_path / "r.json")]
-    largest = cli._largest_sketch_bytes
+    largest = audit._largest_sketch_bytes
     assert main(argv + list(extra)) == 1
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not (tmp_path / "r.json").exists()
     # a sketch that was never allocated does not stop later audits trimming the heap
-    assert cli._largest_sketch_bytes == largest
+    assert audit._largest_sketch_bytes == largest
 
 
 def test_audit_rejects_all_zero_directions(tmp_path, capsys):

@@ -72,7 +72,6 @@ from permorb import audit, embeddings, metrics, separation
 from permorb.audit import (
     _NO_OVERFLOW,
     OseReport,
-    _SketchDraw,
     sample_pair_pool,
 )
 from permorb.constructions import adversarial_circle_pair
@@ -481,15 +480,15 @@ def test_ose_check_of_a_wide_sketch_forms_no_gram_matrix():
 
 
 def count_gram_calls(monkeypatch):
-    """The sketches _SketchDraw.gram is called on, from now on."""
+    """The (M, N) shapes audit._gram is called with, from now on."""
     calls = []
-    gram = _SketchDraw.gram
+    gram = audit._gram
 
-    def counted(sketch):
-        calls.append(sketch)
-        return gram(sketch)
+    def counted(slices, M, N):
+        calls.append((M, N))
+        return gram(slices, M, N)
 
-    monkeypatch.setattr(_SketchDraw, "gram", counted)
+    monkeypatch.setattr(audit, "_gram", counted)
     return calls
 
 
@@ -591,7 +590,7 @@ def check_the_ose_margin(V, L):
     the reference fl(||L @ x||) / fl(||x||) that ose_check confirms with."""
     denom = _dot_norms(V)
     with np.errstate(over="ignore"):
-        rho, tau = audit._sketch_screen(V, denom, *_SketchDraw.of(L).gram(), len(L))
+        rho, tau = audit._sketch_screen(V, denom, *audit._gram(iter((L,)), *L.shape), len(L))
         ref = np.array([float(np.linalg.norm(L @ x)) / float(r) for x, r in zip(V, denom)])
     assert (np.abs(rho - ref) <= tau).all(), np.max(np.abs(rho - ref) - tau)
     return rho, tau

@@ -6,7 +6,7 @@ of its n <= 8 clouds.  Only ``audit --check-ose`` starts a thread executor
 process pool (``multiprocessing``).  ``import permorb`` loads no submodule
 and not numpy; the spot checks and ``certify`` load no ``audit``,
 ``constructions`` or ``tables``; ``audit`` loads no ``separation`` or
-``tables``.  Checked in fresh interpreters, since this test process has
+``tables``; ``construct`` and ``counterexample`` load no ``audit``.  Checked in fresh interpreters, since this test process has
 loaded them all already.
 """
 
@@ -74,11 +74,12 @@ SCRIPT = textwrap.dedent(
         check("permorb reproduce")
         assert loaded("permorb.tables")
         circle = str(out / "circle" / "A.csv")
-        for extra in ([], ["--pu-m", "3"], ["--check-ose"], ["--check-ose", "--pu-m", "3"]):
+        ose = ["--check-ose", "--ose-trials", "100"]
+        for extra in ([], ["--pu-m", "3"], ose, [*ose, "--pu-m", "3"]):
             for n in ("4", "8"):
                 argv = ["--n", n, "--subset-r", "1", *extra]
                 assert cli.main(["audit", "--directions", circle, "--trials", "60",
-                                 "--ose-trials", "100", *argv, "--out", str(out / "audit.json")]) == 0
+                                 *argv, "--out", str(out / "audit.json")]) == 0
                 if "--check-ose" in extra:
                     check(f"permorb audit {' '.join(argv)}", executors=("multiprocessing",))
                     assert "concurrent.futures.thread" in sys.modules
@@ -114,6 +115,11 @@ AUDIT_SCRIPT = textwrap.dedent(
     from permorb import cli
 
     with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["construct", "gaussian", "--d", "2", "--D", "3"],
+                     ["construct", "sphere", "--d", "2", "--D", "3"],
+                     ["counterexample", "--directions", str(Path(tmp) / "A.csv")]):
+            assert cli.main([*argv, "--out", tmp]) == 0
+        assert "permorb.audit" not in sys.modules, "construct or counterexample loaded audit"
         A = Path(tmp) / "A.csv"
         permorb.save_matrix_csv(A, permorb.circle_directions(8))
         assert cli.main(["audit", "--directions", str(A), "--n", "3", "--trials", "40",

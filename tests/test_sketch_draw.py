@@ -1,20 +1,23 @@
 """The audit CLI's OSE sketch, drawn by a one-worker executor while the pool runs.
 
 ``permorb audit --check-ose`` starts drawing its Gaussian sketch before the
-pair pool, and the sketch check adds each slice of rows into the sketch's
-Gram matrix as soon as it is drawn.  These tests hold that overlap to the
-sequential route: the same sketch bits, the same report bytes, the same
-first error on bad input, and no thread left behind (``conftest.py``
-checks the thread count after every test).
+pair pool (``audit._drawn_sketch``), and the sketch check walks the row
+slices once, adding each into the sketch's Gram matrix as soon as it is
+drawn.  These tests hold that overlap to the sequential route: the same
+sketch bits, the same report bytes, the same first error on bad input,
+and no thread left behind (``conftest.py`` checks the thread count after
+every test).
 """
 
+import concurrent.futures
+import contextlib
 import dataclasses
+import importlib
 import inspect
 import math
 import sys
 import threading
 import time
-from concurrent.futures import wait
 from itertools import combinations
 
 import numpy as np
@@ -33,8 +36,9 @@ from permorb import (
     ose_dimension,
     save_matrix_csv,
 )
-from permorb.audit import _SketchDraw
+from permorb.audit import _drawn_sketch, _gram, _ose_check
 from permorb.cli import main
+from permorb.core import DEFAULT_OSE_CONSTANT
 from permorb.embeddings import _blocks
 
 
@@ -46,11 +50,10 @@ def _one_call_sketch(n, D, M, seed):
 
 
 def _drawn(n, D, M, seed):
-    sketch = _SketchDraw.start(n, D, M, seed)
-    try:
-        return sketch.full()
-    finally:
-        sketch.close()
+    with _drawn_sketch(n, D, M, seed) as (L, slices):
+        for _ in slices:
+            pass
+        return L
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def test_sliced_draw_gives_the_one_call_bits(M):
 
 
 def _sliced_gram(L):
-    """L^T L summed with one syrk per draw slice, as _SketchDraw.gram sums it."""
+    """L^T L summed with one syrk per draw slice, as _gram sums a drawn sketch."""
     G = np.zeros((L.shape[1], L.shape[1]))
     for rows in _blocks(*L.shape, audit._DRAW_FLOATS):
         G += L[rows].T @ L[rows]
@@ -81,37 +84,14 @@ def _sliced_gram(L):
 
 
 def test_rows_are_final_once_handed_over():
-    # gram() adds each slice into L^T L as soon as it is taken over: a slice
+    # _gram adds each slice into L^T L as soon as it is yielded: a slice
     # added before it is drawn and divided would change the sum
     M = 2 * _SLICE + 3
     want = _one_call_sketch(_N, _D, M, 18)
-    sketch = _SketchDraw.start(_N, _D, M, 18)
-    try:
-        G, _ = sketch.gram()
+    with _drawn_sketch(_N, _D, M, 18) as (L, slices):
+        G, _ = _gram(slices, *L.shape)
         assert G.tobytes() == _sliced_gram(want).tobytes()
-        assert sketch.full().tobytes() == want.tobytes()
-    finally:
-        sketch.close()
-
-
-def test_reads_in_any_order_scale_each_slice_once():
-    # repeated walks over the slices, in either order: a slice scaled twice,
-    # or never, would differ from gaussian_sketch's bits
-    M = 3 * _SLICE + 7
-    want = gaussian_sketch(_N, _D, M, 20)
-    gram = _sliced_gram(want).tobytes()
-    for reads in (("gram", "full", "gram", "full"), ("full", "full", "gram", "gram")):
-        sketch = _SketchDraw.start(_N, _D, M, 20)
-        finished = _SketchDraw.of(want.copy())
-        try:
-            for read in reads:
-                for each in (sketch, finished):
-                    if read == "gram":
-                        assert each.gram()[0].tobytes() == gram
-                    else:
-                        assert each.full().tobytes() == want.tobytes()
-        finally:
-            sketch.close()
+        assert L.tobytes() == want.tobytes()
 
 
 def _exact_fro(L):
@@ -121,11 +101,8 @@ def _exact_fro(L):
 
 @pytest.mark.parametrize("M", [1, 100, 3 * _SLICE + 7], ids=["one-row", "one-slice", "several-slices"])
 def test_fro_bounds_the_drawn_sketch(M):
-    sketch = _SketchDraw.start(_N, _D, M, 21)
-    try:
-        fro, exact = sketch.gram()[1], _exact_fro(sketch.full())
-    finally:
-        sketch.close()
+    with _drawn_sketch(_N, _D, M, 21) as (L, slices):
+        fro, exact = _gram(slices, *L.shape)[1], _exact_fro(L)
     assert exact <= fro <= exact * (1.0 + 1e-8)
 
 
@@ -134,7 +111,7 @@ def test_fro_bounds_the_drawn_sketch(M):
 def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale):
     # at 2**-560 every square is subnormal, or underflows to 0
     L = np.ldexp(gaussian_sketch(_N, _D, M, 22), scale)
-    fro, exact = _SketchDraw.of(L).gram()[1], _exact_fro(L)
+    fro, exact = _gram(iter((L,)), *L.shape)[1], _exact_fro(L)
     assert exact <= fro
     if scale > -500:
         assert fro <= exact * (1.0 + 1e-8)
@@ -142,13 +119,13 @@ def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale):
 
 def test_fro_of_a_sketch_whose_squares_overflow_is_infinite():
     L = np.ldexp(gaussian_sketch(_N, _D, 100, 23), 520)
-    assert _SketchDraw.of(L).gram()[1] == math.inf
+    assert _gram(iter((L,)), *L.shape)[1] == math.inf
 
 
 def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
     # the benchmark's tracer keeps one span stack and assumes that every
     # public permorb function runs on the calling thread
-    modules = [audit, embeddings, *(sys.modules[f"permorb.{name}"] for name in
+    modules = [audit, embeddings, *(importlib.import_module(f"permorb.{name}") for name in
                                     ("core", "metrics", "constructions", "separation", "tables"))]
     public = {getattr(module, name).__code__ for module in modules for name in module.__all__
               if inspect.isfunction(getattr(module, name))}
@@ -177,36 +154,48 @@ def test_rows_handed_over_under_fast_thread_switching_are_final(monkeypatch):
     grams = [_sliced_gram(want).tobytes() for want in wants]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    sketches = []
     try:
-        sketches = [_SketchDraw.start(_N, _D, M, 30 + k) for k in range(4)]
-        for sketch, want, gram in zip(sketches, wants, grams):
-            assert sketch.gram()[0].tobytes() == gram
-            assert sketch.full().tobytes() == want.tobytes()
+        with contextlib.ExitStack() as stack:
+            sketches = [stack.enter_context(_drawn_sketch(_N, _D, M, 30 + k)) for k in range(4)]
+            for (L, slices), want, gram in zip(sketches, wants, grams):
+                assert _gram(slices, *L.shape)[0].tobytes() == gram
+                assert L.tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
-        for sketch in sketches:
-            sketch.close()
     assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
 
 
-def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
-    # one row a slice; the first slice's task holds the worker until close()
-    # has cancelled the second, so every later slice is cancelled unbegun
-    monkeypatch.setattr(audit, "_DRAW_FLOATS", _N * _D)
+def _record_futures(monkeypatch):
+    """The futures of every task the sketch's executor is given, from now on."""
     futures = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return futures
+
+
+def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
+    # one row a slice; the first slice's task holds the worker until leaving
+    # the draw has cancelled the second, so every later slice is cancelled
+    # unbegun
+    monkeypatch.setattr(audit, "_DRAW_FLOATS", _N * _D)
+    futures = _record_futures(monkeypatch)
     fill = audit._gaussian_fill
 
     def held(rng, rows):
         deadline = time.monotonic() + 10
-        while not (futures and futures[1].cancelled()) and time.monotonic() < deadline:
+        while not (len(futures) > 1 and futures[1].cancelled()) and time.monotonic() < deadline:
             time.sleep(1e-3)
         fill(rng, rows)
 
     monkeypatch.setattr(audit, "_gaussian_fill", held)
-    sketch = _SketchDraw.start(_N, _D, 50, 19)
-    futures += [future for _, future in sketch._drawing]
-    sketch.close()
+    with _drawn_sketch(_N, _D, 50, 19):
+        pass
+    assert len(futures) == 50
     assert futures[0].result() is None
     assert all(future.cancelled() for future in futures[1:])
     assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
@@ -216,11 +205,8 @@ def test_ose_check_takes_a_sketch_being_drawn():
     n, d, D = 3, 2, 7
     A = gaussian_directions(d, D, 5)
     M = 3 * audit._DRAW_FLOATS // (n * D) + 11
-    sketch = _SketchDraw.start(n, D, M, 6)
-    try:
-        got = ose_check(A, sketch, n, 0.2, 60, 7)
-    finally:
-        sketch.close()
+    with _drawn_sketch(n, D, M, 6) as (L, slices):
+        got = _ose_check(A, L, slices, n, 0.2, 60, 7)
     assert got == ose_check(A, gaussian_sketch(n, D, M, 6), n, 0.2, 60, 7)
 
 
@@ -257,17 +243,12 @@ def _patch_drawer(monkeypatch, fail):
 
 def test_drawing_error_reaches_the_caller(monkeypatch):
     _patch_drawer(monkeypatch, _raise)
-    sketch = _SketchDraw.start(2, 5, 40, 3)
-    try:
-        # every task ends on its error, so gram() cannot wait for ever
-        futures = [future for _, future in sketch._drawing]
-        assert not wait(futures, timeout=10).not_done
+    futures = _record_futures(monkeypatch)
+    with _drawn_sketch(2, 5, 40, 3) as (L, slices):
+        # every task ends on its error, so the walk cannot wait for ever
+        assert not concurrent.futures.wait(futures, timeout=10).not_done
         with pytest.raises(RuntimeError, match="generator failed"):
-            sketch.gram()
-        with pytest.raises(RuntimeError, match="generator failed"):
-            sketch.full()
-    finally:
-        sketch.close()
+            _gram(slices, *L.shape)
 
 
 def test_drawing_error_reaches_the_cli_caller(tmp_path, monkeypatch):
@@ -298,12 +279,12 @@ def test_cli_checks_a_drawn_wide_sketch_finite(tmp_path, monkeypatch, capsys):
 
 
 def _sequential_report(path, n, trials, seed, ose_trials, *, subset_r=None, pu_m=None,
-                       epsilon=0.25, eta=0.1):
+                       epsilon=0.25, eta=0.1, ose_constant=DEFAULT_OSE_CONSTANT):
     A = load_matrix_csv(path)
     d, D = A.shape
     report = empirical_distortion(A, n, trials, seed, subset_r=subset_r, pu_m=pu_m)
     payload = dataclasses.asdict(report)
-    M = ose_dimension(n, d, D, epsilon, eta)
+    M = ose_dimension(n, d, D, epsilon, eta, ose_constant)
     L = gaussian_sketch(n, D, M, seed)
     payload["ose_check"] = dataclasses.asdict(ose_check(A, L, n, epsilon, ose_trials, seed))
     payload["ose_dimension"] = M
@@ -311,19 +292,19 @@ def _sequential_report(path, n, trials, seed, ose_trials, *, subset_r=None, pu_m
 
 
 def _cli_report(tmp_path, A, n, trials, seed, ose_trials, *, subset_r=None, pu_m=None,
-                epsilon=0.25):
+                epsilon=0.25, ose_constant=DEFAULT_OSE_CONSTANT):
     path, out = tmp_path / "A.csv", tmp_path / "cli.json"
     save_matrix_csv(path, A)
     argv = ["audit", "--directions", str(path), "--n", str(n), "--trials", str(trials),
             "--seed", str(seed), "--check-ose", "--ose-trials", str(ose_trials),
-            "--epsilon", str(epsilon), "--out", str(out)]
+            "--epsilon", str(epsilon), "--ose-constant", repr(ose_constant), "--out", str(out)]
     if subset_r is not None:
         argv += ["--subset-r", str(subset_r)]
     if pu_m is not None:
         argv += ["--pu-m", str(pu_m)]
     assert main(argv) == 0
     want = _sequential_report(path, n, trials, seed, ose_trials, subset_r=subset_r, pu_m=pu_m,
-                              epsilon=epsilon)
+                              epsilon=epsilon, ose_constant=ose_constant)
     return out.read_text(encoding="utf-8"), want
 
 
@@ -356,6 +337,19 @@ def test_cli_report_equals_the_sequential_report_with_a_sketch_below_one_slice(t
     assert M * n * D < audit._DRAW_FLOATS
     A = gaussian_directions(d, D, 45)
     got, want = _cli_report(tmp_path, A, n, 30, 46, 50, epsilon=epsilon)
+    assert got == want
+
+
+def test_cli_report_equals_the_sequential_report_with_a_wide_sketch(tmp_path, monkeypatch):
+    # a tiny --ose-constant gives fewer sketch rows than columns: the check
+    # forms no Gram matrix, drains the one-row draw slices and confirms
+    # every pair with the drawn sketch
+    monkeypatch.setattr(audit, "_DRAW_FLOATS", 1)
+    n, d, D = 4, 3, 12
+    M = ose_dimension(n, d, D, 0.25, 0.1, 0.001)
+    assert 1 < M < n * D
+    A = gaussian_directions(d, D, 47)
+    got, want = _cli_report(tmp_path, A, n, 30, 48, 50, ose_constant=0.001)
     assert got == want
 
 
