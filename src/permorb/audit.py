@@ -436,14 +436,7 @@ def sqrtn_ceiling(A, n: int, *, independent: bool = False) -> float:
     )
 
 
-def sample_pair_pool(
-    n: int,
-    d: int,
-    count: int,
-    seed: int,
-    *,
-    include_adversarial: bool = True,
-) -> np.ndarray:
+def sample_pair_pool(n: int, d: int, count: int, seed: int) -> np.ndarray:
     """Deterministic pool of cloud pairs for empirical Lipschitz estimates.
 
     Mixes independent Gaussian clouds and near-orbit pairs (a permuted
@@ -469,7 +462,7 @@ def sample_pair_pool(
     rng = make_rng(seed)
     pool = np.empty((count, 2, n, d))
     drawn = pool
-    if include_adversarial and d >= 2:
+    if d >= 2:
         pair = adversarial_circle_pair(n, d)
         pool[0] = pair.X, pair.Y
         drawn = pool[1:]

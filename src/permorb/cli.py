@@ -10,9 +10,11 @@ OPENBLAS_NUM_THREADS=1, gives the recorded digests).  Exit codes are a
 stable contract:
 
     0  success (for certify: Separating)
-    1  invalid parameters, unsupported matrix form, or an array too large
-       to allocate
-    2  I/O failure
+    1  invalid parameters (a flag the command would ignore among them),
+       unsupported matrix form, or an array too large to allocate
+    2  I/O failure, or a usage error that argparse reports: an
+       unrecognised flag, a missing required flag, a bad choice, or a
+       count that is not an integer
     3  audit finished but skipped a requested bound (budget exceeded)
     4  certify found a witness
     5  certify was inconclusive within budget
@@ -63,14 +65,15 @@ EXIT_WITNESS = 4
 EXIT_INCONCLUSIVE = 5
 EXIT_TABLE_MISMATCH = 6
 
-_CONSTRUCT_KINDS = (
-    "circle",
-    "gaussian",
-    "sphere",
-    "identity-augmented",
-    "parity-pair",
-    "adversarial-pair",
-)
+# The flags each construct kind reads; it refuses the others.
+_CONSTRUCT_FLAGS = {
+    "circle": ("d", "D"),
+    "gaussian": ("d", "D", "seed"),
+    "sphere": ("d", "D", "seed"),
+    "identity-augmented": ("tol", "tail"),
+    "parity-pair": ("seed", "directions"),
+    "adversarial-pair": ("n", "d"),
+}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,6 +100,12 @@ def _write_outputs(args, matrices: dict[str, np.ndarray], certificate: dict) -> 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _refuse_given(args, names, reason: str) -> None:
+    """Refuse the first of ``names`` that the command line set, as the command would ignore it."""
+    for name in names:
+        _require(getattr(args, name) is None, f"--{name.replace('_', '-')} {reason}")
 
 
 def _budget(args, default: int) -> int:
@@ -131,7 +140,10 @@ def cmd_construct(args) -> int:
     )
 
     kind = args.kind
+    unread = set().union(*_CONSTRUCT_FLAGS.values()).difference(_CONSTRUCT_FLAGS[kind])
+    _refuse_given(args, sorted(unread), f"does not apply to construct {kind}")
     tol = args.tol if args.tol is not None else DEFAULT_SPARK_TOL
+    seed = args.seed if args.seed is not None else 0
 
     # range errors come from the generators, before anything is written
     if kind == "circle":
@@ -151,13 +163,13 @@ def cmd_construct(args) -> int:
         _require(args.d is not None, f"{kind} needs --d")
         _require(args.D is not None, f"{kind} needs --D")
         maker = gaussian_directions if kind == "gaussian" else sphere_directions
-        A = maker(args.d, args.D, args.seed)
+        A = maker(args.d, args.D, seed)
         matrices = {"A.csv": A}
         certificate = {
             "kind": kind,
             "d": args.d,
             "D": args.D,
-            "seed": args.seed,
+            "seed": seed,
             "sigma1": float(singular_values(A)[0]),
         }
     elif kind == "identity-augmented":
@@ -171,17 +183,15 @@ def cmd_construct(args) -> int:
             "full_spark": bool(is_full_spark(A, tol)),
             "spark_tol": tol,
         }
-    elif kind in ("parity-pair", "adversarial-pair"):
+    else:  # parity-pair or adversarial-pair
         if kind == "parity-pair":
             _require(args.directions is not None, "parity-pair needs --directions A.csv")
-            pair = parity_counterexample(load_matrix_csv(args.directions), args.seed)
+            pair = parity_counterexample(load_matrix_csv(args.directions), seed)
         else:
             _require(args.n is not None, "adversarial-pair needs --n")
             _require(args.d is not None, "adversarial-pair needs --d")
             pair = adversarial_circle_pair(args.n, args.d)
         matrices, certificate = {"X.csv": pair.X, "Y.csv": pair.Y}, pair.certificate
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown construction kind {kind!r}")
 
     _write_outputs(args, matrices, certificate)
     return EXIT_OK
@@ -195,6 +205,9 @@ def cmd_construct(args) -> int:
 def cmd_embed(args) -> int:
     from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
 
+    for name, kind in (("pooling", "pooled"), ("sketch", "sketched")):
+        if args.kind != kind:
+            _refuse_given(args, (name,), f"applies only with --kind {kind}")
     A = load_matrix_csv(args.directions)
     X = load_matrix_csv(args.cloud)
     if args.kind == "sorted":
@@ -248,14 +261,12 @@ def cmd_audit(args) -> int:
         ose_dimension,
     )
 
-    _require(args.budget is None or args.subset_r is not None,
-             "--budget applies only with --subset-r")
-    ose = {}
-    for name, default in _OSE_DEFAULTS.items():
-        value = getattr(args, name)
-        _require(value is None or args.check_ose,
-                 f"--{name.replace('_', '-')} applies only with --check-ose")
-        ose[name] = default if value is None else value
+    if args.subset_r is None:
+        _refuse_given(args, ("budget",), "applies only with --subset-r")
+    if not args.check_ose:
+        _refuse_given(args, _OSE_DEFAULTS, "applies only with --check-ose")
+    ose = {name: default if getattr(args, name) is None else getattr(args, name)
+           for name, default in _OSE_DEFAULTS.items()}
     A = load_matrix_csv(args.directions)
     with contextlib.ExitStack() as stack:
         # The OSE sketch is drawn by a worker thread while the pool runs, and
@@ -420,12 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate direction matrices and cloud pairs")
-    p.add_argument("kind", choices=_CONSTRUCT_KINDS)
+    p.add_argument("kind", choices=_CONSTRUCT_FLAGS)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--D", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None, help="full-spark tolerance for certificates")
+    p.add_argument("--seed", type=int, help="for gaussian, sphere and parity-pair (default 0)")
+    p.add_argument("--tol", type=float, help="full-spark tolerance for identity-augmented")
     p.add_argument("--tail", help="CSV tail matrix for identity-augmented")
     p.add_argument("--directions", help="CSV direction matrix for parity-pair")
     p.add_argument("--out", help="output directory (default: current)")

@@ -131,31 +131,25 @@ def _block_null_vector(A: np.ndarray, block: list[int]) -> np.ndarray:
     return v
 
 
-def parity_counterexample(
-    A,
-    seed: int,
-    *,
-    max_rows: int = MAX_COUNTEREXAMPLE_ROWS,
-) -> CounterexamplePair:
+def parity_counterexample(A, seed: int) -> CounterexamplePair:
     """Distinct-orbit clouds that the sorted embedding of A cannot separate.
 
     Requires d >= 2.  The number of rows is 2**(ceil(D/(d-1)) - 1); a
-    BudgetExceededError is raised when that exceeds ``max_rows``.  The
-    blending coefficients are drawn uniformly from [0.5, 1.5] and resampled
-    (whole vector, at most 100 times) until every odd-parity
-    combination is bounded away from zero, which almost every draw
-    satisfies.
+    BudgetExceededError is raised when that exceeds
+    ``MAX_COUNTEREXAMPLE_ROWS``.  The blending coefficients are drawn
+    uniformly from [0.5, 1.5] and resampled (whole vector, at most 100
+    times) until every odd-parity combination is bounded away from zero,
+    which almost every draw satisfies.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
     if d < 2:
         raise ValueError(f"construction needs d >= 2, got d={d}")
-    max_rows = _check_count("max_rows", max_rows)
     k = math.ceil(D / (d - 1))
     n = 2 ** (k - 1)
-    if n > max_rows:
+    if n > MAX_COUNTEREXAMPLE_ROWS:
         raise BudgetExceededError(
-            f"construction would need {n} rows per cloud, limit is {max_rows}"
+            f"construction would need {n} rows per cloud, limit is {MAX_COUNTEREXAMPLE_ROWS}"
         )
     blocks = _consecutive_blocks(D, d - 1)
     assert len(blocks) == k

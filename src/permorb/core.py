@@ -230,13 +230,13 @@ def iter_column_subsets(D: int, k: int):
         yield np.asarray(block, dtype=np.intp)
 
 
-def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL, *, budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
+def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL) -> bool:
     """Whether every d-column submatrix of the d x D matrix A is invertible.
 
     A subset counts as invertible when its smallest singular value exceeds
     ``tol`` times its own largest singular value.  Requires enumerating all
     C(D, d) subsets; raises BudgetExceededError if that count exceeds
-    ``budget``.
+    ``DEFAULT_SUBSET_BUDGET``.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -244,11 +244,11 @@ def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL, *, budget: int = DEFAULT_SU
         raise ValueError(f"full spark needs D >= d, got shape {A.shape}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    budget = _check_count("budget", budget)
     count = math.comb(D, d)
-    if count > budget:
+    if count > DEFAULT_SUBSET_BUDGET:
         raise BudgetExceededError(
-            f"full-spark check needs {count} subset evaluations, budget is {budget}"
+            f"full-spark check needs {count} subset evaluations, "
+            f"budget is {DEFAULT_SUBSET_BUDGET}"
         )
     for subset in iter_column_subsets(D, d):
         sub = A[:, subset].transpose(1, 0, 2)  # (chunk, d, d)
@@ -305,17 +305,11 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def save_matrix_csv(path, A, comment: str | None = None) -> None:
+def save_matrix_csv(path, A) -> None:
     """Write a matrix as CSV with exact (round-trippable) float formatting."""
     A = as_matrix(A, "matrix")
-    path = Path(path)
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    for row in A:
-        lines.append(",".join(repr(float(x)) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [",".join(repr(float(x)) for x in row) for row in A]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

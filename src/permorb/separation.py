@@ -123,7 +123,7 @@ __all__ = [
     "DEFAULT_TUPLE_BUDGET",
 ]
 
-# The enumeration tree has n!^(D - 1) leaves in reduced runs and ``W`` holds
+# The enumeration tree has n!^(D - 1) leaves and ``W`` holds
 # (D - d) n! constraint blocks of n x dn floats, both beyond reach past n = 6;
 # refuse rather than run for ever.
 _MAX_N = 6
@@ -165,7 +165,7 @@ class SeparationWitness:
 
     ``X`` is d x n (row i holds the i-th coordinates of the n points),
     unit Frobenius norm.  Permutations are 0-based index arrays; P_tuple
-    has d entries (the first is the identity in reduced runs) and Q_tuple
+    has d entries (the first is the pinned identity) and Q_tuple
     has D - d.
     """
 
@@ -350,15 +350,16 @@ def _digits(value: int, count: int, base: int) -> list[int]:
 class _Tree:
     """The per-run constants of one certification's enumeration tree.
 
-    Its levels are the free P digits, then one Q digit per tail column; a
-    leaf's index is the value of its digit string in base n!.  It pickles
-    as its inputs, so a worker process rebuilds the arrays.
+    Its levels are the free P digits (P_1 is pinned to the identity), then
+    one Q digit per tail column; a leaf's index is the value of its digit
+    string in base n!.  It pickles as its inputs, so a worker process
+    rebuilds the arrays.
     """
 
-    def __init__(self, A: np.ndarray, n: int, seed: int, reduced: bool):
+    def __init__(self, A: np.ndarray, n: int, seed: int):
         d, D = A.shape
-        self.A, self.n, self.seed, self.reduced = A, n, seed, reduced
-        self.d, self.n_p, self.n_q = d, d - 1 if reduced else d, D - d
+        self.A, self.n, self.seed = A, n, seed
+        self.d, self.n_p, self.n_q = d, d - 1, D - d
         self.perms = _all_permutations(n)
         self.nfact = len(self.perms)
         self.Pmats = np.eye(n)[self.perms]  # Pmats[r] applies sigma_r: (P v)[t] = v[sigma_r[t]]
@@ -379,7 +380,7 @@ class _Tree:
         self.a_norm = float(np.linalg.norm(A))
 
     def __reduce__(self):
-        return _Tree, (self.A, self.n, self.seed, self.reduced)
+        return _Tree, (self.A, self.n, self.seed)
 
 
 def _search(tree: _Tree, lo: int, stop: int):
@@ -411,7 +412,7 @@ def _search_chunk(tree: _Tree, base: int, lo: int, stop: int):
     """
     n, dn, nfact = tree.n, tree.d * tree.n, tree.nfact
     p_lo = base - base % tree.pspan
-    p_ranks = [0] * tree.reduced + _digits(p_lo // tree.pspan, tree.n_p, nfact)
+    p_ranks = [0] + _digits(p_lo // tree.pspan, tree.n_p, nfact)
     V = np.einsum("ij,its->jtis", tree.tail_n, tree.Pmats[p_ranks]).reshape(tree.n_q, n, dn)
     T = V[:, None] - tree.W  # T[j, q]: tail column j's constraint when Q_j has rank q
     width = tree.C.shape[1]  # 0 for n = 1: a single point leaves nothing to decide
@@ -514,13 +515,17 @@ def _matrix_digest(A: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest()
 
 
-def _checkpoint_key(A: np.ndarray, n: int, reduced: bool, seed: int) -> dict:
-    """The fields a checkpoint must share with the run that resumes from it."""
+def _checkpoint_key(A: np.ndarray, n: int, seed: int) -> dict:
+    """The fields a checkpoint must share with the run that resumes from it.
+
+    ``reduced`` is always true: it refuses a checkpoint of a search that
+    did not pin P_1, whose leaf positions mean other tuples.
+    """
     return {
         "n": n,
         "d": A.shape[0],
         "D": A.shape[1],
-        "reduced": reduced,
+        "reduced": True,
         "seed": seed,
         "matrix_sha256": _matrix_digest(A),
     }
@@ -596,7 +601,6 @@ def certify_separation(
     *,
     threads: int = 1,
     checkpoint_path=None,
-    reduce_coset: bool = True,
 ) -> SeparationVerdict:
     """Exhaustively decide orbit separation of the sorted embedding of A.
 
@@ -616,11 +620,11 @@ def certify_separation(
     seed = _check_seed(seed)
 
     d, D = A.shape
-    tree = _Tree(A, n, seed, reduce_coset)
+    tree = _Tree(A, n, seed)
     total = tree.total
     span = max(total // tree.nfact, 1)  # the leaves of one window
 
-    key = _checkpoint_key(A, n, reduce_coset, seed)
+    key = _checkpoint_key(A, n, seed)
     start = examined_base = 0
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         start, examined_base = _load_checkpoint(checkpoint_path, key, total)
@@ -680,7 +684,7 @@ def certify_separation(
         d=d,
         D=D,
         seed=seed,
-        reduced=reduce_coset,
+        reduced=True,
         next_index=next_index,
     )
 

@@ -7,7 +7,9 @@ permutations at once where ``separation._defeated`` runs a subset DP.
 ``certify_depth_first`` is the serial window loop around them; it reads
 ``separation._CHECKPOINT_EVERY`` at run time, so a test can shorten the
 checkpoint period of both.  Tests compare the library's verdicts and
-checkpoint bytes with this module's.
+checkpoint bytes with this module's.  The library always pins P_1 to the
+identity; ``reduce_coset=False`` here searches every P tuple, the
+reference that the coset reduction is checked against.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ def certify_depth_first(A, n, budget, seed=0, *, checkpoint_path=None, reduce_co
     n_windows = nfact if n_levels > 0 else 1
     span = total // n_windows
 
-    key = _checkpoint_key(A, n, reduce_coset, seed)
+    key = dict(_checkpoint_key(A, n, seed), reduced=reduce_coset)
     start = examined_base = 0
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         start, examined_base = _load_checkpoint(checkpoint_path, key, total)

@@ -75,8 +75,7 @@ def test_criterion_2_upper_lipschitz():
     for index, (n, d, D) in enumerate(shapes):
         A = gaussian_directions(d, D, 200 + index)
         sigma1 = upper_lipschitz(A)
-        pairs = sample_pair_pool(n, d, 10_000, 300 + index,
-                                 include_adversarial=d >= 2)
+        pairs = sample_pair_pool(n, d, 10_000, 300 + index)
         for X, Y in pairs:
             dist = orbit_distance(X, Y).distance
             if dist < 1e-8:

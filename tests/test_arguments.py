@@ -78,8 +78,7 @@ _CALLS = {
     "sphere_directions": (sphere_directions, dict(d=2, D=5, seed=1)),
     "circle_directions": (circle_directions, dict(D=6)),
     "parity_counterexample": (
-        lambda seed, max_rows: parity_counterexample(_PARITY, seed, max_rows=max_rows),
-        dict(seed=3, max_rows=64)),
+        lambda seed: parity_counterexample(_PARITY, seed), dict(seed=3)),
     "adversarial_circle_pair": (adversarial_circle_pair, dict(n=4, d=3)),
     "translation_offset": (
         lambda n: translation_offset(_A2, np.array([1.0, -2.0]), n), dict(n=3)),
@@ -94,7 +93,6 @@ _CALLS = {
             "sketched", n, d, D, M=M, trials=trials, seed=seed),
         dict(n=3, d=2, D=5, M=12, trials=10, seed=1)),
     "make_rng": (make_rng, dict(seed=5)),
-    "is_full_spark": (lambda budget: is_full_spark(_A336, budget=budget), dict(budget=100)),
 }
 
 

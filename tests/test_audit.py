@@ -469,7 +469,6 @@ def test_empirical_rejects_all_zero_directions():
         empirical_distortion(np.zeros((2, 4)), 3, 50, 0)
 
 
-@pytest.mark.parametrize("include_adversarial", [False, True])
 @pytest.mark.parametrize("n, d, count, message", [
     (0, 2, 5, "n must be >= 1, got 0"),
     (-1, 2, 5, "n must be >= 1, got -1"),
@@ -477,10 +476,10 @@ def test_empirical_rejects_all_zero_directions():
     (3, -1, 5, "d must be >= 1, got -1"),
     (3, 2, 0, "count must be >= 1, got 0"),
 ])
-def test_pair_pool_rejects_a_shape_or_count_below_one(n, d, count, message, include_adversarial):
+def test_pair_pool_rejects_a_shape_or_count_below_one(n, d, count, message):
     # n = 0 or d = 0 used to give a pool of empty clouds, d = -1 a numpy error
     with pytest.raises(ValueError, match=message):
-        audit.sample_pair_pool(n, d, count, 0, include_adversarial=include_adversarial)
+        audit.sample_pair_pool(n, d, count, 0)
 
 
 def test_blueprint_floor_sits_below_empirical_min():

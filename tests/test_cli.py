@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -98,6 +99,89 @@ def test_a_failed_construction_writes_nothing(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# The valid flags of each construct kind, and each flag it would ignore.
+_CONSTRUCT_BASE = {
+    "circle": ["--D", "8"],
+    "gaussian": ["--d", "2", "--D", "5"],
+    "sphere": ["--d", "2", "--D", "5"],
+    "identity-augmented": ["--tail", "MISSING"],
+    "parity-pair": ["--directions", "MISSING"],
+    "adversarial-pair": ["--n", "3", "--d", "2"],
+}
+_CONSTRUCT_IGNORES = {
+    "circle": ["--n", "--seed", "--tol", "--tail", "--directions"],
+    "gaussian": ["--n", "--tol", "--tail", "--directions"],
+    "sphere": ["--n", "--tol", "--tail", "--directions"],
+    "identity-augmented": ["--n", "--d", "--D", "--seed", "--directions"],
+    "parity-pair": ["--n", "--d", "--D", "--tol", "--tail"],
+    "adversarial-pair": ["--D", "--seed", "--tol", "--tail", "--directions"],
+}
+_FLAG_VALUES = {"--n": "3", "--d": "2", "--D": "8", "--seed": "5", "--tol": "0.5",
+                "--tail": "MISSING", "--directions": "MISSING"}
+
+
+def _ignored_flags():
+    """(id, argv, message) for each flag a command would ignore, added to a valid call."""
+    for kind, flags in _CONSTRUCT_IGNORES.items():
+        for flag in flags:
+            argv = ["construct", kind, *_CONSTRUCT_BASE[kind], flag, _FLAG_VALUES[flag]]
+            yield f"construct {kind} {flag}", argv, f"{flag} does not apply to construct {kind}"
+    files = {"sorted": [], "pooled": ["--pooling", "MISSING"], "sketched": ["--sketch", "MISSING"]}
+    for kind, flag, reader in [("sorted", "--pooling", "pooled"), ("sorted", "--sketch", "sketched"),
+                               ("pooled", "--sketch", "sketched"),
+                               ("sketched", "--pooling", "pooled")]:
+        argv = ["embed", "--directions", "MISSING", "--cloud", "MISSING", "--kind", kind,
+                *files[kind], flag, "MISSING"]
+        yield f"embed {kind} {flag}", argv, f"{flag} applies only with --kind {reader}"
+
+
+_IGNORED = list(_ignored_flags())
+
+
+def test_thirty_two_ignored_flags_are_listed():
+    assert len(_IGNORED) == 32
+
+
+@pytest.mark.parametrize("argv, message", [case[1:] for case in _IGNORED],
+                         ids=[case[0] for case in _IGNORED])
+def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, argv, message):
+    # every file named is missing, so the refusal comes before any input is
+    # read, and it comes before the --out path exists
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "missing.csv") if arg == "MISSING" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, digests", [
+    # seed 0 unless --seed is given; the file bytes predate the refusals
+    (["gaussian", "--d", "3", "--D", "5"],
+     {"A.csv": "94bc57515ef3c897c5728b6e02fa223672cca50c766aa701080efa17333dd7ae",
+      "certificate.json": "daedf072c52a16c22eff2a9b0b002356583cdedd5c7dafe8cfbd8926a21da634"}),
+    (["circle", "--D", "8"],
+     {"A.csv": "679e906c31ac940cad9ef2bceb4b688135b46d0257789a0af802093e844af317",
+      "certificate.json": "5f10ff962f9a3a8e7afbfff8ffbd61cc68386515fe4292948b2639e1a0842232"}),
+], ids=["gaussian", "circle"])
+def test_construct_writes_the_recorded_bytes(tmp_path, argv, digests):
+    assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == digests
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--directions", "A.csv"],                     # a missing required flag
+    ["construct", "circle", "--D", "8", "--bogus", "1"],    # an unrecognised flag
+    ["construct", "cone", "--D", "8"],                      # a bad choice
+    ["construct", "circle", "--D", "8.5"],                  # a count that is not an integer
+], ids=["missing", "unrecognised", "choice", "integer"])
+def test_a_usage_error_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

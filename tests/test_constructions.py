@@ -157,9 +157,10 @@ def test_parity_embeddings_agree_per_direction():
 
 
 def test_parity_row_budget():
-    A = gaussian_directions(2, 40, 1)
-    with pytest.raises(BudgetExceededError):
-        parity_counterexample(A, 1, max_rows=64)
+    # D = 14 at d = 2 needs 2**13 = 8192 rows, above the cap of 4096
+    A = gaussian_directions(2, 14, 1)
+    with pytest.raises(BudgetExceededError, match="8192 rows per cloud, limit is 4096"):
+        parity_counterexample(A, 1)
 
 
 def test_parity_requires_d_at_least_two():

@@ -87,11 +87,11 @@ from permorb.metrics import (
 from permorb.separation import InjectivityReport
 
 
-def reference_pool(n, d, count, seed, *, include_adversarial=True):
+def reference_pool(n, d, count, seed):
     """The audit pool as the per-pair loop drew it: fresh arrays per pair."""
     rng = make_rng(seed)
     pairs = []
-    if include_adversarial and d >= 2:
+    if d >= 2:
         pair = adversarial_circle_pair(n, d)
         pairs.append((pair.X, pair.Y))
     while len(pairs) < count:
@@ -248,13 +248,11 @@ def test_empirical_distortion_matches_the_pair_loop_across_blocks():
 def test_sample_pair_pool_draws_the_pairs_of_the_pair_loop():
     for n in range(2, 9):
         for d in range(1, 6):
-            for include_adversarial in (True, False):
-                for seed in range(5):
-                    pool = sample_pair_pool(n, d, 40, seed, include_adversarial=include_adversarial)
-                    want = np.array(reference_pool(n, d, 40, seed,
-                                                   include_adversarial=include_adversarial))
-                    assert pool.shape == (40, 2, n, d)
-                    assert pool.tobytes() == want.tobytes(), (n, d, include_adversarial, seed)
+            for seed in range(5):
+                pool = sample_pair_pool(n, d, 40, seed)
+                want = np.array(reference_pool(n, d, 40, seed))
+                assert pool.shape == (40, 2, n, d)
+                assert pool.tobytes() == want.tobytes(), (n, d, seed)
 
 
 def test_sample_pair_pool_of_one_pair():

@@ -31,36 +31,28 @@ def _tail(d, D, seed):
 
 
 def _cases():
-    """(name, A, n, budget, seed, reduce_coset)"""
+    """(name, A, n, budget, seed)"""
     for (n, d, D) in KNOWN_SEPARATING_CASES:
         A = known_separating_matrix(n, d, D)
         for budget in (1000, 20_000) if (n, d, D) == (5, 2, 5) else (10**9,):
-            yield f"reference {(n, d, D)} budget {budget}", A, n, budget, 0, True
+            yield f"reference {(n, d, D)} budget {budget}", A, n, budget, 0
     for (n, d, D) in KNOWN_NONSEPARATING_DIMS:
         for seed in range(6):
             budget = 20_000 if (n, d, D) == (5, 2, 5) else 10**9
-            yield f"tail {(n, d, D)} seed {seed}", _tail(d, D, seed), n, budget, seed, True
+            yield f"tail {(n, d, D)} seed {seed}", _tail(d, D, seed), n, budget, seed
     # around the printed (3,3,6) witness at leaf 4020, whose final-level
     # node ends at 4026
     for budget in (4019, 4020, 4021, 4022, 4026, 4030):
-        yield f"printed (3,3,6) budget {budget}", known_separating_matrix(3, 3, 6), 3, budget, 0, True
+        yield f"printed (3,3,6) budget {budget}", known_separating_matrix(3, 3, 6), 3, budget, 0
     # budget stops inside pruned subtrees, which count whole
     for seed in (0, 1):
         for budget in (131, 136, 166, 171):
             A = _tail(2, 5, seed)
-            yield f"(3,2,5) seed {seed} budget {budget}", A, 3, budget, 0, True
-    for k, (n, A) in enumerate(
-        [
-            (2, _tail(2, 3, 1)),
-            (3, _tail(2, 3, 2)),
-            (2, identity_augmented(np.array([[1.0], [1.0]]))),
-        ]
-    ):
-        yield f"unreduced case {k}", A, n, 10**9, 0, False
-    yield "eye(2), n = 1", np.eye(2), 1, 10**9, 0, True
-    yield "eye(3), n = 3", np.eye(3), 3, 10**9, 0, True
+            yield f"(3,2,5) seed {seed} budget {budget}", A, 3, budget, 0
+    yield "eye(2), n = 1", np.eye(2), 1, 10**9, 0
+    yield "eye(3), n = 3", np.eye(3), 3, 10**9, 0
     # more leaves than int64 holds: positions become Python integers
-    yield "(6,2,10) budget 60", _tail(2, 10, 0), 6, 60, 0, True
+    yield "(6,2,10) budget 60", _tail(2, 10, 0), 6, 60, 0
 
 
 _CASES = list(_cases())
@@ -81,10 +73,10 @@ def _read(path):
 
 @pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
 def test_level_loop_matches_the_depth_first_search(case, tmp_path):
-    _, A, n, budget, seed, reduced = case
+    _, A, n, budget, seed = case
     old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-    old = certify_depth_first(A, n, budget, seed, checkpoint_path=old_path, reduce_coset=reduced)
-    new = certify_separation(A, n, budget, seed, checkpoint_path=new_path, reduce_coset=reduced)
+    old = certify_depth_first(A, n, budget, seed, checkpoint_path=old_path)
+    new = certify_separation(A, n, budget, seed, checkpoint_path=new_path)
     assert _summary(new) == _summary(old)
     assert _read(new_path) == _read(old_path)
 
@@ -119,7 +111,7 @@ def test_resume_beyond_the_int64_range_matches_the_depth_first_search(tmp_path):
     A = _tail(2, 10, 3)
     start = 720**9 // 3 * 2 + 7
     for name in ("old", "new"):
-        _write_checkpoint(tmp_path / name, _checkpoint_key(A, 6, True, 0), start, start)
+        _write_checkpoint(tmp_path / name, _checkpoint_key(A, 6, 0), start, start)
     old = certify_depth_first(A, 6, start + 60, checkpoint_path=tmp_path / "old")
     new = certify_separation(A, 6, start + 60, checkpoint_path=tmp_path / "new")
     assert _summary(new) == _summary(old)

@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from depth_first_oracle import _defeated as gather_defeated
+from depth_first_oracle import certify_depth_first
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -209,15 +211,18 @@ def test_budget_yields_inconclusive_with_position():
 
 
 def test_coset_reduction_soundness():
+    # the library always pins P_1; the oracle can also search every P tuple
     cases = [
         (2, identity_augmented(gaussian_directions(2, 1, 1))),   # separating
         (3, identity_augmented(gaussian_directions(2, 1, 2))),   # witness
         (2, identity_augmented(np.array([[1.0], [1.0]]))),       # degenerate tail
     ]
     for n, A in cases:
-        reduced = certify_separation(A, n, seed=0, reduce_coset=True)
-        full = certify_separation(A, n, seed=0, reduce_coset=False)
+        reduced = certify_separation(A, n, seed=0)
+        full = certify_depth_first(A, n, 10**9, 0, reduce_coset=False)
         assert reduced.status is full.status
+        assert reduced.reduced and not full.reduced
+        assert full.total_tuples == reduced.total_tuples * math.factorial(n)
 
 
 def _checkpoint_chain(A, path, threads):
@@ -266,6 +271,15 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         certify_separation(other, 4, checkpoint_path=str(path))
 
 
+def test_checkpoint_of_an_unreduced_search_rejected(tmp_path):
+    # the oracle's unreduced search numbers its leaves over every P tuple
+    A = known_separating_matrix(4, 2, 4)
+    path = tmp_path / "cp.json"
+    certify_depth_first(A, 4, 2000, checkpoint_path=path, reduce_coset=False)
+    with pytest.raises(ValueError, match="reduced: False != True"):
+        certify_separation(A, 4, checkpoint_path=str(path))
+
+
 @pytest.mark.parametrize(
     "next_index, examined, field",
     [(10**9, 0, "next_index"), (-5, 0, "next_index"), (0, -1, "tuples_examined"),
@@ -278,7 +292,7 @@ def test_checkpoint_positions_outside_the_tuple_space_rejected(
     # the 7,776 tuples would certify it Separating without examining one
     A = known_separating_matrix(3, 3, 6)
     path = tmp_path / "cp.json"
-    key = _checkpoint_key(A, 3, True, 0)
+    key = _checkpoint_key(A, 3, 0)
     path.write_text(json.dumps({"format": 1, **key, "next_index": next_index,
                                 "tuples_examined": examined}), encoding="utf-8")
     with pytest.raises(ValueError, match=field):
@@ -293,7 +307,7 @@ def test_checkpoint_positions_outside_the_tuple_space_rejected(
 def test_checkpoint_at_the_end_of_the_tuple_space_is_a_finished_run(tmp_path):
     A = known_separating_matrix(3, 3, 6)
     path = tmp_path / "cp.json"
-    _write_checkpoint(path, _checkpoint_key(A, 3, True, 0), 6**5, 6**5)
+    _write_checkpoint(path, _checkpoint_key(A, 3, 0), 6**5, 6**5)
     verdict = certify_separation(A, 3, checkpoint_path=str(path))
     assert verdict.status is SeparationStatus.SEPARATING
     assert verdict.tuples_examined == verdict.total_tuples == 6**5
