@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,9 @@ from .core import (
     DEFAULT_SUBSET_BUDGET,
     _check_count,
     _check_seed,
+    _subset_singular_values,
     _unit_scaled,
     as_matrix,
-    iter_column_subsets,
     make_rng,
     singular_values,
 )
@@ -175,20 +175,20 @@ def _subset_shape(A, r: int) -> tuple[np.ndarray, int, int, int, int]:
 
 
 def subset_sigma_lower_bound(
-    A, r: int, *, budget: int = DEFAULT_SUBSET_BUDGET
+    A, r: int, n: int, *, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> SubsetBound:
     """Exact minimum of the d-th singular value over all size-(r*d) subsets.
 
-    ``certified`` is True because every subset is evaluated, so ``value``
-    is the exact minimum, not a sample.  That minimum lower-bounds the
-    lower Lipschitz constant of the sorted embedding only for the n with
-    D >= r*d*((n-1)**2 + 1); this function is not given n, so it proves
-    the floor for no n by itself (the audit's report, which knows n,
-    labels it for its n).  Raises BudgetExceededError (recommending the
-    sampled variant) when C(D, r*d) exceeds ``budget``, and ValueError
-    when ``budget`` is below 1.
+    Every subset is evaluated, so ``value`` is the exact minimum, not a
+    sample.  It lower-bounds the lower Lipschitz constant of the sorted
+    embedding on n-point clouds when D >= r*d*((n-1)**2 + 1), and
+    ``certified`` says whether that holds for the n given.  Raises
+    BudgetExceededError (recommending the sampled variant) when
+    C(D, r*d) exceeds ``budget``, and ValueError when ``n`` or ``budget``
+    is below 1.
     """
     A, r, d, D, k = _subset_shape(A, r)
+    n = _check_count("n", n)
     budget = _check_count("budget", budget)
     count = math.comb(D, k)
     if count > budget:
@@ -196,21 +196,9 @@ def subset_sigma_lower_bound(
             f"subset bound needs {count} subset evaluations with budget {budget}; "
             "use subset_sigma_lower_bound_sampled for a non-certified estimate"
         )
-    best = math.inf
-    for subset in iter_column_subsets(D, k):
-        sub = A[:, subset].transpose(1, 0, 2)  # (chunk, d, k)
-        sv = np.linalg.svd(sub, compute_uv=False)
-        best = min(best, float(sv[:, d - 1].min()))
-    return SubsetBound(value=best, r=r, subset_size=k, subsets=count, certified=True)
-
-
-def _audit_subset_bound(
-    A: np.ndarray, r: int, n: int, *, budget: int = DEFAULT_SUBSET_BUDGET
-) -> SubsetBound:
-    """The audit's subset bound: certified only when D >= r*d*((n-1)**2 + 1) holds for n."""
-    bound = subset_sigma_lower_bound(A, r, budget=budget)
-    d, D = A.shape
-    return replace(bound, certified=bound.certified and D >= r * d * ((n - 1) ** 2 + 1))
+    best = min(float(sv[:, d - 1].min()) for sv in _subset_singular_values(A, k))
+    return SubsetBound(value=best, r=r, subset_size=k, subsets=count,
+                       certified=D >= k * ((n - 1) ** 2 + 1))
 
 
 def subset_sigma_lower_bound_sampled(
@@ -510,15 +498,14 @@ def empirical_distortion(
     trials: int,
     seed: int,
     *,
-    subset_r: int | None = None,
     pu_m: int | None = None,
 ) -> AuditReport:
     """Min/max embedding-to-distance ratios over a seeded pair pool.
 
-    Pairs closer than 1e-8 in orbit distance are skipped.  Optional
-    arguments attach the subset bound and/or the projective uniformity of
-    projective_uniformity to the report.  The subset bound is labelled
-    certified only when D >= r*d*((n-1)**2 + 1) holds for this n.  The
+    Pairs closer than 1e-8 in orbit distance are skipped.  ``pu_m``
+    attaches the projective uniformity of projective_uniformity to the
+    report; a subset bound is attached by the caller, as
+    ``report.subset_bound = subset_sigma_lower_bound(A, r, n)``.  The
     blueprint floor is attached for d = 2, where delta is the exact
     sweep's proven floor (O(D**2) elementwise work, plus the kernel at the
     crossings that can hold the minimum), and only when
@@ -593,8 +580,6 @@ def empirical_distortion(
         n=n,
         seed=int(seed),
     )
-    if subset_r is not None:
-        report.subset_bound = _audit_subset_bound(A, subset_r, n)
     if pu_m is not None:
         report.pu = projective_uniformity(A, pu_m, seed=seed)
         # a sampled delta overestimates the constant, so it gives no floor

@@ -20,11 +20,6 @@ stable contract:
     5  certify was inconclusive within budget
     6  reproduce found table mismatches
 
-The PERMORB_BUDGET environment variable overrides the default enumeration
-budgets (certify tuples, audit subset enumeration) when no --budget flag
-is given.  This module is the only one that reads it, and only a command
-that uses a budget does: certify, and audit with --subset-r.
-
 Only ``core`` is imported with this module.  Each command imports the
 modules it runs when it starts, so ``certify`` never loads ``audit`` and
 ``audit`` never loads ``separation`` or ``tables``.
@@ -36,7 +31,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -106,22 +100,6 @@ def _refuse_given(args, names, reason: str) -> None:
     """Refuse the first of ``names`` that the command line set, as the command would ignore it."""
     for name in names:
         _require(getattr(args, name) is None, f"--{name.replace('_', '-')} {reason}")
-
-
-def _budget(args, default: int) -> int:
-    """The --budget flag, else the PERMORB_BUDGET environment variable, else ``default``.
-
-    The library checks the value's range, whichever source gave it.
-    """
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("PERMORB_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"PERMORB_BUDGET must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +183,19 @@ def cmd_construct(args) -> int:
 def cmd_embed(args) -> int:
     from .embeddings import pooled_embedding, sketched_embedding, sorted_embedding
 
-    for name, kind in (("pooling", "pooled"), ("sketch", "sketched")):
+    # flag errors come before any file is read
+    for name, kind, path in (("pooling", "pooled", "B.csv"), ("sketch", "sketched", "L.csv")):
         if args.kind != kind:
             _refuse_given(args, (name,), f"applies only with --kind {kind}")
+        else:
+            _require(getattr(args, name) is not None, f"{kind} embedding needs --{name} {path}")
     A = load_matrix_csv(args.directions)
     X = load_matrix_csv(args.cloud)
     if args.kind == "sorted":
         E = sorted_embedding(A, X)
     elif args.kind == "pooled":
-        _require(args.pooling is not None, "pooled embedding needs --pooling B.csv")
         E = pooled_embedding(A, load_matrix_csv(args.pooling), X)[None, :]
     else:
-        _require(args.sketch is not None, "sketched embedding needs --sketch L.csv")
         E = sketched_embedding(A, load_matrix_csv(args.sketch), X)[None, :]
     if args.out:
         save_matrix_csv(args.out, E)
@@ -254,11 +233,11 @@ _OSE_DEFAULTS = {"epsilon": 0.25, "eta": 0.1, "ose_constant": DEFAULT_OSE_CONSTA
 
 def cmd_audit(args) -> int:
     from .audit import (
-        _audit_subset_bound,
         _drawn_sketch,
         _ose_check,
         empirical_distortion,
         ose_dimension,
+        subset_sigma_lower_bound,
     )
 
     if args.subset_r is None:
@@ -286,9 +265,10 @@ def cmd_audit(args) -> int:
         report = empirical_distortion(A, args.n, args.trials, args.seed, pu_m=args.pu_m)
         skipped: dict[str, str] = {}
         if args.subset_r is not None:
+            budget = DEFAULT_SUBSET_BUDGET if args.budget is None else args.budget
             try:
-                report.subset_bound = _audit_subset_bound(
-                    A, args.subset_r, args.n, budget=_budget(args, DEFAULT_SUBSET_BUDGET)
+                report.subset_bound = subset_sigma_lower_bound(
+                    A, args.subset_r, args.n, budget=budget
                 )
             except BudgetExceededError as exc:
                 skipped["subset_bound"] = str(exc)
@@ -318,7 +298,7 @@ def cmd_certify(args) -> int:
     verdict = certify_separation(
         A,
         args.n,
-        budget=_budget(args, DEFAULT_TUPLE_BUDGET),
+        budget=args.budget,
         seed=args.seed,
         threads=args.threads,
         checkpoint_path=args.checkpoint,
@@ -479,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="exhaustive orbit-separation certification")
     p.add_argument("--directions", required=True, help="identity-augmented CSV matrix")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_TUPLE_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes; changes only the speed, not the verdict")

@@ -3,9 +3,8 @@
 Validation helpers, sorting, permutations, singular values, full-spark
 checks, seeded randomness, CSV matrix I/O and deterministic JSON report
 serialization.  Everything here is pure: inputs are never mutated, so
-values can be shared freely across threads.  No library module reads
-the environment: budgets arrive as arguments, and only the command-line
-front end (``cli``) reads ``PERMORB_BUDGET`` and passes it as one.
+values can be shared freely across threads.  No module reads the
+environment: budgets arrive as arguments.
 
 Reproducibility notes:
 
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_OSE_CONSTANT",
     "as_matrix",
     "as_vector",
-    "as_cloud",
     "make_rng",
     "sort_ascending",
     "validate_permutation",
@@ -54,7 +52,6 @@ __all__ = [
     "singular_values",
     "is_full_spark",
     "flatten_embedding",
-    "iter_column_subsets",
     "load_matrix_csv",
     "save_matrix_csv",
     "json_dumps",
@@ -77,7 +74,7 @@ DEFAULT_TUPLE_BUDGET = 10**9
 # audit.ose_check.
 DEFAULT_OSE_CONSTANT = 4.0
 
-# Column subsets per index array yielded by iter_column_subsets.
+# Column subsets per batched SVD of _subset_singular_values.
 _SUBSET_CHUNK = 2048
 
 # Spaces per nesting level in json_dumps output.
@@ -139,11 +136,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def as_cloud(X, name: str = "point cloud") -> np.ndarray:
-    """A point cloud is an n x d matrix whose rows are points."""
-    return as_matrix(X, name)
 
 
 def _unit_scaled(*arrays: np.ndarray) -> tuple:
@@ -220,14 +212,16 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(as_matrix(A, "A"), compute_uv=False)
 
 
-def iter_column_subsets(D: int, k: int):
-    """Yield lexicographic size-k column subsets of range(D) in index-array chunks."""
-    it = itertools.combinations(range(D), k)
-    while True:
-        block = list(itertools.islice(it, _SUBSET_CHUNK))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.intp)
+def _subset_singular_values(A: np.ndarray, k: int):
+    """Singular values of A's size-k column submatrices, one batched SVD per chunk.
+
+    Subsets come in lexicographic order, _SUBSET_CHUNK at a time; each
+    yield is a (chunk, min(d, k)) array, its rows non-increasing.
+    """
+    it = itertools.combinations(range(A.shape[1]), k)
+    while block := list(itertools.islice(it, _SUBSET_CHUNK)):
+        sub = A[:, np.asarray(block, dtype=np.intp)].transpose(1, 0, 2)  # (chunk, d, k)
+        yield np.linalg.svd(sub, compute_uv=False)
 
 
 def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL) -> bool:
@@ -250,12 +244,8 @@ def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL) -> bool:
             f"full-spark check needs {count} subset evaluations, "
             f"budget is {DEFAULT_SUBSET_BUDGET}"
         )
-    for subset in iter_column_subsets(D, d):
-        sub = A[:, subset].transpose(1, 0, 2)  # (chunk, d, d)
-        sv = np.linalg.svd(sub, compute_uv=False)
-        if np.any(sv[:, -1] <= tol * sv[:, 0]):
-            return False
-    return True
+    # any() stops at the first chunk holding a singular subset
+    return not any(np.any(sv[:, -1] <= tol * sv[:, 0]) for sv in _subset_singular_values(A, d))
 
 
 def flatten_embedding(E) -> np.ndarray:

@@ -55,7 +55,7 @@ import threading
 
 import numpy as np
 
-from .core import _check_count, as_cloud, as_matrix, as_vector
+from .core import _check_count, as_matrix, as_vector
 
 __all__ = [
     "sorted_embedding",
@@ -246,7 +246,7 @@ def _check_pair(A: np.ndarray, X: np.ndarray) -> None:
 def sorted_embedding(A, X) -> np.ndarray:
     """Column-wise sorted projections: column k is sort(X @ a_k)."""
     A = as_matrix(A, "A")
-    X = as_cloud(X)
+    X = as_matrix(X, "point cloud")
     _check_pair(A, X)
     return _sort_project(A, X)
 
@@ -255,7 +255,7 @@ def pooled_embedding(A, B, X) -> np.ndarray:
     """Entry k is dot(b_k, sort(X @ a_k)) for the columns b_k of B."""
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
-    X = as_cloud(X)
+    X = as_matrix(X, "point cloud")
     _check_pair(A, X)
     if B.shape != (X.shape[0], A.shape[1]):
         raise ValueError(
@@ -268,7 +268,7 @@ def sketched_embedding(A, L, X) -> np.ndarray:
     """Linear sketch of the flattened sorted embedding: L @ vec(sorted)."""
     A = as_matrix(A, "A")
     L = as_matrix(L, "L")
-    X = as_cloud(X)
+    X = as_matrix(X, "point cloud")
     _check_pair(A, X)
     n, D = X.shape[0], A.shape[1]
     if L.shape[1] != n * D:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetExceededError, _unit_scaled, as_cloud, as_matrix
+from .core import BudgetExceededError, _unit_scaled, as_matrix
 from .embeddings import sorted_embedding
 
 __all__ = [
@@ -200,8 +200,8 @@ def _scaled_back(distance: float, k: int) -> float:
 
 def orbit_distance(X, Y) -> OrbitDistanceResult:
     """Exact orbit distance via an exact assignment solve on squared costs."""
-    X = as_cloud(X, "X")
-    Y = as_cloud(Y, "Y")
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
     _check_same_shape(X, Y)
     X, Y, k = _unit_scaled(X, Y)
     distance, cols = _assignment_distance(X, Y)
@@ -238,8 +238,8 @@ def _enumerated_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarra
 
 def orbit_distance_bruteforce(X, Y) -> OrbitDistanceResult:
     """Exact minimum over all n! matchings; the oracle for orbit_distance."""
-    X = as_cloud(X, "X")
-    Y = as_cloud(Y, "Y")
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
     _check_same_shape(X, Y)
     n = X.shape[0]
     if n > _BRUTEFORCE_MAX_N:
@@ -253,7 +253,7 @@ def orbit_distance_bruteforce(X, Y) -> OrbitDistanceResult:
 
 def wasserstein2(X, Y) -> float:
     """2-Wasserstein distance between uniform empirical measures on the rows."""
-    X = as_cloud(X, "X")
+    X = as_matrix(X, "X")
     result = orbit_distance(X, Y)
     return result.distance / math.sqrt(X.shape[0])
 
@@ -267,8 +267,8 @@ def sliced_w2_sampled(X, Y, Theta) -> float:
     deviates from 1 by more than 1e-9 (the value is still computed; callers
     that expect it can filter the warning).
     """
-    X = as_cloud(X, "X")
-    Y = as_cloud(Y, "Y")
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
     _check_same_shape(X, Y)
     Theta = as_matrix(Theta, "Theta")
     norms = np.linalg.norm(Theta, axis=0)

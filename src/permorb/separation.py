@@ -92,7 +92,6 @@ from .core import (
     UnsupportedFormError,
     _check_count,
     _check_seed,
-    as_cloud,
     as_matrix,
     json_dumps,
     make_rng,
@@ -907,7 +906,7 @@ def spot_check_injectivity(
         raise ValueError(f"sketched spot check needs a sketch row count M >= 1, got {M}")
     pairs = []
     for index, (X, Y) in enumerate(extra_pairs or ()):
-        X, Y = as_cloud(X, "X"), as_cloud(Y, "Y")
+        X, Y = as_matrix(X, "X"), as_matrix(Y, "Y")
         if X.shape != (n, d) or Y.shape != (n, d):
             raise ValueError(
                 f"extra pair {index} must hold two {n} x {d} clouds, got {X.shape} and {Y.shape}"

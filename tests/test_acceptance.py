@@ -163,7 +163,7 @@ def test_criterion_6_subset_bound():
     t0 = time.time()
     n, d, r, D = 3, 2, 1, 10
     A = gaussian_directions(d, D, 606)
-    bound = subset_sigma_lower_bound(A, r)
+    bound = subset_sigma_lower_bound(A, r, n)
 
     def sv2_smallest(M):
         tr = float(np.sum(M * M))
@@ -176,7 +176,8 @@ def test_criterion_6_subset_bound():
 
     report = empirical_distortion(A, n, 10_000, 707)
     floor_ok = bound.value <= report.empirical_C1 * (1 + 1e-6)
-    _finish(6, [(f"certified {bound.value:.6f} == exhaustive recomputation", exact_ok),
+    _finish(6, [(f"labelled certified for n = {n}, as D = r d ((n-1)^2 + 1)", bound.certified),
+                (f"certified {bound.value:.6f} == exhaustive recomputation", exact_ok),
                 (f"certified <= empirical C1 {report.empirical_C1:.6f}", floor_ok)],
             t0, 60.0)
 

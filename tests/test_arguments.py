@@ -51,8 +51,8 @@ _PARITY = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
 # function -> (the call, its valid arguments, the counts and seeds among them)
 _CALLS = {
     "subset_sigma_lower_bound": (
-        lambda r, budget: subset_sigma_lower_bound(_A2, r, budget=budget),
-        dict(r=2, budget=100)),
+        lambda r, n, budget: subset_sigma_lower_bound(_A2, r, n, budget=budget),
+        dict(r=2, n=3, budget=100)),
     "subset_sigma_lower_bound_sampled": (
         lambda r, samples, seed: subset_sigma_lower_bound_sampled(_A2, r, samples, seed),
         dict(r=1, samples=5, seed=3)),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -74,19 +75,32 @@ def _sv2x2(M):
 
 
 def test_subset_bound_single_subset_identity():
-    bound = subset_sigma_lower_bound(np.eye(3), 1)
+    bound = subset_sigma_lower_bound(np.eye(3), 1, 1)
     assert abs(bound.value - 1.0) < 1e-12
     assert bound.subsets == 1 and bound.certified
+    # D = r d holds the floor for one point only: n = 2 needs D >= 6
+    assert subset_sigma_lower_bound(np.eye(3), 1, 2) == replace(bound, certified=False)
+
+
+def test_subset_bound_is_certified_exactly_where_D_suffices_for_n():
+    # n = 2 needs D >= r d ((n-1)^2 + 1) = 6, so a 3 x 5 matrix holds no floor
+    A = np.random.default_rng(0).standard_normal((3, 5))
+    assert not subset_sigma_lower_bound(A, 1, 2).certified
+    assert subset_sigma_lower_bound(A, 1, 1).certified
+    A = gaussian_directions(2, 10, 31)
+    assert [subset_sigma_lower_bound(A, r, n).certified for r, n in
+            [(1, 3), (1, 4), (2, 2), (2, 3), (5, 1), (5, 2)]] == [
+        True, False, True, False, True, False]
 
 
 def test_subset_bound_one_dimensional():
-    bound = subset_sigma_lower_bound(np.array([[3.0, 4.0]]), 1)
+    bound = subset_sigma_lower_bound(np.array([[3.0, 4.0]]), 1, 2)
     assert abs(bound.value - 3.0) < 1e-12
 
 
 def test_subset_bound_matches_closed_form_2x2():
     A = gaussian_directions(2, 10, 31)
-    bound = subset_sigma_lower_bound(A, 1)
+    bound = subset_sigma_lower_bound(A, 1, 3)
     expected = min(_sv2x2(A[:, list(pair)])[1] for pair in combinations(range(10), 2))
     assert abs(bound.value - expected) < 1e-12
     assert bound.subsets == 45
@@ -95,19 +109,19 @@ def test_subset_bound_matches_closed_form_2x2():
 def test_subset_bound_budget_error_mentions_sampled_mode():
     A = gaussian_directions(3, 40, 1)
     with pytest.raises(BudgetExceededError, match="sampled"):
-        subset_sigma_lower_bound(A, 2, budget=100)
+        subset_sigma_lower_bound(A, 2, 2, budget=100)
 
 
 @pytest.mark.parametrize("budget", [0, -1])
 def test_subset_bound_rejects_a_budget_below_one(budget):
     A = gaussian_directions(2, 6, 1)
     with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-        subset_sigma_lower_bound(A, 1, budget=budget)
+        subset_sigma_lower_bound(A, 1, 2, budget=budget)
 
 
 def test_sampled_subset_bound_overestimates_exact():
     A = gaussian_directions(2, 12, 8)
-    exact = subset_sigma_lower_bound(A, 1).value
+    exact = subset_sigma_lower_bound(A, 1, 3).value
     sampled = subset_sigma_lower_bound_sampled(A, 1, samples=20, seed=4)
     assert not sampled.certified
     assert sampled.value >= exact - 1e-12
@@ -421,9 +435,10 @@ def test_empirical_circle_distortion_within_theory():
 
 def test_empirical_certified_floors_below_empirical_min():
     A = gaussian_directions(2, 10, 40)
-    report = empirical_distortion(A, 3, 400, 7, subset_r=1, pu_m=3)
-    assert report.subset_bound is not None
-    assert report.subset_bound.value <= report.empirical_C1 * (1 + 1e-6)
+    report = empirical_distortion(A, 3, 400, 7, pu_m=3)
+    bound = subset_sigma_lower_bound(A, 1, 3)
+    assert bound.certified
+    assert bound.value <= report.empirical_C1 * (1 + 1e-6)
     if report.blueprint_bound is not None:
         assert report.blueprint_bound <= report.empirical_C1 * (1 + 1e-6)
 

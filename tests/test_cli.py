@@ -213,6 +213,20 @@ def test_embed_and_distance_round_trip(tmp_path):
     assert report["n"] == 3
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("pooled", "pooled embedding needs --pooling B.csv"),
+    ("sketched", "sketched embedding needs --sketch L.csv"),
+])
+def test_embed_refuses_a_missing_kind_flag_before_reading_a_file(tmp_path, capsys, kind, message):
+    # both input files are missing too, yet the flag error comes first (exit 1, not 2)
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "E.csv"
+    assert main(["embed", "--kind", kind, "--directions", missing, "--cloud", missing,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_distance_missing_file_is_io_error(tmp_path):
     save_matrix_csv(tmp_path / "X.csv", np.eye(2))
     assert main(["distance", str(tmp_path / "X.csv"), str(tmp_path / "nope.csv")]) == 2
@@ -361,10 +375,7 @@ def test_audit_labels_the_subset_bound_certified_only_where_it_holds(tmp_path, d
                  "--trials", "20", "--subset-r", "1", "--out", str(out)]) == 0
     bound = _read_json(out)["subset_bound"]
     assert bound["certified"] is certified
-    # the bound itself is the standalone function's, which always says certified
-    alone = subset_sigma_lower_bound(A, 1)
-    assert alone.certified
-    assert bound == dict(dataclasses.asdict(alone), certified=certified)
+    assert bound == dataclasses.asdict(subset_sigma_lower_bound(A, 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +448,13 @@ def test_certify_rejects_general_matrices(tmp_path):
     assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "3"]) == 1
 
 
-def test_environment_budget_override(tmp_path, monkeypatch):
-    save_matrix_csv(tmp_path / "A.csv", known_separating_matrix(4, 2, 4))
-    monkeypatch.setenv("PERMORB_BUDGET", "10")
-    out = tmp_path / "v.json"
-    assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "4",
-                 "--out", str(out)]) == 5
-    assert _read_json(out)["status"] == "Inconclusive"
-    monkeypatch.setenv("PERMORB_BUDGET", "junk")
-    assert main(["certify", "--directions", str(tmp_path / "A.csv"), "--n", "4"]) == 1
-
-
-def test_audit_reads_the_budget_variable_only_for_a_subset_bound(tmp_path, monkeypatch, capsys):
+def test_audit_takes_a_subset_budget_flag(tmp_path):
     save_matrix_csv(tmp_path / "A.csv", np.random.default_rng(2).standard_normal((2, 6)))
-    plain, junk = tmp_path / "plain.json", tmp_path / "junk.json"
     args = ["audit", "--directions", str(tmp_path / "A.csv"), "--n", "3", "--trials", "20",
             "--pu-m", "2", "--check-ose", "--ose-trials", "10"]
-    assert main(args + ["--out", str(plain)]) == 0
-    monkeypatch.setenv("PERMORB_BUDGET", "junk")
-    assert main(args + ["--out", str(junk)]) == 0
-    assert junk.read_bytes() == plain.read_bytes()
-    capsys.readouterr()
-    assert main(args + ["--subset-r", "1", "--out", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err == "error: PERMORB_BUDGET must be an integer, got 'junk'\n"
-    assert not (tmp_path / "r.json").exists()
-    # a --budget flag is used instead of the variable
-    assert main(args + ["--subset-r", "1", "--budget", "100", "--out", str(junk)]) == 0
+    out = tmp_path / "r.json"
+    assert main(args + ["--subset-r", "1", "--budget", "100", "--out", str(out)]) == 0
+    assert _read_json(out)["subset_bound"]["subsets"] == 15
 
 
 def test_audit_circle_distortion_within_theory(tmp_path):

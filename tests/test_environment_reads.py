@@ -1,9 +1,10 @@
-"""Only the command-line front end reads the environment.
+"""No module of the program reads the environment.
 
-Library functions take budgets and every other setting as arguments, so a
-call's result depends on its arguments alone.  This walks each module's
-syntax tree (stdlib ``ast``) and lists every read of ``os.environ``,
-``os.getenv`` or a name imported from them, outside ``cli.py``.
+Library functions take budgets and every other setting as arguments, and
+the command line takes them as flags, so a call's result depends on its
+arguments alone.  This walks each module's syntax tree (stdlib ``ast``)
+and lists every read of ``os.environ``, ``os.getenv`` or a name imported
+from them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-LIBRARY = sorted(path for path in (ROOT / "src" / "permorb").glob("*.py") if path.name != "cli.py")
+MODULES = sorted((ROOT / "src" / "permorb").glob("*.py"))
 _READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
@@ -32,8 +33,8 @@ def environment_reads(path: Path) -> list[str]:
     return reads
 
 
-@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
-def test_no_library_module_reads_the_environment(path):
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
     assert environment_reads(path) == []
 
 

@@ -23,8 +23,6 @@ CALLERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 ALLOWED = {
     # the only way a true collision reaches the collision count
     ("spot_check_injectivity", "extra_pairs"),
-    # the library's only route to a subset bound labelled for n
-    ("empirical_distortion", "subset_r"),
 }
 
 

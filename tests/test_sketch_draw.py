@@ -35,6 +35,7 @@ from permorb import (
     ose_check,
     ose_dimension,
     save_matrix_csv,
+    subset_sigma_lower_bound,
 )
 from permorb.audit import _drawn_sketch, _gram, _ose_check
 from permorb.cli import main
@@ -282,7 +283,9 @@ def _sequential_report(path, n, trials, seed, ose_trials, *, subset_r=None, pu_m
                        epsilon=0.25, eta=0.1, ose_constant=DEFAULT_OSE_CONSTANT):
     A = load_matrix_csv(path)
     d, D = A.shape
-    report = empirical_distortion(A, n, trials, seed, subset_r=subset_r, pu_m=pu_m)
+    report = empirical_distortion(A, n, trials, seed, pu_m=pu_m)
+    if subset_r is not None:
+        report.subset_bound = subset_sigma_lower_bound(A, subset_r, n)
     payload = dataclasses.asdict(report)
     M = ose_dimension(n, d, D, epsilon, eta, ose_constant)
     L = gaussian_sketch(n, D, M, seed)
