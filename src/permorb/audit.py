@@ -37,6 +37,8 @@ routes and the empirical estimate used to sandwich the distortion:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -47,6 +49,7 @@ from .core import (
     BudgetExceededError,
     DEFAULT_OSE_CONSTANT,
     DEFAULT_SUBSET_BUDGET,
+    _SUBSET_CHUNK,
     _check_count,
     _check_seed,
     _subset_singular_values,
@@ -207,16 +210,19 @@ def subset_sigma_lower_bound_sampled(
     """Sampled stand-in for the exhaustive subset bound.
 
     NOT certified: the minimum over a random sample only upper-bounds the
-    true minimum.
+    true minimum.  The subsets are drawn one ``rng.choice`` each, in order,
+    and their singular values come from one batched SVD per
+    ``_SUBSET_CHUNK`` of them, as in the exhaustive bound.
     """
     A, r, d, D, k = _subset_shape(A, r)
     samples = _check_count("samples", samples)
     rng = make_rng(seed)
     best = math.inf
-    for _ in range(samples):
-        subset = rng.choice(D, size=k, replace=False)
-        sv = np.linalg.svd(A[:, np.sort(subset)], compute_uv=False)
-        best = min(best, float(sv[d - 1]))
+    for lo in range(0, samples, _SUBSET_CHUNK):
+        chunk = min(_SUBSET_CHUNK, samples - lo)
+        subsets = np.sort([rng.choice(D, size=k, replace=False) for _ in range(chunk)], axis=1)
+        sv = np.linalg.svd(A[:, subsets].transpose(1, 0, 2), compute_uv=False)
+        best = min(best, float(sv[:, d - 1].min()))
     return SubsetBound(value=best, r=r, subset_size=k, subsets=samples, certified=False)
 
 
@@ -614,10 +620,18 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
 
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  It is one
     standard_normal call divided by sqrt(M).  ``permorb audit --check-ose``
-    draws these same bits while its pair pool runs: a one-worker executor
-    fills one row slice of ``_DRAW_FLOATS`` floats per task, continuing the
-    one stream, and the check divides each slice once, in one pass over
-    the slices, so its report is unchanged.
+    draws these same bits on two threads while its pair pool runs
+    (``_drawn_sketch``): one drawer fills the first half of the rows from
+    the seeded Philox stream, a second fills the rest from a copy of the
+    stream advanced to a guessed word, and once the first half is drawn a
+    replay proves where the second copy joins the stream, by equality of
+    the two generators' states, and its rows are moved into place.  When
+    the guessed word starts no normal, or the replay window misses it, the
+    first drawer draws the rest itself.  The guess uses numpy's average of
+    1.022 words per normal, which moves only the speed.  The check divides
+    each row slice once, so its report is unchanged.  On one core the split
+    gains nothing and costs a thread, a replay and one pass over the moved
+    rows.
     """
     n, D, M = _check_count("n", n), _check_count("D", D), _check_count("M", M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
@@ -628,12 +642,23 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
 # slice into the Gram matrix with one syrk as soon as it is final.
 _DRAW_FLOATS = 1 << 18
 
+# Normals in the window before the head's end in which the second drawer's
+# start is looked for, and in the spill it draws past the sketch's end.
+_DRAW_WINDOW = 1 << 12
+
+# Philox words numpy's ziggurat takes per standard normal, on average.  Most
+# normals take one 64-bit word, the few that miss the ziggurat's fast test
+# two or more: numpy 2.4 takes 1.0220 words per normal over 10**7 normals.
+# It only places the second drawer's start, so it moves the draw's speed,
+# never its bits.
+_WORDS_PER_NORMAL = 1.022
+
 # Bytes of the largest OSE sketch this process has allocated so far.
 _largest_sketch_bytes = 0
 
 
 def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
-    """Fill rows of a sketch with i.i.d. N(0, 1) entries from rng: the drawing thread's one task.
+    """Fill rows of a sketch with i.i.d. N(0, 1) entries from rng: a drawing thread's task.
 
     Slices filled in order continue one stream, so a sketch filled slice by
     slice and divided by sqrt(M) entry by entry gets the bits of
@@ -642,75 +667,217 @@ def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
     rng.standard_normal(out=rows)
 
 
+def _fill_marked(rng: np.random.Generator, rows: np.ndarray, window: int) -> dict:
+    """Fill rows as _gaussian_fill does; return rng's state ``window`` normals before their end."""
+    flat = rows.reshape(-1)
+    _gaussian_fill(rng, flat[: flat.size - window])
+    mark = rng.bit_generator.state
+    _gaussian_fill(rng, flat[flat.size - window:])
+    return mark
+
+
+def _words_used(state: dict) -> int:
+    """Words of its stream a Philox generator in ``state`` has used.
+
+    Philox makes its words four at a time, one block per counter step, and
+    ``buffer_pos`` counts the words of the current block used so far.
+    """
+    return 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+
+
+def _same_continuation(a: dict, b: dict) -> bool:
+    """Whether two Philox states agree in all that later draws read: the key,
+    the counter, an empty word buffer and no half-used 32-bit word."""
+    return (np.array_equal(a["state"]["key"], b["state"]["key"])
+            and np.array_equal(a["state"]["counter"], b["state"]["counter"])
+            and a["buffer_pos"] == b["buffer_pos"] == 4
+            and a["has_uint32"] == b["has_uint32"] == 0)
+
+
+def _aligned_start(mark: dict, end: dict, start: dict) -> int | None:
+    """How many normals a stream draws from state ``mark`` until it is in state ``start``, or None.
+
+    ``mark`` and ``end`` are the states of one Philox stream before and
+    after some standard normals.  A replay from ``mark`` draws about half
+    the normals that the words left before ``start`` could hold, backs off
+    when it passes ``start``, and so takes about a dozen steps.  None when
+    ``start`` lies outside [mark, end] or inside the words of one normal:
+    every normal takes at least one word, so the words used grow strictly
+    with the count, and no other count can reach ``start``.
+    """
+    target, used = _words_used(start), _words_used(mark)
+    if not used <= target <= _words_used(end):
+        return None
+    replay = np.random.Generator(np.random.Philox(key=0))
+    replay.bit_generator.state = mark
+    scratch = np.empty(max(1, (target - used) // 2))
+    count, most = 0, scratch.size
+    while used < target:
+        step = max(1, min(most, (target - used) // 2))
+        before = replay.bit_generator.state
+        replay.standard_normal(out=scratch[:step])
+        after = _words_used(replay.bit_generator.state)
+        if after <= target:
+            count, used = count + step, after
+        elif step == 1:
+            return None  # start lies inside one normal's words
+        else:
+            replay.bit_generator.state = before
+            most = step // 2
+    return count if _same_continuation(replay.bit_generator.state, start) else None
+
+
 @contextmanager
 def _drawn_sketch(n: int, D: int, M: int, seed: int):
-    """Draw gaussian_sketch(n, D, M, seed) on a worker thread: yields (L, slices).
+    """Draw gaussian_sketch(n, D, M, seed) on two worker threads: yields (L, slices).
 
     n, D and M are the counts ``ose_dimension`` has checked.  L is the
     M x nD array being drawn, and ``slices`` a generator that yields each
     slice of ``_DRAW_FLOATS`` floats of L's rows once, in order, as it
-    becomes final: it waits on that slice's future, which re-raises the
-    task's error, divides the slice by sqrt(M) and checks it finite.  Once
-    the generator is done, all of L is final and has the bits of
+    becomes final: it waits on the futures of the tasks that draw it, which
+    re-raise a task's error, divides the slice by sqrt(M), checks it
+    finite, and lets go of the slice and its futures.  Once the generator
+    is done, all of L is final and has the bits of
     gaussian_sketch(n, D, M, seed).
 
-    L is allocated on the caller's thread: memory a thread allocates comes
-    from a malloc arena of its own, which the rest of the program does not
-    reuse (allocated on the thread, audit-cli's peak RSS grew 22 MB).
-    Before a sketch larger than every earlier one, free heap pages are
-    handed back first.  glibc serves a block at least as large as its mmap
-    threshold by a mapping of its own, and raises that threshold to the
-    largest block freed so far.  So a sketch larger than every earlier one
-    is mapped apart from the heap, and cannot reuse the heap's free memory,
-    which glibc keeps resident until a free leaves more than its trim
-    threshold at the top of the heap.  In a process that runs many audits
-    the two then add up: 8-second runs of the ``audit-cli`` benchmark, whose
-    first n = 6 sketch is 18,921 x 144, peak at 77.3-77.4 MB untrimmed
-    against 70.3-73.4 MB trimmed (seeds 0 and 1, two runs each, 2 cores,
-    scipy not loaded).  A sketch no larger than an earlier one comes from
-    the heap and reuses that memory, so the heap is trimmed only before a
-    new largest sketch (glibc's malloc_trim; elsewhere this does nothing).
-    A sketch counts once it is allocated: one too large to allocate leaves
-    the record as it was.
+    Two drawers, each an executor with one worker thread, fill the slices.
+    The head drawer fills, in order and from the seeded stream, the slices
+    up to the slice boundary nearest the middle row: T0 normals.  The second
+    drawer fills the other slices, and a spill after L of as many normals as
+    the window holds, from its own copy of the stream advanced
+    (``Philox.advance``) to a word g, a multiple of four: Philox is
+    counter-based, so any block of its words can be reached directly.  A
+    normal takes a variable number of words, so g is a guess: the head's
+    expected end, T0 ``_WORDS_PER_NORMAL`` words, less half the window.
+    That constant, numpy's ziggurat's average, only places g.  While
+    filling its last slice, the head drawer records its state one window
+    before the head's end: ``_DRAW_WINDOW`` normals, or the whole slice if
+    it is shorter.  Once the head is drawn,
+    a replay from that state finds the count j of normals after which the
+    head's stream is in the second drawer's starting state: equal key and
+    counter, and no word of the counter's block left over.  Equal Philox
+    states give equal continuations, so the second drawer's normals are the
+    stream's from j on; this is a proof, not a match of values.  They lie
+    delta = T0 - j places after their place in L, and each slice after
+    the head is moved back by delta as it is handed over (a 1-D copy in
+    one direction, which numpy makes without a temporary).  On a miss,
+    where g falls inside the words of one normal (about 2% of seeds, as
+    about 2% of the words continue a normal) or j outside the window, the
+    second drawer is joined and the head drawer fills the other slices
+    after its own, as a single drawer would.  A sketch of one slice has no
+    second part.  On one core the split gains nothing and costs a thread,
+    the spill, the replay (about 0.1 ms) and the moves, one pass
+    over the second part's memory.
 
-    An executor with a single worker thread runs one ``_gaussian_fill``
-    task per slice, in order, so the slices continue one stream.  A task
-    only fills: numpy's fill runs without the GIL, so the worker takes the
-    GIL back once a slice, not once per numpy call, and it runs none of
-    permorb's public functions.  On leaving the context, on every path, the
-    tasks not yet begun are cancelled and the worker is joined.
+    L is allocated on the caller's thread, with the spill after it: memory
+    a thread allocates comes from a malloc arena of its own, which the
+    rest of the program does not reuse (allocated on the thread,
+    audit-cli's peak RSS grew 22 MB).  Before a sketch larger than every
+    earlier one, free heap pages are handed back first.  glibc serves a
+    block at least as large as its mmap threshold by a mapping of its own,
+    and raises that threshold to the largest block freed so far.  So a
+    sketch larger than every earlier one is mapped apart from the heap, and
+    cannot reuse the heap's free memory, which glibc keeps resident until a
+    free leaves more than its trim threshold at the top of the heap.  In a
+    process that runs many audits the two then add up: 8-second runs of
+    the ``audit-cli`` benchmark, whose first n = 6 sketch is 18,921 x 144,
+    peak at 77.3-77.4 MB untrimmed against 70.3-73.4 MB trimmed (seeds 0
+    and 1, two runs each, 2 cores, scipy not loaded).  A sketch no larger
+    than an earlier one comes from the heap and reuses that memory, so the
+    heap is trimmed only before a new largest sketch (glibc's malloc_trim;
+    elsewhere this does nothing).  A sketch counts once it is allocated:
+    one too large to allocate leaves the record as it was.
+
+    A task only fills: numpy's fill runs without the GIL, so a worker takes
+    the GIL back once a slice, not once per numpy call, and it runs none of
+    permorb's public functions.  On leaving the context, on every path,
+    both drawers' tasks not yet begun are cancelled and their workers
+    joined.
     """
     # imported here, so that only --check-ose loads the executor's modules
     from concurrent.futures import ThreadPoolExecutor
 
     global _largest_sketch_bytes
-    rng = make_rng(seed)
-    nbytes = 8 * M * n * D
-    if nbytes > _largest_sketch_bytes:
+    N = n * D
+    size = M * N + _DRAW_WINDOW  # the sketch, then the second drawer's spill
+    if 8 * size > _largest_sketch_bytes:
         try:
             import ctypes
 
             ctypes.CDLL(None).malloc_trim(0)
         except (AttributeError, OSError, TypeError):
             pass  # no glibc, so nothing to trim
-    L = np.empty((M, n * D))
-    _largest_sketch_bytes = max(_largest_sketch_bytes, nbytes)
-    executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch")
+    flat = np.empty(size)
+    L = flat[: M * N].reshape(M, N)
+    _largest_sketch_bytes = max(_largest_sketch_bytes, 8 * size)
+    blocks = _blocks(M, N, _DRAW_FLOATS)
+    # the head: the slices up to the slice boundary nearest the middle row
+    h = min(range(1, len(blocks) + 1), key=lambda k: abs(2 * blocks[k - 1].stop - M))
+    head, tail = blocks[:h], blocks[h:]
+    head_end = head[-1].stop * N
+    window = min(_DRAW_WINDOW, (head[-1].stop - head[-1].start) * N)
+    rng = make_rng(seed)
+    drawers = []
+
+    def drawer():
+        drawers.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch"))
+        return drawers[-1]
+
+    def handed(part):
+        while part:
+            S, futures, source = part.popleft()
+            for future in futures:
+                future.result()
+            if source is not None:
+                S.reshape(-1)[:] = source
+            S /= math.sqrt(M)
+            if not np.isfinite(S).all():
+                raise ValueError("L contains non-finite entries")
+            yield S
+
     try:
-        drawing = [(L[rows], executor.submit(_gaussian_fill, rng, L[rows]))
-                   for rows in _blocks(M, n * D, _DRAW_FLOATS)]
+        first = drawer()
+        drawing = deque((L[rows], [first.submit(_gaussian_fill, rng, L[rows])], None)
+                        for rows in head[:-1])
+        marked = first.submit(_fill_marked, rng, L[head[-1]], window)
+        drawing.append((L[head[-1]], [marked], None))
+        fills = []
+        if tail:
+            second_rng = make_rng(seed)
+            second_rng.bit_generator.advance(int(_WORDS_PER_NORMAL * (head_end - window / 2)) // 4)
+            start = second_rng.bit_generator.state
+            second = drawer()
+            fills = [second.submit(_gaussian_fill, second_rng, S)
+                     for S in [*(L[rows] for rows in tail), flat[M * N:M * N + window]]]
+
+        def second_part():
+            """The slices after the head: the second drawer's, each with the
+            fills it is moved from, or on a miss the head drawer's."""
+            if not tail:
+                return []
+            j = _aligned_start(marked.result(), rng.bit_generator.state, start)
+            if j is None:
+                second.shutdown(cancel_futures=True)
+                return [(L[rows], [first.submit(_gaussian_fill, rng, L[rows])], None)
+                        for rows in tail]
+            delta = window - j
+            starts = [rows.start * N for rows in tail] + [M * N]
+            return [(L[rows], fills[i:bisect_left(starts, rows.stop * N + delta)],
+                     flat[rows.start * N + delta:rows.stop * N + delta] if delta else None)
+                    for i, rows in enumerate(tail)]
 
         def slices():
-            for S, future in drawing:
-                future.result()
-                S /= math.sqrt(M)
-                if not np.isfinite(S).all():
-                    raise ValueError("L contains non-finite entries")
-                yield S
+            yield from handed(drawing)
+            drawing.extend(second_part())
+            fills.clear()
+            yield from handed(drawing)
 
         yield L, slices()
     finally:
-        executor.shutdown(cancel_futures=True)
+        for executor in drawers:
+            executor.shutdown(wait=False, cancel_futures=True)
+        for executor in drawers:
+            executor.shutdown()
 
 
 def _gram(slices, M: int, N: int) -> tuple[np.ndarray, float]:
@@ -848,11 +1015,15 @@ def ose_check(
     matvec loop gives, bit for bit.
 
     ``permorb audit --check-ose`` runs the same check on a sketch still
-    being drawn, started before its pair pool: it walks the drawn row
-    slices once, each as it becomes final, adding it into L^T L (or, for a
-    wide sketch, only waiting for it) before the first screen.  Its bits
-    are gaussian_sketch's, and the margin holds for any summation order of
-    L^T L, so the report is unchanged.
+    being drawn by two drawers, started before its pair pool: it walks the
+    drawn row slices once, each as it becomes final, adding it into L^T L
+    (or, for a wide sketch, only waiting for it) before the first screen.
+    The slices of the first half come from the head drawer; those of the
+    second half come, once a replay has proven by Philox state equality
+    where the second drawer joined the stream, from the second drawer,
+    moved into place, or on a miss from the head drawer.  Their bits are
+    gaussian_sketch's either way, and the margin holds for any summation
+    order of L^T L, so the report is unchanged.
     """
     A, L = as_matrix(A, "A"), as_matrix(L, "L")
     return _ose_check(A, L, iter((L,)), n, epsilon, trials, seed)

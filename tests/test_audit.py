@@ -127,6 +127,27 @@ def test_sampled_subset_bound_overestimates_exact():
     assert sampled.value >= exact - 1e-12
 
 
+def _per_sample_subset_bound(A, r, samples, seed):
+    """The sampled bound as a loop of one rng.choice and one SVD per sample."""
+    d, D = A.shape
+    rng = make_rng(seed)
+    best = math.inf
+    for _ in range(samples):
+        subset = rng.choice(D, size=r * d, replace=False)
+        best = min(best, float(np.linalg.svd(A[:, np.sort(subset)], compute_uv=False)[d - 1]))
+    return best
+
+
+@pytest.mark.parametrize("chunk", [2048, 7], ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize("d, D, r, samples", [(2, 12, 1, 50), (3, 24, 1, 300), (2, 9, 3, 40)])
+def test_sampled_subset_bound_equals_the_per_sample_loop(monkeypatch, chunk, d, D, r, samples):
+    monkeypatch.setattr(audit, "_SUBSET_CHUNK", chunk)
+    for seed in range(3):
+        A = gaussian_directions(d, D, seed)
+        got = subset_sigma_lower_bound_sampled(A, r, samples, seed + 10).value
+        assert got.hex() == _per_sample_subset_bound(A, r, samples, seed + 10).hex()
+
+
 @pytest.mark.parametrize("r", [0, -1])
 def test_sampled_subset_bound_rejects_nonpositive_r(r):
     with pytest.raises(ValueError, match=f"r must be >= 1, got {r}"):

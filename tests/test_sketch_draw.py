@@ -1,12 +1,23 @@
-"""The audit CLI's OSE sketch, drawn by a one-worker executor while the pool runs.
+"""The audit CLI's OSE sketch, drawn by two one-worker executors while the pool runs.
 
 ``permorb audit --check-ose`` starts drawing its Gaussian sketch before the
 pair pool (``audit._drawn_sketch``), and the sketch check walks the row
 slices once, adding each into the sketch's Gram matrix as soon as it is
-drawn.  These tests hold that overlap to the sequential route: the same
-sketch bits, the same report bytes, the same first error on bad input,
-and no thread left behind (``conftest.py`` checks the thread count after
-every test).
+drawn.  Two drawers fill the slices: the head drawer the first half from
+the seeded stream, the second drawer the rest from a copy of the stream
+advanced to a guessed word.  Once the head is drawn, a replay finds the
+normal after which the head's Philox state equals the second drawer's
+starting state; equal states give equal continuations, so the second
+drawer's normals, moved into place, are the stream's.  On a miss (the
+guessed word inside one normal's words, or outside the replay window) the
+head drawer draws the rest itself.  The words-per-normal constant that
+places the guess moves only how often the draw splits, and on one core
+the split costs a thread, a replay and one pass over the moved rows.
+
+These tests hold that overlap to the sequential route: the same sketch
+bits on the split and the miss paths, the same report bytes, the same
+first error on bad input, and no thread left behind (``conftest.py``
+checks the thread count after every test).
 """
 
 import concurrent.futures
@@ -19,6 +30,7 @@ import sys
 import threading
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,10 +49,12 @@ from permorb import (
     save_matrix_csv,
     subset_sigma_lower_bound,
 )
-from permorb.audit import _drawn_sketch, _gram, _ose_check
+from permorb.audit import _aligned_start, _drawn_sketch, _gram, _ose_check, _words_used
 from permorb.cli import main
 from permorb.core import DEFAULT_OSE_CONSTANT
 from permorb.embeddings import _blocks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _one_call_sketch(n, D, M, seed):
@@ -65,15 +79,34 @@ _N, _D = 3, 16
 _SLICE = audit._DRAW_FLOATS // (_N * _D)  # rows per draw slice
 
 
+def _alignments(monkeypatch):
+    """Every alignment _drawn_sketch looks for from now on, as (j, start within
+    the window's words): j is None on a miss."""
+    found = []
+    real = audit._aligned_start
+
+    def spy(mark, end, start):
+        j = real(mark, end, start)
+        found.append((j, _words_used(mark) <= _words_used(start) <= _words_used(end)))
+        return j
+
+    monkeypatch.setattr(audit, "_aligned_start", spy)
+    return found
+
+
 @pytest.mark.parametrize(
     "M",
     [1, 100, _SLICE, _SLICE + 1, 3 * _SLICE + 7],
     ids=["one-row", "below-a-slice", "one-slice", "one-slice-plus-1", "several-slices"],
 )
-def test_sliced_draw_gives_the_one_call_bits(M):
-    want = _one_call_sketch(_N, _D, M, 17).tobytes()
-    assert gaussian_sketch(_N, _D, M, 17).tobytes() == want
-    assert _drawn(_N, _D, M, 17).tobytes() == want
+def test_sliced_draw_gives_the_one_call_bits(monkeypatch, M):
+    # a sketch of more than one slice is split between the two drawers
+    found = _alignments(monkeypatch)
+    for seed in (17, 0, 1):
+        want = _one_call_sketch(_N, _D, M, seed).tobytes()
+        assert gaussian_sketch(_N, _D, M, seed).tobytes() == want
+        assert _drawn(_N, _D, M, seed).tobytes() == want
+    assert len(found) == 3 * (M > _SLICE)
 
 
 def _sliced_gram(L):
@@ -180,25 +213,30 @@ def _record_futures(monkeypatch):
 
 
 def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
-    # one row a slice; the first slice's task holds the worker until leaving
-    # the draw has cancelled the second, so every later slice is cancelled
-    # unbegun
+    # one row a slice: 25 head slices for the first drawer, 25 slices and
+    # the spill for the second.  Each drawer's first task holds its worker
+    # until leaving the draw has cancelled both drawers' last tasks, so
+    # every later task of either is cancelled unbegun
     monkeypatch.setattr(audit, "_DRAW_FLOATS", _N * _D)
     futures = _record_futures(monkeypatch)
     fill = audit._gaussian_fill
+    holding = threading.Semaphore(0)
 
     def held(rng, rows):
+        holding.release()
         deadline = time.monotonic() + 10
-        while not (len(futures) > 1 and futures[1].cancelled()) and time.monotonic() < deadline:
+        while not (len(futures) == 51 and futures[1].cancelled() and futures[-1].cancelled()) \
+                and time.monotonic() < deadline:
             time.sleep(1e-3)
         fill(rng, rows)
 
     monkeypatch.setattr(audit, "_gaussian_fill", held)
     with _drawn_sketch(_N, _D, 50, 19):
-        pass
-    assert len(futures) == 50
-    assert futures[0].result() is None
-    assert all(future.cancelled() for future in futures[1:])
+        assert holding.acquire(timeout=10) and holding.acquire(timeout=10)
+    assert len(futures) == 51
+    first, second = futures[0], futures[25]  # each drawer's first task
+    assert first.result() is None and second.result() is None
+    assert all(future.cancelled() for future in futures if future not in (first, second))
     assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
 
 
@@ -226,7 +264,8 @@ def _raise(out):
 
 
 def _poison(out):
-    out[-1, 0] = np.nan
+    if out.size:
+        out.flat[-1] = np.nan
 
 
 def _patch_drawer(monkeypatch, fail):
@@ -272,6 +311,121 @@ def test_cli_checks_a_drawn_wide_sketch_finite(tmp_path, monkeypatch, capsys):
     assert main(_audit_argv(tmp_path, "--ose-constant", "0.001")) == 1
     assert _first_error(capsys) == "error: L contains non-finite entries"
     assert not (tmp_path / "r.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the split draw
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, M", [(4, 11_417), (6, 18_921)], ids=["n4", "n6"])
+def test_the_benchmark_shapes_give_the_one_call_bits(monkeypatch, n, M):
+    # seed 4 misses at the n = 6 shape: its start word lies inside one normal
+    found = _alignments(monkeypatch)
+    for seed in range(5):
+        assert _drawn(n, 24, M, seed).tobytes() == _one_call_sketch(n, 24, M, seed).tobytes()
+    assert len(found) == 5 and sum(j is not None for j, _ in found) >= 4
+
+
+def _walked_start(mark, target, most):
+    """The brute-force _aligned_start: one normal at a time from mark."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = mark
+    for count in range(most + 1):
+        if _words_used(rng.bit_generator.state) == target:
+            return count
+        rng.standard_normal()
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_the_replay_finds_the_count_a_walk_finds(seed):
+    # every start word of a stretch of the stream, against a walk of one
+    # normal at a time: the words inside a normal's words have no count
+    rng = make_rng(seed)
+    rng.standard_normal(1000)
+    mark = rng.bit_generator.state
+    rng.standard_normal(600)
+    end, used = rng.bit_generator.state, _words_used(mark)
+    counts = []
+    for block in range(used // 4 - 2, _words_used(end) // 4 + 3):
+        start_rng = make_rng(seed)
+        start_rng.bit_generator.advance(block)
+        start = start_rng.bit_generator.state
+        want = _walked_start(mark, 4 * block, 600) if used <= 4 * block <= _words_used(end) else None
+        assert _aligned_start(mark, end, start) == want
+        counts.append(want)
+    found = [count for count in counts if count is not None]
+    assert None in counts[3:-3] and found == sorted(found) and len(found) > 100
+
+
+# a small split draw: 4 slices of 64 rows of 48 floats, the first two the
+# head's, and a 3,072-normal window
+_SMALL_FLOATS, _SMALL_M = 64 * _N * _D, 200
+
+
+def test_small_draws_keep_the_bits_on_the_split_and_miss_paths(monkeypatch):
+    monkeypatch.setattr(audit, "_DRAW_FLOATS", _SMALL_FLOATS)
+    found = _alignments(monkeypatch)
+    for seed in range(60):
+        want = _one_call_sketch(_N, _D, _SMALL_M, seed).tobytes()
+        assert _drawn(_N, _D, _SMALL_M, seed).tobytes() == want
+    # seed 10's start word lies inside one normal's words
+    assert found[10] == (None, True)
+    assert sum(j is not None for j, _ in found) >= 50
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.5], ids=["before-the-window", "past-the-head"])
+def test_a_start_outside_the_window_misses_and_keeps_the_bits(monkeypatch, rate):
+    monkeypatch.setattr(audit, "_DRAW_FLOATS", _SMALL_FLOATS)
+    monkeypatch.setattr(audit, "_WORDS_PER_NORMAL", rate)
+    found = _alignments(monkeypatch)
+    for seed in range(3):
+        want = _one_call_sketch(_N, _D, _SMALL_M, seed).tobytes()
+        assert _drawn(_N, _D, _SMALL_M, seed).tobytes() == want
+    assert found == [(None, False)] * 3
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["head", "second"])
+def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which):
+    # seed 1 splits, so the second drawer's slices are handed over
+    found = _alignments(monkeypatch)
+    generators = []
+    real_rng, real_fill = audit.make_rng, audit._gaussian_fill
+
+    def recording_rng(seed):
+        generators.append(real_rng(seed))
+        return generators[-1]
+
+    def failing(rng, rows):
+        real_fill(rng, rows)
+        if which < len(generators) and rng is generators[which]:
+            raise RuntimeError("generator failed")
+
+    monkeypatch.setattr(audit, "make_rng", recording_rng)
+    monkeypatch.setattr(audit, "_gaussian_fill", failing)
+    with _drawn_sketch(_N, _D, 3 * _SLICE + 7, 1) as (L, slices):
+        with pytest.raises(RuntimeError, match="generator failed"):
+            _gram(slices, *L.shape)
+    assert len(generators) == 2
+    if which == 0:
+        assert found == []  # the first slice raised, before any alignment
+    else:
+        assert found[0][0] is not None
+
+
+def test_the_benchmark_sketches_take_the_split_path(tmp_path, monkeypatch):
+    # the audit-cli workload's two --check-ose sketches (seed 0) must split,
+    # not miss: a numpy whose ziggurat takes another number of words per
+    # normal fails here instead of silently drawing them on one thread
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    found = _alignments(monkeypatch)
+    ops = [op for op in workloads.audit_cli(0, tmp_path).ops if op.key.startswith("gauss3")]
+    assert [op.key for op in ops] == ["gauss3-n4", "gauss3-n6"]
+    for op in ops:
+        assert op.call() == 0
+    assert len(found) == 2 and all(j is not None for j, _ in found)
 
 
 # ---------------------------------------------------------------------------
