@@ -37,8 +37,7 @@ routes and the empirical estimate used to sandwich the distortion:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import deque
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -621,35 +620,30 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  It is one
     standard_normal call divided by sqrt(M).  ``permorb audit --check-ose``
     draws these same bits on two threads while its pair pool runs
-    (``_drawn_sketch``): one drawer fills the first half of the rows from
-    the seeded Philox stream, a second fills the rest from a copy of the
-    stream advanced to a guessed word, and once the first half is drawn a
-    replay proves where the second copy joins the stream, by equality of
-    the two generators' states, and its rows are moved into place.  When
-    the guessed word starts no normal, or the replay window misses it, the
-    first drawer draws the rest itself.  The guess uses numpy's average of
-    1.022 words per normal, which moves only the speed.  The check divides
-    each row slice once, so its report is unchanged.  On one core the split
-    gains nothing and costs a thread, a replay and one pass over the moved
-    rows.
+    (``_drawn_sketch``): one fills the first half of the rows from the
+    seeded Philox stream, the other the second half from a copy of the
+    stream advanced to a guessed word.  Once the first half is drawn, a
+    replay proves where the copy joins the stream, by equality of the two
+    generators' states, and the second half is moved into place.  When the
+    guessed word starts no normal, or the replay window misses it, the
+    second half is drawn again from the first half's generator.  The guess
+    uses numpy's average of 1.022 words per normal, which moves only the
+    speed.  Each thread divides its own half by sqrt(M), entry by entry, so
+    the bits are this function's.  On one core the split gains nothing and
+    costs a thread, a replay and one pass over the moved rows.
     """
     n, D, M = _check_count("n", n), _check_count("D", D), _check_count("M", M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
 
 
-# Floats in one slice of a sketch's rows, ``_blocks(M, columns, _DRAW_FLOATS)``:
-# the audit's draw fills one slice per task, and the sketch check adds each
-# slice into the Gram matrix with one syrk as soon as it is final.
-_DRAW_FLOATS = 1 << 18
-
-# Normals in the window before the head's end in which the second drawer's
+# Normals in the window before the head's end in which the tail drawer's
 # start is looked for, and in the spill it draws past the sketch's end.
 _DRAW_WINDOW = 1 << 12
 
 # Philox words numpy's ziggurat takes per standard normal, on average.  Most
 # normals take one 64-bit word, the few that miss the ziggurat's fast test
 # two or more: numpy 2.4 takes 1.0220 words per normal over 10**7 normals.
-# It only places the second drawer's start, so it moves the draw's speed,
+# It only places the tail drawer's start, so it moves the draw's speed,
 # never its bits.
 _WORDS_PER_NORMAL = 1.022
 
@@ -657,23 +651,20 @@ _WORDS_PER_NORMAL = 1.022
 _largest_sketch_bytes = 0
 
 
-def _gaussian_fill(rng: np.random.Generator, rows: np.ndarray) -> None:
-    """Fill rows of a sketch with i.i.d. N(0, 1) entries from rng: a drawing thread's task.
+def _gaussian_fill(rng: np.random.Generator, out: np.ndarray, stop: threading.Event) -> None:
+    """Fill the 1-D array out with N(0, 1) entries from rng: a drawing thread's work.
 
-    Slices filled in order continue one stream, so a sketch filled slice by
-    slice and divided by sqrt(M) entry by entry gets the bits of
-    _gaussian_sketch's single standard_normal call.
+    It fills one chunk of 2**18 floats at a time.  Consecutive fills continue
+    one stream, so the bits are those of one standard_normal call.  Between
+    chunks it raises CancelledError once ``stop`` is set, so a draw that is
+    left ends within a chunk.
     """
-    rng.standard_normal(out=rows)
+    for part in _blocks(out.size, 1, 1 << 18):
+        if stop.is_set():
+            from concurrent.futures import CancelledError
 
-
-def _fill_marked(rng: np.random.Generator, rows: np.ndarray, window: int) -> dict:
-    """Fill rows as _gaussian_fill does; return rng's state ``window`` normals before their end."""
-    flat = rows.reshape(-1)
-    _gaussian_fill(rng, flat[: flat.size - window])
-    mark = rng.bit_generator.state
-    _gaussian_fill(rng, flat[flat.size - window:])
-    return mark
+            raise CancelledError("the sketch's draw was left")
+        rng.standard_normal(out=out[part])
 
 
 def _words_used(state: dict) -> int:
@@ -729,77 +720,81 @@ def _aligned_start(mark: dict, end: dict, start: dict) -> int | None:
 
 @contextmanager
 def _drawn_sketch(n: int, D: int, M: int, seed: int):
-    """Draw gaussian_sketch(n, D, M, seed) on two worker threads: yields (L, slices).
+    """Draw gaussian_sketch(n, D, M, seed) on two worker threads: yields (L, final).
 
     n, D and M are the counts ``ose_dimension`` has checked.  L is the
-    M x nD array being drawn, and ``slices`` a generator that yields each
-    slice of ``_DRAW_FLOATS`` floats of L's rows once, in order, as it
-    becomes final: it waits on the futures of the tasks that draw it, which
-    re-raise a task's error, divides the slice by sqrt(M), checks it
-    finite, and lets go of the slice and its futures.  Once the generator
-    is done, all of L is final and has the bits of
-    gaussian_sketch(n, D, M, seed).
+    M x nD array being drawn.  ``final()`` waits until all of L is final,
+    with the bits of gaussian_sketch(n, D, M, seed), re-raises a worker's
+    error, and returns what ``_gram(L)`` returns: (G, a bound on ||L||_F)
+    for a tall sketch, M >= nD, where G = G_head + G_tail is summed from
+    the two halves' Gram parts, and (None, inf) for a wide one.
 
-    Two drawers, each an executor with one worker thread, fill the slices.
-    The head drawer fills, in order and from the seeded stream, the slices
-    up to the slice boundary nearest the middle row: T0 normals.  The second
-    drawer fills the other slices, and a spill after L of as many normals as
-    the window holds, from its own copy of the stream advanced
-    (``Philox.advance``) to a word g, a multiple of four: Philox is
-    counter-based, so any block of its words can be reached directly.  A
-    normal takes a variable number of words, so g is a guess: the head's
-    expected end, T0 ``_WORDS_PER_NORMAL`` words, less half the window.
-    That constant, numpy's ziggurat's average, only places g.  While
-    filling its last slice, the head drawer records its state one window
-    before the head's end: ``_DRAW_WINDOW`` normals, or the whole slice if
-    it is shorter.  Once the head is drawn,
-    a replay from that state finds the count j of normals after which the
-    head's stream is in the second drawer's starting state: equal key and
-    counter, and no word of the counter's block left over.  Equal Philox
-    states give equal continuations, so the second drawer's normals are the
-    stream's from j on; this is a proof, not a match of values.  They lie
-    delta = T0 - j places after their place in L, and each slice after
-    the head is moved back by delta as it is handed over (a 1-D copy in
-    one direction, which numpy makes without a temporary).  On a miss,
-    where g falls inside the words of one normal (about 2% of seeds, as
-    about 2% of the words continue a normal) or j outside the window, the
-    second drawer is joined and the head drawer fills the other slices
-    after its own, as a single drawer would.  A sketch of one slice has no
-    second part.  On one core the split gains nothing and costs a thread,
-    the spill, the replay (about 0.1 ms) and the moves, one pass
-    over the second part's memory.
+    The rows split at h = ceil(M / 2), and each of the two workers of one
+    executor owns a half.  The head's draw fills rows [0, h) from the
+    seeded stream, and records its state one window before their end:
+    ``_DRAW_WINDOW`` normals, or all h nD of them if fewer.  The tail's
+    task fills rows [h, M), and a spill after L of one window, from its own
+    copy of the stream advanced (``Philox.advance``) to a word g, a
+    multiple of four: Philox is counter-based, so any block of its words
+    can be reached directly.  A normal takes a variable number of words, so
+    g is a guess: the head's expected end, h nD ``_WORDS_PER_NORMAL``
+    words, less half the window.  That constant, numpy's ziggurat's
+    average, only places g.  The rest of the head's work is a task of its
+    own, queued after the tail's, so that the tail waits for the head's
+    draw alone.  A replay from the recorded state then finds the count j
+    of normals after which the head's stream is in the tail's starting
+    state: equal key and counter, and no word of the counter's block left
+    over.  Equal Philox states give equal continuations, so the tail's
+    normals are the stream's from j on; this is a proof, not a match of
+    values.  They lie delta = window - j places after their place in L,
+    and the tail is moved back by delta (a 1-D copy in one direction,
+    which numpy makes without a temporary).  On a miss, where g falls
+    inside the words of one normal (about 2% of seeds, as about 2% of the
+    words continue a normal) or j outside the window, the tail's task
+    draws its rows again from the head's generator, which the head's draw
+    has left at its end.  Each half is then divided by sqrt(M), checked
+    finite, and, for a tall sketch, given its Gram part with one syrk, on
+    a worker thread.  The margin of the check's screen holds for L^T L
+    summed in any order, so the report is the one a single L^T L gives.
+    On one core the split gains nothing, and costs a thread, the spill,
+    the replay (about 0.1 ms) and the move, one pass over the tail's
+    memory.
 
-    L is allocated on the caller's thread, with the spill after it: memory
-    a thread allocates comes from a malloc arena of its own, which the
-    rest of the program does not reuse (allocated on the thread,
-    audit-cli's peak RSS grew 22 MB).  Before a sketch larger than every
-    earlier one, free heap pages are handed back first.  glibc serves a
-    block at least as large as its mmap threshold by a mapping of its own,
-    and raises that threshold to the largest block freed so far.  So a
-    sketch larger than every earlier one is mapped apart from the heap, and
-    cannot reuse the heap's free memory, which glibc keeps resident until a
-    free leaves more than its trim threshold at the top of the heap.  In a
-    process that runs many audits the two then add up: 8-second runs of
-    the ``audit-cli`` benchmark, whose first n = 6 sketch is 18,921 x 144,
-    peak at 77.3-77.4 MB untrimmed against 70.3-73.4 MB trimmed (seeds 0
-    and 1, two runs each, 2 cores, scipy not loaded).  A sketch no larger
-    than an earlier one comes from the heap and reuses that memory, so the
-    heap is trimmed only before a new largest sketch (glibc's malloc_trim;
-    elsewhere this does nothing).  A sketch counts once it is allocated:
-    one too large to allocate leaves the record as it was.
+    A task allocates nothing large: the finite check runs over chunks of
+    2**15 floats, since memory a thread frees stays in its own malloc arena
+    (one whole-half np.isfinite raised the audit-cli benchmark's peak RSS
+    by 3.8%).  L is allocated on the caller's thread, with the spill after
+    it (allocated on a worker, audit-cli's peak RSS grew 22 MB).  Before a
+    sketch larger than every earlier one, free heap pages are handed back
+    first.  glibc serves a block at least as large as its mmap threshold by
+    a mapping of its own, and raises that threshold to the largest block
+    freed so far.  So a sketch larger than every earlier one is mapped
+    apart from the heap, and cannot reuse the heap's free memory, which
+    glibc keeps resident until a free leaves more than its trim threshold
+    at the top of the heap.  In a process that runs many audits the two
+    then add up: 8-second runs of the ``audit-cli`` benchmark, whose first
+    n = 6 sketch is 18,921 x 144, peak at 77.3-77.4 MB untrimmed against
+    70.3-73.4 MB trimmed (seeds 0 and 1, two runs each, 2 cores, scipy not
+    loaded).  A sketch no larger than an earlier one comes from the heap
+    and reuses that memory, so the heap is trimmed only before a new
+    largest sketch (glibc's malloc_trim; elsewhere this does nothing).  A
+    sketch counts once it is allocated: one too large to allocate leaves
+    the record as it was.
 
-    A task only fills: numpy's fill runs without the GIL, so a worker takes
-    the GIL back once a slice, not once per numpy call, and it runs none of
-    permorb's public functions.  On leaving the context, on every path,
-    both drawers' tasks not yet begun are cancelled and their workers
-    joined.
+    A worker runs none of permorb's public functions.  On leaving the
+    context, on every path, a stop flag is set, which every fill reads
+    between its chunks, a task not yet begun is cancelled, and both workers
+    are joined: an error raised before the check waits for at most one
+    chunk of each fill, or a Gram part being formed.
     """
     # imported here, so that only --check-ose loads the executor's modules
     from concurrent.futures import ThreadPoolExecutor
 
     global _largest_sketch_bytes
     N = n * D
-    size = M * N + _DRAW_WINDOW  # the sketch, then the second drawer's spill
+    h = (M + 1) // 2  # the head's rows
+    window = min(_DRAW_WINDOW, h * N)
+    size = M * N + window  # the sketch, then the tail drawer's spill
     if 8 * size > _largest_sketch_bytes:
         try:
             import ctypes
@@ -810,91 +805,73 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     flat = np.empty(size)
     L = flat[: M * N].reshape(M, N)
     _largest_sketch_bytes = max(_largest_sketch_bytes, 8 * size)
-    blocks = _blocks(M, N, _DRAW_FLOATS)
-    # the head: the slices up to the slice boundary nearest the middle row
-    h = min(range(1, len(blocks) + 1), key=lambda k: abs(2 * blocks[k - 1].stop - M))
-    head, tail = blocks[:h], blocks[h:]
-    head_end = head[-1].stop * N
-    window = min(_DRAW_WINDOW, (head[-1].stop - head[-1].start) * N)
-    rng = make_rng(seed)
-    drawers = []
+    rng, tail_rng = make_rng(seed), make_rng(seed)
+    tail_rng.bit_generator.advance(int(_WORDS_PER_NORMAL * (h * N - window / 2)) // 4)
+    start = tail_rng.bit_generator.state
+    stop = threading.Event()
 
-    def drawer():
-        drawers.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch"))
-        return drawers[-1]
-
-    def handed(part):
-        while part:
-            S, futures, source = part.popleft()
-            for future in futures:
-                future.result()
-            if source is not None:
-                S.reshape(-1)[:] = source
-            S /= math.sqrt(M)
-            if not np.isfinite(S).all():
+    def finished(rows):
+        """Divide L[rows] by sqrt(M), check it finite, and return its Gram part."""
+        S = L[rows]
+        for part in _blocks(len(S), N, 1 << 15):
+            S[part] /= math.sqrt(M)
+            if not np.isfinite(S[part]).all():
                 raise ValueError("L contains non-finite entries")
-            yield S
+        return S.T @ S if M >= N else None
 
-    try:
-        first = drawer()
-        drawing = deque((L[rows], [first.submit(_gaussian_fill, rng, L[rows])], None)
-                        for rows in head[:-1])
-        marked = first.submit(_fill_marked, rng, L[head[-1]], window)
-        drawing.append((L[head[-1]], [marked], None))
-        fills = []
-        if tail:
-            second_rng = make_rng(seed)
-            second_rng.bit_generator.advance(int(_WORDS_PER_NORMAL * (head_end - window / 2)) // 4)
-            start = second_rng.bit_generator.state
-            second = drawer()
-            fills = [second.submit(_gaussian_fill, second_rng, S)
-                     for S in [*(L[rows] for rows in tail), flat[M * N:M * N + window]]]
+    def draw_head():
+        _gaussian_fill(rng, flat[: h * N - window], stop)
+        mark = rng.bit_generator.state
+        _gaussian_fill(rng, flat[h * N - window: h * N], stop)
+        return mark, rng.bit_generator.state
 
-        def second_part():
-            """The slices after the head: the second drawer's, each with the
-            fills it is moved from, or on a miss the head drawer's."""
-            if not tail:
-                return []
-            j = _aligned_start(marked.result(), rng.bit_generator.state, start)
-            if j is None:
-                second.shutdown(cancel_futures=True)
-                return [(L[rows], [first.submit(_gaussian_fill, rng, L[rows])], None)
-                        for rows in tail]
+    def head_task():
+        drawn.result()
+        return finished(slice(0, h))
+
+    def tail_task():
+        _gaussian_fill(tail_rng, flat[h * N:], stop)
+        j = _aligned_start(*drawn.result(), start)
+        if j is None:
+            _gaussian_fill(rng, flat[h * N: M * N], stop)
+        else:
             delta = window - j
-            starts = [rows.start * N for rows in tail] + [M * N]
-            return [(L[rows], fills[i:bisect_left(starts, rows.stop * N + delta)],
-                     flat[rows.start * N + delta:rows.stop * N + delta] if delta else None)
-                    for i, rows in enumerate(tail)]
+            flat[h * N: M * N] = flat[h * N + delta: M * N + delta]
+        return finished(slice(h, M))
 
-        def slices():
-            yield from handed(drawing)
-            drawing.extend(second_part())
-            fills.clear()
-            yield from handed(drawing)
+    def final():
+        G_head, G_tail = head.result(), tail.result()
+        return _gram(L, None if G_head is None else G_head + G_tail)
 
-        yield L, slices()
+    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="permorb-sketch")
+    try:
+        # the queue is first in, first out, so a worker takes the head's draw
+        # before either task that waits for it
+        drawn = pool.submit(draw_head)
+        tail = pool.submit(tail_task)
+        head = pool.submit(head_task)
+        yield L, final
     finally:
-        for executor in drawers:
-            executor.shutdown(wait=False, cancel_futures=True)
-        for executor in drawers:
-            executor.shutdown()
+        stop.set()
+        pool.shutdown(cancel_futures=True)
 
 
-def _gram(slices, M: int, N: int) -> tuple[np.ndarray, float]:
-    """The N x N Gram matrix G = fl(L^T L) of an M x N sketch L, and an upper bound on ||L||_F.
+def _gram(L: np.ndarray, G: np.ndarray | None = None) -> tuple[np.ndarray | None, float]:
+    """The screen's (G, fro) for an M x N sketch L: G = fl(L^T L) and fro >= ||L||_F.
 
-    ``slices`` yields the slices of L's rows in order, and G is summed over
-    them with one syrk each (numpy computes S.T @ S with one), each slice
-    as soon as it is yielded.  An overflow is left in G as an infinity or a
-    NaN.
+    G is formed here with one syrk (numpy computes L.T @ L with one), unless
+    the caller passes it, summed over the Gram parts of L's row blocks.  A
+    wide sketch, M < N, gets (None, inf): its Gram matrix would be larger
+    than itself, and the infinite bound makes the check confirm every pair.
+    An overflow is left in G as an infinity or a NaN.
 
     The bound comes from t = fl(trace(G) + M N 2**-1073).  Write u for
     the unit roundoff and gamma_k = k u / (1 - k u).  Each diagonal
     entry of G is a sum of the M squares of one column of L, and the
     trace adds the N of them, so t adds the M N squares and the
     allowance in some order: each square meets at most j = M + N + 1
-    roundings (its product, at most M - 1 additions in its column and
-    one into G, N - 1 in the trace, one for the allowance), so
+    roundings (its product, at most M additions in its column, the
+    parts' sum included, N - 1 in the trace, one for the allowance), so
     t >= (1 - gamma_j) ||L||_F^2 in any summation order (Higham,
     Accuracy and Stability of Numerical Algorithms, 3.1).  A square
     that underflows errs by at most 2**-1075 more, grown by less than a
@@ -907,10 +884,12 @@ def _gram(slices, M: int, N: int) -> tuple[np.ndarray, float]:
     t, and so the bound, infinite, and the screen then confirms every
     pair.
     """
-    G = np.zeros((N, N))
+    M, N = L.shape
+    if M < N:
+        return None, math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for S in slices:
-            G += S.T @ S
+        if G is None:
+            G = L.T @ L
         t = float(np.trace(G))
     return G, math.sqrt(t + math.ldexp(M * N, -1073)) * (1.0 + _gamma(2 * (M + N) + 5))
 
@@ -1015,24 +994,24 @@ def ose_check(
     matvec loop gives, bit for bit.
 
     ``permorb audit --check-ose`` runs the same check on a sketch still
-    being drawn by two drawers, started before its pair pool: it walks the
-    drawn row slices once, each as it becomes final, adding it into L^T L
-    (or, for a wide sketch, only waiting for it) before the first screen.
-    The slices of the first half come from the head drawer; those of the
-    second half come, once a replay has proven by Philox state equality
-    where the second drawer joined the stream, from the second drawer,
-    moved into place, or on a miss from the head drawer.  Their bits are
-    gaussian_sketch's either way, and the margin holds for any summation
-    order of L^T L, so the report is unchanged.
+    being drawn, started before its pair pool (``_drawn_sketch``): two
+    drawer threads each fill one half of L's rows, divide it by sqrt(M),
+    check it finite and form that half's part of L^T L, and the check
+    waits for both before its first screen, taking G as the sum of the two
+    parts.  The second half comes from a copy of the stream that a replay
+    has proven, by Philox state equality, to join it, or on a miss from
+    the first half's generator.  Its bits are gaussian_sketch's either
+    way, and the margin holds for any summation order of L^T L, so the
+    report is unchanged.
     """
     A, L = as_matrix(A, "A"), as_matrix(L, "L")
-    return _ose_check(A, L, iter((L,)), n, epsilon, trials, seed)
+    return _ose_check(A, L, lambda: _gram(L), n, epsilon, trials, seed)
 
 
 def _ose_check(
-    A: np.ndarray, L: np.ndarray, slices, n: int, epsilon: float, trials: int, seed: int
+    A: np.ndarray, L: np.ndarray, final, n: int, epsilon: float, trials: int, seed: int
 ) -> OseReport:
-    """ose_check on validated arrays, where L is final once ``slices``, its row slices in order, is done."""
+    """ose_check on validated arrays, where ``final()`` returns ``_gram(L)`` once L is final."""
     d, D = A.shape
     M, N = L.shape
     n = _check_count("n", n)
@@ -1070,14 +1049,7 @@ def _ose_check(
             continue
         V, denom = V[far], denom[far]
         if screen is None:
-            if M >= N:
-                screen = _gram(slices, M, N)
-            else:
-                # a wide sketch's Gram matrix would be larger than the sketch:
-                # none, and an infinite bound, so the matvec confirms every pair
-                for _ in slices:
-                    pass
-                screen = None, math.inf
+            screen = final()
         rho, tau = _sketch_screen(V, denom, *screen, M)
         err = np.abs(rho - 1.0)
         near = (np.abs(rho - lo) <= tau) | (np.abs(rho - hi) <= tau)

@@ -248,9 +248,9 @@ def cmd_audit(args) -> int:
            for name, default in _OSE_DEFAULTS.items()}
     A = load_matrix_csv(args.directions)
     with contextlib.ExitStack() as stack:
-        # The OSE sketch is drawn by a worker thread while the pool runs, and
-        # the sketch check walks its row slices once, each as it becomes
-        # final.  An invalid OSE flag, or a sketch too large to allocate, is
+        # The OSE sketch is drawn by two worker threads while the pool runs,
+        # and the sketch check waits for it before its first screen.  An
+        # invalid OSE flag, or a sketch too large to allocate, is
         # raised where the audit reaches the check, after the errors of
         # everything before it.
         sketch = sketch_error = None

@@ -178,16 +178,20 @@ def sort_ascending(v) -> np.ndarray:
 
 
 def validate_permutation(sigma, n: int | None = None) -> np.ndarray:
-    """Check that sigma is a bijection on 0..len-1 (and has length n if given)."""
+    """Check that sigma is a bijection on 0..len-1 (and has length n if given).
+
+    Integer-valued finite floats are accepted; booleans are not integers here.
+    """
     arr = np.asarray(sigma)
     if arr.ndim != 1:
         raise ValueError(f"permutation must be 1-D, got shape {arr.shape}")
+    if arr.dtype == np.bool_:
+        raise ValueError("permutation entries must be integers, got booleans")
     if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError("permutation entries must be integers")
-        arr = arr.astype(np.intp)
-    else:
-        arr = arr.astype(np.intp)
+        # inf == floor(inf), and casting it to an integer is undefined
+        if not (np.isfinite(arr).all() and np.all(arr == np.floor(arr))):
+            raise ValueError("permutation entries must be finite integers")
+    arr = arr.astype(np.intp)
     if n is not None and arr.size != n:
         raise ValueError(f"permutation has length {arr.size}, expected {n}")
     if not np.array_equal(np.sort(arr), np.arange(arr.size)):

@@ -65,6 +65,24 @@ def test_permutation_validation():
         core.validate_permutation([1, 2, 3])
 
 
+@pytest.mark.parametrize("sigma", [[0.0, np.inf, 1.0], [0.0, np.nan, 1.0], [0.0, -np.inf, 1.0]])
+def test_permutation_with_a_non_finite_entry_is_refused(sigma):
+    # casting inf to an integer warns (an error here) and yields garbage
+    with pytest.raises(ValueError, match="must be finite integers"):
+        core.permute_rows(np.eye(3), sigma)
+
+
+def test_boolean_permutation_is_refused():
+    with pytest.raises(ValueError, match="got booleans"):
+        core.permute_rows(np.eye(2), [True, False])
+    with pytest.raises(ValueError, match="got booleans"):
+        core.validate_permutation(np.array([False, True]))
+
+
+def test_integral_floats_are_a_permutation():
+    assert core.validate_permutation([2.0, 0.0, 1.0]).tolist() == [2, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # singular values
 # ---------------------------------------------------------------------------

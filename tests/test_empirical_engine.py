@@ -75,7 +75,6 @@ from permorb.audit import (
     sample_pair_pool,
 )
 from permorb.constructions import adversarial_circle_pair
-from permorb.audit import _DRAW_FLOATS
 from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks, _dot_norms
 from permorb.metrics import (
     _all_permutations,
@@ -478,13 +477,15 @@ def test_ose_check_of_a_wide_sketch_forms_no_gram_matrix():
 
 
 def count_gram_calls(monkeypatch):
-    """The (M, N) shapes audit._gram is called with, from now on."""
+    """The shapes of the sketches audit._gram gives a Gram matrix for, from now on."""
     calls = []
     gram = audit._gram
 
-    def counted(slices, M, N):
-        calls.append((M, N))
-        return gram(slices, M, N)
+    def counted(L, G=None):
+        screen = gram(L, G)
+        if screen[0] is not None:
+            calls.append(L.shape)
+        return screen
 
     monkeypatch.setattr(audit, "_gram", counted)
     return calls
@@ -523,7 +524,6 @@ def test_ose_check_matches_the_pair_loop_at_the_cli_shape(seed):
     # permorb audit --check-ose with n=6 on a 3 x 24 matrix: an 18,921 x 144 sketch
     n, d, D = 6, 3, 24
     M = ose_dimension(n, d, D, 0.25, 0.1)
-    assert 200 * M > _DRAW_FLOATS  # the screen takes the sketch's rows in slices
     A = gaussian_directions(d, D, 60 + seed)
     L = gaussian_sketch(n, D, M, seed)
     assert ose_check(A, L, n, 0.25, 200, seed) == reference_ose_check(A, L, n, 0.25, 200, seed)
@@ -588,7 +588,7 @@ def check_the_ose_margin(V, L):
     the reference fl(||L @ x||) / fl(||x||) that ose_check confirms with."""
     denom = _dot_norms(V)
     with np.errstate(over="ignore"):
-        rho, tau = audit._sketch_screen(V, denom, *audit._gram(iter((L,)), *L.shape), len(L))
+        rho, tau = audit._sketch_screen(V, denom, *audit._gram(L), len(L))
         ref = np.array([float(np.linalg.norm(L @ x)) / float(r) for x, r in zip(V, denom)])
     assert (np.abs(rho - ref) <= tau).all(), np.max(np.abs(rho - ref) - tau)
     return rho, tau

@@ -1,26 +1,27 @@
-"""The audit CLI's OSE sketch, drawn by two one-worker executors while the pool runs.
+"""The audit CLI's OSE sketch, drawn as two halves on two worker threads while the pool runs.
 
 ``permorb audit --check-ose`` starts drawing its Gaussian sketch before the
-pair pool (``audit._drawn_sketch``), and the sketch check walks the row
-slices once, adding each into the sketch's Gram matrix as soon as it is
-drawn.  Two drawers fill the slices: the head drawer the first half from
-the seeded stream, the second drawer the rest from a copy of the stream
-advanced to a guessed word.  Once the head is drawn, a replay finds the
-normal after which the head's Philox state equals the second drawer's
-starting state; equal states give equal continuations, so the second
-drawer's normals, moved into place, are the stream's.  On a miss (the
+pair pool (``audit._drawn_sketch``), and the sketch check waits for it
+before its first screen.  The rows split at h = ceil(M / 2), and the two
+workers of one executor draw a half each: the head from the seeded stream,
+the tail from a copy of the stream advanced to a guessed word.  Once the head
+is drawn, a replay finds the normal after which the head's Philox state
+equals the tail's starting state; equal states give equal continuations,
+so the tail's normals, moved into place, are the stream's.  On a miss (the
 guessed word inside one normal's words, or outside the replay window) the
-head drawer draws the rest itself.  The words-per-normal constant that
-places the guess moves only how often the draw splits, and on one core
-the split costs a thread, a replay and one pass over the moved rows.
+tail is drawn again from the head's generator.  Each half is then divided
+by sqrt(M), checked finite and given its Gram part on a worker, and the
+check's G is their sum.  The words-per-normal constant that places the
+guess moves only how often the draw splits, and on one core the split
+costs a thread, a replay and one pass over the moved rows.
 
-These tests hold that overlap to the sequential route: the same sketch
-bits on the split and the miss paths, the same report bytes, the same
-first error on bad input, and no thread left behind (``conftest.py``
-checks the thread count after every test).
+These tests hold that draw to the sequential route: the same sketch bits
+on the split and the miss paths, a Gram matrix that is the two halves'
+sum, the same report bytes, the same first error on bad input, and no
+thread left behind (``conftest.py`` checks the thread count after every
+test).
 """
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import importlib
@@ -65,18 +66,22 @@ def _one_call_sketch(n, D, M, seed):
 
 
 def _drawn(n, D, M, seed):
-    with _drawn_sketch(n, D, M, seed) as (L, slices):
-        for _ in slices:
-            pass
-        return L
+    """The drawn sketch L and what its draw hands the check: (L, G, fro)."""
+    with _drawn_sketch(n, D, M, seed) as (L, final):
+        return (L, *final())
+
+
+def _halves_gram(L):
+    """L^T L as the drawn sketch's check sums it: one syrk per half of its rows."""
+    h = (len(L) + 1) // 2
+    return L[:h].T @ L[:h] + L[h:].T @ L[h:]
 
 
 # ---------------------------------------------------------------------------
-# the sliced draw
+# the two-half draw
 # ---------------------------------------------------------------------------
 
 _N, _D = 3, 16
-_SLICE = audit._DRAW_FLOATS // (_N * _D)  # rows per draw slice
 
 
 def _alignments(monkeypatch):
@@ -94,38 +99,28 @@ def _alignments(monkeypatch):
     return found
 
 
-@pytest.mark.parametrize(
-    "M",
-    [1, 100, _SLICE, _SLICE + 1, 3 * _SLICE + 7],
-    ids=["one-row", "below-a-slice", "one-slice", "one-slice-plus-1", "several-slices"],
-)
-def test_sliced_draw_gives_the_one_call_bits(monkeypatch, M):
-    # a sketch of more than one slice is split between the two drawers
+@pytest.mark.parametrize("rate", [None, 0.5, 1.5], ids=["guess", "before-the-window", "past-the-head"])
+@pytest.mark.parametrize("M", [1, 2, 100, 3000])
+def test_drawn_sketch_gives_the_one_call_bits_and_the_halves_gram(monkeypatch, M, rate):
+    # the rate only moves the tail's start: at 3,000 rows a rate of 0.5
+    # starts it before the window and 1.5 past the head, and both miss,
+    # while up to 100 rows the window holds all of the head's normals
+    if rate is not None:
+        monkeypatch.setattr(audit, "_WORDS_PER_NORMAL", rate)
     found = _alignments(monkeypatch)
-    for seed in (17, 0, 1):
-        want = _one_call_sketch(_N, _D, M, seed).tobytes()
-        assert gaussian_sketch(_N, _D, M, seed).tobytes() == want
-        assert _drawn(_N, _D, M, seed).tobytes() == want
-    assert len(found) == 3 * (M > _SLICE)
-
-
-def _sliced_gram(L):
-    """L^T L summed with one syrk per draw slice, as _gram sums a drawn sketch."""
-    G = np.zeros((L.shape[1], L.shape[1]))
-    for rows in _blocks(*L.shape, audit._DRAW_FLOATS):
-        G += L[rows].T @ L[rows]
-    return G
-
-
-def test_rows_are_final_once_handed_over():
-    # _gram adds each slice into L^T L as soon as it is yielded: a slice
-    # added before it is drawn and divided would change the sum
-    M = 2 * _SLICE + 3
-    want = _one_call_sketch(_N, _D, M, 18)
-    with _drawn_sketch(_N, _D, M, 18) as (L, slices):
-        G, _ = _gram(slices, *L.shape)
-        assert G.tobytes() == _sliced_gram(want).tobytes()
+    for seed in range(5):
+        want = _one_call_sketch(_N, _D, M, seed)
+        assert gaussian_sketch(_N, _D, M, seed).tobytes() == want.tobytes()
+        L, G, fro = _drawn(_N, _D, M, seed)
         assert L.tobytes() == want.tobytes()
+        if M >= _N * _D:
+            assert G.tobytes() == _halves_gram(want).tobytes()
+        else:  # a wide sketch: no Gram matrix, and every pair is confirmed
+            assert G is None and fro == math.inf
+    assert len(found) == 5
+    if M == 3000:
+        assert all((j is None) == (rate is not None) for j, _ in found)
+        assert all(inside == (rate is None) for _, inside in found)
 
 
 def _exact_fro(L):
@@ -133,19 +128,23 @@ def _exact_fro(L):
         return math.sqrt(math.fsum((L * L).ravel()))
 
 
-@pytest.mark.parametrize("M", [1, 100, 3 * _SLICE + 7], ids=["one-row", "one-slice", "several-slices"])
+@pytest.mark.parametrize("M", [48, 100, 3001])
 def test_fro_bounds_the_drawn_sketch(M):
-    with _drawn_sketch(_N, _D, M, 21) as (L, slices):
-        fro, exact = _gram(slices, *L.shape)[1], _exact_fro(L)
+    # the bound comes from the trace of the two halves' summed Gram parts
+    L, _, fro = _drawn(_N, _D, M, 21)
+    exact = _exact_fro(L)
     assert exact <= fro <= exact * (1.0 + 1e-8)
 
 
 @pytest.mark.parametrize("scale", [-560, -300, 0, 480], ids=lambda s: f"2**{s}")
-@pytest.mark.parametrize("M", [1, 100, 3 * _SLICE + 7], ids=["one-row", "one-slice", "several-slices"])
-def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale):
+@pytest.mark.parametrize("M", [48, 100, 3001])
+@pytest.mark.parametrize("parts", [1, 2], ids=["whole", "halves"])
+def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale, parts):
     # at 2**-560 every square is subnormal, or underflows to 0
     L = np.ldexp(gaussian_sketch(_N, _D, M, 22), scale)
-    fro, exact = _gram(iter((L,)), *L.shape)[1], _exact_fro(L)
+    with np.errstate(under="ignore"):
+        fro = _gram(L)[1] if parts == 1 else _gram(L, _halves_gram(L))[1]
+    exact = _exact_fro(L)
     assert exact <= fro
     if scale > -500:
         assert fro <= exact * (1.0 + 1e-8)
@@ -153,7 +152,12 @@ def test_fro_bounds_a_finished_sketch_at_every_scale(M, scale):
 
 def test_fro_of_a_sketch_whose_squares_overflow_is_infinite():
     L = np.ldexp(gaussian_sketch(_N, _D, 100, 23), 520)
-    assert _gram(iter((L,)), *L.shape)[1] == math.inf
+    assert _gram(L)[1] == math.inf
+
+
+def test_a_wide_sketch_gets_no_gram_matrix():
+    L = gaussian_sketch(_N, _D, _N * _D - 1, 24)
+    assert _gram(L) == (None, math.inf)
 
 
 def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
@@ -178,74 +182,63 @@ def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
     assert not [code.co_name for code in called if code in public]
 
 
-def test_rows_handed_over_under_fast_thread_switching_are_final(monkeypatch):
-    # four drawers on two cores, 17-row slices, a switch every 10 us, and
-    # Gram sums that keep up with the drawer: a row added before its slice
-    # is drawn and divided would change the sum
-    monkeypatch.setattr(audit, "_DRAW_FLOATS", 17 * _N * _D)
+def test_concurrent_draws_under_fast_thread_switching_keep_the_bits():
+    # four draws, eight workers on two cores, and a switch every 10 us: a
+    # half divided or summed before it is final, or a tail moved before
+    # it is drawn, would change the sketch or its Gram matrix
     M = 6000
     wants = [_one_call_sketch(_N, _D, M, 30 + k) for k in range(4)]
-    grams = [_sliced_gram(want).tobytes() for want in wants]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with contextlib.ExitStack() as stack:
             sketches = [stack.enter_context(_drawn_sketch(_N, _D, M, 30 + k)) for k in range(4)]
-            for (L, slices), want, gram in zip(sketches, wants, grams):
-                assert _gram(slices, *L.shape)[0].tobytes() == gram
+            for (L, final), want in zip(sketches, wants):
+                assert final()[0].tobytes() == _halves_gram(want).tobytes()
                 assert L.tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
     assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
 
 
-def _record_futures(monkeypatch):
-    """The futures of every task the sketch's executor is given, from now on."""
-    futures = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            futures.append(super().submit(*args, **kwargs))
-            return futures[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    return futures
-
-
-def test_close_cancels_the_slices_not_yet_begun(monkeypatch):
-    # one row a slice: 25 head slices for the first drawer, 25 slices and
-    # the spill for the second.  Each drawer's first task holds its worker
-    # until leaving the draw has cancelled both drawers' last tasks, so
-    # every later task of either is cancelled unbegun
-    monkeypatch.setattr(audit, "_DRAW_FLOATS", _N * _D)
-    futures = _record_futures(monkeypatch)
+def test_leaving_the_draw_joins_both_workers_within_one_chunk(monkeypatch):
+    # halves of four chunks each; each drawer's first chunk holds its
+    # worker until leaving the context has set the stop flag, and then
+    # neither drawer fills another chunk
+    stops, chunks = [], []
+    entered = threading.Semaphore(0)
     fill = audit._gaussian_fill
-    holding = threading.Semaphore(0)
 
-    def held(rng, rows):
-        holding.release()
-        deadline = time.monotonic() + 10
-        while not (len(futures) == 51 and futures[1].cancelled() and futures[-1].cancelled()) \
-                and time.monotonic() < deadline:
-            time.sleep(1e-3)
-        fill(rng, rows)
+    def recorded(rng, out, stop):
+        stops.append(stop)
+        fill(rng, out, stop)
 
-    monkeypatch.setattr(audit, "_gaussian_fill", held)
-    with _drawn_sketch(_N, _D, 50, 19):
-        assert holding.acquire(timeout=10) and holding.acquire(timeout=10)
-    assert len(futures) == 51
-    first, second = futures[0], futures[25]  # each drawer's first task
-    assert first.result() is None and second.result() is None
-    assert all(future.cancelled() for future in futures if future not in (first, second))
+    class Held(np.random.Generator):
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            chunks.append(self)
+            entered.release()
+            deadline = time.monotonic() + 10
+            while not stops[0].is_set() and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            return super().standard_normal(size, dtype, out)
+
+    monkeypatch.setattr(audit, "_gaussian_fill", recorded)
+    monkeypatch.setattr(audit, "make_rng", lambda seed: Held(make_rng(seed).bit_generator))
+    M = 8 * (1 << 18) // (_N * _D)
+    began = time.monotonic()
+    with _drawn_sketch(_N, _D, M, 19):
+        assert entered.acquire(timeout=10) and entered.acquire(timeout=10)
+    assert time.monotonic() - began < 5
+    assert len(chunks) == 2 and chunks[0] is not chunks[1]
     assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
 
 
 def test_ose_check_takes_a_sketch_being_drawn():
     n, d, D = 3, 2, 7
     A = gaussian_directions(d, D, 5)
-    M = 3 * audit._DRAW_FLOATS // (n * D) + 11
-    with _drawn_sketch(n, D, M, 6) as (L, slices):
-        got = _ose_check(A, L, slices, n, 0.2, 60, 7)
+    M = 3000
+    with _drawn_sketch(n, D, M, 6) as (L, final):
+        got = _ose_check(A, L, final, n, 0.2, 60, 7)
     assert got == ose_check(A, gaussian_sketch(n, D, M, 6), n, 0.2, 60, 7)
 
 
@@ -264,31 +257,27 @@ def _raise(out):
 
 
 def _poison(out):
-    if out.size:
-        out.flat[-1] = np.nan
+    out.fill(np.nan)
 
 
 def _patch_drawer(monkeypatch, fail):
-    """Pass each slice the sketch drawer fills to ``fail``: only the drawer
+    """Pass each array the sketch drawer fills to ``fail``: only the drawer
     fills through audit._gaussian_fill (the pair pool and ose_check fill
     their clouds with ``out=`` too)."""
     real = audit._gaussian_fill
 
-    def failing(rng, rows):
-        real(rng, rows)
-        fail(rows)
+    def failing(rng, out, stop):
+        real(rng, out, stop)
+        fail(out)
 
     monkeypatch.setattr(audit, "_gaussian_fill", failing)
 
 
 def test_drawing_error_reaches_the_caller(monkeypatch):
     _patch_drawer(monkeypatch, _raise)
-    futures = _record_futures(monkeypatch)
-    with _drawn_sketch(2, 5, 40, 3) as (L, slices):
-        # every task ends on its error, so the walk cannot wait for ever
-        assert not concurrent.futures.wait(futures, timeout=10).not_done
+    with _drawn_sketch(2, 5, 40, 3) as (L, final):
         with pytest.raises(RuntimeError, match="generator failed"):
-            _gram(slices, *L.shape)
+            final()
 
 
 def test_drawing_error_reaches_the_cli_caller(tmp_path, monkeypatch):
@@ -314,16 +303,18 @@ def test_cli_checks_a_drawn_wide_sketch_finite(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the split draw
+# the split
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n, M", [(4, 11_417), (6, 18_921)], ids=["n4", "n6"])
 def test_the_benchmark_shapes_give_the_one_call_bits(monkeypatch, n, M):
-    # seed 4 misses at the n = 6 shape: its start word lies inside one normal
     found = _alignments(monkeypatch)
     for seed in range(5):
-        assert _drawn(n, 24, M, seed).tobytes() == _one_call_sketch(n, 24, M, seed).tobytes()
+        want = _one_call_sketch(n, 24, M, seed)
+        L, G, _ = _drawn(n, 24, M, seed)
+        assert L.tobytes() == want.tobytes()
+        assert G.tobytes() == _halves_gram(want).tobytes()
     assert len(found) == 5 and sum(j is not None for j, _ in found) >= 4
 
 
@@ -359,36 +350,25 @@ def test_the_replay_finds_the_count_a_walk_finds(seed):
     assert None in counts[3:-3] and found == sorted(found) and len(found) > 100
 
 
-# a small split draw: 4 slices of 64 rows of 48 floats, the first two the
-# head's, and a 3,072-normal window
-_SMALL_FLOATS, _SMALL_M = 64 * _N * _D, 200
-
-
 def test_small_draws_keep_the_bits_on_the_split_and_miss_paths(monkeypatch):
-    monkeypatch.setattr(audit, "_DRAW_FLOATS", _SMALL_FLOATS)
+    # 200 rows of 48 floats: a head of 4,800 normals and a 4,096-normal window
     found = _alignments(monkeypatch)
     for seed in range(60):
-        want = _one_call_sketch(_N, _D, _SMALL_M, seed).tobytes()
-        assert _drawn(_N, _D, _SMALL_M, seed).tobytes() == want
-    # seed 10's start word lies inside one normal's words
-    assert found[10] == (None, True)
+        want = _one_call_sketch(_N, _D, 200, seed).tobytes()
+        assert _drawn(_N, _D, 200, seed)[0].tobytes() == want
+    # seed 38's start word lies inside one normal's words
+    assert found[38] == (None, True)
     assert sum(j is not None for j, _ in found) >= 50
 
 
-@pytest.mark.parametrize("rate", [0.5, 1.5], ids=["before-the-window", "past-the-head"])
-def test_a_start_outside_the_window_misses_and_keeps_the_bits(monkeypatch, rate):
-    monkeypatch.setattr(audit, "_DRAW_FLOATS", _SMALL_FLOATS)
-    monkeypatch.setattr(audit, "_WORDS_PER_NORMAL", rate)
-    found = _alignments(monkeypatch)
-    for seed in range(3):
-        want = _one_call_sketch(_N, _D, _SMALL_M, seed).tobytes()
-        assert _drawn(_N, _D, _SMALL_M, seed).tobytes() == want
-    assert found == [(None, False)] * 3
-
-
-@pytest.mark.parametrize("which", [0, 1], ids=["head", "second"])
-def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which):
-    # seed 1 splits, so the second drawer's slices are handed over
+@pytest.mark.parametrize(
+    "fail, error",
+    [(_raise, "generator failed"), (_poison, "L contains non-finite entries")],
+    ids=["raised", "non-finite"],
+)
+@pytest.mark.parametrize("which", [0, 1], ids=["head", "tail"])
+def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which, fail, error):
+    # seed 1 splits, so a poisoned tail reaches its own finite check
     found = _alignments(monkeypatch)
     generators = []
     real_rng, real_fill = audit.make_rng, audit._gaussian_fill
@@ -397,27 +377,29 @@ def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which):
         generators.append(real_rng(seed))
         return generators[-1]
 
-    def failing(rng, rows):
-        real_fill(rng, rows)
-        if which < len(generators) and rng is generators[which]:
-            raise RuntimeError("generator failed")
+    def failing(rng, out, stop):
+        real_fill(rng, out, stop)
+        if rng is generators[which]:
+            fail(out)
 
     monkeypatch.setattr(audit, "make_rng", recording_rng)
     monkeypatch.setattr(audit, "_gaussian_fill", failing)
-    with _drawn_sketch(_N, _D, 3 * _SLICE + 7, 1) as (L, slices):
-        with pytest.raises(RuntimeError, match="generator failed"):
-            _gram(slices, *L.shape)
+    with _drawn_sketch(_N, _D, 3000, 1) as (L, final):
+        with pytest.raises((RuntimeError, ValueError), match=error):
+            final()
     assert len(generators) == 2
-    if which == 0:
-        assert found == []  # the first slice raised, before any alignment
+    if fail is _raise:
+        # either error comes before the alignment: the head's in its draw,
+        # which the tail waits for, and the tail's in its own draw
+        assert found == []
     else:
-        assert found[0][0] is not None
+        assert len(found) == 1 and found[0][0] is not None
 
 
 def test_the_benchmark_sketches_take_the_split_path(tmp_path, monkeypatch):
     # the audit-cli workload's two --check-ose sketches (seed 0) must split,
     # not miss: a numpy whose ziggurat takes another number of words per
-    # normal fails here instead of silently drawing them on one thread
+    # normal fails here instead of silently drawing the tail twice
     monkeypatch.syspath_prepend(str(ROOT))
     workloads = importlib.import_module("perfbench.workloads")
     found = _alignments(monkeypatch)
@@ -469,18 +451,16 @@ def _cli_report(tmp_path, A, n, trials, seed, ose_trials, *, subset_r=None, pu_m
     "subset_r, pu_m", [(None, None), (1, None), (None, 3), (1, 3)], ids=str
 )
 def test_cli_report_equals_the_sequential_report(tmp_path, subset_r, pu_m):
-    # a 10,353 x 48 sketch: one draw slice and most of a second
+    # a 10,353 x 48 sketch
     A = gaussian_directions(3, 12, 41)
     got, want = _cli_report(tmp_path, A, 4, 60, 42, 80, subset_r=subset_r, pu_m=pu_m)
     assert got == want
 
 
 def test_cli_report_equals_the_sequential_report_across_blocks(tmp_path, monkeypatch):
-    # small blocks and small draw slices: the Gram matrix the screen forms
-    # in the first block waits on the drawer many times, and the
-    # confirming matvecs run in every block
+    # small blocks: the screen waits for the sketch in the first block,
+    # and the confirming matvecs run in every block
     monkeypatch.setattr(embeddings, "_BLOCK_ELEMENTS", 1 << 12)
-    monkeypatch.setattr(audit, "_DRAW_FLOATS", 1 << 10)
     n, d, D, ose_trials = 3, 2, 8, 200
     assert len(_blocks(ose_trials, 2 * n * max(d, D))) >= 2
     A = gaussian_directions(d, D, 43)
@@ -488,20 +468,20 @@ def test_cli_report_equals_the_sequential_report_across_blocks(tmp_path, monkeyp
     assert got == want
 
 
-def test_cli_report_equals_the_sequential_report_with_a_sketch_below_one_slice(tmp_path):
+def test_cli_report_equals_the_sequential_report_with_a_head_inside_the_window(tmp_path):
+    # a 126 x 8 sketch: the replay window holds all of the head's normals
     n, d, D, epsilon = 2, 2, 4, 0.9
     M = ose_dimension(n, d, D, epsilon, 0.1)
-    assert M * n * D < audit._DRAW_FLOATS
+    assert (M + 1) // 2 * n * D < audit._DRAW_WINDOW
     A = gaussian_directions(d, D, 45)
     got, want = _cli_report(tmp_path, A, n, 30, 46, 50, epsilon=epsilon)
     assert got == want
 
 
-def test_cli_report_equals_the_sequential_report_with_a_wide_sketch(tmp_path, monkeypatch):
+def test_cli_report_equals_the_sequential_report_with_a_wide_sketch(tmp_path):
     # a tiny --ose-constant gives fewer sketch rows than columns: the check
-    # forms no Gram matrix, drains the one-row draw slices and confirms
-    # every pair with the drawn sketch
-    monkeypatch.setattr(audit, "_DRAW_FLOATS", 1)
+    # forms no Gram matrix, waits for the drawn halves and confirms every
+    # pair with the drawn sketch
     n, d, D = 4, 3, 12
     M = ose_dimension(n, d, D, 0.25, 0.1, 0.001)
     assert 1 < M < n * D
