@@ -49,9 +49,12 @@ from .core import (
     DEFAULT_OSE_CONSTANT,
     DEFAULT_SUBSET_BUDGET,
     _SUBSET_CHUNK,
+    _UNIT_ROUNDOFF,
     _check_count,
     _check_seed,
-    _subset_singular_values,
+    _gamma,
+    _least_subset_sigma,
+    _subset_chunks,
     _unit_scaled,
     as_matrix,
     make_rng,
@@ -181,15 +184,18 @@ def subset_sigma_lower_bound(
 ) -> SubsetBound:
     """Exact minimum of the d-th singular value over all size-(r*d) subsets.
 
-    Every subset is evaluated, so ``value`` is the exact minimum, not a
-    sample.  It lower-bounds the lower Lipschitz constant of the sorted
-    embedding on n-point clouds when D >= r*d*((n-1)**2 + 1), and
-    ``certified`` says whether that holds for the n given.  Raises
-    BudgetExceededError (recommending the sampled variant) when
-    C(D, r*d) exceeds ``budget``, and ValueError when ``n`` or ``budget``
-    is below 1.
+    Every subset is evaluated or excluded by a proven floor, so ``value``
+    is the exact minimum, not a sample: the least d-th singular value that
+    np.linalg.svd returns for any subset, bit for bit, though only the
+    subsets whose Gram-determinant floor can hold it reach the SVD
+    (``core._least_subset_sigma``).  It lower-bounds the lower Lipschitz
+    constant of the sorted embedding on n-point clouds when
+    D >= r*d*((n-1)**2 + 1), and ``certified`` says whether that holds
+    for the n given.  Raises BudgetExceededError (recommending the sampled
+    variant) when C(D, r*d) exceeds ``budget``, before any subset is
+    formed, and ValueError when ``n`` or ``budget`` is below 1.
     """
-    A, r, d, D, k = _subset_shape(A, r)
+    A, r, _, D, k = _subset_shape(A, r)
     n = _check_count("n", n)
     budget = _check_count("budget", budget)
     count = math.comb(D, k)
@@ -198,9 +204,8 @@ def subset_sigma_lower_bound(
             f"subset bound needs {count} subset evaluations with budget {budget}; "
             "use subset_sigma_lower_bound_sampled for a non-certified estimate"
         )
-    best = min(float(sv[:, d - 1].min()) for sv in _subset_singular_values(A, k))
-    return SubsetBound(value=best, r=r, subset_size=k, subsets=count,
-                       certified=D >= k * ((n - 1) ** 2 + 1))
+    return SubsetBound(value=_least_subset_sigma(A, k, _subset_chunks(D, k)), r=r, subset_size=k,
+                       subsets=count, certified=D >= k * ((n - 1) ** 2 + 1))
 
 
 def subset_sigma_lower_bound_sampled(
@@ -210,19 +215,19 @@ def subset_sigma_lower_bound_sampled(
 
     NOT certified: the minimum over a random sample only upper-bounds the
     true minimum.  The subsets are drawn one ``rng.choice`` each, in order,
-    and their singular values come from one batched SVD per
-    ``_SUBSET_CHUNK`` of them, as in the exhaustive bound.
+    ``_SUBSET_CHUNK`` at a time, and screened as in the exhaustive bound:
+    the value is the least d-th singular value np.linalg.svd returns for
+    any sampled subset, though only those whose floor can hold it reach
+    the SVD.
     """
-    A, r, d, D, k = _subset_shape(A, r)
+    A, r, _, D, k = _subset_shape(A, r)
     samples = _check_count("samples", samples)
     rng = make_rng(seed)
-    best = math.inf
-    for lo in range(0, samples, _SUBSET_CHUNK):
-        chunk = min(_SUBSET_CHUNK, samples - lo)
-        subsets = np.sort([rng.choice(D, size=k, replace=False) for _ in range(chunk)], axis=1)
-        sv = np.linalg.svd(A[:, subsets].transpose(1, 0, 2), compute_uv=False)
-        best = min(best, float(sv[:, d - 1].min()))
-    return SubsetBound(value=best, r=r, subset_size=k, subsets=samples, certified=False)
+    chunks = (np.sort([rng.choice(D, size=k, replace=False)
+                       for _ in range(min(_SUBSET_CHUNK, samples - lo))], axis=1)
+              for lo in range(0, samples, _SUBSET_CHUNK))
+    return SubsetBound(value=_least_subset_sigma(A, k, chunks), r=r, subset_size=k, subsets=samples,
+                       certified=False)
 
 
 def _least_mth_projection(A: np.ndarray, m: int, E: np.ndarray) -> float:
@@ -484,17 +489,16 @@ def sample_pair_pool(n: int, d: int, count: int, seed: int) -> np.ndarray:
     return pool
 
 
-# Unit roundoff of float64 round-to-nearest.
-_UNIT_ROUNDOFF = 2.0**-53
-
 # Below this, a float64 square and twice it stay finite.
 _NO_OVERFLOW = math.sqrt(np.finfo(np.float64).max / 2.0)
 
 
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u): bounds the relative error of a length-k dot product."""
-    ku = k * _UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
+def _distortion_args(A, n: int, trials: int) -> tuple[np.ndarray, int, int]:
+    """(A, n, trials) once ``empirical_distortion`` accepts them: d >= 2, n in 2..8, trials >= 1."""
+    A = as_matrix(A, "A")
+    if A.shape[0] < 2:
+        raise ValueError(f"empirical distortion needs d >= 2, got d = {A.shape[0]}")
+    return A, _check_count("n", n, 2, 8), _check_count("trials", trials)
 
 
 def empirical_distortion(
@@ -541,12 +545,8 @@ def empirical_distortion(
     from the enumeration's or an assignment solver's by an ulp or two; both
     sums err by at most gamma_7 = 7u / (1 - 7u) of the exact total.
     """
-    A = as_matrix(A, "A")
+    A, n, trials = _distortion_args(A, n, trials)
     d, D = A.shape
-    if d < 2:
-        raise ValueError(f"empirical distortion needs d >= 2, got d = {d}")
-    n, trials = _check_count("n", n, 2, 8), _check_count("trials", trials)
-
     scaled, k = _unit_scaled(A)
     pool = sample_pair_pool(n, d, trials, seed)
     dist = np.empty(trials)

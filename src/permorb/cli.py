@@ -233,6 +233,7 @@ _OSE_DEFAULTS = {"epsilon": 0.25, "eta": 0.1, "ose_constant": DEFAULT_OSE_CONSTA
 
 def cmd_audit(args) -> int:
     from .audit import (
+        _distortion_args,
         _drawn_sketch,
         _ose_check,
         empirical_distortion,
@@ -252,11 +253,13 @@ def cmd_audit(args) -> int:
         # and the sketch check waits for it before its first screen.  An
         # invalid OSE flag, or a sketch too large to allocate, is
         # raised where the audit reaches the check, after the errors of
-        # everything before it.
+        # everything before it.  An audit whose pool arguments fail
+        # draws no sketch: empirical_distortion raises their error first.
         sketch = sketch_error = None
         if args.check_ose:
             n, D = args.n, A.shape[1]
             try:
+                _distortion_args(A, n, args.trials)
                 M = ose_dimension(n, A.shape[0], D, ose["epsilon"], ose["eta"],
                                   ose["ose_constant"])
                 sketch = stack.enter_context(_drawn_sketch(n, D, M, args.seed))

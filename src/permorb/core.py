@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 import json
 import math
 import numbers
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +76,11 @@ DEFAULT_TUPLE_BUDGET = 10**9
 # audit.ose_check.
 DEFAULT_OSE_CONSTANT = 4.0
 
-# Column subsets per batched SVD of _subset_singular_values.
+# Column subsets per batched floor and SVD of the subset screens.
 _SUBSET_CHUNK = 2048
+
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
 
 # Spaces per nesting level in json_dumps output.
 _JSON_INDENT = 2
@@ -216,25 +221,192 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(as_matrix(A, "A"), compute_uv=False)
 
 
-def _subset_singular_values(A: np.ndarray, k: int):
-    """Singular values of A's size-k column submatrices, one batched SVD per chunk.
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): bounds the relative error of a length-k dot product."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
 
-    Subsets come in lexicographic order, _SUBSET_CHUNK at a time; each
-    yield is a (chunk, min(d, k)) array, its rows non-increasing.
+
+def _subset_chunks(D: int, k: int):
+    """The size-k subsets of range(D) in lexicographic order, _SUBSET_CHUNK at a time.
+
+    Each yield is a (chunk, k) index array, its rows increasing.
     """
-    it = itertools.combinations(range(A.shape[1]), k)
-    while block := list(itertools.islice(it, _SUBSET_CHUNK)):
-        sub = A[:, np.asarray(block, dtype=np.intp)].transpose(1, 0, 2)  # (chunk, d, k)
-        yield np.linalg.svd(sub, compute_uv=False)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(D), k))
+    while (block := np.fromiter(itertools.islice(flat, _SUBSET_CHUNK * k), dtype=np.intp)).size:
+        yield block.reshape(-1, k)
+
+
+def _gram_floor(As: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, t) per row s of idx: lambda_min(B B^T) >= lam >= 0 and t = fl(tr ^C), B = As[:, s].
+
+    As is d x D with every |entry| < 1, as ``_unit_scaled`` leaves a matrix,
+    and B is d x k, k >= d.  Write C = B B^T, u = 2**-53 and gamma_j =
+    j u / (1 - j u).  The floor is AM-GM on C's eigenvalues l_1 >= ... >=
+    l_d >= 0: l_1 ... l_{d-1} <= (tr C / (d - 1))**(d - 1), so
+    sigma_d(B)**2 = l_d >= det C / (tr C / (d - 1))**(d - 1); for d = 1,
+    l_1 = C.  It is evaluated through a Cholesky factorisation of the
+    computed Gram matrix ^C: pivots s_j = ^C_jj - sum_{i<j} ^R_ij**2 and
+    ^R_jl = (^C_jl - sum_{i<j} ^R_ij ^R_il) / sqrt(s_j).  With t = fl(tr ^C)
+    and w = t / (d - 1), g = w prod_j (s_j / w), or g = s_0 for d = 1, and
+    lam = g (1 - gamma_{2 (d+1)**2 + 4}) - d k gamma_{k + 2d + 4}, clamped
+    at 0.  A subset gets lam = 0 unless every s_j > 0 and, for d > 1,
+    prod_j (s_j / w) >= 2**-470, w >= 2**-500 and d <= 1024.  That lam is
+    a floor:
+
+    * Each ^C_jl sums k products of entries below 1, so |^C - C| <= gamma_k
+      |B| |B|^T in any summation order (Higham, Accuracy and Stability of
+      Numerical Algorithms, 3.1), and ||^C - C||_2 <= gamma_k ||B||_F**2
+      < gamma_k d k.  Each ^C_jj <= k.
+    * A Cholesky factorisation run to completion gives M = ^R^T ^R = ^C + E,
+      |E| <= gamma_{d+1} |^R^T| |^R| (Higham, Theorem 10.3), so ||E||_2 <=
+      gamma_{d+1} tr M and M_jj <= ^C_jj / (1 - gamma_{d+1}): ||E||_2 <=
+      gamma_{2d+2} d k.  By Weyl, lambda_min(C) >= lambda_min(M) - d k
+      gamma_{k+2d+2}.
+    * M is symmetric positive semidefinite, so lambda_min(M) >= det M /
+      (tr M / (d - 1))**(d - 1).  det M = prod ^R_jj**2 is at least
+      prod s_j (1 - u)**(2d), tr M <= t / ((1 - u)**(d-1) (1 - gamma_{d+1})),
+      and g errs from prod s_j / w**(d-1) by its 2d roundings and w's one,
+      raised to d - 1.  Multiplying the factors, lambda_min(M) >= g (1 -
+      gamma_{2 (d+1)**2}).
+    * Underflow.  A product that underflows errs by at most 2**-1075, and a
+      quotient by ^R_jj <= sqrt(k / (1 - gamma_{d+1})) by that much times
+      ^R_jj in the relation it enters.  An entry of ^C or M meets at most
+      2k + d of them, so they add at most 3 d k 2**-1075 to ||M - C||_2
+      (d <= k), which the + 1 in gamma_{k+2d+3} covers.  In g: each
+      s_j <= ^C_jj (1 + u), so the s_j / w sum to at
+      most (d - 1)(1 + gamma_{d+2}), and by AM-GM every partial product of
+      them is below e**((d-1)/e) (1 + gamma_{d+2})**d < 2**543 for d <=
+      1024.  None overflows, and one that underflowed would leave the
+      product below 2**-479; with it >= 2**-470 and w >= 2**-500, no step
+      of g underflows.
+    * Forming lam rounds three more times, with two rounded constants; the
+      extra 4 and 1 in the gamma indices cover them.
+    """
+    d, k = As.shape[0], idx.shape[1]
+    B = As[:, idx]  # (d, chunk, k)
+    C = {(i, j): np.einsum("ck,ck->c", B[i], B[j]) for i in range(d) for j in range(i, d)}
+    t = sum(C[j, j] for j in range(d))
+    ok = np.full(len(idx), d <= 1024)
+    R, pivots = {}, []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        for j in range(d):
+            s = C[j, j] - sum(R[i, j] * R[i, j] for i in range(j))
+            ok &= s > 0
+            pivots.append(s)
+            root = np.sqrt(s)
+            for m in range(j + 1, d):
+                R[j, m] = (C[j, m] - sum(R[i, j] * R[i, m] for i in range(j))) / root
+        if d == 1:
+            g = pivots[0]
+        else:
+            w = t / (d - 1)
+            ratio = functools.reduce(operator.mul, (s / w for s in pivots))
+            ok &= (ratio >= 2.0**-470) & (w >= 2.0**-500)
+            g = w * ratio
+        lam = g * (1.0 - _gamma(2 * (d + 1) ** 2 + 4)) - d * k * _gamma(k + 2 * d + 4)
+    return np.where(ok & (lam > 0.0), lam, 0.0), t
+
+
+def _svd_error(d: int, k: int) -> float:
+    """p u, p = 64 d k: the assumed error of LAPACK's singular values of a d x k X, over sigma_1(X).
+
+    The least-subset minimum and the full-spark check assume
+    |computed sigma_i - sigma_i| <= p u sigma_1(X) + 2**-1074, the last
+    term for a value in the subnormal range.  LAPACK's error analysis
+    bounds it by "a modestly growing function" p(d, k) times u sigma_1
+    (LAPACK Users' Guide, 4.9): Householder bidiagonalisation is backward
+    stable with an error of a small multiple of d k u ||X||_F (Higham,
+    Theorem 19.4), and the bidiagonal singular values are found to high
+    relative accuracy.  p = 64 d k is an assumption on LAPACK, not a proof.
+    """
+    return 64 * d * k * _UNIT_ROUNDOFF
+
+
+def _least_subset_sigma(A: np.ndarray, k: int, chunks) -> float:
+    """The least d-th singular value of A[:, s] over the rows s of each (chunk, k) array in chunks.
+
+    The value is the least that np.linalg.svd returns for any of the
+    subsets, bit for bit, as a subset's singular values do not depend on the
+    batch they are computed in; but only subsets that can hold it reach the
+    SVD.  Each index array, k >= d, is screened by ``_gram_floor`` on
+    As = 2**-e A (``_unit_scaled``): its least-floor subset goes to the SVD
+    first, then, in one batched SVD, every other subset with
+    lam <= ((2**-e best + a)(1 + 4u))**2, best the least value so far and
+    a = (p + 2) u sqrt(d k) + 2**(-e - 1072), p u = ``_svd_error``.  A
+    subset left out has a computed sigma_d of at least best:
+
+    * Let B = 2**-e A[:, s] and Bs = As[:, s].  They differ only where the
+      scaling underflows, by at most 2**-1075 an entry, so sigma_d(B) >=
+      sigma_d(Bs) - sqrt(d k) 2**-1075; and sigma_1(B) < sqrt(d k), as
+      every |entry| of B is below 1.
+    * By ``_svd_error``'s assumption, the computed value is thus at least
+      2**e (sigma_d(Bs) - p u sqrt(d k) - sqrt(d k) 2**-1075 - 2**(-e-1074)),
+      and fl(2**-e best) is 2**-e best within 2**-1075.  Where e <= 2,
+      2**(-e-1072) covers 2**(-e-1074) + 2**-1075; where e > 2, both are
+      below 2**-1074.  The 2 in p + 2 covers what is left, all below
+      u sqrt(d k), and a's own two roundings; the factor 1 + 4u covers the
+      roundings of the sum, the product and the square.
+    * So lam above that level proves sigma_d(Bs) > 2**-e best + p u sqrt(d k)
+      + the absolute terms, and the computed value is at least best.
+    """
+    d = A.shape[0]
+    As, e = _unit_scaled(A)
+    a = (_svd_error(d, k) + 2.0 * _UNIT_ROUNDOFF) * math.sqrt(d * k) + math.ldexp(1.0, -e - 1072)
+    best = math.inf
+
+    def level() -> float:
+        return ((math.ldexp(best, -e) + a) * (1.0 + 4.0 * _UNIT_ROUNDOFF)) ** 2
+
+    def sigma_d(subsets: np.ndarray) -> float:
+        sv = np.linalg.svd(A[:, subsets].transpose(1, 0, 2), compute_uv=False)
+        return float(sv[:, d - 1].min())
+
+    for idx in chunks:
+        lam, _ = _gram_floor(As, idx)
+        first = int(np.argmin(lam))
+        if lam[first] > level():
+            continue
+        best = min(best, sigma_d(idx[first : first + 1]))
+        rest = lam <= level()
+        rest[first] = False
+        if rest.any():
+            best = min(best, sigma_d(idx[rest]))
+    return best
 
 
 def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL) -> bool:
     """Whether every d-column submatrix of the d x D matrix A is invertible.
 
-    A subset counts as invertible when its smallest singular value exceeds
-    ``tol`` times its own largest singular value.  Requires enumerating all
-    C(D, d) subsets; raises BudgetExceededError if that count exceeds
-    ``DEFAULT_SUBSET_BUDGET``.
+    A subset counts as invertible when its smallest computed singular value
+    exceeds ``tol`` times its largest.  Requires enumerating all C(D, d)
+    subsets; raises BudgetExceededError if that count exceeds
+    ``DEFAULT_SUBSET_BUDGET``.  Only subsets that ``_gram_floor`` cannot
+    prove invertible reach the SVD, with the verdict the SVD of every
+    subset would give.  On As = 2**-e A (``_unit_scaled``), a subset is
+    proven invertible when lam > ((kappa sqrt(t') + c)(1 + 4u))**2,
+    t' = t (1 + gamma_{2d+4}) with t from ``_gram_floor``, and
+    kappa = tol (1 + (p + 4) u) + (p + 1) u, p u = ``_svd_error`` and
+    c = (2 + kappa)(d + 1) 2**(max(-e, 0) - 1072):
+
+    * With B = 2**-e A[:, s] and Bs = As[:, s] as in ``_least_subset_sigma``,
+      sigma_1(B) <= ||Bs||_F + z, z = d 2**-1075, and sigma_d(B) >=
+      sqrt(lam) - z.  Where lam > 0, t >= 2**-501 and ||Bs||_F**2 <=
+      t (1 + gamma_{2d+1}) (each ^C_jj >= C_jj (1 - gamma_d) less d
+      products' underflow, and t sums d of them), and t is taken times
+      1 + gamma_{2d+4} to cover that and its own rounding.  Write
+      v = 2**(-e-1074).
+    * The check counts a subset singular when fl(tol s_1) >= s_d, s_i its
+      computed singular values.  By ``_svd_error``'s assumption, in units of
+      2**e, s_d >= sigma_d(B) - p u sigma_1(B) - v, and fl(tol s_1) <=
+      tol (1 + u)((1 + p u) sigma_1(B) + v) + v / 2.
+    * So sigma_d(B) > kappa sigma_1(B) + (1.5 + kappa) v proves it
+      invertible, and sqrt(lam) > kappa sqrt(t') + (1 + kappa) z + (1.5 +
+      kappa) v implies that.  c covers the absolute terms, with a factor 4
+      for its rounding; the 4 in p + 4 and the 1 in p + 1 cover kappa's
+      roundings, and the factor 1 + 4u those of the sum, the products, the
+      square root and the square, all in the normal range as t >= 2**-501.
+      For tol >= 1 nothing is skipped: lam <= lambda_min(Bs Bs^T) <= t'.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -248,8 +420,21 @@ def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL) -> bool:
             f"full-spark check needs {count} subset evaluations, "
             f"budget is {DEFAULT_SUBSET_BUDGET}"
         )
-    # any() stops at the first chunk holding a singular subset
-    return not any(np.any(sv[:, -1] <= tol * sv[:, 0]) for sv in _subset_singular_values(A, d))
+    As, e = _unit_scaled(A)
+    pu = _svd_error(d, d)
+    kappa = tol * (1.0 + pu + 4.0 * _UNIT_ROUNDOFF) + pu + _UNIT_ROUNDOFF
+    c = (2.0 + kappa) * math.ldexp(d + 1.0, max(-e, 0) - 1072)
+    for idx in _subset_chunks(D, d):
+        lam, t = _gram_floor(As, idx)
+        # a huge tol overflows to inf here, which proves nothing and counts as singular
+        with np.errstate(over="ignore"):
+            bound = kappa * np.sqrt(t * (1.0 + _gamma(2 * d + 4))) + c
+            unproven = lam <= (bound * (1.0 + 4.0 * _UNIT_ROUNDOFF)) ** 2
+            if unproven.any():
+                sv = np.linalg.svd(A[:, idx[unproven]].transpose(1, 0, 2), compute_uv=False)
+                if np.any(sv[:, -1] <= tol * sv[:, 0]):
+                    return False
+    return True
 
 
 def flatten_embedding(E) -> np.ndarray:

@@ -27,7 +27,7 @@ from permorb import (
     subset_sigma_lower_bound_sampled,
     upper_lipschitz,
 )
-from permorb import audit
+from permorb import audit, core
 from permorb.audit import EXACT_SWEEP, SPHERE_SAMPLING, _least_mth_projection, _pu_sphere_sampling
 from permorb.core import BudgetExceededError
 
@@ -146,6 +146,87 @@ def test_sampled_subset_bound_equals_the_per_sample_loop(monkeypatch, chunk, d, 
         A = gaussian_directions(d, D, seed)
         got = subset_sigma_lower_bound_sampled(A, r, samples, seed + 10).value
         assert got.hex() == _per_sample_subset_bound(A, r, samples, seed + 10).hex()
+
+
+def _all_subsets_minimum(A, r):
+    """The exhaustive bound's value as one batched SVD of every subset, nothing screened."""
+    d, D = A.shape
+    subsets = np.array(list(combinations(range(D), r * d)))
+    return float(np.linalg.svd(A[:, subsets].transpose(1, 0, 2), compute_uv=False)[:, d - 1].min())
+
+
+def test_a_subsets_singular_values_do_not_depend_on_its_batch():
+    A = gaussian_directions(3, 9, 2)
+    subsets = np.array(list(combinations(range(9), 3)))
+    batched = np.linalg.svd(A[:, subsets].transpose(1, 0, 2), compute_uv=False)
+    alone = [np.linalg.svd(A[:, s], compute_uv=False) for s in subsets]
+    halves = [np.linalg.svd(A[:, part].transpose(1, 0, 2), compute_uv=False)
+              for part in (subsets[::2], subsets[1::2])]
+    assert batched.tobytes() == np.array(alone).tobytes()
+    assert batched[::2].tobytes() == halves[0].tobytes()
+    assert batched[1::2].tobytes() == halves[1].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [core._SUBSET_CHUNK, 7], ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize("d, r", [(d, r) for d in (1, 2, 3, 4) for r in (1, 2, 3)])
+def test_screened_subset_bound_equals_every_subsets_svd(monkeypatch, chunk, d, r):
+    monkeypatch.setattr(core, "_SUBSET_CHUNK", chunk)
+    for seed in range(3):
+        A = gaussian_directions(d, r * d + 3 + seed, seed)
+        bound = subset_sigma_lower_bound(A, r, 1)
+        assert bound.value.hex() == _all_subsets_minimum(A, r).hex()
+        assert bound.subsets == math.comb(A.shape[1], r * d)
+
+
+_SCALES = {"scaled-up": 600, "scaled-down": -600, "huge": 1020, "subnormal": -1064}
+
+
+def _planted(case):
+    A = gaussian_directions(3, 10, 5)
+    if case == "duplicate":
+        A[:, 6] = A[:, 2]
+    elif case == "zero":
+        A[:, 4] = 0.0
+    elif case == "near-parallel":
+        A[:, 7] = A[:, 3] + 1e-9 * A[:, 8]
+    elif case in _SCALES:
+        A = np.ldexp(A, _SCALES[case])
+    elif case == "tied":
+        # four 2 x 2 submatrices, signed permutations of one another, share the least value
+        A = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
+    return A
+
+
+@pytest.mark.parametrize("chunk", [core._SUBSET_CHUNK, 7], ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize("case", ["duplicate", "zero", "near-parallel", "scaled-up",
+                                  "scaled-down", "huge", "subnormal", "tied"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_screened_subset_bound_on_planted_matrices(monkeypatch, chunk, case, r):
+    monkeypatch.setattr(core, "_SUBSET_CHUNK", chunk)
+    A = _planted(case)
+    assert subset_sigma_lower_bound(A, r, 1).value.hex() == _all_subsets_minimum(A, r).hex()
+
+
+def test_the_planted_tie_holds_the_minimum_more_than_once():
+    A = _planted("tied")
+    subsets = np.array(list(combinations(range(4), 2)))
+    sv = np.linalg.svd(A[:, subsets].transpose(1, 0, 2), compute_uv=False)[:, 1]
+    assert sv.min() > 0.6 and np.count_nonzero(sv == sv.min()) >= 2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_screen_sends_few_subsets_to_the_svd(monkeypatch, seed):
+    # the exhaustive 3 x 24 bound of the audit benchmark: at most 64 of its 2,024 subsets
+    svd, sent = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        sent.append(1 if a.ndim == 2 else a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(core.np.linalg, "svd", counted)
+    bound = subset_sigma_lower_bound(gaussian_directions(3, 24, seed), 1, 3)
+    assert bound.subsets == 2024
+    assert 1 <= sum(sent) <= 64
 
 
 @pytest.mark.parametrize("r", [0, -1])

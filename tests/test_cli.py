@@ -512,6 +512,27 @@ def test_audit_reports_an_array_too_large_to_allocate(tmp_path, capsys, extra):
     assert audit._largest_sketch_bytes == largest
 
 
+@pytest.mark.parametrize("shape, flags, message", [
+    ((3, 24), ["--n", "12"], "n must lie in 2..8, got 12"),
+    ((3, 24), ["--n", "1"], "n must lie in 2..8, got 1"),
+    ((3, 24), ["--n", "3", "--trials", "0"], "trials must be >= 1, got 0"),
+    ((1, 24), ["--n", "3"], "empirical distortion needs d >= 2, got d = 1"),
+])
+def test_audit_that_fails_before_the_check_draws_no_sketch(tmp_path, capsys, monkeypatch,
+                                                             shape, flags, message):
+    def drawn_sketch(*args):
+        raise AssertionError("the sketch was drawn")
+
+    monkeypatch.setattr(audit, "_drawn_sketch", drawn_sketch)
+    save_matrix_csv(tmp_path / "A.csv", gaussian_directions(*shape, 0))
+    argv = ["audit", "--directions", str(tmp_path / "A.csv"), *flags, "--seed", "0",
+            "--out", str(tmp_path / "r.json")]
+    for extra in (["--check-ose", "--epsilon", "2.0"], ["--check-ose"], []):
+        assert main(argv + extra) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_audit_rejects_all_zero_directions(tmp_path, capsys):
     save_matrix_csv(tmp_path / "A.csv", np.zeros((2, 4)))
     assert main(["audit", "--directions", str(tmp_path / "A.csv"), "--n", "3",

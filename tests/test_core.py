@@ -152,6 +152,42 @@ def test_full_spark_gaussian_vs_determinants():
         assert abs(_det3(A[:, subset])) > 1e-9
 
 
+def _unscreened_full_spark(A, tol):
+    """The full-spark verdict from one batched SVD of every d-column subset."""
+    from itertools import combinations
+
+    d, D = A.shape
+    subsets = np.array(list(combinations(range(D), d)))
+    sv = np.linalg.svd(A[:, subsets].transpose(1, 0, 2), compute_uv=False)
+    return not np.any(sv[:, -1] <= tol * sv[:, 0])
+
+
+def test_full_spark_screen_keeps_every_verdict(monkeypatch):
+    monkeypatch.setattr(core, "_SUBSET_CHUNK", 7)
+    for d, D in [(1, 5), (2, 9), (3, 8), (4, 8)]:
+        for seed in range(3):
+            A = core.make_rng(seed).standard_normal((d, D))
+            A[:, seed] *= 2.0 ** (400 * (seed - 1))  # one column far larger or smaller
+            for scale, tol in [(scale, tol) for scale in (-1064, 0, 600)
+                               for tol in (1e-300, 1e-9, 1e-3, 0.3, 1.0, 2.0, 1e308)]:
+                B = np.ldexp(A, scale)
+                with np.errstate(over="ignore"):  # the reference's tol s_1 may overflow
+                    assert core.is_full_spark(B, tol) == _unscreened_full_spark(B, tol)
+
+
+@pytest.mark.parametrize("scale", [-600, 0, 600])
+def test_full_spark_screen_at_the_tol_boundary(scale):
+    # subset (0, 1, 2) has computed sigma_3 / sigma_1 = q; tol just either side of q, and q itself
+    A = core.make_rng(8).standard_normal((3, 7))
+    A[:, 2] = A[:, 0] + A[:, 1] + 1e-4 * A[:, 3]
+    A = np.ldexp(A, scale)
+    sv = np.linalg.svd(A[:, :3], compute_uv=False)
+    q = sv[2] / sv[0]
+    for tol in (q * (1 - 2**-40), q, np.nextafter(q, 0), np.nextafter(q, 1), q * (1 + 2**-40)):
+        assert core.is_full_spark(A, tol) == _unscreened_full_spark(A, tol)
+    assert core.is_full_spark(A, q * (1 - 2**-40)) and not core.is_full_spark(A, q * (1 + 2**-40))
+
+
 def test_full_spark_budget():
     # C(2001, 2) = 2,001,000 subsets, one more thousand than the budget
     A = core.make_rng(5).standard_normal((2, 2001))
