@@ -40,6 +40,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -515,10 +516,10 @@ def empirical_distortion(
     attaches the projective uniformity of projective_uniformity to the
     report; a subset bound is attached by the caller, as
     ``report.subset_bound = subset_sigma_lower_bound(A, r, n)``.  The
-    blueprint floor is attached for d = 2, where delta is the exact
-    sweep's proven floor (O(D**2) elementwise work, plus the kernel at the
-    crossings that can hold the minimum), and only when
-    n**2 * (m - 1) <= D; for d > 2 delta is sampled, overestimates the
+    blueprint floor is attached when delta's method is the exact sweep,
+    whose delta is a proven floor (d = 2: O(D**2) elementwise work, plus
+    the kernel at the crossings that can hold the minimum), and only when
+    n**2 * (m - 1) <= D; a sampled delta (d > 2) overestimates the
     constant, and gives no floor.  Limited to n <= 8: the distance DP takes
     n 2**(n-1) steps per pair and holds up to C(n, n/2) totals a pair, and
     the adversarial circle pair's check enumerates its n! matchings, so no
@@ -588,7 +589,7 @@ def empirical_distortion(
     if pu_m is not None:
         report.pu = projective_uniformity(A, pu_m, seed=seed)
         # a sampled delta overestimates the constant, so it gives no floor
-        if d == 2 and n * n * (pu_m - 1) <= D:
+        if report.pu.method == EXACT_SWEEP and n * n * (pu_m - 1) <= D:
             report.blueprint_bound = blueprint_lower_bound(report.pu.delta, pu_m, D, n)
     return report
 
@@ -619,18 +620,9 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
 
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  It is one
     standard_normal call divided by sqrt(M).  ``permorb audit --check-ose``
-    draws these same bits on two threads while its pair pool runs
-    (``_drawn_sketch``): one fills the first half of the rows from the
-    seeded Philox stream, the other the second half from a copy of the
-    stream advanced to a guessed word.  Once the first half is drawn, a
-    replay proves where the copy joins the stream, by equality of the two
-    generators' states, and the second half is moved into place.  When the
-    guessed word starts no normal, or the replay window misses it, the
-    second half is drawn again from the first half's generator.  The guess
-    uses numpy's average of 1.022 words per normal, which moves only the
-    speed.  Each thread divides its own half by sqrt(M), entry by entry, so
-    the bits are this function's.  On one core the split gains nothing and
-    costs a thread, a replay and one pass over the moved rows.
+    draws these same bits as two halves, one on a worker thread while its
+    pair pool runs and one on the calling thread when the check needs
+    them (``_drawn_sketch`` gives the account and its proof).
     """
     n, D, M = _check_count("n", n), _check_count("D", D), _check_count("M", M)
     return _gaussian_sketch(make_rng(seed), M, n * D)
@@ -720,47 +712,50 @@ def _aligned_start(mark: dict, end: dict, start: dict) -> int | None:
 
 @contextmanager
 def _drawn_sketch(n: int, D: int, M: int, seed: int):
-    """Draw gaussian_sketch(n, D, M, seed) on two worker threads: yields (L, final).
+    """Draw gaussian_sketch(n, D, M, seed) on one worker thread and the caller's: yields (L, final).
 
     n, D and M are the counts ``ose_dimension`` has checked.  L is the
-    M x nD array being drawn.  ``final()`` waits until all of L is final,
-    with the bits of gaussian_sketch(n, D, M, seed), re-raises a worker's
-    error, and returns what ``_gram(L)`` returns: (G, a bound on ||L||_F)
-    for a tall sketch, M >= nD, where G = G_head + G_tail is summed from
-    the two halves' Gram parts, and (None, inf) for a wide one.
+    M x nD array being drawn.  ``final()`` draws the rest of L on the
+    calling thread, waits until all of L is final, with the bits of
+    gaussian_sketch(n, D, M, seed), re-raises the worker's error, and
+    returns what ``_gram(L)`` returns: (G, a bound on ||L||_F) for a tall
+    sketch, M >= nD, where G = G_head + G_tail is summed from the two
+    halves' Gram parts, and (None, inf) for a wide one.  The first call
+    that returns keeps its pair, and a later call returns that pair and
+    draws nothing.
 
-    The rows split at h = ceil(M / 2), and each of the two workers of one
-    executor owns a half.  The head's draw fills rows [0, h) from the
-    seeded stream, and records its state one window before their end:
-    ``_DRAW_WINDOW`` normals, or all h nD of them if fewer.  The tail's
-    task fills rows [h, M), and a spill after L of one window, from its own
-    copy of the stream advanced (``Philox.advance``) to a word g, a
-    multiple of four: Philox is counter-based, so any block of its words
-    can be reached directly.  A normal takes a variable number of words, so
-    g is a guess: the head's expected end, h nD ``_WORDS_PER_NORMAL``
-    words, less half the window.  That constant, numpy's ziggurat's
-    average, only places g.  The rest of the head's work is a task of its
-    own, queued after the tail's, so that the tail waits for the head's
-    draw alone.  A replay from the recorded state then finds the count j
-    of normals after which the head's stream is in the tail's starting
-    state: equal key and counter, and no word of the counter's block left
-    over.  Equal Philox states give equal continuations, so the tail's
-    normals are the stream's from j on; this is a proof, not a match of
-    values.  They lie delta = window - j places after their place in L,
-    and the tail is moved back by delta (a 1-D copy in one direction,
-    which numpy makes without a temporary).  On a miss, where g falls
-    inside the words of one normal (about 2% of seeds, as about 2% of the
-    words continue a normal) or j outside the window, the tail's task
-    draws its rows again from the head's generator, which the head's draw
-    has left at its end.  Each half is then divided by sqrt(M), checked
-    finite, and, for a tall sketch, given its Gram part with one syrk, on
-    a worker thread.  The margin of the check's screen holds for L^T L
-    summed in any order, so the report is the one a single L^T L gives.
-    On one core the split gains nothing, and costs a thread, the spill,
-    the replay (about 0.1 ms) and the move, one pass over the tail's
-    memory.
+    The rows split at h = ceil(M / 2).  The worker's one task, submitted on
+    entry, fills the head, rows [0, h), from the seeded stream, and records
+    its state one window before their end: ``_DRAW_WINDOW`` normals, or all
+    h nD of them if fewer.  It then divides the head by sqrt(M), checks it
+    finite and, for a tall sketch, forms its Gram part with one syrk.  The
+    calling thread draws the tail, rows [h, M), in ``final()``, the first
+    time the check needs G.  It fills the tail, and a spill after L of one
+    window, from its own copy of the stream advanced (``Philox.advance``)
+    to a word g, a multiple of four: Philox is counter-based, so any block
+    of its words can be reached directly.  A normal takes a variable number
+    of words, so g is a guess: the head's expected end, h nD
+    ``_WORDS_PER_NORMAL`` words, less half the window.  That constant,
+    numpy's ziggurat's average, only places g.  Once the worker is done, a
+    replay from the recorded state finds the count j of normals after
+    which the head's stream is in the tail's starting state: equal key and
+    counter, and no word of the counter's block left over.  Equal Philox
+    states give equal continuations, so the tail's normals are the
+    stream's from j on; this is a proof, not a match of values.  They lie
+    delta = window - j places after their place in L, and the tail is
+    moved back by delta (a 1-D copy in one direction, which numpy makes
+    without a temporary).  On a miss, where g falls inside the words of
+    one normal (about 2% of seeds, as about 2% of the words continue a
+    normal) or j outside the window, the tail is drawn again from the
+    head's generator, which the worker has left at the head's end.  The
+    tail is then divided, checked and given its Gram part as the head is.
+    No task waits for another inside the pool.  The margin of the check's
+    screen holds for L^T L summed in any order, so the report is the one a
+    single L^T L gives.  On one core the split gains nothing, and costs a
+    thread, the spill, the replay (about 0.1 ms) and the move, one pass
+    over the tail's memory.
 
-    A task allocates nothing large: the finite check runs over chunks of
+    The worker allocates nothing large: the finite check runs over chunks of
     2**15 floats, since memory a thread frees stays in its own malloc arena
     (one whole-half np.isfinite raised the audit-cli benchmark's peak RSS
     by 3.8%).  L is allocated on the caller's thread, with the spill after
@@ -781,11 +776,12 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     sketch counts once it is allocated: one too large to allocate leaves
     the record as it was.
 
-    A worker runs none of permorb's public functions.  On leaving the
+    The worker runs none of permorb's public functions.  On leaving the
     context, on every path, a stop flag is set, which every fill reads
-    between its chunks, a task not yet begun is cancelled, and both workers
-    are joined: an error raised before the check waits for at most one
-    chunk of each fill, or a Gram part being formed.
+    between its chunks, the task is cancelled if not yet begun, and the
+    worker is joined: an error raised before the check waits for at most
+    one chunk of the head's fill, or the head's Gram part being formed,
+    and draws no tail.
     """
     # imported here, so that only --check-ose loads the executor's modules
     from concurrent.futures import ThreadPoolExecutor
@@ -794,7 +790,7 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     N = n * D
     h = (M + 1) // 2  # the head's rows
     window = min(_DRAW_WINDOW, h * N)
-    size = M * N + window  # the sketch, then the tail drawer's spill
+    size = M * N + window  # the sketch, then the tail's spill
     if 8 * size > _largest_sketch_bytes:
         try:
             import ctypes
@@ -819,36 +815,27 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
                 raise ValueError("L contains non-finite entries")
         return S.T @ S if M >= N else None
 
-    def draw_head():
+    def head_task():
         _gaussian_fill(rng, flat[: h * N - window], stop)
         mark = rng.bit_generator.state
         _gaussian_fill(rng, flat[h * N - window: h * N], stop)
-        return mark, rng.bit_generator.state
+        return mark, rng.bit_generator.state, finished(slice(0, h))
 
-    def head_task():
-        drawn.result()
-        return finished(slice(0, h))
-
-    def tail_task():
+    @cache
+    def final():
         _gaussian_fill(tail_rng, flat[h * N:], stop)
-        j = _aligned_start(*drawn.result(), start)
+        mark, end, G_head = head.result()
+        j = _aligned_start(mark, end, start)
         if j is None:
             _gaussian_fill(rng, flat[h * N: M * N], stop)
         else:
             delta = window - j
             flat[h * N: M * N] = flat[h * N + delta: M * N + delta]
-        return finished(slice(h, M))
-
-    def final():
-        G_head, G_tail = head.result(), tail.result()
+        G_tail = finished(slice(h, M))
         return _gram(L, None if G_head is None else G_head + G_tail)
 
-    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="permorb-sketch")
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch")
     try:
-        # the queue is first in, first out, so a worker takes the head's draw
-        # before either task that waits for it
-        drawn = pool.submit(draw_head)
-        tail = pool.submit(tail_task)
         head = pool.submit(head_task)
         yield L, final
     finally:
@@ -994,15 +981,10 @@ def ose_check(
     matvec loop gives, bit for bit.
 
     ``permorb audit --check-ose`` runs the same check on a sketch still
-    being drawn, started before its pair pool (``_drawn_sketch``): two
-    drawer threads each fill one half of L's rows, divide it by sqrt(M),
-    check it finite and form that half's part of L^T L, and the check
-    waits for both before its first screen, taking G as the sum of the two
-    parts.  The second half comes from a copy of the stream that a replay
-    has proven, by Philox state equality, to join it, or on a miss from
-    the first half's generator.  Its bits are gaussian_sketch's either
-    way, and the margin holds for any summation order of L^T L, so the
-    report is unchanged.
+    being drawn, started before its pair pool, and takes G as the sum of
+    its two halves' Gram parts before the first screen (``_drawn_sketch``).
+    The bits are gaussian_sketch's and the margin holds for any summation
+    order of L^T L, so the report is unchanged.
     """
     A, L = as_matrix(A, "A"), as_matrix(L, "L")
     return _ose_check(A, L, lambda: _gram(L), n, epsilon, trials, seed)

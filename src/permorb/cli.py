@@ -249,12 +249,14 @@ def cmd_audit(args) -> int:
            for name, default in _OSE_DEFAULTS.items()}
     A = load_matrix_csv(args.directions)
     with contextlib.ExitStack() as stack:
-        # The OSE sketch is drawn by two worker threads while the pool runs,
-        # and the sketch check waits for it before its first screen.  An
-        # invalid OSE flag, or a sketch too large to allocate, is
-        # raised where the audit reaches the check, after the errors of
-        # everything before it.  An audit whose pool arguments fail
-        # draws no sketch: empirical_distortion raises their error first.
+        # A worker thread draws half the OSE sketch while the pool runs, and
+        # the sketch check draws the rest before its first screen
+        # (_drawn_sketch), so an audit that fails before the check draws
+        # at most that half.  An invalid OSE flag, or a sketch too large to
+        # allocate, is raised where the audit reaches the check, after the
+        # errors of everything before it.  An audit whose pool arguments
+        # fail draws no sketch: empirical_distortion raises their error
+        # first.
         sketch = sketch_error = None
         if args.check_ose:
             n, D = args.n, A.shape[1]

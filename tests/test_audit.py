@@ -619,6 +619,19 @@ def test_blueprint_floor_needs_the_exact_sweep():
     assert exact.pu.method == EXACT_SWEEP and exact.blueprint_bound is not None
 
 
+def test_the_blueprint_floor_follows_delta_s_method_not_d(monkeypatch):
+    # the function that proves delta says whether it is a proof: a d = 2
+    # delta labelled sampled gives no floor
+    A = circle_directions(64)
+    exact = empirical_distortion(A, 4, 100, 9, pu_m=3)
+    assert type(exact.blueprint_bound) is float
+    assert exact.blueprint_bound == blueprint_lower_bound(exact.pu.delta, 3, 64, 4)
+    estimate = replace(exact.pu, method=SPHERE_SAMPLING)
+    monkeypatch.setattr(audit, "projective_uniformity", lambda A, m, *, seed=0: estimate)
+    sampled = empirical_distortion(A, 4, 100, 9, pu_m=3)
+    assert sampled.pu is estimate and sampled.blueprint_bound is None
+
+
 # ---------------------------------------------------------------------------
 # sketching
 # ---------------------------------------------------------------------------

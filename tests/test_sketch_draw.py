@@ -1,25 +1,18 @@
-"""The audit CLI's OSE sketch, drawn as two halves on two worker threads while the pool runs.
+"""The audit CLI's OSE sketch, drawn as two halves: one on a worker thread while the pool runs.
 
 ``permorb audit --check-ose`` starts drawing its Gaussian sketch before the
-pair pool (``audit._drawn_sketch``), and the sketch check waits for it
-before its first screen.  The rows split at h = ceil(M / 2), and the two
-workers of one executor draw a half each: the head from the seeded stream,
-the tail from a copy of the stream advanced to a guessed word.  Once the head
-is drawn, a replay finds the normal after which the head's Philox state
-equals the tail's starting state; equal states give equal continuations,
-so the tail's normals, moved into place, are the stream's.  On a miss (the
-guessed word inside one normal's words, or outside the replay window) the
-tail is drawn again from the head's generator.  Each half is then divided
-by sqrt(M), checked finite and given its Gram part on a worker, and the
-check's G is their sum.  The words-per-normal constant that places the
-guess moves only how often the draw splits, and on one core the split
-costs a thread, a replay and one pass over the moved rows.
+pair pool (``audit._drawn_sketch``, which gives the full account): one
+worker thread draws the head, rows [0, h) with h = ceil(M / 2), and the
+sketch check draws the tail on the calling thread before its first screen,
+from a copy of the stream advanced to a guessed word that a replay proves,
+by Philox state equality, to continue the head's stream, or on a miss from
+the head's generator.  The check's G is the sum of the halves' Gram parts.
 
 These tests hold that draw to the sequential route: the same sketch bits
 on the split and the miss paths, a Gram matrix that is the two halves'
-sum, the same report bytes, the same first error on bad input, and no
-thread left behind (``conftest.py`` checks the thread count after every
-test).
+sum, the same report bytes, the same first error on bad input, one worker
+and no thread left behind (``conftest.py`` checks the thread count after
+every test).
 """
 
 import contextlib
@@ -69,6 +62,10 @@ def _drawn(n, D, M, seed):
     """The drawn sketch L and what its draw hands the check: (L, G, fro)."""
     with _drawn_sketch(n, D, M, seed) as (L, final):
         return (L, *final())
+
+
+def _drawer_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
 
 
 def _halves_gram(L):
@@ -183,9 +180,10 @@ def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
 
 
 def test_concurrent_draws_under_fast_thread_switching_keep_the_bits():
-    # four draws, eight workers on two cores, and a switch every 10 us: a
-    # half divided or summed before it is final, or a tail moved before
-    # it is drawn, would change the sketch or its Gram matrix
+    # four draws, four workers and the caller on two cores, and a switch
+    # every 10 us: a half divided or summed before it is final, or a tail
+    # moved before the head's replay, would change the sketch or its Gram
+    # matrix
     M = 6000
     wants = [_one_call_sketch(_N, _D, M, 30 + k) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -198,14 +196,14 @@ def test_concurrent_draws_under_fast_thread_switching_keep_the_bits():
                 assert L.tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
-    assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
+    assert not _drawer_threads()
 
 
-def test_leaving_the_draw_joins_both_workers_within_one_chunk(monkeypatch):
-    # halves of four chunks each; each drawer's first chunk holds its
-    # worker until leaving the context has set the stop flag, and then
-    # neither drawer fills another chunk
-    stops, chunks = [], []
+def test_leaving_the_draw_joins_the_worker_within_one_chunk(monkeypatch):
+    # a head of four chunks; the worker's first chunk holds it until leaving
+    # the context has set the stop flag, and then it fills no other chunk,
+    # and no tail is drawn, as final() was never called
+    stops, chunks, made = [], [], []
     entered = threading.Semaphore(0)
     fill = audit._gaussian_fill
 
@@ -222,15 +220,82 @@ def test_leaving_the_draw_joins_both_workers_within_one_chunk(monkeypatch):
                 time.sleep(1e-3)
             return super().standard_normal(size, dtype, out)
 
+    def held_rng(seed):
+        made.append(Held(make_rng(seed).bit_generator))
+        return made[-1]
+
     monkeypatch.setattr(audit, "_gaussian_fill", recorded)
-    monkeypatch.setattr(audit, "make_rng", lambda seed: Held(make_rng(seed).bit_generator))
+    monkeypatch.setattr(audit, "make_rng", held_rng)
     M = 8 * (1 << 18) // (_N * _D)
     began = time.monotonic()
     with _drawn_sketch(_N, _D, M, 19):
-        assert entered.acquire(timeout=10) and entered.acquire(timeout=10)
+        assert entered.acquire(timeout=10)
     assert time.monotonic() - began < 5
-    assert len(chunks) == 2 and chunks[0] is not chunks[1]
-    assert not [t for t in threading.enumerate() if t.name.startswith("permorb-sketch")]
+    assert len(made) == 2 and chunks == [made[0]]
+    assert not _drawer_threads()
+
+
+def test_a_check_ose_audit_starts_one_drawer_thread(tmp_path, monkeypatch):
+    # no drawer is alive before the audit and it starts one, so at no point
+    # are two alive
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert not _drawer_threads()
+    assert main(_audit_argv(tmp_path, "--subset-r", "1", "--pu-m", "2")) == 0
+    assert [name for name in started if name.startswith("permorb-sketch")] == ["permorb-sketch_0"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(("--subset-r", "5"), "error: need D >= r*d = 10, got D = 6"),
+     (("--pu-m", "7"), "error: m must lie in 1..6, got 7")],
+    ids=["subset-r", "pu-m"],
+)
+def test_an_audit_failing_after_the_draw_began_draws_no_tail(tmp_path, monkeypatch, capsys,
+                                                             extra, message):
+    # the draw starts before these errors, which come before the check:
+    # the worker's head may be drawn, but the tail's advanced generator
+    # never fills
+    made, filled = [], []
+    real_rng, real_fill = audit.make_rng, audit._gaussian_fill
+
+    def recording_rng(seed):
+        made.append(real_rng(seed))
+        return made[-1]
+
+    def recording_fill(rng, out, stop):
+        filled.append(rng)
+        real_fill(rng, out, stop)
+
+    monkeypatch.setattr(audit, "make_rng", recording_rng)
+    monkeypatch.setattr(audit, "_gaussian_fill", recording_fill)
+    assert main(_audit_argv(tmp_path, *extra)) == 1
+    assert _first_error(capsys) == message
+    assert len(made) >= 2 and all(rng is made[0] for rng in filled)
+
+
+def test_final_draws_once_and_then_returns_its_pair(monkeypatch):
+    fills = []
+    real = audit._gaussian_fill
+
+    def counted(rng, out, stop):
+        fills.append(out.size)
+        real(rng, out, stop)
+
+    monkeypatch.setattr(audit, "_gaussian_fill", counted)
+    with _drawn_sketch(_N, _D, 3000, 2) as (L, final):
+        G, fro = final()
+        drawn, bits = len(fills), L.tobytes()
+        again = final()
+        assert len(fills) == drawn and L.tobytes() == bits
+    assert again[0] is G and again[1] == fro
+    assert G.tobytes() == _halves_gram(_one_call_sketch(_N, _D, 3000, 2)).tobytes()
 
 
 def test_ose_check_takes_a_sketch_being_drawn():
@@ -388,9 +453,10 @@ def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which, fail, 
         with pytest.raises((RuntimeError, ValueError), match=error):
             final()
     assert len(generators) == 2
-    if fail is _raise:
-        # either error comes before the alignment: the head's in its draw,
-        # which the tail waits for, and the tail's in its own draw
+    if fail is _raise or which == 0:
+        # every error but a non-finite tail comes before the alignment: the
+        # tail's raised in its own draw, and the head's where final() waits
+        # for the worker, which it does before the replay
         assert found == []
     else:
         assert len(found) == 1 and found[0][0] is not None
