@@ -15,7 +15,12 @@ medians further apart than the parent's quartiles), and whether it is
 worse than the parent by more than the metric's ``bound`` (``worse``: the
 medians differ, the wrong way, by more than that fraction of the parent's
 median).  Each metric that is worse also gets a ``# WORSE <metric>`` line.
-Every run's values are printed too.  The exit code is 1 when a run is not
+After the table, each op's best latency in a run (read from the
+``.perfbench_out/<workload>-seed<s>-trace0.json`` that the run writes in its
+export, times the run's host-speed scale, as ``op_p50_s`` takes it) is
+printed as its median over each side's runs, so a move in ``op_p50_s`` or
+``wall_s`` can be traced to the ops that made it.  Every run's values are
+printed too.  The exit code is 1 when a run is not
 correct or an op's output digest differs between the sides, else 2 when
 any metric is worse, else 0.
 """
@@ -66,7 +71,21 @@ def run(tree: Path, args) -> dict:
         raise SystemExit(f"error: no result from the run in {tree} (exit {done.returncode})")
     result["digests"] = dict(line.split()[-2:] for line in lines if line.startswith("# digest "))
     result["failures"] = [line for line in lines if line.startswith("# FAILED ")]
+    ops = json.loads(next(line for line in lines if line.startswith("# ops ")).split(" ", 2)[2])
+    trace = tree / ".perfbench_out" / f"{args.workload}-seed{args.seed}-trace0.json"
+    result["op_best_s"] = op_bests(json.loads(trace.read_text())["rotations"], ops["scale"])
     return result
+
+
+def op_bests(rotations, scale: float) -> dict[str, float]:
+    """Per op key, its best latency over the rotations where it passed, times scale."""
+    best: dict[str, float] = {}
+    for rotation in rotations:
+        for sample in rotation["ops"]:
+            if sample["ok"]:
+                best[sample["key"]] = min(best.get(sample["key"], sample["latency_s"]),
+                                          sample["latency_s"])
+    return {key: value * scale for key, value in best.items()}
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -148,6 +167,15 @@ def main(argv=None) -> int:
                                           for qs in q.values())
                   + f"{delta:>+9.1%}{f'{wins}/{args.pairs}':>8}  {'yes' if won else 'no':<4}"
                   + f"  {'yes' if lost else 'no'}")
+        seen = [{key for r in runs[side] for key in r["op_best_s"]} for side in SIDES]
+        keys = sorted(seen[0] & seen[1])
+        width = max(map(len, keys), default=0) + 2
+        print(f"{'op':<{width}}{'parent median':>15}{'change median':>15}{'change':>9}")
+        for key in keys:
+            medians = [statistics.median(r["op_best_s"][key] for r in runs[side]
+                                         if key in r["op_best_s"]) for side in SIDES]
+            print(f"{key:<{width}}{medians[0]:>15.4g}{medians[1]:>15.4g}"
+                  f"{medians[1] / medians[0] - 1.0:>+9.1%}")
         for name in regressions:
             print(f"# WORSE {name}")
         for problem in problems:

@@ -62,7 +62,7 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sort_project, _take_points
+from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sorted_gaps, _take_points
 from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
@@ -413,23 +413,28 @@ def blueprint_lower_bound(delta: float, m: int, D: int, n: int) -> float:
     return delta * math.sqrt(D - excluded)
 
 
-def sqrtn_ceiling(A, n: int, *, independent: bool = False) -> float:
+def sqrtn_ceiling(A, n: int, *, independent: bool) -> float:
     """Ceiling on the lower Lipschitz constant from the adversarial pair.
 
     Returns (2 + 1/n)**0.5 * pi / sqrt(n) * sqrt(s1**2 + s2**2) where
-    (s1, s2) are the two smallest singular values of A, or the two largest
-    with ``independent=True`` (the variant that holds for the fixed,
-    A-independent adversarial pair).
+    (s1, s2) are the two smallest singular values of A with
+    ``independent=False``, or the two largest with ``independent=True``
+    (the variant that holds for the fixed, A-independent adversarial pair).
+    The two are different bounds, so the caller names one.
     """
     A = as_matrix(A, "A")
     d = A.shape[0]
     if d < 2:
         raise ValueError(f"ceiling needs d >= 2, got d = {d}")
     n = _check_count("n", n)
-    sv = np.zeros(d)
-    got = singular_values(A)
-    sv[: got.size] = got  # pad with zeros when D < d
-    pair = (sv[0], sv[1]) if independent else (sv[d - 2], sv[d - 1])
+    return _sqrtn_ceiling(singular_values(A), d, n, independent=independent)
+
+
+def _sqrtn_ceiling(sv: np.ndarray, d: int, n: int, *, independent: bool) -> float:
+    """sqrtn_ceiling of a d x D matrix, d >= 2, from its singular values sv, unvalidated."""
+    padded = np.zeros(d)
+    padded[: sv.size] = sv  # pad with zeros when D < d
+    pair = (padded[0], padded[1]) if independent else (padded[d - 2], padded[d - 1])
     return float(
         math.sqrt(2.0 + 1.0 / n) * math.pi / math.sqrt(n) * math.hypot(*pair)
     )
@@ -531,17 +536,19 @@ def empirical_distortion(
     are scaled back by 2**k, and the distortion is their scaled ratio.
     Scaling by a power of two is exact, so a matrix whose ratios stay in
     range anyway gets the same bits as without it.  sigma1 and the
-    ceilings come from A itself.
+    ceilings come from A itself, from one SVD.
 
     A pair's distance is sqrt(B), B the least total over all n! matchings
     of the _squared_costs listed in row order, each added in row order;
     the pair is skipped below 1e-8, else its ratio is fl(||fl(EX - EY)|| /
-    dist), the norm that of np.linalg.norm.  Each block of the pool is
-    embedded with one _sort_project call, its gap norms come from one BLAS
-    dot per pair (_dot_norms), and its distances from one batched subset DP
-    (_assignment_totals), which gives B bit for bit.  For n <= 7 that is
-    _enumerated_distance's total, as numpy sums up to seven costs in row
-    order.  At n = 8 numpy sums a matching's eight costs as a balanced
+    dist), the norm that of np.linalg.norm.  Each block of the pool goes
+    to _sorted_gaps, which sorts its pairs' projections in cache-sized
+    sub-blocks and subtracts them straight into the gap vectors, the bits
+    of fl(EX - EY), without building EX or EY.  Their norms come from one
+    BLAS dot per pair (_dot_norms), and the distances from one batched
+    subset DP (_assignment_totals), which gives B bit for bit.  For n <= 7
+    that is _enumerated_distance's total, as numpy sums up to seven costs
+    in row order.  At n = 8 numpy sums a matching's eight costs as a balanced
     tree, so a distance, and C1, C2 or the distortion with it, may differ
     from the enumeration's or an assignment solver's by an ulp or two; both
     sums err by at most gamma_7 = 7u / (1 - 7u) of the exact total.
@@ -554,16 +561,15 @@ def empirical_distortion(
     norm = np.empty(trials)
     for block in _blocks(trials, max(2 * n * max(d, D), _assignment_width(n))):
         pairs = pool[block]
-        E = _sort_project(scaled, pairs.reshape(-1, n, d))
-        norm[block] = _dot_norms((E[0::2] - E[1::2]).reshape(len(pairs), -1))
-        del E
+        norm[block] = _dot_norms(_sorted_gaps(scaled, pairs))
         dist[block] = np.sqrt(_assignment_totals(pairs))
     kept = dist >= _MIN_PAIR_DISTANCE
     if not kept.any():
         raise ValueError("degenerate pool: every sampled pair sits on one orbit")
     ratio = norm[kept] / dist[kept]
 
-    sigma1 = upper_lipschitz(A)
+    sv = singular_values(A)
+    sigma1 = float(sv[0])  # upper_lipschitz(A)
     c1, c2 = float(np.min(ratio)), float(np.max(ratio))
     if c2 == 0.0:
         raise ValueError("every sampled gap is zero: the directions embed every cloud alike")
@@ -579,8 +585,8 @@ def empirical_distortion(
         empirical_C1=c1,
         empirical_C2=c2,
         distortion=distortion,
-        ceiling_sqrt_n=sqrtn_ceiling(A, n),
-        ceiling_sqrt_n_independent=sqrtn_ceiling(A, n, independent=True),
+        ceiling_sqrt_n=_sqrtn_ceiling(sv, d, n, independent=False),
+        ceiling_sqrt_n_independent=_sqrtn_ceiling(sv, d, n, independent=True),
         pair_count=ratio.size,
         trials=trials,
         n=n,
@@ -964,8 +970,10 @@ def ose_check(
     two is exact, so the report does not depend on the scale of A, and a
     matrix with max |A| in [0.5, 1) is embedded as it is.
 
-    Each block's gap vectors x are the rows of one array, and their norms
-    ||x|| come from one BLAS dot each (_dot_norms), the bits of
+    Each block's gap vectors x are the rows of one array, which
+    _sorted_gaps writes column-major straight from the sorted projections,
+    so neither the embeddings nor a transposed copy of their gaps is made;
+    their norms ||x|| come from one BLAS dot each (_dot_norms), the bits of
     np.linalg.norm.  The ratios are screened, then confirmed, and the
     sketch's shape picks the screen.  A tall sketch, M >= N = nD, gets its
     Gram matrix L^T L formed once per check (``_gram``, M N^2 / 2
@@ -1011,19 +1019,17 @@ def _ose_check(
     skipped = 0
     screen = None  # (G, bound on ||L||_F), once the first block needs them
     for block in _blocks(trials, 2 * n * max(d, D)):
-        clouds = np.empty((2, block.stop - block.start, n, d))
+        pairs = np.empty((block.stop - block.start, 2, n, d))
         scales = []
-        for X, Y in zip(*clouds):
+        for X, Y in pairs:
             # the draws of 10.0 ** rng.uniform(-2.0, 2.0) and scale * normals,
             # as in sample_pair_pool
             scales.append(10.0 ** (-2.0 + 4.0 * rng.random()))
             rng.standard_normal(out=X)
             rng.standard_normal(out=Y)
-        clouds *= np.array(scales)[:, None, None]
-        E = _sort_project(scaled, clouds)
+        pairs *= np.array(scales)[:, None, None, None]
         # the column-major gap vectors, one row each
-        V = (E[0] - E[1]).transpose(0, 2, 1).reshape(len(scales), -1)
-        del E
+        V = _sorted_gaps(scaled, pairs, column_major=True)
         denom = _dot_norms(V)
         far = ~(denom < 1e-10)  # a NaN norm is kept, as the pair loop kept it
         skipped += len(V) - int(np.count_nonzero(far))

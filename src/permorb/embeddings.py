@@ -17,14 +17,18 @@ needed anywhere in this module.
 
 The public maps validate their input and then call ``_sort_project``, the
 one sort-projection kernel.  It also takes a stack of clouds, which is how
-the empirical checks (audit pool, sketch check, spot checks) embed many
-clouds in one call, and it can write into a caller's buffer; ``_blocks``
-cuts their trials into blocks of bounded size, and the spot check cuts
-each block again into sub-blocks.  The spot check's block and sub-block
-buffers outlive the call: ``_held`` keeps them per thread, grown to the
-largest size asked for, so a warmed spot check maps no pages.  The audit
-pool and the sketch check allocate theirs per call.  A stacked call
-gives the same bits per cloud as a single one up to the sign of a zero.
+the spot checks embed many clouds in one call, and it can write into a
+caller's buffer; ``_blocks`` cuts the trials of the empirical checks into
+blocks of bounded size, and the spot check cuts each block again into
+sub-blocks.  The spot check's block and sub-block buffers outlive the
+call: ``_held`` keeps them per thread, grown to the largest size asked
+for, so a warmed spot check maps no pages.  The audit pool and the sketch
+check need only the gaps between the sorted embeddings of their pairs:
+``_sorted_gaps`` projects and sorts their pairs as ``_sort_project``
+does, in cache-sized sub-blocks, and subtracts the sorted rows straight
+into the gap vectors, so no sorted embedding of theirs is built; it
+allocates its buffers per call.  A stacked call gives the same bits per
+cloud as a single one up to the sign of a zero.
 Where the network below sorts, the stack is projected point-major, one
 BLAS call per point index over all its clouds, and elsewhere one per
 cloud; either way each entry comes out as in the cloud's own product,
@@ -32,15 +36,15 @@ which the tests check bit for bit at one and two BLAS threads.  Sorting
 is exact, but the network may sort a stack where a single cloud goes
 through ``np.sort``.
 
-Projection columns are sorted by ``_sort_project`` alone.  The clouds of
-the empirical checks are short (n = 3..6), and ``np.sort`` pays one C-level
-sort call per column, so for n <= 6 a wide stack is sorted by a fixed
-compare-exchange network (Knuth, TAOCP vol. 3, 5.3.4): a few
-``np.minimum``/``np.maximum`` passes, in place, over whole point-major
-rows of the stack (``_network_sort``).  Its result equals ``np.sort``'s
-entry by entry under ``==``, so a zero may carry the other sign
-(-0.0 == 0.0).  Longer columns and narrow stacks, where the network is
-slower, use ``np.sort``.
+Projection columns are sorted by ``_sort_project`` and ``_sorted_gaps``
+alone.  The clouds of the empirical checks are short (n = 3..6), and
+``np.sort`` pays one C-level sort call per column, so for n <= 6 a wide
+stack is sorted by a fixed compare-exchange network (Knuth, TAOCP vol. 3,
+5.3.4): a few ``np.minimum``/``np.maximum`` passes, in place, over whole
+point-major rows of the stack (``_network_sort``).  Its result equals
+``np.sort``'s entry by entry under ``==``, so a zero may carry the other
+sign (-0.0 == 0.0).  Longer columns and narrow stacks, where the network
+is slower, use ``np.sort``.
 
 Gap norms, of the audit pool, the sketch check and the spot checks alike,
 come from ``_dot_norms``: one BLAS dot of each gap with itself.  The
@@ -117,18 +121,18 @@ def _held(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[:size].reshape(shape)
 
 
-def _network_sort(buffer: np.ndarray, out: np.ndarray) -> bool:
-    """Sort point-major columns by the sorting network into out; False on a NaN.
+def _network_sort(buffer: np.ndarray) -> list[np.ndarray] | None:
+    """Sort point-major columns in place by the sorting network; its sorted rows, or None on a NaN.
 
     buffer (n + 1, ..., D) holds in row i, buffer[i][..., k], the i-th
-    entry of every column k, and a spare row last; out (..., n, D) takes
-    the sorted columns.  Each compare-exchange (i, j) writes the minimum of
-    rows i and j to the spare row and their maximum over row j, and row i
-    becomes the spare, so the network runs in place and copies no row; the
-    sorted rows are then written once into out.  minimum and maximum carry
-    a NaN to both outputs, and the last row (the maximum) depends on every
-    entry of its column, so a NaN anywhere shows there: then out is left
-    unwritten and False returned.
+    entry of every column k, and a spare row last.  Each compare-exchange
+    (i, j) writes the minimum of rows i and j to the spare row and their
+    maximum over row j, and row i becomes the spare, so the network runs
+    in place and copies no row.  The n sorted rows are returned in order,
+    as views of buffer; which n of its n + 1 rows they are depends on the
+    network.  minimum and maximum carry a NaN to both outputs, and the last
+    row (the maximum) depends on every entry of its column, so a NaN
+    anywhere shows there: then None is returned.
     """
     *rows, spare = buffer
     for i, j in _NETWORKS[len(rows)]:
@@ -136,10 +140,8 @@ def _network_sort(buffer: np.ndarray, out: np.ndarray) -> bool:
         np.maximum(rows[i], rows[j], out=rows[j])
         rows[i], spare = spare, rows[i]
     if np.isnan(rows[-1]).any():
-        return False
-    for i, row in enumerate(rows):
-        out[..., i, :] = row
-    return True
+        return None
+    return rows
 
 
 def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -151,18 +153,17 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     least ``_NETWORK_MIN_COLUMNS`` columns) on m >= 2 clouds, they are
     projected point-major, straight into the n rows of a buffer
     (n + 1, ..., D) with a spare row, which ``_network_sort`` sorts in
-    place and writes once into out or a new array.  The rows are held per
-    thread when out is given, as the spot check gives it (the X, Y and
-    same-orbit thirds of a sub-block as one (3, m, n, d) stack), and are
-    new otherwise, as for the audit pool.  Row i is the product of the
-    i-th points of all the clouds, an (m, d) matrix read in place with row
-    stride n d, so the stack takes n BLAS calls in all: a copy of the
-    clouds transposed to (n m, d) for a single call costs more than the
-    n - 1 calls it saves.  A stack whose leading axes do not merge into
-    one stride, as a slice of the spot check's block, is first copied
-    whole.  Elsewhere, and when a NaN shows, the stacked product (one BLAS
-    call a cloud) is sorted in place by ndarray.sort.  Either way the
-    values are np.sort's.
+    place; its sorted rows are then written once into out or a new array.
+    The rows are held per thread when out is given, as the spot check gives
+    it (the X, Y and same-orbit thirds of a sub-block as one (3, m, n, d)
+    stack), and are new otherwise.  Row i is the product of the i-th points
+    of all the clouds, an (m, d) matrix read in place with row stride n d,
+    so the stack takes n BLAS calls in all: a copy of the clouds transposed
+    to (n m, d) for a single call costs more than the n - 1 calls it saves.
+    A stack whose leading axes do not merge into one stride, as a slice of
+    the spot check's block, is first copied whole.  Elsewhere, and when a
+    NaN shows, the stacked product (one BLAS call a cloud) is sorted in
+    place by ndarray.sort.  Either way the values are np.sort's.
     """
     *lead, n, d = X.shape
     D = A.shape[1]
@@ -172,13 +173,69 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     if m > 1 and n in _NETWORKS and m * D >= _NETWORK_MIN_COLUMNS:
         buffer = np.empty((n + 1, *lead, D)) if out is None else _held("rows", (n + 1, *lead, D))
         np.matmul(X.reshape(m, n, d).swapaxes(0, 1), A, out=buffer[:-1].reshape(n, m, D))
-        if out is None:
-            out = np.empty(X.shape[:-1] + (D,))
-        if _network_sort(buffer, out):
+        rows = _network_sort(buffer)
+        if rows is not None:
+            if out is None:
+                out = np.empty(X.shape[:-1] + (D,))
+            for i, row in enumerate(rows):
+                out[..., i, :] = row
             return out
     P = np.matmul(X, A, out=out)
     P.sort(axis=-2)
     return P
+
+
+# Cap on the floats of the point-major buffer that ``_sorted_gaps`` sorts a
+# sub-block of pairs in: 1 MB, so the network's passes and the subtractions
+# that read its rows stay in a core's L2 cache.
+_GAP_ELEMENTS = 1 << 17
+
+
+def _sorted_gaps(A: np.ndarray, pairs: np.ndarray, *, column_major: bool = False) -> np.ndarray:
+    """The gaps sort(X A) - sort(Y A) of a stack of pairs (count, 2, n, d), one row (n D,) each.
+
+    Row t holds the gap of pairs[t] = (X, Y) with entry i D + k, the i-th
+    sorted value of column k, or, with column_major, entry k n + i (the
+    column-major vectors of the sketch check).  Every entry is the one
+    ``_sort_project(A, pairs.reshape(-1, n, d))`` followed by E[0::2] -
+    E[1::2] gives: the same subtraction of the same two sorted values.  No
+    sorted embedding of the whole stack is built.  The pairs are taken in
+    sub-blocks whose point-major buffer (n + 1 rows, as
+    ``_sort_project``'s) holds at most ``_GAP_ELEMENTS`` floats, or one pair.
+    Where that call's network runs (its 2 count clouds have at least
+    ``_NETWORK_MIN_COLUMNS`` columns and n <= 6), each sub-block is
+    projected point-major into the buffer, sorted there by
+    ``_network_sort``, and each sorted row's Y columns are subtracted from
+    its X columns straight into the gap rows.  Where the network does not
+    run, and in a sub-block that holds a NaN, a sub-block takes
+    ``_sort_project`` and one subtraction.  A NaN sends the whole stack of
+    the single call to np.sort, but only its own sub-block here, so then
+    the other sub-blocks' gaps may differ from that call's in the sign of
+    a zero.
+    """
+    count, _, n, d = pairs.shape
+    D = A.shape[1]
+    gaps = np.empty((count, n * D))
+    # gap t's entries by (sorted row i, column k)
+    at = gaps.reshape(count, D, n).transpose(0, 2, 1) if column_major else gaps.reshape(count, n, D)
+    network = n in _NETWORKS and 2 * count * D >= _NETWORK_MIN_COLUMNS
+    subs = _blocks(count, 2 * (n + 1) * D, _GAP_ELEMENTS)
+    if network:
+        buffer = np.empty((n + 1, 2 * (subs[0].stop - subs[0].start), D))
+    for sub in subs:
+        clouds = pairs[sub].reshape(-1, n, d)
+        rows = None
+        if network:
+            part = buffer[:, : len(clouds)]
+            np.matmul(clouds.swapaxes(0, 1), A, out=part[:-1])
+            rows = _network_sort(part)
+        if rows is None:
+            E = _sort_project(A, clouds)
+            np.subtract(E[0::2], E[1::2], out=at[sub])
+        else:
+            for i, row in enumerate(rows):
+                np.subtract(row[0::2], row[1::2], out=at[sub, i])
+    return gaps
 
 
 # OpenBLAS splits a dot of more floats than this across its threads, which

@@ -69,9 +69,44 @@ def test_exit_code(monkeypatch, capsys, slower, wrong_run, digests_differ, code)
         change = tree.name == "change"
         return {"correct": not (change and wrong_run), "failures": [],
                 "metrics": {"wall_s": {"value": 10.0 + slower * change}},
-                "digests": {"op": "d1" if change and digests_differ else "d0"}}
+                "digests": {"op": "d1" if change and digests_differ else "d0"},
+                "op_best_s": {"op": 10.0 + slower * change}}
 
     monkeypatch.setattr(ab, "export", export)
     monkeypatch.setattr(ab, "run", run)
     assert ab.main(["p", "c", "--workload", "audit-cli", "--pairs", "4"]) == code
     assert ("# WORSE wall_s" in capsys.readouterr().out) == (slower > 0)
+
+
+def test_op_bests_take_each_ops_best_passing_latency_times_the_scale():
+    def sample(key, ok, latency):
+        return {"key": key, "ok": ok, "latency_s": latency}
+
+    rotations = [
+        {"ops": [sample("a", True, 3.0), sample("b", True, 5.0)]},
+        {"ops": [sample("a", True, 2.0), sample("b", False, 1.0)]},
+        {"ops": [sample("a", True, 4.0), sample("c", False, 1.0)]},
+    ]
+    # b's failed 1.0 s is not its best, and c never passed
+    assert ab.op_bests(rotations, 0.5) == {"a": 1.0, "b": 2.5}
+
+
+def test_the_op_table_prints_each_sides_median_best_latency(monkeypatch, capsys):
+    def export(revision, into):
+        into.mkdir()
+        (into / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+        return revision
+
+    bests = {"parent": iter([1.0, 3.0, 2.0]), "change": iter([0.5, 0.4, 0.9])}
+
+    def run(tree, args):
+        return {"correct": True, "failures": [], "digests": {"op": "d0"},
+                "metrics": {"wall_s": {"value": 1.0}},
+                "op_best_s": {"circle-n6": next(bests[tree.name])}}
+
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "run", run)
+    assert ab.main(["p", "c", "--workload", "audit-cli", "--pairs", "3"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("circle-n6"))
+    assert row.split() == ["circle-n6", "2", "0.5", "-75.0%"]

@@ -62,7 +62,7 @@ _CALLS = {
         lambda m, seed: projective_uniformity(_A3, m, seed=seed), dict(m=2, seed=3)),
     "blueprint_lower_bound": (
         lambda m, D, n: blueprint_lower_bound(0.5, m, D, n), dict(m=2, D=9, n=3)),
-    "sqrtn_ceiling": (lambda n: sqrtn_ceiling(_A3, n), dict(n=4)),
+    "sqrtn_ceiling": (lambda n: sqrtn_ceiling(_A3, n, independent=False), dict(n=4)),
     "sample_pair_pool": (sample_pair_pool, dict(n=3, d=2, count=5, seed=1)),
     "empirical_distortion": (
         lambda n, trials, seed: empirical_distortion(_A2, n, trials, seed),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -489,13 +490,15 @@ def test_blueprint_inapplicable():
 
 
 def test_ceiling_hand_arithmetic():
-    value = sqrtn_ceiling(np.eye(2), 4)
+    value = sqrtn_ceiling(np.eye(2), 4, independent=False)
     assert abs(value - 1.5 * math.pi * math.sqrt(2.0) / 2.0) < 1e-12
 
 
 def test_ceiling_scales_linearly():
     A = gaussian_directions(3, 9, 17)
-    assert abs(sqrtn_ceiling(2.0 * A, 5) - 2.0 * sqrtn_ceiling(A, 5)) < 1e-9
+    for independent in (False, True):
+        twice = sqrtn_ceiling(2.0 * A, 5, independent=independent)
+        assert abs(twice - 2.0 * sqrtn_ceiling(A, 5, independent=independent)) < 1e-9
 
 
 def test_ceiling_witnessed_by_adversarial_pair():
@@ -511,7 +514,7 @@ def test_ceiling_witnessed_by_adversarial_pair():
 
 def test_ceiling_requires_two_features():
     with pytest.raises(ValueError):
-        sqrtn_ceiling(np.ones((1, 3)), 4)
+        sqrtn_ceiling(np.ones((1, 3)), 4, independent=False)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +577,45 @@ def test_empirical_distortion_keeps_its_bits_under_power_of_two_scaling():
         assert report.empirical_C1 == math.ldexp(base.empirical_C1, k)
         assert report.empirical_C2 == math.ldexp(base.empirical_C2, k)
         assert report.distortion == base.distortion
+
+
+@pytest.mark.parametrize("A, n, pu_m", [
+    (circle_directions(16), 3, 2),  # d = 2: the exact sweep and the blueprint floor
+    (gaussian_directions(3, 7, 2), 5, None),
+    (gaussian_directions(4, 3, 3), 4, None),  # D < d: the ceiling pads with zeros
+])
+def test_empirical_distortion_takes_one_svd(monkeypatch, A, n, pu_m):
+    # sigma1 and both ceilings come from one SVD, with the bits of the
+    # public functions that each take their own
+    calls = []
+    svd = audit.singular_values
+
+    def counted(M):
+        calls.append(M)
+        return svd(M)
+
+    monkeypatch.setattr(audit, "singular_values", counted)
+    report = empirical_distortion(A, n, 60, 0, pu_m=pu_m)
+    assert len(calls) == 1
+    assert report.sigma1 == upper_lipschitz(A)
+    assert report.ceiling_sqrt_n == sqrtn_ceiling(A, n, independent=False)
+    assert report.ceiling_sqrt_n_independent == sqrtn_ceiling(A, n, independent=True)
+
+
+def test_the_audit_pool_builds_no_sorted_embedding():
+    # at n = 6 and D = 64 the 400 pairs' gaps take 1.2 MB and one sub-block's
+    # point-major sort buffer 1 MB; the sorted embeddings of all 800 clouds
+    # (2.5 MB) and their point-major rows (2.9 MB) are never built.  Measured
+    # peaks of a warmed call: 2.56 MB, against 5.47 MB with those arrays.
+    A = circle_directions(64)
+    empirical_distortion(A, 6, 400, seed=0)
+    tracemalloc.start()
+    try:
+        empirical_distortion(A, 6, 400, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_empirical_rejects_one_dimensional():

@@ -2,7 +2,9 @@ import itertools
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from permorb import (
     translation_offset,
 )
 from permorb import embeddings
-from permorb.embeddings import _NETWORK_MIN_COLUMNS, _NETWORKS, _sort_project
+from permorb.embeddings import (
+    _NETWORK_MIN_COLUMNS, _NETWORKS, _blocks, _sort_project, _sorted_gaps,
+)
 from permorb.metrics import orbit_distance
 
 
@@ -196,17 +200,19 @@ def test_translation_identity_holds():
 _SORT_POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, -np.inf)
 
 
-def network_results(monkeypatch):
-    """The list that gets what each _network_sort call returns."""
+@contextmanager
+def network_results():
+    """The list that gets, per _network_sort call in the block, whether it sorted (no NaN)."""
     results = []
     network_sort = embeddings._network_sort
 
-    def recorded(buffer, out):
-        results.append(network_sort(buffer, out))
-        return results[-1]
+    def recorded(buffer):
+        rows = network_sort(buffer)
+        results.append(rows is not None)
+        return rows
 
-    monkeypatch.setattr(embeddings, "_network_sort", recorded)
-    return results
+    with patch.object(embeddings, "_network_sort", recorded):
+        yield results
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -247,27 +253,26 @@ def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, in
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_sort_columns_sorts_every_zero_one_column(monkeypatch, n):
+def test_sort_columns_sorts_every_zero_one_column(n):
     # a network that sorts all 2**n columns of 0s and 1s sorts every column
     # (Knuth's 0-1 principle); stacked past the floor, so the network runs,
     # projected by the identity, which keeps them exactly
-    results = network_results(monkeypatch)
     columns = np.array(list(itertools.product([0.0, 1.0], repeat=n))).T
     X = np.tile(columns, (_NETWORK_MIN_COLUMNS // 2**n + 1, 1, 1))
-    assert np.array_equal(_sort_project(np.eye(2**n), X), np.sort(X, axis=-2))
+    with network_results() as results:
+        assert np.array_equal(_sort_project(np.eye(2**n), X), np.sort(X, axis=-2))
     assert results == ([True] if n in _NETWORKS else [])
 
 
-def test_sort_columns_with_a_nan_in_a_wide_stack(monkeypatch):
+def test_sort_columns_with_a_nan_in_a_wide_stack():
     # an infinite coordinate times a zero direction entry is a nan in X @ A:
     # the network sees it, and the result is np.sort's, nans last
-    results = network_results(monkeypatch)
     rng = make_rng(3)
     A = rng.standard_normal((3, 12))
     A[0, 5] = 0.0
     X = rng.standard_normal((1800, 4, 3))
     X[17, 2, 0] = np.inf
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"), network_results() as results:
         got = _sort_project(A, X)
         want = np.sort(X @ A, axis=-2)
     assert results == [False]
@@ -338,14 +343,79 @@ def test_clouds_wide_enough_for_the_network_keep_the_bits_of_their_own_product(m
     assert [(S + 0.0).tobytes() for S in _sort_project(A, X)] == want
 
 
-# Stacks at the shapes the empirical checks sort: spot-check sub-blocks, the
-# sketch check's (2, count, n, d), one of n = 6, and an audit-sized block
-# whose per-point products are large enough for OpenBLAS to thread.
+def gaps_of_the_sorted_embeddings(A, pairs, column_major):
+    """The gap rows of a stack of pairs as sorted embeddings give them: E[0::2] - E[1::2]."""
+    n, d = pairs.shape[-2:]
+    E = _sort_project(A, pairs.reshape(-1, n, d))
+    G = E[0::2] - E[1::2]
+    return (G.transpose(0, 2, 1) if column_major else G).reshape(len(pairs), -1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@given(
+    d=st.integers(1, 3),
+    D=st.integers(1, 80),
+    count=st.integers(1, 60),
+    cap=st.sampled_from([2**8, 2**11, embeddings._GAP_ELEMENTS]),
+    ties=st.booleans(),
+    nan=st.booleans(),
+    column_major=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+# seven pairs in sub-blocks of six at n <= 6, where the network runs
+@example(d=2, D=64, count=7, cap=2**12, ties=False, nan=False, column_major=False, seed=0)
+@example(d=2, D=64, count=7, cap=2**12, ties=False, nan=True, column_major=True, seed=0)
+# fewer than 512 columns: np.sort at every n
+@example(d=3, D=12, count=20, cap=2**11, ties=True, nan=False, column_major=True, seed=1)
+def test_sorted_gaps_equal_the_gaps_of_the_sorted_embeddings(
+    n, d, D, count, cap, ties, nan, column_major, seed
+):
+    # the audit's gaps, row-major for the pool and column-major for the
+    # sketch check, against its former path through the sorted embeddings;
+    # a small cap cuts the pairs into many sub-blocks, the last one short
+    rng = make_rng(seed)
+    A = rng.standard_normal((d, D))
+    pairs = rng.standard_normal((count, 2, n, d))
+    if ties:  # zero points, which project to signed zeros, and repeated points
+        pairs[rng.random((count, 2, n)) < 0.2] = rng.choice([0.0, -0.0])
+        pairs[:, :, -1] = pairs[:, :, 0]
+    spoilt = None
+    if nan:
+        spoilt = int(rng.integers(count))
+        pairs[spoilt, 1, -1, 0] = np.nan
+    network = n in _NETWORKS and 2 * count * D >= _NETWORK_MIN_COLUMNS
+    subs = _blocks(count, 2 * (n + 1) * D, cap) if network else []
+    with patch.object(embeddings, "_GAP_ELEMENTS", cap), network_results() as sorted_:
+        got = _sorted_gaps(A, pairs, column_major=column_major)
+    want = gaps_of_the_sorted_embeddings(A, pairs, column_major)
+    assert got.shape == (count, n * D) and got.flags.c_contiguous
+    # the network sorts every sub-block but the one holding the NaN, which
+    # _sort_project's own network tries again where its clouds are wide enough
+    tries = []
+    for sub in subs:
+        if nan and sub.start <= spoilt < sub.stop:
+            tries += [False] * (1 + (2 * (sub.stop - sub.start) * D >= _NETWORK_MIN_COLUMNS))
+        else:
+            tries.append(True)
+    assert sorted_ == tries
+    if nan:
+        # the single call sends the whole stack to np.sort, which may give a
+        # zero the other sign than the network does
+        assert np.array_equal(got, want, equal_nan=True)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+# Stacks at the shapes the empirical checks sort: spot-check sub-blocks, a
+# (2, count, n, d) stack, one of n = 6, and an audit-sized block whose
+# per-point products are large enough for OpenBLAS to thread; then the
+# gaps of an audit-sized stack of pairs.
 _STACKS_AT_THREADS = """
 import hashlib, sys
 import numpy as np
 from permorb import make_rng, sorted_embedding
-from permorb.embeddings import _sort_project
+from permorb.embeddings import _sort_project, _sorted_gaps
 
 digest = hashlib.sha256()
 for lead, n, d, D in [((227,), 4, 3, 12), ((303,), 3, 2, 10), ((2, 200), 4, 3, 12),
@@ -357,6 +427,15 @@ for lead, n, d, D in [((227,), 4, 3, 12), ((303,), 3, 2, 10), ((2, 200), 4, 3, 1
     for X, got in zip(stack.reshape(-1, n, d), S):
         assert (got + 0.0).tobytes() == (sorted_embedding(A, X) + 0.0).tobytes()
     digest.update((S + 0.0).tobytes())
+# the audit's gaps of an audit-sized stack of pairs
+rng = make_rng(0)
+A = rng.standard_normal((3, 64))
+pairs = rng.standard_normal((1000, 2, 4, 3))
+G = _sorted_gaps(A, pairs)
+for (X, Y), got in zip(pairs, G):
+    want = sorted_embedding(A, X) - sorted_embedding(A, Y)
+    assert (got + 0.0).tobytes() == (want.ravel() + 0.0).tobytes()
+digest.update((G + 0.0).tobytes())
 sys.stdout.write(digest.hexdigest())
 """
 
