@@ -20,9 +20,11 @@ After the table, each op's best latency in a run (read from the
 export, times the run's host-speed scale, as ``op_p50_s`` takes it) is
 printed as its median over each side's runs, so a move in ``op_p50_s`` or
 ``wall_s`` can be traced to the ops that made it.  Every run's values are
-printed too.  The exit code is 1 when a run is not
-correct or an op's output digest differs between the sides, else 2 when
-any metric is worse, else 0.
+printed too.  Each op whose output digest differs from parent run 0's
+gets a ``# FAILED`` line that names the op and the first run, on each side,
+in which it differs.  The exit code is 1 when a run is not correct or an
+op's output digest differs between the sides, else 2 when any metric is
+worse, else 0.
 """
 
 from __future__ import annotations
@@ -146,9 +148,14 @@ def main(argv=None) -> int:
         if not first:
             problems.append("the runs printed no output digests")
         for side in SIDES:
+            differ = {}  # op key -> the first run whose digest differs
             for index, result in enumerate(runs[side]):
-                if result["digests"] != first:
-                    problems.append(f"the digests of {side} run {index} differ from parent run 0's")
+                for key in sorted(first.keys() | result["digests"].keys()):
+                    if result["digests"].get(key) != first.get(key):
+                        differ.setdefault(key, index)
+            for key, index in differ.items():
+                problems.append(f"op {key}'s digest differs from parent run 0's,"
+                                f" first in {side} run {index}")
 
         print(f"{'metric':<13}{'parent median [q1, q3]':>33}{'change median [q1, q3]':>33}"
               f"{'change':>9}{'wins':>8}  gain  worse")

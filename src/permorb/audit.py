@@ -626,7 +626,7 @@ def gaussian_sketch(n: int, D: int, M: int, seed: int) -> np.ndarray:
 
     The scaling makes E||L x||^2 = ||x||^2 for every fixed x.  It is one
     standard_normal call divided by sqrt(M).  ``permorb audit --check-ose``
-    draws these same bits as two halves, one on a worker thread while its
+    draws these same bits as two parts, one on a worker thread while its
     pair pool runs and one on the calling thread when the check needs
     them (``_drawn_sketch`` gives the account and its proof).
     """
@@ -716,6 +716,14 @@ def _aligned_start(mark: dict, end: dict, start: dict) -> int | None:
     return count if _same_continuation(replay.bit_generator.state, start) else None
 
 
+def _head_rows(M: int) -> int:
+    """Rows of an M-row sketch in its head, the part the worker draws: ceil(0.55 M).
+
+    ``_drawn_sketch`` gives the A/B runs that chose the fraction.
+    """
+    return -(-11 * M // 20)
+
+
 @contextmanager
 def _drawn_sketch(n: int, D: int, M: int, seed: int):
     """Draw gaussian_sketch(n, D, M, seed) on one worker thread and the caller's: yields (L, final).
@@ -726,44 +734,85 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     gaussian_sketch(n, D, M, seed), re-raises the worker's error, and
     returns what ``_gram(L)`` returns: (G, a bound on ||L||_F) for a tall
     sketch, M >= nD, where G = G_head + G_tail is summed from the two
-    halves' Gram parts, and (None, inf) for a wide one.  The first call
+    parts' Gram parts, and (None, inf) for a wide one.  The first call
     that returns keeps its pair, and a later call returns that pair and
     draws nothing.
 
-    The rows split at h = ceil(M / 2).  The worker's one task, submitted on
-    entry, fills the head, rows [0, h), from the seeded stream, and records
-    its state one window before their end: ``_DRAW_WINDOW`` normals, or all
-    h nD of them if fewer.  It then divides the head by sqrt(M), checks it
-    finite and, for a tall sketch, forms its Gram part with one syrk.  The
-    calling thread draws the tail, rows [h, M), in ``final()``, the first
-    time the check needs G.  It fills the tail, and a spill after L of one
-    window, from its own copy of the stream advanced (``Philox.advance``)
-    to a word g, a multiple of four: Philox is counter-based, so any block
-    of its words can be reached directly.  A normal takes a variable number
-    of words, so g is a guess: the head's expected end, h nD
-    ``_WORDS_PER_NORMAL`` words, less half the window.  That constant,
-    numpy's ziggurat's average, only places g.  Once the worker is done, a
-    replay from the recorded state finds the count j of normals after
-    which the head's stream is in the tail's starting state: equal key and
-    counter, and no word of the counter's block left over.  Equal Philox
-    states give equal continuations, so the tail's normals are the
-    stream's from j on; this is a proof, not a match of values.  They lie
-    delta = window - j places after their place in L, and the tail is
-    moved back by delta (a 1-D copy in one direction, which numpy makes
-    without a temporary).  On a miss, where g falls inside the words of
-    one normal (about 2% of seeds, as about 2% of the words continue a
-    normal) or j outside the window, the tail is drawn again from the
-    head's generator, which the worker has left at the head's end.  The
-    tail is then divided, checked and given its Gram part as the head is.
-    No task waits for another inside the pool.  The margin of the check's
-    screen holds for L^T L summed in any order, so the report is the one a
-    single L^T L gives.  On one core the split gains nothing, and costs a
-    thread, the spill, the replay (about 0.1 ms) and the move, one pass
-    over the tail's memory.
+    The rows split at h = ``_head_rows(M)``, ceil(0.55 M).  The worker's
+    one task, submitted on entry, fills the head, rows [0, h), from the
+    seeded stream, and records its state one window before their end:
+    ``_DRAW_WINDOW`` normals, or all h nD of them if fewer.  As soon as the
+    head is drawn it publishes that state and the head's end state (an
+    event set in a ``finally``, so a draw that fails still wakes the
+    caller).  Only then does it divide the head by sqrt(M), check it finite
+    and, for a tall sketch, form its Gram part with one syrk, the task's
+    result.  The calling thread draws the tail, rows [h, M), in
+    ``final()``, the first time the check needs G.  It fills the tail, and
+    a spill after L of one window, from its own copy of the stream
+    advanced (``Philox.advance``) to a word g, a multiple of four: Philox
+    is counter-based, so any block of its words can be reached directly.
+    A normal takes a variable number of words, so g is a guess: the head's
+    expected end, h nD ``_WORDS_PER_NORMAL`` words, less half the window.
+    That constant, numpy's ziggurat's average, only places g.  Once the
+    head's two states are published, a replay from the recorded state
+    finds the count j of normals after which the head's stream is in the
+    tail's starting state: equal key and counter, and no word of the
+    counter's block left over.  Equal Philox states give equal
+    continuations, so the tail's normals are the stream's from j on; this
+    is a proof, not a match of values.  They lie delta = window - j places
+    after their place in L, and the tail is moved back by delta (a 1-D
+    copy in one direction, which numpy makes without a temporary).  On a
+    miss, where g falls inside the words of one normal (about 2% of the
+    words continue a normal) or j outside the window, the tail is drawn
+    again from the head's generator, which the worker has left at the
+    head's end and no longer reads.  At the audit-cli benchmark's two
+    shapes, over its workload seeds 0-59, the 18,921 x 144 sketch misses
+    on 1 seed and the 11,417 x 96 one on none (at h = ceil(M / 2), 4 and
+    1).  The tail is then divided, checked and given its Gram part as the
+    head is, and only then does ``final()`` wait for the task's result,
+    the head's Gram part, and sum G_head + G_tail.  So the caller waits
+    for the worker twice: for the head's states before the replay, and for
+    G_head after G_tail.  No task waits for another inside the pool.  The
+    margin of the check's screen holds for L^T L summed in any order, so
+    the report is the one a single L^T L gives.  On one core the split
+    gains nothing, and costs a thread, the spill, the replay (about
+    0.1 ms) and the move, one pass over the tail's memory.
+
+    Each error is raised on the caller's thread by ``final()``: an error in
+    the tail's fill, and a non-finite tail, where the caller meets them;
+    an error in the head's fill once the caller finds no published states,
+    before any replay; and a non-finite head where the caller waits for
+    G_head, after the tail has been aligned, checked and given its Gram
+    part.  Both checks raise the same error, so which one comes first
+    changes no report.
+
+    The worker starts drawing on entry, some milliseconds before the
+    caller reaches ``final()`` (the pool and the subset bound come between),
+    so the head is the larger part.  The split was chosen by alternating
+    seed-0 ``audit-cli`` runs, parent (h = ceil(M / 2), with ``final()``
+    waiting for G_head before the replay) against each split with the
+    waits above, 8 pairs of 10 s each, equal digests, on a 2-core host
+    shared with other load:
+
+    ==============  ========  ====  =====  ===========
+    h               wall_s    wins  cpu_s  peak_rss_mb
+    ==============  ========  ====  =====  ===========
+    ceil(M / 2)     -1.8%     7/8   +2.1%  +1.1%
+    ceil(0.525 M)   +0.1%     4/8   +5.6%  +1.2%
+    ceil(0.55 M)    -5.2%     7/8   +2.2%  +1.1%
+    ceil(0.6 M)     -2.7%     6/8   +1.5%  +1.2%
+    ==============  ========  ====  =====  ===========
+
+    At ceil(0.55 M) the gauss3-n4 and gauss3-n6 ops' best latencies fell
+    7.2% and 5.4%.  In the ceil(0.525 M) run the ops that draw no sketch
+    were also 2-5% slower than the parent's, so that row shows the host's
+    load more than the split.  Peak RSS rises by about 0.7 MB at every
+    split, likely because both syrks, their Gram parts and BLAS work
+    buffers, now run at once; the cause was not traced further.
 
     The worker allocates nothing large: the finite check runs over chunks of
     2**15 floats, since memory a thread frees stays in its own malloc arena
-    (one whole-half np.isfinite raised the audit-cli benchmark's peak RSS
+    (one whole-part np.isfinite raised the audit-cli benchmark's peak RSS
     by 3.8%).  L is allocated on the caller's thread, with the spill after
     it (allocated on a worker, audit-cli's peak RSS grew 22 MB).  Before a
     sketch larger than every earlier one, free heap pages are handed back
@@ -794,7 +843,7 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
 
     global _largest_sketch_bytes
     N = n * D
-    h = (M + 1) // 2  # the head's rows
+    h = _head_rows(M)
     window = min(_DRAW_WINDOW, h * N)
     size = M * N + window  # the sketch, then the tail's spill
     if 8 * size > _largest_sketch_bytes:
@@ -811,6 +860,8 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     tail_rng.bit_generator.advance(int(_WORDS_PER_NORMAL * (h * N - window / 2)) // 4)
     start = tail_rng.bit_generator.state
     stop = threading.Event()
+    drawn = threading.Event()  # set once the head's draw has ended, failed or not
+    states = []  # the head's Philox states (mark, end), once it is drawn
 
     def finished(rows):
         """Divide L[rows] by sqrt(M), check it finite, and return its Gram part."""
@@ -822,22 +873,29 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
         return S.T @ S if M >= N else None
 
     def head_task():
-        _gaussian_fill(rng, flat[: h * N - window], stop)
-        mark = rng.bit_generator.state
-        _gaussian_fill(rng, flat[h * N - window: h * N], stop)
-        return mark, rng.bit_generator.state, finished(slice(0, h))
+        try:
+            _gaussian_fill(rng, flat[: h * N - window], stop)
+            mark = rng.bit_generator.state
+            _gaussian_fill(rng, flat[h * N - window: h * N], stop)
+            states.append((mark, rng.bit_generator.state))
+        finally:
+            drawn.set()
+        return finished(slice(0, h))
 
     @cache
     def final():
         _gaussian_fill(tail_rng, flat[h * N:], stop)
-        mark, end, G_head = head.result()
-        j = _aligned_start(mark, end, start)
+        drawn.wait()
+        if not states:
+            head.result()  # the head's draw failed: raise its error
+        j = _aligned_start(*states[0], start)
         if j is None:
             _gaussian_fill(rng, flat[h * N: M * N], stop)
         else:
             delta = window - j
             flat[h * N: M * N] = flat[h * N + delta: M * N + delta]
         G_tail = finished(slice(h, M))
+        G_head = head.result()
         return _gram(L, None if G_head is None else G_head + G_tail)
 
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permorb-sketch")
@@ -990,7 +1048,7 @@ def ose_check(
 
     ``permorb audit --check-ose`` runs the same check on a sketch still
     being drawn, started before its pair pool, and takes G as the sum of
-    its two halves' Gram parts before the first screen (``_drawn_sketch``).
+    its two parts' Gram parts before the first screen (``_drawn_sketch``).
     The bits are gaussian_sketch's and the margin holds for any summation
     order of L^T L, so the report is unchanged.
     """

@@ -249,10 +249,10 @@ def cmd_audit(args) -> int:
            for name, default in _OSE_DEFAULTS.items()}
     A = load_matrix_csv(args.directions)
     with contextlib.ExitStack() as stack:
-        # A worker thread draws half the OSE sketch while the pool runs, and
-        # the sketch check draws the rest before its first screen
+        # A worker thread draws the head of the OSE sketch while the pool
+        # runs, and the sketch check draws the rest before its first screen
         # (_drawn_sketch), so an audit that fails before the check draws
-        # at most that half.  An invalid OSE flag, or a sketch too large to
+        # at most that head.  An invalid OSE flag, or a sketch too large to
         # allocate, is raised where the audit reaches the check, after the
         # errors of everything before it.  An audit whose pool arguments
         # fail draws no sketch: empirical_distortion raises their error

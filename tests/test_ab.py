@@ -49,6 +49,14 @@ def test_regression_rule(change, direction, bound, expected):
     assert ab.worse(_PARENT, change, direction, bound) is expected
 
 
+def _export(revision, into):
+    """A stand-in export: a tree holding only a BENCHMARK.json with one metric."""
+    into.mkdir()
+    (into / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    return revision
+
+
 @pytest.mark.parametrize("slower, wrong_run, digests_differ, code", [
     # the same times: no metric worse
     (0.0, False, False, 0),
@@ -59,12 +67,6 @@ def test_regression_rule(change, direction, bound, expected):
     (3.0, False, True, 1),
 ])
 def test_exit_code(monkeypatch, capsys, slower, wrong_run, digests_differ, code):
-    def export(revision, into):
-        into.mkdir()
-        (into / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": "wall_s", "better": "lower", "bound": 0.25}]}))
-        return revision
-
     def run(tree, args):
         change = tree.name == "change"
         return {"correct": not (change and wrong_run), "failures": [],
@@ -72,7 +74,7 @@ def test_exit_code(monkeypatch, capsys, slower, wrong_run, digests_differ, code)
                 "digests": {"op": "d1" if change and digests_differ else "d0"},
                 "op_best_s": {"op": 10.0 + slower * change}}
 
-    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "export", _export)
     monkeypatch.setattr(ab, "run", run)
     assert ab.main(["p", "c", "--workload", "audit-cli", "--pairs", "4"]) == code
     assert ("# WORSE wall_s" in capsys.readouterr().out) == (slower > 0)
@@ -92,12 +94,6 @@ def test_op_bests_take_each_ops_best_passing_latency_times_the_scale():
 
 
 def test_the_op_table_prints_each_sides_median_best_latency(monkeypatch, capsys):
-    def export(revision, into):
-        into.mkdir()
-        (into / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": "wall_s", "better": "lower", "bound": 0.25}]}))
-        return revision
-
     bests = {"parent": iter([1.0, 3.0, 2.0]), "change": iter([0.5, 0.4, 0.9])}
 
     def run(tree, args):
@@ -105,8 +101,27 @@ def test_the_op_table_prints_each_sides_median_best_latency(monkeypatch, capsys)
                 "metrics": {"wall_s": {"value": 1.0}},
                 "op_best_s": {"circle-n6": next(bests[tree.name])}}
 
-    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "export", _export)
     monkeypatch.setattr(ab, "run", run)
     assert ab.main(["p", "c", "--workload", "audit-cli", "--pairs", "3"]) == 0
     row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("circle-n6"))
     assert row.split() == ["circle-n6", "2", "0.5", "-75.0%"]
+
+
+def test_the_failed_lines_name_each_op_whose_digest_differs_and_its_first_run(monkeypatch, capsys):
+    same = {"a": "1", "b": "2"}
+    digests = {"parent": iter([same, same, {"a": "1"}]),
+               "change": iter([same, {"a": "1", "b": "9"}, {"a": "7", "b": "9"}])}
+
+    def run(tree, args):
+        return {"correct": True, "failures": [], "digests": next(digests[tree.name]),
+                "metrics": {"wall_s": {"value": 1.0}}, "op_best_s": {}}
+
+    monkeypatch.setattr(ab, "export", _export)
+    monkeypatch.setattr(ab, "run", run)
+    assert ab.main(["p", "c", "--workload", "audit-cli", "--pairs", "3"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# FAILED")]
+    # an op missing from a run differs too; each op is named once per side
+    assert failed == ["# FAILED op b's digest differs from parent run 0's, first in parent run 2",
+                      "# FAILED op b's digest differs from parent run 0's, first in change run 1",
+                      "# FAILED op a's digest differs from parent run 0's, first in change run 2"]

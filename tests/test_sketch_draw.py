@@ -1,15 +1,16 @@
-"""The audit CLI's OSE sketch, drawn as two halves: one on a worker thread while the pool runs.
+"""The audit CLI's OSE sketch, drawn as two parts: one on a worker thread while the pool runs.
 
 ``permorb audit --check-ose`` starts drawing its Gaussian sketch before the
 pair pool (``audit._drawn_sketch``, which gives the full account): one
-worker thread draws the head, rows [0, h) with h = ceil(M / 2), and the
-sketch check draws the tail on the calling thread before its first screen,
-from a copy of the stream advanced to a guessed word that a replay proves,
-by Philox state equality, to continue the head's stream, or on a miss from
-the head's generator.  The check's G is the sum of the halves' Gram parts.
+worker thread draws the head, rows [0, h) with h = ``audit._head_rows(M)``,
+and the sketch check draws the tail on the calling thread before its first
+screen, from a copy of the stream advanced to a guessed word that a replay
+proves, by Philox state equality, to continue the head's stream, or on a
+miss from the head's generator.  The check's G is the sum of the parts'
+Gram parts, and the caller forms the tail's before it waits for the head's.
 
 These tests hold that draw to the sequential route: the same sketch bits
-on the split and the miss paths, a Gram matrix that is the two halves'
+on the split and the miss paths, a Gram matrix that is the two parts'
 sum, the same report bytes, the same first error on bad input, one worker
 and no thread left behind (``conftest.py`` checks the thread count after
 every test).
@@ -69,8 +70,8 @@ def _drawer_threads():
 
 
 def _halves_gram(L):
-    """L^T L as the drawn sketch's check sums it: one syrk per half of its rows."""
-    h = (len(L) + 1) // 2
+    """L^T L as the drawn sketch's check sums it: one syrk for the head's rows, one for the tail's."""
+    h = audit._head_rows(len(L))
     return L[:h].T @ L[:h] + L[h:].T @ L[h:]
 
 
@@ -298,6 +299,36 @@ def test_final_draws_once_and_then_returns_its_pair(monkeypatch):
     assert G.tobytes() == _halves_gram(_one_call_sketch(_N, _D, 3000, 2)).tobytes()
 
 
+def test_the_caller_checks_its_tail_before_the_head_is_checked(monkeypatch):
+    # the worker's finite check of the head, which comes before the head's
+    # Gram part, is held until the caller has checked the tail, the step
+    # before the tail's Gram part: a final() that waited for the head's
+    # Gram part before the tail's check would never release it, so the
+    # hold gives up after 10 s and the test fails
+    tail_checked = threading.Event()
+    held = []
+    real = audit._blocks
+
+    def checked(parts):
+        yield from parts
+        tail_checked.set()
+
+    def blocks(count, width, cap=None):
+        parts = real(count, width, cap)
+        if width != _N * _D:  # a fill's chunks
+            return parts
+        if threading.current_thread().name.startswith("permorb-sketch"):
+            held.append(tail_checked.wait(timeout=10))
+            return parts
+        return checked(parts)
+
+    monkeypatch.setattr(audit, "_blocks", blocks)
+    with _drawn_sketch(_N, _D, 3000, 2) as (L, final):
+        G, _ = final()
+    assert held == [True]
+    assert G.tobytes() == _halves_gram(_one_call_sketch(_N, _D, 3000, 2)).tobytes()
+
+
 def test_ose_check_takes_a_sketch_being_drawn():
     n, d, D = 3, 2, 7
     A = gaussian_directions(d, D, 5)
@@ -416,13 +447,15 @@ def test_the_replay_finds_the_count_a_walk_finds(seed):
 
 
 def test_small_draws_keep_the_bits_on_the_split_and_miss_paths(monkeypatch):
-    # 200 rows of 48 floats: a head of 4,800 normals and a 4,096-normal window
+    # 200 rows of 48 floats: a head of 110 rows, 5,280 normals, and a
+    # 4,096-normal window
+    assert audit._head_rows(200) * _N * _D > audit._DRAW_WINDOW
     found = _alignments(monkeypatch)
     for seed in range(60):
         want = _one_call_sketch(_N, _D, 200, seed).tobytes()
         assert _drawn(_N, _D, 200, seed)[0].tobytes() == want
-    # seed 38's start word lies inside one normal's words
-    assert found[38] == (None, True)
+    # seed 14's start word lies inside one normal's words
+    assert found[14] == (None, True)
     assert sum(j is not None for j, _ in found) >= 50
 
 
@@ -453,27 +486,31 @@ def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which, fail, 
         with pytest.raises((RuntimeError, ValueError), match=error):
             final()
     assert len(generators) == 2
-    if fail is _raise or which == 0:
-        # every error but a non-finite tail comes before the alignment: the
-        # tail's raised in its own draw, and the head's where final() waits
-        # for the worker, which it does before the replay
+    if fail is _raise:
+        # a raised error comes before the alignment: the tail's in its own
+        # draw, the head's where final() waits for the head's Philox states
         assert found == []
     else:
+        # a non-finite half is found only by its finite check, after the
+        # head's states are published and the tail aligned with them: the
+        # tail's check is the caller's own, and the head's error is raised
+        # where final() waits for the head's Gram part, after the tail's
         assert len(found) == 1 and found[0][0] is not None
 
 
 def test_the_benchmark_sketches_take_the_split_path(tmp_path, monkeypatch):
-    # the audit-cli workload's two --check-ose sketches (seed 0) must split,
-    # not miss: a numpy whose ziggurat takes another number of words per
-    # normal fails here instead of silently drawing the tail twice
+    # the audit-cli workload's two --check-ose sketches (seeds 0-2) must
+    # split, not miss: a numpy whose ziggurat takes another number of words
+    # per normal fails here instead of silently drawing the tail twice
     monkeypatch.syspath_prepend(str(ROOT))
     workloads = importlib.import_module("perfbench.workloads")
     found = _alignments(monkeypatch)
-    ops = [op for op in workloads.audit_cli(0, tmp_path).ops if op.key.startswith("gauss3")]
-    assert [op.key for op in ops] == ["gauss3-n4", "gauss3-n6"]
-    for op in ops:
-        assert op.call() == 0
-    assert len(found) == 2 and all(j is not None for j, _ in found)
+    for seed in range(3):
+        ops = [op for op in workloads.audit_cli(seed, tmp_path).ops if op.key.startswith("gauss3")]
+        assert [op.key for op in ops] == ["gauss3-n4", "gauss3-n6"]
+        for op in ops:
+            assert op.call() == 0
+    assert len(found) == 6 and all(j is not None for j, _ in found)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +575,7 @@ def test_cli_report_equals_the_sequential_report_with_a_head_inside_the_window(t
     # a 126 x 8 sketch: the replay window holds all of the head's normals
     n, d, D, epsilon = 2, 2, 4, 0.9
     M = ose_dimension(n, d, D, epsilon, 0.1)
-    assert (M + 1) // 2 * n * D < audit._DRAW_WINDOW
+    assert audit._head_rows(M) * n * D < audit._DRAW_WINDOW
     A = gaussian_directions(d, D, 45)
     got, want = _cli_report(tmp_path, A, n, 30, 46, 50, epsilon=epsilon)
     assert got == want
