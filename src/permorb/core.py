@@ -76,7 +76,7 @@ DEFAULT_TUPLE_BUDGET = 10**9
 # audit.ose_check.
 DEFAULT_OSE_CONSTANT = 4.0
 
-# Column subsets per batched floor and SVD of the subset screens.
+# Column subsets per batched SVD, and per batched floor of the subset screen.
 _SUBSET_CHUNK = 2048
 
 # Unit roundoff of IEEE double precision.
@@ -237,8 +237,8 @@ def _subset_chunks(D: int, k: int):
         yield block.reshape(-1, k)
 
 
-def _gram_floor(As: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, t) per row s of idx: lambda_min(B B^T) >= lam >= 0 and t = fl(tr ^C), B = As[:, s].
+def _gram_floor(As: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """lam per row s of idx: lambda_min(B B^T) >= lam >= 0, B = As[:, s].
 
     As is d x D with every |entry| < 1, as ``_unit_scaled`` leaves a matrix,
     and B is d x k, k >= d.  Write C = B B^T, u = 2**-53 and gamma_j =
@@ -305,13 +305,13 @@ def _gram_floor(As: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray
             ok &= (ratio >= 2.0**-470) & (w >= 2.0**-500)
             g = w * ratio
         lam = g * (1.0 - _gamma(2 * (d + 1) ** 2 + 4)) - d * k * _gamma(k + 2 * d + 4)
-    return np.where(ok & (lam > 0.0), lam, 0.0), t
+    return np.where(ok & (lam > 0.0), lam, 0.0)
 
 
 def _svd_error(d: int, k: int) -> float:
     """p u, p = 64 d k: the assumed error of LAPACK's singular values of a d x k X, over sigma_1(X).
 
-    The least-subset minimum and the full-spark check assume
+    Only the least-subset minimum's screen assumes
     |computed sigma_i - sigma_i| <= p u sigma_1(X) + 2**-1074, the last
     term for a value in the subnormal range.  LAPACK's error analysis
     bounds it by "a modestly growing function" p(d, k) times u sigma_1
@@ -363,7 +363,7 @@ def _least_subset_sigma(A: np.ndarray, k: int, chunks) -> float:
         return float(sv[:, d - 1].min())
 
     for idx in chunks:
-        lam, _ = _gram_floor(As, idx)
+        lam = _gram_floor(As, idx)
         first = int(np.argmin(lam))
         if lam[first] > level():
             continue
@@ -381,32 +381,8 @@ def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL) -> bool:
     A subset counts as invertible when its smallest computed singular value
     exceeds ``tol`` times its largest.  Requires enumerating all C(D, d)
     subsets; raises BudgetExceededError if that count exceeds
-    ``DEFAULT_SUBSET_BUDGET``.  Only subsets that ``_gram_floor`` cannot
-    prove invertible reach the SVD, with the verdict the SVD of every
-    subset would give.  On As = 2**-e A (``_unit_scaled``), a subset is
-    proven invertible when lam > ((kappa sqrt(t') + c)(1 + 4u))**2,
-    t' = t (1 + gamma_{2d+4}) with t from ``_gram_floor``, and
-    kappa = tol (1 + (p + 4) u) + (p + 1) u, p u = ``_svd_error`` and
-    c = (2 + kappa)(d + 1) 2**(max(-e, 0) - 1072):
-
-    * With B = 2**-e A[:, s] and Bs = As[:, s] as in ``_least_subset_sigma``,
-      sigma_1(B) <= ||Bs||_F + z, z = d 2**-1075, and sigma_d(B) >=
-      sqrt(lam) - z.  Where lam > 0, t >= 2**-501 and ||Bs||_F**2 <=
-      t (1 + gamma_{2d+1}) (each ^C_jj >= C_jj (1 - gamma_d) less d
-      products' underflow, and t sums d of them), and t is taken times
-      1 + gamma_{2d+4} to cover that and its own rounding.  Write
-      v = 2**(-e-1074).
-    * The check counts a subset singular when fl(tol s_1) >= s_d, s_i its
-      computed singular values.  By ``_svd_error``'s assumption, in units of
-      2**e, s_d >= sigma_d(B) - p u sigma_1(B) - v, and fl(tol s_1) <=
-      tol (1 + u)((1 + p u) sigma_1(B) + v) + v / 2.
-    * So sigma_d(B) > kappa sigma_1(B) + (1.5 + kappa) v proves it
-      invertible, and sqrt(lam) > kappa sqrt(t') + (1 + kappa) z + (1.5 +
-      kappa) v implies that.  c covers the absolute terms, with a factor 4
-      for its rounding; the 4 in p + 4 and the 1 in p + 1 cover kappa's
-      roundings, and the factor 1 + 4u those of the sum, the products, the
-      square root and the square, all in the normal range as t >= 2**-501.
-      For tol >= 1 nothing is skipped: lam <= lambda_min(Bs Bs^T) <= t'.
+    ``DEFAULT_SUBSET_BUDGET``.  Every subset goes to the batched SVD, a
+    chunk at a time, and the first chunk holding a singular subset decides.
     """
     A = as_matrix(A, "A")
     d, D = A.shape
@@ -420,20 +396,12 @@ def is_full_spark(A, tol: float = DEFAULT_SPARK_TOL) -> bool:
             f"full-spark check needs {count} subset evaluations, "
             f"budget is {DEFAULT_SUBSET_BUDGET}"
         )
-    As, e = _unit_scaled(A)
-    pu = _svd_error(d, d)
-    kappa = tol * (1.0 + pu + 4.0 * _UNIT_ROUNDOFF) + pu + _UNIT_ROUNDOFF
-    c = (2.0 + kappa) * math.ldexp(d + 1.0, max(-e, 0) - 1072)
     for idx in _subset_chunks(D, d):
-        lam, t = _gram_floor(As, idx)
-        # a huge tol overflows to inf here, which proves nothing and counts as singular
+        sv = np.linalg.svd(A[:, idx].transpose(1, 0, 2), compute_uv=False)
+        # a huge tol overflows to inf here, which counts the subset as singular
         with np.errstate(over="ignore"):
-            bound = kappa * np.sqrt(t * (1.0 + _gamma(2 * d + 4))) + c
-            unproven = lam <= (bound * (1.0 + 4.0 * _UNIT_ROUNDOFF)) ** 2
-            if unproven.any():
-                sv = np.linalg.svd(A[:, idx[unproven]].transpose(1, 0, 2), compute_uv=False)
-                if np.any(sv[:, -1] <= tol * sv[:, 0]):
-                    return False
+            if np.any(sv[:, -1] <= tol * sv[:, 0]):
+                return False
     return True
 
 

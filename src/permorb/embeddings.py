@@ -20,14 +20,16 @@ one sort-projection kernel.  It also takes a stack of clouds, which is how
 the spot checks embed many clouds in one call, and it can write into a
 caller's buffer; ``_blocks`` cuts the trials of the empirical checks into
 blocks of bounded size, and the spot check cuts each block again into
-sub-blocks.  The spot check's block and sub-block buffers outlive the
-call: ``_held`` keeps them per thread, grown to the largest size asked
-for, so a warmed spot check maps no pages.  The audit pool and the sketch
+sub-blocks.  The spot check's block and sub-block buffers, and the
+point-major rows that the kernel sorts its stacks in, outlive the call:
+``_held`` keeps them per thread, grown to the largest size asked for, so
+a warmed spot check maps no pages.  The audit pool and the sketch
 check need only the gaps between the sorted embeddings of their pairs:
 ``_sorted_gaps`` projects and sorts their pairs as ``_sort_project``
 does, in cache-sized sub-blocks, and subtracts the sorted rows straight
 into the gap vectors, so no sorted embedding of theirs is built; it
-allocates its buffers per call.  A stacked call gives the same bits per
+allocates its gap vectors and point-major buffer per call, as the public
+maps allocate their result.  A stacked call gives the same bits per
 cloud as a single one up to the sign of a zero.
 Where the network below sorts, the stack is projected point-major, one
 BLAS call per point index over all its clouds, and elsewhere one per
@@ -38,13 +40,14 @@ through ``np.sort``.
 
 Projection columns are sorted by ``_sort_project`` and ``_sorted_gaps``
 alone.  The clouds of the empirical checks are short (n = 3..6), and
-``np.sort`` pays one C-level sort call per column, so for n <= 6 a wide
-stack is sorted by a fixed compare-exchange network (Knuth, TAOCP vol. 3,
-5.3.4): a few ``np.minimum``/``np.maximum`` passes, in place, over whole
-point-major rows of the stack (``_network_sort``).  Its result equals
-``np.sort``'s entry by entry under ``==``, so a zero may carry the other
-sign (-0.0 == 0.0).  Longer columns and narrow stacks, where the network
-is slower, use ``np.sort``.
+``np.sort`` pays one C-level sort call per column, so for n <= 6 a stack
+of two or more clouds is sorted by a fixed compare-exchange network
+(Knuth, TAOCP vol. 3, 5.3.4): a few ``np.minimum``/``np.maximum`` passes,
+in place, over whole point-major rows of the stack (``_network_sort``).
+Its result equals ``np.sort``'s entry by entry under ``==``, so a zero
+may carry the other sign (-0.0 == 0.0).  Longer columns, a single cloud,
+a stack that ``_sort_project`` has no out for and a stack that holds a
+NaN use ``np.sort``.
 
 Gap norms, of the audit pool, the sketch check and the spot checks alike,
 come from ``_dot_norms``: one BLAS dot of each gap with itself.  The
@@ -90,11 +93,6 @@ _NETWORKS = {
     6: ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
         (1, 2), (3, 4)),
 }
-
-# Each compare-exchange costs about 1 us of call overhead, which np.sort
-# (about 35 ns a column) makes up for from a few hundred columns on.
-_NETWORK_MIN_COLUMNS = 512
-
 
 class _Held(threading.local):
     """One thread's float buffers that outlive a call, by role."""
@@ -149,34 +147,31 @@ def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
 
     No validation: callers pass float arrays whose last axis matches A's
     rows, and may pass an out of the projections' shape (..., n, D) to
-    write them to.  Where the sorting network runs (2 <= n <= 6 and at
-    least ``_NETWORK_MIN_COLUMNS`` columns) on m >= 2 clouds, they are
-    projected point-major, straight into the n rows of a buffer
-    (n + 1, ..., D) with a spare row, which ``_network_sort`` sorts in
-    place; its sorted rows are then written once into out or a new array.
-    The rows are held per thread when out is given, as the spot check gives
-    it (the X, Y and same-orbit thirds of a sub-block as one (3, m, n, d)
-    stack), and are new otherwise.  Row i is the product of the i-th points
-    of all the clouds, an (m, d) matrix read in place with row stride n d,
-    so the stack takes n BLAS calls in all: a copy of the clouds transposed
-    to (n m, d) for a single call costs more than the n - 1 calls it saves.
-    A stack whose leading axes do not merge into one stride, as a slice of
-    the spot check's block, is first copied whole.  Elsewhere, and when a
-    NaN shows, the stacked product (one BLAS call a cloud) is sorted in
-    place by ndarray.sort.  Either way the values are np.sort's.
+    write them to.  Given out, m >= 2 clouds of 2 <= n <= 6 points are
+    projected point-major, straight into the n rows of this thread's held
+    buffer (n + 1, ..., D) with a spare row, which ``_network_sort`` sorts
+    in place; its sorted rows are then written once into out.  The spot
+    check gives out, for the X, Y and same-orbit thirds of a sub-block as
+    one (3, m, n, d) stack and for each extra pair.  Row i is the product
+    of the i-th points of all the clouds, an (m, d) matrix read in place
+    with row stride n d, so the stack takes n BLAS calls in all: a copy of
+    the clouds transposed to (n m, d) for a single call costs more than the
+    n - 1 calls it saves.  A stack whose leading axes do not merge into one
+    stride, as a slice of the spot check's block, is first copied whole.
+    Elsewhere, and when a NaN shows, the stacked product (one BLAS call a
+    cloud) is sorted in place by ndarray.sort.  Either way the values are
+    np.sort's.
     """
     *lead, n, d = X.shape
     D = A.shape[1]
     m = math.prod(lead)
     # one cloud stays one gemm: its points apart would be vector-matrix
     # products, whose bits differ
-    if m > 1 and n in _NETWORKS and m * D >= _NETWORK_MIN_COLUMNS:
-        buffer = np.empty((n + 1, *lead, D)) if out is None else _held("rows", (n + 1, *lead, D))
+    if out is not None and m > 1 and n in _NETWORKS:
+        buffer = _held("rows", (n + 1, *lead, D))
         np.matmul(X.reshape(m, n, d).swapaxes(0, 1), A, out=buffer[:-1].reshape(n, m, D))
         rows = _network_sort(buffer)
         if rows is not None:
-            if out is None:
-                out = np.empty(X.shape[:-1] + (D,))
             for i, row in enumerate(rows):
                 out[..., i, :] = row
             return out
@@ -197,28 +192,26 @@ def _sorted_gaps(A: np.ndarray, pairs: np.ndarray, *, column_major: bool = False
     Row t holds the gap of pairs[t] = (X, Y) with entry i D + k, the i-th
     sorted value of column k, or, with column_major, entry k n + i (the
     column-major vectors of the sketch check).  Every entry is the one
-    ``_sort_project(A, pairs.reshape(-1, n, d))`` followed by E[0::2] -
-    E[1::2] gives: the same subtraction of the same two sorted values.  No
-    sorted embedding of the whole stack is built.  The pairs are taken in
-    sub-blocks whose point-major buffer (n + 1 rows, as
-    ``_sort_project``'s) holds at most ``_GAP_ELEMENTS`` floats, or one pair.
-    Where that call's network runs (its 2 count clouds have at least
-    ``_NETWORK_MIN_COLUMNS`` columns and n <= 6), each sub-block is
-    projected point-major into the buffer, sorted there by
-    ``_network_sort``, and each sorted row's Y columns are subtracted from
-    its X columns straight into the gap rows.  Where the network does not
-    run, and in a sub-block that holds a NaN, a sub-block takes
-    ``_sort_project`` and one subtraction.  A NaN sends the whole stack of
-    the single call to np.sort, but only its own sub-block here, so then
-    the other sub-blocks' gaps may differ from that call's in the sign of
-    a zero.
+    ``_sort_project(A, pairs.reshape(-1, n, d), out)`` followed by E[0::2]
+    - E[1::2] gives: the same subtraction of the same two sorted values.
+    No sorted embedding of the whole stack is built.  The pairs are taken
+    in sub-blocks whose point-major buffer (n + 1 rows, as
+    ``_sort_project``'s) holds at most ``_GAP_ELEMENTS`` floats, or one
+    pair.  For n <= 6, each sub-block is projected point-major into the
+    buffer, sorted there by ``_network_sort``, and each sorted row's Y
+    columns are subtracted from its X columns straight into the gap rows.
+    For other n, and in a sub-block that holds a NaN, a sub-block takes
+    ``_sort_project`` without out (np.sort) and one subtraction.  A NaN
+    sends the whole stack of the single call to np.sort, but only its own
+    sub-block here, so then the other sub-blocks' gaps may differ from
+    that call's in the sign of a zero.
     """
     count, _, n, d = pairs.shape
     D = A.shape[1]
     gaps = np.empty((count, n * D))
     # gap t's entries by (sorted row i, column k)
     at = gaps.reshape(count, D, n).transpose(0, 2, 1) if column_major else gaps.reshape(count, n, D)
-    network = n in _NETWORKS and 2 * count * D >= _NETWORK_MIN_COLUMNS
+    network = n in _NETWORKS
     subs = _blocks(count, 2 * (n + 1) * D, _GAP_ELEMENTS)
     if network:
         buffer = np.empty((n + 1, 2 * (subs[0].stop - subs[0].start), D))

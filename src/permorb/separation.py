@@ -97,7 +97,6 @@ from .core import (
     make_rng,
 )
 from .embeddings import (
-    _NETWORK_MIN_COLUMNS,
     _blocks,
     _dot_norms,
     _gaussian_sketch,
@@ -710,10 +709,9 @@ def _sub_block(n: int, d: int, D: int) -> int:
     The sub-block's X, Y and same-orbit thirds are sorted in one call, whose
     point-major rows hold 3 (n + 1) D floats a trial; it takes as many
     trials as fit ``_SORT_FLOATS`` (counting max(d, D) floats a point, so
-    the clouds, which the call copies, fit too), and at least enough for
-    ``_NETWORK_MIN_COLUMNS`` columns a third.
+    the clouds, which the call copies, fit too), and at least one.
     """
-    return max(_SORT_FLOATS // (3 * (n + 1) * max(d, D)), -(-_NETWORK_MIN_COLUMNS // D))
+    return max(_SORT_FLOATS // (3 * (n + 1) * max(d, D)), 1)
 
 
 # The redraw screen (_suspects) clears a pair once the squares of its
@@ -872,11 +870,10 @@ def spot_check_injectivity(
     The stream of draws depends only on the arguments.
 
     A block is embedded in sub-blocks of trials (``_sub_block``) whose
-    sort stage holds at most about ``_SORT_FLOATS`` floats (and at least
-    ``_NETWORK_MIN_COLUMNS`` columns per third, so the sorting network
-    runs): the X, Y and same-orbit thirds of a sub-block are projected
-    and sorted by one ``_sort_project`` call, as one (3, m, n, d) stack
-    (its point-major product and in-place network), then embedded
+    sort stage holds at most about ``_SORT_FLOATS`` floats, or one trial:
+    the X, Y and same-orbit thirds of a sub-block are projected and
+    sorted by one ``_sort_project`` call, as one (3, m, n, d) stack (for
+    n <= 6, its point-major product and in-place network), then embedded
     together, and one ``_dot_norms`` call takes the norms of X and of its
     gaps to Y and to the same-orbit copy (``_gap_norms``).  The block's
     clouds, the projections' point-major rows and the projection and
@@ -888,7 +885,10 @@ def spot_check_injectivity(
     ``sketched_embedding``.  Every gap norm, the extra pairs' included, is
     one BLAS dot of the gap with itself (``_dot_norms``, as in the audit
     pool), which gives the bits of a per-pair np.linalg.norm for gaps of
-    up to 10,000 floats.
+    up to 10,000 floats.  Each extra pair is sorted by a ``_sort_project``
+    call of its own, a stack of two clouds.  A pair whose projections
+    overflow gets a NaN gap norm (from a NaN projection, which goes to
+    np.sort, or from inf - inf in the gap), which counts no collision.
     """
     if kind not in ("sorted", "pooled", "sketched"):
         raise ValueError(f"unknown kind {kind!r}")

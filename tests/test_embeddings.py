@@ -23,9 +23,7 @@ from permorb import (
     translation_offset,
 )
 from permorb import embeddings
-from permorb.embeddings import (
-    _NETWORK_MIN_COLUMNS, _NETWORKS, _blocks, _sort_project, _sorted_gaps,
-)
+from permorb.embeddings import _NETWORKS, _blocks, _sort_project, _sorted_gaps
 from permorb.metrics import orbit_distance
 
 
@@ -199,6 +197,9 @@ def test_translation_identity_holds():
 # A small pool forces ties; signed zeros and infinities are the edge values.
 _SORT_POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, -np.inf)
 
+# Columns of a wide stack: the benchmark's stacks have at least this many.
+_WIDE = 512
+
 
 @contextmanager
 def network_results():
@@ -228,15 +229,14 @@ def network_results():
 )
 @settings(max_examples=30, deadline=None)
 def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, into, seed):
-    # the columns _sort_project sorts: by the network where it runs and by
-    # np.sort elsewhere.  n runs past the network cap (6); a wide stack has
-    # at least the network's floor of columns and a narrow one fewer, so
-    # both sides of each are covered.  One-feature clouds times a row of
-    # signed powers of two project exactly, infinities and NaNs included,
-    # so every column is a pool column or its exact negation.
-    t = -(-_NETWORK_MIN_COLUMNS // D) + extra if wide else 1 + extra % 8
+    # the columns _sort_project sorts: by the network where it runs (a
+    # stack given out, n <= 6) and by np.sort elsewhere.  n runs past the
+    # network cap (6), and stacks are wide or narrow.  One-feature clouds
+    # times a row of signed powers of two project exactly, infinities and
+    # NaNs included, so every column is a pool column or its exact negation.
+    t = -(-_WIDE // D) + extra if wide else 1 + extra % 8
     shape = {
-        "": (n, _NETWORK_MIN_COLUMNS + extra if wide else D),
+        "": (n, _WIDE + extra if wide else D),
         "t": (t, n, D),
         "t2": (t, 2, n, D),
     }[lead]
@@ -255,12 +255,13 @@ def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, in
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sort_columns_sorts_every_zero_one_column(n):
     # a network that sorts all 2**n columns of 0s and 1s sorts every column
-    # (Knuth's 0-1 principle); stacked past the floor, so the network runs,
+    # (Knuth's 0-1 principle); stacked and given out, so the network runs,
     # projected by the identity, which keeps them exactly
     columns = np.array(list(itertools.product([0.0, 1.0], repeat=n))).T
-    X = np.tile(columns, (_NETWORK_MIN_COLUMNS // 2**n + 1, 1, 1))
+    X = np.tile(columns, (_WIDE // 2**n + 1, 1, 1))
     with network_results() as results:
-        assert np.array_equal(_sort_project(np.eye(2**n), X), np.sort(X, axis=-2))
+        got = _sort_project(np.eye(2**n), X, out=np.empty(X.shape))
+        assert np.array_equal(got, np.sort(X, axis=-2))
     assert results == ([True] if n in _NETWORKS else [])
 
 
@@ -273,7 +274,7 @@ def test_sort_columns_with_a_nan_in_a_wide_stack():
     X = rng.standard_normal((1800, 4, 3))
     X[17, 2, 0] = np.inf
     with np.errstate(invalid="ignore"), network_results() as results:
-        got = _sort_project(A, X)
+        got = _sort_project(A, X, out=np.empty((1800, 4, 12)))
         want = np.sort(X @ A, axis=-2)
     assert results == [False]
     assert np.isnan(got[17, 3, 5]) and np.isnan(got).sum() == 1
@@ -300,15 +301,15 @@ _CLOUD_POOL = (0.0, -0.0, 5e-324, 1e300, -1e300, 1e308)
 @settings(max_examples=120, deadline=None)
 # a 5e-324 row projects to -0.0 next to a zero row's 0.0: the network gives
 # (-0.0, -0.0) where np.sort keeps (0.0, -0.0)
-@example(n=2, d=2, D=2, wide=True, extra=0, pool=[0.0, 5e-324], lead=1, into=False, seed=1)
+@example(n=2, d=2, D=2, wide=True, extra=0, pool=[0.0, 5e-324], lead=1, into=True, seed=1)
 def test_a_stacked_sort_projection_gives_each_cloud_the_bits_of_a_single_one(
     n, d, D, wide, extra, pool, lead, into, seed
 ):
-    # a wide stack has at least the network's floor of columns and is sorted
-    # by it (n <= 6); a narrow one, like every single cloud here, by np.sort.
-    # Two leading axes are the sketch check's (2, count, n, d), and out= is
-    # how the spot check calls it.
-    t = -(-_NETWORK_MIN_COLUMNS // D) + extra if wide else 1 + extra % 8
+    # a stack given out is sorted by the network (n <= 6), and a stack
+    # without out, like every single cloud here, by np.sort.  Two leading
+    # axes are the sketch check's (2, count, n, d), and out= is how the
+    # spot check calls it.
+    t = -(-_WIDE // D) + extra if wide else 1 + extra % 8
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
     clouds = rng.standard_normal((lead * t, n, d))
@@ -340,13 +341,14 @@ def test_clouds_wide_enough_for_the_network_keep_the_bits_of_their_own_product(m
     X = rng.standard_normal((m, n, d))
     want = [(np.sort(x @ A, axis=0) + 0.0).tobytes() for x in X]
     assert [(sorted_embedding(A, x) + 0.0).tobytes() for x in X] == want
-    assert [(S + 0.0).tobytes() for S in _sort_project(A, X)] == want
+    assert [(S + 0.0).tobytes() for S in _sort_project(A, X, out=np.empty((m, n, D)))] == want
 
 
 def gaps_of_the_sorted_embeddings(A, pairs, column_major):
     """The gap rows of a stack of pairs as sorted embeddings give them: E[0::2] - E[1::2]."""
     n, d = pairs.shape[-2:]
-    E = _sort_project(A, pairs.reshape(-1, n, d))
+    D = A.shape[1]
+    E = _sort_project(A, pairs.reshape(-1, n, d), out=np.empty((2 * len(pairs), n, D)))
     G = E[0::2] - E[1::2]
     return (G.transpose(0, 2, 1) if column_major else G).reshape(len(pairs), -1)
 
@@ -366,7 +368,7 @@ def gaps_of_the_sorted_embeddings(A, pairs, column_major):
 # seven pairs in sub-blocks of six at n <= 6, where the network runs
 @example(d=2, D=64, count=7, cap=2**12, ties=False, nan=False, column_major=False, seed=0)
 @example(d=2, D=64, count=7, cap=2**12, ties=False, nan=True, column_major=True, seed=0)
-# fewer than 512 columns: np.sort at every n
+# fewer than 512 columns: the network at n <= 6, as for any count
 @example(d=3, D=12, count=20, cap=2**11, ties=True, nan=False, column_major=True, seed=1)
 def test_sorted_gaps_equal_the_gaps_of_the_sorted_embeddings(
     n, d, D, count, cap, ties, nan, column_major, seed
@@ -384,21 +386,14 @@ def test_sorted_gaps_equal_the_gaps_of_the_sorted_embeddings(
     if nan:
         spoilt = int(rng.integers(count))
         pairs[spoilt, 1, -1, 0] = np.nan
-    network = n in _NETWORKS and 2 * count * D >= _NETWORK_MIN_COLUMNS
-    subs = _blocks(count, 2 * (n + 1) * D, cap) if network else []
+    subs = _blocks(count, 2 * (n + 1) * D, cap) if n in _NETWORKS else []
     with patch.object(embeddings, "_GAP_ELEMENTS", cap), network_results() as sorted_:
         got = _sorted_gaps(A, pairs, column_major=column_major)
     want = gaps_of_the_sorted_embeddings(A, pairs, column_major)
     assert got.shape == (count, n * D) and got.flags.c_contiguous
     # the network sorts every sub-block but the one holding the NaN, which
-    # _sort_project's own network tries again where its clouds are wide enough
-    tries = []
-    for sub in subs:
-        if nan and sub.start <= spoilt < sub.stop:
-            tries += [False] * (1 + (2 * (sub.stop - sub.start) * D >= _NETWORK_MIN_COLUMNS))
-        else:
-            tries.append(True)
-    assert sorted_ == tries
+    # goes to np.sort
+    assert sorted_ == [not (nan and sub.start <= spoilt < sub.stop) for sub in subs]
     if nan:
         # the single call sends the whole stack to np.sort, which may give a
         # zero the other sign than the network does
@@ -408,8 +403,9 @@ def test_sorted_gaps_equal_the_gaps_of_the_sorted_embeddings(
 
 
 # Stacks at the shapes the empirical checks sort: spot-check sub-blocks, a
-# (2, count, n, d) stack, one of n = 6, and an audit-sized block whose
-# per-point products are large enough for OpenBLAS to thread; then the
+# (2, count, n, d) stack, one of n = 6, an audit-sized block whose
+# per-point products are large enough for OpenBLAS to thread, and narrow
+# stacks of fewer than 512 columns (an extra pair among them); then the
 # gaps of an audit-sized stack of pairs.
 _STACKS_AT_THREADS = """
 import hashlib, sys
@@ -419,7 +415,8 @@ from permorb.embeddings import _sort_project, _sorted_gaps
 
 digest = hashlib.sha256()
 for lead, n, d, D in [((227,), 4, 3, 12), ((303,), 3, 2, 10), ((2, 200), 4, 3, 12),
-                      ((300,), 6, 4, 20), ((2000,), 4, 3, 64)]:
+                      ((300,), 6, 4, 20), ((2000,), 4, 3, 64), ((2,), 3, 2, 10),
+                      ((7,), 4, 3, 12), ((2, 3), 6, 4, 20)]:
     rng = make_rng(n * D)
     A = rng.standard_normal((d, D))
     stack = rng.standard_normal((*lead, n, d))

@@ -75,7 +75,7 @@ from permorb.audit import (
     sample_pair_pool,
 )
 from permorb.constructions import adversarial_circle_pair
-from permorb.embeddings import _BLOCK_ELEMENTS, _NETWORK_MIN_COLUMNS, _blocks, _dot_norms
+from permorb.embeddings import _BLOCK_ELEMENTS, _blocks, _dot_norms
 from permorb.metrics import (
     _all_permutations,
     _assignment_distance,
@@ -741,10 +741,9 @@ def test_sketched_spot_check_with_a_wide_sketch_matches_the_pair_loop(monkeypatc
 
 @pytest.mark.parametrize("kind, n, d, D, M", SPOT_SHAPES)
 def test_spot_check_matches_the_pair_loop_across_sub_blocks(monkeypatch, kind, n, d, D, M):
-    # three full sub-blocks and a partial one, each still wide enough for
-    # the sorting network, and a planted same-orbit collision
+    # three full sub-blocks and a partial one, and a planted same-orbit
+    # collision
     sub = separation._sub_block(n, d, D)
-    assert sub * D >= _NETWORK_MIN_COLUMNS
     X = make_rng(9).standard_normal((n, d))
     report, _, sizes = check_against_the_reference(monkeypatch, kind, n, d, D, M=M,
                                                    trials=3 * sub + sub // 2, seed=5,
@@ -755,7 +754,7 @@ def test_spot_check_matches_the_pair_loop_across_sub_blocks(monkeypatch, kind, n
 
 @pytest.mark.parametrize("kind, n, d, D, M, trials", [
     *((kind, n, d, D, M, 600) for kind, n, d, D, M in SPOT_SHAPES),
-    ("sorted", 4, 3, 12, None, 10),  # 3 * 10 * 12 columns: np.sort, not the network
+    ("sorted", 4, 3, 12, None, 10),  # 3 * 10 * 12 columns, fewer than the benchmark's
     ("pooled", 7, 2, 26, None, 100),  # n = 7: np.sort, not the network
 ])
 def test_the_fused_gap_norms_match_a_call_per_third(monkeypatch, kind, n, d, D, M, trials):
@@ -904,6 +903,36 @@ def test_extra_pairs_after_a_call_of_several_sub_blocks_count_their_collision():
     report = spot_check_injectivity("sorted", n, d, D, trials=10, seed=5,
                                     extra_pairs=[(X, X[::-1])])
     assert report.collisions == 1
+
+
+@pytest.mark.parametrize("kind, n, d, D, M", SPOT_SHAPES)
+def test_an_extra_pair_whose_projections_overflow_counts_no_collision(monkeypatch, kind, n, d, D, M):
+    # finite points of +-1e308 project to infinities, and their sums may
+    # reach inf - inf = nan (whether they do depends on the BLAS kernel's
+    # use of fused multiply-adds); the pair reaches the network either way,
+    # and its non-finite gap must count no collision
+    seed = 5
+    A = make_rng(seed).standard_normal((d, D))  # the directions the check draws first
+    X = make_rng(9).standard_normal((n, d))
+    Y = X.copy()
+    X[0] = Y[1] = [1e308, -1e308, 1e308][:d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(X @ A).all()
+    sorts = []
+    network_sort = embeddings._network_sort
+
+    def recorded(buffer):
+        sorts.append(buffer.shape)
+        return network_sort(buffer)
+
+    monkeypatch.setattr(embeddings, "_network_sort", recorded)
+    want = spot_check_injectivity(kind, n, d, D, M=M, trials=50, seed=seed)
+    sampled = len(sorts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = spot_check_injectivity(kind, n, d, D, M=M, trials=50, seed=seed,
+                                     extra_pairs=[(X, Y)])
+    assert got == want
+    assert sorts[2 * sampled:] == [(n + 1, 2, D)]
 
 
 @pytest.mark.parametrize("kind, n, d, D, M, peak", [
