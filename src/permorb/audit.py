@@ -62,7 +62,7 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sorted_gaps, _take_points
+from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sorted_gaps
 from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
@@ -460,7 +460,8 @@ def sample_pair_pool(n: int, d: int, count: int, seed: int) -> np.ndarray:
     arange(n) is what rng.permutation(n) does.  The scaling and the
     permuted copies then run once over the whole array, elementwise, so
     each entry is the product and sum a per-pair loop rounds; the permuted
-    points are copied whole (``_take_points``).
+    points are copied whole, by one np.take of rows of the pool's points
+    as a (-1, d) array.
     """
     n, d, count = _check_count("n", n), _check_count("d", d), _check_count("count", count)
     rng = make_rng(seed)
@@ -491,7 +492,7 @@ def sample_pair_pool(n: int, d: int, count: int, seed: int) -> np.ndarray:
     Y *= np.array(factors)[:, None, None]
     near = np.flatnonzero(near)
     # the flat index of point i of drawn[t, 0] is 2 n t + i
-    Y[near] += _take_points(drawn, perms[near] + 2 * n * near[:, None])
+    Y[near] += np.take(drawn.reshape(-1, d), perms[near] + 2 * n * near[:, None], axis=0, mode="clip")
     return pool
 
 
@@ -645,6 +646,9 @@ _DRAW_WINDOW = 1 << 12
 # never its bits.
 _WORDS_PER_NORMAL = 1.022
 
+# Normals the tail drawer draws one at a time, recording its state after each.
+_TAIL_STATES = 4
+
 # Bytes of the largest OSE sketch this process has allocated so far.
 _largest_sketch_bytes = 0
 
@@ -676,44 +680,54 @@ def _words_used(state: dict) -> int:
 
 def _same_continuation(a: dict, b: dict) -> bool:
     """Whether two Philox states agree in all that later draws read: the key,
-    the counter, an empty word buffer and no half-used 32-bit word."""
+    the counter, the position in the counter's block of four words, the
+    block's unread words, and no half-used 32-bit word."""
     return (np.array_equal(a["state"]["key"], b["state"]["key"])
             and np.array_equal(a["state"]["counter"], b["state"]["counter"])
-            and a["buffer_pos"] == b["buffer_pos"] == 4
+            and a["buffer_pos"] == b["buffer_pos"]
+            and np.array_equal(a["buffer"][a["buffer_pos"]:], b["buffer"][b["buffer_pos"]:])
             and a["has_uint32"] == b["has_uint32"] == 0)
 
 
-def _aligned_start(mark: dict, end: dict, start: dict) -> int | None:
-    """How many normals a stream draws from state ``mark`` until it is in state ``start``, or None.
+def _aligned_start(mark: dict, end: dict, starts: list[dict]) -> int | None:
+    """The offset c of a second stream in a first, from the second's states ``starts``, or None.
 
-    ``mark`` and ``end`` are the states of one Philox stream before and
-    after some standard normals.  A replay from ``mark`` draws about half
-    the normals that the words left before ``start`` could hold, backs off
-    when it passes ``start``, and so takes about a dozen steps.  None when
-    ``start`` lies outside [mark, end] or inside the words of one normal:
-    every normal takes at least one word, so the words used grow strictly
-    with the count, and no other count can reach ``start``.
+    ``mark`` and ``end`` are the states of the first Philox stream before
+    and after some standard normals; ``starts[k]`` is the second stream's
+    state after its first k normals.  A replay from ``mark`` advances to
+    each start in turn, drawing about half the normals that the words left
+    before it could hold and backing off when it passes it, so a dozen
+    steps or so reach the first.  At the first start k that the replay
+    reaches, after j normals, in the same state, the second stream's
+    normal i is the first's normal c + i after ``mark`` for every i >= k,
+    with c = j - k.  None when c < 0, which puts the second stream's start
+    before ``mark``, or when no start is reached: every normal takes at
+    least one word, so the words used grow strictly with the count, and a
+    start that lies outside [mark, end] or inside one normal's words is
+    reached by no count.
     """
-    target, used = _words_used(start), _words_used(mark)
-    if not used <= target <= _words_used(end):
-        return None
     replay = np.random.Generator(np.random.Philox(key=0))
     replay.bit_generator.state = mark
-    scratch = np.empty(max(1, (target - used) // 2))
+    used, last = _words_used(mark), _words_used(end)
+    scratch = np.empty(max(1, (last - used) // 2))
     count, most = 0, scratch.size
-    while used < target:
-        step = max(1, min(most, (target - used) // 2))
-        before = replay.bit_generator.state
-        replay.standard_normal(out=scratch[:step])
-        after = _words_used(replay.bit_generator.state)
-        if after <= target:
-            count, used = count + step, after
-        elif step == 1:
-            return None  # start lies inside one normal's words
-        else:
+    for k, start in enumerate(starts):
+        target = _words_used(start)
+        while used < target <= last:
+            step = max(1, min(most, (target - used) // 2))
+            before = replay.bit_generator.state
+            replay.standard_normal(out=scratch[:step])
+            after = _words_used(replay.bit_generator.state)
+            if after <= target:
+                count, used = count + step, after
+                continue
             replay.bit_generator.state = before
+            if step == 1:
+                break  # start lies inside one normal's words
             most = step // 2
-    return count if _same_continuation(replay.bit_generator.state, start) else None
+        if used == target and _same_continuation(replay.bit_generator.state, start):
+            return count - k if count >= k else None
+    return None
 
 
 def _head_rows(M: int) -> int:
@@ -753,24 +767,32 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     is counter-based, so any block of its words can be reached directly.
     A normal takes a variable number of words, so g is a guess: the head's
     expected end, h nD ``_WORDS_PER_NORMAL`` words, less half the window.
-    That constant, numpy's ziggurat's average, only places g.  Once the
-    head's two states are published, a replay from the recorded state
-    finds the count j of normals after which the head's stream is in the
-    tail's starting state: equal key and counter, and no word of the
-    counter's block left over.  Equal Philox states give equal
-    continuations, so the tail's normals are the stream's from j on; this
-    is a proof, not a match of values.  They lie delta = window - j places
-    after their place in L, and the tail is moved back by delta (a 1-D
-    copy in one direction, which numpy makes without a temporary).  On a
-    miss, where g falls inside the words of one normal (about 2% of the
-    words continue a normal) or j outside the window, the tail is drawn
-    again from the head's generator, which the worker has left at the
-    head's end and no longer reads.  At the audit-cli benchmark's two
-    shapes, over its workload seeds 0-59, the 18,921 x 144 sketch misses
-    on 1 seed and the 11,417 x 96 one on none (at h = ceil(M / 2), 4 and
-    1).  The tail is then divided, checked and given its Gram part as the
-    head is, and only then does ``final()`` wait for the task's result,
-    the head's Gram part, and sum G_head + G_tail.  So the caller waits
+    That constant, numpy's ziggurat's average, only places g.  The tail
+    drawer draws its first ``_TAIL_STATES`` normals one at a time and
+    records its state s_k after k normals, for k = 0 to 4.  Once the
+    head's two states are published, a replay from the head's state one
+    window before its end advances to each s_k in turn and stops at the
+    first it reaches, after j normals, in the same state: equal key,
+    counter and position in the counter's block of four words, and equal
+    unread words of that block (``_same_continuation``).  Equal Philox
+    states give equal continuations, so the tail's normals from k on are
+    the stream's from j on; this is a proof, not a match of values.  They
+    lie delta = window - j + k places after their place in L, and the tail is
+    moved back by delta (a 1-D copy in one direction, which numpy makes
+    without a temporary).  When g falls inside the words of one normal
+    (about 2% of the words continue a normal), the head's stream never
+    passes through s_0, but the two parses of the stream fall into step
+    within a normal or two.  On a miss, where no s_k lies in the window
+    or j < k (the spill would not hold the move), the tail is drawn again
+    from the head's generator, which the worker has left at the head's
+    end and no longer reads.  Over seeds 0-199, no tail of a 200 x 96,
+    200 x 144 or 3,000 x 24 sketch misses, and every one aligns at
+    k <= 2 (with s_0 alone, 4, 3 and 2 missed); at the audit-cli
+    benchmark's two shapes, over its workload seeds 0-59, none misses
+    (with s_0 alone, the 18,921 x 144 sketch of seed 44 did).  The tail is
+    then divided, checked and given its Gram part as the head is, and
+    only then does ``final()`` wait for the task's result, the head's
+    Gram part, and sum G_head + G_tail.  So the caller waits
     for the worker twice: for the head's states before the replay, and for
     G_head after G_tail.  No task waits for another inside the pool.  The
     margin of the check's screen holds for L^T L summed in any order, so
@@ -858,7 +880,6 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     _largest_sketch_bytes = max(_largest_sketch_bytes, 8 * size)
     rng, tail_rng = make_rng(seed), make_rng(seed)
     tail_rng.bit_generator.advance(int(_WORDS_PER_NORMAL * (h * N - window / 2)) // 4)
-    start = tail_rng.bit_generator.state
     stop = threading.Event()
     drawn = threading.Event()  # set once the head's draw has ended, failed or not
     states = []  # the head's Philox states (mark, end), once it is drawn
@@ -884,15 +905,19 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
 
     @cache
     def final():
-        _gaussian_fill(tail_rng, flat[h * N:], stop)
+        starts = [tail_rng.bit_generator.state]  # starts[k]: the tail's state after k normals
+        for i in range(h * N, h * N + _TAIL_STATES):
+            tail_rng.standard_normal(out=flat[i: i + 1])
+            starts.append(tail_rng.bit_generator.state)
+        _gaussian_fill(tail_rng, flat[h * N + _TAIL_STATES:], stop)
         drawn.wait()
         if not states:
             head.result()  # the head's draw failed: raise its error
-        j = _aligned_start(*states[0], start)
-        if j is None:
+        c = _aligned_start(*states[0], starts)
+        if c is None:
             _gaussian_fill(rng, flat[h * N: M * N], stop)
         else:
-            delta = window - j
+            delta = window - c
             flat[h * N: M * N] = flat[h * N + delta: M * N + delta]
         G_tail = finished(slice(h, M))
         G_head = head.result()
@@ -1079,12 +1104,11 @@ def _ose_check(
     for block in _blocks(trials, 2 * n * max(d, D)):
         pairs = np.empty((block.stop - block.start, 2, n, d))
         scales = []
-        for X, Y in pairs:
+        for pair in pairs:
             # the draws of 10.0 ** rng.uniform(-2.0, 2.0) and scale * normals,
             # as in sample_pair_pool
             scales.append(10.0 ** (-2.0 + 4.0 * rng.random()))
-            rng.standard_normal(out=X)
-            rng.standard_normal(out=Y)
+            rng.standard_normal(out=pair)
         pairs *= np.array(scales)[:, None, None, None]
         # the column-major gap vectors, one row each
         V = _sorted_gaps(scaled, pairs, column_major=True)

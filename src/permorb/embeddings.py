@@ -50,9 +50,7 @@ a stack that ``_sort_project`` has no out for and a stack that holds a
 NaN use ``np.sort``.
 
 Gap norms, of the audit pool, the sketch check and the spot checks alike,
-come from ``_dot_norms``: one BLAS dot of each gap with itself.  The
-audit pool's near-orbit copies and the spot check's same-orbit copies come
-from ``_take_points``, which moves each point's d floats as one item.
+come from ``_dot_norms``: one BLAS dot of each gap with itself.
 """
 
 from __future__ import annotations
@@ -250,24 +248,6 @@ def _dot_norms(G: np.ndarray) -> np.ndarray:
         part = G[:, lo : lo + _BLAS_SERIAL_DOT]
         total = total + np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
     return np.sqrt(total)
-
-
-def _take_points(clouds: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """clouds.reshape(-1, d)[index]: the points (index.shape + (d,)) at flat point indices.
-
-    clouds (..., d) is a C-contiguous float array, and out, if given, an
-    array of the result's shape whose last axis is contiguous.  Each point's
-    d floats are viewed as one np.void item, so one np.take moves whole
-    points (a pure copy, the same bits) where take_along_axis would step
-    through the d floats of each.  The indices are not checked: mode="clip"
-    spares np.take the copy of out that its default mode makes.
-    """
-    d = clouds.shape[-1]
-    if out is None:
-        out = np.empty(index.shape + (d,))
-    point = np.dtype((np.void, d * clouds.itemsize))
-    np.take(clouds.view(point).reshape(-1), index, out=out.view(point)[..., 0], mode="clip")
-    return out
 
 
 def _gaussian_sketch(rng: np.random.Generator, M: int, columns: int) -> np.ndarray:

@@ -102,7 +102,6 @@ from .embeddings import (
     _gaussian_sketch,
     _held,
     _sort_project,
-    _take_points,
 )
 from .metrics import _all_permutations, _orbit_distance_floor, _subset_layers
 
@@ -790,8 +789,9 @@ def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndar
     the pairs ``_suspects`` cannot clear get the floor; each pair's floor
     does not depend on the pairs stacked with it, so the redraws are those
     of a floor of the whole block.  The same-orbit copies are gathered
-    whole (``_take_points``).  The clouds are this thread's held "clouds"
-    buffer, valid until the next block is drawn.
+    whole, by one np.take of rows of X's (count n, d) points.  The clouds
+    are this thread's held "clouds" buffer, valid until the next block is
+    drawn.
     """
     clouds = _held("clouds", (3, count, n, d))
     X, Y = clouds[0], clouds[1]
@@ -809,7 +809,7 @@ def _draw_block(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndar
                 raise RuntimeError("could not sample a distant pair")
     # the flat index of point i of X[t] is n t + i
     perms += np.arange(0, count * n, n)[:, None]
-    _take_points(X, perms, out=clouds[2])
+    np.take(X.reshape(-1, d), perms, axis=0, mode="clip", out=clouds[2])
     return clouds
 
 
@@ -866,7 +866,8 @@ def spot_check_injectivity(
     screen on the coordinate sums of X - Y cannot clear (``_suspects``,
     whose docstring proves that every pair it clears has a computed floor
     of at least 0.1), so the redraws are those of a floor of every pair.
-    The same-orbit copies are gathered point by point (``_take_points``).
+    The same-orbit copies are gathered as whole points, by one np.take of
+    the block's X points as rows.
     The stream of draws depends only on the arguments.
 
     A block is embedded in sub-blocks of trials (``_sub_block``) whose

@@ -5,9 +5,10 @@ pair pool (``audit._drawn_sketch``, which gives the full account): one
 worker thread draws the head, rows [0, h) with h = ``audit._head_rows(M)``,
 and the sketch check draws the tail on the calling thread before its first
 screen, from a copy of the stream advanced to a guessed word that a replay
-proves, by Philox state equality, to continue the head's stream, or on a
-miss from the head's generator.  The check's G is the sum of the parts'
-Gram parts, and the caller forms the tail's before it waits for the head's.
+proves, by Philox state equality before or after one of the copy's first
+few normals, to continue the head's stream, or on a miss from the head's
+generator.  The check's G is the sum of the parts' Gram parts, and the
+caller forms the tail's before it waits for the head's.
 
 These tests hold that draw to the sequential route: the same sketch bits
 on the split and the miss paths, a Gram matrix that is the two parts'
@@ -83,14 +84,14 @@ _N, _D = 3, 16
 
 
 def _alignments(monkeypatch):
-    """Every alignment _drawn_sketch looks for from now on, as (j, start within
-    the window's words): j is None on a miss."""
+    """Every alignment _drawn_sketch looks for from now on, as (j, the tail's
+    start within the window's words): j is None on a miss."""
     found = []
     real = audit._aligned_start
 
-    def spy(mark, end, start):
-        j = real(mark, end, start)
-        found.append((j, _words_used(mark) <= _words_used(start) <= _words_used(end)))
+    def spy(mark, end, starts):
+        j = real(mark, end, starts)
+        found.append((j, _words_used(mark) <= _words_used(starts[0]) <= _words_used(end)))
         return j
 
     monkeypatch.setattr(audit, "_aligned_start", spy)
@@ -440,23 +441,72 @@ def test_the_replay_finds_the_count_a_walk_finds(seed):
         start_rng.bit_generator.advance(block)
         start = start_rng.bit_generator.state
         want = _walked_start(mark, 4 * block, 600) if used <= 4 * block <= _words_used(end) else None
-        assert _aligned_start(mark, end, start) == want
+        assert _aligned_start(mark, end, [start]) == want
         counts.append(want)
     found = [count for count in counts if count is not None]
     assert None in counts[3:-3] and found == sorted(found) and len(found) > 100
 
 
-def test_small_draws_keep_the_bits_on_the_split_and_miss_paths(monkeypatch):
+def _states_and_normals(rng, count):
+    """rng's state after each of its first ``count`` normals (and before them), and those normals."""
+    states, normals = [rng.bit_generator.state], []
+    for _ in range(count):
+        normals.append(rng.standard_normal())
+        states.append(rng.bit_generator.state)
+    return states, np.array(normals)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_a_start_inside_a_normal_aligns_a_few_normals_on(seed):
+    # a second stream started at any word of the window: its states after
+    # its first few normals place it in the first stream, where its normals
+    # from there on are the first's, also where its start lies inside one
+    # normal's words and the first stream never passes through it
+    rng = make_rng(seed)
+    rng.standard_normal(1000)
+    mark = rng.bit_generator.state
+    stream = rng.standard_normal(600)
+    end, used = rng.bit_generator.state, _words_used(mark)
+    inside = 0
+    for block in range(used // 4 + 1, _words_used(end) // 4 - 10):
+        second = make_rng(seed)
+        second.bit_generator.advance(block)
+        starts, normals = _states_and_normals(second, 8)
+        c = _aligned_start(mark, end, starts[:5])
+        assert c is not None
+        assert normals[4:].tobytes() == stream[c + 4: c + 8].tobytes()
+        inside += _aligned_start(mark, end, starts[:1]) is None
+    assert inside > 0
+
+
+def test_small_draws_all_split_and_keep_the_bits(monkeypatch):
     # 200 rows of 48 floats: a head of 110 rows, 5,280 normals, and a
     # 4,096-normal window
     assert audit._head_rows(200) * _N * _D > audit._DRAW_WINDOW
-    found = _alignments(monkeypatch)
+    calls = []
+    real = audit._aligned_start
+    monkeypatch.setattr(audit, "_aligned_start", lambda *args: calls.append(args) or real(*args))
     for seed in range(60):
         want = _one_call_sketch(_N, _D, 200, seed).tobytes()
         assert _drawn(_N, _D, 200, seed)[0].tobytes() == want
-    # seed 14's start word lies inside one normal's words
-    assert found[14] == (None, True)
-    assert sum(j is not None for j, _ in found) >= 50
+    assert len(calls) == 60
+    for seed, (mark, end, starts) in enumerate(calls):
+        assert real(mark, end, starts) is not None
+        # seeds 14 and 50 start inside one normal's words, and align after
+        # the tail's first normal
+        assert (real(mark, end, starts[:1]) is None) == (seed in (14, 50))
+        assert real(mark, end, starts[:2]) is not None
+
+
+def test_a_forced_miss_redraws_the_tail_with_the_bits(monkeypatch):
+    # a tail that starts inside the window but is not aligned is redrawn
+    # from the head's generator, serially
+    monkeypatch.setattr(audit, "_aligned_start", lambda mark, end, starts: None)
+    for seed in range(5):
+        want = _one_call_sketch(_N, _D, 200, seed)
+        L, G, _ = _drawn(_N, _D, 200, seed)
+        assert L.tobytes() == want.tobytes()
+        assert G.tobytes() == _halves_gram(want).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -499,18 +549,19 @@ def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which, fail, 
 
 
 def test_the_benchmark_sketches_take_the_split_path(tmp_path, monkeypatch):
-    # the audit-cli workload's two --check-ose sketches (seeds 0-2) must
-    # split, not miss: a numpy whose ziggurat takes another number of words
-    # per normal fails here instead of silently drawing the tail twice
+    # the audit-cli workload's two --check-ose sketches (seeds 0-2, and 44,
+    # whose n = 6 tail starts inside one normal's words) must split, not
+    # miss: a numpy whose ziggurat takes another number of words per normal
+    # fails here instead of silently drawing the tail twice
     monkeypatch.syspath_prepend(str(ROOT))
     workloads = importlib.import_module("perfbench.workloads")
     found = _alignments(monkeypatch)
-    for seed in range(3):
+    for seed in (0, 1, 2, 44):
         ops = [op for op in workloads.audit_cli(seed, tmp_path).ops if op.key.startswith("gauss3")]
         assert [op.key for op in ops] == ["gauss3-n4", "gauss3-n6"]
         for op in ops:
             assert op.call() == 0
-    assert len(found) == 6 and all(j is not None for j, _ in found)
+    assert len(found) == 8 and all(j is not None for j, _ in found)
 
 
 # ---------------------------------------------------------------------------
