@@ -845,8 +845,9 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     glibc keeps resident until a free leaves more than its trim threshold
     at the top of the heap.  In a process that runs many audits the two
     then add up: 8-second runs of the ``audit-cli`` benchmark, whose first
-    n = 6 sketch is 18,921 x 144, peak at 77.3-77.4 MB untrimmed against
-    70.3-73.4 MB trimmed (seeds 0 and 1, two runs each, 2 cores, scipy not
+    n = 6 sketch is 18,921 x 144, peak at 74.3-74.7 MB untrimmed against
+    66.8-67.0 MB trimmed (+11%, over the benchmark's 10% bound on peak RSS;
+    seed 0 in three alternating pairs and seed 1 in two, 2 cores, scipy not
     loaded).  A sketch no larger than an earlier one comes from the heap
     and reuses that memory, so the heap is trimmed only before a new
     largest sketch (glibc's malloc_trim; elsewhere this does nothing).  A

@@ -15,39 +15,23 @@ All three are invariant under row permutations of X, exactly: sorting a
 column depends only on the multiset of its values, so no tolerance is
 needed anywhere in this module.
 
-The public maps validate their input and then call ``_sort_project``, the
-one sort-projection kernel.  It also takes a stack of clouds, which is how
-the spot checks embed many clouds in one call, and it can write into a
-caller's buffer; ``_blocks`` cuts the trials of the empirical checks into
-blocks of bounded size, and the spot check cuts each block again into
-sub-blocks.  The spot check's block and sub-block buffers, and the
-point-major rows that the kernel sorts its stacks in, outlive the call:
-``_held`` keeps them per thread, grown to the largest size asked for, so
-a warmed spot check maps no pages.  The audit pool and the sketch
-check need only the gaps between the sorted embeddings of their pairs:
-``_sorted_gaps`` projects and sorts their pairs as ``_sort_project``
-does, in cache-sized sub-blocks, and subtracts the sorted rows straight
-into the gap vectors, so no sorted embedding of theirs is built; it
-allocates its gap vectors and point-major buffer per call, as the public
-maps allocate their result.  A stacked call gives the same bits per
-cloud as a single one up to the sign of a zero.
-Where the network below sorts, the stack is projected point-major, one
-BLAS call per point index over all its clouds, and elsewhere one per
-cloud; either way each entry comes out as in the cloud's own product,
-which the tests check bit for bit at one and two BLAS threads.  Sorting
-is exact, but the network may sort a stack where a single cloud goes
-through ``np.sort``.
-
-Projection columns are sorted by ``_sort_project`` and ``_sorted_gaps``
-alone.  The clouds of the empirical checks are short (n = 3..6), and
-``np.sort`` pays one C-level sort call per column, so for n <= 6 a stack
-of two or more clouds is sorted by a fixed compare-exchange network
-(Knuth, TAOCP vol. 3, 5.3.4): a few ``np.minimum``/``np.maximum`` passes,
-in place, over whole point-major rows of the stack (``_network_sort``).
-Its result equals ``np.sort``'s entry by entry under ``==``, so a zero
-may carry the other sign (-0.0 == 0.0).  Longer columns, a single cloud,
-a stack that ``_sort_project`` has no out for and a stack that holds a
-NaN use ``np.sort``.
+The public maps validate their input and then call ``_sort_project``:
+the product X @ A, sorted down each column by np.sort.  Every stack of
+clouds the empirical checks embed goes to ``_sorted_rows``, the only
+caller of the sorting network ``_network_sort``; its docstring tells when
+the network runs and why each cloud gets the bits of its own product, up
+to the sign of a zero.  ``_blocks`` cuts the trials
+of the empirical checks into blocks of bounded size, and the spot check
+cuts each block again into sub-blocks, whose sorted rows it writes into
+its projection buffer.  The spot check's block and sub-block buffers,
+and the point-major rows it sorts them in, outlive the call: ``_held``
+keeps them per thread, grown to the largest size asked for, so a warmed
+spot check maps no pages.  The audit pool and the sketch check need only
+the gaps between the sorted embeddings of their pairs: ``_sorted_gaps``
+sorts their pairs in cache-sized sub-blocks and subtracts the sorted
+rows straight into the gap vectors, so no sorted embedding of theirs is
+built; it allocates its gap vectors and point-major buffer per call, as
+the public maps allocate their result.
 
 Gap norms, of the audit pool, the sketch check and the spot checks alike,
 come from ``_dot_norms``: one BLAS dot of each gap with itself.
@@ -140,42 +124,58 @@ def _network_sort(buffer: np.ndarray) -> list[np.ndarray] | None:
     return rows
 
 
-def _sort_project(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sort_project(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Sorted projections of a cloud (n, d), or of a stack of clouds (..., n, d).
 
     No validation: callers pass float arrays whose last axis matches A's
-    rows, and may pass an out of the projections' shape (..., n, D) to
-    write them to.  Given out, m >= 2 clouds of 2 <= n <= 6 points are
-    projected point-major, straight into the n rows of this thread's held
-    buffer (n + 1, ..., D) with a spare row, which ``_network_sort`` sorts
-    in place; its sorted rows are then written once into out.  The spot
-    check gives out, for the X, Y and same-orbit thirds of a sub-block as
-    one (3, m, n, d) stack and for each extra pair.  Row i is the product
-    of the i-th points of all the clouds, an (m, d) matrix read in place
-    with row stride n d, so the stack takes n BLAS calls in all: a copy of
-    the clouds transposed to (n m, d) for a single call costs more than the
-    n - 1 calls it saves.  A stack whose leading axes do not merge into one
-    stride, as a slice of the spot check's block, is first copied whole.
-    Elsewhere, and when a NaN shows, the stacked product (one BLAS call a
-    cloud) is sorted in place by ndarray.sort.  Either way the values are
-    np.sort's.
+    rows.  The product X @ A, one BLAS call a cloud, is sorted down each
+    column in place by ndarray.sort.  The public maps take it for their one
+    cloud, which stays one gemm (its points apart would be vector-matrix
+    products, whose bits differ), and ``_sorted_rows`` for the stacks it
+    does not sort by the network.
     """
-    *lead, n, d = X.shape
-    D = A.shape[1]
-    m = math.prod(lead)
-    # one cloud stays one gemm: its points apart would be vector-matrix
-    # products, whose bits differ
-    if out is not None and m > 1 and n in _NETWORKS:
-        buffer = _held("rows", (n + 1, *lead, D))
-        np.matmul(X.reshape(m, n, d).swapaxes(0, 1), A, out=buffer[:-1].reshape(n, m, D))
-        rows = _network_sort(buffer)
-        if rows is not None:
-            for i, row in enumerate(rows):
-                out[..., i, :] = row
-            return out
-    P = np.matmul(X, A, out=out)
+    P = X @ A
     P.sort(axis=-2)
     return P
+
+
+def _sorted_rows(A: np.ndarray, clouds: np.ndarray, buffer: np.ndarray) -> list[np.ndarray]:
+    """The n sorted rows (m, D) of the projections of a stack of m >= 2 clouds (m, n, d).
+
+    Row i holds entry i of every sorted column: row[t, k] is
+    sort(clouds[t] @ A)[i, k], with np.sort's value, up to the sign of a
+    zero.  Every stack of clouds the empirical checks embed is sorted here:
+    the spot check's sub-blocks and extra pairs, and the pairs of the audit
+    pool and the sketch check.
+
+    Their clouds are short (n = 3..6), and np.sort pays one C-level sort
+    call per column, so for 2 <= n <= 6 the stack is sorted by a fixed
+    compare-exchange network (Knuth, TAOCP vol. 3, 5.3.4) instead: a few
+    np.minimum/np.maximum passes, in place, over whole point-major rows of
+    the stack (``_network_sort``).  The stack is projected point-major,
+    straight into the n first rows of buffer[:, :m], the caller's buffer
+    (n + 1, >= m, D) with a spare row.  Row i is the product of the i-th
+    points of all the clouds, an (m, d) matrix read in place with row stride
+    n d, so the stack takes n BLAS calls in all, and each entry comes out
+    as in the cloud's own product, which the tests check bit for bit at one
+    and two BLAS threads; a copy of the clouds transposed to (n m, d) for a
+    single call costs more than the n - 1 calls it saves.  The rows
+    returned are then views of buffer, valid until it is next written.
+    The network's result equals np.sort's entry by entry under ==, so a zero
+    may carry the other sign (-0.0 == 0.0).  For n > 6 the network costs
+    more than np.sort, and a stack that holds a NaN (which only an
+    overflowing product makes) cannot be network-sorted: then the stacked
+    product ``_sort_project`` forms, one BLAS call a cloud, is sorted by
+    ndarray.sort and its rows are returned.
+    """
+    m, n, _ = clouds.shape
+    if n in _NETWORKS:
+        part = buffer[:, :m]
+        np.matmul(clouds.swapaxes(0, 1), A, out=part[:-1])
+        rows = _network_sort(part)
+        if rows is not None:
+            return rows
+    return list(_sort_project(A, clouds).swapaxes(0, 1))
 
 
 # Cap on the floats of the point-major buffer that ``_sorted_gaps`` sorts a
@@ -189,43 +189,27 @@ def _sorted_gaps(A: np.ndarray, pairs: np.ndarray, *, column_major: bool = False
 
     Row t holds the gap of pairs[t] = (X, Y) with entry i D + k, the i-th
     sorted value of column k, or, with column_major, entry k n + i (the
-    column-major vectors of the sketch check).  Every entry is the one
-    ``_sort_project(A, pairs.reshape(-1, n, d), out)`` followed by E[0::2]
-    - E[1::2] gives: the same subtraction of the same two sorted values.
-    No sorted embedding of the whole stack is built.  The pairs are taken
-    in sub-blocks whose point-major buffer (n + 1 rows, as
-    ``_sort_project``'s) holds at most ``_GAP_ELEMENTS`` floats, or one
-    pair.  For n <= 6, each sub-block is projected point-major into the
-    buffer, sorted there by ``_network_sort``, and each sorted row's Y
-    columns are subtracted from its X columns straight into the gap rows.
-    For other n, and in a sub-block that holds a NaN, a sub-block takes
-    ``_sort_project`` without out (np.sort) and one subtraction.  A NaN
-    sends the whole stack of the single call to np.sort, but only its own
-    sub-block here, so then the other sub-blocks' gaps may differ from
-    that call's in the sign of a zero.
+    column-major vectors of the sketch check).  No sorted embedding of the
+    stack is built.  The pairs are taken in sub-blocks whose point-major
+    buffer (n + 1 rows, allocated once per call) holds at most
+    ``_GAP_ELEMENTS`` floats, or one pair; ``_sorted_rows`` sorts each
+    sub-block, and each sorted row's Y columns are subtracted from its X
+    columns straight into the gap rows.  Every entry is the same
+    subtraction of the same two sorted values as one ``_sorted_rows`` call
+    on the whole stack gives.  A NaN sends the whole stack of that call to
+    np.sort, but only its own sub-block here, so then the other
+    sub-blocks' gaps may differ from that call's in the sign of a zero.
     """
     count, _, n, d = pairs.shape
     D = A.shape[1]
     gaps = np.empty((count, n * D))
     # gap t's entries by (sorted row i, column k)
     at = gaps.reshape(count, D, n).transpose(0, 2, 1) if column_major else gaps.reshape(count, n, D)
-    network = n in _NETWORKS
     subs = _blocks(count, 2 * (n + 1) * D, _GAP_ELEMENTS)
-    if network:
-        buffer = np.empty((n + 1, 2 * (subs[0].stop - subs[0].start), D))
+    buffer = np.empty((n + 1, 2 * (subs[0].stop - subs[0].start), D))
     for sub in subs:
-        clouds = pairs[sub].reshape(-1, n, d)
-        rows = None
-        if network:
-            part = buffer[:, : len(clouds)]
-            np.matmul(clouds.swapaxes(0, 1), A, out=part[:-1])
-            rows = _network_sort(part)
-        if rows is None:
-            E = _sort_project(A, clouds)
-            np.subtract(E[0::2], E[1::2], out=at[sub])
-        else:
-            for i, row in enumerate(rows):
-                np.subtract(row[0::2], row[1::2], out=at[sub, i])
+        for i, row in enumerate(_sorted_rows(A, pairs[sub].reshape(-1, n, d), buffer)):
+            np.subtract(row[0::2], row[1::2], out=at[sub, i])
     return gaps
 
 

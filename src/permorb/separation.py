@@ -101,7 +101,7 @@ from .embeddings import (
     _dot_norms,
     _gaussian_sketch,
     _held,
-    _sort_project,
+    _sorted_rows,
 )
 from .metrics import _all_permutations, _orbit_distance_floor, _subset_layers
 
@@ -708,7 +708,8 @@ def _sub_block(n: int, d: int, D: int) -> int:
     The sub-block's X, Y and same-orbit thirds are sorted in one call, whose
     point-major rows hold 3 (n + 1) D floats a trial; it takes as many
     trials as fit ``_SORT_FLOATS`` (counting max(d, D) floats a point, so
-    the clouds, which the call copies, fit too), and at least one.
+    the sub-block's clouds, copied into one stack for the call, fit too),
+    and at least one.
     """
     return max(_SORT_FLOATS // (3 * (n + 1) * max(d, D)), 1)
 
@@ -873,8 +874,8 @@ def spot_check_injectivity(
     A block is embedded in sub-blocks of trials (``_sub_block``) whose
     sort stage holds at most about ``_SORT_FLOATS`` floats, or one trial:
     the X, Y and same-orbit thirds of a sub-block are projected and
-    sorted by one ``_sort_project`` call, as one (3, m, n, d) stack (for
-    n <= 6, its point-major product and in-place network), then embedded
+    sorted by one ``_sorted_rows`` call, as one stack of 3 m clouds, whose
+    sorted rows are written into the projection buffer, then embedded
     together, and one ``_dot_norms`` call takes the norms of X and of its
     gaps to Y and to the same-orbit copy (``_gap_norms``).  The block's
     clouds, the projections' point-major rows and the projection and
@@ -886,7 +887,7 @@ def spot_check_injectivity(
     ``sketched_embedding``.  Every gap norm, the extra pairs' included, is
     one BLAS dot of the gap with itself (``_dot_norms``, as in the audit
     pool), which gives the bits of a per-pair np.linalg.norm for gaps of
-    up to 10,000 floats.  Each extra pair is sorted by a ``_sort_project``
+    up to 10,000 floats.  Each extra pair is sorted by a ``_sorted_rows``
     call of its own, a stack of two clouds.  A pair whose projections
     overflow gets a NaN gap norm (from a NaN projection, which goes to
     np.sort, or from inf - inf in the gap), which counts no collision.
@@ -934,9 +935,17 @@ def spot_check_injectivity(
 
     blocks = _blocks(trials, 3 * width)
     sub = min(_sub_block(n, d, D), blocks[0].stop - blocks[0].start)
+    rows = _held("rows", (n + 1, 3 * sub, D))
     S_buffer = _held("projections", (3 * sub, n, D))
     E_buffer = (S_buffer.reshape(3 * sub, -1) if kind == "sorted"
                 else _held("embeddings", (3 * sub, columns)))
+
+    def projected(stack):
+        """The sorted projections of a stack of clouds, in S_buffer."""
+        S = S_buffer[: len(stack)]
+        for i, row in enumerate(_sorted_rows(A, stack, rows)):
+            S[:, i] = row
+        return S
 
     collisions = 0
     false_separations = 0
@@ -945,14 +954,13 @@ def spot_check_injectivity(
         clouds = _draw_block(rng, count, n, d)
         for lo in range(0, count, sub):
             m = min(sub, count - lo)
-            S = S_buffer[: 3 * m]
-            _sort_project(A, clouds[:, lo : lo + m], out=S.reshape(3, m, n, D))
+            S = projected(clouds[:, lo : lo + m].reshape(3 * m, n, d))
             norms = _gap_norms(embed(S, E_buffer[: 3 * m]))
             collisions += int(np.count_nonzero(norms[m : 2 * m] <= 1e-8))
             scale = np.maximum(1.0, norms[:m])
             false_separations += int(np.count_nonzero(norms[2 * m :] > 1e-9 * scale))
     for pair in pairs:
-        E = embed(_sort_project(A, pair, out=S_buffer[:2]), E_buffer[:2])
+        E = embed(projected(pair), E_buffer[:2])
         collisions += int(_dot_norms(E[:1] - E[1:])[0] <= 1e-8)
     return InjectivityReport(
         kind=kind,

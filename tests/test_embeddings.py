@@ -23,7 +23,7 @@ from permorb import (
     translation_offset,
 )
 from permorb import embeddings
-from permorb.embeddings import _NETWORKS, _blocks, _sort_project, _sorted_gaps
+from permorb.embeddings import _NETWORKS, _blocks, _sort_project, _sorted_gaps, _sorted_rows
 from permorb.metrics import orbit_distance
 
 
@@ -216,6 +216,18 @@ def network_results():
         yield results
 
 
+def sorted_stack(A, stack):
+    """The sorted projections (..., n, D) of a stack of clouds (..., n, d), from _sorted_rows.
+
+    Its buffer has a spare column of clouds, as the spot check's has in a
+    short last sub-block, and starts as NaNs, which no row may keep.
+    """
+    *lead, n, d = stack.shape
+    clouds = stack.reshape(-1, n, d)
+    buffer = np.full((n + 1, len(clouds) + 1, A.shape[1]), np.nan)
+    return np.stack(_sorted_rows(A, clouds, buffer), axis=1).reshape(*lead, n, A.shape[1])
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 @given(
     lead=st.sampled_from(["", "t", "t2"]),
@@ -224,14 +236,15 @@ def network_results():
     extra=st.integers(0, 40),
     pool=st.lists(st.sampled_from(_SORT_POOL), min_size=1, max_size=5),
     with_nan=st.booleans(),
-    into=st.booleans(),
+    rows=st.booleans(),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=30, deadline=None)
-def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, into, seed):
-    # the columns _sort_project sorts: by the network where it runs (a
-    # stack given out, n <= 6) and by np.sort elsewhere.  n runs past the
-    # network cap (6), and stacks are wide or narrow.  One-feature clouds
+def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, rows, seed):
+    # the columns _sorted_rows sorts, by the network where it runs (n <= 6)
+    # and by np.sort elsewhere, and those _sort_project sorts by np.sort; a
+    # lone cloud never goes to _sorted_rows.  n runs past the network cap
+    # (6), and stacks are wide or narrow.  One-feature clouds
     # times a row of signed powers of two project exactly, infinities and
     # NaNs included, so every column is a pool column or its exact negation.
     t = -(-_WIDE // D) + extra if wide else 1 + extra % 8
@@ -245,9 +258,7 @@ def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, in
     rng = make_rng(seed)
     X = rng.choice(np.array(pool + [np.nan] * with_nan), size=shape[:-1] + (1,))
     before = X.copy()
-    out = np.empty(shape) if into else None
-    got = _sort_project(A, X, out=out)
-    assert got is out or out is None
+    got = sorted_stack(A, X) if rows and len(X.reshape(-1, n, 1)) > 1 else _sort_project(A, X)
     assert np.array_equal(got, np.sort(X @ A, axis=-2), equal_nan=True)
     assert np.array_equal(X, before, equal_nan=True)  # the input is left as it was
 
@@ -255,12 +266,12 @@ def test_sort_columns_equals_np_sort(n, lead, wide, D, extra, pool, with_nan, in
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sort_columns_sorts_every_zero_one_column(n):
     # a network that sorts all 2**n columns of 0s and 1s sorts every column
-    # (Knuth's 0-1 principle); stacked and given out, so the network runs,
-    # projected by the identity, which keeps them exactly
+    # (Knuth's 0-1 principle); stacked for _sorted_rows, so the network
+    # runs, projected by the identity, which keeps them exactly
     columns = np.array(list(itertools.product([0.0, 1.0], repeat=n))).T
     X = np.tile(columns, (_WIDE // 2**n + 1, 1, 1))
     with network_results() as results:
-        got = _sort_project(np.eye(2**n), X, out=np.empty(X.shape))
+        got = sorted_stack(np.eye(2**n), X)
         assert np.array_equal(got, np.sort(X, axis=-2))
     assert results == ([True] if n in _NETWORKS else [])
 
@@ -274,7 +285,7 @@ def test_sort_columns_with_a_nan_in_a_wide_stack():
     X = rng.standard_normal((1800, 4, 3))
     X[17, 2, 0] = np.inf
     with np.errstate(invalid="ignore"), network_results() as results:
-        got = _sort_project(A, X, out=np.empty((1800, 4, 12)))
+        got = sorted_stack(A, X)
         want = np.sort(X @ A, axis=-2)
     assert results == [False]
     assert np.isnan(got[17, 3, 5]) and np.isnan(got).sum() == 1
@@ -295,20 +306,21 @@ _CLOUD_POOL = (0.0, -0.0, 5e-324, 1e300, -1e300, 1e308)
     extra=st.integers(0, 40),
     pool=st.lists(st.sampled_from(_CLOUD_POOL), max_size=3),
     lead=st.sampled_from([1, 2]),
-    into=st.booleans(),
+    rows=st.booleans(),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=120, deadline=None)
 # a 5e-324 row projects to -0.0 next to a zero row's 0.0: the network gives
 # (-0.0, -0.0) where np.sort keeps (0.0, -0.0)
-@example(n=2, d=2, D=2, wide=True, extra=0, pool=[0.0, 5e-324], lead=1, into=True, seed=1)
+@example(n=2, d=2, D=2, wide=True, extra=0, pool=[0.0, 5e-324], lead=1, rows=True, seed=1)
 def test_a_stacked_sort_projection_gives_each_cloud_the_bits_of_a_single_one(
-    n, d, D, wide, extra, pool, lead, into, seed
+    n, d, D, wide, extra, pool, lead, rows, seed
 ):
-    # a stack given out is sorted by the network (n <= 6), and a stack
-    # without out, like every single cloud here, by np.sort.  Two leading
-    # axes are the sketch check's (2, count, n, d), and out= is how the
-    # spot check calls it.
+    # a stack of two or more clouds through _sorted_rows is sorted by the
+    # network (n <= 6), and one through _sort_project, like every single
+    # cloud here, by np.sort.  Two leading axes are the sketch check's
+    # (2, count, n, d), and _sorted_rows is how every empirical check
+    # sorts its stacks.
     t = -(-_WIDE // D) + extra if wide else 1 + extra % 8
     rng = make_rng(seed)
     A = rng.standard_normal((d, D))
@@ -318,12 +330,10 @@ def test_a_stacked_sort_projection_gives_each_cloud_the_bits_of_a_single_one(
         clouds[picks] = rng.choice(np.array(pool), size=int(picks.sum()))
         clouds[rng.random((lead * t, n)) < 0.2] = pool[0]  # whole rows of one value
     stack = clouds.reshape(2, t, n, d) if lead == 2 else clouds
-    out = np.full(stack.shape[:-1] + (D,), np.nan) if into else None
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _sort_project(A, stack, out=out)
+        S = sorted_stack(A, stack) if rows and len(clouds) > 1 else _sort_project(A, stack)
         singles = [sorted_embedding(A, X) for X in clouds]
     assert S.shape == stack.shape[:-1] + (D,)
-    assert out is None or S is out
     # + 0.0 turns -0.0 into 0.0 and keeps the bits of every other value, so
     # the bits agree up to the sign of a zero, which the network may flip
     S = S.reshape(-1, n, D)
@@ -341,14 +351,14 @@ def test_clouds_wide_enough_for_the_network_keep_the_bits_of_their_own_product(m
     X = rng.standard_normal((m, n, d))
     want = [(np.sort(x @ A, axis=0) + 0.0).tobytes() for x in X]
     assert [(sorted_embedding(A, x) + 0.0).tobytes() for x in X] == want
-    assert [(S + 0.0).tobytes() for S in _sort_project(A, X, out=np.empty((m, n, D)))] == want
+    S = sorted_stack(A, X) if m > 1 else _sort_project(A, X)
+    assert [(cloud + 0.0).tobytes() for cloud in S] == want
 
 
 def gaps_of_the_sorted_embeddings(A, pairs, column_major):
     """The gap rows of a stack of pairs as sorted embeddings give them: E[0::2] - E[1::2]."""
     n, d = pairs.shape[-2:]
-    D = A.shape[1]
-    E = _sort_project(A, pairs.reshape(-1, n, d), out=np.empty((2 * len(pairs), n, D)))
+    E = sorted_stack(A, pairs.reshape(-1, n, d))
     G = E[0::2] - E[1::2]
     return (G.transpose(0, 2, 1) if column_major else G).reshape(len(pairs), -1)
 
@@ -411,7 +421,7 @@ _STACKS_AT_THREADS = """
 import hashlib, sys
 import numpy as np
 from permorb import make_rng, sorted_embedding
-from permorb.embeddings import _sort_project, _sorted_gaps
+from permorb.embeddings import _sorted_gaps, _sorted_rows
 
 digest = hashlib.sha256()
 for lead, n, d, D in [((227,), 4, 3, 12), ((303,), 3, 2, 10), ((2, 200), 4, 3, 12),
@@ -420,7 +430,8 @@ for lead, n, d, D in [((227,), 4, 3, 12), ((303,), 3, 2, 10), ((2, 200), 4, 3, 1
     rng = make_rng(n * D)
     A = rng.standard_normal((d, D))
     stack = rng.standard_normal((*lead, n, d))
-    S = _sort_project(A, stack, out=np.empty((*lead, n, D))).reshape(-1, n, D)
+    clouds = stack.reshape(-1, n, d)
+    S = np.stack(_sorted_rows(A, clouds, np.empty((n + 1, len(clouds), D))), axis=1)
     for X, got in zip(stack.reshape(-1, n, d), S):
         assert (got + 0.0).tobytes() == (sorted_embedding(A, X) + 0.0).tobytes()
     digest.update((S + 0.0).tobytes())

@@ -679,25 +679,25 @@ def checked_spot_check(monkeypatch, kind, n, d, D, *, trials, extra_pairs=(), **
     """The report of spot_check_injectivity, the clouds it embeds in the
     reference loop's order, and the trial count of each sub-block."""
     calls = []
-    project = separation._sort_project
+    sort = separation._sorted_rows
 
-    def projected(A, S, out=None):
-        calls.append(S.copy())
-        return project(A, S, out=out)
+    def sorted_rows(A, stack, buffer):
+        calls.append(stack.copy())
+        return sort(A, stack, buffer)
 
     with monkeypatch.context() as patch:
-        patch.setattr(separation, "_sort_project", projected)
+        patch.setattr(separation, "_sorted_rows", sorted_rows)
         report = spot_check_injectivity(kind, n, d, D, trials=trials, extra_pairs=extra_pairs,
                                         **kwargs)
-    # one call per sub-block, its X, Y and same-orbit thirds stacked
-    # (3, m, n, d), then one per extra pair
+    # one call per sub-block, a stack (3 m, n, d) of its X, Y and same-orbit
+    # thirds, then one per extra pair
     stacks = calls[: len(calls) - len(extra_pairs)]
     clouds = []
     sizes = []
     for stack in stacks:
-        assert stack.shape[0] == 3 and stack.shape[2:] == (n, d)
-        clouds.extend(stack.swapaxes(0, 1).reshape(-1, n, d))
-        sizes.append(stack.shape[1])
+        assert len(stack) % 3 == 0 and stack.shape[1:] == (n, d)
+        clouds.extend(stack.reshape(3, -1, n, d).swapaxes(0, 1).reshape(-1, n, d))
+        sizes.append(len(stack) // 3)
     assert sum(sizes) == trials
     for pair in calls[len(stacks):]:
         assert len(pair) == 2
