@@ -62,7 +62,7 @@ from .core import (
     singular_values,
 )
 from .constructions import adversarial_circle_pair
-from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _sorted_gaps
+from .embeddings import _blocks, _dot_norms, _gaussian_sketch, _held, _sorted_gaps
 from .metrics import _assignment_totals, _assignment_width
 
 __all__ = [
@@ -649,9 +649,6 @@ _WORDS_PER_NORMAL = 1.022
 # Normals the tail drawer draws one at a time, recording its state after each.
 _TAIL_STATES = 4
 
-# Bytes of the largest OSE sketch this process has allocated so far.
-_largest_sketch_bytes = 0
-
 
 def _gaussian_fill(rng: np.random.Generator, out: np.ndarray, stop: threading.Event) -> None:
     """Fill the 1-D array out with N(0, 1) entries from rng: a drawing thread's work.
@@ -743,11 +740,12 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     """Draw gaussian_sketch(n, D, M, seed) on one worker thread and the caller's: yields (L, final).
 
     n, D and M are the counts ``ose_dimension`` has checked.  L is the
-    M x nD array being drawn.  ``final()`` draws the rest of L on the
-    calling thread, waits until all of L is final, with the bits of
-    gaussian_sketch(n, D, M, seed), re-raises the worker's error, and
-    returns what ``_gram(L)`` returns: (G, a bound on ||L||_F) for a tall
-    sketch, M >= nD, where G = G_head + G_tail is summed from the two
+    M x nD array being drawn, in the calling thread's held sketch buffer,
+    so a thread has one live sketch at a time.  ``final()`` draws the rest
+    of L on the calling thread, waits until all of L is final, with the
+    bits of gaussian_sketch(n, D, M, seed), re-raises the worker's error,
+    and returns what ``_gram(L)`` returns: (G, a bound on ||L||_F) for a
+    tall sketch, M >= nD, where G = G_head + G_tail is summed from the two
     parts' Gram parts, and (None, inf) for a wide one.  The first call
     that returns keeps its pair, and a later call returns that pair and
     draws nothing.
@@ -758,8 +756,8 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     ``_DRAW_WINDOW`` normals, or all h nD of them if fewer.  As soon as the
     head is drawn it publishes that state and the head's end state (an
     event set in a ``finally``, so a draw that fails still wakes the
-    caller).  Only then does it divide the head by sqrt(M), check it finite
-    and, for a tall sketch, form its Gram part with one syrk, the task's
+    caller).  Only then does it divide the head by sqrt(M) and, for a
+    tall sketch, form its Gram part with one syrk, the task's
     result.  The calling thread draws the tail, rows [h, M), in
     ``final()``, the first time the check needs G.  It fills the tail, and
     a spill after L of one window, from its own copy of the stream
@@ -790,7 +788,7 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     k <= 2 (with s_0 alone, 4, 3 and 2 missed); at the audit-cli
     benchmark's two shapes, over its workload seeds 0-59, none misses
     (with s_0 alone, the 18,921 x 144 sketch of seed 44 did).  The tail is
-    then divided, checked and given its Gram part as the head is, and
+    then divided and given its Gram part as the head is, and
     only then does ``final()`` wait for the task's result, the head's
     Gram part, and sum G_head + G_tail.  So the caller waits
     for the worker twice: for the head's states before the replay, and for
@@ -801,12 +799,12 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     0.1 ms) and the move, one pass over the tail's memory.
 
     Each error is raised on the caller's thread by ``final()``: an error in
-    the tail's fill, and a non-finite tail, where the caller meets them;
-    an error in the head's fill once the caller finds no published states,
-    before any replay; and a non-finite head where the caller waits for
-    G_head, after the tail has been aligned, checked and given its Gram
-    part.  Both checks raise the same error, so which one comes first
-    changes no report.
+    the tail's fill where the caller meets it, and an error in the head's
+    fill once the caller finds no published states, before any replay.
+    No entry needs a finite check: numpy's ziggurat returns either
+    rabs * w[idx] or, in its tail, r + xx with xx = -log1p(-u) / r and
+    u < 1, so every normal it draws is finite, and dividing by
+    sqrt(M) >= 1 keeps it finite.
 
     The worker starts drawing on entry, some milliseconds before the
     caller reaches ``final()`` (the pool and the subset bound come between),
@@ -832,27 +830,19 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     split, likely because both syrks, their Gram parts and BLAS work
     buffers, now run at once; the cause was not traced further.
 
-    The worker allocates nothing large: the finite check runs over chunks of
-    2**15 floats, since memory a thread frees stays in its own malloc arena
-    (one whole-part np.isfinite raised the audit-cli benchmark's peak RSS
-    by 3.8%).  L is allocated on the caller's thread, with the spill after
-    it (allocated on a worker, audit-cli's peak RSS grew 22 MB).  Before a
-    sketch larger than every earlier one, free heap pages are handed back
-    first.  glibc serves a block at least as large as its mmap threshold by
-    a mapping of its own, and raises that threshold to the largest block
-    freed so far.  So a sketch larger than every earlier one is mapped
-    apart from the heap, and cannot reuse the heap's free memory, which
-    glibc keeps resident until a free leaves more than its trim threshold
-    at the top of the heap.  In a process that runs many audits the two
-    then add up: 8-second runs of the ``audit-cli`` benchmark, whose first
-    n = 6 sketch is 18,921 x 144, peak at 74.3-74.7 MB untrimmed against
-    66.8-67.0 MB trimmed (+11%, over the benchmark's 10% bound on peak RSS;
-    seed 0 in three alternating pairs and seed 1 in two, 2 cores, scipy not
-    loaded).  A sketch no larger than an earlier one comes from the heap
-    and reuses that memory, so the heap is trimmed only before a new
-    largest sketch (glibc's malloc_trim; elsewhere this does nothing).  A
-    sketch counts once it is allocated: one too large to allocate leaves
-    the record as it was.
+    L and the spill after it are taken on entry, on the calling thread,
+    from that thread's held buffer for the role "sketch"
+    (``embeddings._held``), as the spot check takes its buffers: the
+    buffer grows to the largest sketch the thread has drawn and is kept,
+    so a process keeps its largest sketch after an audit, and a later
+    audit of a sketch no larger maps no pages.  A sketch too large to
+    allocate raises MemoryError on entry and leaves the held buffer as it
+    was.  The worker allocates nothing large: it divides its rows in
+    place.  (Allocated on a worker, L raised audit-cli's peak RSS by
+    22 MB.  Allocated per call, a sketch larger than every earlier one is
+    mapped apart from glibc's heap, beside the free pages earlier calls
+    left resident there, and 8-second runs of the ``audit-cli`` benchmark
+    peaked about 11% higher, over its 10% bound on peak RSS.)
 
     The worker runs none of permorb's public functions.  On leaving the
     context, on every path, a stop flag is set, which every fill reads
@@ -864,21 +854,11 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     # imported here, so that only --check-ose loads the executor's modules
     from concurrent.futures import ThreadPoolExecutor
 
-    global _largest_sketch_bytes
     N = n * D
     h = _head_rows(M)
     window = min(_DRAW_WINDOW, h * N)
-    size = M * N + window  # the sketch, then the tail's spill
-    if 8 * size > _largest_sketch_bytes:
-        try:
-            import ctypes
-
-            ctypes.CDLL(None).malloc_trim(0)
-        except (AttributeError, OSError, TypeError):
-            pass  # no glibc, so nothing to trim
-    flat = np.empty(size)
+    flat = _held("sketch", (M * N + window,))  # the sketch, then the tail's spill
     L = flat[: M * N].reshape(M, N)
-    _largest_sketch_bytes = max(_largest_sketch_bytes, 8 * size)
     rng, tail_rng = make_rng(seed), make_rng(seed)
     tail_rng.bit_generator.advance(int(_WORDS_PER_NORMAL * (h * N - window / 2)) // 4)
     stop = threading.Event()
@@ -886,12 +866,9 @@ def _drawn_sketch(n: int, D: int, M: int, seed: int):
     states = []  # the head's Philox states (mark, end), once it is drawn
 
     def finished(rows):
-        """Divide L[rows] by sqrt(M), check it finite, and return its Gram part."""
+        """Divide L[rows] by sqrt(M) and return its Gram part."""
         S = L[rows]
-        for part in _blocks(len(S), N, 1 << 15):
-            S[part] /= math.sqrt(M)
-            if not np.isfinite(S[part]).all():
-                raise ValueError("L contains non-finite entries")
+        S /= math.sqrt(M)
         return S.T @ S if M >= N else None
 
     def head_task():

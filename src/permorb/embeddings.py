@@ -17,16 +17,21 @@ needed anywhere in this module.
 
 The public maps validate their input and then call ``_sort_project``:
 the product X @ A, sorted down each column by np.sort.  Every stack of
-clouds the empirical checks embed goes to ``_sorted_rows``, the only
-caller of the sorting network ``_network_sort``; its docstring tells when
-the network runs and why each cloud gets the bits of its own product, up
-to the sign of a zero.  ``_blocks`` cuts the trials
-of the empirical checks into blocks of bounded size, and the spot check
-cuts each block again into sub-blocks, whose sorted rows it writes into
-its projection buffer.  The spot check's block and sub-block buffers,
-and the point-major rows it sorts them in, outlive the call: ``_held``
-keeps them per thread, grown to the largest size asked for, so a warmed
-spot check maps no pages.  The audit pool and the sketch check need only
+clouds the empirical checks embed goes to ``_sorted_rows``, which
+projects it point-major into a caller's buffer and sorts it there, by
+the sorting network ``_network_sort`` (its only caller) or by np.sort;
+its docstring tells when the network runs and why each cloud gets the
+bits of its own product, up to the sign of a zero.  ``_blocks`` cuts the
+trials of the empirical checks into blocks of bounded size, and the spot
+check cuts each block again into sub-blocks, whose sorted rows it writes
+into its projection buffer.
+
+``_held`` keeps the buffers that outlive a call, per thread, each grown
+to the largest size asked for and kept: the spot check's block and
+sub-block buffers and the point-major rows it sorts them in, so a warmed
+spot check maps no pages, and the sketch that ``permorb audit
+--check-ose`` draws, one live sketch per thread, so a process keeps its
+largest sketch after an audit.  The audit pool and the sketch check need only
 the gaps between the sorted embeddings of their pairs: ``_sorted_gaps``
 sorts their pairs in cache-sized sub-blocks and subtracts the sorted
 rows straight into the gap vectors, so no sorted embedding of theirs is
@@ -92,7 +97,11 @@ def _held(role: str, shape: tuple[int, ...]) -> np.ndarray:
     The buffer grows to the largest size asked of it and is kept, so a
     warmed caller maps no pages.  Every request for a role returns the same
     memory, so a role has one user at a time: each array is filled and
-    used up before its role is asked for again.
+    used up before its role is asked for again.  The spot check holds its
+    block and sub-block buffers here, and the ``--check-ose`` audit its
+    sketch, in the role "sketch": a thread has one live sketch, and a
+    process keeps its largest sketch after an audit.  A buffer too large
+    to allocate raises MemoryError and leaves the role's buffer as it was.
     """
     size = math.prod(shape)
     buffer = _HELD.buffers.get(role)
@@ -131,8 +140,7 @@ def _sort_project(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     rows.  The product X @ A, one BLAS call a cloud, is sorted down each
     column in place by ndarray.sort.  The public maps take it for their one
     cloud, which stays one gemm (its points apart would be vector-matrix
-    products, whose bits differ), and ``_sorted_rows`` for the stacks it
-    does not sort by the network.
+    products, whose bits differ).
     """
     P = X @ A
     P.sort(axis=-2)
@@ -146,36 +154,48 @@ def _sorted_rows(A: np.ndarray, clouds: np.ndarray, buffer: np.ndarray) -> list[
     sort(clouds[t] @ A)[i, k], with np.sort's value, up to the sign of a
     zero.  Every stack of clouds the empirical checks embed is sorted here:
     the spot check's sub-blocks and extra pairs, and the pairs of the audit
-    pool and the sketch check.
+    pool and the sketch check.  The rows returned are views of buffer,
+    valid until it is next written.
 
-    Their clouds are short (n = 3..6), and np.sort pays one C-level sort
-    call per column, so for 2 <= n <= 6 the stack is sorted by a fixed
-    compare-exchange network (Knuth, TAOCP vol. 3, 5.3.4) instead: a few
-    np.minimum/np.maximum passes, in place, over whole point-major rows of
-    the stack (``_network_sort``).  The stack is projected point-major,
-    straight into the n first rows of buffer[:, :m], the caller's buffer
-    (n + 1, >= m, D) with a spare row.  Row i is the product of the i-th
-    points of all the clouds, an (m, d) matrix read in place with row stride
-    n d, so the stack takes n BLAS calls in all, and each entry comes out
-    as in the cloud's own product, which the tests check bit for bit at one
-    and two BLAS threads; a copy of the clouds transposed to (n m, d) for a
-    single call costs more than the n - 1 calls it saves.  The rows
-    returned are then views of buffer, valid until it is next written.
-    The network's result equals np.sort's entry by entry under ==, so a zero
-    may carry the other sign (-0.0 == 0.0).  For n > 6 the network costs
-    more than np.sort, and a stack that holds a NaN (which only an
-    overflowing product makes) cannot be network-sorted: then the stacked
-    product ``_sort_project`` forms, one BLAS call a cloud, is sorted by
-    ndarray.sort and its rows are returned.
+    The stack is projected point-major, straight into the n first rows of
+    buffer[:, :m], the caller's buffer (n + 1, >= m, D) with a spare row.
+    Row i is the product of the i-th points of all the clouds, an (m, d)
+    matrix read in place with row stride n d, so the stack takes n BLAS
+    calls in all, and each entry comes out as in the cloud's own product,
+    which the tests check bit for bit at one and two BLAS threads; a copy
+    of the clouds transposed to (n m, d) for a single call costs more than
+    the n - 1 calls it saves.  One-point clouds are the exception: a
+    point's own product is a vector-matrix product, whose bits the (m, d)
+    product's need not have, so each is projected alone, cloud-major into
+    the same rows, and its one-point columns are sorted as they stand.
+
+    The empirical checks' clouds are short (n = 3..6), and np.sort pays one
+    C-level sort call per column, so for 2 <= n <= 6 the rows are sorted
+    by a fixed compare-exchange network (Knuth, TAOCP vol. 3, 5.3.4)
+    instead: a few np.minimum/np.maximum passes, in place, over whole
+    point-major rows of the stack (``_network_sort``).  The network's result equals np.sort's
+    entry by entry under ==, so a zero may carry the other sign
+    (-0.0 == 0.0).  For n > 6 the network costs more than np.sort, and a
+    stack that holds a NaN (which only an overflowing product makes)
+    cannot be network-sorted, its rows having been mixed by the network:
+    then the stack is projected again and its rows are sorted in place
+    along their first axis by ndarray.sort, which sorts each column as
+    np.sort sorts it in the cloud's own product.
     """
     m, n, _ = clouds.shape
+    part = buffer[:, :m]
+    if n == 1:
+        np.matmul(clouds, A, out=part[:-1].swapaxes(0, 1))
+        return list(part[:-1])
+    points = clouds.swapaxes(0, 1)
+    np.matmul(points, A, out=part[:-1])
     if n in _NETWORKS:
-        part = buffer[:, :m]
-        np.matmul(clouds.swapaxes(0, 1), A, out=part[:-1])
         rows = _network_sort(part)
         if rows is not None:
             return rows
-    return list(_sort_project(A, clouds).swapaxes(0, 1))
+        np.matmul(points, A, out=part[:-1])  # the network has mixed the rows
+    part[:-1].sort(axis=0)
+    return list(part[:-1])
 
 
 # Cap on the floats of the point-major buffer that ``_sorted_gaps`` sorts a
@@ -196,8 +216,8 @@ def _sorted_gaps(A: np.ndarray, pairs: np.ndarray, *, column_major: bool = False
     sub-block, and each sorted row's Y columns are subtracted from its X
     columns straight into the gap rows.  Every entry is the same
     subtraction of the same two sorted values as one ``_sorted_rows`` call
-    on the whole stack gives.  A NaN sends the whole stack of that call to
-    np.sort, but only its own sub-block here, so then the other
+    on the whole stack gives.  At n <= 6 a NaN sends the whole stack of
+    that call to np.sort, but only its own sub-block here, so then the other
     sub-blocks' gaps may differ from that call's in the sign of a zero.
     """
     count, _, n, d = pairs.shape

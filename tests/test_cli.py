@@ -16,6 +16,7 @@ from permorb import (
     audit,
     cli,
     circle_directions,
+    embeddings,
     gaussian_directions,
     load_matrix_csv,
     orbit_distance,
@@ -504,12 +505,12 @@ def test_audit_reports_an_array_too_large_to_allocate(tmp_path, capsys, extra):
     save_matrix_csv(tmp_path / "A.csv", gaussian_directions(3, 24, 0))
     argv = ["audit", "--directions", str(tmp_path / "A.csv"), "--n", "6", "--trials", "50",
             "--seed", "0", "--out", str(tmp_path / "r.json")]
-    largest = audit._largest_sketch_bytes
+    held = embeddings._HELD.buffers.get("sketch")
     assert main(argv + list(extra)) == 1
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not (tmp_path / "r.json").exists()
-    # a sketch that was never allocated does not stop later audits trimming the heap
-    assert audit._largest_sketch_bytes == largest
+    # a sketch too large to allocate leaves the held sketch buffer as it was
+    assert embeddings._HELD.buffers.get("sketch") is held
 
 
 @pytest.mark.parametrize("shape, flags, message", [

@@ -355,6 +355,12 @@ def test_clouds_wide_enough_for_the_network_keep_the_bits_of_their_own_product(m
     assert [(cloud + 0.0).tobytes() for cloud in S] == want
 
 
+def nan_canonical(S):
+    """The bytes of S with every NaN made np.nan, so equal bytes are equal
+    values, zero signs included, and NaNs in the same places."""
+    return np.where(np.isnan(S), np.nan, S).tobytes()
+
+
 def gaps_of_the_sorted_embeddings(A, pairs, column_major):
     """The gap rows of a stack of pairs as sorted embeddings give them: E[0::2] - E[1::2]."""
     n, d = pairs.shape[-2:]
@@ -378,6 +384,8 @@ def gaps_of_the_sorted_embeddings(A, pairs, column_major):
 # seven pairs in sub-blocks of six at n <= 6, where the network runs
 @example(d=2, D=64, count=7, cap=2**12, ties=False, nan=False, column_major=False, seed=0)
 @example(d=2, D=64, count=7, cap=2**12, ties=False, nan=True, column_major=True, seed=0)
+# a NaN among many sub-blocks with signed zeros, which np.sort keeps at n > 6
+@example(d=3, D=24, count=60, cap=2**11, ties=True, nan=True, column_major=False, seed=2)
 # fewer than 512 columns: the network at n <= 6, as for any count
 @example(d=3, D=12, count=20, cap=2**11, ties=True, nan=False, column_major=True, seed=1)
 def test_sorted_gaps_equal_the_gaps_of_the_sorted_embeddings(
@@ -404,37 +412,53 @@ def test_sorted_gaps_equal_the_gaps_of_the_sorted_embeddings(
     # the network sorts every sub-block but the one holding the NaN, which
     # goes to np.sort
     assert sorted_ == [not (nan and sub.start <= spoilt < sub.stop) for sub in subs]
-    if nan:
+    if nan and n in _NETWORKS:
         # the single call sends the whole stack to np.sort, which may give a
         # zero the other sign than the network does
         assert np.array_equal(got, want, equal_nan=True)
     else:
-        assert got.tobytes() == want.tobytes()
+        # past n = 6 both sort every sub-block by np.sort, NaN or not
+        assert nan_canonical(got) == nan_canonical(want)
 
 
 # Stacks at the shapes the empirical checks sort: spot-check sub-blocks, a
 # (2, count, n, d) stack, one of n = 6, an audit-sized block whose
-# per-point products are large enough for OpenBLAS to thread, and narrow
-# stacks of fewer than 512 columns (an extra pair among them); then the
-# gaps of an audit-sized stack of pairs.
+# per-point products are large enough for OpenBLAS to thread, narrow
+# stacks of fewer than 512 columns (an extra pair among them), stacks of
+# n = 7 and 8, which np.sort sorts, one of one-point clouds, projected
+# cloud by cloud, and two stacks with a NaN, which goes to np.sort at any
+# n; then the gaps of an audit-sized stack of pairs.
 _STACKS_AT_THREADS = """
 import hashlib, sys
 import numpy as np
 from permorb import make_rng, sorted_embedding
 from permorb.embeddings import _sorted_gaps, _sorted_rows
 
+def bits(S):
+    # +0.0 turns -0.0 into 0.0, which the network may give, and every NaN
+    # is made np.nan
+    return np.where(np.isnan(S), np.nan, S + 0.0).tobytes()
+
 digest = hashlib.sha256()
-for lead, n, d, D in [((227,), 4, 3, 12), ((303,), 3, 2, 10), ((2, 200), 4, 3, 12),
-                      ((300,), 6, 4, 20), ((2000,), 4, 3, 64), ((2,), 3, 2, 10),
-                      ((7,), 4, 3, 12), ((2, 3), 6, 4, 20)]:
+for lead, n, d, D, nan in [((227,), 4, 3, 12, False), ((303,), 3, 2, 10, False),
+                           ((2, 200), 4, 3, 12, False), ((300,), 6, 4, 20, False),
+                           ((2000,), 4, 3, 64, False), ((2,), 3, 2, 10, False),
+                           ((7,), 4, 3, 12, False), ((2, 3), 6, 4, 20, False),
+                           ((801,), 7, 3, 24, False), ((2, 50), 8, 5, 64, False),
+                           ((2,), 8, 2, 8, False), ((300,), 1, 3, 24, False),
+                           ((300,), 4, 3, 12, True),
+                           ((300,), 8, 3, 24, True)]:
     rng = make_rng(n * D)
     A = rng.standard_normal((d, D))
     stack = rng.standard_normal((*lead, n, d))
     clouds = stack.reshape(-1, n, d)
+    if nan:
+        clouds[len(clouds) // 2, 1, 0] = np.nan
     S = np.stack(_sorted_rows(A, clouds, np.empty((n + 1, len(clouds), D))), axis=1)
-    for X, got in zip(stack.reshape(-1, n, d), S):
-        assert (got + 0.0).tobytes() == (sorted_embedding(A, X) + 0.0).tobytes()
-    digest.update((S + 0.0).tobytes())
+    for X, got in zip(clouds, S):
+        assert bits(got) == bits(np.sort(X @ A, axis=0))  # the cloud's own product
+    assert np.isnan(S).any() == nan
+    digest.update(bits(S))
 # the audit's gaps of an audit-sized stack of pairs
 rng = make_rng(0)
 A = rng.standard_normal((3, 64))

@@ -17,7 +17,6 @@ and no thread left behind (``conftest.py`` checks the thread count after
 every test).
 """
 
-import contextlib
 import dataclasses
 import importlib
 import inspect
@@ -61,9 +60,13 @@ def _one_call_sketch(n, D, M, seed):
 
 
 def _drawn(n, D, M, seed):
-    """The drawn sketch L and what its draw hands the check: (L, G, fro)."""
+    """A copy of the drawn sketch L and what its draw hands the check: (L, G, fro).
+
+    L is copied, since the next draw on this thread reuses its buffer.
+    """
     with _drawn_sketch(n, D, M, seed) as (L, final):
-        return (L, *final())
+        G, fro = final()
+        return L.copy(), G, fro
 
 
 def _drawer_threads():
@@ -182,22 +185,32 @@ def test_no_public_function_runs_on_the_drawing_thread(tmp_path):
 
 
 def test_concurrent_draws_under_fast_thread_switching_keep_the_bits():
-    # four draws, four workers and the caller on two cores, and a switch
-    # every 10 us: a half divided or summed before it is final, or a tail
-    # moved before the head's replay, would change the sketch or its Gram
-    # matrix
+    # four draws, each on a caller thread of its own (a thread holds one
+    # live sketch), so four workers and four callers share two cores, with
+    # a switch every 10 us: a half divided or summed before it is final, or
+    # a tail moved before the head's replay, would change the sketch or its
+    # Gram matrix
     M = 6000
     wants = [_one_call_sketch(_N, _D, M, 30 + k) for k in range(4)]
+    entered = threading.Barrier(4, timeout=10)  # all four workers run before any final()
+    kept = [None] * 4
+
+    def draw(k):
+        with _drawn_sketch(_N, _D, M, 30 + k) as (L, final):
+            entered.wait()
+            kept[k] = (final()[0].tobytes(), L.tobytes())
+
+    callers = [threading.Thread(target=draw, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with contextlib.ExitStack() as stack:
-            sketches = [stack.enter_context(_drawn_sketch(_N, _D, M, 30 + k)) for k in range(4)]
-            for (L, final), want in zip(sketches, wants):
-                assert final()[0].tobytes() == _halves_gram(want).tobytes()
-                assert L.tobytes() == want.tobytes()
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
     finally:
         sys.setswitchinterval(interval)
+    assert kept == [(_halves_gram(want).tobytes(), want.tobytes()) for want in wants]
     assert not _drawer_threads()
 
 
@@ -300,30 +313,27 @@ def test_final_draws_once_and_then_returns_its_pair(monkeypatch):
     assert G.tobytes() == _halves_gram(_one_call_sketch(_N, _D, 3000, 2)).tobytes()
 
 
-def test_the_caller_checks_its_tail_before_the_head_is_checked(monkeypatch):
-    # the worker's finite check of the head, which comes before the head's
-    # Gram part, is held until the caller has checked the tail, the step
+def test_the_caller_divides_its_tail_before_the_head_is_divided(monkeypatch):
+    # the worker's division of the head by sqrt(M), which comes before the
+    # head's Gram part, is held until the caller divides the tail, the step
     # before the tail's Gram part: a final() that waited for the head's
-    # Gram part before the tail's check would never release it, so the
+    # Gram part before dividing the tail would never release it, so the
     # hold gives up after 10 s and the test fails
-    tail_checked = threading.Event()
+    tail_divided = threading.Event()
     held = []
-    real = audit._blocks
 
-    def checked(parts):
-        yield from parts
-        tail_checked.set()
+    class HeldSqrt:
+        def __getattr__(self, name):
+            return getattr(math, name)
 
-    def blocks(count, width, cap=None):
-        parts = real(count, width, cap)
-        if width != _N * _D:  # a fill's chunks
-            return parts
-        if threading.current_thread().name.startswith("permorb-sketch"):
-            held.append(tail_checked.wait(timeout=10))
-            return parts
-        return checked(parts)
+        def sqrt(self, x):
+            if threading.current_thread().name.startswith("permorb-sketch"):
+                held.append(tail_divided.wait(timeout=10))
+            else:
+                tail_divided.set()
+            return math.sqrt(x)
 
-    monkeypatch.setattr(audit, "_blocks", blocks)
+    monkeypatch.setattr(audit, "math", HeldSqrt())
     with _drawn_sketch(_N, _D, 3000, 2) as (L, final):
         G, _ = final()
     assert held == [True]
@@ -353,49 +363,30 @@ def _raise(out):
     raise RuntimeError("generator failed")
 
 
-def _poison(out):
-    out.fill(np.nan)
-
-
-def _patch_drawer(monkeypatch, fail):
-    """Pass each array the sketch drawer fills to ``fail``: only the drawer
-    fills through audit._gaussian_fill (the pair pool and ose_check fill
-    their clouds with ``out=`` too)."""
+def _patch_drawer(monkeypatch):
+    """Make the sketch drawer fail after each fill: only the drawer fills
+    through audit._gaussian_fill (the pair pool and ose_check fill their
+    clouds with ``out=`` too)."""
     real = audit._gaussian_fill
 
     def failing(rng, out, stop):
         real(rng, out, stop)
-        fail(out)
+        _raise(out)
 
     monkeypatch.setattr(audit, "_gaussian_fill", failing)
 
 
 def test_drawing_error_reaches_the_caller(monkeypatch):
-    _patch_drawer(monkeypatch, _raise)
+    _patch_drawer(monkeypatch)
     with _drawn_sketch(2, 5, 40, 3) as (L, final):
         with pytest.raises(RuntimeError, match="generator failed"):
             final()
 
 
 def test_drawing_error_reaches_the_cli_caller(tmp_path, monkeypatch):
-    _patch_drawer(monkeypatch, _raise)
+    _patch_drawer(monkeypatch)
     with pytest.raises(RuntimeError, match="generator failed"):
         main(_audit_argv(tmp_path))
-    assert not (tmp_path / "r.json").exists()
-
-
-def test_cli_checks_the_drawn_sketch_finite(tmp_path, monkeypatch, capsys):
-    _patch_drawer(monkeypatch, _poison)
-    assert main(_audit_argv(tmp_path)) == 1
-    assert _first_error(capsys) == "error: L contains non-finite entries"
-
-
-def test_cli_checks_a_drawn_wide_sketch_finite(tmp_path, monkeypatch, capsys):
-    # a tiny --ose-constant gives a sketch of fewer rows than its 18
-    # columns, which the check takes whole, with no Gram matrix
-    _patch_drawer(monkeypatch, _poison)
-    assert main(_audit_argv(tmp_path, "--ose-constant", "0.001")) == 1
-    assert _first_error(capsys) == "error: L contains non-finite entries"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -509,14 +500,8 @@ def test_a_forced_miss_redraws_the_tail_with_the_bits(monkeypatch):
         assert G.tobytes() == _halves_gram(want).tobytes()
 
 
-@pytest.mark.parametrize(
-    "fail, error",
-    [(_raise, "generator failed"), (_poison, "L contains non-finite entries")],
-    ids=["raised", "non-finite"],
-)
 @pytest.mark.parametrize("which", [0, 1], ids=["head", "tail"])
-def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which, fail, error):
-    # seed 1 splits, so a poisoned tail reaches its own finite check
+def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which):
     found = _alignments(monkeypatch)
     generators = []
     real_rng, real_fill = audit.make_rng, audit._gaussian_fill
@@ -528,24 +513,17 @@ def test_an_error_in_either_drawer_reaches_the_caller(monkeypatch, which, fail, 
     def failing(rng, out, stop):
         real_fill(rng, out, stop)
         if rng is generators[which]:
-            fail(out)
+            _raise(out)
 
     monkeypatch.setattr(audit, "make_rng", recording_rng)
     monkeypatch.setattr(audit, "_gaussian_fill", failing)
     with _drawn_sketch(_N, _D, 3000, 1) as (L, final):
-        with pytest.raises((RuntimeError, ValueError), match=error):
+        with pytest.raises(RuntimeError, match="generator failed"):
             final()
     assert len(generators) == 2
-    if fail is _raise:
-        # a raised error comes before the alignment: the tail's in its own
-        # draw, the head's where final() waits for the head's Philox states
-        assert found == []
-    else:
-        # a non-finite half is found only by its finite check, after the
-        # head's states are published and the tail aligned with them: the
-        # tail's check is the caller's own, and the head's error is raised
-        # where final() waits for the head's Gram part, after the tail's
-        assert len(found) == 1 and found[0][0] is not None
+    # the error comes before the alignment: the tail's in its own draw, the
+    # head's where final() waits for the head's Philox states
+    assert found == []
 
 
 def test_the_benchmark_sketches_take_the_split_path(tmp_path, monkeypatch):
@@ -630,6 +608,24 @@ def test_cli_report_equals_the_sequential_report_with_a_head_inside_the_window(t
     A = gaussian_directions(d, D, 45)
     got, want = _cli_report(tmp_path, A, n, 30, 46, 50, epsilon=epsilon)
     assert got == want
+
+
+def test_a_smaller_sketch_after_a_larger_one_reuses_the_held_buffer(tmp_path, monkeypatch):
+    # an n = 6 audit, then an n = 4 one on the same thread: the smaller
+    # sketch and its spill sit inside the larger one's held buffer, which
+    # the second draw neither grows nor replaces
+    monkeypatch.delitem(embeddings._HELD.buffers, "sketch", raising=False)
+    d, D = 3, 12
+    A = gaussian_directions(d, D, 49)
+    held = []
+    for n in (6, 4):
+        got, want = _cli_report(tmp_path, A, n, 30, 50, 60)
+        assert got == want
+        held.append(embeddings._HELD.buffers["sketch"])
+    assert held[1] is held[0]
+    M, N = ose_dimension(6, d, D, 0.25, 0.1), 6 * D
+    assert held[0].size == M * N + min(audit._DRAW_WINDOW, audit._head_rows(M) * N)
+    assert ose_dimension(4, d, D, 0.25, 0.1) * 4 * D < M * N
 
 
 def test_cli_report_equals_the_sequential_report_with_a_wide_sketch(tmp_path):
